@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: all build vet test race trace-race trace-bench bench bench-smoke bench-compare chaos crash overload overload-race obs-smoke route-smoke scenario scenario-full examples experiments fuzz fuzz-codec clean
+.PHONY: all build vet test race trace-bench bench benchmark chaos crash overload obs-smoke route-smoke scenario scenario-full examples experiments fuzz fuzz-codec clean
 
-all: build vet test trace-race chaos crash overload obs-smoke route-smoke fuzz-codec bench-smoke bench-compare scenario
+all: build vet test race crash overload route-smoke fuzz-codec scenario
 
 build:
 	$(GO) build ./...
@@ -15,19 +15,14 @@ vet:
 test:
 	$(GO) test ./...
 
+# The whole tree under the race detector (about two minutes on two cores).
 race:
 	$(GO) test -race ./...
-
-# The tracing subsystem and the packages it instruments, under the race
-# detector: the trace hot paths run concurrently in every component.
-trace-race:
-	$(GO) test -race ./internal/trace/ ./internal/broker/ ./internal/webservice/ \
-		./internal/endpoint/ ./internal/engine/ ./internal/sdk/
 
 # Fault-injection suite under the race detector: seeded chaos (connection
 # drops, worker kills, publish failures) against the full stack, plus the
 # chaos/reconnect/lease/retry unit tests. Fixed seeds make failures
-# reproducible (see docs/ROBUSTNESS.md).
+# reproducible (see docs/ROBUSTNESS.md). A focused subset of `race`.
 chaos:
 	$(GO) test -race ./internal/chaos/
 	$(GO) test -race -run 'TestChaos|TestReconnecting|TestWatchdog|TestHeartbeats|TestLease|TestPoison|TestWorkerCrash|TestDo' \
@@ -49,20 +44,15 @@ crash:
 # every admitted task reaches exactly one terminal state, and idempotent
 # retries replay the original task IDs across a -data-dir restart (see
 # docs/ROBUSTNESS.md). Gated on GC_OVERLOAD so plain `go test ./...` stays
-# fast; also runs the admission/fairshare/webservice packages under the race
-# detector via overload-race.
-overload: overload-race
+# fast.
+overload:
 	GC_OVERLOAD=1 $(GO) test -race -count=1 -timeout 300s -v -run TestOverload ./internal/overload/
-
-# The overload-protection hot paths (token buckets, in-flight accounting,
-# idempotency stripes, priority queues) under the race detector.
-overload-race:
-	$(GO) test -race ./internal/scheduler/... ./internal/webservice/... ./internal/broker/... ./internal/statestore/...
 
 # Observability smoke: boots the in-process testbed, scrapes and lints the
 # /metrics/fleet federation format, then kills an endpoint under load and
 # asserts the staleness and failure-rate SLOs fire on /debug/fleet and
-# recover after a restart (see docs/OBSERVABILITY.md).
+# recover after a restart (see docs/OBSERVABILITY.md). A focused subset of
+# `race`.
 obs-smoke:
 	$(GO) test -race -run TestObsSmoke -v ./internal/core/
 
@@ -74,6 +64,11 @@ trace-bench:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
+# The repository benchmark: end-to-end workloads against the shipped
+# binaries with a per-layer budget (see benchmark/README.md).
+benchmark:
+	$(GO) run ./benchmark
+
 # Routing placement smoke: 1000 simulated endpoints (2% of them 10x slower)
 # under the race detector, routed by random vs power-of-two-choices at the
 # same offered load. Asserts p2c holds p99 task latency to <= 0.5x random's
@@ -82,35 +77,23 @@ bench:
 route-smoke:
 	GC_ROUTE=1 $(GO) test -race -count=1 -timeout 600s -v -run TestRouteSmoke ./internal/experiments/
 
-# Fast saturation run recording the current task-path numbers (now with the
-# route-random/route-p2c placement arms over a 10k-endpoint simulated fleet)
-# into BENCH_pr9.json — see docs/PERFORMANCE.md for how to read it.
-bench-smoke:
-	$(GO) run ./cmd/gc-bench -exp saturation -n 3000 -fleet 10000 -json BENCH_pr9.json
-
-# Regression gate: diff the fresh run against the recorded PR-8 baseline and
-# fail on a >10% tasks/s drop (or p50/p99 rise) in any arm present in both,
-# a >10% drop in the codec-speedup / dedup-reduction headline ratios, or a
-# route-p2c p99 improvement below its 2x floor.
-bench-compare:
-	$(GO) run ./cmd/gc-bench -compare BENCH_pr8.json,BENCH_pr9.json
-
 # Scenario harness: builds the real gc-webservice (with -pprof), stands up a
 # 16-endpoint simulated fleet behind a p2c routing group, and drives the
 # built-in steady + burst profiles through the loadgen/sampler/gate pipeline
 # (see docs/SCENARIOS.md). Passes only when every run-validity gate holds,
 # the burst backlog p95 recovers within its window, and burst-peak pprof
-# captures land on disk. Records both summaries in SCENARIO_pr10.json; run
-# outputs (samples.csv, summary.json, *.pb.gz) land under scenario-runs/.
+# captures land on disk. The verdict (scenario.json) and the run outputs
+# (samples.csv, summary.json, *.pb.gz) land under the git-ignored
+# scenario-runs/; SCENARIO_pr10.json is the recorded PR-10 verdict.
 # Gated on GC_SCENARIO so plain `go test ./...` stays fast.
 scenario:
-	GC_SCENARIO=1 GC_SCENARIO_OUT=$(CURDIR)/SCENARIO_pr10.json \
+	GC_SCENARIO=1 GC_SCENARIO_OUT=$(CURDIR)/scenario-runs/scenario.json \
 		$(GO) test -count=1 -timeout 300s -v -run TestScenarioHarness ./internal/scenario/
 
 # Long-form soak: the multi-minute steady-full + burst-full profiles
 # (repeated bursts, every recovery gated). Not part of `make all`.
 scenario-full:
-	GC_SCENARIO=1 GC_SCENARIO_FULL=1 GC_SCENARIO_OUT=$(CURDIR)/SCENARIO_full.json \
+	GC_SCENARIO=1 GC_SCENARIO_FULL=1 GC_SCENARIO_OUT=$(CURDIR)/scenario-runs/scenario-full.json \
 		$(GO) test -count=1 -timeout 900s -v -run TestScenarioHarness ./internal/scenario/
 
 examples:

@@ -7,11 +7,12 @@
 //	gc-bench -exp fig2            # one experiment
 //	gc-bench -exp all             # everything
 //	gc-bench -list                # list experiment IDs
-//	gc-bench -compare old.json,new.json   # regression-gate two saturation runs
+//
+// Performance is measured by the repository benchmark (go run ./benchmark),
+// not here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -28,32 +29,14 @@ type runner struct {
 
 func main() {
 	var (
-		exp     = flag.String("exp", "", "experiment ID (or 'all')")
-		list    = flag.Bool("list", false, "list experiment IDs")
-		n       = flag.Int("n", 200, "task count for load experiments")
-		seed    = flag.Int64("seed", 42, "workload seed")
-		full    = flag.Bool("full", false, "print full per-day series for fig2")
-		csvDir  = flag.String("csv", "", "also write each report's rows to <dir>/<id>.csv")
-		jsonOut = flag.String("json", "", "write the saturation experiment's structured result to this file")
-		fleetN  = flag.Int("fleet", 10000, "simulated endpoint count for the saturation route arms")
-		compare = flag.String("compare", "", "old.json,new.json: diff two saturation results and fail on >10% regression in shared arms")
+		exp    = flag.String("exp", "", "experiment ID (or 'all')")
+		list   = flag.Bool("list", false, "list experiment IDs")
+		n      = flag.Int("n", 200, "task count for load experiments")
+		seed   = flag.Int64("seed", 42, "workload seed")
+		full   = flag.Bool("full", false, "print full per-day series for fig2")
+		csvDir = flag.String("csv", "", "also write each report's rows to <dir>/<id>.csv")
 	)
 	flag.Parse()
-
-	if *compare != "" {
-		parts := strings.SplitN(*compare, ",", 2)
-		if len(parts) != 2 {
-			fmt.Fprintln(os.Stderr, "gc-bench: -compare wants old.json,new.json")
-			os.Exit(2)
-		}
-		if err := compareSaturation(parts[0], parts[1]); err != nil {
-			fmt.Fprintf(os.Stderr, "gc-bench: compare: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	var satResult *experiments.SaturationResult
 
 	runners := []runner{
 		{"fig2", "task invocations per day (Fig. 2)", func() (experiments.Report, error) {
@@ -104,11 +87,6 @@ func main() {
 		{"fairshare", "batch fairshare ablation on the scheduler substrate", func() (experiments.Report, error) {
 			return experiments.Fairshare(12)
 		}},
-		{"saturation", "broker saturation: wire batching vs per-task round trips (PR 3)", func() (experiments.Report, error) {
-			rep, data, err := experiments.Saturation(*n, *fleetN)
-			satResult = data
-			return rep, err
-		}},
 	}
 
 	if *list {
@@ -144,15 +122,6 @@ func main() {
 				fmt.Fprintf(os.Stderr, "gc-bench: csv %s: %v\n", r.id, werr)
 			}
 		}
-		if *jsonOut != "" && err == nil && satResult != nil {
-			if werr := writeJSON(*jsonOut, satResult); werr != nil {
-				fmt.Fprintf(os.Stderr, "gc-bench: json %s: %v\n", r.id, werr)
-				failed++
-			} else {
-				fmt.Printf("# wrote %s\n", *jsonOut)
-			}
-			satResult = nil
-		}
 		fmt.Println()
 		if *exp == r.id {
 			if failed > 0 {
@@ -168,15 +137,6 @@ func main() {
 	if failed > 0 {
 		os.Exit(1)
 	}
-}
-
-// writeJSON stores a structured experiment result.
-func writeJSON(path string, v any) error {
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
 // writeCSV stores a report's header and rows as <dir>/<id>.csv.

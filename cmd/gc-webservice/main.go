@@ -1,7 +1,7 @@
 // Command gc-webservice runs the cloud side of the stack in one process:
 // auth service, state store, message broker, object store, and the REST web
-// service, plus a simulated batch cluster for endpoints started in-process.
-// It prints connection details and a bootstrap bearer token for the demo
+// service (webservice.OpenStack holds the wiring and the drain order). It
+// prints connection details and a bootstrap bearer token for the demo
 // identity, then serves until interrupted.
 package main
 
@@ -16,13 +16,8 @@ import (
 	"time"
 
 	"globuscompute/internal/auth"
-	"globuscompute/internal/broker"
 	"globuscompute/internal/durable"
-	"globuscompute/internal/metrics"
-	"globuscompute/internal/objectstore"
 	"globuscompute/internal/scheduler"
-	"globuscompute/internal/statestore"
-	"globuscompute/internal/trace"
 	"globuscompute/internal/webservice"
 )
 
@@ -49,64 +44,6 @@ func main() {
 	)
 	flag.Parse()
 
-	authSvc := auth.NewService()
-	// With -data-dir the object store is file-backed under it, so spilled
-	// payload/result references recorded in the durable WAL stay resolvable
-	// across a crash/restart.
-	var objects *objectstore.Store
-	if *dataDir != "" {
-		var err error
-		objects, err = objectstore.OpenDir(*dataDir + "/objects")
-		if err != nil {
-			log.Fatalf("gc-webservice: object store: %v", err)
-		}
-	} else {
-		objects = objectstore.New()
-	}
-
-	// Cloud-side task tracing: the service and broker share one collector,
-	// browsable at /debug/traces. Agent-side spans live in the agent
-	// processes; merge their JSONL exports for full-lifecycle traces.
-	traces := trace.NewCollector(0)
-	tracer := trace.NewTracer("webservice", traces)
-
-	// With -data-dir, the statestore and broker recover from their WALs and
-	// journal every mutation; without it, both are purely in-memory (the
-	// original behavior).
-	var (
-		store          *statestore.Store
-		brk            *broker.Broker
-		durableMetrics *metrics.Registry
-		durStore       *durable.Store
-		durBroker      *durable.BrokerLog
-	)
-	if *dataDir != "" {
-		durableMetrics = metrics.NewRegistry()
-		var err error
-		durStore, err = durable.OpenStore(durable.StoreOptions{
-			Dir:           *dataDir + "/state",
-			SnapshotEvery: *snapEvery,
-			Metrics:       durableMetrics,
-			Tracer:        tracer,
-		})
-		if err != nil {
-			log.Fatalf("gc-webservice: durable store: %v", err)
-		}
-		durBroker, err = durable.OpenBroker(durable.BrokerOptions{
-			Dir:           *dataDir + "/broker",
-			SnapshotEvery: *snapEvery,
-			Metrics:       durableMetrics,
-			Tracer:        tracer,
-		})
-		if err != nil {
-			log.Fatalf("gc-webservice: durable broker: %v", err)
-		}
-		store, brk = durStore.State, durBroker.B
-	} else {
-		store, brk = statestore.New(), broker.New()
-	}
-	brk.Tracer = trace.NewTracer("broker", traces)
-
 	// Overload protection: per-tenant token-bucket admission at the front
 	// door, bounded per-endpoint broker queues, and backlog-driven sheds.
 	var admission *scheduler.Admission
@@ -117,74 +54,44 @@ func main() {
 			MaxInFlight: *maxInFlight,
 		})
 	}
-	svc, err := webservice.New(webservice.Config{
-		Store: store, Broker: brk, Objects: objects, Auth: authSvc,
-		Tracer:               tracer,
-		DurableMetrics:       durableMetrics,
-		Admission:            admission,
-		QueueLimit:           *queueLimit,
-		BacklogShedThreshold: *backlogShed,
-		InlineThreshold:      *spillAt,
-		Pprof:                *pprofOn,
+	st, err := webservice.OpenStack(webservice.StackConfig{
+		Service: webservice.Config{
+			Admission:            admission,
+			QueueLimit:           *queueLimit,
+			BacklogShedThreshold: *backlogShed,
+			InlineThreshold:      *spillAt,
+			Pprof:                *pprofOn,
+		},
+		DataDir:       *dataDir,
+		SnapshotEvery: *snapEvery,
+		HTTPAddr:      *httpAddr,
+		BrokerAddr:    *brokerAddr,
+		ObjectsAddr:   *objectsAddr,
+		BrokerTLS:     *brokerTLS,
+		BrokerCAOut:   *caOut,
+		// Production housekeeping: two-week result retention, offline
+		// detection for silent endpoints, (when -task-lease is set) bounded
+		// in-flight leases so tasks on dead endpoints fail instead of
+		// pending forever, and fleet SLO evaluation on a timer.
+		RetentionEvery: time.Hour,
+		Watchdog: webservice.WatchdogConfig{
+			HeartbeatTimeout: 30 * time.Second,
+			Interval:         10 * time.Second,
+			TaskLease:        *taskLease,
+		},
+		SLOEvery: 15 * time.Second,
 	})
 	if err != nil {
 		log.Fatalf("gc-webservice: %v", err)
 	}
-	if *dataDir != "" {
-		// Re-attach result processors for every recovered endpoint so
-		// buffered results drain without waiting for agents to re-register.
-		if err := svc.ResumeEndpoints(); err != nil {
-			log.Fatalf("gc-webservice: resume endpoints: %v", err)
-		}
+	if st.HTTP == nil {
+		log.Fatal("gc-webservice: -http needs a listen address")
 	}
-	var brokerSrv *broker.Server
 	if *brokerTLS {
-		cert, _, err := broker.GenerateIdentity()
-		if err != nil {
-			log.Fatalf("gc-webservice: broker identity: %v", err)
-		}
-		pemData, err := broker.CertPEM(cert)
-		if err != nil {
-			log.Fatalf("gc-webservice: broker ca: %v", err)
-		}
-		if err := os.WriteFile(*caOut, pemData, 0o644); err != nil {
-			log.Fatalf("gc-webservice: write ca: %v", err)
-		}
-		brokerSrv, err = broker.ServeTLS(brk, *brokerAddr, cert)
-		if err != nil {
-			log.Fatalf("gc-webservice: broker: %v", err)
-		}
 		fmt.Printf("  broker CA written to %s (pass to agents via -broker-ca)\n", *caOut)
-	} else {
-		var err error
-		brokerSrv, err = broker.Serve(brk, *brokerAddr)
-		if err != nil {
-			log.Fatalf("gc-webservice: broker: %v", err)
-		}
 	}
-	objectsSrv, err := objectstore.ServeHTTP(objects, *objectsAddr)
-	if err != nil {
-		log.Fatalf("gc-webservice: objects: %v", err)
-	}
-	httpSrv, err := webservice.ServeHTTP(svc, *httpAddr, brokerSrv.Addr(), objectsSrv.Addr())
-	if err != nil {
-		log.Fatalf("gc-webservice: http: %v", err)
-	}
-	// Production housekeeping: two-week result retention, offline detection
-	// for silent endpoints, and (when -task-lease is set) bounded in-flight
-	// leases so tasks on dead endpoints fail instead of pending forever.
-	stopSweeper := svc.StartRetentionSweeper(webservice.ResultRetention, time.Hour)
-	stopWatchdog := svc.StartWatchdog(webservice.WatchdogConfig{
-		HeartbeatTimeout: 30 * time.Second,
-		Interval:         10 * time.Second,
-		TaskLease:        *taskLease,
-	})
-	// Fleet SLO evaluation on a timer, not just on /debug/fleet scrapes, so
-	// alert transitions (and their notifier/log hooks) happen even when no
-	// one is watching.
-	stopSLO := svc.StartSLOEvaluator(15 * time.Second)
 
-	tok, err := authSvc.Issue(
+	tok, err := st.Auth.Issue(
 		auth.Identity{Username: *user, Provider: "bootstrap"},
 		[]string{auth.ScopeCompute, auth.ScopeManage}, *tokenTTL, time.Time{})
 	if err != nil {
@@ -195,52 +102,28 @@ func main() {
 	if *dataDir != "" {
 		fmt.Printf("  data dir:     %s (durable control plane)\n", *dataDir)
 	}
-	fmt.Printf("  REST API:     http://%s\n", httpSrv.Addr())
-	fmt.Printf("  broker:       %s\n", brokerSrv.Addr())
-	fmt.Printf("  object store: %s\n", objectsSrv.Addr())
+	fmt.Printf("  REST API:     http://%s\n", st.HTTP.Addr())
+	fmt.Printf("  broker:       %s\n", st.BrokerSrv.Addr())
+	fmt.Printf("  object store: %s\n", st.ObjectsSrv.Addr())
 	fmt.Printf("  bootstrap token (%s): %s\n", *user, tok.Value)
-	fmt.Printf("  dashboard:    http://%s/dashboard?token=%s\n", httpSrv.Addr(), tok.Value)
-	fmt.Printf("  traces:       http://%s/debug/traces?token=%s\n", httpSrv.Addr(), tok.Value)
-	fmt.Printf("  metrics:      http://%s/metrics?token=%s\n", httpSrv.Addr(), tok.Value)
-	fmt.Printf("  fleet:        http://%s/debug/fleet?token=%s\n", httpSrv.Addr(), tok.Value)
-	fmt.Printf("  federation:   http://%s/metrics/fleet?token=%s\n", httpSrv.Addr(), tok.Value)
-	fmt.Printf("  logs:         http://%s/debug/logs?token=%s\n", httpSrv.Addr(), tok.Value)
+	fmt.Printf("  dashboard:    http://%s/dashboard?token=%s\n", st.HTTP.Addr(), tok.Value)
+	fmt.Printf("  traces:       http://%s/debug/traces?token=%s\n", st.HTTP.Addr(), tok.Value)
+	fmt.Printf("  metrics:      http://%s/metrics?token=%s\n", st.HTTP.Addr(), tok.Value)
+	fmt.Printf("  fleet:        http://%s/debug/fleet?token=%s\n", st.HTTP.Addr(), tok.Value)
+	fmt.Printf("  federation:   http://%s/metrics/fleet?token=%s\n", st.HTTP.Addr(), tok.Value)
+	fmt.Printf("  logs:         http://%s/debug/logs?token=%s\n", st.HTTP.Addr(), tok.Value)
 	if *pprofOn {
-		fmt.Printf("  pprof:        http://%s/debug/pprof/?token=%s\n", httpSrv.Addr(), tok.Value)
+		fmt.Printf("  pprof:        http://%s/debug/pprof/?token=%s\n", st.HTTP.Addr(), tok.Value)
 	}
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	<-stop
 	fmt.Println("gc-webservice: draining")
-	// Drain order matters: (1) stop intake gracefully so accepted submits
-	// finish journaling instead of being torn off mid-handler; (2) stop the
-	// background mutators (watchdog lease expiry, retention sweeps) BEFORE
-	// the durable layer closes — they journal through the same WAL and must
-	// not write to a closed log; (3) drain the service's result processors;
-	// (4) close the wire servers and broker; (5) final WAL fsync + close.
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainWait)
-	if err := httpSrv.Shutdown(drainCtx); err != nil {
-		log.Printf("gc-webservice: http drain: %v (closing)", err)
-		httpSrv.Close()
-	}
-	cancel()
-	stopSLO()
-	stopWatchdog()
-	stopSweeper()
-	svc.Close()
-	brokerSrv.Close()
-	objectsSrv.Close()
-	brk.Close()
-	if durStore != nil {
-		if err := durStore.Close(); err != nil {
-			log.Printf("gc-webservice: durable store close: %v", err)
-		}
-	}
-	if durBroker != nil {
-		if err := durBroker.Close(); err != nil {
-			log.Printf("gc-webservice: durable broker close: %v", err)
-		}
+	defer cancel()
+	if err := st.Close(drainCtx); err != nil {
+		log.Printf("gc-webservice: %v", err)
 	}
 	fmt.Println("gc-webservice: drained cleanly")
 }

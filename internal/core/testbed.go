@@ -1,11 +1,13 @@
-// Package core wires the full Globus Compute stack together in one process:
-// auth, state store, broker, object store, web service (with REST front
-// end), a simulated batch cluster, and endpoint agents. It is the
-// deployment harness used by the examples, the integration tests, and the
-// benchmark harness that regenerates the paper's figures.
+// Package core runs the full Globus Compute stack in one process: the
+// cloud side gc-webservice ships (webservice.Stack: auth, state store,
+// broker, object store, web service with REST front end) plus a simulated
+// batch cluster and endpoint agents. It is the deployment harness used by
+// the examples, the integration tests, and the benchmark harness that
+// regenerates the paper's figures.
 package core
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -17,7 +19,6 @@ import (
 	"globuscompute/internal/mep"
 	"globuscompute/internal/metrics"
 	"globuscompute/internal/mpiengine"
-	"globuscompute/internal/objectstore"
 	"globuscompute/internal/obs"
 	"globuscompute/internal/protocol"
 	"globuscompute/internal/provider"
@@ -32,9 +33,10 @@ import (
 
 // Options configures a testbed.
 type Options struct {
-	// TCP serves the broker and object store over TCP and the web service
-	// over HTTP even for in-process use (default: on, matching the real
-	// deployment; turn off for microbenchmarks).
+	// DisableHTTP skips the listeners: by default the broker is served over
+	// TCP and the object store and web service over HTTP even for
+	// in-process use, matching the real deployment; turn them off for
+	// microbenchmarks.
 	DisableHTTP bool
 	// ClusterNodes sizes the simulated batch cluster (default 8).
 	ClusterNodes int
@@ -59,24 +61,12 @@ type Options struct {
 	BacklogShedThreshold int
 }
 
-// Testbed is a running deployment.
+// Testbed is a running deployment: the cloud-side stack gc-webservice runs
+// (Auth, Store, Broker, Objects, Service, Traces and, unless DisableHTTP, the
+// HTTP/BrokerSrv/ObjectsSrv listeners) plus the endpoint side.
 type Testbed struct {
-	Auth    *auth.Service
-	Store   *statestore.Store
-	Broker  *broker.Broker
-	Objects *objectstore.Store
-	Service *webservice.Service
-	Sched   *scheduler.Scheduler
-
-	// Traces collects every component's spans; one collector serves the
-	// whole single-process deployment, as a tracing backend would in
-	// production.
-	Traces *trace.Collector
-
-	// HTTP front ends (nil when DisableHTTP).
-	HTTP       *webservice.Server
-	BrokerSrv  *broker.Server
-	ObjectsSrv *objectstore.Server
+	*webservice.Stack
+	Sched *scheduler.Scheduler
 
 	agents []*endpoint.Agent
 	meps   []*mep.Manager
@@ -88,47 +78,25 @@ func NewTestbed(opts Options) (*Testbed, error) {
 	if opts.ClusterNodes <= 0 {
 		opts.ClusterNodes = 8
 	}
-	tb := &Testbed{
-		Auth:    auth.NewService(),
-		Store:   statestore.New(),
-		Broker:  broker.New(),
-		Objects: objectstore.New(),
-		Sched:   scheduler.SimpleCluster(opts.ClusterNodes),
-		Traces:  trace.NewCollector(opts.TraceCapacity),
+	cfg := webservice.StackConfig{
+		Service: webservice.Config{
+			InlineThreshold:      opts.InlineThreshold,
+			Fleet:                obs.NewFleetStore(opts.FleetConfig),
+			SLORules:             opts.SLORules,
+			Admission:            opts.Admission,
+			QueueLimit:           opts.QueueLimit,
+			BacklogShedThreshold: opts.BacklogShedThreshold,
+		},
+		TraceCapacity: opts.TraceCapacity,
 	}
-	tb.Broker.Tracer = trace.NewTracer("broker", tb.Traces)
-	svc, err := webservice.New(webservice.Config{
-		Store: tb.Store, Broker: tb.Broker, Objects: tb.Objects, Auth: tb.Auth,
-		InlineThreshold:      opts.InlineThreshold,
-		Tracer:               trace.NewTracer("webservice", tb.Traces),
-		Fleet:                obs.NewFleetStore(opts.FleetConfig),
-		SLORules:             opts.SLORules,
-		Admission:            opts.Admission,
-		QueueLimit:           opts.QueueLimit,
-		BacklogShedThreshold: opts.BacklogShedThreshold,
-	})
+	if !opts.DisableHTTP {
+		cfg.HTTPAddr, cfg.BrokerAddr, cfg.ObjectsAddr = "127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0"
+	}
+	stack, err := webservice.OpenStack(cfg)
 	if err != nil {
 		return nil, err
 	}
-	tb.Service = svc
-	if !opts.DisableHTTP {
-		tb.BrokerSrv, err = broker.Serve(tb.Broker, "127.0.0.1:0")
-		if err != nil {
-			tb.Close()
-			return nil, err
-		}
-		tb.ObjectsSrv, err = objectstore.ServeHTTP(tb.Objects, "127.0.0.1:0")
-		if err != nil {
-			tb.Close()
-			return nil, err
-		}
-		tb.HTTP, err = webservice.ServeHTTP(svc, "127.0.0.1:0", tb.BrokerSrv.Addr(), tb.ObjectsSrv.Addr())
-		if err != nil {
-			tb.Close()
-			return nil, err
-		}
-	}
-	return tb, nil
+	return &Testbed{Stack: stack, Sched: scheduler.SimpleCluster(opts.ClusterNodes)}, nil
 }
 
 // IssueToken mints a bearer token for a user identity with compute+manage
@@ -400,19 +368,10 @@ func (tb *Testbed) Close() {
 	for _, a := range tb.agents {
 		a.Stop()
 	}
-	if tb.HTTP != nil {
-		tb.HTTP.Close()
-	}
-	if tb.Service != nil {
-		tb.Service.Close()
-	}
-	if tb.BrokerSrv != nil {
-		tb.BrokerSrv.Close()
-	}
-	if tb.ObjectsSrv != nil {
-		tb.ObjectsSrv.Close()
-	}
-	tb.Broker.Close()
+	// Tests tear down at once rather than wait for straggling requests.
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
+	_ = tb.Stack.Close(expired)
 	tb.Sched.Close()
 }
 

@@ -564,7 +564,7 @@ func (w *WAL) Close() error {
 	return err
 }
 
-// --- atomic file helpers (shared by snapshots here and statestore.SaveFile) ---
+// --- atomic file helpers (used by the store and broker snapshots) ---
 
 // WriteFileAtomic writes data to path crash-safely: the bytes are written to
 // a temp file which is fsynced, renamed over path, and the parent directory

@@ -72,29 +72,9 @@ type Config struct {
 	// Log overrides the agent's structured logger (default: the process
 	// pipeline's "endpoint" component, stamped with the endpoint ID).
 	Log *obs.Logger
-	// Prefetch bounds in-flight task deliveries (default 32).
+	// Prefetch bounds in-flight task deliveries and caps how many are
+	// decoded, submitted, and acked per task-loop wakeup (default 32).
 	Prefetch int
-	// IntakeBatch caps deliveries decoded, submitted, and acked per task-loop
-	// wakeup (default Prefetch; 1 restores pre-pipeline single-task intake).
-	IntakeBatch int
-	// EgressMaxBatch caps results coalesced into one publish_batch flush
-	// (default 64; 1 restores per-result publishes). A flush holding a single
-	// result always degrades to a plain traced publish, so batching adds no
-	// envelope change — and no latency — at idle.
-	EgressMaxBatch int
-	// EgressFlushWindow, when > 0, delays each egress flush by this much so a
-	// burst can accumulate. Zero (the default) is pure group commit: the
-	// first result flushes immediately and whatever lands while its publish
-	// is in flight forms the next batch.
-	EgressFlushWindow time.Duration
-	// DisableAdaptivePrefetch pins the per-wakeup intake budget at
-	// IntakeBatch. By default the budget scales with the engine's free
-	// capacity (FreeWorkers/PendingTasks) and intake pauses entirely while
-	// the engine backlog is past its high-water mark, so a saturated engine
-	// stops pulling deliveries it cannot start: unacked deliveries then
-	// throttle the broker at the prefetch window instead of queueing
-	// unboundedly inside the agent.
-	DisableAdaptivePrefetch bool
 	// Tracer, when set, records an endpoint.dispatch span per traced task
 	// and carries trace context on published results. Nil disables tracing.
 	Tracer *trace.Tracer
@@ -221,15 +201,6 @@ func New(cfg Config) (*Agent, error) {
 	if cfg.Prefetch <= 0 {
 		cfg.Prefetch = 32
 	}
-	if cfg.IntakeBatch <= 0 {
-		cfg.IntakeBatch = cfg.Prefetch
-	}
-	if cfg.IntakeBatch > cfg.Prefetch {
-		cfg.IntakeBatch = cfg.Prefetch
-	}
-	if cfg.EgressMaxBatch <= 0 {
-		cfg.EgressMaxBatch = 64
-	}
 	if cfg.HeartbeatInterval <= 0 {
 		cfg.HeartbeatInterval = 5 * time.Second
 	}
@@ -242,7 +213,7 @@ func New(cfg Config) (*Agent, error) {
 	a := &Agent{
 		cfg:     cfg,
 		done:    make(chan struct{}),
-		egress:  make(chan protocol.Result, 2*cfg.EgressMaxBatch),
+		egress:  make(chan protocol.Result, 2*egressMaxBatch),
 		ackSem:  make(chan struct{}, ackFlightCap),
 		Metrics: metrics.NewRegistry(),
 	}
@@ -351,7 +322,7 @@ func (a *Agent) taskLoop() {
 	defer a.wg.Done()
 	defer a.producers.Done()
 	defer a.acks.Wait()
-	batch := make([]broker.Message, 0, a.cfg.IntakeBatch)
+	batch := make([]broker.Message, 0, a.cfg.Prefetch)
 	for {
 		if !a.waitForCapacity() {
 			// Stopping: keep draining so unprocessed deliveries requeue via
@@ -388,25 +359,22 @@ const intakeHighWater = 2
 const ackFlightCap = 2
 
 // highWater is the engine backlog at which intake stops pulling: a multiple
-// of the worker count, floored at one full intake batch so a fast-draining
-// engine is never throttled below batch granularity.
+// of the worker count, floored at one full intake batch (Prefetch) so a
+// fast-draining engine is never throttled below batch granularity.
 func (a *Agent) highWater(totalWorkers int) int {
 	hw := intakeHighWater * totalWorkers
-	if hw < a.cfg.IntakeBatch {
-		hw = a.cfg.IntakeBatch
+	if hw < a.cfg.Prefetch {
+		hw = a.cfg.Prefetch
 	}
 	return hw
 }
 
-// intakeBudget sizes the next drain. With adaptive prefetch (the default)
-// it is the room left under the engine's backlog high-water mark plus one
-// round of workers, clamped to [1, IntakeBatch]: an idle engine gets a full
-// batch, one near saturation a trickle.
+// intakeBudget sizes the next drain: the room left under the engine's
+// backlog high-water mark plus one round of workers, clamped to
+// [1, Prefetch]. An idle engine gets a full batch, one near saturation a
+// trickle.
 func (a *Agent) intakeBudget() int {
-	maxN := a.cfg.IntakeBatch
-	if a.cfg.DisableAdaptivePrefetch {
-		return maxN
-	}
+	maxN := a.cfg.Prefetch
 	s := a.cfg.Engine.Stats()
 	budget := a.highWater(s.TotalWorkers) + s.TotalWorkers - s.PendingTasks
 	if budget < 1 {
@@ -426,9 +394,6 @@ func (a *Agent) intakeBudget() int {
 // scheduler before falling back to short sleeps. Returns false when the
 // agent is stopping.
 func (a *Agent) waitForCapacity() bool {
-	if a.cfg.DisableAdaptivePrefetch {
-		return true
-	}
 	for spins := 0; ; spins++ {
 		s := a.cfg.Engine.Stats()
 		if s.TotalWorkers == 0 || s.PendingTasks <= a.highWater(s.TotalWorkers) {
@@ -605,8 +570,11 @@ func (a *Agent) enqueueResult(res protocol.Result) {
 // larger batches.
 const egressFlightCap = 4
 
+// egressMaxBatch caps results coalesced into one publish_batch flush.
+const egressMaxBatch = 64
+
 // egressLoop is the group-commit result flusher: the first queued result
-// wakes it, everything buffered up to EgressMaxBatch coalesces into one
+// wakes it, everything buffered up to egressMaxBatch coalesces into one
 // publish_batch, and a lone result degrades to a plain traced publish so
 // chaos wrappers and old brokers see the classic envelope. While flushes are
 // in flight new results accumulate, so batch size adapts to load without
@@ -615,7 +583,6 @@ const egressFlightCap = 4
 // state machine does not rely on cross-result ordering).
 func (a *Agent) egressLoop() {
 	defer a.wg.Done()
-	maxN := a.cfg.EgressMaxBatch
 	sem := make(chan struct{}, egressFlightCap)
 	var flights sync.WaitGroup
 	defer flights.Wait()
@@ -624,14 +591,11 @@ func (a *Agent) egressLoop() {
 		if !ok {
 			return
 		}
-		if a.cfg.EgressFlushWindow > 0 {
-			time.Sleep(a.cfg.EgressFlushWindow)
-		}
-		batch := make([]protocol.Result, 0, maxN)
+		batch := make([]protocol.Result, 0, egressMaxBatch)
 		batch = append(batch, res)
 		closed := false
 	drain:
-		for len(batch) < maxN {
+		for len(batch) < egressMaxBatch {
 			select {
 			case r2, ok := <-a.egress:
 				if !ok {
@@ -643,19 +607,13 @@ func (a *Agent) egressLoop() {
 				break drain
 			}
 		}
-		if maxN == 1 {
-			// Per-result mode (the pre-pipeline hot path): publish inline,
-			// strictly in order.
-			a.publishResults(batch)
-		} else {
-			sem <- struct{}{}
-			flights.Add(1)
-			go func(b []protocol.Result) {
-				defer flights.Done()
-				defer func() { <-sem }()
-				a.publishResults(b)
-			}(batch)
-		}
+		sem <- struct{}{}
+		flights.Add(1)
+		go func(b []protocol.Result) {
+			defer flights.Done()
+			defer func() { <-sem }()
+			a.publishResults(b)
+		}(batch)
 		if closed {
 			return
 		}

@@ -159,7 +159,7 @@ func (c *batchConn) PublishBatch(queue string, bodies [][]byte, traces []*trace.
 }
 
 // pipelineAgent wires an agent over a fake conn and a caller-supplied runner.
-func pipelineAgent(t *testing.T, conn broker.Conn, run engine.TaskRunner, mut func(*Config)) *Agent {
+func pipelineAgent(t *testing.T, conn broker.Conn, run engine.TaskRunner) *Agent {
 	t.Helper()
 	eng, err := engine.New(engine.Config{
 		Provider:   provider.NewLocal(2),
@@ -170,11 +170,7 @@ func pipelineAgent(t *testing.T, conn broker.Conn, run engine.TaskRunner, mut fu
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{EndpointID: protocol.NewUUID(), Conn: conn, Engine: eng}
-	if mut != nil {
-		mut(&cfg)
-	}
-	agent, err := New(cfg)
+	agent, err := New(Config{EndpointID: protocol.NewUUID(), Conn: conn, Engine: eng})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,9 +217,9 @@ func TestPipelineBatchedIntakeAcksInOneBatch(t *testing.T) {
 	for i := 0; i < n; i++ {
 		loadTask(t, sub.fakeSub, uint64(100+i), fmt.Sprintf(`"p%d"`, i))
 	}
-	agent := pipelineAgent(t, conn, instantRunner, func(c *Config) {
-		c.DisableAdaptivePrefetch = true // fixed budget => one deterministic drain
-	})
+	// The engine is idle, so the adaptive budget is a full batch: one
+	// deterministic drain.
+	agent := pipelineAgent(t, conn, instantRunner)
 
 	waitFor(t, "all results published", func() bool { return conn.totalPublished() == n })
 	if got := agent.Metrics.Counter("tasks_received").Value(); got != n {
@@ -254,7 +250,7 @@ func TestPipelineEgressGroupCommit(t *testing.T) {
 	sub := &batchSub{newFakeSub(8)}
 	release := make(chan struct{})
 	conn := &batchConn{&fakeConn{sub: sub, hold: release}}
-	agent := pipelineAgent(t, conn, instantRunner, nil)
+	agent := pipelineAgent(t, conn, instantRunner)
 
 	agent.enqueueResult(protocol.Result{TaskID: protocol.NewUUID(), State: protocol.StateSuccess})
 	// Wait until the egress loop has the first flush in flight, then pile
@@ -306,7 +302,7 @@ func TestPipelineOldBrokerInterop(t *testing.T) {
 	for i := 0; i < n; i++ {
 		loadTask(t, sub, uint64(200+i), fmt.Sprintf(`"p%d"`, i))
 	}
-	agent := pipelineAgent(t, conn, instantRunner, nil)
+	agent := pipelineAgent(t, conn, instantRunner)
 
 	waitFor(t, "all results published", func() bool { return conn.totalPublished() == n })
 	singles, batches := conn.counts()
@@ -340,9 +336,7 @@ func TestPipelineMalformedInBatchDeadLetters(t *testing.T) {
 	loadTask(t, sub.fakeSub, 1, `"before"`)
 	sub.msgs <- broker.Message{Tag: 2, Body: []byte("not json")}
 	loadTask(t, sub.fakeSub, 3, `"after"`)
-	agent := pipelineAgent(t, conn, instantRunner, func(c *Config) {
-		c.DisableAdaptivePrefetch = true
-	})
+	agent := pipelineAgent(t, conn, instantRunner)
 
 	waitFor(t, "good tasks published", func() bool { return conn.totalPublished() == 2 })
 	if got := agent.Metrics.Counter("dead_lettered").Value(); got != 1 {
@@ -392,11 +386,12 @@ func TestAdaptivePrefetchBoundsPending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A small intake batch keeps the backlog high-water mark (floored at one
-	// batch) well under the 24 queued deliveries, so the bound is observable.
+	// A small prefetch (= intake batch) keeps the backlog high-water mark
+	// (floored at one batch) well under the 24 queued deliveries, so the
+	// bound is observable.
 	agent, err := New(Config{
 		EndpointID: protocol.NewUUID(), Conn: conn, Engine: eng,
-		IntakeBatch: 4,
+		Prefetch: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,26 +1,25 @@
-// Route arms: the PR-9 backpressure-aware placement benchmark. A simulated
+// Route arms: the backpressure-aware placement benchmark. A simulated
 // fleet (one lightweight agent goroutine per endpoint, spawned through the
 // MEP sim spawner) serves tasks under 10x skewed per-endpoint service times
 // while the webservice fans a routing group's submissions across it. The
 // route-random arm is the baseline every fleet implicitly runs today (pick
 // an endpoint blindly); route-p2c scores heartbeat load reports with
 // power-of-two-choices. At equal offered load the p99 task latency ratio is
-// the PR's headline number (acceptance bar: p2c p99 <= 0.5x random p99).
+// the headline number (acceptance bar: p2c p99 <= 0.5x random p99).
 package experiments
 
 import (
 	"context"
 	"fmt"
 	"runtime"
+	"sort"
 	"sync/atomic"
 	"time"
 
 	"globuscompute/internal/auth"
 	"globuscompute/internal/broker"
 	"globuscompute/internal/mep"
-	"globuscompute/internal/objectstore"
 	"globuscompute/internal/protocol"
-	"globuscompute/internal/statestore"
 	"globuscompute/internal/webservice"
 )
 
@@ -85,12 +84,11 @@ func (o *RouteFleetOptions) defaults() {
 	}
 }
 
-// RouteFleet is a running simulated fleet behind one routing group.
+// RouteFleet is a running simulated fleet behind one routing group, served
+// by the same in-process cloud stack gc-webservice runs.
 type RouteFleet struct {
+	*webservice.Stack
 	Opts  RouteFleetOptions
-	Svc   *webservice.Service
-	Store *statestore.Store
-	Brk   *broker.Broker
 	Tok   auth.Token
 	Fn    protocol.UUID
 	Group protocol.UUID
@@ -108,26 +106,23 @@ type RouteFleet struct {
 	done    chan struct{}
 }
 
-// StartRouteFleet builds a webservice over a fresh store/broker, registers
-// the fleet, spawns one sim agent per endpoint through the MEP sim spawner,
-// wraps every endpoint in a routing group running opts.Policy, pre-warms one
-// load report per endpoint, and starts the decimated heartbeat pump.
+// StartRouteFleet opens an in-memory cloud stack, registers the fleet,
+// spawns one sim agent per endpoint through the MEP sim spawner, wraps every
+// endpoint in a routing group running opts.Policy, pre-warms one load report
+// per endpoint, and starts the decimated heartbeat pump.
 func StartRouteFleet(opts RouteFleetOptions) (*RouteFleet, error) {
 	opts.defaults()
-	store, brk := statestore.New(), broker.New()
-	objects, authSvc := objectstore.New(), auth.NewService()
-	svc, err := webservice.New(webservice.Config{
-		Store: store, Broker: brk, Objects: objects, Auth: authSvc,
+	stack, err := webservice.OpenStack(webservice.StackConfig{Service: webservice.Config{
 		HeartbeatInterval: opts.HeartbeatEvery,
 		RoutePolicy:       opts.Policy,
 		RouteSeed:         opts.Seed,
-	})
+	}})
 	if err != nil {
-		brk.Close()
 		return nil, err
 	}
+	svc := stack.Service
 	f := &RouteFleet{
-		Opts: opts, Svc: svc, Store: store, Brk: brk,
+		Stack: stack, Opts: opts,
 		Slow: make(map[protocol.UUID]bool, int(float64(opts.Endpoints)*opts.SlowFraction)+1),
 		dead: make([]atomic.Bool, opts.Endpoints),
 		stop: make(chan struct{}), done: make(chan struct{}),
@@ -137,7 +132,7 @@ func StartRouteFleet(opts RouteFleetOptions) (*RouteFleet, error) {
 		return nil, err
 	}
 
-	f.Tok, err = authSvc.Issue(
+	f.Tok, err = stack.Auth.Issue(
 		auth.Identity{Username: "bench@example.edu", Provider: "bench"},
 		[]string{auth.ScopeCompute, auth.ScopeManage}, time.Hour, time.Time{})
 	if err != nil {
@@ -169,7 +164,7 @@ func StartRouteFleet(opts RouteFleetOptions) (*RouteFleet, error) {
 	}
 	f.agents = make([]*mep.SimAgent, 0, opts.Endpoints)
 	spawn := mep.NewSimSpawner(mep.SimSpawnerDeps{
-		Conn: broker.LocalConn(brk),
+		Conn: broker.LocalConn(stack.Broker),
 		ServiceTime: func(req mep.SpawnRequest) time.Duration {
 			return serviceTimes[req.ChildEndpointID]
 		},
@@ -218,7 +213,7 @@ func (f *RouteFleet) heartbeatPump() {
 				continue
 			}
 			load := f.agents[i].Load()
-			_ = f.Svc.RecordHeartbeat(f.Endpoints[i], true, &load, nil)
+			_ = f.Service.RecordHeartbeat(f.Endpoints[i], true, &load, nil)
 		}
 		stripe = (stripe + 1) % stripes
 	}
@@ -230,28 +225,28 @@ func (f *RouteFleet) heartbeatPump() {
 func (f *RouteFleet) StopEndpoint(i int) {
 	f.dead[i].Store(true)
 	f.agents[i].Stop()
-	_ = f.Svc.RecordHeartbeat(f.Endpoints[i], false, nil, nil)
+	_ = f.Service.RecordHeartbeat(f.Endpoints[i], false, nil, nil)
 }
 
 // ReviveEndpoint restarts a stopped endpoint's sim agent (draining whatever
 // its task queue accumulated while dead) and resumes its heartbeats.
 func (f *RouteFleet) ReviveEndpoint(i int, serviceTime time.Duration) error {
 	a, err := mep.StartSimAgent(mep.SimAgentConfig{
-		EndpointID: f.Endpoints[i], Conn: broker.LocalConn(f.Brk), ServiceTime: serviceTime,
+		EndpointID: f.Endpoints[i], Conn: broker.LocalConn(f.Broker), ServiceTime: serviceTime,
 	})
 	if err != nil {
 		return err
 	}
 	f.agents[i] = a
 	load := a.Load()
-	if err := f.Svc.RecordHeartbeat(f.Endpoints[i], true, &load, nil); err != nil {
+	if err := f.Service.RecordHeartbeat(f.Endpoints[i], true, &load, nil); err != nil {
 		return err
 	}
 	f.dead[i].Store(false)
 	return nil
 }
 
-// Stop tears the fleet down: heartbeat pump, agents, service, broker.
+// Stop tears the fleet down: heartbeat pump, agents, then the stack.
 func (f *RouteFleet) Stop() {
 	select {
 	case <-f.stop:
@@ -264,16 +259,26 @@ func (f *RouteFleet) Stop() {
 	for _, a := range f.agents {
 		a.Stop()
 	}
-	f.Svc.Close()
-	f.Brk.Close()
+	_ = f.Stack.Close(context.Background())
+}
+
+// routeBatch is the tasks per submit call.
+const routeBatch = 32
+
+// RoutePoint is one policy's measurement over the fleet.
+type RoutePoint struct {
+	Policy       string
+	Tasks        int
+	AchievedPerS float64
+	P50US, P99US float64 // submit-to-completion latency
 }
 
 // Run paces n submissions at offered tasks/s through the routing group,
 // waits for every task to settle terminal, and reports achieved tasks/s
 // (including the drain of whatever queues the policy built) plus p50/p99
 // submit-to-completion task latency from the store's records.
-func (f *RouteFleet) Run(offered, n int) (SaturationPoint, error) {
-	batch := make([]webservice.SubmitRequest, satBatch)
+func (f *RouteFleet) Run(offered, n int) (RoutePoint, error) {
+	batch := make([]webservice.SubmitRequest, routeBatch)
 	for i := range batch {
 		batch[i] = webservice.SubmitRequest{EndpointID: f.Group, FunctionID: f.Fn, Payload: []byte(`{"entrypoint":"identity","args":[1]}`)}
 	}
@@ -286,13 +291,13 @@ func (f *RouteFleet) Run(offered, n int) (SaturationPoint, error) {
 				time.Sleep(d)
 			}
 		}
-		k := satBatch
+		k := routeBatch
 		if n-len(ids) < k {
 			k = n - len(ids)
 		}
-		got, err := f.Svc.Submit(f.Tok, batch[:k])
+		got, err := f.Service.Submit(f.Tok, batch[:k])
 		if err != nil {
-			return SaturationPoint{}, fmt.Errorf("route submit after %d tasks: %w", len(ids), err)
+			return RoutePoint{}, fmt.Errorf("route submit after %d tasks: %w", len(ids), err)
 		}
 		ids = append(ids, got...)
 	}
@@ -309,7 +314,7 @@ func (f *RouteFleet) Run(offered, n int) (SaturationPoint, error) {
 			break
 		}
 		if time.Now().After(deadline) {
-			return SaturationPoint{}, fmt.Errorf("route fleet stalled: %v", byState)
+			return RoutePoint{}, fmt.Errorf("route fleet stalled: %v", byState)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -324,15 +329,19 @@ func (f *RouteFleet) Run(offered, n int) (SaturationPoint, error) {
 		}
 		latencies = append(latencies, rec.Completed.Sub(rec.Created))
 	}
-	return SaturationPoint{
-		Transport:    "fleet",
-		Mode:         "route-" + f.Opts.Policy,
-		Batch:        satBatch,
-		OfferedPerS:  offered,
+	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
+	pctUS := func(p float64) float64 {
+		if len(latencies) == 0 {
+			return 0
+		}
+		return float64(latencies[int(p*float64(len(latencies)-1))].Microseconds())
+	}
+	return RoutePoint{
+		Policy:       f.Opts.Policy,
 		Tasks:        n,
 		AchievedPerS: float64(n) / elapsed.Seconds(),
-		P50US:        percentileUS(latencies, 0.50),
-		P99US:        percentileUS(latencies, 0.99),
+		P50US:        pctUS(0.50),
+		P99US:        pctUS(0.99),
 	}, nil
 }
 
@@ -352,11 +361,11 @@ func (f *RouteFleet) Run(offered, n int) (SaturationPoint, error) {
 // while a blind policy's slow queues (and its p99) keep growing linearly
 // with depth. The headline is that ratio; at 2 tasks per endpoint both
 // effects sit on the same boundary and the ratio collapses.
-func routeArm(policy string, fleetN int) (SaturationPoint, error) {
+func routeArm(policy string, fleetN int) (RoutePoint, error) {
 	runtime.GC()
 	f, err := StartRouteFleet(RouteFleetOptions{Endpoints: fleetN, Policy: policy})
 	if err != nil {
-		return SaturationPoint{}, err
+		return RoutePoint{}, err
 	}
 	defer f.Stop()
 	offered := 2 * fleetN / 5

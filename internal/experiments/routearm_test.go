@@ -30,12 +30,12 @@ func TestRouteFleetServes(t *testing.T) {
 	if pt.P99US < float64(20*time.Millisecond/time.Microsecond) {
 		t.Fatalf("p99 %.0fus below one service time — latency not measured end to end", pt.P99US)
 	}
-	if pt.Mode != "route-p2c" || pt.Transport != "fleet" {
-		t.Fatalf("point labeled %s/%s", pt.Transport, pt.Mode)
+	if pt.Policy != "p2c" {
+		t.Fatalf("point labeled %s", pt.Policy)
 	}
 }
 
-// TestRouteSmoke is the PR-9 acceptance smoke (make route-smoke): 1000
+// TestRouteSmoke is the placement acceptance smoke (make route-smoke): 1000
 // simulated endpoints under the race detector, 2% of them 10x slower, routed
 // by random vs power-of-two-choices at the same offered load. p2c must hold
 // p99 task latency to at most half of random's, without losing throughput.
@@ -48,7 +48,7 @@ func TestRouteSmoke(t *testing.T) {
 	if v, err := strconv.Atoi(os.Getenv("GC_ROUTE_FLEET")); err == nil && v > 0 {
 		fleetN = v
 	}
-	arms := make(map[string]SaturationPoint, 2)
+	arms := make(map[string]RoutePoint, 2)
 	for _, policy := range []string{"random", "p2c"} {
 		pt, err := routeArm(policy, fleetN)
 		if err != nil {

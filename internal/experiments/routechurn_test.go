@@ -37,7 +37,7 @@ func TestChaosRoutingChurn(t *testing.T) {
 	storm := func(batches int) []protocol.UUID {
 		ids := make([]protocol.UUID, 0, batches*len(batch))
 		for i := 0; i < batches; i++ {
-			got, err := f.Svc.Submit(f.Tok, batch)
+			got, err := f.Service.Submit(f.Tok, batch)
 			if err != nil {
 				t.Fatalf("submit batch %d: %v", i, err)
 			}

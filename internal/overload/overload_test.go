@@ -10,6 +10,7 @@
 package overload
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -24,7 +25,6 @@ import (
 	"globuscompute/internal/auth"
 	"globuscompute/internal/broker"
 	"globuscompute/internal/core"
-	"globuscompute/internal/durable"
 	"globuscompute/internal/objectstore"
 	"globuscompute/internal/protocol"
 	"globuscompute/internal/scheduler"
@@ -379,31 +379,24 @@ func TestOverloadAdmittedTasksTerminate(t *testing.T) {
 func TestOverloadIdempotentRetryAcrossRestart(t *testing.T) {
 	gate(t)
 	dir := t.TempDir()
-	openSvc := func() (*durable.Store, *webservice.Service, auth.Token) {
-		d, err := durable.OpenStore(durable.StoreOptions{Dir: dir, SnapshotEvery: -1})
+	// The shipped durable wiring (gc-webservice -data-dir): journaled
+	// statestore and broker plus a file-backed object store.
+	open := func() (*webservice.Stack, auth.Token) {
+		st, err := webservice.OpenStack(webservice.StackConfig{DataDir: dir, SnapshotEvery: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		authSvc := auth.NewService()
-		svc, err := webservice.New(webservice.Config{
-			Store: d.State, Broker: broker.New(), Objects: objectstore.New(), Auth: authSvc,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := svc.ResumeEndpoints(); err != nil {
-			t.Fatal(err)
-		}
-		tok, err := authSvc.Issue(
+		tok, err := st.Auth.Issue(
 			auth.Identity{Username: "alice@uchicago.edu", Provider: "uchicago"},
 			[]string{auth.ScopeCompute, auth.ScopeManage}, time.Hour, time.Time{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return d, svc, tok
+		return st, tok
 	}
 
-	d, svc, tok := openSvc()
+	st, tok := open()
+	svc := st.Service
 	ep, err := svc.RegisterEndpoint(webservice.RegisterEndpointRequest{Name: "ep", Owner: "alice@uchicago.edu"})
 	if err != nil {
 		t.Fatal(err)
@@ -422,14 +415,14 @@ func TestOverloadIdempotentRetryAcrossRestart(t *testing.T) {
 	if err != nil || fmt.Sprint(ids2) != fmt.Sprint(ids1) {
 		t.Fatalf("pre-restart replay = %v (%v), want %v", ids2, err, ids1)
 	}
-	svc.Close()
-	if err := d.Close(); err != nil {
+	if err := st.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
 	// Restart on the same data dir: the retry must still replay.
-	d2, svc2, tok2 := openSvc()
-	defer func() { svc2.Close(); d2.Close() }()
+	st2, tok2 := open()
+	defer st2.Close(context.Background())
+	svc2 := st2.Service
 	ids3, err := svc2.SubmitBatch(tok2, req, webservice.SubmitOptions{IdempotencyKey: "across-restart"})
 	if err != nil {
 		t.Fatalf("post-restart replay: %v", err)
@@ -437,7 +430,7 @@ func TestOverloadIdempotentRetryAcrossRestart(t *testing.T) {
 	if fmt.Sprint(ids3) != fmt.Sprint(ids1) {
 		t.Fatalf("post-restart replay = %v, want original %v", ids3, ids1)
 	}
-	if n := d2.State.CountTasks(); n != 1 {
+	if n := st2.Store.CountTasks(); n != 1 {
 		t.Fatalf("task count after replayed retry = %d, want 1", n)
 	}
 	// A fresh key still mints fresh work.

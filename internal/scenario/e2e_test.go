@@ -259,7 +259,7 @@ func TestScenarioHarness(t *testing.T) {
 	outRoot := t.TempDir()
 	outPath := os.Getenv("GC_SCENARIO_OUT")
 	if outPath != "" {
-		outRoot = filepath.Join(filepath.Dir(outPath), "scenario-runs")
+		outRoot = filepath.Dir(outPath)
 	}
 
 	summaries := map[string]Summary{}

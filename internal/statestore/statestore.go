@@ -17,8 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -826,56 +824,6 @@ func (s *Store) Snapshot() ([]byte, error) {
 	}
 	s.groups.mu.RUnlock()
 	return json.Marshal(snap)
-}
-
-// SaveFile writes a snapshot atomically to path (the RDS substitute's
-// durability story: periodic snapshots). The temp file is fsynced before the
-// rename and the parent directory after it, so a crash at any point leaves
-// either the old snapshot or the complete new one — never a torn or missing
-// file.
-func (s *Store) SaveFile(path string) error {
-	img, err := s.Snapshot()
-	if err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("statestore: save: %w", err)
-	}
-	if _, err := f.Write(img); err != nil {
-		f.Close()
-		return fmt.Errorf("statestore: save: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("statestore: save: sync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("statestore: save: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("statestore: save: %w", err)
-	}
-	// Sync the directory so the rename itself is durable.
-	dir, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return fmt.Errorf("statestore: save: %w", err)
-	}
-	defer dir.Close()
-	if err := dir.Sync(); err != nil {
-		return fmt.Errorf("statestore: save: sync dir: %w", err)
-	}
-	return nil
-}
-
-// LoadFile restores the store from a SaveFile snapshot.
-func (s *Store) LoadFile(path string) error {
-	img, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("statestore: load: %w", err)
-	}
-	return s.Restore(img)
 }
 
 // Restore replaces the store contents from a Snapshot image.

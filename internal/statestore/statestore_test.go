@@ -297,26 +297,6 @@ func TestSnapshotRestore(t *testing.T) {
 	}
 }
 
-func TestSaveLoadFile(t *testing.T) {
-	s := New()
-	fid := protocol.NewUUID()
-	s.PutFunction(FunctionRecord{ID: fid, Owner: "o", Definition: []byte("d")})
-	path := t.TempDir() + "/state.json"
-	if err := s.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	s2 := New()
-	if err := s2.LoadFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s2.GetFunction(fid); err != nil {
-		t.Errorf("function lost across save/load: %v", err)
-	}
-	if err := s2.LoadFile(path + ".missing"); err == nil {
-		t.Error("LoadFile of missing path succeeded")
-	}
-}
-
 func TestRestoreBadData(t *testing.T) {
 	s := New()
 	if err := s.Restore([]byte("{")); err == nil {

@@ -1,12 +1,10 @@
 package webservice
 
 import (
+	"context"
 	"testing"
 	"time"
 
-	"globuscompute/internal/auth"
-	"globuscompute/internal/durable"
-	"globuscompute/internal/objectstore"
 	"globuscompute/internal/protocol"
 )
 
@@ -16,33 +14,23 @@ import (
 // Unlike an in-memory Snapshot/Restore round trip, this goes through the
 // real recovery path: both the statestore and the broker journal to WALs in
 // a shared data dir, the "crash" skips the shutdown snapshot entirely, and
-// the second life rebuilds its state purely by replaying those WALs — the
-// same startup sequence cmd/gc-webservice runs with -data-dir.
+// the second life rebuilds its state purely by replaying those WALs — both
+// lives through OpenStack, the startup sequence cmd/gc-webservice runs with
+// -data-dir.
 func TestCloudRestartRecovery(t *testing.T) {
 	dir := t.TempDir()
 
 	// --- first life of the cloud, journaling every mutation ---
-	durStore, err := durable.OpenStore(durable.StoreOptions{Dir: dir + "/state", SnapshotEvery: -1})
-	if err != nil {
-		t.Fatal(err)
+	open := func() *Stack {
+		t.Helper()
+		st, err := OpenStack(StackConfig{DataDir: dir, SnapshotEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
 	}
-	durBroker, err := durable.OpenBroker(durable.BrokerOptions{Dir: dir + "/broker", SnapshotEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	objs := objectstore.New()
-	authS := auth.NewService()
-	svc, err := New(Config{Store: durStore.State, Broker: durBroker.B, Objects: objs, Auth: authS})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tok, err := authS.Issue(
-		auth.Identity{Username: "alice@uchicago.edu", Provider: "uchicago"},
-		[]string{auth.ScopeCompute, auth.ScopeManage}, time.Hour, time.Time{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := &fixture{svc: svc, store: durStore.State, brk: durBroker.B, objs: objs, authS: authS, token: tok}
+	st := open()
+	f := stackFixture(t, st)
 	fn := f.registerFunction(t)
 	ep := f.registerEndpoint(t, RegisterEndpointRequest{Name: "offline-hpc", Owner: "o"})
 	// No agent attached: tasks buffer in the broker.
@@ -64,35 +52,15 @@ func TestCloudRestartRecovery(t *testing.T) {
 	// generation's flusher goroutines stop.
 	f.svc.Close()
 	f.brk.Close()
-	_ = durStore.WAL().Close()
-	_ = durBroker.WAL().Close()
+	_ = st.Durable.WAL().Close()
+	_ = st.DurableBroker.WAL().Close()
 
 	// --- second life: replay the WALs ---
-	durStore2, err := durable.OpenStore(durable.StoreOptions{Dir: dir + "/state", SnapshotEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	durBroker2, err := durable.OpenBroker(durable.BrokerOptions{Dir: dir + "/broker", SnapshotEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	auth2 := auth.NewService()
-	svc2, err := New(Config{Store: durStore2.State, Broker: durBroker2.B, Objects: objectstore.New(), Auth: auth2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		svc2.Close()
-		durBroker2.B.Close()
-		_ = durStore2.Close()
-		_ = durBroker2.Close()
-	})
 	// No re-registration: the endpoint record was recovered from the WAL, so
-	// ResumeEndpoints re-declares its queues and re-attaches its result
-	// processor — the same thing cmd/gc-webservice does with -data-dir.
-	if err := svc2.ResumeEndpoints(); err != nil {
-		t.Fatal(err)
-	}
+	// the stack re-declares its queues and re-attaches its result processor.
+	st2 := open()
+	t.Cleanup(func() { st2.Close(context.Background()) })
+	svc2 := st2.Service
 
 	// Tasks are still tracked and still buffered.
 	for _, id := range ids {
@@ -104,12 +72,12 @@ func TestCloudRestartRecovery(t *testing.T) {
 			t.Fatalf("task %s already terminal: %s", id, st.State)
 		}
 	}
-	if d, _ := durBroker2.B.Depth(TaskQueue(ep)); d != 3 {
+	if d, _ := st2.Broker.Depth(TaskQueue(ep)); d != 3 {
 		t.Fatalf("restored depth = %d", d)
 	}
 
 	// The endpoint comes online and drains the backlog.
-	f2 := &fixture{svc: svc2, store: durStore2.State, brk: durBroker2.B, objs: objectstore.New(), authS: auth2}
+	f2 := stackFixture(t, st2)
 	f2.fakeAgent(t, ep)
 	for _, id := range ids {
 		deadline := time.Now().Add(10 * time.Second)

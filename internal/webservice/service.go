@@ -472,6 +472,12 @@ func endpointMatches(ep statestore.EndpointRecord, q string) bool {
 func (s *Service) startResultProcessor(id protocol.UUID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.startResultProcessorLocked(id)
+}
+
+// startResultProcessorLocked is startResultProcessor for callers already
+// holding s.mu.
+func (s *Service) startResultProcessorLocked(id protocol.UUID) error {
 	if s.closed {
 		return errors.New("webservice: closed")
 	}
@@ -1017,25 +1023,6 @@ func (s *Service) pickUserEndpoint(matches []statestore.EndpointRecord) protocol
 		return matches[0].ID
 	}
 	return c.ID
-}
-
-// startResultProcessorLocked is startResultProcessor for callers already
-// holding s.mu.
-func (s *Service) startResultProcessorLocked(id protocol.UUID) error {
-	if s.closed {
-		return errors.New("webservice: closed")
-	}
-	if _, dup := s.resultConsumers[id]; dup {
-		return nil
-	}
-	c, err := s.cfg.Broker.Consume(ResultQueue(id), 64)
-	if err != nil {
-		return err
-	}
-	s.resultConsumers[id] = c
-	s.wg.Add(1)
-	go s.runResultProcessor(c)
-	return nil
 }
 
 // HashConfig canonicalizes a JSON user configuration (sorted keys) and
