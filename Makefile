@@ -113,10 +113,12 @@ fuzz:
 	$(GO) test -fuzz FuzzParseRules -fuzztime 30s ./internal/idmap/
 
 # Short codec fuzz pass run as part of `make all`: binary<->JSON equivalence
-# and binary-decode hardening (see docs/PROTOCOL.md "Binary encoding").
+# and binary-decode hardening, for wire frames (see docs/PROTOCOL.md "Binary
+# encoding") and for WAL records (see docs/DURABILITY.md "Records").
 fuzz-codec:
 	$(GO) test -fuzz FuzzCodecEquivalence -fuzztime 10s ./internal/protocol/
 	$(GO) test -fuzz FuzzBinaryDecode -fuzztime 10s ./internal/protocol/
+	$(GO) test -fuzz FuzzWALRecord -fuzztime 10s ./internal/durable/
 
 clean:
 	$(GO) clean ./...

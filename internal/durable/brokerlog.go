@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -41,13 +42,9 @@ type BrokerOptions struct {
 	Log *obs.Logger
 }
 
-// brokerRecord is one journaled broker operation.
-type brokerRecord struct {
-	Op     string   `json:"op"` // declare | delete | pub | ack
-	Queue  string   `json:"q"`
-	IDs    []uint64 `json:"ids,omitempty"`
-	Bodies [][]byte `json:"bodies,omitempty"`
-}
+// ackWindow is how long acks are held back so that those arriving together
+// — an executor acks each streamed result on its own — share one record.
+const ackWindow = 5 * time.Millisecond
 
 // brokerSnapshot is the on-disk snapshot envelope.
 type brokerSnapshot struct {
@@ -64,18 +61,10 @@ type BrokerLog struct {
 	B *broker.Broker
 
 	opts BrokerOptions
-	wal  *WAL
+	hz   *horizon
 
-	mu       sync.Mutex
-	nextTok  uint64
-	inflight map[uint64]uint64
-	snapLSN  uint64
-	snapAt   time.Time
-
-	snapAge *metrics.Gauge
-
-	stop chan struct{}
-	done chan struct{}
+	ackMu sync.Mutex
+	acks  map[string][]uint64 // acknowledged, not yet journaled, by queue
 }
 
 // msgRec is the replay model's view of one buffered message.
@@ -99,12 +88,7 @@ func OpenBroker(opts BrokerOptions) (*BrokerLog, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("durable: broker dir: %w", err)
 	}
-	bl := &BrokerLog{
-		B:        broker.New(),
-		opts:     opts,
-		inflight: make(map[uint64]uint64),
-		snapAge:  opts.Metrics.Gauge("broker_snapshot_age_seconds"),
-	}
+	bl := &BrokerLog{B: broker.New(), opts: opts, acks: make(map[string][]uint64)}
 
 	start := time.Now()
 	snapPath := filepath.Join(opts.Dir, brokerSnapshotFile)
@@ -128,7 +112,6 @@ func OpenBroker(opts BrokerOptions) (*BrokerLog, error) {
 	if err != nil {
 		return nil, err
 	}
-	bl.wal = wal
 
 	// Rebuild the queue model: snapshot image first, then the WAL tail on
 	// top. Publishes replay idempotently — a message ID already present
@@ -162,8 +145,8 @@ func OpenBroker(opts BrokerOptions) (*BrokerLog, error) {
 	}
 	replayed := 0
 	n, err := wal.Replay(snap.AppliedLSN+1, func(lsn uint64, payload []byte) error {
-		var rec brokerRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
+		rec, err := decodeBrokerRecord(payload)
+		if err != nil {
 			return fmt.Errorf("durable: broker replay lsn %d: %w", lsn, err)
 		}
 		switch rec.Op {
@@ -172,6 +155,9 @@ func OpenBroker(opts BrokerOptions) (*BrokerLog, error) {
 		case "delete":
 			delete(model, rec.Queue)
 			delete(present, rec.Queue)
+			// A later re-declare lists the queue afresh; leaving the old entry
+			// would materialize it, and its messages, twice.
+			order = slices.DeleteFunc(order, func(n string) bool { return n == rec.Queue })
 		case "pub":
 			ensure(rec.Queue)
 			for i, id := range rec.IDs {
@@ -215,10 +201,7 @@ func OpenBroker(opts BrokerOptions) (*BrokerLog, error) {
 	img := broker.Image{NextID: nextID}
 	queues, messages := 0, 0
 	for _, name := range order {
-		msgs, ok := model[name]
-		if !ok {
-			continue // deleted during replay
-		}
+		msgs := model[name]
 		qi := broker.QueueImage{Name: name, RedeliverTo: len(msgs)}
 		for _, m := range msgs {
 			qi.Messages = append(qi.Messages, m.body)
@@ -252,154 +235,78 @@ func OpenBroker(opts BrokerOptions) (*BrokerLog, error) {
 		"messages", messages,
 		"duration", dur.Round(time.Microsecond).String())
 
-	bl.snapLSN = snap.AppliedLSN
-	bl.snapAt = time.Now()
+	bl.hz = newHorizon(wal, snapPath, snap.AppliedLSN, opts.Metrics.Gauge("broker_snapshot_age_seconds"))
 	bl.B.SetJournal(bl)
-
 	if opts.SnapshotEvery > 0 {
-		bl.stop = make(chan struct{})
-		bl.done = make(chan struct{})
-		go bl.snapshotLoop()
+		bl.hz.start(opts.SnapshotEvery, bl.SnapshotNow)
 	}
 	return bl, nil
 }
 
-// LogPublish implements broker.Journal: group-commit the publish records
-// before the broker enqueues them, tracking the append as in-flight so the
-// snapshot horizon never covers a logged-but-unenqueued message.
+// LogPublish implements broker.Journal: group-commit the publish record
+// before the broker enqueues the messages, tracking the append as in-flight
+// so the snapshot horizon never covers a logged-but-unenqueued message.
 func (bl *BrokerLog) LogPublish(queue string, ids []uint64, bodies [][]byte) (func(), error) {
-	payload, err := json.Marshal(brokerRecord{Op: "pub", Queue: queue, IDs: ids, Bodies: bodies})
-	if err != nil {
-		return nil, err
-	}
-	bl.mu.Lock()
-	tok := bl.nextTok
-	bl.nextTok++
-	bl.inflight[tok] = bl.wal.LastLSN() + 1
-	bl.mu.Unlock()
-
-	lsn, err := bl.wal.Append(payload)
-	bl.mu.Lock()
-	if err != nil {
-		delete(bl.inflight, tok)
-		bl.mu.Unlock()
-		return nil, err
-	}
-	bl.inflight[tok] = lsn
-	bl.mu.Unlock()
-	return func() {
-		bl.mu.Lock()
-		delete(bl.inflight, tok)
-		bl.mu.Unlock()
-	}, nil
+	return bl.hz.commit(encodePub(queue, ids, bodies))
 }
 
-// LogAck journals acks asynchronously: the delivered message is already gone
-// from memory, so losing the record only means a wider redelivery window
-// after a crash — which at-least-once delivery absorbs. The hot ack path
-// therefore never waits on the disk.
+// LogAck journals acks asynchronously and coalesced: the delivered message is
+// already gone from memory, so losing the record only means a wider
+// redelivery window after a crash — which at-least-once delivery absorbs. The
+// hot ack path therefore never waits on the disk, and the acks of one
+// ackWindow become one record per queue, not one per message.
 func (bl *BrokerLog) LogAck(queue string, ids []uint64) {
-	payload, err := json.Marshal(brokerRecord{Op: "ack", Queue: queue, IDs: ids})
-	if err != nil {
+	bl.ackMu.Lock()
+	if len(bl.acks) == 0 {
+		time.AfterFunc(ackWindow, bl.flushAcks)
+	}
+	bl.acks[queue] = append(bl.acks[queue], ids...)
+	bl.ackMu.Unlock()
+}
+
+// flushAcks appends the held acks to the log, one record per queue.
+func (bl *BrokerLog) flushAcks() {
+	bl.ackMu.Lock()
+	acks := bl.acks
+	if len(acks) == 0 { // already journaled by a Close or an earlier timer
+		bl.ackMu.Unlock()
 		return
 	}
-	_, _ = bl.wal.AppendAsync(payload)
+	bl.acks = make(map[string][]uint64, len(acks))
+	bl.ackMu.Unlock()
+	for queue, ids := range acks {
+		_, _ = bl.hz.wal.AppendAsync(encodeAck(queue, ids))
+	}
 }
 
 // LogDeclare journals a queue creation (async; a lost record is recreated by
 // the first replayed publish).
-func (bl *BrokerLog) LogDeclare(queue string) {
-	payload, err := json.Marshal(brokerRecord{Op: "declare", Queue: queue})
-	if err != nil {
-		return
-	}
-	_, _ = bl.wal.AppendAsync(payload)
-}
+func (bl *BrokerLog) LogDeclare(queue string) { bl.logLifecycle("declare", queue) }
 
 // LogDelete journals a queue deletion (async).
-func (bl *BrokerLog) LogDelete(queue string) {
-	payload, err := json.Marshal(brokerRecord{Op: "delete", Queue: queue})
-	if err != nil {
-		return
-	}
-	_, _ = bl.wal.AppendAsync(payload)
-}
+func (bl *BrokerLog) LogDelete(queue string) { bl.logLifecycle("delete", queue) }
 
-// safeLSN mirrors Store.safeLSN: the horizon below which every journaled
-// publish is enqueued in memory.
-func (bl *BrokerLog) safeLSN() uint64 {
-	bl.mu.Lock()
-	defer bl.mu.Unlock()
-	safe := bl.wal.LastLSN()
-	for _, lsn := range bl.inflight {
-		if lsn-1 < safe {
-			safe = lsn - 1
-		}
+func (bl *BrokerLog) logLifecycle(op, queue string) {
+	if payload, err := json.Marshal(brokerRecord{Op: op, Queue: queue}); err == nil {
+		_, _ = bl.hz.wal.AppendAsync(payload)
 	}
-	return safe
 }
 
 // SnapshotNow writes a broker snapshot at the current safe horizon and
 // compacts the WAL below it.
 func (bl *BrokerLog) SnapshotNow() error {
-	safe := bl.safeLSN()
-	bl.mu.Lock()
-	cur := bl.snapLSN
-	bl.mu.Unlock()
-	if safe <= cur {
-		return nil
-	}
-	img := bl.B.SnapshotImage()
-	buf, err := json.Marshal(brokerSnapshot{AppliedLSN: safe, Image: img})
-	if err != nil {
-		return fmt.Errorf("durable: broker snapshot: %w", err)
-	}
-	if err := WriteFileAtomic(filepath.Join(bl.opts.Dir, brokerSnapshotFile), buf, 0o644); err != nil {
-		return fmt.Errorf("durable: broker snapshot: %w", err)
-	}
-	bl.mu.Lock()
-	bl.snapLSN = safe
-	bl.snapAt = time.Now()
-	bl.mu.Unlock()
-	bl.snapAge.Set(0)
-	if _, err := bl.wal.CompactBelow(safe); err != nil {
-		return err
-	}
-	return nil
-}
-
-func (bl *BrokerLog) snapshotLoop() {
-	defer close(bl.done)
-	ticker := time.NewTicker(bl.opts.SnapshotEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-bl.stop:
-			return
-		case <-ticker.C:
-		}
-		bl.mu.Lock()
-		age := time.Since(bl.snapAt)
-		bl.mu.Unlock()
-		bl.snapAge.Set(int64(age.Seconds()))
-		_ = bl.SnapshotNow()
-	}
+	_, err := bl.hz.snapshot(func(safe uint64) ([]byte, error) {
+		return json.Marshal(brokerSnapshot{AppliedLSN: safe, Image: bl.B.SnapshotImage()})
+	})
+	return err
 }
 
 // WAL exposes the underlying log (tests and the crash suite).
-func (bl *BrokerLog) WAL() *WAL { return bl.wal }
+func (bl *BrokerLog) WAL() *WAL { return bl.hz.wal }
 
-// Close stops the snapshot loop, takes a final snapshot, and closes the WAL.
-// The broker itself is closed separately.
+// Close stops the snapshot loop, journals the held acks, takes a final
+// snapshot, and closes the WAL. The broker itself is closed separately.
 func (bl *BrokerLog) Close() error {
-	if bl.stop != nil {
-		close(bl.stop)
-		<-bl.done
-		bl.stop = nil
-	}
-	err := bl.SnapshotNow()
-	if cerr := bl.wal.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	bl.flushAcks()
+	return bl.hz.close(bl.SnapshotNow)
 }

@@ -1,7 +1,9 @@
 package durable
 
 import (
+	"encoding/json"
 	"fmt"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -41,8 +43,9 @@ func TestBrokerRecovery(t *testing.T) {
 		t.Fatalf("Ack: %v", err)
 	}
 	_ = m1
-	// Acks journal asynchronously; force the flush a real deployment gets
-	// from the background flusher.
+	// Acks journal asynchronously, after ackWindow; force the append and the
+	// flush a real deployment gets from its timers.
+	bl.flushAcks()
 	if err := bl.WAL().Sync(); err != nil {
 		t.Fatalf("Sync: %v", err)
 	}
@@ -145,5 +148,99 @@ func TestBrokerDeleteJournaled(t *testing.T) {
 	}
 	if _, err := bl2.B.Depth("keep"); err != nil {
 		t.Errorf("surviving queue lost: %v", err)
+	}
+}
+
+// TestBrokerReplaysJSONRecords opens a broker log written entirely in JSON
+// (the pub and ack records of every commit before the binary encoding) and
+// keeps journaling onto it.
+func TestBrokerReplaysJSONRecords(t *testing.T) {
+	dir := t.TempDir()
+	w, err := OpenWAL(WALOptions{Dir: filepath.Join(dir, brokerWALDir), NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []brokerRecord{
+		{Op: "declare", Queue: "tasks.ep1"},
+		{Op: "pub", Queue: "tasks.ep1", IDs: []uint64{1, 2, 3}, Bodies: [][]byte{[]byte("a"), []byte("b"), []byte("c")}},
+		{Op: "ack", Queue: "tasks.ep1", IDs: []uint64{2}},
+	} {
+		payload, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	bl := openBrokerLog(t, dir)
+	if err := bl.B.Publish("tasks.ep1", []byte("d")); err != nil {
+		t.Fatal(err)
+	}
+	// Crash; the log now ends in a binary record.
+	bl2 := openBrokerLog(t, dir)
+	defer bl2.Close()
+	c, err := bl2.B.Consume("tasks.ep1", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got string
+	for i := 0; i < 3; i++ {
+		select {
+		case m := <-c.Messages():
+			got += string(m.Body)
+		case <-time.After(2 * time.Second):
+			t.Fatalf("recovered %q, want acd", got)
+		}
+	}
+	if got != "acd" {
+		t.Fatalf("recovered %q, want acd", got)
+	}
+}
+
+// TestBrokerCoalescesAcks acks messages one at a time, as an executor acks
+// its streamed results, and expects them journaled together: far fewer ack
+// records than acks, every one of them honoured after a crash.
+func TestBrokerCoalescesAcks(t *testing.T) {
+	dir := t.TempDir()
+	bl := openBrokerLog(t, dir)
+	const n = 50
+	bodies := make([][]byte, n)
+	for i := range bodies {
+		bodies[i] = []byte(fmt.Sprintf("r%d", i))
+	}
+	if err := bl.B.Declare("results.group.g"); err != nil {
+		t.Fatal(err)
+	}
+	if err := bl.B.PublishBatch("results.group.g", bodies, nil); err != nil {
+		t.Fatal(err)
+	}
+	c, err := bl.B.Consume("results.group.g", n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := bl.WAL().LastLSN()
+	for i := 0; i < n-1; i++ { // all but the last
+		m := <-c.Messages()
+		if err := c.Ack(m.Tag); err != nil {
+			t.Fatal(err)
+		}
+	}
+	time.Sleep(4 * ackWindow) // the timer journals them; nothing forces it here
+	if err := bl.WAL().Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := bl.WAL().LastLSN() - before; got == 0 || got > 5 {
+		t.Fatalf("%d single acks journaled as %d records, want 1..5", n-1, got)
+	}
+	// Crash: no Close, no snapshot.
+	bl2 := openBrokerLog(t, dir)
+	defer bl2.Close()
+	if depth, err := bl2.B.Depth("results.group.g"); err != nil || depth != 1 {
+		t.Fatalf("recovered depth %d (%v), want 1: the unacked message alone", depth, err)
 	}
 }

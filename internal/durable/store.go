@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"globuscompute/internal/metrics"
@@ -63,21 +62,11 @@ type Store struct {
 	State *statestore.Store
 
 	opts StoreOptions
-	wal  *WAL
+	hz   *horizon
 
-	mu       sync.Mutex
-	nextTok  uint64
-	inflight map[uint64]uint64 // token -> LSN (or conservative lower bound)
-	snapLSN  uint64            // horizon of the newest on-disk snapshot
-	snapAt   time.Time
-
-	snapAge   *metrics.Gauge
 	replayHis *metrics.Histogram
 	replayed  *metrics.Counter
 	snapshots *metrics.Counter
-
-	stop chan struct{}
-	done chan struct{}
 }
 
 // OpenStore restores the statestore from opts.Dir — newest snapshot plus WAL
@@ -97,8 +86,6 @@ func OpenStore(opts StoreOptions) (*Store, error) {
 	d := &Store{
 		State:     statestore.New(),
 		opts:      opts,
-		inflight:  make(map[uint64]uint64),
-		snapAge:   opts.Metrics.Gauge("snapshot_age_seconds"),
 		replayHis: opts.Metrics.Histogram("wal_replay"),
 		replayed:  opts.Metrics.Counter("wal_replayed"),
 		snapshots: opts.Metrics.Counter("wal_snapshots"),
@@ -131,7 +118,6 @@ func OpenStore(opts StoreOptions) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.wal = wal
 
 	// Replay the tail above the snapshot horizon. Mutations whose effect is
 	// already in the snapshot (the horizon is conservative) re-apply through
@@ -139,8 +125,8 @@ func OpenStore(opts StoreOptions) (*Store, error) {
 	// transitions — counted, not fatal.
 	applied, skipped := 0, 0
 	n, err := wal.Replay(snapLSN+1, func(lsn uint64, payload []byte) error {
-		var m statestore.Mutation
-		if err := json.Unmarshal(payload, &m); err != nil {
+		m, err := decodeMutation(payload)
+		if err != nil {
 			return fmt.Errorf("durable: replay lsn %d: %w", lsn, err)
 		}
 		if err := d.State.ApplyMutation(m); err != nil {
@@ -175,133 +161,47 @@ func OpenStore(opts StoreOptions) (*Store, error) {
 		"last_lsn", wal.LastLSN(),
 		"duration", dur.Round(time.Microsecond).String())
 
-	d.snapLSN = snapLSN
-	d.snapAt = time.Now()
+	d.hz = newHorizon(wal, snapPath, snapLSN, opts.Metrics.Gauge("snapshot_age_seconds"))
 	d.State.SetJournal(d)
-
 	if opts.SnapshotEvery > 0 {
-		d.stop = make(chan struct{})
-		d.done = make(chan struct{})
-		go d.snapshotLoop()
+		d.hz.start(opts.SnapshotEvery, d.SnapshotNow)
 	}
 	return d, nil
 }
 
-// LogMutation implements statestore.Journal: marshal, group-commit, and track
+// LogMutation implements statestore.Journal: encode, group-commit, and track
 // the record as in-flight until the store reports it applied — the safe
 // snapshot horizon never advances past a logged-but-unapplied mutation.
 func (d *Store) LogMutation(m statestore.Mutation) (func(), error) {
-	payload, err := json.Marshal(m)
+	payload, err := encodeMutation(m)
 	if err != nil {
 		return nil, err
 	}
-	// Register before appending: the record's eventual LSN is strictly above
-	// the log's current tail, so that tail+1 is a sound lower bound while the
-	// append is in flight.
-	d.mu.Lock()
-	tok := d.nextTok
-	d.nextTok++
-	d.inflight[tok] = d.wal.LastLSN() + 1
-	d.mu.Unlock()
-
-	lsn, err := d.wal.Append(payload)
-	d.mu.Lock()
-	if err != nil {
-		delete(d.inflight, tok)
-		d.mu.Unlock()
-		return nil, err
-	}
-	d.inflight[tok] = lsn
-	d.mu.Unlock()
-	return func() {
-		d.mu.Lock()
-		delete(d.inflight, tok)
-		d.mu.Unlock()
-	}, nil
-}
-
-// safeLSN returns the highest LSN such that every record at or below it is
-// both durable and applied to the in-memory store — the snapshot horizon.
-func (d *Store) safeLSN() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	safe := d.wal.LastLSN()
-	for _, lsn := range d.inflight {
-		if lsn-1 < safe {
-			safe = lsn - 1
-		}
-	}
-	return safe
+	return d.hz.commit(payload)
 }
 
 // SnapshotNow writes a snapshot at the current safe horizon and compacts WAL
 // segments below it. A no-op when nothing advanced since the last snapshot.
 func (d *Store) SnapshotNow() error {
-	safe := d.safeLSN()
-	d.mu.Lock()
-	cur := d.snapLSN
-	d.mu.Unlock()
-	if safe <= cur {
-		return nil
-	}
-	img, err := d.State.Snapshot()
-	if err != nil {
-		return fmt.Errorf("durable: snapshot: %w", err)
-	}
-	buf, err := json.Marshal(storeSnapshot{AppliedLSN: safe, State: img})
-	if err != nil {
-		return fmt.Errorf("durable: snapshot: %w", err)
-	}
-	if err := WriteFileAtomic(filepath.Join(d.opts.Dir, storeSnapshotFile), buf, 0o644); err != nil {
-		return fmt.Errorf("durable: snapshot: %w", err)
-	}
-	d.mu.Lock()
-	d.snapLSN = safe
-	d.snapAt = time.Now()
-	d.mu.Unlock()
-	d.snapshots.Inc()
-	d.snapAge.Set(0)
-	if _, err := d.wal.CompactBelow(safe); err != nil {
-		return err
-	}
-	return nil
-}
-
-func (d *Store) snapshotLoop() {
-	defer close(d.done)
-	ticker := time.NewTicker(d.opts.SnapshotEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-d.stop:
-			return
-		case <-ticker.C:
+	wrote, err := d.hz.snapshot(func(safe uint64) ([]byte, error) {
+		img, err := d.State.Snapshot()
+		if err != nil {
+			return nil, err
 		}
-		d.mu.Lock()
-		age := time.Since(d.snapAt)
-		d.mu.Unlock()
-		d.snapAge.Set(int64(age.Seconds()))
-		_ = d.SnapshotNow()
+		return json.Marshal(storeSnapshot{AppliedLSN: safe, State: img})
+	})
+	if wrote {
+		d.snapshots.Inc()
 	}
+	return err
 }
 
 // Metrics returns the registry carrying the WAL and snapshot metrics.
 func (d *Store) Metrics() *metrics.Registry { return d.opts.Metrics }
 
 // WAL exposes the underlying log (tests and the crash suite).
-func (d *Store) WAL() *WAL { return d.wal }
+func (d *Store) WAL() *WAL { return d.hz.wal }
 
 // Close stops the snapshot loop, takes a final snapshot, and closes the WAL.
 // Safe to skip on crash: that is the point of the journal.
-func (d *Store) Close() error {
-	if d.stop != nil {
-		close(d.stop)
-		<-d.done
-		d.stop = nil
-	}
-	err := d.SnapshotNow()
-	if cerr := d.wal.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
+func (d *Store) Close() error { return d.hz.close(d.SnapshotNow) }

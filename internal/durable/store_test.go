@@ -1,7 +1,10 @@
 package durable
 
 import (
+	"encoding/json"
+	"path/filepath"
 	"testing"
+	"time"
 
 	"globuscompute/internal/protocol"
 	"globuscompute/internal/statestore"
@@ -170,7 +173,7 @@ func TestStoreRecoveryIdempotent(t *testing.T) {
 		if err != nil || rec.State != protocol.StateDelivered {
 			t.Fatalf("round %d: task state %s, %v", round, rec.State, err)
 		}
-		d2.wal.Close() // release the handle without writing a fresh snapshot
+		d2.WAL().Close() // release the handle without writing a fresh snapshot
 	}
 }
 
@@ -194,5 +197,51 @@ func BenchmarkJournaledCreateTasks(b *testing.B) {
 		if err := d.State.CreateTasks(tasks); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestStoreReplaysJSONTaskRecords opens a log whose task records are all
+// JSON — what every commit before the binary encoding wrote, the four-step
+// submit sequence included — and then keeps journaling onto it, so one log
+// holds both encodings.
+func TestStoreReplaysJSONTaskRecords(t *testing.T) {
+	dir := t.TempDir()
+	w, err := OpenWAL(WALOptions{Dir: filepath.Join(dir, storeWALDir), NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep, at := protocol.NewUUID(), time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	tasks := []protocol.Task{{ID: protocol.NewUUID(), EndpointID: ep}, {ID: protocol.NewUUID(), EndpointID: ep}}
+	ids := []protocol.UUID{tasks[0].ID, tasks[1].ID}
+	for _, m := range []statestore.Mutation{
+		{Op: statestore.OpCreateTasks, At: at, Tasks: tasks},
+		{Op: statestore.OpTransitionTasks, At: at, TaskIDs: ids, State: protocol.StateWaiting},
+		{Op: statestore.OpTransitionTasks, At: at, TaskIDs: ids, State: protocol.StateDelivered},
+		{Op: statestore.OpCompleteTasks, At: at.Add(time.Second), Results: []protocol.Result{{TaskID: ids[0], State: protocol.StateSuccess, Output: []byte("42")}}},
+	} {
+		payload, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d := openStore(t, dir)
+	if rec, err := d.State.GetTask(ids[0]); err != nil || rec.State != protocol.StateSuccess || string(rec.Result) != "42" || !rec.Created.Equal(at) {
+		t.Fatalf("task 0 = %+v, %v", rec, err)
+	}
+	if errs := d.State.CompleteTasks([]protocol.Result{{TaskID: ids[1], State: protocol.StateFailed, Error: "boom"}}); errs[0] != nil {
+		t.Fatal(errs[0])
+	}
+	// Crash; the log now ends in a binary record.
+	d2 := openStore(t, dir)
+	defer d2.Close()
+	if rec, err := d2.State.GetTask(ids[1]); err != nil || rec.State != protocol.StateFailed || rec.Error != "boom" {
+		t.Fatalf("task 1 = %+v, %v", rec, err)
 	}
 }

@@ -163,3 +163,31 @@ func TestGetTaskRecordsMissingOmitted(t *testing.T) {
 		t.Fatal("missing ID present in batch read")
 	}
 }
+
+// TestAdmitTasksLandsDelivered covers the submit path's single step: the
+// batch is created directly in delivered (results record from there), with
+// CreateTasks's handling of duplicate IDs.
+func TestAdmitTasksLandsDelivered(t *testing.T) {
+	s := New()
+	ep := protocol.NewUUID()
+	tasks := makeTasks(20, ep)
+	if err := s.AdmitTasks(tasks, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.CountTasksByState()[protocol.StateDelivered]; got != 20 {
+		t.Fatalf("delivered = %d, want 20", got)
+	}
+	if ids := s.ListTasksByEndpoint(ep); len(ids) != 20 || ids[0] != tasks[0].ID {
+		t.Fatalf("endpoint index = %d ids, first %v", len(ids), ids[:1])
+	}
+	if err := s.CompleteTask(protocol.Result{TaskID: tasks[0].ID, State: protocol.StateSuccess}); err != nil {
+		t.Fatalf("complete from delivered: %v", err)
+	}
+	more := append(makeTasks(1, ep), tasks[1])
+	if err := s.AdmitTasks(more, nil); !errors.Is(err, ErrAlreadyExists) {
+		t.Fatalf("re-admit = %v, want ErrAlreadyExists", err)
+	}
+	if rec, err := s.GetTask(more[0].ID); err != nil || rec.State != protocol.StateDelivered {
+		t.Fatalf("task beside the duplicate = %+v, %v", rec.State, err)
+	}
+}

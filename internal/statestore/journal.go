@@ -28,6 +28,7 @@ const (
 	OpSetEndpointStatus MutationOp = "set_endpoint_status"
 	OpCreateTask        MutationOp = "create_task"
 	OpCreateTasks       MutationOp = "create_tasks"
+	OpAdmitTasks        MutationOp = "admit_tasks"
 	OpTransitionTask    MutationOp = "transition_task"
 	OpTransitionTasks   MutationOp = "transition_tasks"
 	OpCompleteTask      MutationOp = "complete_task"
@@ -45,16 +46,20 @@ type Mutation struct {
 	Op MutationOp `json:"op"`
 	At time.Time  `json:"at"`
 
-	Function    *FunctionRecord    `json:"function,omitempty"`
-	Endpoint    *EndpointRecord    `json:"endpoint,omitempty"`
-	EndpointID  protocol.UUID      `json:"endpoint_id,omitempty"`
-	Status      EndpointStatus     `json:"status,omitempty"`
-	Task        *protocol.Task     `json:"task,omitempty"`
-	Tasks       []protocol.Task    `json:"tasks,omitempty"`
-	TaskIDs     []protocol.UUID    `json:"task_ids,omitempty"`
-	State       protocol.TaskState `json:"state,omitempty"`
-	Result      *protocol.Result   `json:"result,omitempty"`
-	Results     []protocol.Result  `json:"results,omitempty"`
+	Function   *FunctionRecord    `json:"function,omitempty"`
+	Endpoint   *EndpointRecord    `json:"endpoint,omitempty"`
+	EndpointID protocol.UUID      `json:"endpoint_id,omitempty"`
+	Status     EndpointStatus     `json:"status,omitempty"`
+	Task       *protocol.Task     `json:"task,omitempty"`
+	Tasks      []protocol.Task    `json:"tasks,omitempty"`
+	TaskIDs    []protocol.UUID    `json:"task_ids,omitempty"`
+	State      protocol.TaskState `json:"state,omitempty"`
+	Result     *protocol.Result   `json:"result,omitempty"`
+	Results    []protocol.Result  `json:"results,omitempty"`
+	// Bodies, when set, is parallel to Tasks (admit) or Results (complete):
+	// each item's JSON as the caller already marshalled it for the message
+	// queue, so a journal can write those bytes instead of encoding again.
+	Bodies       [][]byte            `json:"-"`
 	Cutoff       time.Time           `json:"cutoff,omitempty"`
 	Idempotency  *IdempotencyRecord  `json:"idempotency,omitempty"`
 	RoutingGroup *RoutingGroupRecord `json:"routing_group,omitempty"`
@@ -124,6 +129,8 @@ func (s *Store) ApplyMutation(m Mutation) error {
 		return s.CreateTask(*m.Task)
 	case OpCreateTasks:
 		return s.CreateTasks(m.Tasks)
+	case OpAdmitTasks:
+		return s.AdmitTasks(m.Tasks, nil)
 	case OpTransitionTask:
 		if len(m.TaskIDs) != 1 {
 			return fmt.Errorf("statestore: replay %s: want 1 task ID, got %d", m.Op, len(m.TaskIDs))

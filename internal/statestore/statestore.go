@@ -401,11 +401,12 @@ var legalNext = map[protocol.TaskState]map[protocol.TaskState]bool{
 	},
 	protocol.StateWaiting: {
 		protocol.StateDelivered: true, protocol.StateCancelled: true,
-		// Success/failure may land while the record still reads waiting: the
-		// submitter publishes to the broker and only then acks Delivered, so
-		// a fast agent's result can outrun the ack. The result is
-		// authoritative — rejecting it here would drop it and strand the
-		// task non-terminal forever.
+		// Success/failure may land while the record still reads waiting. The
+		// service admits straight to Delivered (AdmitTasks), but logs written
+		// before it did, and direct store users that publish before acking
+		// Delivered, can see a fast agent's result outrun that ack. The
+		// result is authoritative — rejecting it here would drop it and
+		// strand the task non-terminal forever.
 		protocol.StateFailed: true, protocol.StateSuccess: true,
 	},
 	protocol.StateDelivered: {
@@ -451,7 +452,23 @@ func (s *Store) CreateTask(task protocol.Task) error {
 // fresh UUIDs, so collisions indicate a caller bug, not a race to report
 // precisely).
 func (s *Store) CreateTasks(tasks []protocol.Task) error {
-	done, jerr := s.logMutation(Mutation{Op: OpCreateTasks, Tasks: tasks})
+	return s.insertTasks(Mutation{Op: OpCreateTasks, Tasks: tasks}, protocol.StateReceived)
+}
+
+// AdmitTasks is the submit path's single journaled step: it inserts the
+// batch directly in StateDelivered — the caller publishes the tasks to their
+// endpoint queues right after — so one record covers what CreateTasks plus
+// two TransitionTasks would. bodies, when non-nil, is parallel to tasks: each
+// task's JSON as the caller marshalled it for the queue, handed to the
+// journal as is. Errors are CreateTasks's.
+func (s *Store) AdmitTasks(tasks []protocol.Task, bodies [][]byte) error {
+	return s.insertTasks(Mutation{Op: OpAdmitTasks, Tasks: tasks, Bodies: bodies}, protocol.StateDelivered)
+}
+
+// insertTasks journals m and inserts m.Tasks in state.
+func (s *Store) insertTasks(m Mutation, state protocol.TaskState) error {
+	tasks := m.Tasks
+	done, jerr := s.logMutation(m)
 	if jerr != nil {
 		return jerr
 	}
@@ -486,8 +503,8 @@ func (s *Store) CreateTasks(tasks []protocol.Task) error {
 				}
 				continue
 			}
-			sh.m[t.ID] = &TaskRecord{Task: t, State: protocol.StateReceived, Created: now, Updated: now}
-			sh.counts[protocol.StateReceived]++
+			sh.m[t.ID] = &TaskRecord{Task: t, State: state, Created: now, Updated: now}
+			sh.counts[state]++
 			created[i] = true
 		}
 		sh.mu.Unlock()
@@ -648,8 +665,15 @@ func (s *Store) CompleteTask(res protocol.Result) error {
 // results[i] was applied, so the caller can ack or dead-letter each source
 // message individually.
 func (s *Store) CompleteTasks(results []protocol.Result) []error {
+	return s.CompleteEncoded(results, nil)
+}
+
+// CompleteEncoded is CompleteTasks for a caller that has each result's JSON
+// in hand (bodies parallel to results, as AdmitTasks takes task bodies): the
+// journal writes those bytes instead of encoding the results again.
+func (s *Store) CompleteEncoded(results []protocol.Result, bodies [][]byte) []error {
 	errs := make([]error, len(results))
-	done, jerr := s.logMutation(Mutation{Op: OpCompleteTasks, Results: results})
+	done, jerr := s.logMutation(Mutation{Op: OpCompleteTasks, Results: results, Bodies: bodies})
 	if jerr != nil {
 		for i := range errs {
 			errs[i] = jerr
@@ -782,8 +806,8 @@ func (s *Store) unindexTask(ep, id protocol.UUID) {
 
 // snapshot is the JSON image of the full store.
 type snapshot struct {
-	Functions   []FunctionRecord    `json:"functions"`
-	Endpoints   []EndpointRecord    `json:"endpoints"`
+	Functions     []FunctionRecord     `json:"functions"`
+	Endpoints     []EndpointRecord     `json:"endpoints"`
 	Tasks         []TaskRecord         `json:"tasks"`
 	Idempotency   []IdempotencyRecord  `json:"idempotency,omitempty"`
 	RoutingGroups []RoutingGroupRecord `json:"routing_groups,omitempty"`

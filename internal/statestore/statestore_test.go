@@ -147,11 +147,12 @@ func TestTaskHappyPath(t *testing.T) {
 	}
 }
 
-// TestResultOutrunsDeliveryAck covers the submit-path race: the submitter
-// publishes to the broker before acking Delivered, so a fast agent's result
-// can arrive while the record still reads waiting. The result must record
-// (waiting -> success is legal), and the late Delivered ack must bounce off
-// the terminal state instead of disturbing it.
+// TestResultOutrunsDeliveryAck pins one edge of the state machine: a result
+// records while the task still reads waiting (waiting -> success is legal),
+// and a Delivered ack arriving after it bounces off the terminal state. The
+// service no longer visits waiting (it admits straight to Delivered), but
+// logs written before it did replay through this edge, and so do direct
+// store users that publish before acking Delivered.
 func TestResultOutrunsDeliveryAck(t *testing.T) {
 	s := New()
 	task := newTask(protocol.NewUUID())

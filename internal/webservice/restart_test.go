@@ -2,6 +2,7 @@ package webservice
 
 import (
 	"context"
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -90,6 +91,55 @@ func TestCloudRestartRecovery(t *testing.T) {
 				t.Fatalf("task %s never completed after restart (state %s)", id, st.State)
 			}
 			time.Sleep(5 * time.Millisecond)
+		}
+	}
+}
+
+// TestStreamedResultsSurviveRestart: a result streamed to an executor's group
+// queue but not yet consumed is journaled like any other message, so an
+// executor that reconnects after a cloud crash still receives it.
+func TestStreamedResultsSurviveRestart(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *Stack {
+		t.Helper()
+		st, err := OpenStack(StackConfig{DataDir: dir, SnapshotEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	st := open()
+	f := stackFixture(t, st)
+	fn := f.registerFunction(t)
+	ep := f.registerEndpoint(t, RegisterEndpointRequest{Name: "e", Owner: "o"})
+	f.fakeAgent(t, ep)
+	group, ids := submitGrouped(t, f, ep, fn, 5)
+	for _, id := range ids {
+		waitTask(t, f.svc, id, 5*time.Second)
+	}
+	// Crash as TestCloudRestartRecovery does: no final snapshot.
+	f.svc.Close()
+	f.brk.Close()
+	_ = st.Durable.WAL().Close()
+	_ = st.DurableBroker.WAL().Close()
+
+	st2 := open()
+	t.Cleanup(func() { st2.Close(context.Background()) })
+	stream, err := st2.Broker.Consume(GroupResultQueue(group), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[protocol.UUID]bool)
+	for len(got) < len(ids) {
+		select {
+		case m := <-stream.Messages():
+			var res protocol.Result
+			if err := json.Unmarshal(m.Body, &res); err != nil || res.State != protocol.StateSuccess {
+				t.Fatalf("redelivered %s: %v", m.Body, err)
+			}
+			got[res.TaskID] = true
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d streamed results redelivered after the restart", len(got), len(ids))
 		}
 	}
 }

@@ -524,72 +524,122 @@ func (s *Service) runResultProcessor(c *broker.Consumer) {
 }
 
 // processResultBatch records a batch of result messages: parse and spill
-// each, complete all tasks in one sharded statestore round trip, stream
-// group results, and acknowledge every message in one batch. Malformed
-// results are acked (dropped) rather than poison-pilled back onto the
-// queue.
+// each, complete all tasks in one sharded statestore round trip (one journal
+// commit), stream the recorded results to their group queues (one publish per
+// group), and acknowledge the batch once. A result message is acked only when
+// its fate is settled — recorded, or rejected for good (malformed, or refused
+// by the task state machine). One the journal failed to record stays
+// unacknowledged, so the broker redelivers it when this consumer closes or
+// the process restarts; it is not nacked, which would spin against a dead log.
 func (s *Service) processResultBatch(c *broker.Consumer, batch []broker.Message) {
-	type pending struct {
-		res protocol.Result
-		sp  *trace.ActiveSpan
-	}
-	pendings := make([]pending, 0, len(batch))
+	// Parallel slices over the batch's well-formed results.
+	results := make([]protocol.Result, 0, len(batch))
+	bodies := make([][]byte, 0, len(batch))
+	spans := make([]*trace.ActiveSpan, 0, len(batch))
+	tags := make([]uint64, 0, len(batch))
+	settled := make([]uint64, 0, len(batch))
 	for _, m := range batch {
-		res, sp, err := s.prepareResult(m.Body, m.Trace)
+		res, body, sp, err := s.prepareResult(m.Body, m.Trace)
 		if err != nil {
 			s.log.WithTask(string(res.TaskID)).WithTrace(m.Trace).
 				Warn("dropping unprocessable result", "error", err)
+			settled = append(settled, m.Tag)
 			continue
 		}
-		pendings = append(pendings, pending{res: res, sp: sp})
+		results, bodies = append(results, res), append(bodies, body)
+		spans, tags = append(spans, sp), append(tags, m.Tag)
 	}
-	results := make([]protocol.Result, len(pendings))
-	for i := range pendings {
-		results[i] = pendings[i].res
-	}
-	errs := s.cfg.Store.CompleteTasks(results)
+	errs := s.cfg.Store.CompleteEncoded(results, bodies)
 	// Batch-fetch the recorded tasks to find group streams to feed.
-	ids := make([]protocol.UUID, 0, len(pendings))
-	for i := range pendings {
+	ids := make([]protocol.UUID, 0, len(results))
+	for i, res := range results {
 		if errs[i] == nil {
-			ids = append(ids, pendings[i].res.TaskID)
+			ids = append(ids, res.TaskID)
 		}
 	}
 	recs := s.cfg.Store.GetTaskRecords(ids)
-	for i := range pendings {
-		p := &pendings[i]
-		if errs[i] != nil {
-			s.log.WithTask(string(p.res.TaskID)).WithTrace(p.res.Trace).
-				Warn("result not recorded", "error", errs[i])
-			p.sp.EndStatus("error")
+	var stream []groupResult
+	for i, res := range results {
+		if err := errs[i]; err != nil {
+			s.log.WithTask(string(res.TaskID)).WithTrace(res.Trace).
+				Warn("result not recorded", "error", err)
+			spans[i].EndStatus("error")
+			if errors.Is(err, statestore.ErrIllegalTransition) || errors.Is(err, statestore.ErrNotFound) {
+				settled = append(settled, tags[i])
+			}
 			continue
 		}
+		settled = append(settled, tags[i])
 		s.Metrics.Counter("results_processed").Inc()
-		if p.res.DeadLettered {
+		if res.DeadLettered {
 			// The engine gave up on this task after its attempt budget;
 			// surface the count so operators can spot poison tasks.
 			s.Metrics.Counter("deadlettered_tasks").Inc()
-			s.log.WithTask(string(p.res.TaskID)).WithTrace(p.res.Trace).
-				WithEndpoint(string(p.res.EndpointID)).
-				Warn("task dead-lettered by engine", "error", p.res.Error)
+			s.log.WithTask(string(res.TaskID)).WithTrace(res.Trace).
+				WithEndpoint(string(res.EndpointID)).
+				Warn("task dead-lettered by engine", "error", res.Error)
 		}
-		rec, ok := recs[p.res.TaskID]
+		rec, ok := recs[res.TaskID]
 		if ok {
-			s.observeResult(p.res, rec.Created)
+			s.observeResult(res, rec.Created)
 			s.releaseTerminal(rec.Task, rec.Created)
 		} else {
-			s.observeResult(p.res, time.Time{})
+			s.observeResult(res, time.Time{})
 		}
 		if ok && rec.Task.GroupID != "" {
-			s.publishGroupResult(rec.Task.GroupID, p.res, p.sp)
+			stream = append(stream, groupResult{group: rec.Task.GroupID, body: bodies[i], tc: res.Trace})
 		}
-		p.sp.End()
 	}
-	tags := make([]uint64, len(batch))
-	for i, m := range batch {
-		tags[i] = m.Tag
+	s.streamGroupResults(stream)
+	for i, sp := range spans {
+		if errs[i] == nil {
+			sp.End()
+		}
 	}
-	_ = c.AckBatch(tags)
+	_ = c.AckBatch(settled)
+}
+
+// groupResult is one recorded result bound for its submitter's group stream.
+type groupResult struct {
+	group protocol.UUID
+	body  []byte // the result's JSON
+	tc    *trace.Context
+}
+
+// streamGroupResults publishes recorded results onto the submitting
+// executors' group queues so their futures resolve: one broker publish — on
+// a durable broker, one journal commit — per distinct group, in the order
+// given. A group whose queue is gone (its executor closed) has nobody left
+// to tell.
+func (s *Service) streamGroupResults(items []groupResult) {
+	order, byGroup := groupIndices(len(items), func(i int) protocol.UUID { return items[i].group })
+	for _, g := range order {
+		idxs := byGroup[g]
+		bodies := make([][]byte, len(idxs))
+		traces := make([]*trace.Context, len(idxs))
+		for j, i := range idxs {
+			bodies[j], traces[j] = items[i].body, items[i].tc
+		}
+		err := s.cfg.Broker.PublishBatch(GroupResultQueue(g), bodies, traces)
+		if err != nil && !errors.Is(err, broker.ErrQueueNotFound) {
+			s.log.Warn("group results not streamed", "group", string(g), "results", len(idxs), "error", err)
+		}
+	}
+}
+
+// groupIndices buckets the indices 0..n-1 by key: keys in first-seen order,
+// indices in input order within a key.
+func groupIndices[K comparable](n int, key func(int) K) ([]K, map[K][]int) {
+	var order []K
+	idx := make(map[K][]int, 1)
+	for i := 0; i < n; i++ {
+		k := key(i)
+		if _, ok := idx[k]; !ok {
+			order = append(order, k)
+		}
+		idx[k] = append(idx[k], i)
+	}
+	return order, idx
 }
 
 // observeResult records one terminal result in the originating endpoint's
@@ -615,13 +665,14 @@ func (s *Service) observeResult(res protocol.Result, created time.Time) {
 }
 
 // prepareResult parses and spills one result message, returning the result
-// ready for recording plus its processing span (ended by the caller). tc is
+// ready for recording, its JSON — the bytes that go to the journal and onto
+// the group stream — and its processing span (ended by the caller). tc is
 // the trace context delivered with the message (the broker transit span);
 // the result body's own context is the fallback for untraced transports.
-func (s *Service) prepareResult(body []byte, tc *trace.Context) (protocol.Result, *trace.ActiveSpan, error) {
+func (s *Service) prepareResult(body []byte, tc *trace.Context) (protocol.Result, []byte, *trace.ActiveSpan, error) {
 	var res protocol.Result
 	if err := json.Unmarshal(body, &res); err != nil {
-		return res, nil, fmt.Errorf("bad result message: %w", err)
+		return res, nil, nil, fmt.Errorf("bad result message: %w", err)
 	}
 	if !tc.Valid() {
 		tc = res.Trace
@@ -631,38 +682,36 @@ func (s *Service) prepareResult(body []byte, tc *trace.Context) (protocol.Result
 	if !res.State.Terminal() {
 		sp.SetAttr("error", "non-terminal state")
 		sp.End()
-		return res, nil, fmt.Errorf("non-terminal result state %q for task %s", res.State, res.TaskID)
+		return res, nil, nil, fmt.Errorf("non-terminal result state %q for task %s", res.State, res.TaskID)
 	}
+	changed := false
 	// Spill oversized outputs to the object store before recording.
 	if len(res.Output) > s.cfg.InlineThreshold && res.OutputRef == "" {
 		key, err := s.cfg.Objects.PutContent(res.Output)
 		if err != nil {
 			sp.EndStatus("error")
-			return res, nil, err
+			return res, nil, nil, err
 		}
 		s.Metrics.Counter("spill_results").Inc()
 		s.Metrics.Counter("spill_result_bytes").Add(int64(len(res.Output)))
 		res.OutputRef = key
 		res.Output = nil
-	}
-	return res, sp, nil
-}
-
-// publishGroupResult streams a recorded result onto the submitting
-// executor's group queue so its futures resolve.
-func (s *Service) publishGroupResult(g protocol.UUID, res protocol.Result, sp *trace.ActiveSpan) {
-	q := GroupResultQueue(g)
-	if err := s.cfg.Broker.Declare(q); err != nil {
-		return
+		changed = true
 	}
 	// Re-point the result's context at the processing span so the SDK's
 	// resolution span chains off it.
 	if next := sp.Context(); next != nil {
 		res.Trace = next
+		changed = true
 	}
-	if payload, err := json.Marshal(res); err == nil {
-		_ = s.cfg.Broker.PublishTraced(q, payload, res.Trace)
+	if changed {
+		var err error
+		if body, err = json.Marshal(res); err != nil {
+			sp.EndStatus("error")
+			return res, nil, nil, err
+		}
 	}
+	return res, body, sp, nil
 }
 
 // --- submission ---
@@ -860,23 +909,14 @@ func (s *Service) submitAdmitted(tok auth.Token, reqs []SubmitRequest, opts Subm
 		}
 		bodies[i], tasks[i], ids[i] = body, p.task, p.task.ID
 	}
-	// One sharded statestore round trip per state for the whole batch, then
-	// one broker publish per distinct target queue.
-	if err := s.cfg.Store.CreateTasks(tasks); err != nil {
+	// One journaled statestore step admits the whole batch straight to
+	// Delivered, then one broker publish per distinct target queue: two
+	// commits per batch. Store first, so a fast agent's result can never
+	// reach a store that does not know its task.
+	if err := s.cfg.Store.AdmitTasks(tasks, bodies); err != nil {
 		return fail(err)
 	}
-	if err := s.cfg.Store.TransitionTasks(ids, protocol.StateWaiting); err != nil {
-		return fail(err)
-	}
-	var queueOrder []string
-	queueIdx := make(map[string][]int)
-	for i := range batch {
-		q := TaskQueue(batch[i].target)
-		if _, ok := queueIdx[q]; !ok {
-			queueOrder = append(queueOrder, q)
-		}
-		queueIdx[q] = append(queueIdx[q], i)
-	}
+	queueOrder, queueIdx := groupIndices(len(batch), func(i int) string { return TaskQueue(batch[i].target) })
 	publish := s.cfg.Broker.PublishBatch
 	if opts.Interactive {
 		publish = s.cfg.Broker.PublishBatchInteractive
@@ -889,43 +929,28 @@ func (s *Service) submitAdmitted(tok auth.Token, reqs []SubmitRequest, opts Subm
 			qBodies[j], qTraces[j] = bodies[i], tasks[i].Trace
 		}
 		if err := publish(q, qBodies, qTraces); err != nil {
-			if errors.Is(err, broker.ErrQueueFull) {
-				// The broker shed this queue's batch. Tasks already published
-				// to earlier queues proceed (mark them Delivered so their
-				// results record legally); the rest never reach an endpoint,
-				// so fail them now — every created task still lands on
-				// exactly one terminal state.
-				var publishedIDs, shedIDs []protocol.UUID
-				for _, q2 := range queueOrder[:qi] {
-					for _, i := range queueIdx[q2] {
-						publishedIDs = append(publishedIDs, ids[i])
-					}
-				}
-				for _, q2 := range queueOrder[qi:] {
-					for _, i := range queueIdx[q2] {
-						shedIDs = append(shedIDs, ids[i])
-					}
-				}
-				if len(publishedIDs) > 0 {
-					_ = s.cfg.Store.TransitionTasks(publishedIDs, protocol.StateDelivered)
-				}
-				_ = s.cfg.Store.TransitionTasks(shedIDs, protocol.StateFailed)
-				for _, sp := range spans {
-					sp.EndStatus("error")
-				}
-				target := batch[idxs[0]].target
-				return nil, len(publishedIDs), s.queueFullError(target, err)
+			// The broker did not take this queue's batch (shed at the depth
+			// limit, or failing). Tasks published to earlier queues proceed;
+			// the rest never reach an endpoint, so fail them now — every
+			// admitted task still lands on exactly one terminal state.
+			published := 0
+			for _, q2 := range queueOrder[:qi] {
+				published += len(queueIdx[q2])
 			}
-			return fail(err)
-		}
-	}
-	if err := s.cfg.Store.TransitionTasks(ids, protocol.StateDelivered); err != nil {
-		// An illegal transition here means a fast agent's result (or a
-		// cancel) beat this ack and the task already moved past Delivered —
-		// the batch's other tasks were still transitioned. The submit
-		// succeeded; don't fail it retroactively.
-		if !errors.Is(err, statestore.ErrIllegalTransition) {
-			return fail(err)
+			var lostIDs []protocol.UUID
+			for _, q2 := range queueOrder[qi:] {
+				for _, i := range queueIdx[q2] {
+					lostIDs = append(lostIDs, ids[i])
+				}
+			}
+			_ = s.cfg.Store.TransitionTasks(lostIDs, protocol.StateFailed)
+			for _, sp := range spans {
+				sp.EndStatus("error")
+			}
+			if errors.Is(err, broker.ErrQueueFull) {
+				err = s.queueFullError(batch[idxs[0]].target, err)
+			}
+			return nil, published, err
 		}
 	}
 	for _, sp := range spans {
@@ -1133,12 +1158,9 @@ func (s *Service) CancelTask(tok auth.Token, id protocol.UUID) error {
 	// Stream the cancellation to the executor's group queue so futures
 	// resolve promptly.
 	if rec.Task.GroupID != "" {
-		q := GroupResultQueue(rec.Task.GroupID)
-		if err := s.cfg.Broker.Declare(q); err == nil {
-			res := protocol.Result{TaskID: id, State: protocol.StateCancelled, Error: "cancelled by user"}
-			if payload, err := json.Marshal(res); err == nil {
-				_ = s.cfg.Broker.Publish(q, payload)
-			}
+		res := protocol.Result{TaskID: id, State: protocol.StateCancelled, Error: "cancelled by user"}
+		if body, err := json.Marshal(res); err == nil {
+			s.streamGroupResults([]groupResult{{group: rec.Task.GroupID, body: body}})
 		}
 	}
 	return nil
@@ -1201,11 +1223,17 @@ func (s *Service) StartWatchdog(cfg WatchdogConfig) (stop func()) {
 }
 
 // expireLeases fails non-terminal tasks stranded on offline endpoints whose
-// last state change is older than the lease, streaming the failure to the
-// submitting executor's group queue so futures resolve.
+// last state change is older than the lease — one statestore batch per
+// endpoint — and streams the failures to the submitting executors' group
+// queues so futures resolve.
 func (s *Service) expireLeases(lease time.Duration) {
 	cutoff := time.Now().Add(-lease)
 	for _, ep := range s.cfg.Store.ListEndpoints(statestore.EndpointFilter{Status: statestore.EndpointOffline}) {
+		var (
+			expired []statestore.TaskRecord
+			results []protocol.Result
+			bodies  [][]byte
+		)
 		for _, id := range s.cfg.Store.ListTasksByEndpoint(ep.ID) {
 			rec, err := s.cfg.Store.GetTask(id)
 			if err != nil || rec.State.Terminal() || rec.Updated.After(cutoff) {
@@ -1217,23 +1245,31 @@ func (s *Service) expireLeases(lease time.Duration) {
 				EndpointID: ep.ID,
 				Error:      fmt.Sprintf("webservice: task lease expired after %s on offline endpoint %s", lease, ep.ID),
 			}
-			if err := s.cfg.Store.CompleteTask(res); err != nil {
+			body, err := json.Marshal(res)
+			if err != nil {
+				continue
+			}
+			expired, results, bodies = append(expired, rec), append(results, res), append(bodies, body)
+		}
+		if len(results) == 0 {
+			continue
+		}
+		var stream []groupResult
+		for i, err := range s.cfg.Store.CompleteEncoded(results, bodies) {
+			if err != nil {
 				continue // lost the race to a real terminal result
 			}
+			rec := expired[i]
 			s.Metrics.Counter("lease_expired").Inc()
-			s.observeResult(res, rec.Created)
+			s.observeResult(results[i], rec.Created)
 			s.releaseTerminal(rec.Task, rec.Created)
-			s.log.WithTask(string(id)).WithEndpoint(string(ep.ID)).
+			s.log.WithTask(string(rec.Task.ID)).WithEndpoint(string(ep.ID)).
 				Warn("task lease expired on offline endpoint", "lease", lease.String())
 			if rec.Task.GroupID != "" {
-				q := GroupResultQueue(rec.Task.GroupID)
-				if err := s.cfg.Broker.Declare(q); err == nil {
-					if payload, err := json.Marshal(res); err == nil {
-						_ = s.cfg.Broker.Publish(q, payload)
-					}
-				}
+				stream = append(stream, groupResult{group: rec.Task.GroupID, body: bodies[i]})
 			}
 		}
+		s.streamGroupResults(stream)
 	}
 }
 
