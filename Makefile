@@ -84,7 +84,7 @@ route-smoke:
 # the burst backlog p95 recovers within its window, and burst-peak pprof
 # captures land on disk. The verdict (scenario.json) and the run outputs
 # (samples.csv, summary.json, *.pb.gz) land under the git-ignored
-# scenario-runs/; SCENARIO_pr10.json is the recorded PR-10 verdict.
+# scenario-runs/.
 # Gated on GC_SCENARIO so plain `go test ./...` stays fast.
 scenario:
 	GC_SCENARIO=1 GC_SCENARIO_OUT=$(CURDIR)/scenario-runs/scenario.json \

@@ -376,8 +376,7 @@ func BenchmarkPayloadViaProxy(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer ex.Close()
-			store, err := proxystore.NewStore("bench",
-				proxystore.ObjectStoreConnector{Backend: e.tb.Objects}, 16)
+			store, err := proxystore.NewStore("bench", e.tb.Objects, 64<<20)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -5,7 +5,6 @@
 package main
 
 import (
-	"crypto/x509"
 	"flag"
 	"fmt"
 	"log"
@@ -14,37 +13,33 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
-	"globuscompute/internal/broker"
 	"globuscompute/internal/endpoint"
 	"globuscompute/internal/engine"
-	"globuscompute/internal/metrics"
 	"globuscompute/internal/mpiengine"
 	"globuscompute/internal/objectstore"
 	"globuscompute/internal/provider"
-	"globuscompute/internal/registry"
 	"globuscompute/internal/scheduler"
 	"globuscompute/internal/sdk"
+	"globuscompute/internal/serialize"
 	"globuscompute/internal/shellfn"
-	"globuscompute/internal/statestore"
 	"globuscompute/internal/webservice"
 )
 
 func main() {
 	var (
-		service   = flag.String("service", "127.0.0.1:8080", "web service address")
-		token     = flag.String("token", "", "bearer token (from gc-webservice output)")
-		name      = flag.String("name", "go-endpoint", "endpoint display name")
-		workers   = flag.Int("workers", 4, "worker pool size")
-		withMPI   = flag.Bool("mpi", false, "attach a GlobusMPIEngine over a simulated cluster")
-		mpiNodes  = flag.Int("mpi-nodes", 4, "simulated cluster nodes for the MPI engine")
-		sandbox   = flag.String("sandbox-root", os.TempDir(), "ShellFunction sandbox root")
+		service     = flag.String("service", "127.0.0.1:8080", "web service address")
+		token       = flag.String("token", "", "bearer token (from gc-webservice output)")
+		name        = flag.String("name", "go-endpoint", "endpoint display name")
+		workers     = flag.Int("workers", 4, "worker pool size")
+		withMPI     = flag.Bool("mpi", false, "attach a GlobusMPIEngine over a simulated cluster")
+		mpiNodes    = flag.Int("mpi-nodes", 4, "simulated cluster nodes for the MPI engine")
+		sandbox     = flag.String("sandbox-root", os.TempDir(), "ShellFunction sandbox root")
 		transport   = flag.String("transport", "channel", "engine interchange transport: channel or tcp")
 		brokerCA    = flag.String("broker-ca", "", "CA PEM for a TLS broker (from gc-webservice -broker-tls)")
 		metricsAddr = flag.String("metrics-addr", "", "serve GET /metrics (agent + engine registries, Prometheus text) on this address")
-		spillAt     = flag.Int("spill-threshold", 64<<10, "result bytes above which outputs spill to the object store as references (0 = always inline)")
-		dedupCache  = flag.Int64("dedup-cache", 64<<20, "bytes of fetched payloads cached for fan-out dedup (0 = no cache)")
+		spillAt     = flag.Int("spill-threshold", serialize.DefaultInlineThreshold, "result bytes above which outputs spill to the object store as references (0 = always inline)")
+		dedupCache  = flag.Int64("dedup-cache", endpoint.DefaultDedupCache, "bytes of fetched payloads cached for fan-out dedup (0 = no cache)")
 		pprofOn     = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ on the -metrics-addr mux (off by default)")
 	)
 	flag.Parse()
@@ -64,107 +59,41 @@ func main() {
 	fmt.Printf("  task queue:   %s\n", reg.TaskQueue)
 	fmt.Printf("  result queue: %s\n", reg.ResultQueue)
 
-	// The broker connection auto-reconnects with backoff so a webservice
-	// restart or network blip does not take the endpoint down; consumers
-	// resubscribe and unacked deliveries are redelivered (at-least-once).
-	conn, err := broker.NewReconnecting(broker.ReconnectConfig{
-		Dial: func() (broker.Conn, error) {
-			bc, err := dialBroker(reg.BrokerAddr, *brokerCA)
-			if err != nil {
-				return nil, err
-			}
-			return bc.AsConn(), nil
-		},
-	})
-	if err != nil {
-		log.Fatalf("gc-endpoint: broker: %v", err)
-	}
-	defer conn.Close()
-	objects := objectstore.NewClient(reg.ObjectsAddr)
-	// A bounded LRU in front of the store client: a fan-out of tasks sharing
-	// one large content-addressed payload fetches it over the wire once.
-	fetcher := endpoint.ObjectFetcher(objects)
-	var dedup *objectstore.DedupCache
-	if *dedupCache > 0 {
-		dedup = objectstore.NewDedupCache(objects, *dedupCache)
-		fetcher = dedup
-	}
-
-	runner := endpoint.NewRunner(registry.Builtins(), shellfn.Options{SandboxRoot: *sandbox}, fetcher)
-	eng, err := engine.New(engine.Config{
-		Provider: provider.NewLocal(*workers), Run: runner,
-		InitBlocks: 1, MinBlocks: 1, MaxBlocks: 1,
-		Transport: *transport,
-	})
-	if err != nil {
-		log.Fatalf("gc-endpoint: engine: %v", err)
-	}
-	var agentRef *endpoint.Agent
-	cfg := endpoint.Config{
+	cfg := endpoint.StackConfig{
 		EndpointID: reg.EndpointID,
-		Conn:       conn,
-		Engine:     eng,
-		Objects:    fetcher,
-		Spill:      objects, SpillThreshold: *spillAt,
-		Heartbeat: func(online bool) {
-			var err error
-			if agentRef != nil {
-				l := agentRef.SnapshotLoad()
-				backlog := l.EgressBacklog
-				load := &statestore.EndpointLoad{
-					PendingTasks: l.PendingTasks, TotalWorkers: l.TotalWorkers,
-					FreeWorkers: l.FreeWorkers, TasksReceived: l.TasksReceived,
-					ResultsPublished: l.ResultsPublished, EgressBacklog: &backlog,
-				}
-				var snap *metrics.Snapshot
-				if d, ok := agentRef.SnapshotMetrics(time.Now()); ok {
-					snap = &d
-				}
-				err = client.HeartbeatReport(reg.EndpointID, online, load, snap)
-			} else {
-				err = client.Heartbeat(reg.EndpointID, online)
-			}
-			if err != nil {
-				log.Printf("gc-endpoint: heartbeat: %v", err)
-			}
+		BrokerAddr: reg.BrokerAddr, BrokerCA: *brokerCA,
+		Objects:        objectstore.NewClient(reg.ObjectsAddr),
+		SpillThreshold: *spillAt,
+		DedupCache:     *dedupCache,
+		Runner:         endpoint.RunnerConfig{Shell: shellfn.Options{SandboxRoot: *sandbox}},
+		Engine: engine.Config{
+			Provider:   provider.NewLocal(*workers),
+			InitBlocks: 1, MinBlocks: 1, MaxBlocks: 1,
+			Transport: *transport,
 		},
-		HeartbeatInterval: 5 * time.Second,
+		Heartbeat: client.Heartbeat,
 	}
-	var sched *scheduler.Scheduler
 	if *withMPI {
-		sched = scheduler.SimpleCluster(*mpiNodes)
+		sched := scheduler.SimpleCluster(*mpiNodes)
+		defer sched.Close()
 		prov, err := provider.NewBatch(provider.BatchConfig{
 			Scheduler: sched, Partition: "default", NodesPerBlock: *mpiNodes,
 		})
 		if err != nil {
 			log.Fatalf("gc-endpoint: mpi provider: %v", err)
 		}
-		mpi, err := mpiengine.New(mpiengine.Config{Provider: prov})
-		if err != nil {
-			log.Fatalf("gc-endpoint: mpi engine: %v", err)
-		}
-		cfg.MPI = mpi
+		cfg.MPI = &mpiengine.Config{Provider: prov}
 		fmt.Printf("  MPI engine:   %d simulated nodes\n", *mpiNodes)
 	}
-
-	agent, err := endpoint.New(cfg)
+	ep, err := endpoint.OpenStack(cfg)
 	if err != nil {
 		log.Fatalf("gc-endpoint: %v", err)
-	}
-	agentRef = agent
-	if dedup != nil {
-		// Report cache hits/misses/evictions through the agent registry so
-		// they ride /metrics and the heartbeat federation snapshots.
-		dedup.Metrics = agent.Metrics
-	}
-	if err := agent.Start(); err != nil {
-		log.Fatalf("gc-endpoint: start: %v", err)
 	}
 	if *metricsAddr != "" {
 		mux := http.NewServeMux()
 		mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			_ = agent.WriteMetrics(w)
+			_ = ep.WriteMetrics(w)
 		})
 		if *pprofOn {
 			// Agent-side continuous-profiling hook: the scenario harness (and
@@ -189,43 +118,6 @@ func main() {
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	<-stop
 	fmt.Println("gc-endpoint: draining")
-	// Agent.Stop is the graceful drain: it cancels the task subscription
-	// (stop intake; unacked deliveries redeliver elsewhere), stops the
-	// engines after in-flight tasks finish, flushes the egress tail so no
-	// computed result is dropped, and sends a final offline heartbeat so the
-	// service marks the endpoint stopped instead of waiting for the
-	// watchdog. Only then is the broker connection torn down (deferred).
-	agent.Stop()
-	if sched != nil {
-		sched.Close()
-	}
+	ep.Stop() // the drain order is endpoint.Stack.Stop's
 	fmt.Println("gc-endpoint: drained cleanly")
-}
-
-// dialBroker connects plain or over TLS when a CA file is supplied. Wire
-// batching and the binary hot-path codec are enabled either way: batch
-// frames replace per-message round trips, and the codec kicks in when the
-// server confirms it (old servers leave the connection on JSON).
-func dialBroker(addr, caPath string) (*broker.Client, error) {
-	var bc *broker.Client
-	var err error
-	if caPath == "" {
-		bc, err = broker.Dial(addr)
-	} else {
-		var pemData []byte
-		if pemData, err = os.ReadFile(caPath); err != nil {
-			return nil, err
-		}
-		var pool *x509.CertPool
-		if pool, err = broker.PoolFromPEM(pemData); err != nil {
-			return nil, err
-		}
-		bc, err = broker.DialTLS(addr, pool)
-	}
-	if err != nil {
-		return nil, err
-	}
-	bc.EnableBatching(broker.BatchConfig{})
-	bc.EnableBinary()
-	return bc, nil
 }

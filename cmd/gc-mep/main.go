@@ -13,12 +13,11 @@ import (
 	"syscall"
 	"time"
 
-	"globuscompute/internal/broker"
 	"globuscompute/internal/core"
+	"globuscompute/internal/endpoint"
 	"globuscompute/internal/idmap"
 	"globuscompute/internal/mep"
 	"globuscompute/internal/objectstore"
-	"globuscompute/internal/protocol"
 	"globuscompute/internal/scheduler"
 	"globuscompute/internal/sdk"
 	"globuscompute/internal/webservice"
@@ -81,35 +80,32 @@ func main() {
 	fmt.Printf("gc-mep registered: %s\n", reg.EndpointID)
 	fmt.Printf("  command queue: %s\n", reg.CommandQueue)
 
-	bc, err := broker.Dial(reg.BrokerAddr)
+	// One connection for the manager and every user endpoint it spawns,
+	// dialed the way gc-endpoint dials.
+	conn, err := endpoint.DialBroker(reg.BrokerAddr, "")
 	if err != nil {
 		log.Fatalf("gc-mep: broker: %v", err)
 	}
-	defer bc.Close()
-	objects := objectstore.NewClient(reg.ObjectsAddr)
+	defer conn.Close()
 	sched := scheduler.SimpleCluster(*nodes)
 	defer sched.Close()
 
 	mgr, err := mep.New(mep.Config{
 		EndpointID:  reg.EndpointID,
-		Conn:        bc.AsConn(),
+		Conn:        conn,
 		Mapper:      mapper,
 		Template:    tmpl,
 		Schema:      core.DefaultMEPSchema(),
 		IdleTimeout: *idleTimeout,
 		Spawn: mep.NewAgentSpawner(mep.SpawnerDeps{
 			Scheduler:   sched,
-			Conn:        bc.AsConn(),
-			Objects:     objects,
+			Conn:        conn,
+			Objects:     objectstore.NewClient(reg.ObjectsAddr),
 			SandboxRoot: *sandbox,
-			Heartbeat: func(child protocol.UUID, online bool) {
-				if err := client.Heartbeat(child, online); err != nil {
-					log.Printf("gc-mep: child heartbeat: %v", err)
-				}
-			},
+			Heartbeat:   client.Heartbeat,
 		}),
 		Heartbeat: func(online bool) {
-			if err := client.Heartbeat(reg.EndpointID, online); err != nil {
+			if err := client.Heartbeat(reg.EndpointID, online, nil, nil); err != nil {
 				log.Printf("gc-mep: heartbeat: %v", err)
 			}
 		},

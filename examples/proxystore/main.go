@@ -37,8 +37,7 @@ func main() {
 	// One in-site store shared by the client and the endpoint's workers;
 	// the endpoint resolves proxied arguments transparently and proxies
 	// large results back (§V-B).
-	siteStore, err := proxystore.NewStore("site",
-		proxystore.ObjectStoreConnector{Backend: tb.Objects}, 16)
+	siteStore, err := proxystore.NewStore("site", tb.Objects, 64<<20)
 	if err != nil {
 		log.Fatal(err)
 	}

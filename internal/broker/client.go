@@ -16,14 +16,11 @@ import (
 // semantics; concurrent calls are coalesced into publish_batch / ack_batch
 // frames by a group-commit flusher.
 type BatchConfig struct {
-	// MaxBatch bounds messages per batch frame (default 64).
+	// MaxBatch bounds messages per batch frame (default 64). Flushing is
+	// pure group commit: the first message flushes immediately and whatever
+	// arrives while its reply is in flight forms the next batch — no added
+	// latency at low load, large batches at saturation.
 	MaxBatch int
-	// FlushWindow, when > 0, delays each flush by this much so a burst can
-	// accumulate. Zero (the default) is pure group commit: the first message
-	// flushes immediately and whatever arrives while its reply is in flight
-	// forms the next batch — no added latency at low load, large batches at
-	// saturation.
-	FlushWindow time.Duration
 }
 
 func (bc BatchConfig) withDefaults() BatchConfig {
@@ -395,14 +392,6 @@ func (c *Client) flusher(cfg BatchConfig, flushCh chan struct{}, done chan struc
 			return
 		case <-flushCh:
 		}
-		if cfg.FlushWindow > 0 {
-			select {
-			case <-done:
-				c.failQueued(ErrClosed)
-				return
-			case <-time.After(cfg.FlushWindow):
-			}
-		}
 		for {
 			c.mu.Lock()
 			pubs, acks := c.pubQ, c.ackQ
@@ -550,7 +539,6 @@ func (c *Client) Consume(queue string, prefetch int) (*RemoteConsumer, error) {
 	if batch != nil {
 		req.Batch = true
 		req.MaxBatch = batch.MaxBatch
-		req.FlushWindowUS = batch.FlushWindow.Microseconds()
 	}
 	if err := c.call(protocol.EnvConsume, req); err != nil {
 		c.mu.Lock()

@@ -7,7 +7,6 @@ import (
 	"net"
 	"strconv"
 	"sync"
-	"time"
 
 	"globuscompute/internal/obs"
 	"globuscompute/internal/protocol"
@@ -268,8 +267,7 @@ func (s *Server) handle(conn net.Conn) {
 
 // deliveryPump forwards a consumer's messages onto the connection. For
 // batch-enabled consumers it coalesces whatever is already buffered (bounded
-// by max_batch, optionally waiting out a flush window) into one
-// delivery_batch frame; a lone message still goes out as a plain delivery,
+// by max_batch) into one delivery_batch frame; a lone message still goes out as a plain delivery,
 // so the batched wire path degrades to the classic one at low load.
 func (s *Server) deliveryPump(wg *sync.WaitGroup, w *protocol.FrameWriter, opts consumeBody, c *Consumer) {
 	defer wg.Done()
@@ -277,7 +275,6 @@ func (s *Server) deliveryPump(wg *sync.WaitGroup, w *protocol.FrameWriter, opts 
 	if maxBatch <= 0 {
 		maxBatch = 64
 	}
-	window := time.Duration(opts.FlushWindowUS) * time.Microsecond
 	for m := range c.Messages() {
 		if !opts.Batch {
 			e := protocol.Envelope{Type: protocol.EnvDelivery, Trace: m.Trace, Bin: &deliveryBody{
@@ -290,7 +287,7 @@ func (s *Server) deliveryPump(wg *sync.WaitGroup, w *protocol.FrameWriter, opts 
 			continue
 		}
 		items := []deliveryItem{{Tag: m.Tag, Body: m.Body, Redelivered: m.Redelivered, Trace: m.Trace}}
-		items = drainDeliveries(c, items, maxBatch, window)
+		items = drainDeliveries(c, items, maxBatch)
 		var e protocol.Envelope
 		if len(items) == 1 {
 			e = protocol.Envelope{Type: protocol.EnvDelivery, Trace: m.Trace, Bin: &deliveryBody{
@@ -308,10 +305,8 @@ func (s *Server) deliveryPump(wg *sync.WaitGroup, w *protocol.FrameWriter, opts 
 	}
 }
 
-// drainDeliveries appends already-buffered messages to items up to maxBatch,
-// waiting at most window (0 = don't wait) for stragglers.
-func drainDeliveries(c *Consumer, items []deliveryItem, maxBatch int, window time.Duration) []deliveryItem {
-	var deadline <-chan time.Time
+// drainDeliveries appends already-buffered messages to items up to maxBatch.
+func drainDeliveries(c *Consumer, items []deliveryItem, maxBatch int) []deliveryItem {
 	for len(items) < maxBatch {
 		select {
 		case m, ok := <-c.Messages():
@@ -320,23 +315,7 @@ func drainDeliveries(c *Consumer, items []deliveryItem, maxBatch int, window tim
 			}
 			items = append(items, deliveryItem{Tag: m.Tag, Body: m.Body, Redelivered: m.Redelivered, Trace: m.Trace})
 		default:
-			if window <= 0 {
-				return items
-			}
-			if deadline == nil {
-				t := time.NewTimer(window)
-				defer t.Stop()
-				deadline = t.C
-			}
-			select {
-			case m, ok := <-c.Messages():
-				if !ok {
-					return items
-				}
-				items = append(items, deliveryItem{Tag: m.Tag, Body: m.Body, Redelivered: m.Redelivered, Trace: m.Trace})
-			case <-deadline:
-				return items
-			}
+			return items
 		}
 	}
 	return items

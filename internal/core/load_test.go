@@ -50,3 +50,49 @@ func TestHeartbeatCarriesLoad(t *testing.T) {
 		time.Sleep(100 * time.Millisecond)
 	}
 }
+
+// TestMEPChildHeartbeatCarriesLoad verifies a user endpoint spawned by a
+// multi-user endpoint reports load like any other endpoint, so replica
+// placement and the backlog shed see it.
+func TestMEPChildHeartbeatCarriesLoad(t *testing.T) {
+	s := newStack(t)
+	mepID, mgr, err := s.tb.StartMEP(core.MEPOptions{
+		Name: "load-mep", Owner: "admin@uchicago.edu", Mapper: uchicagoMapper(t),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := s.executor(t, mepID)
+	ex.UserEndpointConfig = map[string]any{"NODES_PER_BLOCK": 1, "ACCOUNT_ID": "load"}
+	fut, err := ex.Submit(&sdk.PythonFunction{Entrypoint: "identity"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fut.ResultWithin(20 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	children := mgr.Children()
+	if len(children) != 1 {
+		t.Fatalf("children = %v, want one", children)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		rec, err := s.tb.Service.GetEndpoint(children[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Load != nil && rec.Load.TasksReceived >= 1 {
+			if age := rec.LoadAge(time.Now()); age < 0 || age > 5*time.Second {
+				t.Errorf("load report age = %v, want fresh", age)
+			}
+			if rec.Load.TotalWorkers == 0 || rec.Load.EgressBacklog == nil {
+				t.Errorf("load = %+v", rec.Load)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("child never reported load: %+v", rec.Load)
+		}
+		time.Sleep(100 * time.Millisecond)
+	}
+}

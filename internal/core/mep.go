@@ -77,9 +77,6 @@ func (tb *Testbed) StartMEP(opts MEPOptions) (protocol.UUID, *mep.Manager, error
 	if opts.Schema.Properties == nil {
 		opts.Schema = DefaultMEPSchema()
 	}
-	if opts.Registry == nil {
-		opts.Registry = registry.Builtins()
-	}
 	mepID, err := tb.Service.RegisterEndpoint(webservice.RegisterEndpointRequest{
 		Name: opts.Name, Owner: opts.Owner, MultiUser: true,
 		AllowedFunctions: opts.AllowedFunctions, AuthPolicy: opts.AuthPolicy,
@@ -118,8 +115,6 @@ func (tb *Testbed) mepSpawner(opts MEPOptions) mep.SpawnFunc {
 		Objects:     tb.Objects,
 		Registry:    opts.Registry,
 		SandboxRoot: opts.SandboxRoot,
-		Heartbeat: func(child protocol.UUID, online bool) {
-			_ = tb.Service.SetEndpointStatus(child, online)
-		},
+		Heartbeat:   tb.Service.RecordHeartbeat,
 	})
 }

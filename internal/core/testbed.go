@@ -68,7 +68,7 @@ type Testbed struct {
 	*webservice.Stack
 	Sched *scheduler.Scheduler
 
-	agents []*endpoint.Agent
+	agents []*endpoint.Stack
 	meps   []*mep.Manager
 	closed bool
 }
@@ -172,9 +172,6 @@ func (tb *Testbed) StartEndpoint(opts EndpointOptions) (protocol.UUID, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = 4
 	}
-	if opts.Registry == nil {
-		opts.Registry = registry.Builtins()
-	}
 	epID, err := tb.Service.RegisterEndpoint(webservice.RegisterEndpointRequest{
 		Name: opts.Name, Owner: opts.Owner,
 		AllowedFunctions: opts.AllowedFunctions, AuthPolicy: opts.AuthPolicy,
@@ -186,16 +183,13 @@ func (tb *Testbed) StartEndpoint(opts EndpointOptions) (protocol.UUID, error) {
 	if err != nil {
 		return "", err
 	}
-	if err := agent.Start(); err != nil {
-		return "", err
-	}
 	tb.agents = append(tb.agents, agent)
 	return epID, nil
 }
 
 // StartRestartableEndpoint is StartEndpoint but also returns the agent so
 // tests can stop and restart it (simulating endpoint churn).
-func (tb *Testbed) StartRestartableEndpoint(opts EndpointOptions) (protocol.UUID, *endpoint.Agent, error) {
+func (tb *Testbed) StartRestartableEndpoint(opts EndpointOptions) (protocol.UUID, *endpoint.Stack, error) {
 	epID, err := tb.StartEndpoint(opts)
 	if err != nil {
 		return "", nil, err
@@ -205,26 +199,22 @@ func (tb *Testbed) StartRestartableEndpoint(opts EndpointOptions) (protocol.UUID
 
 // RestartEndpointAgent builds and starts a fresh agent for an existing
 // endpoint ID (after the previous agent was stopped).
-func (tb *Testbed) RestartEndpointAgent(epID protocol.UUID, opts EndpointOptions) (*endpoint.Agent, error) {
+func (tb *Testbed) RestartEndpointAgent(epID protocol.UUID, opts EndpointOptions) (*endpoint.Stack, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = 4
 	}
-	if opts.Registry == nil {
-		opts.Registry = registry.Builtins()
-	}
 	agent, err := tb.buildAgent(epID, opts)
 	if err != nil {
-		return nil, err
-	}
-	if err := agent.Start(); err != nil {
 		return nil, err
 	}
 	tb.agents = append(tb.agents, agent)
 	return agent, nil
 }
 
-// buildAgent assembles an agent for an already registered endpoint ID.
-func (tb *Testbed) buildAgent(epID protocol.UUID, opts EndpointOptions) (*endpoint.Agent, error) {
+// buildAgent starts an endpoint for an already registered endpoint ID. It is
+// the endpoint gc-endpoint runs (endpoint.OpenStack) over the in-process
+// broker and object store; what differs from the binary is written here.
+func (tb *Testbed) buildAgent(epID protocol.UUID, opts EndpointOptions) (*endpoint.Stack, error) {
 	var prov provider.Provider
 	if opts.UseBatch {
 		npb := opts.NodesPerBlock
@@ -243,76 +233,59 @@ func (tb *Testbed) buildAgent(epID protocol.UUID, opts EndpointOptions) (*endpoi
 	if maxBlocks <= 0 {
 		maxBlocks = 4
 	}
-	rc := endpoint.RunnerConfig{
-		Registry: opts.Registry,
-		Shell: shellfn.Options{
-			SandboxRoot: opts.SandboxRoot,
-			Containers:  opts.Containers,
-		},
-		Objects: tb.Objects,
-	}
-	if opts.ProxyStore != nil {
-		preg := proxystore.NewRegistry()
-		preg.Register(opts.ProxyStore)
-		rc.Proxies = preg
-		rc.ProxyStore = opts.ProxyStore
-		rc.ProxyPolicy = opts.ProxyPolicy
-	}
-	var runner engine.TaskRunner = endpoint.NewRunnerFrom(rc)
-	if opts.WrapRunner != nil {
-		runner = opts.WrapRunner(runner)
-	}
-	eng, err := engine.New(engine.Config{
-		Provider: prov, Run: runner,
-		WorkersPerNode: workersPerNode(opts),
-		InitBlocks:     1, MinBlocks: 1, MaxBlocks: maxBlocks,
-		MaxAttempts:     opts.MaxAttempts,
-		ScalingInterval: 20 * time.Millisecond,
-		Transport:       opts.Transport,
-		Tracer:          trace.NewTracer("engine", tb.Traces),
-	})
-	if err != nil {
-		return nil, err
-	}
-	// The heartbeat closure reports status plus the agent's utilization;
-	// agentRef is assigned before Start launches the heartbeat loop.
-	var agentRef *endpoint.Agent
-	conn := broker.Conn(broker.LocalConn(tb.Broker))
-	if opts.WrapConn != nil {
-		conn = opts.WrapConn(conn)
-	}
 	hbInterval := opts.HeartbeatInterval
 	if hbInterval <= 0 {
 		hbInterval = time.Second
 	}
-	cfg := endpoint.Config{
+	conn := broker.LocalConn(tb.Broker)
+	if opts.WrapConn != nil {
+		conn = opts.WrapConn(conn)
+	}
+	sink := endpoint.HeartbeatSink(tb.Service.RecordHeartbeat)
+	if opts.SuppressOfflineHeartbeat {
+		// Simulate a crash: the service never hears the offline report.
+		sink = func(id protocol.UUID, online bool, load *statestore.EndpointLoad, snap *metrics.Snapshot) error {
+			if !online {
+				return nil
+			}
+			return tb.Service.RecordHeartbeat(id, online, load, snap)
+		}
+	}
+	cfg := endpoint.StackConfig{
 		EndpointID: epID,
 		Conn:       conn,
-		Engine:     eng,
-		Objects:    tb.Objects,
-		Heartbeat: func(online bool) {
-			if !online && opts.SuppressOfflineHeartbeat {
-				return // simulate a crash: the service hears nothing
-			}
-			var load *statestore.EndpointLoad
-			var snap *metrics.Snapshot
-			if agentRef != nil {
-				l := agentRef.SnapshotLoad()
-				backlog := l.EgressBacklog
-				load = &statestore.EndpointLoad{
-					PendingTasks: l.PendingTasks, TotalWorkers: l.TotalWorkers,
-					FreeWorkers: l.FreeWorkers, TasksReceived: l.TasksReceived,
-					ResultsPublished: l.ResultsPublished, EgressBacklog: &backlog,
-				}
-				if d, ok := agentRef.SnapshotMetrics(time.Now()); ok {
-					snap = &d
-				}
-			}
-			_ = tb.Service.RecordHeartbeat(epID, online, load, snap)
+		// No result spill, no fetch cache (gc-endpoint: 64 KiB, 64 MiB): the
+		// object store is in this process, so neither saves a wire crossing.
+		Objects: tb.Objects, SpillThreshold: 0, DedupCache: 0,
+		Runner: endpoint.RunnerConfig{
+			Registry: opts.Registry,
+			Shell: shellfn.Options{
+				SandboxRoot: opts.SandboxRoot,
+				Containers:  opts.Containers,
+			},
 		},
-		HeartbeatInterval: hbInterval,
+		WrapRunner: opts.WrapRunner,
+		// Elastic and quick to scale (gc-endpoint pins one block and polls
+		// every 50 ms): scaling tests finish in milliseconds.
+		Engine: engine.Config{
+			Provider:       prov,
+			WorkersPerNode: workersPerNode(opts),
+			InitBlocks:     1, MinBlocks: 1, MaxBlocks: maxBlocks,
+			MaxAttempts:     opts.MaxAttempts,
+			ScalingInterval: 20 * time.Millisecond,
+			Transport:       opts.Transport,
+			Tracer:          trace.NewTracer("engine", tb.Traces),
+		},
+		Heartbeat:         sink,
+		HeartbeatInterval: hbInterval, // 1s by default; gc-endpoint's is 5s
 		MetricsInterval:   opts.MetricsInterval,
 		Tracer:            trace.NewTracer("endpoint", tb.Traces),
+	}
+	if opts.ProxyStore != nil {
+		cfg.Runner.Proxies = proxystore.NewRegistry()
+		cfg.Runner.Proxies.Register(opts.ProxyStore)
+		cfg.Runner.ProxyStore = opts.ProxyStore
+		cfg.Runner.ProxyPolicy = opts.ProxyPolicy
 	}
 	if opts.WithMPI {
 		blockNodes := opts.MPIBlockNodes
@@ -325,18 +298,9 @@ func (tb *Testbed) buildAgent(epID protocol.UUID, opts EndpointOptions) (*endpoi
 		if err != nil {
 			return nil, err
 		}
-		mpi, err := mpiengine.New(mpiengine.Config{Provider: mpiProv})
-		if err != nil {
-			return nil, err
-		}
-		cfg.MPI = mpi
+		cfg.MPI = &mpiengine.Config{Provider: mpiProv}
 	}
-	agent, err := endpoint.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	agentRef = agent
-	return agent, nil
+	return endpoint.OpenStack(cfg)
 }
 
 func workersPerNode(opts EndpointOptions) int {

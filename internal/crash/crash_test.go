@@ -23,7 +23,7 @@ import (
 	"testing"
 	"time"
 
-	"globuscompute/internal/broker"
+	"globuscompute/internal/endpoint"
 	"globuscompute/internal/objectstore"
 	"globuscompute/internal/protocol"
 	"globuscompute/internal/sdk"
@@ -31,9 +31,9 @@ import (
 )
 
 const (
-	kills        = 3   // SIGKILL + restart cycles mid-storm
-	batchSize    = 8   // tasks per submit batch
-	minSubmitted = 24  // the storm must land at least this much work
+	kills        = 3  // SIGKILL + restart cycles mid-storm
+	batchSize    = 8  // tasks per submit batch
+	minSubmitted = 24 // the storm must land at least this much work
 )
 
 // buildWebservice compiles cmd/gc-webservice once per test binary.
@@ -184,26 +184,15 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 		t.Fatalf("register endpoint: %v", err)
 	}
 	ep := reg.EndpointID
-	if err := client.Heartbeat(ep, true); err != nil {
+	if err := client.Heartbeat(ep, true, nil, nil); err != nil {
 		t.Fatalf("heartbeat: %v", err)
 	}
 
 	// The endpoint agent lives in the test process and talks to the broker
-	// over TCP through a reconnecting connection, exactly like gc-endpoint:
-	// kills drop the stream, recovery redelivers unacked tasks, and the
-	// subscription transparently resubscribes.
-	conn, err := broker.NewReconnecting(broker.ReconnectConfig{
-		Dial: func() (broker.Conn, error) {
-			bc, err := broker.Dial(reg.BrokerAddr)
-			if err != nil {
-				return nil, err
-			}
-			// Negotiate the binary hot-path codec on every (re)dial: the
-			// recovery guarantees must hold on the compact encoding too.
-			bc.EnableBinary()
-			return bc.AsConn(), nil
-		},
-	})
+	// over TCP through gc-endpoint's own dialer (reconnecting, batched,
+	// binary codec): kills drop the stream, recovery redelivers unacked
+	// tasks, and the subscription transparently resubscribes.
+	conn, err := endpoint.DialBroker(reg.BrokerAddr, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +296,7 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 		mu.Unlock()
 		// The auth service is deliberately in-memory (tokens are not
 		// durable state), so re-mark the endpoint online with a fresh one.
-		if err := newClient(httpAddr, ws.token).Heartbeat(ep, true); err != nil {
+		if err := newClient(httpAddr, ws.token).Heartbeat(ep, true, nil, nil); err != nil {
 			t.Fatalf("post-restart heartbeat (round %d): %v", round, err)
 		}
 	}

@@ -8,6 +8,8 @@ import (
 	"bufio"
 	"context"
 	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -272,5 +274,57 @@ func TestBinariesEndToEnd(t *testing.T) {
 	}
 	if usage.Endpoints < 3 || usage.MultiUserEPs != 1 || usage.UserEndpoints != 1 {
 		t.Errorf("usage = %+v", usage)
+	}
+}
+
+// TestBinariesMEPNegotiatesCodec runs the cloud and a multi-user endpoint
+// and nothing else: the only broker connection besides the service's own is
+// gc-mep's, shared by the user endpoints it spawns, so a binary-codec
+// connection on the service's /metrics is that one — user endpoints get the
+// batched binary wire gc-endpoint gets.
+func TestBinariesMEPNegotiatesCodec(t *testing.T) {
+	if testing.Short() {
+		t.Skip("process-level e2e skipped in -short mode")
+	}
+	bins := buildBinaries(t)
+	ws := startProcess(t, filepath.Join(bins, "gc-webservice"),
+		"-http", "127.0.0.1:0", "-broker", "127.0.0.1:0", "-objects", "127.0.0.1:0")
+	api := ws.waitMatch(t, `REST API:\s+http://(\S+)`, 15*time.Second)
+	token := ws.waitMatch(t, `bootstrap token \([^)]*\): (\S+)`, 15*time.Second)
+	mep := startProcess(t, filepath.Join(bins, "gc-mep"),
+		"-service", api, "-token", token, "-name", "codec-mep", "-idle-timeout", "0")
+	mepID := mep.waitMatch(t, `gc-mep registered: (\S+)`, 15*time.Second)
+	mep.waitMatch(t, `(online); .*waiting for start-endpoint requests`, 15*time.Second)
+
+	ex, err := sdk.NewExecutor(sdk.ExecutorConfig{
+		Client:       sdk.NewClient(api, token),
+		EndpointID:   protocol.UUID(mepID),
+		PollInterval: 50 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ex.Close()
+	ex.UserEndpointConfig = map[string]any{"NODES_PER_BLOCK": 1, "ACCOUNT_ID": "e2e"}
+	fut, err := ex.Submit(&sdk.PythonFunction{Entrypoint: "add"}, 40, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err := fut.ResultWithin(60 * time.Second); err != nil || string(out) != "42" {
+		t.Fatalf("add via user endpoint = %q, %v\nmep output:\n%s", out, err, mep.dump())
+	}
+
+	resp, err := http.Get("http://" + api + "/metrics?token=" + token)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("/metrics: status %d, %v", resp.StatusCode, err)
+	}
+	m := regexp.MustCompile(`(?m)^gc_broker_codec_binary_conns_total (\d+)`).FindSubmatch(body)
+	if m == nil || string(m[1]) == "0" {
+		t.Errorf("gc_broker_codec_binary_conns_total = %q, want >= 1: gc-mep's connection did not negotiate the binary codec", m)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"globuscompute/internal/broker"
 	"globuscompute/internal/engine"
+	"globuscompute/internal/objectstore"
 	"globuscompute/internal/protocol"
 	"globuscompute/internal/proxystore"
 	"globuscompute/internal/registry"
@@ -84,13 +85,13 @@ func TestMalformedTaskDeadLetters(t *testing.T) {
 
 func TestRunnerProxyResolutionAndResultProxying(t *testing.T) {
 	// Unit-level runner test: proxied args resolve, large results proxy.
-	store, err := proxystore.NewStore("unit", proxystore.NewMemoryConnector(), 4)
+	store, err := proxystore.NewStore("unit", objectstore.New(), 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	preg := proxystore.NewRegistry()
 	preg.Register(store)
-	run := NewRunnerFrom(RunnerConfig{
+	run := newRunner(RunnerConfig{
 		Registry:    registry.Builtins(),
 		Shell:       shellfn.Options{},
 		Proxies:     preg,
@@ -129,7 +130,7 @@ func TestRunnerProxyResolutionAndResultProxying(t *testing.T) {
 
 func TestRunnerProxyResolutionFailure(t *testing.T) {
 	preg := proxystore.NewRegistry() // no stores registered
-	run := NewRunnerFrom(RunnerConfig{
+	run := newRunner(RunnerConfig{
 		Registry: registry.Builtins(),
 		Proxies:  preg,
 	})

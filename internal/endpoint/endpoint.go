@@ -2,7 +2,9 @@
 // endpoint: it consumes the endpoint's task queue from the broker, routes
 // tasks to the pilot-job engine (python/shell kinds) or the MPI engine (MPI
 // kind), and publishes results to the endpoint's result queue, heartbeating
-// its status to the web service.
+// its status and load to the web service. OpenStack (stack.go) is the one
+// place an endpoint is assembled: gc-endpoint, the MEP spawner and
+// core.Testbed all start theirs through it.
 package endpoint
 
 import (
@@ -21,18 +23,18 @@ import (
 	"globuscompute/internal/engine"
 	"globuscompute/internal/metrics"
 	"globuscompute/internal/mpiengine"
+	"globuscompute/internal/objectstore"
 	"globuscompute/internal/obs"
 	"globuscompute/internal/protocol"
 	"globuscompute/internal/proxystore"
 	"globuscompute/internal/registry"
 	"globuscompute/internal/shellfn"
+	"globuscompute/internal/statestore"
 	"globuscompute/internal/trace"
 )
 
 // ObjectFetcher resolves payload references spilled to the object store.
-type ObjectFetcher interface {
-	Get(key string) ([]byte, error)
-}
+type ObjectFetcher = objectstore.Fetcher
 
 // ObjectStorer spills large blobs to the object store by content key — the
 // write side of the pass-by-reference data plane (objectstore.Store and
@@ -40,6 +42,12 @@ type ObjectFetcher interface {
 type ObjectStorer interface {
 	PutContent(data []byte) (string, error)
 }
+
+// HeartbeatSink takes the agent's heartbeats: liveness, the load report and,
+// at most once per MetricsInterval, a delta-encoded metrics snapshot (nil
+// otherwise). sdk.Client.Heartbeat posts them over REST;
+// webservice.Service.RecordHeartbeat takes them in process.
+type HeartbeatSink func(id protocol.UUID, online bool, load *statestore.EndpointLoad, snap *metrics.Snapshot) error
 
 // Config assembles an agent.
 type Config struct {
@@ -49,7 +57,9 @@ type Config struct {
 	Engine *engine.Engine
 	// MPI executes MPI tasks (optional; MPI tasks fail without it).
 	MPI *mpiengine.Engine
-	// Objects resolves PayloadRef tasks (optional).
+	// Objects is not read by the agent: payload references resolve in the
+	// task runner (RunnerConfig.Objects). The field stays because benchmark/
+	// sets it.
 	Objects ObjectFetcher
 	// Spill, with SpillThreshold > 0, spills result outputs larger than the
 	// threshold to the object store on the endpoint side: the result then
@@ -58,10 +68,10 @@ type Config struct {
 	// optimization).
 	Spill          ObjectStorer
 	SpillThreshold int
-	// Heartbeat, when set, is called periodically with online=true and at
-	// shutdown with online=false. The closure typically posts to the web
-	// service and may piggyback a metrics snapshot (see SnapshotMetrics).
-	Heartbeat         func(online bool)
+	// Heartbeat, when set, receives a report at Start, every
+	// HeartbeatInterval (default 5s) with online=true, and one with
+	// online=false when Stop has drained.
+	Heartbeat         HeartbeatSink
 	HeartbeatInterval time.Duration
 	// MetricsInterval decimates heartbeat-piggybacked metrics snapshots:
 	// SnapshotMetrics yields a delta at most once per interval (default
@@ -132,22 +142,10 @@ func (a *Agent) LastActivity() time.Time {
 	return time.Unix(0, a.lastActivity.Load())
 }
 
-// Load is the agent's self-reported utilization, carried in heartbeats.
-type Load struct {
-	PendingTasks     int
-	TotalWorkers     int
-	FreeWorkers      int
-	TasksReceived    int64
-	ResultsPublished int64
-	// EgressBacklog is the number of completed results still waiting to be
-	// published — pressure invisible to the engine stats but very visible to
-	// clients, so MEP routing should see it.
-	EgressBacklog int
-}
-
-// SnapshotLoad samples the agent's current utilization.
-func (a *Agent) SnapshotLoad() Load {
-	var l Load
+// SnapshotLoad samples the agent's current utilization: the load report its
+// heartbeats carry.
+func (a *Agent) SnapshotLoad() statestore.EndpointLoad {
+	var l statestore.EndpointLoad
 	if a.cfg.Engine != nil {
 		s := a.cfg.Engine.Stats()
 		l.PendingTasks = s.PendingTasks
@@ -162,7 +160,8 @@ func (a *Agent) SnapshotLoad() Load {
 	}
 	l.TasksReceived = a.Metrics.Counter("tasks_received").Value()
 	l.ResultsPublished = a.Metrics.Counter("results_published").Value()
-	l.EgressBacklog = int(a.egressBacklog.Load())
+	backlog := int(a.egressBacklog.Load())
+	l.EgressBacklog = &backlog
 	return l
 }
 
@@ -243,7 +242,7 @@ func (a *Agent) SnapshotMetrics(now time.Time) (metrics.Snapshot, bool) {
 	a.Metrics.Gauge("pending_tasks").Set(int64(l.PendingTasks))
 	a.Metrics.Gauge("total_workers").Set(int64(l.TotalWorkers))
 	a.Metrics.Gauge("free_workers").Set(int64(l.FreeWorkers))
-	a.Metrics.Gauge("egress_backlog").Set(int64(l.EgressBacklog))
+	a.Metrics.Gauge("egress_backlog").Set(int64(*l.EgressBacklog))
 
 	var s metrics.Snapshot
 	s.Merge("", a.Metrics.TakeSnapshot())
@@ -307,7 +306,7 @@ func (a *Agent) Start() error {
 		close(a.egress)
 	}()
 	if a.cfg.Heartbeat != nil {
-		a.cfg.Heartbeat(true)
+		a.heartbeat(true)
 		a.wg.Add(1)
 		go a.heartbeatLoop()
 	}
@@ -740,6 +739,19 @@ func (a *Agent) WriteMetrics(w io.Writer) error {
 	return nil
 }
 
+// heartbeat composes one report — status, load and, when the decimation
+// interval has elapsed, the metrics snapshot — and hands it to the sink.
+func (a *Agent) heartbeat(online bool) {
+	load := a.SnapshotLoad()
+	var snap *metrics.Snapshot
+	if d, ok := a.SnapshotMetrics(time.Now()); ok {
+		snap = &d
+	}
+	if err := a.cfg.Heartbeat(a.cfg.EndpointID, online, &load, snap); err != nil {
+		a.log.Warn("heartbeat", "online", online, "error", err)
+	}
+}
+
 func (a *Agent) heartbeatLoop() {
 	defer a.wg.Done()
 	ticker := time.NewTicker(a.cfg.HeartbeatInterval)
@@ -749,7 +761,7 @@ func (a *Agent) heartbeatLoop() {
 		case <-a.done:
 			return
 		case <-ticker.C:
-			a.cfg.Heartbeat(true)
+			a.heartbeat(true)
 		}
 	}
 }
@@ -772,7 +784,7 @@ func (a *Agent) Stop() {
 	}
 	a.wg.Wait()
 	if a.cfg.Heartbeat != nil {
-		a.cfg.Heartbeat(false)
+		a.heartbeat(false)
 	}
 }
 
@@ -795,11 +807,11 @@ type RunnerConfig struct {
 // resolve entrypoints in reg; shell tasks execute via shellfn with the
 // given defaults; payload references resolve through objects.
 func NewRunner(reg *registry.Registry, defaults shellfn.Options, objects ObjectFetcher) engine.TaskRunner {
-	return NewRunnerFrom(RunnerConfig{Registry: reg, Shell: defaults, Objects: objects})
+	return newRunner(RunnerConfig{Registry: reg, Shell: defaults, Objects: objects})
 }
 
-// NewRunnerFrom builds a runner with full configuration.
-func NewRunnerFrom(rc RunnerConfig) engine.TaskRunner {
+// newRunner builds a runner with full configuration.
+func newRunner(rc RunnerConfig) engine.TaskRunner {
 	reg := rc.Registry
 	defaults := rc.Shell
 	objects := rc.Objects

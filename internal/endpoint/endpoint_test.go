@@ -9,6 +9,7 @@ import (
 
 	"globuscompute/internal/broker"
 	"globuscompute/internal/engine"
+	"globuscompute/internal/metrics"
 	"globuscompute/internal/mpiengine"
 	"globuscompute/internal/objectstore"
 	"globuscompute/internal/protocol"
@@ -16,6 +17,7 @@ import (
 	"globuscompute/internal/registry"
 	"globuscompute/internal/scheduler"
 	"globuscompute/internal/shellfn"
+	"globuscompute/internal/statestore"
 )
 
 type harness struct {
@@ -297,12 +299,16 @@ func TestHeartbeats(t *testing.T) {
 		EndpointID: epID,
 		Conn:       broker.LocalConn(brk),
 		Engine:     eng,
-		Heartbeat: func(up bool) {
+		Heartbeat: func(id protocol.UUID, up bool, load *statestore.EndpointLoad, _ *metrics.Snapshot) error {
+			if id != epID || load == nil || load.EgressBacklog == nil {
+				t.Errorf("heartbeat for %s carries load %+v", id, load)
+			}
 			if up {
 				online.Add(1)
 			} else {
 				offline.Add(1)
 			}
+			return nil
 		},
 		HeartbeatInterval: 20 * time.Millisecond,
 	})

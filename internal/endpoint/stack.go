@@ -1,0 +1,206 @@
+package endpoint
+
+import (
+	"crypto/x509"
+	"fmt"
+	"os"
+	"sync"
+	"time"
+
+	"globuscompute/internal/broker"
+	"globuscompute/internal/engine"
+	"globuscompute/internal/mpiengine"
+	"globuscompute/internal/objectstore"
+	"globuscompute/internal/protocol"
+	"globuscompute/internal/registry"
+	"globuscompute/internal/trace"
+)
+
+// DefaultDedupCache is the fetched-payload cache budget an endpoint ships
+// with (gc-endpoint's -dedup-cache default, and what user endpoints get).
+const DefaultDedupCache = 64 << 20
+
+// ObjectStore is the endpoint's view of the object store: payload references
+// resolve through it and oversized result outputs spill to it.
+// objectstore.Store and objectstore.Client both implement it.
+type ObjectStore interface {
+	ObjectFetcher
+	ObjectStorer
+}
+
+// StackConfig describes one endpoint deployment: the agent plus everything
+// under it. cmd/gc-endpoint fills it from flags, the MEP spawner from a
+// rendered template, core.Testbed from its options, so all of them run the
+// wiring that ships. Where a caller wants something other than what
+// gc-endpoint runs, the difference is a value it passes here.
+type StackConfig struct {
+	EndpointID protocol.UUID
+
+	// Conn is a ready broker connection: it is used as given and left open
+	// by Stop. When nil the stack dials BrokerAddr through DialBroker
+	// (BrokerCA as there) and owns that connection.
+	Conn                 broker.Conn
+	BrokerAddr, BrokerCA string
+
+	// Objects resolves payload references and takes result outputs larger
+	// than SpillThreshold bytes, which then cross the broker as references
+	// (0 = always inline). Nil: references fail, nothing spills.
+	Objects        ObjectStore
+	SpillThreshold int
+	// DedupCache is the byte budget of the read-through cache in front of
+	// Objects, so a fan-out sharing one payload fetches it once (0 = none).
+	DedupCache int64
+
+	// Runner configures task execution. OpenStack supplies Objects (the
+	// store behind the cache) and defaults Registry to the builtins.
+	Runner RunnerConfig
+	// WrapRunner, when set, wraps the task runner (fault injection).
+	WrapRunner func(engine.TaskRunner) engine.TaskRunner
+	// Engine sizes the pilot-job engine: provider, blocks, transport.
+	// OpenStack supplies Run.
+	Engine engine.Config
+	// MPI, when set, attaches a GlobusMPIEngine.
+	MPI *mpiengine.Config
+
+	// Heartbeat, HeartbeatInterval, MetricsInterval and Tracer are the
+	// agent's (see Config).
+	Heartbeat         HeartbeatSink
+	HeartbeatInterval time.Duration
+	MetricsInterval   time.Duration
+	Tracer            *trace.Tracer
+}
+
+// Stack is a running endpoint: the agent over its engines, object-store
+// access and broker connection.
+type Stack struct {
+	*Agent
+
+	dialed   *broker.ReconnectingConn // nil when the connection was handed in
+	stopOnce sync.Once
+}
+
+// DialBroker is how every endpoint-side process reaches the broker: plain
+// TCP, or TLS verified against the CA PEM at caPath when one is given, with
+// wire batching and the binary codec on (a server that knows neither leaves
+// the connection on per-message JSON frames), behind a connection that
+// redials with backoff so a webservice restart or network blip does not
+// take the endpoint down — consumers resubscribe and unacked deliveries are
+// redelivered. The first dial happens on first use.
+func DialBroker(addr, caPath string) (*broker.ReconnectingConn, error) {
+	var roots *x509.CertPool
+	if caPath != "" {
+		pemData, err := os.ReadFile(caPath)
+		if err != nil {
+			return nil, fmt.Errorf("endpoint: broker CA: %w", err)
+		}
+		if roots, err = broker.PoolFromPEM(pemData); err != nil {
+			return nil, fmt.Errorf("endpoint: broker CA %s: %w", caPath, err)
+		}
+	}
+	return broker.NewReconnecting(broker.ReconnectConfig{
+		Dial: func() (broker.Conn, error) {
+			var bc *broker.Client
+			var err error
+			if roots == nil {
+				bc, err = broker.Dial(addr)
+			} else {
+				bc, err = broker.DialTLS(addr, roots)
+			}
+			if err != nil {
+				return nil, err
+			}
+			bc.EnableBatching(broker.BatchConfig{})
+			bc.EnableBinary()
+			return bc.AsConn(), nil
+		},
+	})
+}
+
+// OpenStack assembles and starts an endpoint. On error everything already
+// started is torn down again.
+func OpenStack(cfg StackConfig) (_ *Stack, err error) {
+	st := &Stack{}
+	conn := cfg.Conn
+	if conn == nil {
+		if st.dialed, err = DialBroker(cfg.BrokerAddr, cfg.BrokerCA); err != nil {
+			return nil, err
+		}
+		conn = st.dialed
+		defer func() {
+			if err != nil {
+				st.dialed.Close()
+			}
+		}()
+	}
+
+	agentCfg := Config{
+		EndpointID:        cfg.EndpointID,
+		Conn:              conn,
+		Heartbeat:         cfg.Heartbeat,
+		HeartbeatInterval: cfg.HeartbeatInterval,
+		MetricsInterval:   cfg.MetricsInterval,
+		Tracer:            cfg.Tracer,
+	}
+	rc := cfg.Runner
+	if rc.Registry == nil {
+		rc.Registry = registry.Builtins()
+	}
+	var dedup *objectstore.DedupCache
+	if cfg.Objects != nil {
+		rc.Objects = cfg.Objects
+		if cfg.DedupCache > 0 {
+			dedup = objectstore.NewDedupCache(cfg.Objects, cfg.DedupCache)
+			rc.Objects = dedup
+		}
+		agentCfg.Spill, agentCfg.SpillThreshold = cfg.Objects, cfg.SpillThreshold
+	}
+	ec := cfg.Engine
+	ec.Run = newRunner(rc)
+	if cfg.WrapRunner != nil {
+		ec.Run = cfg.WrapRunner(ec.Run)
+	}
+	if agentCfg.Engine, err = engine.New(ec); err != nil {
+		return nil, err
+	}
+	if cfg.MPI != nil {
+		if agentCfg.MPI, err = mpiengine.New(*cfg.MPI); err != nil {
+			return nil, err
+		}
+	}
+	agent, err := New(agentCfg)
+	if err != nil {
+		return nil, err
+	}
+	if dedup != nil {
+		// Cache hits, misses and evictions report through the agent registry,
+		// so they ride /metrics and the heartbeat snapshots.
+		dedup.Metrics = agent.Metrics
+	}
+	if err = agent.Start(); err != nil {
+		// Start may have launched the engines before it failed.
+		agentCfg.Engine.Stop()
+		if agentCfg.MPI != nil {
+			agentCfg.MPI.Stop()
+		}
+		return nil, err
+	}
+	st.Agent = agent
+	return st, nil
+}
+
+// Stop drains the endpoint. The order matters: (1) cancel the task
+// subscription, so unacked deliveries requeue for another agent; (2) stop
+// the engines once in-flight tasks finish — tasks acked but not started
+// fail with a result rather than vanish; (3) flush the egress tail, so every
+// acked task has its result on the result queue; (4) send the one offline
+// heartbeat, so the service marks the endpoint stopped instead of waiting
+// for the watchdog; (5) only then close the broker connection, if the stack
+// dialed it. Safe to call twice.
+func (st *Stack) Stop() {
+	st.stopOnce.Do(func() {
+		st.Agent.Stop()
+		if st.dialed != nil {
+			st.dialed.Close()
+		}
+	})
+}

@@ -497,13 +497,15 @@ func (e *Engine) requeue(t protocol.Task) {
 func (e *Engine) deadLetter(t protocol.Task) {
 	now := time.Now()
 	e.cfg.Tracer.Record(t.Trace, "engine.deadletter", now, now, "attempts", strconv.Itoa(t.Attempts))
+	// Counted before the result is visible, so a reader of the result reads
+	// the counters that include it.
+	e.Metrics.Counter("deadlettered_tasks").Inc()
+	e.Metrics.Counter("completed").Inc()
 	e.results <- protocol.Result{
 		TaskID: t.ID, State: protocol.StateFailed, DeadLettered: true,
 		Error: fmt.Sprintf("engine: task exceeded %d delivery attempts", e.cfg.MaxAttempts),
 		Trace: t.Trace,
 	}
-	e.Metrics.Counter("deadlettered_tasks").Inc()
-	e.Metrics.Counter("completed").Inc()
 }
 
 // workerLoop is one worker: take a task, run it, report the result.

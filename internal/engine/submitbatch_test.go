@@ -115,7 +115,7 @@ func TestSubmitBatchPartialOverflow(t *testing.T) {
 }
 
 // TestBareRunnerResultGetsIdentity is the regression test for central result
-// stamping: a runner that fills only State/Output (the NewRunnerFrom success
+// stamping: a runner that fills only State/Output (the endpoint runner's success
 // paths do exactly this) still yields a result carrying the task's ID and
 // trace context, because workerLoop stamps identity engine-side.
 func TestBareRunnerResultGetsIdentity(t *testing.T) {

@@ -41,7 +41,7 @@ func ProxyStore(sizes []int) (Report, error) {
 
 	// The proxy store: both client and workers can reach the testbed
 	// object store, mirroring a shared in-site store.
-	store, err := proxystore.NewStore("site", proxystore.ObjectStoreConnector{Backend: e.tb.Objects}, 16)
+	store, err := proxystore.NewStore("site", e.tb.Objects, 64<<20)
 	if err != nil {
 		return r, err
 	}

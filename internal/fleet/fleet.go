@@ -193,13 +193,6 @@ func (s *Scheduler) Submit(label string, submit SubmitFunc) (*sdk.Future, *Targe
 	return fut, target, nil
 }
 
-// SubmitFunction is Submit for a PythonFunction, labeled by entrypoint.
-func (s *Scheduler) SubmitFunction(fn *sdk.PythonFunction, args ...any) (*sdk.Future, *Target, error) {
-	return s.Submit(fn.Entrypoint, func(t *Target) (*sdk.Future, error) {
-		return t.Executor.Submit(fn, args...)
-	})
-}
-
 // SubmitShell is Submit for a ShellFunction, labeled by its command
 // template.
 func (s *Scheduler) SubmitShell(fn *sdk.ShellFunction, kwargs map[string]string) (*sdk.Future, *Target, error) {

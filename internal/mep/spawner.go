@@ -8,10 +8,10 @@ import (
 	"globuscompute/internal/endpoint"
 	"globuscompute/internal/engine"
 	"globuscompute/internal/mpiengine"
-	"globuscompute/internal/protocol"
 	"globuscompute/internal/provider"
 	"globuscompute/internal/registry"
 	"globuscompute/internal/scheduler"
+	"globuscompute/internal/serialize"
 	"globuscompute/internal/shellfn"
 )
 
@@ -21,27 +21,28 @@ import (
 type SpawnerDeps struct {
 	// Scheduler backs Slurm/PBS provider configs (required for those).
 	Scheduler *scheduler.Scheduler
-	// Conn connects spawned agents to the broker.
+	// Conn connects spawned agents to the broker; they share it and leave
+	// it open when they stop.
 	Conn broker.Conn
-	// Objects resolves payload references (optional).
-	Objects endpoint.ObjectFetcher
+	// Objects resolves payload references and takes spilled results
+	// (optional).
+	Objects endpoint.ObjectStore
 	// Registry seeds the spawned agents' callable registries (default
 	// Builtins).
 	Registry *registry.Registry
 	// SandboxRoot hosts ShellFunction sandboxes.
 	SandboxRoot string
-	// Heartbeat reports child endpoint status upstream (optional).
-	Heartbeat func(child protocol.UUID, online bool)
+	// Heartbeat takes the children's heartbeats (optional).
+	Heartbeat endpoint.HeartbeatSink
 }
 
-// NewAgentSpawner returns a SpawnFunc that builds real endpoint agents from
+// NewAgentSpawner returns a SpawnFunc that starts real endpoints from
 // rendered configurations: provider and engine types, block sizing, and
 // walltime come from the admin template; the mapped local user is recorded
-// in the task environment (the real MEP forks and drops privileges).
+// in the task environment (the real MEP forks and drops privileges). A user
+// endpoint is otherwise the endpoint gc-endpoint runs (endpoint.OpenStack),
+// with its default spill threshold and dedup cache.
 func NewAgentSpawner(deps SpawnerDeps) SpawnFunc {
-	if deps.Registry == nil {
-		deps.Registry = registry.Builtins()
-	}
 	return func(_ context.Context, req SpawnRequest) (UserEndpoint, error) {
 		cfg, err := ParseEndpointConfig(req.RenderedConfig)
 		if err != nil {
@@ -50,10 +51,6 @@ func NewAgentSpawner(deps SpawnerDeps) SpawnFunc {
 		nodesPerBlock := cfg.Engine.NodesPerBlock
 		if nodesPerBlock <= 0 {
 			nodesPerBlock = 1
-		}
-		workersPerNode := cfg.Engine.WorkersPerNode
-		if workersPerNode <= 0 {
-			workersPerNode = 1
 		}
 		maxBlocks := cfg.Engine.MaxBlocks
 		if maxBlocks <= 0 {
@@ -84,20 +81,27 @@ func NewAgentSpawner(deps SpawnerDeps) SpawnFunc {
 			prov = provider.NewLocal(nodesPerBlock)
 		}
 
-		runner := endpoint.NewRunner(deps.Registry, shellfn.Options{
-			SandboxRoot: deps.SandboxRoot,
-			Env:         map[string]string{"USER": req.LocalUser, "GC_LOCAL_USER": req.LocalUser},
-		}, deps.Objects)
-
-		agentCfg := endpoint.Config{
-			EndpointID:        req.ChildEndpointID,
-			Conn:              deps.Conn,
-			Objects:           deps.Objects,
+		st := endpoint.StackConfig{
+			EndpointID:     req.ChildEndpointID,
+			Conn:           deps.Conn,
+			Objects:        deps.Objects,
+			SpillThreshold: serialize.DefaultInlineThreshold,
+			DedupCache:     endpoint.DefaultDedupCache,
+			Runner: endpoint.RunnerConfig{
+				Registry: deps.Registry,
+				Shell: shellfn.Options{
+					SandboxRoot: deps.SandboxRoot,
+					Env:         map[string]string{"USER": req.LocalUser, "GC_LOCAL_USER": req.LocalUser},
+				},
+			},
+			Engine: engine.Config{
+				Provider:       prov,
+				WorkersPerNode: cfg.Engine.WorkersPerNode,
+				InitBlocks:     1, MinBlocks: 1, MaxBlocks: maxBlocks,
+				ScalingInterval: 20 * time.Millisecond,
+			},
+			Heartbeat:         deps.Heartbeat,
 			HeartbeatInterval: time.Second,
-		}
-		if deps.Heartbeat != nil {
-			child := req.ChildEndpointID
-			agentCfg.Heartbeat = func(online bool) { deps.Heartbeat(child, online) }
 		}
 		if cfg.Engine.Type == "GlobusMPIEngine" {
 			mpiProv, err := provider.NewBatch(provider.BatchConfig{
@@ -107,31 +111,12 @@ func NewAgentSpawner(deps SpawnerDeps) SpawnFunc {
 			if err != nil {
 				return nil, err
 			}
-			mpiEng, err := mpiengine.New(mpiengine.Config{
-				Provider: mpiProv, Launcher: cfg.Engine.MPILauncher,
-			})
-			if err != nil {
-				return nil, err
-			}
-			agentCfg.MPI = mpiEng
+			st.MPI = &mpiengine.Config{Provider: mpiProv, Launcher: cfg.Engine.MPILauncher}
 		}
-		eng, err := engine.New(engine.Config{
-			Provider: prov, Run: runner,
-			WorkersPerNode: workersPerNode,
-			InitBlocks:     1, MinBlocks: 1, MaxBlocks: maxBlocks,
-			ScalingInterval: 20 * time.Millisecond,
-		})
+		ep, err := endpoint.OpenStack(st)
 		if err != nil {
-			return nil, err
+			return nil, err // not a typed-nil UserEndpoint
 		}
-		agentCfg.Engine = eng
-		agent, err := endpoint.New(agentCfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := agent.Start(); err != nil {
-			return nil, err
-		}
-		return agent, nil
+		return ep, nil
 	}
 }

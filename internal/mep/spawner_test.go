@@ -9,9 +9,11 @@ import (
 
 	"globuscompute/internal/auth"
 	"globuscompute/internal/broker"
+	"globuscompute/internal/metrics"
 	"globuscompute/internal/protocol"
 	"globuscompute/internal/registry"
 	"globuscompute/internal/scheduler"
+	"globuscompute/internal/statestore"
 	"globuscompute/internal/webservice"
 )
 
@@ -167,7 +169,10 @@ func TestSpawnerHeartbeatCallback(t *testing.T) {
 	spawn := NewAgentSpawner(SpawnerDeps{
 		Scheduler: sched,
 		Conn:      broker.LocalConn(brk),
-		Heartbeat: func(_ protocol.UUID, online bool) { beats <- online },
+		Heartbeat: func(_ protocol.UUID, online bool, _ *statestore.EndpointLoad, _ *metrics.Snapshot) error {
+			beats <- online
+			return nil
+		},
 	})
 	child := protocol.NewUUID()
 	brk.Declare(string(webservice.TaskQueue(child)))

@@ -1,10 +1,11 @@
 // Package objectstore is the S3 substitute: a keyed blob store used by the
 // web service to hold task payloads and results that exceed the inline
-// threshold, and by ProxyStore as one of its storage connectors. It offers
-// an in-process API plus an HTTP server (PUT/GET/HEAD/DELETE
+// threshold, and by ProxyStore as the store its proxies point into. It
+// offers an in-process API plus an HTTP server (PUT/GET/HEAD/DELETE
 // /objects/<key>) for cross-process access, an optional file-backed mode
 // (OpenDir) whose objects survive restarts, and a bounded LRU read-through
-// cache (DedupCache) for endpoint-side fan-out dedup.
+// cache (DedupCache) for endpoint-side fan-out dedup and ProxyStore
+// resolves.
 package objectstore
 
 import (

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"globuscompute/internal/metrics"
+	"globuscompute/internal/statestore"
 )
 
 // Fleet store defaults. Every bound is fixed at construction so the store's
@@ -216,21 +217,6 @@ func (f *FleetStore) Ingest(id string, delta metrics.Snapshot, now time.Time) bo
 	return true
 }
 
-// LoadReport is the obs-side view of one heartbeat load report — the subset
-// of statestore.EndpointLoad the fleet store folds into its per-endpoint
-// series. Carried as its own type so obs stays decoupled from the statestore.
-type LoadReport struct {
-	PendingTasks int
-	TotalWorkers int
-	FreeWorkers  int
-	// TasksReceived / ResultsPublished are the agent's cumulative counters;
-	// the store differences them across reports into the service-rate EWMA.
-	TasksReceived    int64
-	ResultsPublished int64
-	// EgressBacklog is nil when the agent does not report the gauge.
-	EgressBacklog *int
-}
-
 // ObserveLoad folds one heartbeat load report into the endpoint's view: the
 // utilization numbers land as service-side gauges (so load-report-only
 // endpoints — sim agents, thin agents with no metrics registry — still show
@@ -239,7 +225,7 @@ type LoadReport struct {
 // which this endpoint actually completes work. That estimate is the
 // observability groundwork for service-rate-aware placement — it breaks the
 // depth-1 tie between a busy slow member and a busy fast one.
-func (f *FleetStore) ObserveLoad(id string, lr LoadReport, now time.Time) {
+func (f *FleetStore) ObserveLoad(id string, lr statestore.EndpointLoad, now time.Time) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	st := f.state(id)
@@ -415,36 +401,13 @@ func (f *FleetStore) CounterRate(id, name string, window time.Duration, now time
 	return float64(d) / span.Seconds(), true
 }
 
-// GaugeLatest returns the most recent value of a gauge.
-func (f *FleetStore) GaugeLatest(id, name string) (int64, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	st, ok := f.eps[id]
-	if !ok {
-		return 0, false
-	}
-	v, ok := st.merged(f.cfg.MaxSeries).GaugeValue(name)
-	return v, ok
-}
-
-// LatestHistogram returns the most recent summary of a histogram.
-func (f *FleetStore) LatestHistogram(id, name string) (metrics.HistogramStats, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	st, ok := f.eps[id]
-	if !ok {
-		return metrics.HistogramStats{}, false
-	}
-	return st.merged(f.cfg.MaxSeries).HistogramValue(name)
-}
-
 // EndpointHealth is one endpoint's row in the fleet health report.
 type EndpointHealth struct {
 	EndpointID string `json:"endpoint_id"`
 	Online     bool   `json:"online"`
 	// Stopped marks a clean shutdown (deliberately offline, not crashed).
-	Stopped    bool      `json:"stopped,omitempty"`
-	LastReport time.Time `json:"last_report,omitempty"`
+	Stopped           bool      `json:"stopped,omitempty"`
+	LastReport        time.Time `json:"last_report,omitempty"`
 	StalenessSeconds  float64   `json:"staleness_seconds"`
 	PendingTasks      int64     `json:"pending_tasks"`
 	TotalWorkers      int64     `json:"total_workers"`
@@ -452,18 +415,18 @@ type EndpointHealth struct {
 	WorkerUtilization float64   `json:"worker_utilization"`
 	// EgressBacklog is nil when the agent has not reported the gauge —
 	// distinguishable from a genuine zero backlog.
-	EgressBacklog     *int64  `json:"egress_backlog,omitempty"`
-	TasksReceived    int64 `json:"tasks_received"`
-	ResultsPublished int64 `json:"results_published"`
+	EgressBacklog    *int64 `json:"egress_backlog,omitempty"`
+	TasksReceived    int64  `json:"tasks_received"`
+	ResultsPublished int64  `json:"results_published"`
 	// Routed counts policy-driven placements onto this endpoint (submissions
 	// addressed to a routing group the placement layer resolved here);
 	// RoutedShare is this endpoint's fraction of all routed placements in the
 	// fleet — the live view of how a placement policy is spreading load.
-	Routed            int64   `json:"routed,omitempty"`
-	RoutedShare       float64 `json:"routed_share,omitempty"`
+	Routed      int64   `json:"routed,omitempty"`
+	RoutedShare float64 `json:"routed_share,omitempty"`
 	// ServiceRatePerS is the smoothed completion rate (tasks/s) derived from
 	// heartbeat load-report deltas; zero until two reports have landed.
-	ServiceRatePerS float64 `json:"service_rate_per_s,omitempty"`
+	ServiceRatePerS   float64 `json:"service_rate_per_s,omitempty"`
 	DeadLettered      int64   `json:"dead_lettered"`
 	Requeued          int64   `json:"requeued"`
 	DeadLetterPerMin  float64 `json:"dead_letter_per_min"`

@@ -92,9 +92,6 @@ func (p *Pipeline) Component(name string) *Logger {
 // Buffer returns the pipeline's ring sink (nil when unconfigured).
 func (p *Pipeline) Buffer() *LogBuffer { return p.buffer }
 
-// SetLevel adjusts the pipeline's minimum level at runtime.
-func (p *Pipeline) SetLevel(l slog.Level) { p.level.Set(l) }
-
 // DefaultLogCapacity sizes the default pipeline's ring buffer.
 const DefaultLogCapacity = 4096
 

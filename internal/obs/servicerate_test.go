@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"globuscompute/internal/statestore"
 )
 
 // Two load reports a second apart with 50 more results published must yield
@@ -12,11 +14,11 @@ import (
 func TestServiceRateFromLoadDeltas(t *testing.T) {
 	f := NewFleetStore(FleetConfig{})
 	t0 := time.Now()
-	f.ObserveLoad("ep", LoadReport{ResultsPublished: 100}, t0)
+	f.ObserveLoad("ep", statestore.EndpointLoad{ResultsPublished: 100}, t0)
 	if _, ok := f.ServiceRate("ep"); ok {
 		t.Fatal("service rate known after a single report")
 	}
-	f.ObserveLoad("ep", LoadReport{ResultsPublished: 150}, t0.Add(time.Second))
+	f.ObserveLoad("ep", statestore.EndpointLoad{ResultsPublished: 150}, t0.Add(time.Second))
 	rate, ok := f.ServiceRate("ep")
 	if !ok {
 		t.Fatal("service rate unknown after two reports")
@@ -32,17 +34,17 @@ func TestServiceRateFromLoadDeltas(t *testing.T) {
 func TestServiceRateSmoothingAndRestart(t *testing.T) {
 	f := NewFleetStore(FleetConfig{ServiceRateHalfLife: 10 * time.Second})
 	t0 := time.Now()
-	f.ObserveLoad("ep", LoadReport{ResultsPublished: 0}, t0)
-	f.ObserveLoad("ep", LoadReport{ResultsPublished: 100}, t0.Add(time.Second))
+	f.ObserveLoad("ep", statestore.EndpointLoad{ResultsPublished: 0}, t0)
+	f.ObserveLoad("ep", statestore.EndpointLoad{ResultsPublished: 100}, t0.Add(time.Second))
 	// Rate drops to 0: one second at half-life 10s moves alpha ~6.7%.
-	f.ObserveLoad("ep", LoadReport{ResultsPublished: 100}, t0.Add(2*time.Second))
+	f.ObserveLoad("ep", statestore.EndpointLoad{ResultsPublished: 100}, t0.Add(2*time.Second))
 	rate, _ := f.ServiceRate("ep")
 	if rate >= 100 || rate < 80 {
 		t.Fatalf("smoothed rate = %v, want in [80, 100)", rate)
 	}
 	// Restart: published falls to 10. The delta must be 10 (from zero), not
 	// -90, so the estimate keeps decaying instead of going negative.
-	f.ObserveLoad("ep", LoadReport{ResultsPublished: 10}, t0.Add(3*time.Second))
+	f.ObserveLoad("ep", statestore.EndpointLoad{ResultsPublished: 10}, t0.Add(3*time.Second))
 	rate, _ = f.ServiceRate("ep")
 	if rate < 0 {
 		t.Fatalf("rate went negative across restart: %v", rate)
@@ -56,7 +58,7 @@ func TestLoadReportOnlyEndpointVisible(t *testing.T) {
 	f := NewFleetStore(FleetConfig{})
 	t0 := time.Now()
 	egress := 3
-	lr := LoadReport{
+	lr := statestore.EndpointLoad{
 		PendingTasks: 7, TotalWorkers: 4, FreeWorkers: 1,
 		TasksReceived: 20, ResultsPublished: 10, EgressBacklog: &egress,
 	}

@@ -220,9 +220,6 @@ func NewFrameWriter(w io.Writer) *FrameWriter {
 // frames; readers are always bilingual, so flipping mid-stream is safe.
 func (fw *FrameWriter) EnableBinary() { fw.bin.Store(true) }
 
-// BinaryEnabled reports whether writes use the binary codec.
-func (fw *FrameWriter) BinaryEnabled() bool { return fw.bin.Load() }
-
 // encodeFrame renders env (header + payload) into a pooled buffer. The
 // caller must return the buffer with putEncodeBuf.
 func encodeFrame(env Envelope, bin bool) (*bytes.Buffer, error) {
@@ -298,36 +295,6 @@ func (fw *FrameWriter) Write(env Envelope) error {
 	defer fw.mu.Unlock()
 	if _, err := fw.w.Write(buf.Bytes()); err != nil {
 		return err
-	}
-	return fw.w.Flush()
-}
-
-// WriteAll encodes every envelope and flushes once, so a burst of frames
-// costs one syscall instead of len(envs).
-func (fw *FrameWriter) WriteAll(envs []Envelope) error {
-	if len(envs) == 0 {
-		return nil
-	}
-	bufs := make([]*bytes.Buffer, 0, len(envs))
-	defer func() {
-		for _, b := range bufs {
-			putEncodeBuf(b)
-		}
-	}()
-	bin := fw.bin.Load()
-	for _, env := range envs {
-		buf, err := encodeFrame(env, bin)
-		if err != nil {
-			return err
-		}
-		bufs = append(bufs, buf)
-	}
-	fw.mu.Lock()
-	defer fw.mu.Unlock()
-	for _, buf := range bufs {
-		if _, err := fw.w.Write(buf.Bytes()); err != nil {
-			return err
-		}
 	}
 	return fw.w.Flush()
 }

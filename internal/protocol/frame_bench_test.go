@@ -52,23 +52,6 @@ func BenchmarkFrameWriteUnpooled(b *testing.B) {
 	}
 }
 
-// BenchmarkFrameWriteAll measures the batched flush: 32 envelopes, one
-// syscall-equivalent flush.
-func BenchmarkFrameWriteAll(b *testing.B) {
-	envs := make([]Envelope, 32)
-	for i := range envs {
-		envs[i] = benchEnvelope()
-	}
-	w := NewFrameWriter(io.Discard)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := w.WriteAll(envs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // benchBinEnvelope is the binary-codec equivalent of benchEnvelope: the
 // same 512-byte task body as a structured publish envelope.
 func benchBinEnvelope() Envelope {

@@ -43,9 +43,6 @@ type ConsumeBody struct {
 	Batch bool `json:"batch,omitempty"`
 	// MaxBatch bounds deliveries per delivery_batch frame (default 64).
 	MaxBatch int `json:"max_batch,omitempty"`
-	// FlushWindowUS, when > 0, lets the server wait up to this many
-	// microseconds for more deliveries before flushing a partial batch.
-	FlushWindowUS int64 `json:"flush_window_us,omitempty"`
 	// Bin advertises that the sender can decode binary hot-path frames.
 	Bin bool `json:"bin,omitempty"`
 }

@@ -36,10 +36,6 @@ func Wrap(inner *sdk.Executor, store *proxystore.Store, reg *proxystore.Registry
 	return &Executor{inner: inner, store: store, reg: reg, policy: policy}, nil
 }
 
-// Inner returns the wrapped executor (for configuration such as
-// ResourceSpec or UserEndpointConfig).
-func (e *Executor) Inner() *sdk.Executor { return e.inner }
-
 // Submit proxies oversized arguments by policy, then submits.
 func (e *Executor) Submit(fn *sdk.PythonFunction, args ...any) (*sdk.Future, error) {
 	prepared := make([]any, len(args))

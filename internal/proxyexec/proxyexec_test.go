@@ -32,7 +32,7 @@ func newProxyStack(t *testing.T, minSize int) *proxyStack {
 
 	// Client and workers share one in-site store (the testbed object
 	// store), as with a shared filesystem or Redis deployment.
-	store, err := proxystore.NewStore("site", proxystore.ObjectStoreConnector{Backend: tb.Objects}, 16)
+	store, err := proxystore.NewStore("site", tb.Objects, 64<<20)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,13 +3,14 @@ package proxystore_test
 import (
 	"fmt"
 
+	"globuscompute/internal/objectstore"
 	"globuscompute/internal/proxystore"
 )
 
 // Large values become lightweight references; consumers resolve them from
 // the store instead of moving bytes through the cloud service.
 func ExampleStore() {
-	store, _ := proxystore.NewStore("site", proxystore.NewMemoryConnector(), 8)
+	store, _ := proxystore.NewStore("site", objectstore.New(), 1<<20)
 	proxy, _ := store.Put(map[string]any{"weights": []float64{0.1, 0.2, 0.3}})
 
 	ref := proxy.Reference()

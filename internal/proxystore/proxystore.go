@@ -1,21 +1,16 @@
 // Package proxystore reimplements the ProxyStore model the paper adopts for
-// pass-by-reference data movement (§V-B): objects live in a store reached
-// through a pluggable connector (memory, shared filesystem, the object
-// store service); producers replace large values with lightweight proxies;
-// consumers resolve a proxy on first use, with per-process caching for
-// objects shared by many tasks. Proxied task arguments and results bypass
-// the cloud service's 10 MB payload limit entirely.
+// pass-by-reference data movement (§V-B): objects live in the object store
+// (in process or behind its HTTP client); producers replace large values
+// with lightweight proxies; consumers resolve a proxy on first use, with
+// per-process caching for objects shared by many tasks. Proxied task
+// arguments and results bypass the cloud service's 10 MB payload limit
+// entirely.
 package proxystore
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 
 	"globuscompute/internal/metrics"
@@ -28,181 +23,15 @@ var (
 	ErrNotFound     = errors.New("proxystore: object not found")
 	ErrUnknownStore = errors.New("proxystore: unknown store")
 	ErrReleased     = errors.New("proxystore: proxy target released")
-	ErrBadReference = errors.New("proxystore: malformed reference")
 )
 
-// Connector moves bytes to and from a storage medium. Implementations
-// cover the paper's in-site options (memory, shared filesystem, object
-// store); wide-area options are modeled by the transfer package.
-type Connector interface {
-	Name() string
-	Put(key string, data []byte) error
+// Backend is the object store proxied values live in; objectstore.Store and
+// objectstore.Client both implement it.
+type Backend interface {
+	PutContent(data []byte) (string, error)
 	Get(key string) ([]byte, error)
 	Delete(key string) error
-	Exists(key string) bool
 }
-
-// --- connectors ---
-
-// MemoryConnector keeps objects in process memory (the Redis/margo-style
-// in-site store).
-type MemoryConnector struct {
-	mu      sync.RWMutex
-	objects map[string][]byte
-}
-
-// NewMemoryConnector returns an empty in-memory connector.
-func NewMemoryConnector() *MemoryConnector {
-	return &MemoryConnector{objects: make(map[string][]byte)}
-}
-
-// Name implements Connector.
-func (m *MemoryConnector) Name() string { return "memory" }
-
-// Put implements Connector.
-func (m *MemoryConnector) Put(key string, data []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.objects[key] = append([]byte(nil), data...)
-	return nil
-}
-
-// Get implements Connector.
-func (m *MemoryConnector) Get(key string) ([]byte, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	data, ok := m.objects[key]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
-	}
-	return append([]byte(nil), data...), nil
-}
-
-// Delete implements Connector.
-func (m *MemoryConnector) Delete(key string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.objects, key)
-	return nil
-}
-
-// Exists implements Connector.
-func (m *MemoryConnector) Exists(key string) bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	_, ok := m.objects[key]
-	return ok
-}
-
-// FileConnector stores objects as files under a directory (the shared
-// filesystem option on HPC systems).
-type FileConnector struct {
-	dir string
-}
-
-// NewFileConnector uses dir (created if absent).
-func NewFileConnector(dir string) (*FileConnector, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("proxystore: file connector: %w", err)
-	}
-	return &FileConnector{dir: dir}, nil
-}
-
-// Name implements Connector.
-func (f *FileConnector) Name() string { return "file" }
-
-func (f *FileConnector) path(key string) (string, error) {
-	if key == "" || strings.ContainsAny(key, "/\\") {
-		return "", fmt.Errorf("%w: bad key %q", ErrBadReference, key)
-	}
-	return filepath.Join(f.dir, key), nil
-}
-
-// Put implements Connector.
-func (f *FileConnector) Put(key string, data []byte) error {
-	p, err := f.path(key)
-	if err != nil {
-		return err
-	}
-	tmp := p + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, p)
-}
-
-// Get implements Connector.
-func (f *FileConnector) Get(key string) ([]byte, error) {
-	p, err := f.path(key)
-	if err != nil {
-		return nil, err
-	}
-	data, err := os.ReadFile(p)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
-	}
-	return data, err
-}
-
-// Delete implements Connector.
-func (f *FileConnector) Delete(key string) error {
-	p, err := f.path(key)
-	if err != nil {
-		return err
-	}
-	err = os.Remove(p)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	return err
-}
-
-// Exists implements Connector.
-func (f *FileConnector) Exists(key string) bool {
-	p, err := f.path(key)
-	if err != nil {
-		return false
-	}
-	_, statErr := os.Stat(p)
-	return statErr == nil
-}
-
-// ObjectStoreConnector bridges to the object store service (or its HTTP
-// client) so proxies can reference S3-style storage.
-type ObjectStoreConnector struct {
-	// Backend is anything with the object-store Put/Get/Delete shape.
-	Backend interface {
-		Put(key string, data []byte) error
-		Get(key string) ([]byte, error)
-		Delete(key string) error
-	}
-}
-
-// Name implements Connector.
-func (o ObjectStoreConnector) Name() string { return "objectstore" }
-
-// Put implements Connector.
-func (o ObjectStoreConnector) Put(key string, data []byte) error { return o.Backend.Put(key, data) }
-
-// Get implements Connector, translating the backend's not-found error.
-func (o ObjectStoreConnector) Get(key string) ([]byte, error) {
-	data, err := o.Backend.Get(key)
-	if errors.Is(err, objectstore.ErrNotFound) {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
-	}
-	return data, err
-}
-
-// Delete implements Connector.
-func (o ObjectStoreConnector) Delete(key string) error { return o.Backend.Delete(key) }
-
-// Exists implements Connector.
-func (o ObjectStoreConnector) Exists(key string) bool {
-	_, err := o.Backend.Get(key)
-	return err == nil
-}
-
-// --- store ---
 
 // Reference is the serializable proxy token that travels inside task
 // payloads in place of the object (pass-by-reference).
@@ -215,40 +44,41 @@ type Reference struct {
 	Owned bool `json:"ps_owned,omitempty"`
 }
 
-// Store names a connector and provides proxy/resolve with caching.
+// Store names an object-store backend and provides proxy/resolve with
+// caching.
 type Store struct {
-	name string
-	conn Connector
+	name    string
+	objects Backend
 	// cache holds recently resolved objects for reuse across tasks in the
-	// same process.
-	cacheMu  sync.Mutex
-	cache    map[string][]byte
-	cacheCap int
-	cacheSeq []string // FIFO eviction order
+	// same process. Keys are content hashes, so an entry is never stale.
+	cache *objectstore.DedupCache
 
 	Metrics *metrics.Registry
 }
 
-// NewStore builds a store over a connector. cacheCap bounds the resolve
-// cache entry count (<=0 disables caching).
-func NewStore(name string, conn Connector, cacheCap int) (*Store, error) {
+// NewStore builds a store over an object-store backend. cacheBytes is the
+// resolve cache's byte budget (<=0 disables caching).
+func NewStore(name string, objects Backend, cacheBytes int64) (*Store, error) {
 	if name == "" {
 		return nil, errors.New("proxystore: store requires a name")
 	}
-	if conn == nil {
-		return nil, errors.New("proxystore: store requires a connector")
+	if objects == nil {
+		return nil, errors.New("proxystore: store requires an object store")
 	}
-	return &Store{
-		name: name, conn: conn,
-		cache: make(map[string][]byte), cacheCap: cacheCap,
+	s := &Store{
+		name: name, objects: objects,
+		cache:   objectstore.NewDedupCache(objects, cacheBytes),
 		Metrics: metrics.NewRegistry(),
-	}, nil
+	}
+	s.cache.Metrics = s.Metrics // dedup_cache_hits / dedup_cache_misses
+	return s, nil
 }
 
 // Name returns the store name used in references.
 func (s *Store) Name() string { return s.name }
 
-// Put serializes v (JSON envelope) into the connector and returns a proxy.
+// Put serializes v (JSON envelope) into the object store and returns a
+// proxy.
 func (s *Store) Put(v any) (*Proxy, error) {
 	data, err := serialize.Encode(v, serialize.Options{Codec: serialize.CodecJSON, Compress: true, CompressAbove: 4 << 10, Limit: 1 << 31})
 	if err != nil {
@@ -257,11 +87,10 @@ func (s *Store) Put(v any) (*Proxy, error) {
 	return s.PutBytes(data)
 }
 
-// PutBytes stores pre-serialized bytes under a content-addressed key.
+// PutBytes stores pre-serialized bytes under their content key.
 func (s *Store) PutBytes(data []byte) (*Proxy, error) {
-	sum := sha256.Sum256(data)
-	key := hex.EncodeToString(sum[:16])
-	if err := s.conn.Put(key, data); err != nil {
+	key, err := s.objects.PutContent(data)
+	if err != nil {
 		return nil, err
 	}
 	s.Metrics.Counter("proxied").Inc()
@@ -281,49 +110,34 @@ func (s *Store) PutOwned(data []byte) (*Proxy, error) {
 	return p, nil
 }
 
-// resolve fetches the bytes behind a reference, consulting the cache.
+// resolve fetches the bytes behind a reference: through the cache, or for
+// an owned reference straight from the object store, deleting the target.
 func (s *Store) resolve(ref Reference) ([]byte, error) {
-	if s.cacheCap > 0 && !ref.Owned {
-		s.cacheMu.Lock()
-		if data, ok := s.cache[ref.Key]; ok {
-			s.cacheMu.Unlock()
-			s.Metrics.Counter("cache_hits").Inc()
-			return data, nil
-		}
-		s.cacheMu.Unlock()
+	get := s.cache.Get
+	if ref.Owned {
+		get = s.objects.Get
 	}
-	data, err := s.conn.Get(ref.Key)
-	if err != nil {
-		if errors.Is(err, ErrNotFound) && ref.Owned {
+	data, err := get(ref.Key)
+	if errors.Is(err, objectstore.ErrNotFound) {
+		if ref.Owned {
 			return nil, fmt.Errorf("%w: %q", ErrReleased, ref.Key)
 		}
+		return nil, fmt.Errorf("%w: %q", ErrNotFound, ref.Key)
+	}
+	if err != nil {
 		return nil, err
 	}
 	s.Metrics.Counter("resolves").Inc()
 	if ref.Owned {
-		_ = s.conn.Delete(ref.Key)
-	} else if s.cacheCap > 0 {
-		s.cacheMu.Lock()
-		if _, dup := s.cache[ref.Key]; !dup {
-			if len(s.cacheSeq) >= s.cacheCap {
-				oldest := s.cacheSeq[0]
-				s.cacheSeq = s.cacheSeq[1:]
-				delete(s.cache, oldest)
-			}
-			s.cache[ref.Key] = data
-			s.cacheSeq = append(s.cacheSeq, ref.Key)
-		}
-		s.cacheMu.Unlock()
+		_ = s.objects.Delete(ref.Key) // already resolved; a leftover object is only space
 	}
 	return data, nil
 }
 
-// Evict removes an object from the connector and cache.
+// Evict removes an object from the object store. A copy already in this
+// process's resolve cache ages out on its own.
 func (s *Store) Evict(ref Reference) error {
-	s.cacheMu.Lock()
-	delete(s.cache, ref.Key)
-	s.cacheMu.Unlock()
-	return s.conn.Delete(ref.Key)
+	return s.objects.Delete(ref.Key)
 }
 
 // Proxy is the transparent-object-proxy analogue: a handle that resolves

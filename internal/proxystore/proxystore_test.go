@@ -12,56 +12,48 @@ import (
 	"globuscompute/internal/objectstore"
 )
 
-func connectors(t *testing.T) map[string]Connector {
-	t.Helper()
-	fc, err := NewFileConnector(t.TempDir())
+// TestConnectorRoundTrip drives a Store over both ways of reaching the
+// object store — in process and through its HTTP client: put, resolve,
+// evict, and the backend's not-found surfacing as ErrNotFound.
+func TestConnectorRoundTrip(t *testing.T) {
+	objects := objectstore.New()
+	srv, err := objectstore.ServeHTTP(objects, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]Connector{
-		"memory":      NewMemoryConnector(),
-		"file":        fc,
-		"objectstore": ObjectStoreConnector{Backend: objectstore.New()},
-	}
-}
-
-func TestConnectorRoundTrip(t *testing.T) {
-	for name, c := range connectors(t) {
+	defer srv.Close()
+	for name, backend := range map[string]Backend{
+		"objectstore": objectstore.New(),
+		"client":      objectstore.NewClient(srv.Addr()),
+	} {
 		t.Run(name, func(t *testing.T) {
-			if c.Exists("k") {
-				t.Error("phantom key")
-			}
-			if err := c.Put("k", []byte("v")); err != nil {
+			s, err := NewStore("main", backend, 0)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if !c.Exists("k") {
-				t.Error("key missing after put")
-			}
-			got, err := c.Get("k")
-			if err != nil || string(got) != "v" {
-				t.Errorf("Get = %q, %v", got, err)
-			}
-			if err := c.Delete("k"); err != nil {
+			p, err := s.PutBytes([]byte("v-" + name))
+			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := c.Get("k"); !errors.Is(err, ErrNotFound) {
-				t.Errorf("Get deleted = %v", err)
+			ref := p.Reference()
+			if ref.Key != objectstore.ContentKey([]byte("v-"+name)) {
+				t.Errorf("key = %q, want the content key", ref.Key)
+			}
+			if got, err := s.resolve(ref); err != nil || string(got) != "v-"+name {
+				t.Errorf("resolve = %q, %v", got, err)
+			}
+			if err := s.Evict(ref); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.resolve(ref); !errors.Is(err, ErrNotFound) {
+				t.Errorf("resolve evicted = %v, want ErrNotFound", err)
 			}
 		})
 	}
 }
 
-func TestFileConnectorRejectsTraversal(t *testing.T) {
-	fc, _ := NewFileConnector(t.TempDir())
-	for _, key := range []string{"", "../escape", "a/b", `a\b`} {
-		if err := fc.Put(key, []byte("x")); err == nil {
-			t.Errorf("Put(%q) succeeded", key)
-		}
-	}
-}
-
 func TestProxyResolve(t *testing.T) {
-	s, err := NewStore("main", NewMemoryConnector(), 8)
+	s, err := NewStore("main", objectstore.New(), 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +79,7 @@ func TestProxyResolve(t *testing.T) {
 }
 
 func TestProxyResolveOnce(t *testing.T) {
-	s, _ := NewStore("main", NewMemoryConnector(), 0)
+	s, _ := NewStore("main", objectstore.New(), 0)
 	p, _ := s.PutBytes([]byte("payload"))
 	// Delete behind the proxy's back; the first resolve already cached in
 	// the proxy? No — resolve happens lazily, so delete-then-resolve fails;
@@ -103,7 +95,7 @@ func TestProxyResolveOnce(t *testing.T) {
 }
 
 func TestProxyContentAddressing(t *testing.T) {
-	s, _ := NewStore("main", NewMemoryConnector(), 0)
+	s, _ := NewStore("main", objectstore.New(), 0)
 	p1, _ := s.PutBytes([]byte("same"))
 	p2, _ := s.PutBytes([]byte("same"))
 	if p1.Reference().Key != p2.Reference().Key {
@@ -112,8 +104,8 @@ func TestProxyContentAddressing(t *testing.T) {
 }
 
 func TestOwnedProxyEvictsOnResolve(t *testing.T) {
-	conn := NewMemoryConnector()
-	s, _ := NewStore("main", conn, 8)
+	objects := objectstore.New()
+	s, _ := NewStore("main", objects, 1<<20)
 	p, err := s.PutOwned([]byte("one-shot"))
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +114,7 @@ func TestOwnedProxyEvictsOnResolve(t *testing.T) {
 	if _, err := p.Resolve(); err != nil {
 		t.Fatal(err)
 	}
-	if conn.Exists(key) {
+	if objects.Exists(key) {
 		t.Error("owned target survived resolve")
 	}
 	// A second proxy to the same (now deleted) reference reports released.
@@ -133,48 +125,50 @@ func TestOwnedProxyEvictsOnResolve(t *testing.T) {
 }
 
 func TestCacheHits(t *testing.T) {
-	conn := NewMemoryConnector()
-	s, _ := NewStore("main", conn, 4)
+	objects := objectstore.New()
+	s, _ := NewStore("main", objects, 1<<20)
 	p, _ := s.PutBytes([]byte("cached"))
 	ref := p.Reference()
 	// Two distinct proxies to the same reference: second resolve must hit
-	// the cache even after the connector object disappears.
+	// the cache even after the stored object disappears.
 	pa := &Proxy{ref: ref, store: s}
 	if _, err := pa.Resolve(); err != nil {
 		t.Fatal(err)
 	}
-	conn.Delete(ref.Key)
+	if err := objects.Delete(ref.Key); err != nil {
+		t.Fatal(err)
+	}
 	pb := &Proxy{ref: ref, store: s}
 	if _, err := pb.Resolve(); err != nil {
 		t.Errorf("cache miss after delete: %v", err)
 	}
-	if s.Metrics.Counter("cache_hits").Value() != 1 {
-		t.Errorf("cache hits = %d", s.Metrics.Counter("cache_hits").Value())
+	if got := s.Metrics.Counter("dedup_cache_hits").Value(); got != 1 {
+		t.Errorf("cache hits = %d", got)
+	}
+	// A reference to content the store never held reports not found.
+	missing := Reference{Store: "main", Key: objectstore.ContentKey([]byte("never stored"))}
+	if _, err := s.resolve(missing); !errors.Is(err, ErrNotFound) {
+		t.Errorf("missing object = %v, want ErrNotFound", err)
 	}
 }
 
 func TestCacheEvictionBounded(t *testing.T) {
-	s, _ := NewStore("main", NewMemoryConnector(), 2)
-	var refs []Reference
+	const budget = int64(2 * len("obj-0"))
+	s, _ := NewStore("main", objectstore.New(), budget)
 	for i := 0; i < 5; i++ {
 		p, _ := s.PutBytes([]byte(fmt.Sprintf("obj-%d", i)))
-		refs = append(refs, p.Reference())
 		if _, err := s.resolve(p.Reference()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s.cacheMu.Lock()
-	n := len(s.cache)
-	s.cacheMu.Unlock()
-	if n > 2 {
-		t.Errorf("cache grew to %d entries, cap 2", n)
+	if n, b := s.cache.Len(), s.cache.Bytes(); n > 2 || b > budget {
+		t.Errorf("cache holds %d objects, %d bytes; budget %d bytes", n, b, budget)
 	}
-	_ = refs
 }
 
 func TestRegistryResolve(t *testing.T) {
 	reg := NewRegistry()
-	s, _ := NewStore("site-a", NewMemoryConnector(), 0)
+	s, _ := NewStore("site-a", objectstore.New(), 0)
 	reg.Register(s)
 	p, _ := s.PutBytes([]byte("via registry"))
 	got, err := reg.ResolveReference(p.Reference())
@@ -187,7 +181,7 @@ func TestRegistryResolve(t *testing.T) {
 }
 
 func TestPolicyMaybeProxy(t *testing.T) {
-	s, _ := NewStore("main", NewMemoryConnector(), 0)
+	s, _ := NewStore("main", objectstore.New(), 0)
 	reg := NewRegistry()
 	reg.Register(s)
 	policy := Policy{MinSize: 100}
@@ -225,7 +219,7 @@ func TestPolicyMaybeProxy(t *testing.T) {
 }
 
 func TestPolicyDisabled(t *testing.T) {
-	s, _ := NewStore("main", NewMemoryConnector(), 0)
+	s, _ := NewStore("main", objectstore.New(), 0)
 	raw, proxied, err := MaybeProxy(s, Policy{}, strings.Repeat("y", 10000))
 	if err != nil || proxied {
 		t.Errorf("zero policy proxied: %v %v", proxied, err)
@@ -246,16 +240,16 @@ func TestMaybeResolvePassthrough(t *testing.T) {
 }
 
 func TestStoreValidation(t *testing.T) {
-	if _, err := NewStore("", NewMemoryConnector(), 0); err == nil {
+	if _, err := NewStore("", objectstore.New(), 0); err == nil {
 		t.Error("unnamed store accepted")
 	}
 	if _, err := NewStore("x", nil, 0); err == nil {
-		t.Error("nil connector accepted")
+		t.Error("nil object store accepted")
 	}
 }
 
 func TestConcurrentProxyResolve(t *testing.T) {
-	s, _ := NewStore("main", NewMemoryConnector(), 16)
+	s, _ := NewStore("main", objectstore.New(), 1<<20)
 	p, _ := s.PutBytes([]byte("shared"))
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
@@ -268,14 +262,14 @@ func TestConcurrentProxyResolve(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	// The proxy memoizes: exactly one connector fetch.
+	// The proxy memoizes: the store resolved the reference exactly once.
 	if got := s.Metrics.Counter("resolves").Value(); got != 1 {
-		t.Errorf("connector resolves = %d, want 1", got)
+		t.Errorf("store resolves = %d, want 1", got)
 	}
 }
 
 func TestPropertyProxyRoundTrip(t *testing.T) {
-	s, _ := NewStore("main", NewMemoryConnector(), 4)
+	s, _ := NewStore("main", objectstore.New(), 1<<20)
 	f := func(data []byte) bool {
 		p, err := s.PutBytes(data)
 		if err != nil {

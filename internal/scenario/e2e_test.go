@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"globuscompute/internal/broker"
+	"globuscompute/internal/endpoint"
 	"globuscompute/internal/mep"
 	"globuscompute/internal/protocol"
 	"globuscompute/internal/sdk"
@@ -34,10 +35,10 @@ import (
 )
 
 const (
-	fleetSize       = 16
-	simServiceTime  = 20 * time.Millisecond
-	heartbeatEvery  = 500 * time.Millisecond
-	simPrefetch     = 256
+	fleetSize      = 16
+	simServiceTime = 20 * time.Millisecond
+	heartbeatEvery = 500 * time.Millisecond
+	simPrefetch    = 256
 )
 
 var (
@@ -137,7 +138,7 @@ func startWS(t *testing.T, bin, httpAddr, brokerAddr, objectsAddr string) (*exec
 type simFleet struct {
 	eps    []protocol.UUID
 	agents []*mep.SimAgent
-	bc     *broker.Client
+	conn   *broker.ReconnectingConn
 	stop   chan struct{}
 	done   chan struct{}
 }
@@ -147,15 +148,12 @@ type simFleet struct {
 // (p2c placement scores load reports), and starts the heartbeat pump.
 func startFleet(t *testing.T, client *sdk.Client, brokerAddr string) *simFleet {
 	t.Helper()
-	bc, err := broker.Dial(brokerAddr)
+	conn, err := endpoint.DialBroker(brokerAddr, "")
 	if err != nil {
 		t.Fatalf("dial broker: %v", err)
 	}
-	bc.EnableBatching(broker.BatchConfig{})
-	bc.EnableBinary()
-	conn := bc.AsConn()
 
-	f := &simFleet{bc: bc, stop: make(chan struct{}), done: make(chan struct{})}
+	f := &simFleet{conn: conn, stop: make(chan struct{}), done: make(chan struct{})}
 	for i := 0; i < fleetSize; i++ {
 		reg, err := client.RegisterEndpoint(webservice.RegisterEndpointRequest{
 			Name: fmt.Sprintf("sim-%02d", i),
@@ -173,7 +171,7 @@ func startFleet(t *testing.T, client *sdk.Client, brokerAddr string) *simFleet {
 		f.eps = append(f.eps, reg.EndpointID)
 		f.agents = append(f.agents, agent)
 		load := agent.Load()
-		if err := client.HeartbeatReport(reg.EndpointID, true, &load, nil); err != nil {
+		if err := client.Heartbeat(reg.EndpointID, true, &load, nil); err != nil {
 			t.Fatalf("pre-warm heartbeat %d: %v", i, err)
 		}
 	}
@@ -188,7 +186,7 @@ func startFleet(t *testing.T, client *sdk.Client, brokerAddr string) *simFleet {
 			case <-tick.C:
 				for i, agent := range f.agents {
 					load := agent.Load()
-					_ = client.HeartbeatReport(f.eps[i], true, &load, nil)
+					_ = client.Heartbeat(f.eps[i], true, &load, nil)
 				}
 			}
 		}
@@ -202,7 +200,7 @@ func (f *simFleet) Stop() {
 	for _, a := range f.agents {
 		a.Stop()
 	}
-	f.bc.Close()
+	f.conn.Close()
 }
 
 // createGroup wraps the fleet in a routing group running the p2c policy.

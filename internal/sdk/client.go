@@ -297,22 +297,11 @@ func (c *Client) RegisterEndpoint(req webservice.RegisterEndpointRequest) (webse
 	return resp, err
 }
 
-// Heartbeat reports endpoint liveness.
-func (c *Client) Heartbeat(ep protocol.UUID, online bool) error {
-	return c.do("POST", "/v2/endpoints/"+string(ep)+"/heartbeat", map[string]bool{"online": online}, nil)
-}
-
-// HeartbeatWithLoad reports liveness plus the agent's utilization.
-func (c *Client) HeartbeatWithLoad(ep protocol.UUID, online bool, load statestore.EndpointLoad) error {
-	return c.do("POST", "/v2/endpoints/"+string(ep)+"/heartbeat", map[string]any{
-		"online": online, "load": load,
-	}, nil)
-}
-
-// HeartbeatReport reports liveness plus optional utilization and an optional
-// delta-encoded metrics snapshot, the full federation piggyback. Nil fields
-// are omitted from the wire so old services ignore what they don't know.
-func (c *Client) HeartbeatReport(ep protocol.UUID, online bool, load *statestore.EndpointLoad, snap *metrics.Snapshot) error {
+// Heartbeat reports endpoint liveness plus the agent's optional load report
+// and optional delta-encoded metrics snapshot (an endpoint.HeartbeatSink).
+// Nil fields are omitted from the wire so old services ignore what they
+// don't know.
+func (c *Client) Heartbeat(ep protocol.UUID, online bool, load *statestore.EndpointLoad, snap *metrics.Snapshot) error {
 	body := map[string]any{"online": online}
 	if load != nil {
 		body["load"] = load

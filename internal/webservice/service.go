@@ -228,11 +228,7 @@ func (s *Service) RecordHeartbeat(id protocol.UUID, online bool, load *statestor
 		// Fold the load report into the fleet store before sampling the ring:
 		// utilization gauges for endpoints with no metrics registry, and the
 		// received/published deltas that drive the service-rate EWMA.
-		s.Fleet.ObserveLoad(string(id), obs.LoadReport{
-			PendingTasks: load.PendingTasks, TotalWorkers: load.TotalWorkers,
-			FreeWorkers: load.FreeWorkers, TasksReceived: load.TasksReceived,
-			ResultsPublished: load.ResultsPublished, EgressBacklog: load.EgressBacklog,
-		}, now)
+		s.Fleet.ObserveLoad(string(id), *load, now)
 	}
 	if snap != nil && snap.Len() > 0 {
 		s.Fleet.Ingest(string(id), *snap, now)
