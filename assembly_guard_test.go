@@ -11,12 +11,14 @@ import (
 	"testing"
 )
 
-// assemblies are the two files allowed to construct a deployment: the cloud
-// side and the endpoint side. Every binary, harness and in-process testbed
-// starts its half through them, so what tests run is what ships.
+// assemblies are the three files allowed to construct a deployment: the cloud
+// side, the endpoint side, and the broker dialer every process reaches the
+// cloud side through. Every binary, harness, example and in-process testbed
+// starts through them, so what tests run is what ships.
 var assemblies = map[string]bool{
 	"internal/webservice/stack.go": true,
 	"internal/endpoint/stack.go":   true,
+	"internal/broker/connect.go":   true,
 }
 
 // assembled maps a package directory to the constructors only an assembly
@@ -26,15 +28,35 @@ var assembled = map[string][]string{
 	"internal/durable":    {"OpenStore", "OpenBroker"},
 	"internal/endpoint":   {"New", "NewRunner"},
 	"internal/engine":     {"New"},
-	"internal/broker":     {"NewReconnecting"},
+	"internal/broker":     {"Dial", "DialTLS", "NewReconnecting"},
 }
 
-// TestOneAssemblyPerSide fails when non-test code outside the two assemblies
-// and benchmark/ wires a service, a durable layer, an agent, a runner, an
-// engine or a reconnecting broker connection by hand.
+// capabilityMethod reports whether a method name belongs to the publish/ack
+// surface of broker.Conn and broker.Subscription.
+func capabilityMethod(name string) bool {
+	return strings.HasPrefix(name, "Publish") || strings.HasPrefix(name, "Ack")
+}
+
+func hasCapabilityMethod(it *ast.InterfaceType) bool {
+	for _, m := range it.Methods.List {
+		for _, name := range m.Names {
+			if capabilityMethod(name.Name) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestOneAssemblyPerSide fails when non-test code outside the assemblies and
+// benchmark/ wires a service, a durable layer, an agent, a runner, an engine
+// or a broker connection by hand, and when any non-test file type-asserts its
+// way to a publish or ack capability: broker.Conn and broker.Subscription are
+// the whole interface, so there is nothing narrower to probe for.
 func TestOneAssemblyPerSide(t *testing.T) {
 	const module = "globuscompute/"
 	fset := token.NewFileSet()
+	files := map[string]*ast.File{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -46,20 +68,49 @@ func TestOneAssemblyPerSide(t *testing.T) {
 			return nil
 		}
 		path = filepath.ToSlash(path)
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") || assemblies[path] {
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
-		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		// Local name of each guarded package this file imports; the file's
-		// own package is reached with no qualifier.
+		files[path], err = parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Named interfaces, per package directory, that carry a publish or ack
+	// method. broker.Conn and broker.Subscription are the interface itself.
+	capability := map[string]map[string]bool{}
+	for path, file := range files {
+		dir := filepath.ToSlash(filepath.Dir(path))
+		ast.Inspect(file, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			it, ok := ts.Type.(*ast.InterfaceType)
+			if !ok || !hasCapabilityMethod(it) {
+				return true
+			}
+			if dir == "internal/broker" && (ts.Name.Name == "Conn" || ts.Name.Name == "Subscription") {
+				return true
+			}
+			if capability[dir] == nil {
+				capability[dir] = map[string]bool{}
+			}
+			capability[dir][ts.Name.Name] = true
+			return true
+		})
+	}
+
+	for path, file := range files {
+		// Local name of each package of this module the file imports; the
+		// file's own package is reached with no qualifier.
 		pkgs := map[string]string{"": filepath.ToSlash(filepath.Dir(path))}
 		for _, imp := range file.Imports {
 			ipath, _ := strconv.Unquote(imp.Path.Value)
 			dir, ok := strings.CutPrefix(ipath, module)
-			if !ok || assembled[dir] == nil {
+			if !ok {
 				continue
 			}
 			name := filepath.Base(dir)
@@ -68,31 +119,59 @@ func TestOneAssemblyPerSide(t *testing.T) {
 			}
 			pkgs[name] = dir
 		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			var qual, fn string
-			switch f := call.Fun.(type) {
+		// qualified splits an identifier or pkg.Name expression.
+		qualified := func(e ast.Expr) (qual, name string, ok bool) {
+			switch f := e.(type) {
 			case *ast.Ident:
-				fn = f.Name
+				return "", f.Name, true
 			case *ast.SelectorExpr:
-				if x, ok := f.X.(*ast.Ident); ok {
-					qual, fn = x.Name, f.Sel.Name
+				if x, isIdent := f.X.(*ast.Ident); isIdent {
+					return x.Name, f.Sel.Name, true
 				}
 			}
-			for _, guarded := range assembled[pkgs[qual]] {
-				if fn == guarded {
-					t.Errorf("%s: calls %s.%s; only internal/webservice/stack.go and internal/endpoint/stack.go may (DESIGN.md, \"One assembly per side\")",
-						fset.Position(call.Pos()), filepath.Base(pkgs[qual]), fn)
+			return "", "", false
+		}
+		narrows := func(typ ast.Expr) bool {
+			if it, ok := typ.(*ast.InterfaceType); ok {
+				return hasCapabilityMethod(it)
+			}
+			qual, name, ok := qualified(typ)
+			dir, known := pkgs[qual]
+			return ok && known && capability[dir][name]
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				if assemblies[path] {
+					return true
+				}
+				qual, fn, ok := qualified(n.Fun)
+				dir, known := pkgs[qual]
+				if !ok || !known {
+					return true
+				}
+				for _, guarded := range assembled[dir] {
+					if fn == guarded {
+						t.Errorf("%s: calls %s.%s; only internal/webservice/stack.go, internal/endpoint/stack.go and internal/broker/connect.go may (DESIGN.md, \"One assembly per side\")",
+							fset.Position(n.Pos()), filepath.Base(dir), fn)
+					}
+				}
+			case *ast.TypeAssertExpr:
+				if n.Type != nil && narrows(n.Type) {
+					t.Errorf("%s: type-asserts to a publish/ack capability; broker.Conn and broker.Subscription have no optional part",
+						fset.Position(n.Pos()))
+				}
+			case *ast.TypeSwitchStmt:
+				for _, stmt := range n.Body.List {
+					for _, typ := range stmt.(*ast.CaseClause).List {
+						if narrows(typ) {
+							t.Errorf("%s: type-switches on a publish/ack capability; broker.Conn and broker.Subscription have no optional part",
+								fset.Position(typ.Pos()))
+						}
+					}
 				}
 			}
 			return true
 		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }

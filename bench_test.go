@@ -36,7 +36,6 @@ type benchEnv struct {
 	tb     *core.Testbed
 	client *sdk.Client
 	conn   broker.Conn
-	dial   *broker.Client
 	objs   *objectstore.Client
 	epID   protocol.UUID
 }
@@ -63,7 +62,7 @@ func newBenchEnv(b *testing.B, opts core.EndpointOptions) *benchEnv {
 		tb.Close()
 		b.Fatal(err)
 	}
-	bc, err := broker.Dial(tb.BrokerSrv.Addr())
+	bc, err := broker.Connect(tb.BrokerSrv.Addr(), "")
 	if err != nil {
 		tb.Close()
 		b.Fatal(err)
@@ -71,8 +70,7 @@ func newBenchEnv(b *testing.B, opts core.EndpointOptions) *benchEnv {
 	e := &benchEnv{
 		tb:     tb,
 		client: sdk.NewClient(tb.ServiceAddr(), tok.Value),
-		conn:   bc.AsConn(),
-		dial:   bc,
+		conn:   bc,
 		objs:   objectstore.NewClient(tb.ObjectsSrv.Addr()),
 		epID:   epID,
 	}
@@ -299,14 +297,14 @@ func BenchmarkMEPReuse(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	bc, err := broker.Dial(tb.BrokerSrv.Addr())
+	bc, err := broker.Connect(tb.BrokerSrv.Addr(), "")
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer bc.Close()
 	ex, err := sdk.NewExecutor(sdk.ExecutorConfig{
 		Client:     sdk.NewClient(tb.ServiceAddr(), tok.Value),
-		EndpointID: mepID, Conn: bc.AsConn(),
+		EndpointID: mepID, Conn: bc,
 		Objects: objectstore.NewClient(tb.ObjectsSrv.Addr()),
 	})
 	if err != nil {
@@ -574,14 +572,12 @@ func BenchmarkBrokerSaturation(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer srv.Close()
-			var bc *broker.Client
-			if batch > 1 {
-				bc, err = broker.DialBatched(srv.Addr(), broker.BatchConfig{MaxBatch: batch})
-			} else {
-				bc, err = broker.Dial(srv.Addr())
-			}
+			bc, err := broker.Dial(srv.Addr())
 			if err != nil {
 				b.Fatal(err)
+			}
+			if batch > 1 {
+				bc.EnableBatching(broker.BatchConfig{MaxBatch: batch})
 			}
 			defer bc.Close()
 			sub, err := bc.Consume("sat", 2*batch+64)
@@ -598,7 +594,7 @@ func BenchmarkBrokerSaturation(b *testing.B) {
 					tags = append(tags, m.Tag)
 					seen++
 					if len(tags) >= batch || seen == b.N {
-						_ = sub.AckBatch(tags)
+						_ = sub.Ack(tags...)
 						tags = tags[:0]
 					}
 					if seen == b.N {

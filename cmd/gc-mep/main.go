@@ -13,8 +13,8 @@ import (
 	"syscall"
 	"time"
 
+	"globuscompute/internal/broker"
 	"globuscompute/internal/core"
-	"globuscompute/internal/endpoint"
 	"globuscompute/internal/idmap"
 	"globuscompute/internal/mep"
 	"globuscompute/internal/objectstore"
@@ -82,7 +82,7 @@ func main() {
 
 	// One connection for the manager and every user endpoint it spawns,
 	// dialed the way gc-endpoint dials.
-	conn, err := endpoint.DialBroker(reg.BrokerAddr, "")
+	conn, err := broker.Connect(reg.BrokerAddr, "")
 	if err != nil {
 		log.Fatalf("gc-mep: broker: %v", err)
 	}

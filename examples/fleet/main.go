@@ -28,7 +28,7 @@ func main() {
 		log.Fatal(err)
 	}
 	client := sdk.NewClient(tb.ServiceAddr(), tok.Value)
-	bc, err := broker.Dial(tb.BrokerSrv.Addr())
+	bc, err := broker.Connect(tb.BrokerSrv.Addr(), "")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func main() {
 			log.Fatal(err)
 		}
 		ex, err := sdk.NewExecutor(sdk.ExecutorConfig{
-			Client: client, EndpointID: epID, Conn: bc.AsConn(), Objects: objects,
+			Client: client, EndpointID: epID, Conn: bc, Objects: objects,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -48,7 +48,7 @@ func main() {
 	}
 	fmt.Printf("multi-user endpoint deployed: %s\n", mepID)
 
-	bc, err := broker.Dial(tb.BrokerSrv.Addr())
+	bc, err := broker.Connect(tb.BrokerSrv.Addr(), "")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func main() {
 		}
 		client := sdk.NewClient(tb.ServiceAddr(), tok.Value)
 		ex, err := sdk.NewExecutor(sdk.ExecutorConfig{
-			Client: client, EndpointID: mepID, Conn: bc.AsConn(), Objects: objects,
+			Client: client, EndpointID: mepID, Conn: bc, Objects: objects,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -113,7 +113,7 @@ func main() {
 	tok, _ := tb.IssueToken("stranger@elsewhere.net", "elsewhere")
 	client := sdk.NewClient(tb.ServiceAddr(), tok.Value)
 	ex, err := sdk.NewExecutor(sdk.ExecutorConfig{
-		Client: client, EndpointID: mepID, Conn: bc.AsConn(), Objects: objects,
+		Client: client, EndpointID: mepID, Conn: bc, Objects: objects,
 	})
 	if err != nil {
 		log.Fatal(err)

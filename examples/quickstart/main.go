@@ -45,7 +45,7 @@ func main() {
 	//	    fut = ex.submit(some_task)
 	//	    print("Result:", fut.result())
 	client := sdk.NewClient(tb.ServiceAddr(), tok.Value)
-	bc, err := broker.Dial(tb.BrokerSrv.Addr())
+	bc, err := broker.Connect(tb.BrokerSrv.Addr(), "")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func main() {
 	ex, err := sdk.NewExecutor(sdk.ExecutorConfig{
 		Client:     client,
 		EndpointID: endpointID,
-		Conn:       bc.AsConn(), // streamed results, no polling
+		Conn:       bc, // streamed results, no polling
 		Objects:    objectstore.NewClient(tb.ObjectsSrv.Addr()),
 	})
 	if err != nil {

@@ -39,13 +39,13 @@ func main() {
 		log.Fatal(err)
 	}
 	client := sdk.NewClient(tb.ServiceAddr(), tok.Value)
-	bc, err := broker.Dial(tb.BrokerSrv.Addr())
+	bc, err := broker.Connect(tb.BrokerSrv.Addr(), "")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer bc.Close()
 	ex, err := sdk.NewExecutor(sdk.ExecutorConfig{
-		Client: client, EndpointID: endpointID, Conn: bc.AsConn(),
+		Client: client, EndpointID: endpointID, Conn: bc,
 		Objects: objectstore.NewClient(tb.ObjectsSrv.Addr()),
 	})
 	if err != nil {

@@ -4,13 +4,25 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"globuscompute/internal/protocol"
+	"globuscompute/internal/trace"
 )
 
 // --- batched publish/consume over TCP ---
+
+// dialBatching dials a client whose consumers ask for delivery batches of up
+// to maxBatch.
+func dialBatching(addr string, maxBatch int) (*Client, error) {
+	c, err := Dial(addr)
+	if err == nil {
+		c.EnableBatching(BatchConfig{MaxBatch: maxBatch})
+	}
+	return c, err
+}
 
 func TestBatchPublishConsumeTCP(t *testing.T) {
 	s, _ := newTestServer(t)
@@ -19,7 +31,7 @@ func TestBatchPublishConsumeTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pub.Close()
-	sub, err := DialBatched(s.Addr(), BatchConfig{MaxBatch: 32})
+	sub, err := dialBatching(s.Addr(), 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +62,7 @@ func TestBatchPublishConsumeTCP(t *testing.T) {
 			}
 			tags = append(tags, m.Tag)
 			if len(tags) == 32 || i == n-1 {
-				if err := rc.AckBatch(tags); err != nil {
+				if err := rc.Ack(tags...); err != nil {
 					t.Fatal(err)
 				}
 				tags = tags[:0]
@@ -120,26 +132,24 @@ func TestOldClientPlainPublishInterop(t *testing.T) {
 	}
 }
 
-// --- interop: batching client against an old server ---
+// --- the lone/N wire rule ---
 
 // recordingServer is a minimal frame-level broker stand-in that records
-// every envelope type it receives and replies OK, optionally after a delay
-// (to keep a reply in flight while more messages queue client-side).
+// every envelope type it receives and replies OK.
 type recordingServer struct {
-	ln    net.Listener
-	delay time.Duration
+	ln net.Listener
 
 	mu    sync.Mutex
 	types []string
 }
 
-func startRecordingServer(t *testing.T, delay time.Duration) *recordingServer {
+func startRecordingServer(t *testing.T) *recordingServer {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := &recordingServer{ln: ln, delay: delay}
+	rs := &recordingServer{ln: ln}
 	t.Cleanup(func() { ln.Close() })
 	go func() {
 		for {
@@ -165,9 +175,6 @@ func (rs *recordingServer) handle(conn net.Conn) {
 		rs.mu.Lock()
 		rs.types = append(rs.types, env.Type)
 		rs.mu.Unlock()
-		if rs.delay > 0 {
-			time.Sleep(rs.delay)
-		}
 		_ = w.Write(protocol.MustEnvelope(protocol.EnvOK, env.ID, nil))
 	}
 }
@@ -178,66 +185,48 @@ func (rs *recordingServer) recorded() []string {
 	return append([]string(nil), rs.types...)
 }
 
-// TestBatchedClientIdleSendsPlainPublish verifies the degrade-to-classic
-// guarantee: a batching-enabled client whose flush contains a single
-// message emits a plain publish envelope, wire-identical to an unbatched
-// client — so it interoperates with servers that predate publish_batch.
-func TestBatchedClientIdleSendsPlainPublish(t *testing.T) {
-	rs := startRecordingServer(t, 0)
-	c, err := DialBatched(rs.ln.Addr().String(), BatchConfig{MaxBatch: 32})
+// TestClientLoneAndBatchFrames pins the wire's lone-message rule at the one
+// place that implements it: a one-element PublishBatch or Ack travels as the
+// plain publish / ack envelope — what a server that predates the batch
+// frames understands, and byte-identical idle traffic — and an N-element one
+// as a single publish_batch / ack_batch frame.
+func TestClientLoneAndBatchFrames(t *testing.T) {
+	rs := startRecordingServer(t)
+	c, err := dialBatching(rs.ln.Addr().String(), 32)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Publish("q", []byte("solo")); err != nil {
-		t.Fatal(err)
-	}
-	for _, typ := range rs.recorded() {
-		if typ == protocol.EnvPublishBatch {
-			t.Fatalf("idle batched client sent %s; a single-message flush must degrade to %s", typ, protocol.EnvPublish)
-		}
-	}
-	got := rs.recorded()
-	if len(got) != 1 || got[0] != protocol.EnvPublish {
-		t.Fatalf("recorded frames = %v, want exactly one %s", got, protocol.EnvPublish)
-	}
-}
-
-// TestBatchedClientCoalescesConcurrentPublishes verifies group commit: while
-// one flush's reply is in flight, concurrent publishes accumulate and go
-// out as publish_batch frames, so N messages cost far fewer than N round
-// trips.
-func TestBatchedClientCoalescesConcurrentPublishes(t *testing.T) {
-	rs := startRecordingServer(t, 5*time.Millisecond)
-	c, err := DialBatched(rs.ln.Addr().String(), BatchConfig{MaxBatch: 64})
+	conn := c.AsConn()
+	sub, err := conn.Subscribe("q", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	const n = 32
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := c.Publish("q", []byte(fmt.Sprintf("m%d", i))); err != nil {
-				t.Errorf("publish %d: %v", i, err)
-			}
-		}(i)
+	abc := [][]byte{[]byte("a"), []byte("b"), []byte("c")}
+	steps := []struct {
+		do   func() error
+		want string
+	}{
+		{func() error { return conn.PublishBatch("q", abc[:1], nil) }, protocol.EnvPublish},
+		{func() error { return c.Publish("q", []byte("solo")) }, protocol.EnvPublish},
+		{func() error { return conn.PublishBatch("q", abc, nil) }, protocol.EnvPublishBatch},
+		{func() error { return sub.Ack(7) }, protocol.EnvAck},
+		{func() error { return sub.Ack(8, 9, 10) }, protocol.EnvAckBatch},
+		{func() error { return AckBatchOn(sub, []uint64{11}) }, protocol.EnvAck},
+		{func() error { return conn.PublishBatch("q", nil, nil) }, ""},
+		{func() error { return sub.Ack() }, ""},
 	}
-	wg.Wait()
-	frames := rs.recorded()
-	if len(frames) >= n {
-		t.Fatalf("%d publishes used %d frames; group commit should coalesce", n, len(frames))
-	}
-	sawBatch := false
-	for _, typ := range frames {
-		if typ == protocol.EnvPublishBatch {
-			sawBatch = true
+	want := []string{protocol.EnvConsume}
+	for i, st := range steps {
+		if err := st.do(); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		if st.want != "" {
+			want = append(want, st.want)
 		}
 	}
-	if !sawBatch {
-		t.Fatalf("no %s frame among %v", protocol.EnvPublishBatch, frames)
+	if got := rs.recorded(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("recorded frames = %v, want %v (one frame per call)", got, want)
 	}
 }
 
@@ -266,7 +255,7 @@ func TestChaosBatchedWirePartialAck(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	first, err := DialBatched(s.Addr(), BatchConfig{MaxBatch: n})
+	first, err := dialBatching(s.Addr(), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +276,7 @@ func TestChaosBatchedWirePartialAck(t *testing.T) {
 		}
 	}
 	// Ack the first half of the batch only, then drop the connection.
-	if err := rc.AckBatch(tags[:n/2]); err != nil {
+	if err := rc.Ack(tags[:n/2]...); err != nil {
 		t.Fatal(err)
 	}
 	first.Close()
@@ -326,10 +315,26 @@ func TestChaosBatchedWirePartialAck(t *testing.T) {
 	}
 }
 
+// replyLossConn forwards a publish and then, when armed, reports the
+// connection lost: the batch landed but its confirmation did not.
+type replyLossConn struct {
+	Conn
+	armed *atomic.Bool
+}
+
+func (c replyLossConn) PublishBatch(queue string, bodies [][]byte, traces []*trace.Context) error {
+	err := c.Conn.PublishBatch(queue, bodies, traces)
+	if err == nil && c.armed.CompareAndSwap(true, false) {
+		return ErrClosed
+	}
+	return err
+}
+
 // TestReconnectingBatchedConnSurvivesRestart runs the server-restart chaos
-// drill with wire batching enabled end to end: a ReconnectingConn dialing
-// batched clients keeps publishing (via PublishBatch) and consuming across
-// a broker front-end restart.
+// drill on the wire the binaries use: a ReconnectingConn dialing batching
+// clients keeps publishing batches and consuming across a broker front-end
+// restart, and a batch whose confirmation is lost is retried as a unit — the
+// consumer sees the whole batch twice, in order, and nothing is lost.
 func TestReconnectingBatchedConnSurvivesRestart(t *testing.T) {
 	b := New()
 	defer b.Close()
@@ -339,12 +344,13 @@ func TestReconnectingBatchedConnSurvivesRestart(t *testing.T) {
 	}
 	addr := s.Addr()
 
+	var loseReply atomic.Bool
 	rc, err := NewReconnecting(ReconnectConfig{Dial: func() (Conn, error) {
-		c, err := DialBatched(addr, BatchConfig{MaxBatch: 16})
+		c, err := dialBatching(addr, 16)
 		if err != nil {
 			return nil, err
 		}
-		return c.AsConn(), nil
+		return replyLossConn{c.AsConn(), &loseReply}, nil
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -404,4 +410,21 @@ func TestReconnectingBatchedConnSurvivesRestart(t *testing.T) {
 	}
 	recv("after0", 5*time.Second)
 	recv("after1", 5*time.Second)
+
+	// The batch lands, the confirmation is lost, the conn redials and sends
+	// the batch again: at-least-once, as a unit.
+	retries := rc.Metrics.Counter("publish_retries").Value()
+	loseReply.Store(true)
+	if err := rc.PublishBatch("q", [][]byte{[]byte("dup0"), []byte("dup1")}, nil); err != nil {
+		t.Fatalf("batch publish with a lost reply: %v", err)
+	}
+	if got := rc.Metrics.Counter("publish_retries").Value() - retries; got != 1 {
+		t.Fatalf("publish_retries moved by %d, want 1 (one retry for the whole batch)", got)
+	}
+	for _, want := range []string{"dup0", "dup1", "dup0", "dup1"} {
+		recv(want, 5*time.Second)
+	}
+	if d, _ := b.Depth("q"); d != 0 {
+		t.Fatalf("%d messages left on the queue", d)
+	}
 }

@@ -168,22 +168,16 @@ func (b *Broker) Delete(name string) error {
 	return nil
 }
 
-// Publish appends body to the named queue.
+// Publish appends one body to the named queue: a batch of one.
 func (b *Broker) Publish(name string, body []byte) error {
-	return b.PublishTraced(name, body, nil)
+	return b.PublishBatch(name, [][]byte{body}, nil)
 }
 
-// PublishTraced is Publish with a trace context: the context rides with the
-// message to its consumer, and queue transit is recorded as a child
-// "broker.deliver" span when the broker has a Tracer.
-func (b *Broker) PublishTraced(name string, body []byte, tc *trace.Context) error {
-	return b.publishPriority(name, [][]byte{body}, []*trace.Context{tc}, false)
-}
-
-// PublishBatch appends several messages to one queue under a single lock
-// acquisition and a single dispatch pass — the in-process half of wire
-// batching. traces may be nil (no message traced) or parallel to bodies.
-// Messages publish at batch (normal) priority.
+// PublishBatch appends messages to one queue under a single lock
+// acquisition and a single dispatch pass. traces may be nil (no message
+// traced) or parallel to bodies: each context rides with its message to the
+// consumer, and queue transit is recorded as a child "broker.deliver" span
+// when the broker has a Tracer. Messages publish at batch (normal) priority.
 func (b *Broker) PublishBatch(name string, bodies [][]byte, traces []*trace.Context) error {
 	return b.publishPriority(name, bodies, traces, false)
 }
@@ -526,21 +520,6 @@ func (q *queue) pickConsumerLocked() *Consumer {
 	return nil
 }
 
-func (q *queue) ack(c *Consumer, tag uint64) error {
-	q.mu.Lock()
-	e, ok := c.unacked[tag]
-	if !ok {
-		q.mu.Unlock()
-		return ErrUnknownTag
-	}
-	delete(c.unacked, tag)
-	q.acked.Inc()
-	q.dispatchLocked()
-	q.mu.Unlock()
-	q.journalAck(e.id)
-	return nil
-}
-
 // journalAck records acked message IDs (fire-and-forget). Called outside
 // q.mu so a slow journal never blocks dispatch.
 func (q *queue) journalAck(ids ...uint64) {
@@ -559,10 +538,10 @@ func (q *queue) journalAck(ids ...uint64) {
 	}
 }
 
-// ackBatch acknowledges every tag under one lock acquisition, dispatching
-// once at the end. Unknown tags (stale after a reconnect) are skipped; the
-// error reports how many, after the valid tags have all been acked.
-func (q *queue) ackBatch(c *Consumer, tags []uint64) error {
+// ack acknowledges every tag under one lock acquisition, dispatching once at
+// the end. Unknown tags (stale after a reconnect) are skipped; the error
+// reports how many, after the valid tags have all been acked.
+func (q *queue) ack(c *Consumer, tags []uint64) error {
 	q.mu.Lock()
 	unknown := 0
 	ackedIDs := make([]uint64, 0, len(tags))
@@ -580,7 +559,7 @@ func (q *queue) ackBatch(c *Consumer, tags []uint64) error {
 	q.mu.Unlock()
 	q.journalAck(ackedIDs...)
 	if unknown > 0 {
-		return fmt.Errorf("%w: %d of %d tags in batch", ErrUnknownTag, unknown, len(tags))
+		return fmt.Errorf("%w: %d of %d tags", ErrUnknownTag, unknown, len(tags))
 	}
 	return nil
 }
@@ -608,7 +587,7 @@ func (q *queue) reject(b *Broker, c *Consumer, tag uint64) error {
 	if err := b.Declare(dlq); err != nil {
 		return err
 	}
-	return b.PublishTraced(dlq, e.body, e.tc)
+	return b.PublishBatch(dlq, [][]byte{e.body}, []*trace.Context{e.tc})
 }
 
 // nack returns a message to the front of the queue for redelivery. The
@@ -701,12 +680,9 @@ type Consumer struct {
 // queue closes.
 func (c *Consumer) Messages() <-chan Message { return c.ch }
 
-// Ack acknowledges a delivered message by tag.
-func (c *Consumer) Ack(tag uint64) error { return c.q.ack(c, tag) }
-
-// AckBatch acknowledges many tags in one queue-lock round trip. Stale tags
-// are skipped (reported in the error) after valid ones are acked.
-func (c *Consumer) AckBatch(tags []uint64) error { return c.q.ackBatch(c, tags) }
+// Ack acknowledges delivered messages by tag in one queue-lock round trip.
+// Stale tags are skipped (reported in the error) after valid ones are acked.
+func (c *Consumer) Ack(tags ...uint64) error { return c.q.ack(c, tags) }
 
 // Nack rejects a delivered message; it is requeued at the front and will be
 // flagged Redelivered.

@@ -11,38 +11,14 @@ import (
 	"globuscompute/internal/trace"
 )
 
-// BatchConfig tunes client-side wire batching (see docs/PERFORMANCE.md).
-// Batching is transparent to callers: Publish/Ack keep their signatures and
-// semantics; concurrent calls are coalesced into publish_batch / ack_batch
-// frames by a group-commit flusher.
+// BatchConfig sizes the delivery batches a client asks the server for (see
+// docs/PERFORMANCE.md). Publishes and acks are batched by the caller:
+// PublishBatch and Ack take N items and send one frame.
 type BatchConfig struct {
-	// MaxBatch bounds messages per batch frame (default 64). Flushing is
-	// pure group commit: the first message flushes immediately and whatever
-	// arrives while its reply is in flight forms the next batch — no added
-	// latency at low load, large batches at saturation.
+	// MaxBatch bounds deliveries per delivery_batch frame (default 64). The
+	// server coalesces only what is already buffered for the consumer, so a
+	// lone message still arrives at once as a plain delivery.
 	MaxBatch int
-}
-
-func (bc BatchConfig) withDefaults() BatchConfig {
-	if bc.MaxBatch <= 0 {
-		bc.MaxBatch = 64
-	}
-	return bc
-}
-
-// pendingPub is one Publish waiting inside the flusher queue.
-type pendingPub struct {
-	queue string
-	body  []byte
-	tc    *trace.Context
-	done  chan error
-}
-
-// pendingAck is one Ack waiting inside the flusher queue.
-type pendingAck struct {
-	queue string
-	tag   uint64
-	done  chan error
 }
 
 // Client is a TCP connection to a broker Server. It multiplexes
@@ -65,13 +41,9 @@ type Client struct {
 	wantBin bool
 	binOK   bool
 
-	// Wire batching (EnableBatching). pubQ/ackQ are guarded by mu; flushCh
-	// wakes the flusher; done stops it.
-	batch   *BatchConfig
-	pubQ    []pendingPub
-	ackQ    []pendingAck
-	flushCh chan struct{}
-	done    chan struct{}
+	// maxBatch, when > 0 (EnableBatching), makes every Consume ask for
+	// delivery_batch frames of up to that many messages.
+	maxBatch int
 }
 
 // newClient wraps an established connection (plain or TLS).
@@ -95,41 +67,24 @@ func Dial(addr string) (*Client, error) {
 	return c, nil
 }
 
-// DialBatched is Dial with wire batching enabled.
-func DialBatched(addr string, cfg BatchConfig) (*Client, error) {
-	c, err := Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	c.EnableBatching(cfg)
-	return c, nil
-}
-
-// EnableBatching turns on wire batching for publishes, acks, and deliveries
-// on this client. Call before issuing traffic; enabling twice is a no-op.
-// The server must understand batch envelopes (same-version server); against
-// an old server, leave batching off — every frame the unbatched client sends
-// is unchanged.
+// EnableBatching makes consumers opened on this client ask the server for
+// delivery_batch frames of up to cfg.MaxBatch messages. Call before Consume.
+// A server that predates the consume.batch field ignores it and keeps
+// sending plain deliveries.
 func (c *Client) EnableBatching(cfg BatchConfig) {
-	cfg = cfg.withDefaults()
-	c.mu.Lock()
-	if c.batch != nil || c.closed {
-		c.mu.Unlock()
-		return
+	if cfg.MaxBatch <= 0 {
+		cfg.MaxBatch = 64
 	}
-	c.batch = &cfg
-	flushCh := make(chan struct{}, 1)
-	done := make(chan struct{})
-	c.flushCh, c.done = flushCh, done
+	c.mu.Lock()
+	c.maxBatch = cfg.MaxBatch
 	c.mu.Unlock()
-	go c.flusher(cfg, flushCh, done)
 }
 
 // EnableBinary opts this client into the binary hot-path codec. Call before
 // issuing traffic: each Declare/Consume advertises the capability, and the
 // writer switches to binary frames once the server confirms (old servers
-// ignore the advertisement and the connection stays JSON). Safe to combine
-// with EnableBatching; the negotiated codec applies to batch frames too.
+// ignore the advertisement and the connection stays JSON). The negotiated
+// codec applies to batch frames too.
 func (c *Client) EnableBinary() {
 	c.mu.Lock()
 	c.wantBin = true
@@ -153,20 +108,7 @@ func (c *Client) Close() error {
 	}
 	c.closed = true
 	c.mu.Unlock()
-	c.stopFlusher()
 	return c.conn.Close()
-}
-
-// stopFlusher shuts the batching flusher down exactly once (idempotent; a
-// no-op when batching was never enabled).
-func (c *Client) stopFlusher() {
-	c.mu.Lock()
-	done := c.done
-	c.done = nil
-	c.mu.Unlock()
-	if done != nil {
-		close(done)
-	}
 }
 
 func (c *Client) readLoop() {
@@ -241,7 +183,6 @@ func (c *Client) readLoop() {
 		delete(c.streams, q)
 	}
 	c.mu.Unlock()
-	c.stopFlusher()
 }
 
 func (c *Client) complete(id string, err error) {
@@ -303,201 +244,28 @@ func (c *Client) Declare(queue string) error {
 	return c.call(protocol.EnvDeclare, &declareBody{Queue: queue, Bin: c.advertiseBin()})
 }
 
-// Publish appends body to the remote queue.
+// Publish appends one body to the remote queue: a batch of one.
 func (c *Client) Publish(queue string, body []byte) error {
-	return c.PublishTraced(queue, body, nil)
+	return c.PublishBatch(queue, [][]byte{body}, nil)
 }
 
-// PublishTraced appends body to the remote queue with a trace context on
-// the publish envelope; the server propagates it to the delivery. With
-// batching enabled the publish may be coalesced with concurrent ones into a
-// publish_batch frame; the call still blocks until the broker confirms.
-func (c *Client) PublishTraced(queue string, body []byte, tc *trace.Context) error {
-	c.mu.Lock()
-	batching := c.batch != nil && !c.closed
-	c.mu.Unlock()
-	if batching {
-		return c.enqueuePub(queue, body, tc)
-	}
-	return c.callTraced(protocol.EnvPublish, &publishBody{Queue: queue, Body: body}, tc)
-}
-
-// PublishBatch sends every body to one queue in a single publish_batch
-// frame and waits for the broker's single confirmation. traces may be nil
-// or parallel to bodies.
+// PublishBatch sends bodies to one queue in a single frame and waits for the
+// broker's single confirmation. traces may be nil or parallel to bodies; the
+// server propagates each context to its delivery. This is the one place that
+// knows the wire's lone-message rule: one body travels as the plain publish
+// envelope (its trace on the envelope), N as one publish_batch.
 func (c *Client) PublishBatch(queue string, bodies [][]byte, traces []*trace.Context) error {
-	if len(bodies) == 0 {
+	switch len(bodies) {
+	case 0:
 		return nil
+	case 1:
+		var tc *trace.Context
+		if len(traces) > 0 {
+			tc = traces[0]
+		}
+		return c.callTraced(protocol.EnvPublish, &publishBody{Queue: queue, Body: bodies[0]}, tc)
 	}
 	return c.call(protocol.EnvPublishBatch, &publishBatchBody{Queue: queue, Bodies: bodies, Traces: traces})
-}
-
-// enqueuePub hands a publish to the flusher and waits for its completion.
-func (c *Client) enqueuePub(queue string, body []byte, tc *trace.Context) error {
-	p := pendingPub{queue: queue, body: body, tc: tc, done: make(chan error, 1)}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return ErrClosed
-	}
-	c.pubQ = append(c.pubQ, p)
-	flushCh := c.flushCh
-	c.mu.Unlock()
-	signalFlush(flushCh)
-	select {
-	case err := <-p.done:
-		return err
-	case <-time.After(30 * time.Second):
-		return fmt.Errorf("broker: batched publish timed out")
-	}
-}
-
-// enqueueAck hands an ack to the flusher and waits for its completion.
-func (c *Client) enqueueAck(queue string, tag uint64) error {
-	a := pendingAck{queue: queue, tag: tag, done: make(chan error, 1)}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return ErrClosed
-	}
-	c.ackQ = append(c.ackQ, a)
-	flushCh := c.flushCh
-	c.mu.Unlock()
-	signalFlush(flushCh)
-	select {
-	case err := <-a.done:
-		return err
-	case <-time.After(30 * time.Second):
-		return fmt.Errorf("broker: batched ack timed out")
-	}
-}
-
-func signalFlush(ch chan struct{}) {
-	select {
-	case ch <- struct{}{}:
-	default: // a flush is already pending
-	}
-}
-
-// flusher is the group-commit loop: each wakeup drains everything queued,
-// groups it by queue, and sends publish_batch / ack_batch frames (a lone
-// message degrades to a plain publish/ack — identical to the unbatched
-// wire). While a batch's reply is in flight new calls accumulate, so batch
-// size adapts to offered load.
-func (c *Client) flusher(cfg BatchConfig, flushCh chan struct{}, done chan struct{}) {
-	for {
-		select {
-		case <-done:
-			c.failQueued(ErrClosed)
-			return
-		case <-flushCh:
-		}
-		for {
-			c.mu.Lock()
-			pubs, acks := c.pubQ, c.ackQ
-			c.pubQ, c.ackQ = nil, nil
-			c.mu.Unlock()
-			if len(pubs) == 0 && len(acks) == 0 {
-				break
-			}
-			c.flushPubs(pubs, cfg.MaxBatch)
-			c.flushAcks(acks, cfg.MaxBatch)
-		}
-	}
-}
-
-// failQueued completes every queued-but-unsent operation with err.
-func (c *Client) failQueued(err error) {
-	c.mu.Lock()
-	pubs, acks := c.pubQ, c.ackQ
-	c.pubQ, c.ackQ = nil, nil
-	c.mu.Unlock()
-	for _, p := range pubs {
-		p.done <- err
-	}
-	for _, a := range acks {
-		a.done <- err
-	}
-}
-
-// flushPubs sends queued publishes grouped by queue, chunked at maxBatch,
-// preserving per-queue FIFO order.
-func (c *Client) flushPubs(pubs []pendingPub, maxBatch int) {
-	byQueue := make(map[string][]pendingPub)
-	var order []string
-	for _, p := range pubs {
-		if _, ok := byQueue[p.queue]; !ok {
-			order = append(order, p.queue)
-		}
-		byQueue[p.queue] = append(byQueue[p.queue], p)
-	}
-	for _, q := range order {
-		group := byQueue[q]
-		for len(group) > 0 {
-			n := len(group)
-			if n > maxBatch {
-				n = maxBatch
-			}
-			chunk := group[:n]
-			group = group[n:]
-			if n == 1 {
-				chunk[0].done <- c.callTraced(protocol.EnvPublish, &publishBody{Queue: q, Body: chunk[0].body}, chunk[0].tc)
-				continue
-			}
-			bodies := make([][]byte, n)
-			var traces []*trace.Context
-			for i, p := range chunk {
-				bodies[i] = p.body
-				if p.tc != nil && traces == nil {
-					traces = make([]*trace.Context, n)
-				}
-			}
-			if traces != nil {
-				for i, p := range chunk {
-					traces[i] = p.tc
-				}
-			}
-			err := c.call(protocol.EnvPublishBatch, &publishBatchBody{Queue: q, Bodies: bodies, Traces: traces})
-			for _, p := range chunk {
-				p.done <- err
-			}
-		}
-	}
-}
-
-// flushAcks sends queued acks grouped by queue, chunked at maxBatch.
-func (c *Client) flushAcks(acks []pendingAck, maxBatch int) {
-	byQueue := make(map[string][]pendingAck)
-	var order []string
-	for _, a := range acks {
-		if _, ok := byQueue[a.queue]; !ok {
-			order = append(order, a.queue)
-		}
-		byQueue[a.queue] = append(byQueue[a.queue], a)
-	}
-	for _, q := range order {
-		group := byQueue[q]
-		for len(group) > 0 {
-			n := len(group)
-			if n > maxBatch {
-				n = maxBatch
-			}
-			chunk := group[:n]
-			group = group[n:]
-			if n == 1 {
-				chunk[0].done <- c.call(protocol.EnvAck, &ackBody{Queue: q, Tag: chunk[0].tag})
-				continue
-			}
-			tags := make([]uint64, n)
-			for i, a := range chunk {
-				tags[i] = a.tag
-			}
-			err := c.call(protocol.EnvAckBatch, &ackBatchBody{Queue: q, Tags: tags})
-			for _, a := range chunk {
-				a.done <- err
-			}
-		}
-	}
 }
 
 // Ping round-trips a heartbeat.
@@ -511,8 +279,8 @@ func (c *Client) DeleteQueue(queue string) error {
 	return c.call(protocol.EnvShutdown, &declareBody{Queue: queue})
 }
 
-// RemoteConsumer mirrors Consumer for a TCP client: a delivery channel plus
-// Ack/Nack that round-trip to the server.
+// RemoteConsumer mirrors Consumer for a TCP client — a delivery channel plus
+// Ack/Nack that round-trip to the server — and is the TCP Subscription.
 type RemoteConsumer struct {
 	c     *Client
 	queue string
@@ -520,8 +288,8 @@ type RemoteConsumer struct {
 }
 
 // Consume begins consuming the remote queue. Only one consumer per queue per
-// client connection is permitted (the server enforces this). When batching
-// is enabled the consumer opts into delivery_batch frames from the server.
+// client connection is permitted (the server enforces this). After
+// EnableBatching the consumer opts into delivery_batch frames from the server.
 func (c *Client) Consume(queue string, prefetch int) (*RemoteConsumer, error) {
 	if prefetch <= 0 {
 		prefetch = 1
@@ -533,13 +301,10 @@ func (c *Client) Consume(queue string, prefetch int) (*RemoteConsumer, error) {
 		return nil, fmt.Errorf("broker: already consuming %q", queue)
 	}
 	c.streams[queue] = rc
-	batch := c.batch
+	maxBatch := c.maxBatch
 	c.mu.Unlock()
-	req := &consumeBody{Queue: queue, Prefetch: prefetch, Bin: c.advertiseBin()}
-	if batch != nil {
-		req.Batch = true
-		req.MaxBatch = batch.MaxBatch
-	}
+	req := &consumeBody{Queue: queue, Prefetch: prefetch, Bin: c.advertiseBin(),
+		Batch: maxBatch > 0, MaxBatch: maxBatch}
 	if err := c.call(protocol.EnvConsume, req); err != nil {
 		c.mu.Lock()
 		delete(c.streams, queue)
@@ -553,23 +318,14 @@ func (c *Client) Consume(queue string, prefetch int) (*RemoteConsumer, error) {
 // drops.
 func (rc *RemoteConsumer) Messages() <-chan Message { return rc.ch }
 
-// Ack acknowledges a delivery by tag. With batching enabled, concurrent
-// acks coalesce into ack_batch frames.
-func (rc *RemoteConsumer) Ack(tag uint64) error {
-	rc.c.mu.Lock()
-	batching := rc.c.batch != nil && !rc.c.closed
-	rc.c.mu.Unlock()
-	if batching {
-		return rc.c.enqueueAck(rc.queue, tag)
-	}
-	return rc.c.call(protocol.EnvAck, &ackBody{Queue: rc.queue, Tag: tag})
-}
-
-// AckBatch acknowledges many tags in one ack_batch frame and one broker
-// lock round trip.
-func (rc *RemoteConsumer) AckBatch(tags []uint64) error {
-	if len(tags) == 0 {
+// Ack acknowledges deliveries by tag in one frame and one broker lock round
+// trip: one tag travels as the plain ack envelope, N as one ack_batch.
+func (rc *RemoteConsumer) Ack(tags ...uint64) error {
+	switch len(tags) {
+	case 0:
 		return nil
+	case 1:
+		return rc.c.call(protocol.EnvAck, &ackBody{Queue: rc.queue, Tag: tags[0]})
 	}
 	return rc.c.call(protocol.EnvAckBatch, &ackBatchBody{Queue: rc.queue, Tags: tags})
 }

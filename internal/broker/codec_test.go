@@ -23,7 +23,7 @@ func roundTrip(t *testing.T, pub, sub *Client, queue string, n int) {
 	}
 	tc := &trace.Context{TraceID: trace.NewTraceID(), SpanID: trace.NewSpanID()}
 	for i := 0; i < n; i++ {
-		if err := pub.PublishTraced(queue, []byte(fmt.Sprintf("msg-%d", i)), tc); err != nil {
+		if err := pub.PublishBatch(queue, [][]byte{[]byte(fmt.Sprintf("msg-%d", i))}, []*trace.Context{tc}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -75,13 +75,13 @@ func TestBinaryCodecNegotiated(t *testing.T) {
 
 func TestBinaryCodecWithBatching(t *testing.T) {
 	s, _ := newTestServer(t)
-	pub, err := DialBatched(s.Addr(), BatchConfig{MaxBatch: 16})
+	pub, err := dialBatching(s.Addr(), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pub.Close()
 	pub.EnableBinary()
-	sub, err := DialBatched(s.Addr(), BatchConfig{MaxBatch: 16})
+	sub, err := dialBatching(s.Addr(), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestReconnectKeepsNegotiatedCodec(t *testing.T) {
 		t.Fatal("first connection did not negotiate binary")
 	}
 
-	if err := rc.Publish(queue, []byte("before-drop")); err != nil {
+	if err := publish(rc, queue, []byte("before-drop")); err != nil {
 		t.Fatal(err)
 	}
 	var m Message
@@ -238,7 +238,7 @@ func TestReconnectKeepsNegotiatedCodec(t *testing.T) {
 	if lastClient == first || !lastClient.BinaryNegotiated() {
 		t.Error("reconnected client did not re-negotiate binary")
 	}
-	if err := rc.Publish(queue, []byte("after-drop")); err != nil {
+	if err := publish(rc, queue, []byte("after-drop")); err != nil {
 		t.Fatal(err)
 	}
 	select {

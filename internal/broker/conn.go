@@ -8,14 +8,14 @@ import (
 
 // Conn abstracts a broker connection so components (endpoint agents, the
 // MEP, the SDK result stream) work identically against an in-process Broker
-// or a TCP Client.
+// or a TCP Client. The batch form is the operation: one message is a batch
+// of one.
 type Conn interface {
 	Declare(queue string) error
-	Publish(queue string, body []byte) error
-	// PublishTraced is Publish carrying a trace context with the message
-	// (on the envelope for TCP connections), so consumers can continue the
-	// publisher's trace. A nil context is equivalent to Publish.
-	PublishTraced(queue string, body []byte, tc *trace.Context) error
+	// PublishBatch appends bodies to queue in one round trip; the batch lands
+	// or fails as a unit. traces is nil or parallel to bodies: each context
+	// rides with its message so consumers can continue the publisher's trace.
+	PublishBatch(queue string, bodies [][]byte, traces []*trace.Context) error
 	Subscribe(queue string, prefetch int) (Subscription, error)
 	// Delete removes a queue, dropping pending messages (used to clean up
 	// per-executor group queues and deregistered endpoints).
@@ -25,7 +25,10 @@ type Conn interface {
 // Subscription is a cancellable consumer.
 type Subscription interface {
 	Messages() <-chan Message
-	Ack(tag uint64) error
+	// Ack acknowledges every tag in one round trip. Unknown tags (stale after
+	// a reconnect) are skipped and reported in the error after the valid ones
+	// are acked; their messages simply redeliver.
+	Ack(tags ...uint64) error
 	Nack(tag uint64) error
 	// Reject dead-letters a poison message to "<queue>.dlq".
 	Reject(tag uint64) error
@@ -33,52 +36,13 @@ type Subscription interface {
 	Cancel() error
 }
 
-// BatchPublisher is the optional Conn capability of publishing N messages
-// to one queue in a single wire frame / lock round trip. All Conns in this
-// package implement it; third-party wrappers (fault injectors) may not.
-type BatchPublisher interface {
-	PublishBatch(queue string, bodies [][]byte, traces []*trace.Context) error
-}
-
-// BatchAcker is the optional Subscription capability of acknowledging N
-// tags at once.
-type BatchAcker interface {
-	AckBatch(tags []uint64) error
-}
-
-// PublishBatchOn publishes a batch through c's fast path when it has one,
-// falling back to sequential PublishTraced otherwise (wrapped Conns).
+// PublishBatchOn and AckBatchOn are the function spellings of
+// Conn.PublishBatch and Subscription.Ack that benchmark/ calls.
 func PublishBatchOn(c Conn, queue string, bodies [][]byte, traces []*trace.Context) error {
-	if bp, ok := c.(BatchPublisher); ok {
-		return bp.PublishBatch(queue, bodies, traces)
-	}
-	for i, body := range bodies {
-		var tc *trace.Context
-		if i < len(traces) {
-			tc = traces[i]
-		}
-		if err := c.PublishTraced(queue, body, tc); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.PublishBatch(queue, bodies, traces)
 }
 
-// AckBatchOn acknowledges tags through s's batch path when it has one,
-// falling back to per-tag Acks (first error wins, remaining tags still
-// acked — the broker requeues whatever stays unacknowledged).
-func AckBatchOn(s Subscription, tags []uint64) error {
-	if ba, ok := s.(BatchAcker); ok {
-		return ba.AckBatch(tags)
-	}
-	var firstErr error
-	for _, tag := range tags {
-		if err := s.Ack(tag); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
+func AckBatchOn(s Subscription, tags []uint64) error { return s.Ack(tags...) }
 
 // localConn adapts *Broker to Conn.
 type localConn struct{ b *Broker }
@@ -86,13 +50,8 @@ type localConn struct{ b *Broker }
 // LocalConn wraps an in-process broker as a Conn.
 func LocalConn(b *Broker) Conn { return localConn{b} }
 
-func (l localConn) Declare(queue string) error              { return l.b.Declare(queue) }
-func (l localConn) Publish(queue string, body []byte) error { return l.b.Publish(queue, body) }
-func (l localConn) Delete(queue string) error               { return l.b.Delete(queue) }
-
-func (l localConn) PublishTraced(queue string, body []byte, tc *trace.Context) error {
-	return l.b.PublishTraced(queue, body, tc)
-}
+func (l localConn) Declare(queue string) error { return l.b.Declare(queue) }
+func (l localConn) Delete(queue string) error  { return l.b.Delete(queue) }
 
 func (l localConn) PublishBatch(queue string, bodies [][]byte, traces []*trace.Context) error {
 	return l.b.PublishBatch(queue, bodies, traces)
@@ -106,24 +65,10 @@ func (l localConn) Subscribe(queue string, prefetch int) (Subscription, error) {
 	return localSub{c}, nil
 }
 
-type localSub struct{ c *Consumer }
+// localSub adapts *Consumer to Subscription (Close becomes Cancel).
+type localSub struct{ *Consumer }
 
-func (s localSub) Messages() <-chan Message     { return s.c.Messages() }
-func (s localSub) Ack(tag uint64) error         { return s.c.Ack(tag) }
-func (s localSub) AckBatch(tags []uint64) error { return s.c.AckBatch(tags) }
-func (s localSub) Nack(tag uint64) error        { return s.c.Nack(tag) }
-func (s localSub) Reject(tag uint64) error      { return s.c.Reject(tag) }
-func (s localSub) Cancel() error                { s.c.Close(); return nil }
-
-// remoteSub adapts *RemoteConsumer to Subscription.
-type remoteSub struct{ rc *RemoteConsumer }
-
-func (s remoteSub) Messages() <-chan Message     { return s.rc.Messages() }
-func (s remoteSub) Ack(tag uint64) error         { return s.rc.Ack(tag) }
-func (s remoteSub) AckBatch(tags []uint64) error { return s.rc.AckBatch(tags) }
-func (s remoteSub) Nack(tag uint64) error        { return s.rc.Nack(tag) }
-func (s remoteSub) Reject(tag uint64) error      { return s.rc.Reject(tag) }
-func (s remoteSub) Cancel() error                { return s.rc.Cancel() }
+func (s localSub) Cancel() error { s.Close(); return nil }
 
 // clientConn adapts *Client to Conn.
 type clientConn struct{ c *Client }
@@ -131,17 +76,12 @@ type clientConn struct{ c *Client }
 // AsConn wraps a TCP client as a Conn.
 func (c *Client) AsConn() Conn { return clientConn{c} }
 
-func (cc clientConn) Declare(queue string) error              { return cc.c.Declare(queue) }
-func (cc clientConn) Publish(queue string, body []byte) error { return cc.c.Publish(queue, body) }
-func (cc clientConn) Delete(queue string) error               { return cc.c.DeleteQueue(queue) }
+func (cc clientConn) Declare(queue string) error { return cc.c.Declare(queue) }
+func (cc clientConn) Delete(queue string) error  { return cc.c.DeleteQueue(queue) }
 
 // Close tears down the underlying TCP client (ReconnectingConn discards
 // stale connections through this).
 func (cc clientConn) Close() error { return cc.c.Close() }
-
-func (cc clientConn) PublishTraced(queue string, body []byte, tc *trace.Context) error {
-	return cc.c.PublishTraced(queue, body, tc)
-}
 
 func (cc clientConn) PublishBatch(queue string, bodies [][]byte, traces []*trace.Context) error {
 	return cc.c.PublishBatch(queue, bodies, traces)
@@ -152,5 +92,5 @@ func (cc clientConn) Subscribe(queue string, prefetch int) (Subscription, error)
 	if err != nil {
 		return nil, fmt.Errorf("broker: subscribe %q: %w", queue, err)
 	}
-	return remoteSub{rc}, nil
+	return rc, nil
 }

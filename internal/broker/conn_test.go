@@ -6,6 +6,11 @@ import (
 )
 
 // connRoundTrip exercises a Conn implementation uniformly.
+// publish sends one body through a Conn: a batch of one.
+func publish(c Conn, queue string, body []byte) error {
+	return c.PublishBatch(queue, [][]byte{body}, nil)
+}
+
 func connRoundTrip(t *testing.T, conn Conn) {
 	t.Helper()
 	if err := conn.Declare("q"); err != nil {
@@ -15,7 +20,7 @@ func connRoundTrip(t *testing.T, conn Conn) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := conn.Publish("q", []byte("one")); err != nil {
+	if err := publish(conn, "q", []byte("one")); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -30,7 +35,7 @@ func connRoundTrip(t *testing.T, conn Conn) {
 		t.Fatal("no delivery")
 	}
 	// Nack redelivers.
-	conn.Publish("q", []byte("two"))
+	publish(conn, "q", []byte("two"))
 	m := <-sub.Messages()
 	sub.Nack(m.Tag)
 	m2 := <-sub.Messages()
@@ -72,7 +77,7 @@ func TestRejectDeadLetters(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			conn, b := mk(t)
 			conn.Declare("q")
-			conn.Publish("q", []byte("poison"))
+			publish(conn, "q", []byte("poison"))
 			sub, err := conn.Subscribe("q", 1)
 			if err != nil {
 				t.Fatal(err)
@@ -140,7 +145,7 @@ func TestRemoteCancelRequeues(t *testing.T) {
 	defer c.Close()
 	conn := c.AsConn()
 	conn.Declare("q")
-	conn.Publish("q", []byte("keep"))
+	publish(conn, "q", []byte("keep"))
 	sub, err := conn.Subscribe("q", 1)
 	if err != nil {
 		t.Fatal(err)

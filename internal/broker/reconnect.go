@@ -250,19 +250,12 @@ func (r *ReconnectingConn) Declare(queue string) error {
 	return r.op("declare", func(c Conn) error { return c.Declare(queue) })
 }
 
-func (r *ReconnectingConn) Publish(queue string, body []byte) error {
-	return r.op("publish", func(c Conn) error { return c.Publish(queue, body) })
-}
-
-func (r *ReconnectingConn) PublishTraced(queue string, body []byte, tc *trace.Context) error {
-	return r.op("publish", func(c Conn) error { return c.PublishTraced(queue, body, tc) })
-}
-
-// PublishBatch publishes a batch with reconnect-and-retry. Like Publish it
-// is at-least-once: a retry after a mid-batch connection loss may duplicate
-// messages that already landed, which consumers must tolerate anyway.
+// PublishBatch publishes a batch with reconnect-and-retry: a batch that fails
+// is retried as a unit. It is at-least-once: a retry after a connection lost
+// mid-reply may duplicate messages that already landed, which consumers must
+// tolerate anyway.
 func (r *ReconnectingConn) PublishBatch(queue string, bodies [][]byte, traces []*trace.Context) error {
-	return r.op("publish_batch", func(c Conn) error { return PublishBatchOn(c, queue, bodies, traces) })
+	return r.op("publish", func(c Conn) error { return c.PublishBatch(queue, bodies, traces) })
 }
 
 func (r *ReconnectingConn) Delete(queue string) error {
@@ -385,15 +378,12 @@ func (s *resilientSub) current() Subscription {
 	return s.inner
 }
 
-// Ack acknowledges a delivery. After a reconnect, tags from the previous
-// stream are stale: the ack fails and the broker redelivers the message.
-func (s *resilientSub) Ack(tag uint64) error    { return s.current().Ack(tag) }
-func (s *resilientSub) Nack(tag uint64) error   { return s.current().Nack(tag) }
-func (s *resilientSub) Reject(tag uint64) error { return s.current().Reject(tag) }
-
-// AckBatch acknowledges a batch of tags on the current stream. Stale tags
-// (from before a reconnect) fail and their messages simply redeliver.
-func (s *resilientSub) AckBatch(tags []uint64) error { return AckBatchOn(s.current(), tags) }
+// Ack acknowledges deliveries on the current stream. After a reconnect, tags
+// from the previous stream are stale: they fail and the broker redelivers
+// their messages.
+func (s *resilientSub) Ack(tags ...uint64) error { return s.current().Ack(tags...) }
+func (s *resilientSub) Nack(tag uint64) error    { return s.current().Nack(tag) }
+func (s *resilientSub) Reject(tag uint64) error  { return s.current().Reject(tag) }
 
 // Cancel permanently detaches the consumer; unacked deliveries requeue on
 // the broker.

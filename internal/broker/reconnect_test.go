@@ -41,7 +41,7 @@ func TestReconnectingConnSurvivesServerRestart(t *testing.T) {
 	}
 
 	// Normal delivery before the fault.
-	if err := rc.Publish("q", []byte("before")); err != nil {
+	if err := publish(rc, "q", []byte("before")); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -73,7 +73,7 @@ func TestReconnectingConnSurvivesServerRestart(t *testing.T) {
 
 	// Publishing retries through the redial; the consumer resubscribes and
 	// delivery continues on the same Messages channel.
-	if err := rc.Publish("q", []byte("after")); err != nil {
+	if err := publish(rc, "q", []byte("after")); err != nil {
 		t.Fatalf("publish after restart: %v", err)
 	}
 	select {
@@ -110,7 +110,7 @@ func TestReconnectingConnPublishGivesUp(t *testing.T) {
 	}
 	defer rc.Close()
 	done := make(chan error, 1)
-	go func() { done <- rc.Publish("q", []byte("x")) }()
+	go func() { done <- publish(rc, "q", []byte("x")) }()
 	select {
 	case err := <-done:
 		if err == nil {
@@ -136,7 +136,7 @@ func TestReconnectingConnNonTransientErrorNotRetried(t *testing.T) {
 	defer rc.Close()
 	// Publishing to an undeclared queue is a broker-level rejection, not a
 	// connection fault: it must fail immediately without burning retries.
-	if err := rc.Publish("no-such-queue", []byte("x")); err == nil {
+	if err := publish(rc, "no-such-queue", []byte("x")); err == nil {
 		t.Fatal("publish to missing queue succeeded")
 	}
 	if v := rc.Metrics.Counter("publish_retries").Value(); v != 0 {
@@ -157,7 +157,7 @@ func TestReconnectingConnCloseUnblocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- rc.Publish("q", []byte("x")) }()
+	go func() { done <- publish(rc, "q", []byte("x")) }()
 	time.Sleep(20 * time.Millisecond)
 	rc.Close()
 	select {

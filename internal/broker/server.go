@@ -10,6 +10,7 @@ import (
 
 	"globuscompute/internal/obs"
 	"globuscompute/internal/protocol"
+	"globuscompute/internal/trace"
 )
 
 // Wire bodies for the framed-TCP broker protocol now live in
@@ -167,7 +168,7 @@ func (s *Server) handle(conn net.Conn) {
 				reply(env.ID, err)
 				continue
 			}
-			reply(env.ID, s.B.PublishTraced(body.Queue, body.Body, env.Trace))
+			reply(env.ID, s.B.PublishBatch(body.Queue, [][]byte{body.Body}, []*trace.Context{env.Trace}))
 
 		case protocol.EnvPublishBatch:
 			var body publishBatchBody
@@ -208,7 +209,7 @@ func (s *Server) handle(conn net.Conn) {
 				reply(env.ID, fmt.Errorf("broker: not consuming %q", body.Queue))
 				continue
 			}
-			reply(env.ID, c.AckBatch(body.Tags))
+			reply(env.ID, c.Ack(body.Tags...))
 
 		case protocol.EnvAck, protocol.EnvNack:
 			var body ackBody

@@ -51,7 +51,7 @@ func TestDeliveryCarriesTraceContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	pub := &trace.Context{TraceID: trace.NewTraceID(), SpanID: trace.NewSpanID()}
-	if err := b.PublishTraced("tasks.ep", []byte("x"), pub); err != nil {
+	if err := b.PublishBatch("tasks.ep", [][]byte{[]byte("x")}, []*trace.Context{pub}); err != nil {
 		t.Fatal(err)
 	}
 	m := recvWithin(t, c.Messages(), 2*time.Second)
@@ -85,7 +85,7 @@ func TestNackPreservesTraceAndRecordsRequeue(t *testing.T) {
 		t.Fatal(err)
 	}
 	pub := &trace.Context{TraceID: trace.NewTraceID(), SpanID: trace.NewSpanID()}
-	if err := b.PublishTraced("q", []byte("poisonish"), pub); err != nil {
+	if err := b.PublishBatch("q", [][]byte{[]byte("poisonish")}, []*trace.Context{pub}); err != nil {
 		t.Fatal(err)
 	}
 	first := recvWithin(t, c.Messages(), 2*time.Second)
@@ -143,7 +143,7 @@ func TestDisconnectRequeuePreservesTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	pub := &trace.Context{TraceID: trace.NewTraceID(), SpanID: trace.NewSpanID()}
-	if err := b.PublishTraced("tasks.ep", []byte("task"), pub); err != nil {
+	if err := b.PublishBatch("tasks.ep", [][]byte{[]byte("task")}, []*trace.Context{pub}); err != nil {
 		t.Fatal(err)
 	}
 	m1 := recvWithin(t, rc1.Messages(), 2*time.Second)
@@ -199,7 +199,7 @@ func TestRejectPreservesTraceInDLQ(t *testing.T) {
 		t.Fatal(err)
 	}
 	pub := &trace.Context{TraceID: trace.NewTraceID(), SpanID: trace.NewSpanID()}
-	if err := b.PublishTraced("q", []byte("poison"), pub); err != nil {
+	if err := b.PublishBatch("q", [][]byte{[]byte("poison")}, []*trace.Context{pub}); err != nil {
 		t.Fatal(err)
 	}
 	m := recvWithin(t, c.Messages(), 2*time.Second)

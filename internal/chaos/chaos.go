@@ -102,12 +102,12 @@ func (i *Injector) SetDisabled(v bool) {
 // --- broker connection faults ---
 
 // ConnFaults configures fault injection on a broker.Conn. Probabilities are
-// per operation in [0,1].
+// per operation in [0,1]; a publish of N bodies is one operation.
 type ConnFaults struct {
-	// PublishFailRate fails Publish/PublishTraced with ErrInjected.
+	// PublishFailRate fails a publish call with ErrInjected.
 	PublishFailRate float64
-	// PublishDelay sleeps before each publish selected by PublishDelayRate
-	// (payload-delivery delay injection).
+	// PublishDelay sleeps before each publish call selected by
+	// PublishDelayRate (payload-delivery delay injection).
 	PublishDelay     time.Duration
 	PublishDelayRate float64
 	// DropRate drops the subscription on delivery: the message is still
@@ -134,18 +134,16 @@ type faultyConn struct {
 func (c *faultyConn) Declare(queue string) error { return c.inner.Declare(queue) }
 func (c *faultyConn) Delete(queue string) error  { return c.inner.Delete(queue) }
 
-func (c *faultyConn) Publish(queue string, body []byte) error {
-	return c.PublishTraced(queue, body, nil)
-}
-
-func (c *faultyConn) PublishTraced(queue string, body []byte, tc *trace.Context) error {
+// PublishBatch draws its faults once per call: a batch is delayed, fails or
+// lands as a unit, as on a real connection.
+func (c *faultyConn) PublishBatch(queue string, bodies [][]byte, traces []*trace.Context) error {
 	if c.inj.Decide("conn.publish_delay", c.f.PublishDelayRate) {
 		time.Sleep(c.f.PublishDelay)
 	}
 	if c.inj.Decide("conn.publish_fail", c.f.PublishFailRate) {
 		return ErrInjected
 	}
-	return c.inner.PublishTraced(queue, body, tc)
+	return c.inner.PublishBatch(queue, bodies, traces)
 }
 
 func (c *faultyConn) Subscribe(queue string, prefetch int) (broker.Subscription, error) {
@@ -186,7 +184,7 @@ func (s *faultySub) pump() {
 }
 
 func (s *faultySub) Messages() <-chan broker.Message { return s.out }
-func (s *faultySub) Ack(tag uint64) error            { return s.inner.Ack(tag) }
+func (s *faultySub) Ack(tags ...uint64) error        { return s.inner.Ack(tags...) }
 func (s *faultySub) Nack(tag uint64) error           { return s.inner.Nack(tag) }
 func (s *faultySub) Reject(tag uint64) error         { return s.inner.Reject(tag) }
 func (s *faultySub) Cancel() error                   { return s.inner.Cancel() }

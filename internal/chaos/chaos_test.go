@@ -57,15 +57,19 @@ func TestNilInjectorSafe(t *testing.T) {
 	inj.note("x") // must not panic
 }
 
+// TestConnPublishFault checks that the injector is batch-native: a publish of
+// N bodies draws one decision and fails or lands as a unit, and an ack of N
+// tags reaches the inner subscription as one call.
 func TestConnPublishFault(t *testing.T) {
 	b := broker.New()
 	defer b.Close()
 	inj := NewInjector(7)
+	batch := [][]byte{[]byte("x"), []byte("y"), []byte("z")}
 	conn := WrapConn(broker.LocalConn(b), inj, ConnFaults{PublishFailRate: 1.0})
 	if err := conn.Declare("q"); err != nil {
 		t.Fatal(err)
 	}
-	err := conn.Publish("q", []byte("x"))
+	err := conn.PublishBatch("q", batch, nil)
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}
@@ -73,7 +77,35 @@ func TestConnPublishFault(t *testing.T) {
 		t.Error("ErrInjected does not unwrap to broker.ErrClosed (retry layers would misclassify it)")
 	}
 	if inj.Fired("conn.publish_fail") != 1 {
-		t.Errorf("fired = %d, want 1", inj.Fired("conn.publish_fail"))
+		t.Errorf("fired = %d, want 1 for one publish call", inj.Fired("conn.publish_fail"))
+	}
+	if d, _ := b.Depth("q"); d != 0 {
+		t.Errorf("%d bodies of a failed batch landed", d)
+	}
+
+	conn = WrapConn(broker.LocalConn(b), inj, ConnFaults{})
+	if err := conn.PublishBatch("q", batch, nil); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := conn.Subscribe("q", len(batch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Cancel()
+	var tags []uint64
+	for range batch {
+		select {
+		case m := <-sub.Messages():
+			tags = append(tags, m.Tag)
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%d of %d deliveries", len(tags), len(batch))
+		}
+	}
+	if err := sub.Ack(tags...); err != nil {
+		t.Fatal(err)
+	}
+	if u, _ := b.Unacked("q"); u != 0 {
+		t.Errorf("%d deliveries unacked after one Ack of %d tags", u, len(tags))
 	}
 }
 
@@ -85,7 +117,7 @@ func TestConnDropSeversSubscriptionAndRequeues(t *testing.T) {
 	if err := conn.Declare("q"); err != nil {
 		t.Fatal(err)
 	}
-	if err := conn.Publish("q", []byte("precious")); err != nil {
+	if err := conn.PublishBatch("q", [][]byte{[]byte("precious")}, nil); err != nil {
 		t.Fatal(err)
 	}
 	sub, err := conn.Subscribe("q", 1)

@@ -14,12 +14,74 @@ import (
 	"globuscompute/internal/engine"
 	"globuscompute/internal/metrics"
 	"globuscompute/internal/protocol"
+	"globuscompute/internal/trace"
 	"globuscompute/internal/webservice"
 )
 
 // chaosSeed fixes every fault decision in the suite so failures reproduce:
 // rerun with the same seed and the injectors draw the same sequence.
 const chaosSeed = 42
+
+// startChaosEndpoint starts an endpoint on the connection stack the fault
+// suites run: a ReconnectingConn whose every (re)dial hands back a fresh
+// chaos.WrapConn around the in-process broker, so drops keep firing across
+// reconnects. under, when set, is placed between the fault wrapper and the
+// broker: it sees what survives the faults. It returns the endpoint ID and
+// the registry holding the connection's reconnect counters.
+func startChaosEndpoint(t *testing.T, tb *core.Testbed, inj *chaos.Injector, cf chaos.ConnFaults,
+	rf chaos.RunnerFaults, maxAttempts int, under func(broker.Conn) broker.Conn) (protocol.UUID, *metrics.Registry) {
+	t.Helper()
+	brokerMetrics := metrics.NewRegistry()
+	epID, err := tb.StartEndpoint(core.EndpointOptions{
+		Name: "chaos-suite-ep", Owner: "chaos", Workers: 4, MaxBlocks: 1,
+		MaxAttempts: maxAttempts,
+		WrapRunner: func(run engine.TaskRunner) engine.TaskRunner {
+			return chaos.WrapRunner(run, inj, rf)
+		},
+		WrapConn: func(inner broker.Conn) broker.Conn {
+			if under != nil {
+				inner = under(inner)
+			}
+			rc, err := broker.NewReconnecting(broker.ReconnectConfig{
+				Dial: func() (broker.Conn, error) {
+					return chaos.WrapConn(inner, inj, cf), nil
+				},
+				BaseDelay: time.Millisecond,
+				MaxDelay:  20 * time.Millisecond,
+				Seed:      chaosSeed,
+				Metrics:   brokerMetrics,
+			})
+			if err != nil {
+				t.Errorf("reconnecting conn: %v", err)
+				return inner
+			}
+			return rc
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return epID, brokerMetrics
+}
+
+// waitTerminal polls a task until it reaches a terminal state.
+func waitTerminal(t *testing.T, tb *core.Testbed, id protocol.UUID) webservice.TaskStatus {
+	t.Helper()
+	deadline := time.Now().Add(90 * time.Second)
+	for {
+		st, err := tb.Service.GetTask(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State.Terminal() {
+			return st
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("task %s stuck in %s under chaos", id, st.State)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
 
 // TestChaosSuiteDeliveryGuarantees drives the full stack — web service,
 // broker, endpoint agent, engine, workers — under injected faults on every
@@ -73,36 +135,7 @@ func TestChaosSuiteDeliveryGuarantees(t *testing.T) {
 		Delay:     time.Millisecond,
 		DelayRate: 0.2,
 	}
-	brokerMetrics := metrics.NewRegistry()
-
-	epID, err := tb.StartEndpoint(core.EndpointOptions{
-		Name: "chaos-suite-ep", Owner: "chaos", Workers: 4, MaxBlocks: 1,
-		MaxAttempts: maxAttempts,
-		WrapRunner: func(run engine.TaskRunner) engine.TaskRunner {
-			return chaos.WrapRunner(run, inj, runnerFaults)
-		},
-		WrapConn: func(inner broker.Conn) broker.Conn {
-			rc, err := broker.NewReconnecting(broker.ReconnectConfig{
-				// Every (re)dial hands back a fresh fault wrapper around the
-				// in-process broker, so drops keep firing across reconnects.
-				Dial: func() (broker.Conn, error) {
-					return chaos.WrapConn(inner, inj, connFaults), nil
-				},
-				BaseDelay: time.Millisecond,
-				MaxDelay:  20 * time.Millisecond,
-				Seed:      chaosSeed,
-				Metrics:   brokerMetrics,
-			})
-			if err != nil {
-				t.Errorf("reconnecting conn: %v", err)
-				return inner
-			}
-			return rc
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	epID, brokerMetrics := startChaosEndpoint(t, tb, inj, connFaults, runnerFaults, maxAttempts, nil)
 
 	submit := func(payload string) protocol.UUID {
 		body, _ := protocol.EncodePayload(protocol.PythonSpec{
@@ -118,42 +151,27 @@ func TestChaosSuiteDeliveryGuarantees(t *testing.T) {
 		return ids[0]
 	}
 
-	// Phase 1: a stream of ordinary tasks through the fault storm.
-	const n = 40
+	// Phase 1: waves of ordinary tasks through the fault storm, until every
+	// kind of fault has fired. A publish of N results draws one decision, so
+	// a wave that flushed in a few batches can pass without a publish failure.
+	const wave, maxWaves = 40, 25
 	var ids []protocol.UUID
-	for i := 0; i < n; i++ {
-		ids = append(ids, submit(fmt.Sprintf("%d", i)))
-	}
-
-	waitTerminal := func(id protocol.UUID) webservice.TaskStatus {
-		deadline := time.Now().Add(90 * time.Second)
-		for {
-			st, err := tb.Service.GetTask(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.State.Terminal() {
-				return st
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("task %s stuck in %s under chaos", id, st.State)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-
 	success, failed := 0, 0
-	for _, id := range ids {
-		switch st := waitTerminal(id); st.State {
-		case protocol.StateSuccess:
-			success++
-		default:
-			failed++
+	for w := 0; w < maxWaves && (inj.Fired("conn.drop") == 0 ||
+		inj.Fired("conn.publish_fail") == 0 || inj.Fired("runner.kill") == 0); w++ {
+		for i := 0; i < wave; i++ {
+			ids = append(ids, submit(fmt.Sprintf("%d", i)))
+		}
+		for _, id := range ids[len(ids)-wave:] {
+			switch st := waitTerminal(t, tb, id); st.State {
+			case protocol.StateSuccess:
+				success++
+			default:
+				failed++
+			}
 		}
 	}
-	if success+failed != n {
-		t.Fatalf("terminal = %d of %d", success+failed, n)
-	}
+	n := len(ids)
 	// KillRate^maxAttempts is ~3e-3 per task: nearly everything succeeds.
 	if success < n*3/4 {
 		t.Errorf("successes = %d of %d, suspiciously low for the configured fault rates", success, n)
@@ -164,7 +182,7 @@ func TestChaosSuiteDeliveryGuarantees(t *testing.T) {
 	// dead-letter path: delivered once, killed exactly maxAttempts times.
 	inj.SetDisabled(true)
 	poisonID := submit(`"poison"`)
-	st := waitTerminal(poisonID)
+	st := waitTerminal(t, tb, poisonID)
 	if st.State != protocol.StateFailed {
 		t.Errorf("poison state = %s, want failed", st.State)
 	}
@@ -226,4 +244,133 @@ func TestChaosSuiteDeliveryGuarantees(t *testing.T) {
 	t.Logf("chaos suite: %d/%d success, %d failed; faults fired=%d (drops=%d kills=%d pubfails=%d) resubscribes=%d requeue spans=%d",
 		success, n, failed, inj.TotalFired(), inj.Fired("conn.drop"), inj.Fired("runner.kill"),
 		inj.Fired("conn.publish_fail"), brokerMetrics.Counter("resubscribes").Value(), requeues)
+}
+
+// countingConn sits under the fault injector and counts the publishes of
+// more than one body and the acks of more than one tag that reach the real
+// connection.
+type countingConn struct {
+	broker.Conn
+	batchPublishes, batchAcks atomic.Int64
+}
+
+func (c *countingConn) PublishBatch(queue string, bodies [][]byte, traces []*trace.Context) error {
+	if len(bodies) > 1 {
+		c.batchPublishes.Add(1)
+	}
+	return c.Conn.PublishBatch(queue, bodies, traces)
+}
+
+func (c *countingConn) Subscribe(queue string, prefetch int) (broker.Subscription, error) {
+	sub, err := c.Conn.Subscribe(queue, prefetch)
+	if err != nil {
+		return nil, err
+	}
+	return countingSub{sub, c}, nil
+}
+
+type countingSub struct {
+	broker.Subscription
+	c *countingConn
+}
+
+func (s countingSub) Ack(tags ...uint64) error {
+	if len(tags) > 1 {
+		s.c.batchAcks.Add(1)
+	}
+	return s.Subscription.Ack(tags...)
+}
+
+// TestChaosSuiteExercisesBatchedPath checks that the fault suite runs the
+// path gc-endpoint ships: with publish failures and connection drops firing,
+// multi-result flushes and multi-tag acks still cross the fault injector as
+// batches and reach the connection under it, and every task ends in exactly
+// one terminal state. Every publish is delayed, so results outrun the
+// agent's four flush slots and have to coalesce.
+func TestChaosSuiteExercisesBatchedPath(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos test skipped in -short mode")
+	}
+	tb, err := core.NewTestbed(core.Options{ClusterNodes: 2, DisableHTTP: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	tok, err := tb.IssueToken("chaos@uchicago.edu", "uchicago")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fnID, err := tb.Service.RegisterFunction("chaos", protocol.KindPython, []byte(`{"entrypoint":"identity"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := chaos.NewInjector(chaosSeed)
+	counting := &countingConn{}
+	epID, _ := startChaosEndpoint(t, tb, inj,
+		chaos.ConnFaults{PublishFailRate: 0.10, DropRate: 0.02, PublishDelay: 2 * time.Millisecond, PublishDelayRate: 1},
+		chaos.RunnerFaults{}, 3,
+		func(inner broker.Conn) broker.Conn {
+			counting.Conn = inner
+			return counting
+		})
+
+	// Each round is one submit call: the tasks reach the task queue together,
+	// so intake drains — and acknowledges — more than one at a time. Rounds
+	// repeat until both faults have fired on a run that batched.
+	const perRound, maxRounds = 100, 30
+	var ids []protocol.UUID
+	stormed := func() bool {
+		return inj.Fired("conn.publish_fail") > 0 && inj.Fired("conn.drop") > 0 &&
+			counting.batchPublishes.Load() > 0 && counting.batchAcks.Load() > 0
+	}
+	for round := 0; round < maxRounds && !stormed(); round++ {
+		reqs := make([]webservice.SubmitRequest, perRound)
+		for i := range reqs {
+			body, err := protocol.EncodePayload(protocol.PythonSpec{
+				Entrypoint: "identity", Args: []json.RawMessage{json.RawMessage(fmt.Sprint(i))},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reqs[i] = webservice.SubmitRequest{EndpointID: epID, FunctionID: fnID, Payload: body}
+		}
+		got, err := tb.Service.Submit(tok, reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range got {
+			if st := waitTerminal(t, tb, id); st.State != protocol.StateSuccess {
+				t.Errorf("task %s ended %s: %s", id, st.State, st.Error)
+			}
+		}
+		ids = append(ids, got...)
+	}
+	// Redeliveries after a drop produce duplicate results; the state machine
+	// keeps the first. Let the stragglers land, then read every task again.
+	inj.SetDisabled(true)
+	waitFor(t, 10*time.Second, "result queue drained", func() bool {
+		d, _ := tb.Broker.Depth(webservice.ResultQueue(epID))
+		u, _ := tb.Broker.Unacked(webservice.ResultQueue(epID))
+		return d+u == 0
+	})
+	for _, id := range ids {
+		if st, err := tb.Service.GetTask(id); err != nil || st.State != protocol.StateSuccess {
+			t.Errorf("task %s re-read as %s, %v", id, st.State, err)
+		}
+	}
+	if counts := tb.Store.CountTasksByState(); counts[protocol.StateSuccess] != len(ids) || tb.Store.CountTasks() != len(ids) {
+		t.Errorf("task states = %v, want %d success and nothing else", counts, len(ids))
+	}
+
+	if inj.Fired("conn.publish_fail") == 0 || inj.Fired("conn.drop") == 0 {
+		t.Errorf("faults dormant: publish_fail=%d drop=%d", inj.Fired("conn.publish_fail"), inj.Fired("conn.drop"))
+	}
+	if counting.batchPublishes.Load() == 0 {
+		t.Error("no multi-result publish reached the connection under the fault injector; egress flushes are not crossing it as batches")
+	}
+	if counting.batchAcks.Load() == 0 {
+		t.Error("no multi-tag ack reached the connection under the fault injector; intake acks are not crossing it as batches")
+	}
+	t.Logf("%d tasks; batch publishes=%d batch acks=%d; publish_fail=%d drop=%d",
+		len(ids), counting.batchPublishes.Load(), counting.batchAcks.Load(), inj.Fired("conn.publish_fail"), inj.Fired("conn.drop"))
 }

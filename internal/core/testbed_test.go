@@ -43,7 +43,7 @@ func newStack(t *testing.T) *stack {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bc, err := broker.Dial(tb.BrokerSrv.Addr())
+	bc, err := broker.Connect(tb.BrokerSrv.Addr(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func newStack(t *testing.T) *stack {
 	return &stack{
 		tb:     tb,
 		client: sdk.NewClient(tb.ServiceAddr(), tok.Value),
-		conn:   bc.AsConn(),
+		conn:   bc,
 		objs:   objectstore.NewClient(tb.ObjectsSrv.Addr()),
 	}
 }

@@ -23,7 +23,7 @@ import (
 	"testing"
 	"time"
 
-	"globuscompute/internal/endpoint"
+	"globuscompute/internal/broker"
 	"globuscompute/internal/objectstore"
 	"globuscompute/internal/protocol"
 	"globuscompute/internal/sdk"
@@ -189,10 +189,10 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 	}
 
 	// The endpoint agent lives in the test process and talks to the broker
-	// over TCP through gc-endpoint's own dialer (reconnecting, batched,
+	// over TCP through the tree's one dialer (reconnecting, batched,
 	// binary codec): kills drop the stream, recovery redelivers unacked
 	// tasks, and the subscription transparently resubscribes.
-	conn, err := endpoint.DialBroker(reg.BrokerAddr, "")
+	conn, err := broker.Connect(reg.BrokerAddr, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 				Started: time.Now(), Completed: time.Now(),
 			}
 			body, _ := json.Marshal(res)
-			if err := conn.Publish(reg.ResultQueue, body); err != nil {
+			if err := conn.PublishBatch(reg.ResultQueue, [][]byte{body}, nil); err != nil {
 				// Broker mid-crash: leave the delivery unacked; the
 				// recovered broker redelivers it and we try again.
 				continue

@@ -258,14 +258,14 @@ func (bl *BrokerLog) LogPublish(queue string, ids []uint64, bodies [][]byte) (fu
 func (bl *BrokerLog) LogAck(queue string, ids []uint64) {
 	bl.ackMu.Lock()
 	if len(bl.acks) == 0 {
-		time.AfterFunc(ackWindow, bl.flushAcks)
+		time.AfterFunc(ackWindow, bl.journalHeldAcks)
 	}
 	bl.acks[queue] = append(bl.acks[queue], ids...)
 	bl.ackMu.Unlock()
 }
 
-// flushAcks appends the held acks to the log, one record per queue.
-func (bl *BrokerLog) flushAcks() {
+// journalHeldAcks appends the held acks to the log, one record per queue.
+func (bl *BrokerLog) journalHeldAcks() {
 	bl.ackMu.Lock()
 	acks := bl.acks
 	if len(acks) == 0 { // already journaled by a Close or an earlier timer
@@ -307,6 +307,6 @@ func (bl *BrokerLog) WAL() *WAL { return bl.hz.wal }
 // Close stops the snapshot loop, journals the held acks, takes a final
 // snapshot, and closes the WAL. The broker itself is closed separately.
 func (bl *BrokerLog) Close() error {
-	bl.flushAcks()
+	bl.journalHeldAcks()
 	return bl.hz.close(bl.SnapshotNow)
 }

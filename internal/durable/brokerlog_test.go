@@ -45,7 +45,7 @@ func TestBrokerRecovery(t *testing.T) {
 	_ = m1
 	// Acks journal asynchronously, after ackWindow; force the append and the
 	// flush a real deployment gets from its timers.
-	bl.flushAcks()
+	bl.journalHeldAcks()
 	if err := bl.WAL().Sync(); err != nil {
 		t.Fatalf("Sync: %v", err)
 	}

@@ -277,7 +277,7 @@ func replayBroker(t *testing.T, seed int64) {
 	// the live broker).
 	want := make(map[uint64]string)
 	mark := func() {
-		bl.flushAcks()
+		bl.journalHeldAcks()
 		want[bl.WAL().LastLSN()] = canonBroker(bl.B.SnapshotImage())
 	}
 	mark()
@@ -323,7 +323,7 @@ func replayBroker(t *testing.T, seed int64) {
 			if len(tags) == 1 {
 				_ = c.Ack(tags[0])
 			} else if len(tags) > 1 {
-				_ = c.AckBatch(tags)
+				_ = c.Ack(tags...)
 			}
 		}
 		mark()

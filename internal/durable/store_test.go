@@ -202,8 +202,9 @@ func BenchmarkJournaledCreateTasks(b *testing.B) {
 
 // TestStoreReplaysJSONTaskRecords opens a log whose task records are all
 // JSON — what every commit before the binary encoding wrote, the four-step
-// submit sequence included — and then keeps journaling onto it, so one log
-// holds both encodings.
+// submit sequence and the single-item records the store has since stopped
+// writing included — and then keeps journaling onto it, so one log holds
+// both encodings.
 func TestStoreReplaysJSONTaskRecords(t *testing.T) {
 	dir := t.TempDir()
 	w, err := OpenWAL(WALOptions{Dir: filepath.Join(dir, storeWALDir), NoSync: true})
@@ -213,11 +214,16 @@ func TestStoreReplaysJSONTaskRecords(t *testing.T) {
 	ep, at := protocol.NewUUID(), time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
 	tasks := []protocol.Task{{ID: protocol.NewUUID(), EndpointID: ep}, {ID: protocol.NewUUID(), EndpointID: ep}}
 	ids := []protocol.UUID{tasks[0].ID, tasks[1].ID}
+	lone := []protocol.Task{{ID: protocol.NewUUID(), EndpointID: ep}, {ID: protocol.NewUUID(), EndpointID: ep}}
 	for _, m := range []statestore.Mutation{
 		{Op: statestore.OpCreateTasks, At: at, Tasks: tasks},
 		{Op: statestore.OpTransitionTasks, At: at, TaskIDs: ids, State: protocol.StateWaiting},
 		{Op: statestore.OpTransitionTasks, At: at, TaskIDs: ids, State: protocol.StateDelivered},
 		{Op: statestore.OpCompleteTasks, At: at.Add(time.Second), Results: []protocol.Result{{TaskID: ids[0], State: protocol.StateSuccess, Output: []byte("42")}}},
+		{Op: statestore.OpCreateTask, At: at, Task: &lone[0]},
+		{Op: statestore.OpCreateTask, At: at, Task: &lone[1]},
+		{Op: statestore.OpTransitionTask, At: at, TaskIDs: []protocol.UUID{lone[0].ID}, State: protocol.StateCancelled},
+		{Op: statestore.OpCompleteTask, At: at.Add(time.Second), Result: &protocol.Result{TaskID: lone[1].ID, State: protocol.StateFailed, Error: "lone"}},
 	} {
 		payload, err := json.Marshal(m)
 		if err != nil {
@@ -234,6 +240,12 @@ func TestStoreReplaysJSONTaskRecords(t *testing.T) {
 	d := openStore(t, dir)
 	if rec, err := d.State.GetTask(ids[0]); err != nil || rec.State != protocol.StateSuccess || string(rec.Result) != "42" || !rec.Created.Equal(at) {
 		t.Fatalf("task 0 = %+v, %v", rec, err)
+	}
+	if rec, err := d.State.GetTask(lone[0].ID); err != nil || rec.State != protocol.StateCancelled || !rec.Completed.Equal(at) {
+		t.Fatalf("lone task 0 = %+v, %v", rec, err)
+	}
+	if rec, err := d.State.GetTask(lone[1].ID); err != nil || rec.State != protocol.StateFailed || rec.Error != "lone" {
+		t.Fatalf("lone task 1 = %+v, %v", rec, err)
 	}
 	if errs := d.State.CompleteTasks([]protocol.Result{{TaskID: ids[1], State: protocol.StateFailed, Error: "boom"}}); errs[0] != nil {
 		t.Fatal(errs[0])

@@ -101,6 +101,9 @@ type Agent struct {
 	sub  broker.Subscription
 	done chan struct{}
 	wg   sync.WaitGroup
+	// intakeDone closes when taskLoop has returned: nothing is submitted to
+	// the engines after it.
+	intakeDone chan struct{}
 
 	// egress is the result pipeline: producers (the engine/MPI result
 	// forwarders and the task loop, which emits submit-failure results)
@@ -210,11 +213,12 @@ func New(cfg Config) (*Agent, error) {
 		cfg.MetricsMaxSeries = 512
 	}
 	a := &Agent{
-		cfg:     cfg,
-		done:    make(chan struct{}),
-		egress:  make(chan protocol.Result, 2*egressMaxBatch),
-		ackSem:  make(chan struct{}, ackFlightCap),
-		Metrics: metrics.NewRegistry(),
+		cfg:        cfg,
+		done:       make(chan struct{}),
+		intakeDone: make(chan struct{}),
+		egress:     make(chan protocol.Result, 2*egressMaxBatch),
+		ackSem:     make(chan struct{}, ackFlightCap),
+		Metrics:    metrics.NewRegistry(),
 	}
 	a.log = cfg.Log
 	if a.log == nil {
@@ -259,11 +263,6 @@ func (a *Agent) SnapshotMetrics(now time.Time) (metrics.Snapshot, bool) {
 	return d, true
 }
 
-// TaskQueue and ResultQueue mirror the web service naming (duplicated here
-// to avoid an import cycle).
-func taskQueue(ep protocol.UUID) string   { return "tasks." + string(ep) }
-func resultQueue(ep protocol.UUID) string { return "results." + string(ep) }
-
 // Start launches the engines, begins consuming tasks, and starts result
 // forwarding and heartbeats.
 func (a *Agent) Start() error {
@@ -283,7 +282,7 @@ func (a *Agent) Start() error {
 			return fmt.Errorf("endpoint: start mpi engine: %w", err)
 		}
 	}
-	sub, err := a.cfg.Conn.Subscribe(taskQueue(a.cfg.EndpointID), a.cfg.Prefetch)
+	sub, err := a.cfg.Conn.Subscribe(protocol.TaskQueue(a.cfg.EndpointID), a.cfg.Prefetch)
 	if err != nil {
 		return fmt.Errorf("endpoint: consume tasks: %w", err)
 	}
@@ -316,20 +315,26 @@ func (a *Agent) Start() error {
 // taskLoop is the batched intake pump: each wakeup drains up to the intake
 // budget of buffered deliveries, decodes them (in parallel for large
 // drains), submits the whole batch to the engines, and acknowledges every
-// tag in one ack_batch round trip.
+// tag in one round trip.
 func (a *Agent) taskLoop() {
 	defer a.wg.Done()
 	defer a.producers.Done()
 	defer a.acks.Wait()
+	defer close(a.intakeDone)
 	batch := make([]broker.Message, 0, a.cfg.Prefetch)
 	for {
-		if !a.waitForCapacity() {
-			// Stopping: keep draining so unprocessed deliveries requeue via
-			// Cancel rather than stalling the channel.
-		}
+		a.waitForCapacity()
 		m, ok := <-a.sub.Messages()
 		if !ok {
 			return
+		}
+		select {
+		case <-a.done:
+			// Stopping: deliveries still buffered on this side stay unacked, so
+			// the Cancel in Stop requeues them for the next agent. Keep reading
+			// until the stream closes.
+			continue
+		default:
 		}
 		batch = append(batch[:0], m)
 		budget := a.intakeBudget()
@@ -353,8 +358,7 @@ func (a *Agent) taskLoop() {
 // which intake pauses entirely.
 const intakeHighWater = 2
 
-// ackFlightCap bounds concurrent batch-ack round trips (see the ack switch
-// in processDeliveries).
+// ackFlightCap bounds concurrent ack round trips (see processDeliveries).
 const ackFlightCap = 2
 
 // highWater is the engine backlog at which intake stops pulling: a multiple
@@ -390,13 +394,13 @@ func (a *Agent) intakeBudget() int {
 // Messages left unacked on the broker throttle delivery at the prefetch
 // window — backpressure propagates upstream instead of queueing inside the
 // agent. A fast engine drains in microseconds, so the wait spins on the
-// scheduler before falling back to short sleeps. Returns false when the
+// scheduler before falling back to short sleeps. It also returns when the
 // agent is stopping.
-func (a *Agent) waitForCapacity() bool {
+func (a *Agent) waitForCapacity() {
 	for spins := 0; ; spins++ {
 		s := a.cfg.Engine.Stats()
 		if s.TotalWorkers == 0 || s.PendingTasks <= a.highWater(s.TotalWorkers) {
-			return true
+			return
 		}
 		if spins < 64 {
 			runtime.Gosched()
@@ -404,7 +408,7 @@ func (a *Agent) waitForCapacity() bool {
 		}
 		select {
 		case <-a.done:
-			return false
+			return
 		default:
 		}
 		time.Sleep(50 * time.Microsecond)
@@ -522,24 +526,19 @@ func (a *Agent) processDeliveries(batch []broker.Message) {
 		}
 	}
 
-	// Acknowledge the whole drain at once; a lone tag stays on the classic
-	// single-ack envelope. Batch acks fire without blocking the loop: an
+	// Acknowledge the whole drain at once, without blocking the loop: an
 	// ack's only job is to move the delivery window, and a round trip spent
 	// waiting on its reply is a round trip the next drain isn't running. The
 	// small flight bound keeps unacked tags from piling up unboundedly when
 	// the broker slows down.
-	switch len(tags) {
-	case 0:
-	case 1:
-		_ = a.sub.Ack(tags[0])
-	default:
+	if len(tags) > 0 {
 		a.ackSem <- struct{}{}
 		a.acks.Add(1)
-		go func(tags []uint64) {
+		go func() {
 			defer a.acks.Done()
 			defer func() { <-a.ackSem }()
-			_ = broker.AckBatchOn(a.sub, tags)
-		}(tags)
+			_ = a.sub.Ack(tags...)
+		}()
 	}
 	if received > 0 {
 		a.Metrics.Counter("tasks_received").Add(int64(received))
@@ -569,17 +568,16 @@ func (a *Agent) enqueueResult(res protocol.Result) {
 // larger batches.
 const egressFlightCap = 4
 
-// egressMaxBatch caps results coalesced into one publish_batch flush.
+// egressMaxBatch caps results coalesced into one flush.
 const egressMaxBatch = 64
 
 // egressLoop is the group-commit result flusher: the first queued result
-// wakes it, everything buffered up to egressMaxBatch coalesces into one
-// publish_batch, and a lone result degrades to a plain traced publish so
-// chaos wrappers and old brokers see the classic envelope. While flushes are
-// in flight new results accumulate, so batch size adapts to load without
-// adding latency at idle. Results within a flush preserve completion order;
-// concurrent flushes may interleave (tasks are independent and the task
-// state machine does not rely on cross-result ordering).
+// wakes it and everything buffered up to egressMaxBatch coalesces into one
+// publish. While flushes are in flight new results accumulate, so batch size
+// adapts to load without adding latency at idle. Results within a flush
+// preserve completion order; concurrent flushes may interleave (tasks are
+// independent and the task state machine does not rely on cross-result
+// ordering).
 func (a *Agent) egressLoop() {
 	defer a.wg.Done()
 	sem := make(chan struct{}, egressFlightCap)
@@ -626,12 +624,10 @@ var resultBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 const maxPooledResultBuf = 1 << 20
 
-// publishResults marshals and publishes one egress flush. A single result
-// uses the classic PublishTraced path; larger flushes go through the conn's
-// batch capability (with a sequential fallback for wrapped conns).
+// publishResults marshals and publishes one egress flush.
 func (a *Agent) publishResults(batch []protocol.Result) {
 	defer a.egressBacklog.Add(-int64(len(batch)))
-	queue := resultQueue(a.cfg.EndpointID)
+	queue := protocol.ResultQueue(a.cfg.EndpointID)
 	bodies := make([][]byte, 0, len(batch))
 	traces := make([]*trace.Context, 0, len(batch))
 	ids := make([]string, 0, len(batch))
@@ -684,22 +680,16 @@ func (a *Agent) publishResults(batch []protocol.Result) {
 		return
 	}
 	published := len(bodies)
-	var err error
-	if len(bodies) == 1 {
-		err = a.cfg.Conn.PublishTraced(queue, bodies[0], traces[0])
-	} else {
-		err = broker.PublishBatchOn(a.cfg.Conn, queue, bodies, traces)
-	}
-	if err != nil {
-		// A batch flush succeeds or fails as a unit, so one flaky publish
-		// would sink every batchmate once the conn's retry budget runs out.
-		// Fall back to per-result publishes — each with its own retry budget —
-		// and accept that results already sent by a partial batch attempt go
-		// out twice (the task state machine absorbs duplicates).
-		a.log.Warn("batch publish failed; retrying individually", "results", len(bodies), "error", err)
+	if err := a.cfg.Conn.PublishBatch(queue, bodies, traces); err != nil {
+		// A flush succeeds or fails as a unit, so one flaky publish would sink
+		// every batchmate once the conn's retry budget runs out. Fall back to
+		// per-result publishes — each with its own retry budget — and accept
+		// that results a failed attempt did land go out twice (the task state
+		// machine absorbs duplicates).
+		a.log.Warn("publish failed; retrying individually", "results", len(bodies), "error", err)
 		published = 0
 		for i := range bodies {
-			if perr := a.cfg.Conn.PublishTraced(queue, bodies[i], traces[i]); perr != nil {
+			if perr := a.cfg.Conn.PublishBatch(queue, bodies[i:i+1], traces[i:i+1]); perr != nil {
 				a.log.WithTask(ids[i]).WithTrace(traces[i]).
 					Error("publish result", "error", perr)
 				continue
@@ -778,6 +768,10 @@ func (a *Agent) Stop() {
 
 	close(a.done)
 	_ = a.sub.Cancel()
+	// The engines stop only once intake has: a drain that was already under
+	// way is submitted to a live engine, and nothing after it is submitted at
+	// all, so no task comes back failed for reaching a stopped engine.
+	<-a.intakeDone
 	a.cfg.Engine.Stop()
 	if a.cfg.MPI != nil {
 		a.cfg.MPI.Stop()

@@ -16,14 +16,12 @@ import (
 )
 
 // fakeSub is a deterministic Subscription: deliveries are preloaded into a
-// buffered channel and every acknowledgement is recorded. It has no AckBatch
-// method, modeling an old broker / capability-less wrapper.
+// buffered channel and every Ack call is recorded with the tags it carried.
 type fakeSub struct {
 	msgs chan broker.Message
 
 	mu         sync.Mutex
-	acks       []uint64
-	ackBatches [][]uint64
+	acks       [][]uint64
 	rejects    []uint64
 	cancelOnce sync.Once
 }
@@ -34,10 +32,10 @@ func newFakeSub(buf int) *fakeSub {
 
 func (s *fakeSub) Messages() <-chan broker.Message { return s.msgs }
 
-func (s *fakeSub) Ack(tag uint64) error {
+func (s *fakeSub) Ack(tags ...uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.acks = append(s.acks, tag)
+	s.acks = append(s.acks, append([]uint64(nil), tags...))
 	return nil
 }
 
@@ -58,41 +56,28 @@ func (s *fakeSub) Cancel() error {
 func (s *fakeSub) ackedTags() []uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := append([]uint64(nil), s.acks...)
-	for _, b := range s.ackBatches {
-		out = append(out, b...)
+	var out []uint64
+	for _, call := range s.acks {
+		out = append(out, call...)
 	}
 	return out
 }
 
-// batchSub adds the AckBatch capability on top of fakeSub.
-type batchSub struct{ *fakeSub }
-
-func (s *batchSub) AckBatch(tags []uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ackBatches = append(s.ackBatches, append([]uint64(nil), tags...))
-	return nil
-}
-
-// fakeConn records publishes. Like fakeSub it deliberately lacks the batch
-// capability; batchConn layers it on. hold, when set, blocks every publish
-// until released so a test can pile results behind in-flight flushes.
+// fakeConn records every publish call with the bodies it carried. hold, when
+// set, blocks every publish until released so a test can pile results behind
+// in-flight flushes; fail, when set, decides each call's outcome.
 type fakeConn struct {
 	sub broker.Subscription
 
 	mu      sync.Mutex
-	singles [][]byte
-	batches [][][]byte
+	calls   [][][]byte
 	hold    chan struct{}
 	waiting int
+	fail    func(bodies [][]byte) error
 }
 
 func (c *fakeConn) Declare(queue string) error { return nil }
 func (c *fakeConn) Delete(queue string) error  { return nil }
-func (c *fakeConn) Publish(queue string, body []byte) error {
-	return c.PublishTraced(queue, body, nil)
-}
 
 // gate blocks the caller on the hold channel (when set), tracking how many
 // publishes are in flight.
@@ -115,11 +100,20 @@ func (c *fakeConn) inFlight() int {
 	return c.waiting
 }
 
-func (c *fakeConn) PublishTraced(queue string, body []byte, tc *trace.Context) error {
+func (c *fakeConn) PublishBatch(queue string, bodies [][]byte, traces []*trace.Context) error {
 	c.gate()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.singles = append(c.singles, append([]byte(nil), body...))
+	if c.fail != nil {
+		if err := c.fail(bodies); err != nil {
+			return err
+		}
+	}
+	cp := make([][]byte, len(bodies))
+	for i, b := range bodies {
+		cp[i] = append([]byte(nil), b...)
+	}
+	c.calls = append(c.calls, cp)
 	return nil
 }
 
@@ -127,35 +121,19 @@ func (c *fakeConn) Subscribe(queue string, prefetch int) (broker.Subscription, e
 	return c.sub, nil
 }
 
-func (c *fakeConn) counts() (singles int, batches [][][]byte) {
+// published returns the bodies of every successful publish call.
+func (c *fakeConn) published() [][][]byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.singles), append([][][]byte(nil), c.batches...)
+	return append([][][]byte(nil), c.calls...)
 }
 
 func (c *fakeConn) totalPublished() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := len(c.singles)
-	for _, b := range c.batches {
-		n += len(b)
+	n := 0
+	for _, call := range c.published() {
+		n += len(call)
 	}
 	return n
-}
-
-// batchConn adds the PublishBatch capability.
-type batchConn struct{ *fakeConn }
-
-func (c *batchConn) PublishBatch(queue string, bodies [][]byte, traces []*trace.Context) error {
-	c.gate()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cp := make([][]byte, len(bodies))
-	for i, b := range bodies {
-		cp[i] = append([]byte(nil), b...)
-	}
-	c.batches = append(c.batches, cp)
-	return nil
 }
 
 // pipelineAgent wires an agent over a fake conn and a caller-supplied runner.
@@ -208,14 +186,14 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // TestPipelineBatchedIntakeAcksInOneBatch preloads a burst of deliveries and
-// checks one intake wakeup drains them all: a single ack_batch round trip
-// carrying every tag, and one intake_batches tick.
+// checks one intake wakeup drains them all: a single Ack call carrying every
+// tag, and one intake_batches tick.
 func TestPipelineBatchedIntakeAcksInOneBatch(t *testing.T) {
-	sub := &batchSub{newFakeSub(32)}
-	conn := &batchConn{&fakeConn{sub: sub}}
+	sub := newFakeSub(32)
+	conn := &fakeConn{sub: sub}
 	const n = 8
 	for i := 0; i < n; i++ {
-		loadTask(t, sub.fakeSub, uint64(100+i), fmt.Sprintf(`"p%d"`, i))
+		loadTask(t, sub, uint64(100+i), fmt.Sprintf(`"p%d"`, i))
 	}
 	// The engine is idle, so the adaptive budget is a full batch: one
 	// deterministic drain.
@@ -228,60 +206,52 @@ func TestPipelineBatchedIntakeAcksInOneBatch(t *testing.T) {
 	if got := agent.Metrics.Counter("intake_batches").Value(); got != 1 {
 		t.Errorf("intake_batches = %d, want 1 (single drain)", got)
 	}
+	waitFor(t, "all tags acked", func() bool { return len(sub.ackedTags()) == n })
 	sub.mu.Lock()
-	batches, singles := len(sub.ackBatches), len(sub.acks)
-	var batched int
-	if batches == 1 {
-		batched = len(sub.ackBatches[0])
-	}
+	calls := len(sub.acks)
 	sub.mu.Unlock()
-	if batches != 1 || batched != n || singles != 0 {
-		t.Errorf("acks: %d batch calls (first=%d tags), %d singles; want 1 batch of %d",
-			batches, batched, singles, n)
+	if calls != 1 {
+		t.Errorf("%d Ack calls for one drain of %d; want 1", calls, n)
 	}
 }
 
-// TestPipelineEgressGroupCommit holds every publish in flight while results
-// pile up, then checks the backlog coalesces: with at most egressFlightCap
-// flushes outstanding, the queued results must group-commit into
-// publish_batch flushes rather than going out one by one — while the lone
-// first result still uses the classic traced publish envelope.
-func TestPipelineEgressGroupCommit(t *testing.T) {
-	sub := &batchSub{newFakeSub(8)}
-	release := make(chan struct{})
-	conn := &batchConn{&fakeConn{sub: sub, hold: release}}
-	agent := pipelineAgent(t, conn, instantRunner)
-
+// pileUpResults puts one result in flight behind a held publish, queues rest
+// more behind it, and releases the hold: the queued results have to
+// group-commit, so at least one flush carries more than one result.
+func pileUpResults(t *testing.T, agent *Agent, conn *fakeConn, release chan struct{}, rest int) {
+	t.Helper()
 	agent.enqueueResult(protocol.Result{TaskID: protocol.NewUUID(), State: protocol.StateSuccess})
-	// Wait until the egress loop has the first flush in flight, then pile
-	// more results behind the held publishes.
 	waitFor(t, "first flush in flight", func() bool { return conn.inFlight() == 1 })
-	const rest = 8
 	for i := 0; i < rest; i++ {
 		agent.enqueueResult(protocol.Result{TaskID: protocol.NewUUID(), State: protocol.StateSuccess})
 	}
 	waitFor(t, "results buffered", func() bool { return int(agent.egressBacklog.Load()) >= rest+1 })
 	close(release)
+}
+
+// TestPipelineEgressGroupCommit holds every publish in flight while results
+// pile up, then checks the backlog coalesces: with at most egressFlightCap
+// flushes outstanding, the queued results must go out as multi-result
+// publishes rather than one by one.
+func TestPipelineEgressGroupCommit(t *testing.T) {
+	sub := newFakeSub(8)
+	release := make(chan struct{})
+	conn := &fakeConn{sub: sub, hold: release}
+	agent := pipelineAgent(t, conn, instantRunner)
+
+	const rest = 8
+	pileUpResults(t, agent, conn, release, rest)
 
 	const total = rest + 1
 	waitFor(t, "all results published", func() bool { return conn.totalPublished() == total })
-	singles, batches := conn.counts()
-	if singles < 1 {
-		t.Error("no classic publish recorded; the lone first result must use PublishTraced")
-	}
-	// 9 results against a bounded number of flush slots: at least one flush
-	// had to carry more than one result, via the batch capability.
-	if len(batches) == 0 {
-		t.Errorf("no publish_batch flushes (%d singles); queued results failed to coalesce", singles)
-	}
-	flushes := singles + len(batches)
-	if flushes >= total {
-		t.Errorf("%d flushes for %d results; group commit never batched (sizes %v)", flushes, total, batchSizes(batches))
-	}
-	if got := agent.Metrics.Counter("egress_flushes").Value(); got != int64(flushes) {
-		t.Errorf("egress_flushes = %d, want %d", got, flushes)
+	flushes := conn.published()
+	if len(flushes) >= total {
+		t.Errorf("%d flushes for %d results; group commit never batched (sizes %v)", len(flushes), total, batchSizes(flushes))
 	}
 	waitFor(t, "backlog drained", func() bool { return agent.egressBacklog.Load() == 0 })
+	if got := agent.Metrics.Counter("egress_flushes").Value(); got != int64(len(flushes)) {
+		t.Errorf("egress_flushes = %d, want %d", got, len(flushes))
+	}
 }
 
 func batchSizes(batches [][][]byte) []int {
@@ -292,38 +262,62 @@ func batchSizes(batches [][][]byte) []int {
 	return out
 }
 
-// TestPipelineOldBrokerInterop runs the pipelined agent against a conn and
-// subscription with no batch capabilities at all: acks degrade to per-tag
-// Ack, flushes degrade to per-result traced publishes, nothing is lost.
-func TestPipelineOldBrokerInterop(t *testing.T) {
-	sub := newFakeSub(32)
-	conn := &fakeConn{sub: sub}
-	const n = 10
-	for i := 0; i < n; i++ {
-		loadTask(t, sub, uint64(200+i), fmt.Sprintf(`"p%d"`, i))
+// TestPipelineBatchFailureFallsBackPerResult keeps PR 4's guarantee now that
+// every flush is a batch: a conn on which every multi-result publish fails,
+// and every result's first lone publish fails too, still gets every result
+// out. The failed flush falls back to per-result publishes, and each of
+// those has the reconnecting conn's retry budget to itself.
+func TestPipelineBatchFailureFallsBackPerResult(t *testing.T) {
+	sub := newFakeSub(8)
+	release := make(chan struct{})
+	seen := map[string]bool{}
+	fake := &fakeConn{sub: sub, hold: release, fail: func(bodies [][]byte) error {
+		if len(bodies) > 1 {
+			return broker.ErrClosed
+		}
+		if body := string(bodies[0]); !seen[body] {
+			seen[body] = true
+			return broker.ErrClosed
+		}
+		return nil
+	}}
+	conn, err := broker.NewReconnecting(broker.ReconnectConfig{
+		Dial:            func() (broker.Conn, error) { return fake, nil },
+		BaseDelay:       time.Millisecond,
+		PublishAttempts: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer conn.Close()
 	agent := pipelineAgent(t, conn, instantRunner)
 
-	waitFor(t, "all results published", func() bool { return conn.totalPublished() == n })
-	singles, batches := conn.counts()
-	if len(batches) != 0 {
-		t.Errorf("batch publishes on a capability-less conn: %v", batchSizes(batches))
-	}
-	if singles != n {
-		t.Errorf("classic publishes = %d, want %d", singles, n)
-	}
-	waitFor(t, "all tags acked", func() bool { return len(sub.ackedTags()) == n })
-	seen := map[uint64]bool{}
-	for _, tag := range sub.ackedTags() {
-		seen[tag] = true
-	}
-	for i := 0; i < n; i++ {
-		if !seen[uint64(200+i)] {
-			t.Errorf("tag %d never acked", 200+i)
+	const rest = 8
+	pileUpResults(t, agent, fake, release, rest)
+
+	const total = rest + 1
+	waitFor(t, "all results published", func() bool { return fake.totalPublished() == total })
+	waitFor(t, "backlog drained", func() bool { return agent.egressBacklog.Load() == 0 })
+	ids := map[protocol.UUID]bool{}
+	for _, call := range fake.published() {
+		if len(call) != 1 {
+			t.Fatalf("a publish of %d results succeeded on a conn that fails them", len(call))
 		}
+		var res protocol.Result
+		if err := json.Unmarshal(call[0], &res); err != nil {
+			t.Fatal(err)
+		}
+		ids[res.TaskID] = true
 	}
-	if got := agent.Metrics.Counter("results_published").Value(); got != n {
-		t.Errorf("results_published = %d, want %d", got, n)
+	if len(ids) != total {
+		t.Errorf("%d distinct results published, want %d", len(ids), total)
+	}
+	if got := agent.Metrics.Counter("results_published").Value(); got != total {
+		t.Errorf("results_published = %d, want %d", got, total)
+	}
+	// Every result used a retry of its own, on top of the batches' retries.
+	if got := conn.Metrics.Counter("publish_retries").Value(); got < total+1 {
+		t.Errorf("publish_retries = %d, want at least %d", got, total+1)
 	}
 }
 
@@ -331,11 +325,11 @@ func TestPipelineOldBrokerInterop(t *testing.T) {
 // batch: the poison is rejected to the DLQ exactly once, the good tasks run
 // and ack, and nothing redelivers forever.
 func TestPipelineMalformedInBatchDeadLetters(t *testing.T) {
-	sub := &batchSub{newFakeSub(16)}
-	conn := &batchConn{&fakeConn{sub: sub}}
-	loadTask(t, sub.fakeSub, 1, `"before"`)
+	sub := newFakeSub(16)
+	conn := &fakeConn{sub: sub}
+	loadTask(t, sub, 1, `"before"`)
 	sub.msgs <- broker.Message{Tag: 2, Body: []byte("not json")}
-	loadTask(t, sub.fakeSub, 3, `"after"`)
+	loadTask(t, sub, 3, `"after"`)
 	agent := pipelineAgent(t, conn, instantRunner)
 
 	waitFor(t, "good tasks published", func() bool { return conn.totalPublished() == 2 })
@@ -348,6 +342,7 @@ func TestPipelineMalformedInBatchDeadLetters(t *testing.T) {
 	if len(rejects) != 1 || rejects[0] != 2 {
 		t.Errorf("rejects = %v, want exactly [2]", rejects)
 	}
+	waitFor(t, "good tasks acked", func() bool { return len(sub.ackedTags()) >= 2 })
 	acked := sub.ackedTags()
 	if len(acked) != 2 {
 		t.Errorf("acked = %v, want tags 1 and 3", acked)
@@ -358,7 +353,7 @@ func TestPipelineMalformedInBatchDeadLetters(t *testing.T) {
 		}
 	}
 	// A task submitted after the poison still flows end to end.
-	loadTask(t, sub.fakeSub, 4, `"postmortem"`)
+	loadTask(t, sub, 4, `"postmortem"`)
 	waitFor(t, "post-poison task published", func() bool { return conn.totalPublished() == 3 })
 }
 
@@ -367,8 +362,8 @@ func TestPipelineMalformedInBatchDeadLetters(t *testing.T) {
 // pending queue stays near the high-water mark instead of absorbing the
 // whole queue, and once the gate opens everything completes.
 func TestAdaptivePrefetchBoundsPending(t *testing.T) {
-	sub := &batchSub{newFakeSub(64)}
-	conn := &batchConn{&fakeConn{sub: sub}}
+	sub := newFakeSub(64)
+	conn := &fakeConn{sub: sub}
 	gate := make(chan struct{})
 	gated := func(ctx context.Context, task protocol.Task, w engine.WorkerInfo) protocol.Result {
 		select {
@@ -414,7 +409,7 @@ func TestAdaptivePrefetchBoundsPending(t *testing.T) {
 	// this test is about the steady-state bound.
 	waitFor(t, "worker registration", func() bool { return eng.Stats().TotalWorkers >= 1 })
 	for i := 0; i < n; i++ {
-		loadTask(t, sub.fakeSub, uint64(i+1), fmt.Sprintf(`"p%d"`, i))
+		loadTask(t, sub, uint64(i+1), fmt.Sprintf(`"p%d"`, i))
 	}
 
 	// Let intake run against the saturated engine, tracking the deepest

@@ -1,9 +1,6 @@
 package endpoint
 
 import (
-	"crypto/x509"
-	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -37,7 +34,7 @@ type StackConfig struct {
 	EndpointID protocol.UUID
 
 	// Conn is a ready broker connection: it is used as given and left open
-	// by Stop. When nil the stack dials BrokerAddr through DialBroker
+	// by Stop. When nil the stack dials BrokerAddr through broker.Connect
 	// (BrokerCA as there) and owns that connection.
 	Conn                 broker.Conn
 	BrokerAddr, BrokerCA string
@@ -79,50 +76,13 @@ type Stack struct {
 	stopOnce sync.Once
 }
 
-// DialBroker is how every endpoint-side process reaches the broker: plain
-// TCP, or TLS verified against the CA PEM at caPath when one is given, with
-// wire batching and the binary codec on (a server that knows neither leaves
-// the connection on per-message JSON frames), behind a connection that
-// redials with backoff so a webservice restart or network blip does not
-// take the endpoint down — consumers resubscribe and unacked deliveries are
-// redelivered. The first dial happens on first use.
-func DialBroker(addr, caPath string) (*broker.ReconnectingConn, error) {
-	var roots *x509.CertPool
-	if caPath != "" {
-		pemData, err := os.ReadFile(caPath)
-		if err != nil {
-			return nil, fmt.Errorf("endpoint: broker CA: %w", err)
-		}
-		if roots, err = broker.PoolFromPEM(pemData); err != nil {
-			return nil, fmt.Errorf("endpoint: broker CA %s: %w", caPath, err)
-		}
-	}
-	return broker.NewReconnecting(broker.ReconnectConfig{
-		Dial: func() (broker.Conn, error) {
-			var bc *broker.Client
-			var err error
-			if roots == nil {
-				bc, err = broker.Dial(addr)
-			} else {
-				bc, err = broker.DialTLS(addr, roots)
-			}
-			if err != nil {
-				return nil, err
-			}
-			bc.EnableBatching(broker.BatchConfig{})
-			bc.EnableBinary()
-			return bc.AsConn(), nil
-		},
-	})
-}
-
 // OpenStack assembles and starts an endpoint. On error everything already
 // started is torn down again.
 func OpenStack(cfg StackConfig) (_ *Stack, err error) {
 	st := &Stack{}
 	conn := cfg.Conn
 	if conn == nil {
-		if st.dialed, err = DialBroker(cfg.BrokerAddr, cfg.BrokerCA); err != nil {
+		if st.dialed, err = broker.Connect(cfg.BrokerAddr, cfg.BrokerCA); err != nil {
 			return nil, err
 		}
 		conn = st.dialed
@@ -189,9 +149,10 @@ func OpenStack(cfg StackConfig) (_ *Stack, err error) {
 }
 
 // Stop drains the endpoint. The order matters: (1) cancel the task
-// subscription, so unacked deliveries requeue for another agent; (2) stop
-// the engines once in-flight tasks finish — tasks acked but not started
-// fail with a result rather than vanish; (3) flush the egress tail, so every
+// subscription and stop intake, so unacked deliveries — those buffered on
+// this side included — requeue for another agent; (2) stop the engines once
+// in-flight tasks finish — tasks acked but not started fail with a result
+// rather than vanish; (3) flush the egress tail, so every
 // acked task has its result on the result queue; (4) send the one offline
 // heartbeat, so the service marks the endpoint stopped instead of waiting
 // for the watchdog; (5) only then close the broker connection, if the stack

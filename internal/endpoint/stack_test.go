@@ -16,7 +16,7 @@ import (
 )
 
 // drainQueue takes every message off a queue nobody else consumes.
-func drainQueue(t *testing.T, brk *broker.Broker, queue string) [][]byte {
+func drainQueue(t *testing.T, brk *broker.Broker, queue string) []broker.Message {
 	t.Helper()
 	n, err := brk.Depth(queue)
 	if err != nil {
@@ -27,19 +27,19 @@ func drainQueue(t *testing.T, brk *broker.Broker, queue string) [][]byte {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	bodies := make([][]byte, 0, n)
-	for len(bodies) < n {
+	msgs := make([]broker.Message, 0, n)
+	for len(msgs) < n {
 		select {
 		case m := <-c.Messages():
-			bodies = append(bodies, m.Body)
+			msgs = append(msgs, m)
 			if err := c.Ack(m.Tag); err != nil {
 				t.Fatal(err)
 			}
 		case <-time.After(10 * time.Second):
-			t.Fatalf("%s: %d of %d messages", queue, len(bodies), n)
+			t.Fatalf("%s: %d of %d messages", queue, len(msgs), n)
 		}
 	}
-	return bodies
+	return msgs
 }
 
 // TestStackStopKeepsAcknowledgedTasks is the endpoint half of the SIGTERM
@@ -48,7 +48,9 @@ func drainQueue(t *testing.T, brk *broker.Broker, queue string) [][]byte {
 // slow worker is in the middle of a backlog. Every task the agent took off
 // the task queue must have a result on the result queue, the service must
 // hear exactly one offline report and only after the last result was
-// published, and stopping again must do nothing.
+// published, and stopping again must do nothing. Deliveries the agent had
+// buffered but not yet handed to its engine are not its to fail: they go
+// back on the task queue, flagged redelivered, for the next agent.
 func TestStackStopKeepsAcknowledgedTasks(t *testing.T) {
 	brk := broker.New()
 	defer brk.Close()
@@ -58,7 +60,7 @@ func TestStackStopKeepsAcknowledgedTasks(t *testing.T) {
 	}
 	defer srv.Close()
 	epID := protocol.NewUUID()
-	taskQ, resultQ := taskQueue(epID), resultQueue(epID)
+	taskQ, resultQ := protocol.TaskQueue(epID), protocol.ResultQueue(epID)
 	for _, q := range []string{taskQ, resultQ} {
 		if err := brk.Declare(q); err != nil {
 			t.Fatal(err)
@@ -146,28 +148,42 @@ func TestStackStopKeepsAcknowledgedTasks(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	left := make(map[protocol.UUID]bool)
-	for _, body := range drainQueue(t, brk, taskQ) {
+	handedBack := 0
+	for _, m := range drainQueue(t, brk, taskQ) {
 		var task protocol.Task
-		if err := json.Unmarshal(body, &task); err != nil {
+		if err := json.Unmarshal(m.Body, &task); err != nil {
 			t.Fatal(err)
 		}
 		left[task.ID] = true
+		if m.Redelivered {
+			handedBack++
+		}
 	}
 	results := make(map[protocol.UUID]bool)
 	published := 0
-	for _, body := range drainQueue(t, brk, resultQ) {
+	for _, m := range drainQueue(t, brk, resultQ) {
 		var res protocol.Result
-		if err := json.Unmarshal(body, &res); err != nil {
+		if err := json.Unmarshal(m.Body, &res); err != nil {
 			t.Fatal(err)
 		}
 		if !submitted[res.TaskID] {
 			t.Errorf("result for unknown task %s", res.TaskID)
+		}
+		// A stopped engine refuses a submit with ErrStopped; the tasks it had
+		// accepted and never started fail with a different text.
+		if res.Error == engine.ErrStopped.Error() {
+			t.Errorf("task %s never reached the engine and came back %s: %s", res.TaskID, res.State, res.Error)
 		}
 		results[res.TaskID] = true
 		published++
 	}
 	if len(left) == 0 || len(results) == 0 {
 		t.Fatalf("stop was not mid-backlog: %d tasks left, %d results", len(left), len(results))
+	}
+	// One slow worker under a 400-task backlog: the delivery window was full
+	// of tasks the engine had no room for when the stop came.
+	if handedBack == 0 {
+		t.Error("no buffered delivery was handed back flagged redelivered")
 	}
 	for id := range submitted {
 		if !left[id] && !results[id] {

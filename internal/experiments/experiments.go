@@ -51,8 +51,7 @@ func (r Report) String() string {
 type env struct {
 	tb     *core.Testbed
 	client *sdk.Client
-	conn   broker.Conn
-	dial   *broker.Client
+	conn   *broker.ReconnectingConn
 	objs   *objectstore.Client
 }
 
@@ -66,7 +65,7 @@ func newEnv(clusterNodes int) (*env, error) {
 		tb.Close()
 		return nil, err
 	}
-	bc, err := broker.Dial(tb.BrokerSrv.Addr())
+	bc, err := broker.Connect(tb.BrokerSrv.Addr(), "")
 	if err != nil {
 		tb.Close()
 		return nil, err
@@ -74,14 +73,13 @@ func newEnv(clusterNodes int) (*env, error) {
 	return &env{
 		tb:     tb,
 		client: sdk.NewClient(tb.ServiceAddr(), tok.Value),
-		conn:   bc.AsConn(),
-		dial:   bc,
+		conn:   bc,
 		objs:   objectstore.NewClient(tb.ObjectsSrv.Addr()),
 	}, nil
 }
 
 func (e *env) close() {
-	e.dial.Close()
+	e.conn.Close()
 	e.tb.Close()
 }
 

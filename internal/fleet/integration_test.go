@@ -25,7 +25,7 @@ func TestFastestRoutesToFasterEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	client := sdk.NewClient(tb.ServiceAddr(), tok.Value)
-	bc, err := broker.Dial(tb.BrokerSrv.Addr())
+	bc, err := broker.Connect(tb.BrokerSrv.Addr(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestFastestRoutesToFasterEndpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 		ex, err := sdk.NewExecutor(sdk.ExecutorConfig{
-			Client: client, EndpointID: epID, Conn: bc.AsConn(), Objects: objs,
+			Client: client, EndpointID: epID, Conn: bc, Objects: objs,
 		})
 		if err != nil {
 			t.Fatal(err)

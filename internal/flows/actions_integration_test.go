@@ -27,14 +27,14 @@ func flowStack(t *testing.T) (*flows.Runner, *sdk.Executor) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bc, err := broker.Dial(tb.BrokerSrv.Addr())
+	bc, err := broker.Connect(tb.BrokerSrv.Addr(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { bc.Close() })
 	ex, err := sdk.NewExecutor(sdk.ExecutorConfig{
 		Client:     sdk.NewClient(tb.ServiceAddr(), tok.Value),
-		EndpointID: epID, Conn: bc.AsConn(),
+		EndpointID: epID, Conn: bc,
 		Objects: objectstore.NewClient(tb.ObjectsSrv.Addr()),
 	})
 	if err != nil {

@@ -82,9 +82,14 @@ type Config struct {
 	// mapped local account (0 = unlimited) — the administrator's resource
 	// utilization control (§IV-C).
 	MaxEndpointsPerUser int
-	// Heartbeat mirrors the single-user agent's status callback.
+	// Heartbeat mirrors the single-user agent's status callback: online at
+	// Start and every heartbeatInterval after, offline once at Stop.
 	Heartbeat func(online bool)
 }
+
+// heartbeatInterval is the single-user agent's default cadence
+// (endpoint.Config.HeartbeatInterval).
+const heartbeatInterval = 5 * time.Second
 
 // child tracks one spawned user endpoint.
 type child struct {
@@ -107,6 +112,8 @@ type Manager struct {
 	sub  broker.Subscription
 	done chan struct{}
 	wg   sync.WaitGroup
+	// heartbeatEvery is heartbeatInterval; a field so a test can shorten it.
+	heartbeatEvery time.Duration
 
 	Metrics *metrics.Registry
 }
@@ -133,6 +140,8 @@ func New(cfg Config) (*Manager, error) {
 		children: make(map[protocol.UUID]*child),
 		done:     make(chan struct{}),
 		Metrics:  metrics.NewRegistry(),
+
+		heartbeatEvery: heartbeatInterval,
 	}, nil
 }
 
@@ -158,8 +167,26 @@ func (m *Manager) Start() error {
 	}
 	if m.cfg.Heartbeat != nil {
 		m.cfg.Heartbeat(true)
+		m.wg.Add(1)
+		go m.heartbeatLoop()
 	}
 	return nil
+}
+
+// heartbeatLoop keeps the manager online in the service's eyes: a watchdog
+// marks an endpoint offline once its heartbeats stop.
+func (m *Manager) heartbeatLoop() {
+	defer m.wg.Done()
+	ticker := time.NewTicker(m.heartbeatEvery)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-m.done:
+			return
+		case <-ticker.C:
+			m.cfg.Heartbeat(true)
+		}
+	}
 }
 
 func (m *Manager) commandLoop() {

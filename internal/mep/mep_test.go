@@ -6,13 +6,16 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"globuscompute/internal/auth"
 	"globuscompute/internal/broker"
 	"globuscompute/internal/idmap"
+	"globuscompute/internal/objectstore"
 	"globuscompute/internal/protocol"
+	"globuscompute/internal/statestore"
 	"globuscompute/internal/template"
 	"globuscompute/internal/webservice"
 )
@@ -320,6 +323,75 @@ func TestStopTerminatesChildren(t *testing.T) {
 	h.mgr.Stop()
 	if !h.rec.eps[0].isStopped() {
 		t.Error("child survived manager stop")
+	}
+}
+
+// TestManagerHeartbeatsUntilStop runs a manager under a service whose watchdog
+// gives up on an endpoint after 80 ms of silence: the manager has to keep
+// heartbeating to stay online, and goes offline once, by its own report, at
+// Stop.
+func TestManagerHeartbeatsUntilStop(t *testing.T) {
+	brk := broker.New()
+	defer brk.Close()
+	svc, err := webservice.New(webservice.Config{
+		Store: statestore.New(), Broker: brk, Objects: objectstore.New(), Auth: auth.NewService(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	id, err := svc.RegisterEndpoint(webservice.RegisterEndpointRequest{Name: "mep", Owner: "admin", MultiUser: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const timeout = 80 * time.Millisecond
+	defer svc.StartWatchdog(webservice.WatchdogConfig{HeartbeatTimeout: timeout, Interval: 5 * time.Millisecond})()
+
+	mapper, err := idmap.NewExpressionMapper([]idmap.Rule{{Match: `(.*)`, Output: "{0}"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var offline atomic.Int64
+	mgr, err := New(Config{
+		EndpointID: id, Conn: broker.LocalConn(brk), Mapper: mapper,
+		Template: testTemplate, Schema: testSchema(), Spawn: (&spawnRecorder{}).spawn,
+		Heartbeat: func(online bool) {
+			if !online {
+				offline.Add(1)
+			}
+			if err := svc.RecordHeartbeat(id, online, nil, nil); err != nil {
+				t.Errorf("heartbeat: %v", err)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr.heartbeatEvery = timeout / 8
+	if err := mgr.Start(); err != nil {
+		t.Fatal(err)
+	}
+	status := func() statestore.EndpointStatus {
+		rec, err := svc.GetEndpoint(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec.Status
+	}
+	time.Sleep(3 * timeout)
+	if got := status(); got != statestore.EndpointOnline {
+		t.Errorf("status after three watchdog timeouts = %s, want online", got)
+	}
+	if v := svc.Metrics.Counter("endpoints_marked_offline").Value(); v != 0 {
+		t.Errorf("watchdog marked a heartbeating manager offline %d times", v)
+	}
+	mgr.Stop()
+	if got := status(); got != statestore.EndpointOffline {
+		t.Errorf("status after Stop = %s, want offline", got)
+	}
+	time.Sleep(timeout / 2)
+	if n := offline.Load(); n != 1 || status() != statestore.EndpointOffline {
+		t.Errorf("offline reports = %d, status %s; want exactly one and no heartbeat after it", n, status())
 	}
 }
 

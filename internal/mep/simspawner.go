@@ -139,7 +139,7 @@ func (a *SimAgent) loop() {
 				Started: done.started, Completed: time.Now(),
 			}
 			body, _ := json.Marshal(res)
-			_ = a.cfg.Conn.Publish(resultQueue, body)
+			_ = a.cfg.Conn.PublishBatch(resultQueue, [][]byte{body}, nil)
 			_ = a.sub.Ack(done.tag)
 			backlog = backlog[1:]
 			a.queued.Add(-1)

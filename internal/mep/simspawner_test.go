@@ -91,9 +91,8 @@ func TestSimSpawnerThroughMEPPipeline(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("sim agent never spawned")
 	}
-	if got := h.mgr.Stats().ActiveChildren; got != 1 {
-		t.Fatalf("active children = %d", got)
-	}
+	// OnSpawn fires inside the spawn call, before the manager counts the child.
+	waitFor(t, func() bool { return h.mgr.Stats().ActiveChildren == 1 }, "manager never counted the child")
 
 	// The spawned sim agent serves the child's task queue end to end.
 	if err := h.brk.Declare(webservice.ResultQueue(child)); err != nil {

@@ -118,14 +118,14 @@ func TestOverloadNoisyNeighborFairness(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	bc, err := broker.Dial(tb.BrokerSrv.Addr())
+	bc, err := broker.Connect(tb.BrokerSrv.Addr(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer bc.Close()
 	aliceClient := sdk.NewClient(tb.ServiceAddr(), aliceTok.Value)
 	ex, err := sdk.NewExecutor(sdk.ExecutorConfig{
-		Client: aliceClient, EndpointID: aliceEP, Conn: bc.AsConn(),
+		Client: aliceClient, EndpointID: aliceEP, Conn: bc,
 		Objects: objectstore.NewClient(tb.ObjectsSrv.Addr()),
 	})
 	if err != nil {

@@ -98,14 +98,34 @@ const (
 	binFlagRaw    = 1 << 3 // raw JSON body carried verbatim
 )
 
-// Queue-name compression codes: hot queues are "<prefix><uuid>", so the
-// prefix becomes one byte and the UUID its 16 raw bytes. Code 0 is an
-// uncompressed string (DLQ names, test queues, anything else).
+// Queue names: every hot queue is "<prefix><uuid>".
+const (
+	taskQueuePrefix        = "tasks."
+	resultQueuePrefix      = "results."
+	groupResultQueuePrefix = "results.group."
+	commandQueuePrefix     = "mepcmd."
+)
+
+// TaskQueue names the queue an endpoint's agent consumes its tasks from.
+func TaskQueue(ep UUID) string { return taskQueuePrefix + string(ep) }
+
+// ResultQueue names the queue an endpoint's agent publishes results to.
+func ResultQueue(ep UUID) string { return resultQueuePrefix + string(ep) }
+
+// GroupResultQueue names the stream an executor's task group resolves from.
+func GroupResultQueue(group UUID) string { return groupResultQueuePrefix + string(group) }
+
+// CommandQueue names a multi-user endpoint's start-endpoint command queue.
+func CommandQueue(mep UUID) string { return commandQueuePrefix + string(mep) }
+
+// Queue-name compression codes: the prefix becomes one byte and the UUID its
+// 16 raw bytes. Code 0 is an uncompressed string (DLQ names, test queues,
+// anything else).
 var queuePrefixes = []string{
-	1: "tasks.",
-	2: "results.group.", // must precede "results." (longest match wins)
-	3: "results.",
-	4: "mepcmd.",
+	1: taskQueuePrefix,
+	2: groupResultQueuePrefix, // must precede resultQueuePrefix (longest match wins)
+	3: resultQueuePrefix,
+	4: commandQueuePrefix,
 }
 
 // ErrBadFrame wraps every binary decode failure.

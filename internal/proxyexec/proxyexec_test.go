@@ -46,14 +46,14 @@ func newProxyStack(t *testing.T, minSize int) *proxyStack {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bc, err := broker.Dial(tb.BrokerSrv.Addr())
+	bc, err := broker.Connect(tb.BrokerSrv.Addr(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { bc.Close() })
 	inner, err := sdk.NewExecutor(sdk.ExecutorConfig{
 		Client:     sdk.NewClient(tb.ServiceAddr(), tok.Value),
-		EndpointID: epID, Conn: bc.AsConn(),
+		EndpointID: epID, Conn: bc,
 		Objects: objectstore.NewClient(tb.ObjectsSrv.Addr()),
 	})
 	if err != nil {

@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"globuscompute/internal/broker"
-	"globuscompute/internal/endpoint"
 	"globuscompute/internal/mep"
 	"globuscompute/internal/protocol"
 	"globuscompute/internal/sdk"
@@ -148,7 +147,7 @@ type simFleet struct {
 // (p2c placement scores load reports), and starts the heartbeat pump.
 func startFleet(t *testing.T, client *sdk.Client, brokerAddr string) *simFleet {
 	t.Helper()
-	conn, err := endpoint.DialBroker(brokerAddr, "")
+	conn, err := broker.Connect(brokerAddr, "")
 	if err != nil {
 		t.Fatalf("dial broker: %v", err)
 	}

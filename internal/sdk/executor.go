@@ -20,9 +20,7 @@ import (
 var ErrExecutorClosed = errors.New("sdk: executor closed")
 
 // ObjectFetcher resolves result references spilled to the object store.
-type ObjectFetcher interface {
-	Get(key string) ([]byte, error)
-}
+type ObjectFetcher = objectstore.Fetcher
 
 // ExecutorConfig configures an Executor.
 type ExecutorConfig struct {

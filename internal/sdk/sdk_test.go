@@ -45,7 +45,7 @@ func newEnv(t *testing.T, opts core.EndpointOptions) *env {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bc, err := broker.Dial(tb.BrokerSrv.Addr())
+	bc, err := broker.Connect(tb.BrokerSrv.Addr(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func newEnv(t *testing.T, opts core.EndpointOptions) *env {
 		tb:     tb,
 		client: sdk.NewClient(tb.ServiceAddr(), tok.Value),
 		epID:   epID,
-		conn:   bc.AsConn(),
+		conn:   bc,
 		objs:   objectstore.NewClient(tb.ObjectsSrv.Addr()),
 	}
 }

@@ -26,17 +26,20 @@ const (
 	OpPutFunction       MutationOp = "put_function"
 	OpUpsertEndpoint    MutationOp = "upsert_endpoint"
 	OpSetEndpointStatus MutationOp = "set_endpoint_status"
-	OpCreateTask        MutationOp = "create_task"
 	OpCreateTasks       MutationOp = "create_tasks"
 	OpAdmitTasks        MutationOp = "admit_tasks"
-	OpTransitionTask    MutationOp = "transition_task"
 	OpTransitionTasks   MutationOp = "transition_tasks"
-	OpCompleteTask      MutationOp = "complete_task"
 	OpCompleteTasks     MutationOp = "complete_tasks"
 	OpPurgeBefore       MutationOp = "purge_before"
 	OpPutIdempotency    MutationOp = "put_idempotency"
 	OpPurgeIdempotency  MutationOp = "purge_idempotency"
 	OpPutRoutingGroup   MutationOp = "put_routing_group"
+
+	// Decode-only: the store no longer writes the single-item records, but a
+	// log written before it stopped still replays.
+	OpCreateTask     MutationOp = "create_task"
+	OpTransitionTask MutationOp = "transition_task"
+	OpCompleteTask   MutationOp = "complete_task"
 )
 
 // Mutation is one journaled operation. Only the fields relevant to Op are

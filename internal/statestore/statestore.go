@@ -419,30 +419,9 @@ var legalNext = map[protocol.TaskState]map[protocol.TaskState]bool{
 	},
 }
 
-// CreateTask inserts a new task in StateReceived.
+// CreateTask is CreateTasks for one task.
 func (s *Store) CreateTask(task protocol.Task) error {
-	if !task.ID.Valid() {
-		return fmt.Errorf("statestore: invalid task ID %q", task.ID)
-	}
-	done, err := s.logMutation(Mutation{Op: OpCreateTask, Task: &task})
-	if err != nil {
-		return err
-	}
-	if done != nil {
-		defer done()
-	}
-	sh := s.taskShard(task.ID)
-	sh.mu.Lock()
-	if _, ok := sh.m[task.ID]; ok {
-		sh.mu.Unlock()
-		return fmt.Errorf("%w: task %s", ErrAlreadyExists, task.ID)
-	}
-	now := s.now()
-	sh.m[task.ID] = &TaskRecord{Task: task, State: protocol.StateReceived, Created: now, Updated: now}
-	sh.counts[protocol.StateReceived]++
-	sh.mu.Unlock()
-	s.indexTask(task.EndpointID, task.ID)
-	return nil
+	return s.CreateTasks([]protocol.Task{task})
 }
 
 // CreateTasks inserts a batch of tasks in StateReceived, grouping by shard
@@ -576,24 +555,14 @@ func (s *Store) GetTaskRecords(ids []protocol.UUID) map[protocol.UUID]TaskRecord
 	return out
 }
 
-// TransitionTask moves a task to state, enforcing the state machine.
+// TransitionTask is TransitionTasks for one task.
 func (s *Store) TransitionTask(id protocol.UUID, state protocol.TaskState) error {
-	done, err := s.logMutation(Mutation{Op: OpTransitionTask, TaskIDs: []protocol.UUID{id}, State: state})
-	if err != nil {
-		return err
-	}
-	if done != nil {
-		defer done()
-	}
-	sh := s.taskShard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return s.transitionLocked(sh, id, state)
+	return s.TransitionTasks([]protocol.UUID{id}, state)
 }
 
-// TransitionTasks moves a batch of tasks to state, one lock round trip per
-// touched shard. The first per-task error is returned; remaining tasks
-// still transition.
+// TransitionTasks moves a batch of tasks to state, enforcing the state
+// machine, one lock round trip per touched shard. The first per-task error
+// is returned; remaining tasks still transition.
 func (s *Store) TransitionTasks(ids []protocol.UUID, state protocol.TaskState) error {
 	done, jerr := s.logMutation(Mutation{Op: OpTransitionTasks, TaskIDs: ids, State: state})
 	if jerr != nil {
@@ -641,29 +610,16 @@ func (s *Store) transitionLocked(sh *taskShard, id protocol.UUID, state protocol
 	return nil
 }
 
-// CompleteTask records a result and moves the task to its terminal state in
-// one step (the result processor path).
+// CompleteTask is CompleteTasks for one result.
 func (s *Store) CompleteTask(res protocol.Result) error {
-	if !res.State.Terminal() {
-		return fmt.Errorf("statestore: CompleteTask with non-terminal state %s", res.State)
-	}
-	done, err := s.logMutation(Mutation{Op: OpCompleteTask, Result: &res})
-	if err != nil {
-		return err
-	}
-	if done != nil {
-		defer done()
-	}
-	sh := s.taskShard(res.TaskID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return s.completeLocked(sh, res)
+	return s.CompleteTasks([]protocol.Result{res})[0]
 }
 
-// CompleteTasks applies a batch of results, one lock round trip per touched
-// shard. The returned slice is parallel to results: errs[i] is nil when
-// results[i] was applied, so the caller can ack or dead-letter each source
-// message individually.
+// CompleteTasks applies a batch of results — each records its output and
+// moves its task to its terminal state in one step — one lock round trip per
+// touched shard. The returned slice is parallel to results: errs[i] is nil
+// when results[i] was applied, so the caller can ack or dead-letter each
+// source message individually.
 func (s *Store) CompleteTasks(results []protocol.Result) []error {
 	return s.CompleteEncoded(results, nil)
 }

@@ -23,9 +23,10 @@ func TestCancelPendingTask(t *testing.T) {
 	if err := f.svc.CancelTask(f.token, ids[0]); err != nil {
 		t.Fatal(err)
 	}
+	// The cancellation is recorded as a result: the store keeps its text.
 	st, _ := f.svc.GetTask(ids[0])
-	if st.State != protocol.StateCancelled {
-		t.Errorf("state = %s", st.State)
+	if st.State != protocol.StateCancelled || st.Error != "cancelled by user" {
+		t.Errorf("state = %s, error = %q", st.State, st.Error)
 	}
 	// Cancelling again fails: already terminal.
 	if err := f.svc.CancelTask(f.token, ids[0]); !errors.Is(err, statestore.ErrIllegalTransition) {
@@ -152,7 +153,7 @@ func TestBatchStatus(t *testing.T) {
 func TestHeartbeatWatchdog(t *testing.T) {
 	f := newFixture(t)
 	ep := f.registerEndpoint(t, RegisterEndpointRequest{Name: "e", Owner: "o"})
-	stop := f.svc.MonitorHeartbeats(50*time.Millisecond, 10*time.Millisecond)
+	stop := f.svc.StartWatchdog(WatchdogConfig{HeartbeatTimeout: 50 * time.Millisecond, Interval: 10 * time.Millisecond})
 	defer stop()
 	// Fresh heartbeat: stays online.
 	time.Sleep(20 * time.Millisecond)

@@ -29,7 +29,7 @@ func TestDashboardRenders(t *testing.T) {
 	h := newHTTPFixture(t)
 	fn := h.registerFunction(t)
 	ep := h.registerEndpoint(t, RegisterEndpointRequest{Name: "render-me", Owner: "o"})
-	h.svc.ReportEndpointLoad(ep, statestore.EndpointLoad{TotalWorkers: 4, FreeWorkers: 2, TasksReceived: 7})
+	h.svc.RecordHeartbeat(ep, true, &statestore.EndpointLoad{TotalWorkers: 4, FreeWorkers: 2, TasksReceived: 7}, nil)
 	h.fakeAgent(t, ep)
 	ids, _ := h.svc.Submit(h.token, []SubmitRequest{{EndpointID: ep, FunctionID: fn, Payload: []byte(`"x"`)}})
 	waitTask(t, h.svc, ids[0], 5*time.Second)

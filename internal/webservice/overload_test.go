@@ -193,7 +193,7 @@ func TestSubmitBacklogShed(t *testing.T) {
 	req := []SubmitRequest{{EndpointID: ep, FunctionID: fn, Payload: []byte(`1`)}}
 
 	backlog := 12
-	if err := f.svc.ReportEndpointLoad(ep, statestore.EndpointLoad{EgressBacklog: &backlog}); err != nil {
+	if err := f.svc.RecordHeartbeat(ep, true, &statestore.EndpointLoad{EgressBacklog: &backlog}, nil); err != nil {
 		t.Fatal(err)
 	}
 	_, err := f.svc.Submit(f.token, req)
@@ -206,7 +206,7 @@ func TestSubmitBacklogShed(t *testing.T) {
 		t.Fatalf("interactive under 2x threshold: %v", err)
 	}
 	backlog = 25
-	if err := f.svc.ReportEndpointLoad(ep, statestore.EndpointLoad{EgressBacklog: &backlog}); err != nil {
+	if err := f.svc.RecordHeartbeat(ep, true, &statestore.EndpointLoad{EgressBacklog: &backlog}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := f.svc.SubmitBatch(f.token, req, SubmitOptions{Interactive: true}); !errors.Is(err, ErrOverloaded) {

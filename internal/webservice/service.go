@@ -31,16 +31,15 @@ import (
 	"globuscompute/internal/trace"
 )
 
-// Queue name builders shared with endpoint agents and the SDK.
-func TaskQueue(ep protocol.UUID) string       { return "tasks." + string(ep) }
-func ResultQueue(ep protocol.UUID) string     { return "results." + string(ep) }
-func CommandQueue(ep protocol.UUID) string    { return "mepcmd." + string(ep) }
-func GroupResultQueue(g protocol.UUID) string { return "results.group." + string(g) }
+// Queue name builders: the names are protocol's.
+func TaskQueue(ep protocol.UUID) string       { return protocol.TaskQueue(ep) }
+func ResultQueue(ep protocol.UUID) string     { return protocol.ResultQueue(ep) }
+func CommandQueue(ep protocol.UUID) string    { return protocol.CommandQueue(ep) }
+func GroupResultQueue(g protocol.UUID) string { return protocol.GroupResultQueue(g) }
 
 // Common errors.
 var (
 	ErrFunctionNotAllowed = errors.New("webservice: function not in endpoint allowlist")
-	ErrEndpointOffline    = errors.New("webservice: endpoint offline")
 	ErrNeedsUserConfig    = errors.New("webservice: multi-user endpoint requires a user endpoint configuration")
 )
 
@@ -407,11 +406,6 @@ func (s *Service) SetEndpointStatus(id protocol.UUID, online bool) error {
 	return s.cfg.Store.SetEndpointStatus(id, status)
 }
 
-// ReportEndpointLoad records an agent's self-reported utilization.
-func (s *Service) ReportEndpointLoad(id protocol.UUID, load statestore.EndpointLoad) error {
-	return s.cfg.Store.SetEndpointLoad(id, load)
-}
-
 // GetEndpoint returns the endpoint record.
 func (s *Service) GetEndpoint(id protocol.UUID) (statestore.EndpointRecord, error) {
 	return s.cfg.Store.GetEndpoint(id)
@@ -520,13 +514,12 @@ func (s *Service) runResultProcessor(c *broker.Consumer) {
 }
 
 // processResultBatch records a batch of result messages: parse and spill
-// each, complete all tasks in one sharded statestore round trip (one journal
-// commit), stream the recorded results to their group queues (one publish per
-// group), and acknowledge the batch once. A result message is acked only when
-// its fate is settled — recorded, or rejected for good (malformed, or refused
-// by the task state machine). One the journal failed to record stays
-// unacknowledged, so the broker redelivers it when this consumer closes or
-// the process restarts; it is not nacked, which would spin against a dead log.
+// each, record them all through recordTerminal, and acknowledge the batch
+// once. A result message is acked only when its fate is settled — recorded,
+// or rejected for good (malformed, or refused by the task state machine). One
+// the journal failed to record stays unacknowledged, so the broker redelivers
+// it when this consumer closes or the process restarts; it is not nacked,
+// which would spin against a dead log.
 func (s *Service) processResultBatch(c *broker.Consumer, batch []broker.Message) {
 	// Parallel slices over the batch's well-formed results.
 	results := make([]protocol.Result, 0, len(batch))
@@ -545,16 +538,7 @@ func (s *Service) processResultBatch(c *broker.Consumer, batch []broker.Message)
 		results, bodies = append(results, res), append(bodies, body)
 		spans, tags = append(spans, sp), append(tags, m.Tag)
 	}
-	errs := s.cfg.Store.CompleteEncoded(results, bodies)
-	// Batch-fetch the recorded tasks to find group streams to feed.
-	ids := make([]protocol.UUID, 0, len(results))
-	for i, res := range results {
-		if errs[i] == nil {
-			ids = append(ids, res.TaskID)
-		}
-	}
-	recs := s.cfg.Store.GetTaskRecords(ids)
-	var stream []groupResult
+	errs := s.recordTerminal(results, bodies)
 	for i, res := range results {
 		if err := errs[i]; err != nil {
 			s.log.WithTask(string(res.TaskID)).WithTrace(res.Trace).
@@ -575,24 +559,49 @@ func (s *Service) processResultBatch(c *broker.Consumer, batch []broker.Message)
 				WithEndpoint(string(res.EndpointID)).
 				Warn("task dead-lettered by engine", "error", res.Error)
 		}
-		rec, ok := recs[res.TaskID]
-		if ok {
-			s.observeResult(res, rec.Created)
-			s.releaseTerminal(rec.Task, rec.Created)
-		} else {
-			s.observeResult(res, time.Time{})
+		spans[i].End()
+	}
+	_ = c.Ack(settled...)
+}
+
+// recordTerminal is the one path a task takes into a terminal state, whether
+// an endpoint's result, a user's cancellation or an expired lease put it
+// there. bodies is parallel to results, each one's JSON: the batch completes
+// in one sharded statestore round trip (one journal commit), and every
+// result the task state machine accepted settles its task's admission
+// accounting, feeds the originating endpoint's fleet series and goes out on
+// its submitter's group stream (one publish per group). The returned slice
+// is parallel to results: errs[i] is nil when results[i] was recorded.
+func (s *Service) recordTerminal(results []protocol.Result, bodies [][]byte) []error {
+	if len(results) == 0 {
+		return nil // nothing to journal
+	}
+	errs := s.cfg.Store.CompleteEncoded(results, bodies)
+	ids := make([]protocol.UUID, 0, len(results))
+	for i, res := range results {
+		if errs[i] == nil {
+			ids = append(ids, res.TaskID)
 		}
-		if ok && rec.Task.GroupID != "" {
+	}
+	recs := s.cfg.Store.GetTaskRecords(ids)
+	var stream []groupResult
+	for i, res := range results {
+		if errs[i] != nil {
+			continue
+		}
+		rec, ok := recs[res.TaskID]
+		if !ok {
+			s.observeResult(res, time.Time{})
+			continue
+		}
+		s.observeResult(res, rec.Created)
+		s.releaseTerminal(rec.Task, rec.Created)
+		if rec.Task.GroupID != "" {
 			stream = append(stream, groupResult{group: rec.Task.GroupID, body: bodies[i], tc: res.Trace})
 		}
 	}
 	s.streamGroupResults(stream)
-	for i, sp := range spans {
-		if errs[i] == nil {
-			sp.End()
-		}
-	}
-	_ = c.AckBatch(settled)
+	return errs
 }
 
 // groupResult is one recorded result bound for its submitter's group stream.
@@ -1144,30 +1153,20 @@ func (s *Service) CancelTask(tok auth.Token, id protocol.UUID) error {
 	if rec.Task.UserIdentity != tok.Identity.Username {
 		return fmt.Errorf("%w: task %s belongs to %s", auth.ErrPolicyDenied, id, rec.Task.UserIdentity)
 	}
-	err = s.cfg.Store.TransitionTask(id, protocol.StateCancelled)
+	// The cancellation is a result like any other: it streams to the
+	// executor's group queue so futures resolve promptly.
+	res := protocol.Result{TaskID: id, State: protocol.StateCancelled, Error: "cancelled by user"}
+	body, err := json.Marshal(res)
+	if err != nil {
+		return err
+	}
+	err = s.recordTerminal([]protocol.Result{res}, [][]byte{body})[0]
 	s.audit(tok.Identity.Username, "cancel_task", id, err, "")
 	if err != nil {
 		return err
 	}
 	s.Metrics.Counter("tasks_cancelled").Inc()
-	s.releaseTerminal(rec.Task, rec.Created)
-	// Stream the cancellation to the executor's group queue so futures
-	// resolve promptly.
-	if rec.Task.GroupID != "" {
-		res := protocol.Result{TaskID: id, State: protocol.StateCancelled, Error: "cancelled by user"}
-		if body, err := json.Marshal(res); err == nil {
-			s.streamGroupResults([]groupResult{{group: rec.Task.GroupID, body: body}})
-		}
-	}
 	return nil
-}
-
-// MonitorHeartbeats starts a watchdog that marks endpoints offline when
-// their heartbeats stop arriving for more than timeout. It returns a stop
-// function. Tasks on offline endpoints keep buffering indefinitely; use
-// StartWatchdog with a TaskLease to bound how long they may sit in flight.
-func (s *Service) MonitorHeartbeats(timeout, interval time.Duration) (stop func()) {
-	return s.StartWatchdog(WatchdogConfig{HeartbeatTimeout: timeout, Interval: interval})
 }
 
 // WatchdogConfig configures the combined heartbeat and task-lease watchdog.
@@ -1226,7 +1225,6 @@ func (s *Service) expireLeases(lease time.Duration) {
 	cutoff := time.Now().Add(-lease)
 	for _, ep := range s.cfg.Store.ListEndpoints(statestore.EndpointFilter{Status: statestore.EndpointOffline}) {
 		var (
-			expired []statestore.TaskRecord
 			results []protocol.Result
 			bodies  [][]byte
 		)
@@ -1245,27 +1243,16 @@ func (s *Service) expireLeases(lease time.Duration) {
 			if err != nil {
 				continue
 			}
-			expired, results, bodies = append(expired, rec), append(results, res), append(bodies, body)
+			results, bodies = append(results, res), append(bodies, body)
 		}
-		if len(results) == 0 {
-			continue
-		}
-		var stream []groupResult
-		for i, err := range s.cfg.Store.CompleteEncoded(results, bodies) {
+		for i, err := range s.recordTerminal(results, bodies) {
 			if err != nil {
 				continue // lost the race to a real terminal result
 			}
-			rec := expired[i]
 			s.Metrics.Counter("lease_expired").Inc()
-			s.observeResult(results[i], rec.Created)
-			s.releaseTerminal(rec.Task, rec.Created)
-			s.log.WithTask(string(rec.Task.ID)).WithEndpoint(string(ep.ID)).
+			s.log.WithTask(string(results[i].TaskID)).WithEndpoint(string(ep.ID)).
 				Warn("task lease expired on offline endpoint", "lease", lease.String())
-			if rec.Task.GroupID != "" {
-				stream = append(stream, groupResult{group: rec.Task.GroupID, body: bodies[i]})
-			}
 		}
-		s.streamGroupResults(stream)
 	}
 }
 
