@@ -9,8 +9,12 @@ all: build vet test race crash overload route-smoke fuzz-codec scenario
 build:
 	$(GO) build ./...
 
+# go vet plus formatting: any file gofmt would rewrite fails the target
+# (.bench_build/ holds the benchmark's build outputs, not source).
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l . | grep -v '^\.bench_build/'); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...

@@ -160,6 +160,46 @@ func newClient(httpAddr, token string) *sdk.Client {
 	return c
 }
 
+// checkObjects asserts that the spilled payload of every acknowledged task,
+// and the spilled result of every finished one, resolves to the bytes that
+// were submitted (the agent echoes its input), and that objectsDir holds no
+// temp file of an interrupted put. The caller holds the storm off, so
+// payloads is not being written.
+func checkObjects(t *testing.T, round int, c *sdk.Client, objects *objectstore.Client,
+	acked []protocol.UUID, payloads map[protocol.UUID][]byte, objectsDir string) {
+	t.Helper()
+	finished := 0
+	for start := 0; start < len(acked); start += 100 {
+		sts, err := c.TaskStatuses(acked[start:min(start+100, len(acked))])
+		if err != nil {
+			t.Fatalf("round %d: batch status: %v", round, err)
+		}
+		for _, st := range sts {
+			want := payloads[st.TaskID]
+			if ok, err := objects.Exists(objectstore.ContentKey(want)); err != nil || !ok {
+				t.Errorf("round %d: task %s: payload ref does not resolve (%v)", round, st.TaskID, err)
+			}
+			if st.ResultRef == "" {
+				continue
+			}
+			finished++
+			if got, err := objects.Get(st.ResultRef); err != nil || string(got) != string(want) {
+				t.Errorf("round %d: task %s: result ref %s: %d bytes, %v", round, st.TaskID, st.ResultRef, len(got), err)
+			}
+		}
+	}
+	entries, err := os.ReadDir(objectsDir)
+	if err != nil {
+		t.Fatalf("round %d: %v", round, err)
+	}
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), ".put-") {
+			t.Errorf("round %d: interrupted put left %s behind", round, e.Name())
+		}
+	}
+	t.Logf("round %d: %d tasks acknowledged, %d finished, %d objects on disk: all references resolve", round, len(acked), finished, len(entries))
+}
+
 func TestCrashRecoverySIGKILL(t *testing.T) {
 	if os.Getenv("GC_CRASH") == "" {
 		t.Skip("crash-recovery suite skipped: set GC_CRASH=1 (or run `make crash`)")
@@ -242,11 +282,15 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 	// service is dead. Only IDs the service acknowledged count — those are
 	// the ones durability must not lose.
 	var (
-		mu     sync.Mutex
-		ids    []protocol.UUID
-		curTok = ws.token
-		stop   = make(chan struct{})
-		wg     sync.WaitGroup
+		mu       sync.Mutex
+		ids      []protocol.UUID
+		payloads = map[protocol.UUID][]byte{} // what each acknowledged task spilled
+		curTok   = ws.token
+		stop     = make(chan struct{})
+		wg       sync.WaitGroup
+		// storm is read-held around each submit; the post-restart object
+		// check write-locks it so no put is legitimately in flight.
+		storm sync.RWMutex
 	)
 	wg.Add(1)
 	go func() {
@@ -273,14 +317,19 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 				}
 			}
 			seq++
+			storm.RLock()
 			got, err := c.SubmitBatch(batch)
+			mu.Lock()
+			ids = append(ids, got...)
+			for i, id := range got {
+				payloads[id] = batch[i].Payload
+			}
+			mu.Unlock()
+			storm.RUnlock()
 			if err != nil {
 				time.Sleep(50 * time.Millisecond)
 				continue
 			}
-			mu.Lock()
-			ids = append(ids, got...)
-			mu.Unlock()
 			time.Sleep(15 * time.Millisecond)
 		}
 	}()
@@ -299,6 +348,15 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 		if err := newClient(httpAddr, ws.token).Heartbeat(ep, true, nil, nil); err != nil {
 			t.Fatalf("post-restart heartbeat (round %d): %v", round, err)
 		}
+		// The data plane recovered too: with the storm held off, every
+		// object an acknowledged task references is there, and the put the
+		// kill interrupted left no temp file behind.
+		storm.Lock()
+		mu.Lock()
+		acked := append([]protocol.UUID(nil), ids...)
+		mu.Unlock()
+		checkObjects(t, round, newClient(httpAddr, ws.token), objects, acked, payloads, filepath.Join(dataDir, "objects"))
+		storm.Unlock()
 	}
 	time.Sleep(500 * time.Millisecond)
 	close(stop)

@@ -195,4 +195,3 @@ func (s Snapshot) HistogramValue(name string) (HistogramStats, bool) {
 	v, ok := s.Histograms[name]
 	return v, ok
 }
-

@@ -3,9 +3,9 @@
 // threshold, and by ProxyStore as the store its proxies point into. It
 // offers an in-process API plus an HTTP server (PUT/GET/HEAD/DELETE
 // /objects/<key>) for cross-process access, an optional file-backed mode
-// (OpenDir) whose objects survive restarts, and a bounded LRU read-through
-// cache (DedupCache) for endpoint-side fan-out dedup and ProxyStore
-// resolves.
+// (OpenDir) that keeps only an index in memory, survives restarts and is
+// swept with the task rows, and a bounded LRU read-through cache
+// (DedupCache) for endpoint-side fan-out dedup and ProxyStore resolves.
 package objectstore
 
 import (
@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net"
 	"net/http"
 	"os"
@@ -34,12 +35,16 @@ var (
 )
 
 // Store is a blob store safe for concurrent use. By default it is purely
-// in-memory; OpenDir adds a file-backed mode where every object is also
-// persisted to disk and reloaded on open, so content-addressed references
-// held by tasks in a durable WAL stay resolvable across a restart.
+// in-memory. OpenDir adds a file-backed mode in which memory holds only an
+// index (key -> size) and the bytes live in one file per object, so
+// content-addressed references held by tasks in a durable WAL stay
+// resolvable across a restart and the service never holds user data on its
+// heap: reads are served from the files (the page cache is the hot cache),
+// puts stream to disk.
 type Store struct {
 	mu      sync.RWMutex
-	objects map[string][]byte
+	objects map[string]object
+	bytes   int64 // sum of the indexed sizes
 	closed  bool
 	dir     string // "" = memory only
 	// MaxObject bounds a single object size; 0 means unlimited.
@@ -47,15 +52,29 @@ type Store struct {
 	Metrics   *metrics.Registry
 }
 
-// New returns an empty in-memory store.
-func New() *Store {
-	return &Store{objects: make(map[string][]byte), Metrics: metrics.NewRegistry()}
+// object is one index entry. data is nil in a file-backed store.
+type object struct {
+	size int64
+	data []byte
 }
 
-// OpenDir returns a store whose objects are persisted under dir (one
-// "<hex(key)>.obj" file per object, written atomically) and eagerly
-// reloaded from it, so spilled payload/result references survive a process
-// restart. The directory is created if missing.
+// tempPrefix names a put in progress: the body is written and fsynced under
+// this name, then renamed to its object file.
+const tempPrefix = ".put-"
+
+// New returns an empty in-memory store.
+func New() *Store {
+	s := &Store{objects: make(map[string]object), Metrics: metrics.NewRegistry()}
+	s.gaugesLocked() // exported from the first scrape on, not the first put
+	return s
+}
+
+// OpenDir returns a store whose objects live under dir, one
+// "<hex(key)>.obj" file per object, written atomically, so spilled
+// payload/result references survive a process restart. The index is rebuilt
+// from the file names and sizes alone — no object is read — and temp files a
+// killed process left mid-put are removed. The directory is created if
+// missing.
 func OpenDir(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("objectstore: open %s: %w", dir, err)
@@ -68,18 +87,25 @@ func OpenDir(dir string) (*Store, error) {
 	}
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".obj") {
+		if !e.Type().IsRegular() {
+			continue
+		}
+		if strings.HasPrefix(name, tempPrefix) {
+			_ = os.Remove(filepath.Join(dir, name)) // best effort: the next open retries
+			continue
+		}
+		if !strings.HasSuffix(name, ".obj") {
 			continue
 		}
 		rawKey, err := hex.DecodeString(strings.TrimSuffix(name, ".obj"))
 		if err != nil {
 			continue // foreign file; not one of ours
 		}
-		data, err := os.ReadFile(filepath.Join(dir, name))
+		info, err := e.Info()
 		if err != nil {
-			return nil, fmt.Errorf("objectstore: reload %s: %w", name, err)
+			return nil, fmt.Errorf("objectstore: open %s: %w", name, err)
 		}
-		s.objects[string(rawKey)] = data
+		s.setLocked(string(rawKey), object{size: info.Size()})
 	}
 	return s, nil
 }
@@ -90,76 +116,140 @@ func (s *Store) objectPath(key string) string {
 	return filepath.Join(s.dir, hex.EncodeToString([]byte(key))+".obj")
 }
 
-// persist writes data for key to the backing directory via temp+rename so a
-// crash never leaves a truncated object.
-func (s *Store) persist(key string, data []byte) error {
-	tmp, err := os.CreateTemp(s.dir, ".put-*")
+// setLocked indexes obj under key, replacing any previous entry.
+func (s *Store) setLocked(key string, obj object) {
+	s.bytes += obj.size - s.objects[key].size
+	s.objects[key] = obj
+	s.gaugesLocked()
+}
+
+// dropLocked removes key from the index and, file-backed, unlinks its file.
+// Readers that already hold the file open keep reading it to EOF.
+func (s *Store) dropLocked(key string) {
+	s.bytes -= s.objects[key].size
+	delete(s.objects, key)
+	if s.dir != "" {
+		_ = os.Remove(s.objectPath(key)) // the index no longer names it
+	}
+	s.gaugesLocked()
+}
+
+func (s *Store) gaugesLocked() {
+	s.Metrics.Gauge("objects").Set(int64(len(s.objects)))
+	s.Metrics.Gauge("bytes").Set(s.bytes)
+}
+
+// stage writes r to a temp file in the store directory, fsyncs it and
+// returns its name and length — everything a put does that takes time,
+// done before any lock is taken. limit >= 0 rejects inputs beyond limit
+// bytes. On error nothing is left behind.
+func (s *Store) stage(r io.Reader, limit int64) (name string, n int64, err error) {
+	tmp, err := os.CreateTemp(s.dir, tempPrefix+"*")
 	if err != nil {
-		return err
+		return "", 0, err
 	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
+	defer func() {
+		if err != nil {
+			tmp.Close()
+			os.Remove(tmp.Name())
+		}
+	}()
+	if limit >= 0 {
+		r = io.LimitReader(r, limit+1)
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
+	if n, err = io.Copy(tmp, r); err != nil {
+		return "", 0, err
 	}
-	if err := tmp.Close(); err != nil {
-		return err
+	if limit >= 0 && n > limit {
+		return "", 0, fmt.Errorf("exceeds %d byte cap", limit)
 	}
-	return os.Rename(tmp.Name(), s.objectPath(key))
+	if err = tmp.Sync(); err != nil {
+		return "", 0, err
+	}
+	if err = tmp.Close(); err != nil {
+		return "", 0, err
+	}
+	return tmp.Name(), n, nil
 }
 
-// Put stores data under key, replacing any existing object.
+// commit publishes obj under key; staged, when set, is the temp file that
+// becomes the object's file. The rename shares the lock with the index
+// update (and with Delete and Sweep, which unlink under it), so the index
+// never names a file that is gone. Concurrent puts of one content-addressed
+// key are idempotent: the later rename replaces identical bytes.
+func (s *Store) commit(key string, obj object, staged string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		if staged != "" {
+			os.Remove(staged)
+		}
+		return ErrClosed
+	}
+	if staged != "" {
+		if err := os.Rename(staged, s.objectPath(key)); err != nil {
+			os.Remove(staged)
+			return fmt.Errorf("objectstore: persist %q: %w", key, err)
+		}
+	}
+	s.setLocked(key, obj)
+	s.Metrics.Counter("puts").Inc()
+	// "ingress_bytes" (not "bytes_in") so the exported counter reads
+	// ingress_bytes_total with the unit suffix ahead of _total, per
+	// Prometheus naming conventions.
+	s.Metrics.Counter("ingress_bytes").Add(obj.size)
+	return nil
+}
+
+// Put stores data under key, replacing any existing object. A memory store
+// keeps its own copy; a file-backed one only writes the bytes out.
 func (s *Store) Put(key string, data []byte) error {
-	return s.putOwned(key, append([]byte(nil), data...))
-}
-
-// putOwned stores data, taking ownership of the slice (no defensive copy).
-func (s *Store) putOwned(key string, data []byte) error {
 	if key == "" {
 		return errors.New("objectstore: empty key")
 	}
 	if s.MaxObject > 0 && len(data) > s.MaxObject {
 		return fmt.Errorf("objectstore: object %q size %d exceeds cap %d", key, len(data), s.MaxObject)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
+	if s.dir == "" {
+		return s.commit(key, object{size: int64(len(data)), data: append([]byte(nil), data...)}, "")
 	}
-	if s.dir != "" {
-		if err := s.persist(key, data); err != nil {
-			return fmt.Errorf("objectstore: persist %q: %w", key, err)
-		}
+	staged, n, err := s.stage(bytes.NewReader(data), -1)
+	if err != nil {
+		return fmt.Errorf("objectstore: persist %q: %w", key, err)
 	}
-	s.objects[key] = data
-	s.Metrics.Counter("puts").Inc()
-	// "ingress_bytes" (not "bytes_in") so the exported counter reads
-	// ingress_bytes_total with the unit suffix ahead of _total, per
-	// Prometheus naming conventions.
-	s.Metrics.Counter("ingress_bytes").Add(int64(len(data)))
-	return nil
+	return s.commit(key, object{size: n}, staged)
 }
 
-// PutReader streams r into the store under key, reading exactly once into
-// the stored buffer (no second copy — sizeHint, when >= 0, pre-sizes it).
-// Used by the HTTP server so a multi-MB PUT is not double-buffered.
+// PutReader streams r into the store under key, reading it exactly once:
+// into the stored buffer of a memory store (sizeHint, when >= 0, pre-sizes
+// it), straight into the object's file otherwise. Used by the HTTP server
+// so a multi-MB PUT is never double-buffered.
 func (s *Store) PutReader(key string, r io.Reader, sizeHint int64) (int64, error) {
+	if key == "" {
+		return 0, errors.New("objectstore: empty key")
+	}
 	limit := int64(-1)
 	if s.MaxObject > 0 {
 		limit = int64(s.MaxObject)
 	}
-	data, err := readAllHint(r, sizeHint, limit)
-	if err != nil {
-		return 0, fmt.Errorf("objectstore: put %q: %w", key, err)
+	obj, staged := object{}, ""
+	if s.dir == "" {
+		data, err := readAllHint(r, sizeHint, limit)
+		if err != nil {
+			return 0, fmt.Errorf("objectstore: put %q: %w", key, err)
+		}
+		obj = object{size: int64(len(data)), data: data}
+	} else {
+		name, n, err := s.stage(r, limit)
+		if err != nil {
+			return 0, fmt.Errorf("objectstore: put %q: %w", key, err)
+		}
+		obj, staged = object{size: n}, name
 	}
-	if err := s.putOwned(key, data); err != nil {
+	if err := s.commit(key, obj, staged); err != nil {
 		return 0, err
 	}
-	return int64(len(data)), nil
+	return obj.size, nil
 }
 
 // readAllHint reads r to EOF into a buffer pre-sized by hint. limit >= 0
@@ -197,14 +287,7 @@ func ContentKey(data []byte) string {
 // entirely when the key is already present (counted as dedup_hits).
 func (s *Store) PutContent(data []byte) (string, error) {
 	key := ContentKey(data)
-	s.mu.RLock()
-	_, exists := s.objects[key]
-	closed := s.closed
-	s.mu.RUnlock()
-	if closed {
-		return "", ErrClosed
-	}
-	if exists {
+	if _, ok := s.probe(key); ok {
 		s.Metrics.Counter("dedup_hits").Inc()
 		return key, nil
 	}
@@ -214,39 +297,94 @@ func (s *Store) PutContent(data []byte) (string, error) {
 	return key, nil
 }
 
-// Get returns a copy of the object stored under key.
-func (s *Store) Get(key string) ([]byte, error) {
+// probe is the dedup probe: it answers from the index whether key is stored
+// and how large it is, and marks a file-backed hit as just used by touching
+// its file. The touch is what lets a caller reference an object it did not
+// write: Sweep unlinks only files last used before its cutoff, and takes
+// the write lock for each check-and-unlink, so a probe either lands before
+// (Sweep sees the fresh mtime and keeps the file) or after (the probe
+// misses and the caller writes the object again).
+func (s *Store) probe(key string) (int64, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	obj, ok := s.objects[key]
+	if ok && s.dir != "" {
+		now := time.Now()
+		ok = os.Chtimes(s.objectPath(key), now, now) == nil
+	}
+	return obj.size, ok
+}
+
+// lookup returns the index entry for key.
+func (s *Store) lookup(key string) (object, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
-		return nil, ErrClosed
+		return object{}, ErrClosed
 	}
-	data, ok := s.objects[key]
+	obj, ok := s.objects[key]
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
+		return object{}, fmt.Errorf("%w: %q", ErrNotFound, key)
+	}
+	return obj, nil
+}
+
+// Get returns the object stored under key in a slice the caller owns.
+func (s *Store) Get(key string) ([]byte, error) {
+	obj, err := s.lookup(key)
+	if err != nil {
+		return nil, err
+	}
+	var data []byte
+	if s.dir == "" {
+		data = append([]byte(nil), obj.data...)
+	} else if data, err = os.ReadFile(s.objectPath(key)); err != nil {
+		return nil, readErr(key, err)
 	}
 	s.Metrics.Counter("gets").Inc()
 	s.Metrics.Counter("egress_bytes").Add(int64(len(data)))
-	return append([]byte(nil), data...), nil
+	return data, nil
 }
 
 // GetReader returns a streaming reader over the object under key and its
-// size, without copying the stored bytes. The stored slice is never
-// mutated after Put, so reading concurrently with other operations is safe.
+// size, without copying it: a file-backed store hands out the open
+// *os.File, so an io.Copy to a socket becomes sendfile, and a reader opened
+// before a Delete still reads to EOF. A memory store's slice is never
+// mutated after Put, so reading it concurrently with other operations is
+// safe.
 func (s *Store) GetReader(key string) (io.ReadCloser, int64, error) {
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return nil, 0, ErrClosed
+	obj, err := s.lookup(key)
+	if err != nil {
+		return nil, 0, err
 	}
-	data, ok := s.objects[key]
-	s.mu.RUnlock()
-	if !ok {
-		return nil, 0, fmt.Errorf("%w: %q", ErrNotFound, key)
+	var rd io.ReadCloser = io.NopCloser(bytes.NewReader(obj.data))
+	size := obj.size
+	if s.dir != "" {
+		// The size comes from the file that was opened, not the index: a
+		// replacing Put may land between the two.
+		f, err := os.Open(s.objectPath(key))
+		if err != nil {
+			return nil, 0, readErr(key, err)
+		}
+		info, err := f.Stat()
+		if err != nil {
+			f.Close()
+			return nil, 0, readErr(key, err)
+		}
+		rd, size = f, info.Size()
 	}
 	s.Metrics.Counter("gets").Inc()
-	s.Metrics.Counter("egress_bytes").Add(int64(len(data)))
-	return io.NopCloser(bytes.NewReader(data)), int64(len(data)), nil
+	s.Metrics.Counter("egress_bytes").Add(size)
+	return rd, size, nil
+}
+
+// readErr maps a failed file read: a file that vanished after the index
+// lookup lost a race with Delete or Sweep and reads as not found.
+func readErr(key string, err error) error {
+	if errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("%w: %q", ErrNotFound, key)
+	}
+	return fmt.Errorf("objectstore: read %q: %w", key, err)
 }
 
 // Delete removes the object under key. Deleting a missing key returns
@@ -260,12 +398,42 @@ func (s *Store) Delete(key string) error {
 	if _, ok := s.objects[key]; !ok {
 		return fmt.Errorf("%w: %q", ErrNotFound, key)
 	}
-	delete(s.objects, key)
-	if s.dir != "" {
-		_ = os.Remove(s.objectPath(key))
-	}
+	s.dropLocked(key)
 	s.Metrics.Counter("deletes").Inc()
 	return nil
+}
+
+// Sweep unlinks every file-backed object that is not in live and was last
+// used (written, or hit by a dedup probe) before cutoff, and returns how
+// many it removed. It is the mark-and-sweep half of object lifetime: the
+// caller marks (the keys its task rows still reference), the file mtime is
+// the last-use guard for objects about to be referenced — see probe. A
+// memory store has no last-use record and is left alone.
+func (s *Store) Sweep(live map[string]struct{}, cutoff time.Time) int {
+	if s.dir == "" {
+		return 0
+	}
+	s.mu.RLock()
+	var dead []string
+	for key := range s.objects {
+		if _, ok := live[key]; !ok {
+			dead = append(dead, key)
+		}
+	}
+	s.mu.RUnlock()
+	swept := 0
+	for _, key := range dead {
+		s.mu.Lock()
+		if _, ok := s.objects[key]; ok && !s.closed {
+			if info, err := os.Stat(s.objectPath(key)); err == nil && info.ModTime().Before(cutoff) {
+				s.dropLocked(key)
+				swept++
+			}
+		}
+		s.mu.Unlock()
+	}
+	s.Metrics.Counter("swept").Add(int64(swept))
+	return swept
 }
 
 // Exists reports whether key is present.
@@ -280,11 +448,11 @@ func (s *Store) Exists(key string) bool {
 func (s *Store) Size(key string) (int, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	data, ok := s.objects[key]
+	obj, ok := s.objects[key]
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrNotFound, key)
 	}
-	return len(data), nil
+	return int(obj.size), nil
 }
 
 // Len returns the number of stored objects.
@@ -298,11 +466,7 @@ func (s *Store) Len() int {
 func (s *Store) TotalBytes() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var n int64
-	for _, d := range s.objects {
-		n += int64(len(d))
-	}
-	return n
+	return s.bytes
 }
 
 // Close marks the store closed; subsequent operations fail. File-backed
@@ -311,14 +475,15 @@ func (s *Store) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.closed = true
-	s.objects = nil
+	s.objects, s.bytes = nil, 0
 }
 
 // Server exposes a Store over HTTP, mimicking presigned-URL style access:
 //
 //	PUT    /objects/<key>   store body (streamed; Content-Length pre-sizes)
 //	GET    /objects/<key>   fetch (streamed with Content-Length)
-//	HEAD   /objects/<key>   existence + size probe (dedup fast path)
+//	HEAD   /objects/<key>   existence + size probe (dedup fast path; a hit
+//	                        counts as a use, see Store.Sweep)
 //	DELETE /objects/<key>   remove
 //	GET    /healthz         liveness
 type Server struct {
@@ -358,8 +523,8 @@ func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
 	}
 	switch r.Method {
 	case http.MethodPut:
-		// Stream the body straight into the stored buffer — no ReadAll-
-		// then-copy double buffering for multi-MB payloads.
+		// Stream the body straight into the store — no ReadAll-then-copy
+		// double buffering for multi-MB payloads.
 		if _, err := s.store.PutReader(key, io.LimitReader(r.Body, 1<<30), r.ContentLength); err != nil {
 			http.Error(w, err.Error(), http.StatusInsufficientStorage)
 			return
@@ -380,13 +545,13 @@ func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
 		io.Copy(w, rd)
 	case http.MethodHead:
-		size, err := s.store.Size(key)
-		if err != nil {
+		size, ok := s.store.probe(key)
+		if !ok {
 			http.NotFound(w, r)
 			return
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Length", strconv.Itoa(size))
+		w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
 		w.WriteHeader(http.StatusOK)
 	case http.MethodDelete:
 		err := s.store.Delete(key)

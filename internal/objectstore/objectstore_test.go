@@ -90,18 +90,26 @@ func TestGetReturnsCopy(t *testing.T) {
 }
 
 func TestTotalBytesAndLen(t *testing.T) {
-	s := New()
-	s.Put("a", make([]byte, 10))
-	s.Put("b", make([]byte, 20))
-	if s.Len() != 2 {
-		t.Errorf("Len = %d", s.Len())
-	}
-	if s.TotalBytes() != 30 {
-		t.Errorf("TotalBytes = %d, want 30", s.TotalBytes())
-	}
-	s.Put("a", make([]byte, 5)) // replace
-	if s.TotalBytes() != 25 {
-		t.Errorf("TotalBytes after replace = %d, want 25", s.TotalBytes())
+	for name, s := range map[string]*Store{"memory": New(), "dir": openDir(t, t.TempDir())} {
+		s.Put("a", make([]byte, 10))
+		s.Put("b", make([]byte, 20))
+		if s.Len() != 2 || s.TotalBytes() != 30 {
+			t.Errorf("%s: %d objects / %d bytes, want 2 / 30", name, s.Len(), s.TotalBytes())
+		}
+		s.Put("a", make([]byte, 5)) // replace
+		if s.Len() != 2 || s.TotalBytes() != 25 {
+			t.Errorf("%s after replace: %d objects / %d bytes, want 2 / 25", name, s.Len(), s.TotalBytes())
+		}
+		s.Delete("b")
+		if s.Len() != 1 || s.TotalBytes() != 5 {
+			t.Errorf("%s after delete: %d objects / %d bytes, want 1 / 5", name, s.Len(), s.TotalBytes())
+		}
+		if g := s.Metrics.Gauge("bytes").Value(); g != 5 || s.Metrics.Gauge("objects").Value() != 1 {
+			t.Errorf("%s: gauges read %d bytes / %d objects, want 5 / 1", name, g, s.Metrics.Gauge("objects").Value())
+		}
+		if s.dir != "" {
+			checkIndexMatchesDisk(t, s)
+		}
 	}
 }
 

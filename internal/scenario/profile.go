@@ -109,9 +109,9 @@ type Profile struct {
 	// count against cohort completeness.
 	DrainTimeoutSec float64 `json:"drain_timeout_sec,omitempty"`
 	// SubmitBatch is tasks per POST /v2/submit (default 8).
-	SubmitBatch int          `json:"submit_batch,omitempty"`
-	Tenants     []TenantSpec `json:"tenants"`
-	Burst       *BurstSpec   `json:"burst,omitempty"`
+	SubmitBatch int           `json:"submit_batch,omitempty"`
+	Tenants     []TenantSpec  `json:"tenants"`
+	Burst       *BurstSpec    `json:"burst,omitempty"`
 	PayloadMix  []PayloadBand `json:"payload_mix,omitempty"`
 	// ShellFraction of tasks submit as shell-kind payloads (rendered
 	// ShellSpec); the rest are python-kind identity calls.

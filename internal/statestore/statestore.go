@@ -745,6 +745,27 @@ func (s *Store) PurgeTasksBefore(cutoff time.Time) int {
 	return purged
 }
 
+// ObjectRefs returns the object-store keys the task table still references:
+// the spilled payload and result of every task not yet purged. It is the
+// mark set of the retention sweeper's object sweep.
+func (s *Store) ObjectRefs() map[string]struct{} {
+	refs := make(map[string]struct{})
+	for si := range s.tasks {
+		sh := &s.tasks[si]
+		sh.mu.RLock()
+		for _, rec := range sh.m {
+			if rec.Task.PayloadRef != "" {
+				refs[rec.Task.PayloadRef] = struct{}{}
+			}
+			if rec.ResultRef != "" {
+				refs[rec.ResultRef] = struct{}{}
+			}
+		}
+		sh.mu.RUnlock()
+	}
+	return refs
+}
+
 func (s *Store) unindexTask(ep, id protocol.UUID) {
 	ix := s.idxShard(ep)
 	ix.mu.Lock()

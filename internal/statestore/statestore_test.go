@@ -211,6 +211,42 @@ func TestCompleteTaskFromDeliveredDirectly(t *testing.T) {
 	}
 }
 
+// TestObjectRefsFollowTheRows: the mark set names the spilled payload of
+// every row, the spilled result of every finished one, and nothing a purge
+// removed.
+func TestObjectRefsFollowTheRows(t *testing.T) {
+	s := New()
+	ep := protocol.NewUUID()
+	inline, queued, done := newTask(ep), newTask(ep), newTask(ep)
+	queued.PayloadRef, done.PayloadRef = "payload-queued", "payload-done"
+	for _, task := range []protocol.Task{inline, queued, done} {
+		if err := s.CreateTask(task); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.TransitionTask(done.ID, protocol.StateDelivered)
+	if err := s.CompleteTask(protocol.Result{TaskID: done.ID, State: protocol.StateSuccess, OutputRef: "result-done"}); err != nil {
+		t.Fatal(err)
+	}
+	want := func(keys ...string) {
+		t.Helper()
+		refs := s.ObjectRefs()
+		if len(refs) != len(keys) {
+			t.Errorf("ObjectRefs = %v, want %v", refs, keys)
+		}
+		for _, key := range keys {
+			if _, ok := refs[key]; !ok {
+				t.Errorf("ObjectRefs = %v, missing %s", refs, key)
+			}
+		}
+	}
+	want("payload-queued", "payload-done", "result-done")
+	if n := s.PurgeTasksBefore(time.Now().Add(time.Hour)); n != 1 {
+		t.Fatalf("purged %d tasks, want 1", n)
+	}
+	want("payload-queued")
+}
+
 func TestDuplicateTask(t *testing.T) {
 	s := New()
 	task := newTask(protocol.NewUUID())

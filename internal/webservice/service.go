@@ -1261,7 +1261,10 @@ func (s *Service) expireLeases(lease time.Duration) {
 const ResultRetention = 14 * 24 * time.Hour
 
 // StartRetentionSweeper purges terminal tasks older than retention
-// (<=0 selects ResultRetention) every interval. It returns a stop function.
+// (<=0 selects ResultRetention) every interval, then releases what they
+// spilled: every object no remaining task references and nothing has used
+// since the same cutoff is unlinked from a file-backed object store. It
+// returns a stop function.
 func (s *Service) StartRetentionSweeper(retention, interval time.Duration) (stop func()) {
 	if retention <= 0 {
 		retention = ResultRetention
@@ -1278,9 +1281,11 @@ func (s *Service) StartRetentionSweeper(retention, interval time.Duration) (stop
 				return
 			case <-ticker.C:
 			}
-			if n := s.cfg.Store.PurgeTasksBefore(time.Now().Add(-retention)); n > 0 {
+			cutoff := time.Now().Add(-retention)
+			if n := s.cfg.Store.PurgeTasksBefore(cutoff); n > 0 {
 				s.Metrics.Counter("tasks_purged").Add(int64(n))
 			}
+			s.cfg.Objects.Sweep(s.cfg.Store.ObjectRefs(), cutoff)
 		}
 	}()
 	var once sync.Once

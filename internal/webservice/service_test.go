@@ -25,13 +25,21 @@ type fixture struct {
 
 func newFixture(t *testing.T) *fixture {
 	t.Helper()
+	return newFixtureConfig(t, Config{Objects: objectstore.New()})
+}
+
+// newFixtureConfig builds the fixture around cfg.Objects and any other
+// service settings cfg carries.
+func newFixtureConfig(t *testing.T, cfg Config) *fixture {
+	t.Helper()
 	f := &fixture{
 		store: statestore.New(),
 		brk:   broker.New(),
-		objs:  objectstore.New(),
+		objs:  cfg.Objects,
 		authS: auth.NewService(),
 	}
-	svc, err := New(Config{Store: f.store, Broker: f.brk, Objects: f.objs, Auth: f.authS})
+	cfg.Store, cfg.Broker, cfg.Auth = f.store, f.brk, f.authS
+	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
