@@ -118,10 +118,13 @@ fuzz:
 
 # Short codec fuzz pass run as part of `make all`: binary<->JSON equivalence
 # and binary-decode hardening, for wire frames (see docs/PROTOCOL.md "Binary
-# encoding") and for WAL records (see docs/DURABILITY.md "Records").
+# encoding"), python payloads and submit bodies (docs/PROTOCOL.md "REST
+# API") and for WAL records (see docs/DURABILITY.md "Records").
 fuzz-codec:
 	$(GO) test -fuzz FuzzCodecEquivalence -fuzztime 10s ./internal/protocol/
 	$(GO) test -fuzz FuzzBinaryDecode -fuzztime 10s ./internal/protocol/
+	$(GO) test -fuzz FuzzPythonSpec -fuzztime 10s ./internal/protocol/
+	$(GO) test -fuzz FuzzSubmitBody -fuzztime 10s ./internal/webservice/
 	$(GO) test -fuzz FuzzWALRecord -fuzztime 10s ./internal/durable/
 
 clean:

@@ -823,8 +823,8 @@ func newRunner(rc RunnerConfig) engine.TaskRunner {
 		}
 		switch task.Kind {
 		case protocol.KindPython:
-			var spec protocol.PythonSpec
-			if err := protocol.DecodePayload(payload, &spec); err != nil {
+			spec, err := protocol.DecodePythonSpec(payload)
+			if err != nil {
 				return failure(task, err.Error())
 			}
 			// Transparent proxy resolution: arguments that are references

@@ -150,6 +150,12 @@ func (w *binWriter) str(s string) {
 	w.buf.WriteString(s)
 }
 
+// chunk writes a length-prefixed byte slice (nil and empty both write 0).
+func (w *binWriter) chunk(b []byte) {
+	w.uvarint(uint64(len(b)))
+	w.buf.Write(b)
+}
+
 // bytesNil writes a length-prefixed byte slice that distinguishes nil from
 // empty: 0 = nil, n+1 = n bytes. JSON makes the same distinction (null vs
 // ""), and codec equivalence requires preserving it.
@@ -507,12 +513,17 @@ func (r *binReader) take(n int) ([]byte, error) {
 	return b, nil
 }
 
-func (r *binReader) str() (string, error) {
+// chunk reads a slice written by binWriter.chunk without copying it.
+func (r *binReader) chunk() ([]byte, error) {
 	n, err := r.length()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	b, err := r.take(n)
+	return r.take(n)
+}
+
+func (r *binReader) str() (string, error) {
+	b, err := r.chunk()
 	if err != nil {
 		return "", err
 	}

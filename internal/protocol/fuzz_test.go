@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"unicode/utf8"
 
@@ -52,6 +53,63 @@ func FuzzDecodePayload(f *testing.F) {
 		_ = DecodePayload(data, &shell)
 		var py PythonSpec
 		_ = DecodePayload(data, &py)
+	})
+}
+
+// FuzzPythonSpec hardens DecodePythonSpec and checks the two python-payload
+// forms agree. Any payload decodes without a panic, and a binary one that
+// decodes re-encodes to one that decodes to the same spec. A spec built the
+// way the SDK builds one, each argument json.Marshal'd, decodes to the same
+// PythonSpec from the binary envelope as from its JSON encoding.
+func FuzzPythonSpec(f *testing.F) {
+	big := strings.Repeat("payload-mix ", 200_000/12)
+	f.Add([]byte(nil), "identity", big, "")
+	f.Add([]byte(`{"entrypoint":"identity","args":[1]}`), "echo_kwargs", `<a href="x">&amp;</a>`, "<&>")
+	f.Add(EncodePythonSpec(PythonSpec{Entrypoint: "add", Args: []json.RawMessage{[]byte("1"), []byte("2")},
+		Kwargs: map[string]json.RawMessage{"z": []byte(`"last"`), "a": []byte(`null`)}}), "add", "héllo wörld ✓ 𝄞  ", "ключ")
+	f.Add([]byte{pySpecTag}, "", "", "")
+	f.Add([]byte{pySpecTag, pySpecVersion, 0xFF, 0xFF}, "x", "\x00", "k")
+	f.Add([]byte{pySpecTag, 2}, "x", "", "")
+	f.Fuzz(func(t *testing.T, payload []byte, entrypoint, arg, key string) {
+		if spec, err := DecodePythonSpec(payload); len(payload) > 0 && payload[0] == pySpecTag {
+			if err != nil {
+				if !errors.Is(err, ErrBadFrame) {
+					t.Fatalf("binary decode error does not wrap ErrBadFrame: %v", err)
+				}
+			} else if again, err := DecodePythonSpec(EncodePythonSpec(spec)); err != nil || !reflect.DeepEqual(again, spec) {
+				t.Fatalf("re-encoded spec: %v\n  got: %#v\n want: %#v", err, again, spec)
+			}
+		}
+
+		// JSON replaces invalid UTF-8 in strings with U+FFFD, so the forms
+		// agree only on valid names (arguments are marshalled first, so any
+		// string is fine there).
+		if !utf8.ValidString(entrypoint) || !utf8.ValidString(key) {
+			return
+		}
+		a, err := json.Marshal(arg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := PythonSpec{Entrypoint: entrypoint, Args: []json.RawMessage{a, []byte(`{"n":[1,2.5,null]}`)}}
+		if key != "" {
+			spec.Kwargs = map[string]json.RawMessage{key: a, "n": []byte("7")}
+		}
+		jsonForm, err := EncodePayload(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		viaJSON, err := DecodePythonSpec(jsonForm)
+		if err != nil {
+			t.Fatalf("JSON form: %v", err)
+		}
+		viaBinary, err := DecodePythonSpec(EncodePythonSpec(spec))
+		if err != nil {
+			t.Fatalf("binary form: %v", err)
+		}
+		if !reflect.DeepEqual(viaJSON, viaBinary) || !reflect.DeepEqual(viaBinary, spec) {
+			t.Fatalf("forms disagree:\n json: %#v\n  bin: %#v\n spec: %#v", viaJSON, viaBinary, spec)
+		}
 	})
 }
 

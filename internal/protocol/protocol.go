@@ -238,7 +238,8 @@ type ShellResult struct {
 
 // PythonSpec is the payload body for KindPython tasks: an entrypoint name
 // resolvable in the worker-side callable registry plus JSON-encoded
-// positional and keyword arguments.
+// positional and keyword arguments. It travels in the binary envelope
+// EncodePythonSpec writes or as its own JSON; DecodePythonSpec reads both.
 type PythonSpec struct {
 	Entrypoint string                     `json:"entrypoint"`
 	Args       []json.RawMessage          `json:"args,omitempty"`

@@ -109,13 +109,7 @@ func (e *OverloadedError) Error() string {
 // errors.Is/As.
 func (e *OverloadedError) Unwrap() []error { return []error{ErrOverloaded, e.API} }
 
-// do performs a JSON request/response round trip. Transient failures —
-// transport errors, 429, and 5xx — retry with jittered exponential backoff
-// under the client's retry budget, honoring Retry-After when the server
-// sends one. Retried submits are made exactly-once by attaching an
-// idempotency key (see SubmitBatchOpts): a retry whose first attempt was
-// processed but whose response was lost replays the original task IDs
-// instead of enqueuing duplicates.
+// do performs a JSON request/response round trip (see send).
 func (c *Client) do(method, path string, body, out any) error {
 	var encoded []byte
 	if body != nil {
@@ -125,6 +119,17 @@ func (c *Client) do(method, path string, body, out any) error {
 		}
 		encoded = b
 	}
+	return c.send(method, path, "application/json", encoded, out)
+}
+
+// send performs a request/response round trip with an encoded body and a
+// JSON response. Transient failures — transport errors, 429, and 5xx —
+// retry with jittered exponential backoff under the client's retry budget,
+// honoring Retry-After when the server sends one. Retried submits are made
+// exactly-once by attaching an idempotency key (see SubmitBatchOpts): a
+// retry whose first attempt was processed but whose response was lost
+// replays the original task IDs instead of enqueuing duplicates.
+func (c *Client) send(method, path, contentType string, encoded []byte, out any) error {
 	hc := c.HTTP
 	if hc == nil {
 		hc = http.DefaultClient
@@ -141,7 +146,7 @@ func (c *Client) do(method, path string, body, out any) error {
 			return err
 		}
 		req.Header.Set("Authorization", "Bearer "+c.Token)
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", contentType)
 		c.Requests.Add(1)
 		c.BytesSent.Add(int64(len(encoded)))
 		resp, err := hc.Do(req)
@@ -317,24 +322,23 @@ func (c *Client) SubmitBatch(tasks []webservice.SubmitRequest) ([]protocol.UUID,
 	return c.SubmitBatchOpts(tasks, webservice.SubmitOptions{})
 }
 
-// SubmitBatchOpts submits tasks with overload-protection options. Setting
-// IdempotencyKey makes the POST safely retryable — the retry loop in do()
-// can replay it after a lost response and receive the original task IDs.
+// SubmitBatchOpts submits tasks with overload-protection options, in the
+// binary submit body (webservice.EncodeSubmitBody), so payload bytes travel
+// verbatim. Setting IdempotencyKey makes the POST safely retryable — the
+// retry loop in send() can replay it after a lost response and receive the
+// original task IDs.
 func (c *Client) SubmitBatchOpts(tasks []webservice.SubmitRequest, opts webservice.SubmitOptions) ([]protocol.UUID, error) {
 	if len(tasks) == 0 {
 		return nil, errors.New("sdk: empty batch")
 	}
-	body := map[string]any{"tasks": tasks}
-	if opts.IdempotencyKey != "" {
-		body["idempotency_key"] = opts.IdempotencyKey
-	}
-	if opts.Interactive {
-		body["priority"] = "interactive"
+	body, err := webservice.EncodeSubmitBody(tasks, opts)
+	if err != nil {
+		return nil, fmt.Errorf("sdk: encode request: %w", err)
 	}
 	var resp struct {
 		TaskIDs []protocol.UUID `json:"task_uuids"`
 	}
-	err := c.do("POST", "/v2/submit", body, &resp)
+	err = c.send("POST", "/v2/submit", webservice.SubmitContentType, body, &resp)
 	if err != nil {
 		return nil, err
 	}

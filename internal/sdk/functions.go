@@ -124,7 +124,7 @@ func (p *PythonFunction) payload(args []any, kwargs map[string]any) ([]byte, err
 			spec.Kwargs[k] = b
 		}
 	}
-	return protocol.EncodePayload(spec)
+	return protocol.EncodePythonSpec(spec), nil
 }
 
 // shellSpec renders the command template with kwargs into a ShellSpec.

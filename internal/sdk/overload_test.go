@@ -1,7 +1,6 @@
 package sdk
 
 import (
-	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -74,16 +73,14 @@ func TestSubmitBatchOptsIdempotentRetry(t *testing.T) {
 	// submit the key buys.
 	var calls atomic.Int64
 	var mu sync.Mutex
-	var keys, priorities []string
+	var sent []webservice.SubmitOptions
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var body struct {
-			IdempotencyKey string `json:"idempotency_key"`
-			Priority       string `json:"priority"`
+		_, opts, err := webservice.ReadSubmitBody(r, 1<<20)
+		if err != nil {
+			t.Errorf("submit body: %v", err)
 		}
-		_ = json.NewDecoder(r.Body).Decode(&body)
 		mu.Lock()
-		keys = append(keys, body.IdempotencyKey)
-		priorities = append(priorities, body.Priority)
+		sent = append(sent, opts)
 		mu.Unlock()
 		if calls.Add(1) == 1 {
 			http.Error(w, `{"error":"response lost"}`, http.StatusInternalServerError)
@@ -95,10 +92,9 @@ func TestSubmitBatchOptsIdempotentRetry(t *testing.T) {
 	var sleeps []time.Duration
 	c := newRetryClient(srv, &sleeps)
 
+	want := webservice.SubmitOptions{IdempotencyKey: "retry-key-1", Interactive: true}
 	ids, err := c.SubmitBatchOpts(
-		[]webservice.SubmitRequest{{EndpointID: "ep", FunctionID: "fn", Payload: []byte(`1`)}},
-		webservice.SubmitOptions{IdempotencyKey: "retry-key-1", Interactive: true},
-	)
+		[]webservice.SubmitRequest{{EndpointID: "ep", FunctionID: "fn", Payload: []byte(`1`)}}, want)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,10 +103,7 @@ func TestSubmitBatchOptsIdempotentRetry(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(keys) != 2 || keys[0] != "retry-key-1" || keys[1] != "retry-key-1" {
-		t.Fatalf("keys sent = %v, want the same key on both attempts", keys)
-	}
-	if priorities[0] != "interactive" || priorities[1] != "interactive" {
-		t.Fatalf("priorities sent = %v", priorities)
+	if len(sent) != 2 || sent[0] != want || sent[1] != want {
+		t.Fatalf("options sent = %+v, want %+v on both attempts", sent, want)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -324,8 +325,14 @@ func TestPayloadOverLimitRejected(t *testing.T) {
 		t.Fatal(err) // enqueue succeeds; the flush fails
 	}
 	_, err = fut.ResultWithin(10 * time.Second)
-	if err == nil {
-		t.Error("oversized payload succeeded")
+	// "Too large" (413), not a malformed request, and not worth a retry: the
+	// service refuses the payload's section before reading it.
+	var api *sdk.APIError
+	if !errors.As(err, &api) || api.Status != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized payload: %v, want an API error with status 413", err)
+	}
+	if n := e.client.Retries.Load(); n != 0 {
+		t.Errorf("retried %d times", n)
 	}
 }
 

@@ -1,12 +1,13 @@
-// Package serialize implements the payload encoding used between the SDK and
-// workers, together with the service's payload size policy: task arguments
+// Package serialize holds the service's payload size policy: task arguments
 // and results above the hosted service's 10 MB cap must travel out of band
 // (object store reference or ProxyStore proxy), and payloads above a smaller
 // inline threshold are spilled from the task record to the object store.
 //
-// The hosted service serializes Python objects with dill; the Go substitute
-// offers a tagged multi-codec envelope (JSON for interoperable values, gob
-// for Go-native graphs) so that workers can decode without guessing.
+// It also implements the tagged multi-codec envelope (JSON for
+// interoperable values, gob for Go-native graphs) in which ProxyStore keeps
+// proxied objects, so a reader decodes without guessing. Task payloads do
+// not use it: python payloads are protocol.PythonSpec (see
+// protocol.EncodePythonSpec), shell and MPI payloads protocol.ShellSpec.
 package serialize
 
 import (

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -15,6 +16,7 @@ import (
 	"globuscompute/internal/auth"
 	"globuscompute/internal/metrics"
 	"globuscompute/internal/protocol"
+	"globuscompute/internal/serialize"
 	"globuscompute/internal/statestore"
 )
 
@@ -131,9 +133,14 @@ func writeError(w http.ResponseWriter, status int, err error) {
 // statusFor maps service errors onto HTTP statuses.
 func statusFor(err error) int {
 	var oe *OverloadError
+	var tooBig *http.MaxBytesError
 	switch {
 	case errors.As(err, &oe):
 		return oe.Status // 429 admission, 503 downstream pressure
+	case errors.Is(err, serialize.ErrPayloadTooLarge), errors.As(err, &tooBig):
+		return http.StatusRequestEntityTooLarge
+	case errors.Is(err, errSubmitVersion):
+		return http.StatusUnsupportedMediaType
 	case errors.Is(err, statestore.ErrNotFound):
 		return http.StatusNotFound
 	case errors.Is(err, auth.ErrPolicyDenied), errors.Is(err, ErrFunctionNotAllowed):
@@ -163,10 +170,21 @@ func (s *Server) auth(h func(http.ResponseWriter, *http.Request, auth.Token)) ht
 	}
 }
 
+// maxBodyBytes caps every request body the REST API reads.
+const maxBodyBytes = 64 << 20
+
+// decodeBody decodes a JSON request body holding exactly one value;
+// anything after it but whitespace is refused.
 func decodeBody(r *http.Request, v any) error {
 	defer r.Body.Close()
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 64<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
 	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("webservice: bad request body: %w", err)
+	}
+	switch _, err := dec.Token(); {
+	case err == nil:
+		return errors.New("webservice: bad request body: data after the JSON value")
+	case !errors.Is(err, io.EOF):
 		return fmt.Errorf("webservice: bad request body: %w", err)
 	}
 	return nil
@@ -186,7 +204,7 @@ type registerFunctionResponse struct {
 func (s *Server) handleRegisterFunction(w http.ResponseWriter, r *http.Request, tok auth.Token) {
 	var req registerFunctionRequest
 	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, statusFor(err), err)
 		return
 	}
 	id, err := s.svc.RegisterFunction(tok.Identity.Username, req.Kind, req.Definition)
@@ -219,7 +237,7 @@ type RegisterEndpointResponse struct {
 func (s *Server) handleRegisterEndpoint(w http.ResponseWriter, r *http.Request, tok auth.Token) {
 	var req RegisterEndpointRequest
 	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, statusFor(err), err)
 		return
 	}
 	if req.MultiUser && !tok.HasScope(auth.ScopeManage) {
@@ -271,7 +289,7 @@ type routingGroupRequest struct {
 func (s *Server) handleCreateRoutingGroup(w http.ResponseWriter, r *http.Request, tok auth.Token) {
 	var req routingGroupRequest
 	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, statusFor(err), err)
 		return
 	}
 	id, err := s.svc.CreateRoutingGroup(tok, req.Name, req.Policy, req.Members)
@@ -300,7 +318,7 @@ func (s *Server) handleGetRoutingGroup(w http.ResponseWriter, r *http.Request, _
 func (s *Server) handleUpdateRoutingGroup(w http.ResponseWriter, r *http.Request, tok auth.Token) {
 	var req routingGroupRequest
 	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, statusFor(err), err)
 		return
 	}
 	id := protocol.UUID(r.PathValue("id"))
@@ -324,7 +342,7 @@ type heartbeatRequest struct {
 func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request, _ auth.Token) {
 	var req heartbeatRequest
 	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, statusFor(err), err)
 		return
 	}
 	id := protocol.UUID(r.PathValue("id"))
@@ -335,31 +353,17 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request, _ auth.
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-type submitRequest struct {
-	Tasks []SubmitRequest `json:"tasks"`
-	// IdempotencyKey makes the whole batch idempotent per authenticated
-	// identity: retries with the same key return the original task IDs.
-	IdempotencyKey string `json:"idempotency_key,omitempty"`
-	// Priority "interactive" dispatches ahead of batch traffic and sheds
-	// later; anything else (or absent) is batch priority.
-	Priority string `json:"priority,omitempty"`
-}
-
 type submitResponse struct {
 	TaskIDs []protocol.UUID `json:"task_uuids"`
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, tok auth.Token) {
-	var req submitRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	tasks, opts, err := ReadSubmitBody(r, s.svc.cfg.PayloadLimit)
+	if err != nil {
+		writeError(w, statusFor(err), err)
 		return
 	}
-	opts := SubmitOptions{
-		IdempotencyKey: req.IdempotencyKey,
-		Interactive:    req.Priority == "interactive",
-	}
-	ids, err := s.svc.SubmitBatch(tok, req.Tasks, opts)
+	ids, err := s.svc.SubmitBatch(tok, tasks, opts)
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return
@@ -387,7 +391,7 @@ type batchStatusResponse struct {
 func (s *Server) handleBatchStatus(w http.ResponseWriter, r *http.Request, _ auth.Token) {
 	var req batchStatusRequest
 	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, statusFor(err), err)
 		return
 	}
 	if len(req.TaskIDs) > 1024 {

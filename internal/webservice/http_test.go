@@ -2,14 +2,18 @@ package webservice
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
 	"globuscompute/internal/auth"
 	"globuscompute/internal/protocol"
+	"globuscompute/internal/serialize"
 )
 
 // httpFixture adds a REST server to the core fixture.
@@ -184,18 +188,146 @@ func TestHTTPMultiUserNeedsManageScope(t *testing.T) {
 	}
 }
 
-func TestHTTPBadBodies(t *testing.T) {
-	h := newHTTPFixture(t)
-	req, _ := http.NewRequest("POST", "http://"+h.srv.Addr()+"/v2/submit", bytes.NewReader([]byte("{nope")))
+// post sends body as is under contentType (none when empty).
+func (h *httpFixture) post(t *testing.T, path, contentType string, body io.Reader) (*http.Response, []byte) {
+	t.Helper()
+	req, err := http.NewRequest("POST", "http://"+h.srv.Addr()+path, body)
+	if err != nil {
+		t.Fatal(err)
+	}
 	req.Header.Set("Authorization", "Bearer "+h.token.Value)
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad json: %d", resp.StatusCode)
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return resp, out
+}
+
+// TestHTTPBadBodies: every route refuses a body that is not exactly one
+// JSON value, and the submit route refuses each way a binary body can be
+// malformed. Each body is a valid request but for the one defect its case
+// names, and the two valid cases show it.
+func TestHTTPBadBodies(t *testing.T) {
+	h := newHTTPFixture(t)
+	fn := h.registerFunction(t)
+	ep := h.registerEndpoint(t, RegisterEndpointRequest{Name: "e", Owner: "o"})
+	task := fmt.Sprintf(`{"endpoint_id":%q,"function_id":%q}`, ep, fn)
+	valid, err := EncodeSubmitBody([]SubmitRequest{{EndpointID: ep, FunctionID: fn, Payload: []byte("abc")}}, SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := func(header string, sections ...string) string {
+		b := binary.AppendUvarint(nil, uint64(len(header)))
+		b = append(b, header...)
+		for _, s := range sections {
+			b = binary.AppendUvarint(b, uint64(len(s)))
+			b = append(b, s...)
+		}
+		return string(b)
+	}
+	jsonSubmit := `{"tasks":[` + task[:len(task)-1] + `,"payload":"YWJj"}]}`
+	for _, c := range []struct {
+		name, path, contentType, body string
+		want                          int
+	}{
+		{"JSON submit", "/v2/submit", "", jsonSubmit, http.StatusOK},
+		{"binary submit", "/v2/submit", SubmitContentType, string(valid), http.StatusOK},
+		{"malformed JSON", "/v2/submit", "", "{nope", http.StatusBadRequest},
+		{"submit, data after the value", "/v2/submit", "application/json", jsonSubmit + " garbage", http.StatusBadRequest},
+		{"function, a second value", "/v2/functions", "", `{"kind":"python","definition":"eA=="} {}`, http.StatusBadRequest},
+		{"batch_status, a stray bracket", "/v2/tasks/batch_status", "", `{"task_ids":[]}]`, http.StatusBadRequest},
+		{"routing group, a number after", "/v2/routing_groups", "", fmt.Sprintf(`{"name":"g","members":[%q]} 1`, ep), http.StatusBadRequest},
+		{"trailing whitespace is fine", "/v2/tasks/batch_status", "", "{\"task_ids\":[]}\n\t ", http.StatusOK},
+		{"binary, unknown version", "/v2/submit", submitMediaType + "; v=2", string(valid), http.StatusUnsupportedMediaType},
+		{"binary, no version", "/v2/submit", submitMediaType, string(valid), http.StatusUnsupportedMediaType},
+		{"binary, truncated header", "/v2/submit", SubmitContentType, string(valid[:5]), http.StatusBadRequest},
+		{"binary, truncated section", "/v2/submit", SubmitContentType, string(valid[:len(valid)-1]), http.StatusBadRequest},
+		{"binary, fewer sections than tasks", "/v2/submit", SubmitContentType,
+			frame(`{"tasks":[`+task+`,`+task+`]}`, "abc"), http.StatusBadRequest},
+		{"binary, more sections than tasks", "/v2/submit", SubmitContentType,
+			frame(`{"tasks":[`+task+`]}`, "abc", "x"), http.StatusBadRequest},
+		{"binary, trailing byte", "/v2/submit", SubmitContentType, string(valid) + "\x00", http.StatusBadRequest},
+		{"binary, payload in the header", "/v2/submit", SubmitContentType,
+			frame(`{"tasks":[`+task[:len(task)-1]+`,"payload":"YWJj"}]}`, "abc"), http.StatusBadRequest},
+		{"binary, header is not JSON", "/v2/submit", SubmitContentType, frame(`{nope`, "abc"), http.StatusBadRequest},
+	} {
+		resp, body := h.post(t, c.path, c.contentType, strings.NewReader(c.body))
+		if resp.StatusCode != c.want {
+			t.Errorf("%s: status %d (%s), want %d", c.name, resp.StatusCode, body, c.want)
+		}
+	}
+}
+
+// TestHTTPOversizeIs413: a payload over the service limit, or a body over
+// the read cap, is "too large" (413) in either body form, not a malformed
+// request, so a client can tell it to pass the data by reference instead.
+func TestHTTPOversizeIs413(t *testing.T) {
+	h := newHTTPFixture(t)
+	fn := h.registerFunction(t)
+	ep := h.registerEndpoint(t, RegisterEndpointRequest{Name: "e", Owner: "o"})
+	big := []SubmitRequest{{EndpointID: ep, FunctionID: fn, Payload: make([]byte, serialize.MaxPayload+1)}}
+	asJSON, err := json.Marshal(submitRequest{Tasks: big})
+	if err != nil {
+		t.Fatal(err)
+	}
+	asBinary, err := EncodeSubmitBody(big, SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Bodies over the 64 MiB cap, streamed so neither side holds them; all
+	// but the last are sent chunked, with no length announced.
+	spaces := func() io.Reader { return io.LimitReader(spaceReader{}, maxBodyBytes+1) }
+	header := binary.AppendUvarint(nil, maxBodyBytes+1)
+	for _, c := range []struct {
+		name, contentType string
+		body              io.Reader
+		announce          int64 // Content-Length to send for a streamed body
+	}{
+		{"JSON payload", "", bytes.NewReader(asJSON), 0},
+		{"binary payload", SubmitContentType, bytes.NewReader(asBinary), 0},
+		{"JSON body over the cap", "", io.MultiReader(strings.NewReader(`{"tasks":`), spaces()), 0},
+		{"binary body over the cap", SubmitContentType, io.MultiReader(bytes.NewReader(header), spaces()), 0},
+		{"binary body announced over the cap", SubmitContentType, spaces(), maxBodyBytes + 1},
+	} {
+		req, err := http.NewRequest("POST", "http://"+h.srv.Addr()+"/v2/submit", c.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.announce > 0 {
+			req.ContentLength = c.announce
+		}
+		req.Header.Set("Authorization", "Bearer "+h.token.Value)
+		if c.contentType != "" {
+			req.Header.Set("Content-Type", c.contentType)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d (%s), want 413", c.name, resp.StatusCode, msg)
+		}
+	}
+}
+
+// spaceReader yields JSON whitespace forever.
+type spaceReader struct{}
+
+func (spaceReader) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
 }
 
 func TestHTTPHealthz(t *testing.T) {

@@ -726,8 +726,9 @@ type SubmitRequest struct {
 	EndpointID protocol.UUID `json:"endpoint_id"`
 	FunctionID protocol.UUID `json:"function_id"`
 	// Payload carries serialized arguments (python) or a rendered
-	// ShellSpec (shell/MPI).
-	Payload   []byte                `json:"payload"`
+	// ShellSpec (shell/MPI). The binary submit body carries it outside the
+	// JSON header (see EncodeSubmitBody), so the header omits it.
+	Payload   []byte                `json:"payload,omitempty"`
 	Resources protocol.ResourceSpec `json:"resources,omitempty"`
 	// UserEndpointConfig routes submissions to multi-user endpoints: the
 	// web service hashes it to locate or spawn the user endpoint.
