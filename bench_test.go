@@ -129,11 +129,11 @@ func BenchmarkClientPolling(b *testing.B) {
 
 // --- T2: request batching ---
 
-func benchBatchArm(b *testing.B, window time.Duration, maxBatch int) {
+func benchBatchArm(b *testing.B, maxBatch int) {
 	e := newBenchEnv(b, core.EndpointOptions{})
 	ex, err := sdk.NewExecutor(sdk.ExecutorConfig{
 		Client: e.client, EndpointID: e.epID, Conn: e.conn, Objects: e.objs,
-		BatchWindow: window, MaxBatch: maxBatch,
+		MaxBatch: maxBatch,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -159,11 +159,11 @@ func benchBatchArm(b *testing.B, window time.Duration, maxBatch int) {
 }
 
 func BenchmarkSubmitBatched(b *testing.B) {
-	benchBatchArm(b, 2*time.Millisecond, 512)
+	benchBatchArm(b, 512)
 }
 
 func BenchmarkSubmitUnbatched(b *testing.B) {
-	benchBatchArm(b, time.Nanosecond, 1)
+	benchBatchArm(b, 1)
 }
 
 // --- T3/T4: ShellFunction mechanics ---

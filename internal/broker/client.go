@@ -223,10 +223,15 @@ func (c *Client) callTraced(typ string, body any, tc *trace.Context) error {
 		c.complete(id, nil)
 		return fmt.Errorf("broker: send %s: %w", typ, err)
 	}
+	// A stopped timer, not time.After: under go.mod's pre-1.23 timer rules an
+	// unstopped timer stays reachable until it fires, so every publish and ack
+	// would pin one for 30 s.
+	t := time.NewTimer(30 * time.Second)
+	defer t.Stop()
 	select {
 	case err := <-ch:
 		return err
-	case <-time.After(30 * time.Second):
+	case <-t.C:
 		return fmt.Errorf("broker: %s timed out", typ)
 	}
 }

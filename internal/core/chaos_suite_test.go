@@ -3,6 +3,7 @@ package core_test
 import (
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"globuscompute/internal/engine"
 	"globuscompute/internal/metrics"
 	"globuscompute/internal/protocol"
+	"globuscompute/internal/sdk"
 	"globuscompute/internal/trace"
 	"globuscompute/internal/webservice"
 )
@@ -244,6 +246,122 @@ func TestChaosSuiteDeliveryGuarantees(t *testing.T) {
 	t.Logf("chaos suite: %d/%d success, %d failed; faults fired=%d (drops=%d kills=%d pubfails=%d) resubscribes=%d requeue spans=%d",
 		success, n, failed, inj.TotalFired(), inj.Fired("conn.drop"), inj.Fired("runner.kill"),
 		inj.Fired("conn.publish_fail"), brokerMetrics.Counter("resubscribes").Value(), requeues)
+}
+
+// TestChaosExecutorStream crosses the fault injector with the SDK executor,
+// which no other chaos case does: its result stream's broker connection drops
+// (the subscription resubscribes and everything delivered but not yet acked
+// redelivers, including results already resolved, since a drain is acked
+// after it resolves), and its REST calls fail in transport or with 503s and
+// retry. Every future must resolve exactly once with its own output, and the
+// redelivered duplicates must be absorbed.
+func TestChaosExecutorStream(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos test skipped in -short mode")
+	}
+	s := newStack(t)
+	epID, err := s.tb.StartEndpoint(core.EndpointOptions{Name: "chaos-executor-ep", Owner: "alice@uchicago.edu", Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := chaos.NewInjector(chaosSeed)
+	connMetrics := metrics.NewRegistry()
+	conn, err := broker.NewReconnecting(broker.ReconnectConfig{
+		Dial: func() (broker.Conn, error) {
+			return chaos.WrapConn(s.conn, inj, chaos.ConnFaults{DropRate: 0.02}), nil
+		},
+		BaseDelay: time.Millisecond,
+		MaxDelay:  20 * time.Millisecond,
+		Seed:      chaosSeed,
+		Metrics:   connMetrics,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(conn.Close)
+	s.client.HTTP = &http.Client{Timeout: 30 * time.Second, Transport: &chaos.RoundTripper{
+		Inj: inj, Faults: chaos.HTTPFaults{ErrorRate: 0.05, ServerErrorRate: 0.05},
+	}}
+	s.client.MaxRetries, s.client.RetryBaseDelay, s.client.RetryMaxDelay = 10, time.Millisecond, 10*time.Millisecond
+	spans := trace.NewCollector(1 << 14)
+	ex, err := sdk.NewExecutor(sdk.ExecutorConfig{
+		Client: s.client, EndpointID: epID, Conn: conn, Objects: s.objs,
+		Tracer: trace.NewTracer("sdk", spans),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ex.Close)
+
+	// Waves of submissions until at least minTasks results have streamed and
+	// both kinds of fault have fired.
+	const wave, minTasks, maxWaves = 50, 1000, 60
+	fn := &sdk.PythonFunction{Entrypoint: "identity"}
+	httpFaults := func() int64 { return inj.Fired("http.error") + inj.Fired("http.500") }
+	tasks := 0
+	for w := 0; w < maxWaves && (tasks < minTasks || inj.Fired("conn.drop") == 0 || httpFaults() == 0); w++ {
+		futs := make([]*sdk.Future, wave)
+		for i := range futs {
+			if futs[i], err = ex.Submit(fn, tasks+i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, fut := range futs {
+			out, err := fut.ResultWithin(60 * time.Second)
+			if err != nil {
+				t.Fatalf("task %d: %v", tasks+i, err)
+			}
+			if want := fmt.Sprint(tasks + i); string(out) != want {
+				t.Errorf("task %d resolved with %s, want %s", tasks+i, out, want)
+			}
+		}
+		tasks += wave
+	}
+
+	// Quiet the faults and let every redelivery land, then count resolutions:
+	// an sdk.resolve span is recorded each time a future is resolved.
+	inj.SetDisabled(true)
+	q := webservice.GroupResultQueue(ex.Group())
+	waitFor(t, 10*time.Second, "group queue drained", func() bool {
+		d, _ := s.tb.Broker.Depth(q)
+		u, _ := s.tb.Broker.Unacked(q)
+		return d+u == 0
+	})
+	resolved := map[string]int{}
+	for _, sp := range spans.Snapshot() {
+		if sp.Name == "sdk.resolve" {
+			resolved[sp.Attrs["task"]]++
+		}
+	}
+	if len(resolved) != tasks {
+		t.Errorf("%d of %d futures recorded a resolution", len(resolved), tasks)
+	}
+	for id, n := range resolved {
+		if n != 1 {
+			t.Errorf("task %s resolved %d times, want exactly once", id, n)
+		}
+	}
+	if n := spans.Dropped(); n != 0 {
+		t.Errorf("span ring dropped %d spans; the resolution count is incomplete", n)
+	}
+	if n := ex.Outstanding(); n != 0 {
+		t.Errorf("%d futures outstanding after every result resolved", n)
+	}
+
+	requeued := s.tb.Broker.Metrics.Counter("requeued." + q).Value()
+	delivered := s.tb.Broker.Metrics.Counter("delivered." + q).Value()
+	if inj.Fired("conn.drop") == 0 || connMetrics.Counter("resubscribes").Value() == 0 {
+		t.Errorf("no stream drops fired (drops=%d resubscribes=%d)", inj.Fired("conn.drop"), connMetrics.Counter("resubscribes").Value())
+	}
+	if requeued == 0 {
+		t.Error("no result was redelivered to the executor despite stream drops")
+	}
+	if httpFaults() == 0 {
+		t.Error("no REST faults fired")
+	}
+	t.Logf("%d tasks, %d deliveries (%d requeued); drops=%d resubscribes=%d http faults=%d retries=%d",
+		tasks, delivered, requeued, inj.Fired("conn.drop"), connMetrics.Counter("resubscribes").Value(),
+		httpFaults(), s.client.Retries.Load())
 }
 
 // countingConn sits under the fault injector and counts the publishes of

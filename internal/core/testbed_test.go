@@ -9,6 +9,7 @@ import (
 	"globuscompute/internal/broker"
 	"globuscompute/internal/core"
 	"globuscompute/internal/idmap"
+	"globuscompute/internal/mep"
 	"globuscompute/internal/objectstore"
 	"globuscompute/internal/protocol"
 	"globuscompute/internal/sdk"
@@ -23,6 +24,20 @@ func uchicagoMapper(t *testing.T) idmap.Mapper {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// waitSpawned returns the MEP's stats once they count want spawned children
+// (or after 5 s). The manager records a child just after its spawn returns,
+// and by then the child may already have run the task that asked for it.
+func waitSpawned(mgr *mep.Manager, want int64) mep.Stats {
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		st := mgr.Stats()
+		if st.ChildrenSpawned >= want || time.Now().After(deadline) {
+			return st
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 type stack struct {
@@ -102,7 +117,7 @@ func TestMEPStartEndpointFlow(t *testing.T) {
 	if sr.Stdout != "user=alice" {
 		t.Errorf("stdout = %q, want user=alice (identity mapping)", sr.Stdout)
 	}
-	stats := mgr.Stats()
+	stats := waitSpawned(mgr, 1)
 	if stats.ChildrenSpawned != 1 || stats.ActiveChildren != 1 {
 		t.Errorf("mep stats = %+v", stats)
 	}
@@ -135,7 +150,7 @@ func TestMEPConfigHashReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := mgr.Stats().ChildrenSpawned; got != 1 {
+	if got := waitSpawned(mgr, 1).ChildrenSpawned; got != 1 {
 		t.Errorf("children after same-config submits = %d, want 1", got)
 	}
 
@@ -149,7 +164,7 @@ func TestMEPConfigHashReuse(t *testing.T) {
 	if _, err := fut.ResultWithin(20 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if got := mgr.Stats().ChildrenSpawned; got != 2 {
+	if got := waitSpawned(mgr, 2).ChildrenSpawned; got != 2 {
 		t.Errorf("children after new config = %d, want 2", got)
 	}
 }

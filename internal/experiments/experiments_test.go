@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -60,14 +61,30 @@ func TestStreamingReport(t *testing.T) {
 	}
 }
 
+// TestBatchingReport asserts T2's shape: a burst of n submissions leaves in
+// at most n/4 REST submit calls when batched, and in exactly n when every
+// call carries one task.
 func TestBatchingReport(t *testing.T) {
-	r, err := Batching(30)
+	const n = 40
+	r, err := Batching(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	joined := strings.Join(r.Rows, "\n")
-	if !strings.Contains(joined, "batched(5ms window),30") {
-		t.Errorf("rows:\n%s", joined)
+	calls := map[string]int{}
+	for _, row := range r.Rows {
+		f := strings.Split(row, ",")
+		if len(f) != 4 || f[1] != strconv.Itoa(n) {
+			t.Fatalf("row %q, want mode,%d,elapsed_ms,rest_submit_requests", row, n)
+		}
+		if calls[f[0]], err = strconv.Atoi(f[3]); err != nil {
+			t.Fatalf("row %q: %v", row, err)
+		}
+	}
+	if got, ok := calls["batched"]; !ok || got > n/4 {
+		t.Errorf("batched arm made %d submit calls for %d tasks, want at most %d (rows %q)", got, n, n/4, r.Rows)
+	}
+	if got := calls["unbatched"]; got != n {
+		t.Errorf("unbatched arm made %d submit calls for %d tasks, want exactly %d (rows %q)", got, n, n, r.Rows)
 	}
 }
 

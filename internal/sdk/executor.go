@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"globuscompute/internal/broker"
@@ -36,11 +37,10 @@ type ExecutorConfig struct {
 	// pre-executor SDK behaviour) instead of one batch_status call per
 	// tick. Kept for the streaming-vs-polling comparison.
 	LegacyPolling bool
-	// BatchWindow is how long submissions buffer before a flush
-	// (default 2ms) — the SDK's request batching.
-	BatchWindow time.Duration
-	// MaxBatch flushes immediately once this many submissions buffer
-	// (default 128).
+	// MaxBatch caps submissions per REST call (default 128). Submissions
+	// post as soon as the previous POST has returned, so what arrives while
+	// one is in flight forms the next batch; once MaxBatch are pending, the
+	// Submit that fills the batch posts it itself.
 	MaxBatch int
 	// Objects resolves large results spilled to the object store.
 	Objects ObjectFetcher
@@ -52,6 +52,10 @@ type ExecutorConfig struct {
 	// records result resolution (sdk.resolve). Nil disables tracing.
 	Tracer *trace.Tracer
 }
+
+// streamPrefetch is the group-queue subscription's delivery window, and so
+// the most results one drain of the stream resolves under one Ack.
+const streamPrefetch = 64
 
 // Executor mirrors concurrent.futures.Executor over Globus Compute: Submit
 // returns a Future, submissions batch into single REST calls, and results
@@ -71,7 +75,16 @@ type Executor struct {
 	futures map[protocol.UUID]*Future
 	orphans map[protocol.UUID]protocol.Result
 	closed  bool
-	timer   *time.Timer
+
+	// unresolved counts the futures Submit handed out that have not resolved
+	// yet, wherever they are: pending, in a POST, or awaiting their result.
+	unresolved atomic.Int64
+
+	// kick wakes the flusher when submissions are pending (capacity 1: one
+	// wake-up covers everything appended before it runs); Close closes it and
+	// flushed closes once the flusher has posted the rest and exited.
+	kick    chan struct{}
+	flushed chan struct{}
 
 	sub  broker.Subscription
 	done chan struct{}
@@ -92,9 +105,6 @@ func NewExecutor(cfg ExecutorConfig) (*Executor, error) {
 	if !cfg.EndpointID.Valid() {
 		return nil, fmt.Errorf("sdk: invalid endpoint ID %q", cfg.EndpointID)
 	}
-	if cfg.BatchWindow <= 0 {
-		cfg.BatchWindow = 2 * time.Millisecond
-	}
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 128
 	}
@@ -109,6 +119,8 @@ func NewExecutor(cfg ExecutorConfig) (*Executor, error) {
 		group:   protocol.NewUUID(),
 		futures: make(map[protocol.UUID]*Future),
 		orphans: make(map[protocol.UUID]protocol.Result),
+		kick:    make(chan struct{}, 1),
+		flushed: make(chan struct{}),
 		done:    make(chan struct{}),
 	}
 	if cfg.Conn != nil {
@@ -116,7 +128,7 @@ func NewExecutor(cfg ExecutorConfig) (*Executor, error) {
 		if err := cfg.Conn.Declare(q); err != nil {
 			return nil, fmt.Errorf("sdk: declare group queue: %w", err)
 		}
-		sub, err := cfg.Conn.Subscribe(q, 64)
+		sub, err := cfg.Conn.Subscribe(q, streamPrefetch)
 		if err != nil {
 			return nil, fmt.Errorf("sdk: subscribe group queue: %w", err)
 		}
@@ -127,6 +139,7 @@ func NewExecutor(cfg ExecutorConfig) (*Executor, error) {
 		ex.wg.Add(1)
 		go ex.pollLoop()
 	}
+	go ex.flushLoop()
 	return ex, nil
 }
 
@@ -239,7 +252,8 @@ func (ex *Executor) SubmitMPI(fn *MPIFunction, kwargs map[string]string) (*Futur
 	return ex.enqueue(fnID, payload, ex.ResourceSpec)
 }
 
-// enqueue buffers one submission and arms the batch flush.
+// enqueue buffers one submission and wakes the flusher. It waits on the
+// network only when the pending batch reaches MaxBatch (backpressure).
 func (ex *Executor) enqueue(fnID protocol.UUID, payload []byte, res protocol.ResourceSpec) (*Future, error) {
 	req := webservice.SubmitRequest{
 		EndpointID: ex.cfg.EndpointID,
@@ -256,8 +270,8 @@ func (ex *Executor) enqueue(fnID protocol.UUID, payload []byte, res protocol.Res
 		req.UserEndpointConfig = raw
 	}
 	fut := newFuture()
-	// Each submission roots its own trace; the span covers batching wait
-	// plus the REST round trip.
+	// Each submission roots its own trace; the span covers the wait for the
+	// POST in flight plus its own REST round trip.
 	sp := ex.cfg.Tracer.StartSpan(nil, "sdk.submit")
 	sp.SetAttr("endpoint", string(ex.cfg.EndpointID))
 	req.Trace = sp.Context()
@@ -267,15 +281,16 @@ func (ex *Executor) enqueue(fnID protocol.UUID, payload []byte, res protocol.Res
 		return nil, ErrExecutorClosed
 	}
 	ex.pending = append(ex.pending, pendingSub{req: req, fut: fut, span: sp})
-	n := len(ex.pending)
-	if n >= ex.cfg.MaxBatch {
+	ex.unresolved.Add(1)
+	if len(ex.pending) >= ex.cfg.MaxBatch {
 		batch := ex.takeBatchLocked()
 		ex.mu.Unlock()
 		ex.flush(batch)
 		return fut, nil
 	}
-	if ex.timer == nil {
-		ex.timer = time.AfterFunc(ex.cfg.BatchWindow, ex.flushTimer)
+	select {
+	case ex.kick <- struct{}{}:
+	default: // a wake-up is already due and will take this submission too
 	}
 	ex.mu.Unlock()
 	return fut, nil
@@ -284,18 +299,22 @@ func (ex *Executor) enqueue(fnID protocol.UUID, payload []byte, res protocol.Res
 func (ex *Executor) takeBatchLocked() []pendingSub {
 	batch := ex.pending
 	ex.pending = nil
-	if ex.timer != nil {
-		ex.timer.Stop()
-		ex.timer = nil
-	}
 	return batch
 }
 
-func (ex *Executor) flushTimer() {
-	ex.mu.Lock()
-	batch := ex.takeBatchLocked()
-	ex.mu.Unlock()
-	ex.flush(batch)
+// flushLoop is the self-clocked submit path: it posts whatever is pending as
+// soon as the previous POST has returned, so at low load a submission leaves
+// at once and under load what arrives during a POST forms the next batch —
+// group commit with one flight, and no timer. It exits once Close has closed
+// kick and the last wake-up has posted what was left.
+func (ex *Executor) flushLoop() {
+	defer close(ex.flushed)
+	for range ex.kick {
+		ex.mu.Lock()
+		batch := ex.takeBatchLocked()
+		ex.mu.Unlock()
+		ex.flush(batch)
+	}
 }
 
 // flush submits one batch and wires task IDs to futures.
@@ -312,6 +331,7 @@ func (ex *Executor) flush(batch []pendingSub) {
 		for _, p := range batch {
 			p.span.EndStatus("error")
 			p.fut.resolve(protocol.Result{}, fmt.Errorf("sdk: submission failed: %w", err))
+			ex.unresolved.Add(-1)
 		}
 		return
 	}
@@ -334,32 +354,55 @@ func (ex *Executor) flush(batch []pendingSub) {
 	ex.mu.Unlock()
 }
 
-// streamLoop receives results from the group queue.
+// streamLoop receives results from the group queue: the delivery it blocked
+// on plus whatever the subscription already holds (the prefetch window bounds
+// that), each resolved in turn, then one Ack for the whole drain.
 func (ex *Executor) streamLoop() {
 	defer ex.wg.Done()
-	for m := range ex.sub.Messages() {
-		var res protocol.Result
-		if err := json.Unmarshal(m.Body, &res); err != nil {
-			obs.Component("sdk").WithEndpoint(string(ex.cfg.EndpointID)).
-				Warn("bad streamed result", "error", err)
-			_ = ex.sub.Ack(m.Tag)
-			continue
+	msgs := ex.sub.Messages()
+	for m := range msgs {
+		tags := []uint64{m.Tag}
+		ex.receive(m)
+	drain:
+		for len(tags) < streamPrefetch {
+			select {
+			case m, ok := <-msgs:
+				if !ok {
+					break drain
+				}
+				tags = append(tags, m.Tag)
+				ex.receive(m)
+			default:
+				break drain
+			}
 		}
-		ex.mu.Lock()
-		fut, ok := ex.futures[res.TaskID]
-		if ok {
-			delete(ex.futures, res.TaskID)
-		} else if len(ex.orphans) < 4096 {
-			// Result raced ahead of the submit response; hold it. The cap
-			// bounds duplicates for already-resolved tasks (e.g. a late
-			// worker result after a cancellation).
-			ex.orphans[res.TaskID] = res
-		}
-		ex.mu.Unlock()
-		if ok {
-			ex.resolveTraced(fut, res, m.Trace)
-		}
-		_ = ex.sub.Ack(m.Tag)
+		_ = ex.sub.Ack(tags...)
+	}
+}
+
+// receive resolves one streamed result's future, or holds the result until
+// its submit response wires the future (the orphan path). A malformed body is
+// logged and dropped; the drain still acknowledges it.
+func (ex *Executor) receive(m broker.Message) {
+	var res protocol.Result
+	if err := json.Unmarshal(m.Body, &res); err != nil {
+		obs.Component("sdk").WithEndpoint(string(ex.cfg.EndpointID)).
+			Warn("bad streamed result", "error", err)
+		return
+	}
+	ex.mu.Lock()
+	fut, ok := ex.futures[res.TaskID]
+	if ok {
+		delete(ex.futures, res.TaskID)
+	} else if len(ex.orphans) < 4096 {
+		// Result raced ahead of the submit response; hold it. The cap
+		// bounds duplicates for already-resolved tasks (e.g. a late
+		// worker result after a cancellation).
+		ex.orphans[res.TaskID] = res
+	}
+	ex.mu.Unlock()
+	if ok {
+		ex.resolveTraced(fut, res, m.Trace)
 	}
 }
 
@@ -380,6 +423,7 @@ func (ex *Executor) resolveTraced(fut *Future, res protocol.Result, parent *trac
 
 // deliver resolves a future, fetching spilled outputs first.
 func (ex *Executor) deliver(fut *Future, res protocol.Result) {
+	defer ex.unresolved.Add(-1)
 	if res.OutputRef != "" && len(res.Output) == 0 {
 		if ex.cfg.Objects != nil {
 			blob, err := ex.cfg.Objects.Get(res.OutputRef)
@@ -474,7 +518,8 @@ func (ex *Executor) Cancel(ctx context.Context, fut *Future) error {
 	return ex.cfg.Client.CancelTask(id)
 }
 
-// Flush forces any buffered submissions out immediately.
+// Flush forces any buffered submissions out immediately, on the caller's
+// goroutine; a POST the flusher already has in flight is not waited for.
 func (ex *Executor) Flush() {
 	ex.mu.Lock()
 	batch := ex.takeBatchLocked()
@@ -484,14 +529,12 @@ func (ex *Executor) Flush() {
 
 // Outstanding reports futures not yet resolved.
 func (ex *Executor) Outstanding() int {
-	ex.mu.Lock()
-	defer ex.mu.Unlock()
-	return len(ex.futures) + len(ex.pending)
+	return int(ex.unresolved.Load())
 }
 
-// Close flushes buffered submissions and stops the result loops.
-// Outstanding futures resolve only if their results already arrived; use
-// Drain first to wait for completion.
+// Close flushes buffered submissions and stops the flusher and the result
+// loops. Outstanding futures resolve only if their results already arrived;
+// use Drain first to wait for completion.
 func (ex *Executor) Close() {
 	ex.mu.Lock()
 	if ex.closed {
@@ -499,9 +542,9 @@ func (ex *Executor) Close() {
 		return
 	}
 	ex.closed = true
-	batch := ex.takeBatchLocked()
+	close(ex.kick)
 	ex.mu.Unlock()
-	ex.flush(batch)
+	<-ex.flushed
 	close(ex.done)
 	if ex.sub != nil {
 		_ = ex.sub.Cancel()

@@ -245,59 +245,6 @@ func TestOnTheFlyRegistrationOnce(t *testing.T) {
 	}
 }
 
-func TestBatchingCollapsesSubmits(t *testing.T) {
-	e := newEnv(t, core.EndpointOptions{Workers: 4})
-	ex, err := sdk.NewExecutor(sdk.ExecutorConfig{
-		Client: e.client, EndpointID: e.epID, Conn: e.conn,
-		BatchWindow: 50 * time.Millisecond, MaxBatch: 1000,
-		Objects: e.objs,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ex.Close()
-	fn := &sdk.PythonFunction{Entrypoint: "identity"}
-	var futs []*sdk.Future
-	for i := 0; i < 20; i++ {
-		fut, err := ex.Submit(fn, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		futs = append(futs, fut)
-	}
-	// All 20 should flush in one REST call after the window; all complete.
-	for _, fut := range futs {
-		if _, err := fut.ResultWithin(15 * time.Second); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestMaxBatchTriggersImmediateFlush(t *testing.T) {
-	e := newEnv(t, core.EndpointOptions{})
-	ex, err := sdk.NewExecutor(sdk.ExecutorConfig{
-		Client: e.client, EndpointID: e.epID, Conn: e.conn,
-		BatchWindow: 10 * time.Second, // window would stall without MaxBatch
-		MaxBatch:    4,
-		Objects:     e.objs,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ex.Close()
-	fn := &sdk.PythonFunction{Entrypoint: "identity"}
-	var futs []*sdk.Future
-	for i := 0; i < 4; i++ {
-		fut, _ := ex.Submit(fn, i)
-		futs = append(futs, fut)
-	}
-	for _, fut := range futs {
-		if _, err := fut.ResultWithin(10 * time.Second); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 func TestLargeResultViaObjectStore(t *testing.T) {
 	e := newEnv(t, core.EndpointOptions{})
 	ex := e.executor(t)

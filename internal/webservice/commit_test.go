@@ -208,9 +208,10 @@ func TestResultRecordedThenStreamedThenAcked(t *testing.T) {
 // TestCommitBudget pins the durable path's commit budget on the shipped
 // assembly: a submit batch is two WAL records (admit + publish) whatever its
 // size, and a result batch is a handful (the agent's publish, complete, the
-// group publish, and the coalesced async ack records, although the stream's
-// consumer acks every result singly) — so nothing per-task can come back
-// unnoticed.
+// group publish, and the coalesced async ack records) — so nothing per-task
+// can come back unnoticed. The stream's consumer here acks every result
+// singly, which is what an executor's one-ack-per-drain becomes at low load,
+// where each drain holds one result.
 func TestCommitBudget(t *testing.T) {
 	st, err := OpenStack(StackConfig{DataDir: t.TempDir(), SnapshotEvery: -1})
 	if err != nil {
@@ -272,7 +273,7 @@ func TestCommitBudget(t *testing.T) {
 	for i := 0; i < n; i++ {
 		select {
 		case m := <-stream.Messages():
-			if err := stream.Ack(m.Tag); err != nil { // as the executor does: one ack per result
+			if err := stream.Ack(m.Tag); err != nil { // the worst case: one ack per result
 				t.Fatal(err)
 			}
 		case <-time.After(5 * time.Second):
