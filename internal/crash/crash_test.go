@@ -31,9 +31,10 @@ import (
 )
 
 const (
-	kills        = 3  // SIGKILL + restart cycles mid-storm
-	batchSize    = 8  // tasks per submit batch
-	minSubmitted = 24 // the storm must land at least this much work
+	kills          = 3   // SIGKILL + restart cycles mid-storm
+	batchSize      = 8   // tasks per submit batch
+	minSubmitted   = 24  // the storm must land at least this much work
+	spillThreshold = 256 // the webservice's -spill-threshold
 )
 
 // buildWebservice compiles cmd/gc-webservice once per test binary.
@@ -110,11 +111,11 @@ func startWS(t *testing.T, bin, httpAddr, brokerAddr, objectsAddr, dataDir strin
 	cmd := exec.Command(bin,
 		"-http", httpAddr, "-broker", brokerAddr, "-objects", objectsAddr,
 		"-data-dir", dataDir, "-snapshot-every", "300ms",
-		// Low spill threshold: storm payloads and echoed results travel as
-		// content-addressed references, so recovery also proves spilled
-		// objects survive the kills (the store is file-backed under the
-		// data dir).
-		"-spill-threshold", "256")
+		// Low spill threshold: the padded storm payloads and their echoed
+		// results travel as content-addressed references, so recovery also
+		// proves spilled objects survive the kills (the store is file-backed
+		// under the data dir).
+		"-spill-threshold", fmt.Sprint(spillThreshold))
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -162,13 +163,15 @@ func newClient(httpAddr, token string) *sdk.Client {
 
 // checkObjects asserts that the spilled payload of every acknowledged task,
 // and the spilled result of every finished one, resolves to the bytes that
-// were submitted (the agent echoes its input), and that objectsDir holds no
-// temp file of an interrupted put. The caller holds the storm off, so
-// payloads is not being written.
+// were submitted (the agent echoes its input); that every finished inline
+// task's result is its submitted bytes, although the task table kept no
+// copy of them and the queued message was their only one; and that
+// objectsDir holds no temp file of an interrupted put. The caller holds the
+// storm off, so payloads is not being written.
 func checkObjects(t *testing.T, round int, c *sdk.Client, objects *objectstore.Client,
 	acked []protocol.UUID, payloads map[protocol.UUID][]byte, objectsDir string) {
 	t.Helper()
-	finished := 0
+	finished, inline, queued := 0, 0, 0
 	for start := 0; start < len(acked); start += 100 {
 		sts, err := c.TaskStatuses(acked[start:min(start+100, len(acked))])
 		if err != nil {
@@ -176,6 +179,18 @@ func checkObjects(t *testing.T, round int, c *sdk.Client, objects *objectstore.C
 		}
 		for _, st := range sts {
 			want := payloads[st.TaskID]
+			if len(want) <= spillThreshold {
+				if !st.State.Terminal() {
+					queued++
+					continue
+				}
+				finished++
+				inline++
+				if st.State != protocol.StateSuccess || string(st.Result) != string(want) {
+					t.Errorf("round %d: inline task %s: %s, result %q, want %q", round, st.TaskID, st.State, st.Result, want)
+				}
+				continue
+			}
 			if ok, err := objects.Exists(objectstore.ContentKey(want)); err != nil || !ok {
 				t.Errorf("round %d: task %s: payload ref does not resolve (%v)", round, st.TaskID, err)
 			}
@@ -197,7 +212,8 @@ func checkObjects(t *testing.T, round int, c *sdk.Client, objects *objectstore.C
 			t.Errorf("round %d: interrupted put left %s behind", round, e.Name())
 		}
 	}
-	t.Logf("round %d: %d tasks acknowledged, %d finished, %d objects on disk: all references resolve", round, len(acked), finished, len(entries))
+	t.Logf("round %d: %d tasks acknowledged, %d finished (%d inline, %d inline still queued), %d objects on disk: all references resolve, every inline result matches",
+		round, len(acked), finished, inline, queued, len(entries))
 }
 
 func TestCrashRecoverySIGKILL(t *testing.T) {
@@ -244,6 +260,9 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 	objects := objectstore.NewClient(reg.ObjectsAddr)
 	go func() {
 		for m := range sub.Messages() {
+			// A worker a little slower than the storm, so a backlog of
+			// queued tasks, inline ones among them, crosses every kill.
+			time.Sleep(3 * time.Millisecond)
 			var task protocol.Task
 			if err := json.Unmarshal(m.Body, &task); err != nil {
 				_ = sub.Ack(m.Tag)
@@ -308,12 +327,17 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 			c := sdk.NewClient(httpAddr, tok) // fresh client per round: the token changes across restarts
 			c.MaxRetries = -1                 // the loop itself is the retry
 			batch := make([]webservice.SubmitRequest, batchSize)
+			// Every other batch is padded past the spill threshold, so its
+			// payloads cross as object-store references; the rest travel
+			// inline, in the queued message only.
+			pad := ""
+			if seq%2 == 0 {
+				pad = strings.Repeat("x", 2*spillThreshold)
+			}
 			for i := range batch {
-				// Payloads are padded past the 256-byte spill threshold so
-				// every one crosses as an object-store reference.
 				batch[i] = webservice.SubmitRequest{
 					EndpointID: ep, FunctionID: fn,
-					Payload: []byte(fmt.Sprintf(`"storm-%d-%d-%s"`, seq, i, strings.Repeat("x", 512))),
+					Payload: []byte(fmt.Sprintf(`"storm-%d-%d-%s"`, seq, i, pad)),
 				}
 			}
 			seq++
@@ -421,6 +445,9 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 	if states[protocol.StateSuccess] != len(all) {
 		t.Errorf("want all %d tasks Success, got %v", len(all), states)
 	}
+	// The tasks that were still queued at the last check crossed a kill
+	// too: their results are checked the same way.
+	checkObjects(t, kills+1, vc, objects, all, payloads, filepath.Join(dataDir, "objects"))
 
 	// The recovery path itself must have run: the durable registries count
 	// replayed WAL records, exported on /metrics of the current life.

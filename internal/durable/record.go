@@ -35,7 +35,9 @@ func appendBytes(b, p []byte) []byte {
 }
 
 // encodeMutation renders m as a WAL record: binary for the hot task
-// operations, JSON for everything else.
+// operations, JSON for everything else. A binary record is written into a
+// buffer sized for it up front, as encodePub does, so a batch of large
+// bodies is copied once rather than regrown.
 func encodeMutation(m statestore.Mutation) ([]byte, error) {
 	var kind byte
 	switch m.Op {
@@ -52,12 +54,30 @@ func encodeMutation(m statestore.Mutation) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := appendBytes([]byte{kind}, at)
+	var items [][]byte
 	switch kind {
 	case recAdmitTasks:
-		return appendItems(b, m.Bodies, len(m.Tasks), func(i int) any { return &m.Tasks[i] })
+		items, err = itemBodies(m.Bodies, len(m.Tasks), func(i int) any { return &m.Tasks[i] })
 	case recCompleteTasks:
-		return appendItems(b, m.Bodies, len(m.Results), func(i int) any { return &m.Results[i] })
+		items, err = itemBodies(m.Bodies, len(m.Results), func(i int) any { return &m.Results[i] })
+	}
+	if err != nil {
+		return nil, err
+	}
+	size := 1 + 3*binary.MaxVarintLen64 + len(at) + len(m.State)
+	for _, p := range items {
+		size += binary.MaxVarintLen64 + len(p)
+	}
+	for _, id := range m.TaskIDs {
+		size += binary.MaxVarintLen64 + len(id)
+	}
+	b := appendBytes(append(make([]byte, 0, size), kind), at)
+	if kind != recTransitionTasks {
+		b = binary.AppendUvarint(b, uint64(len(items)))
+		for _, p := range items {
+			b = appendBytes(b, p)
+		}
+		return b, nil
 	}
 	b = appendBytes(b, []byte(m.State))
 	b = binary.AppendUvarint(b, uint64(len(m.TaskIDs)))
@@ -67,22 +87,22 @@ func encodeMutation(m statestore.Mutation) ([]byte, error) {
 	return b, nil
 }
 
-// appendItems appends n JSON bodies: bodies[i] where the producer supplied
+// itemBodies returns n JSON bodies: bodies[i] where the producer supplied
 // it, item(i) marshalled here where not.
-func appendItems(b []byte, bodies [][]byte, n int, item func(int) any) ([]byte, error) {
-	b = binary.AppendUvarint(b, uint64(n))
-	for i := 0; i < n; i++ {
-		if i < len(bodies) {
-			b = appendBytes(b, bodies[i])
-			continue
-		}
+func itemBodies(bodies [][]byte, n int, item func(int) any) ([][]byte, error) {
+	if len(bodies) >= n {
+		return bodies[:n], nil
+	}
+	out := make([][]byte, n)
+	copy(out, bodies)
+	for i := len(bodies); i < n; i++ {
 		p, err := json.Marshal(item(i))
 		if err != nil {
 			return nil, err
 		}
-		b = appendBytes(b, p)
+		out[i] = p
 	}
-	return b, nil
+	return out, nil
 }
 
 // decodeMutation is encodeMutation's inverse, sniffing the encoding.

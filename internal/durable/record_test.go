@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -85,6 +86,34 @@ func jsonOf(t *testing.T, v any) string {
 		t.Fatal(err)
 	}
 	return string(out)
+}
+
+// TestEncodeAdmitAllocatesOnce: a 64-task admit record with 8 KiB bodies is
+// written into one buffer sized for it, not grown by append (which
+// allocates about twice the record's length).
+func TestEncodeAdmitAllocatesOnce(t *testing.T) {
+	m := statestore.Mutation{Op: statestore.OpAdmitTasks, At: time.Now()}
+	for i := 0; i < 64; i++ {
+		m.Tasks = append(m.Tasks, protocol.Task{ID: protocol.NewUUID()})
+		m.Bodies = append(m.Bodies, bytes.Repeat([]byte{'a' + byte(i%26)}, 8<<10))
+	}
+	rec, err := encodeMutation(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := encodeMutation(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perRecord := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	if ratio := perRecord / float64(len(rec)); ratio > 1.25 {
+		t.Errorf("encoding a %d-byte admit record allocates %.0f bytes (%.2fx its length), want <= 1.25x", len(rec), perRecord, ratio)
+	}
 }
 
 // FuzzWALRecord hardens the binary record codec: decoding arbitrary bytes

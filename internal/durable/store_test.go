@@ -1,7 +1,9 @@
 package durable
 
 import (
+	"bytes"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -175,6 +177,54 @@ func TestStoreRecoveryIdempotent(t *testing.T) {
 		}
 		d2.WAL().Close() // release the handle without writing a fresh snapshot
 	}
+}
+
+// TestStoredTasksKeepNoPayload: the admit record journals each task's inline
+// payload, but the task table keeps only its PayloadRef — live, after a
+// WAL-only reopen, and after a snapshot and reopen — and the snapshot
+// carries no payload bytes.
+func TestStoredTasksKeepNoPayload(t *testing.T) {
+	dir := t.TempDir()
+	d := openStore(t, dir)
+	ep := protocol.NewUUID()
+	tasks := []protocol.Task{
+		{ID: protocol.NewUUID(), EndpointID: ep, Payload: []byte(`"inline-0"`)},
+		{ID: protocol.NewUUID(), EndpointID: ep, Payload: []byte(`"inline-1"`)},
+		{ID: protocol.NewUUID(), EndpointID: ep, PayloadRef: "spilled"},
+	}
+	if err := d.State.AdmitTasks(tasks, nil); err != nil {
+		t.Fatal(err)
+	}
+	check := func(life string, st *statestore.Store) {
+		t.Helper()
+		for _, task := range tasks {
+			rec, err := st.GetTask(task.ID)
+			if err != nil {
+				t.Fatalf("%s: %v", life, err)
+			}
+			if rec.Task.Payload != nil || rec.Task.PayloadRef != task.PayloadRef || rec.State != protocol.StateDelivered {
+				t.Errorf("%s: task %s = payload %q, ref %q, state %s", life, task.ID, rec.Task.Payload, rec.Task.PayloadRef, rec.State)
+			}
+		}
+	}
+	check("live", d.State)
+	// Crash: the WAL holds the payloads; replay keeps them off the table.
+	d2 := openStore(t, dir)
+	check("WAL-only reopen", d2.State)
+	if err := d2.SnapshotNow(); err != nil {
+		t.Fatal(err)
+	}
+	d2.WAL().Close()
+	img, err := os.ReadFile(filepath.Join(dir, storeSnapshotFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(img, []byte("inline-")) || bytes.Contains(img, []byte(`"payload":"`)) {
+		t.Errorf("snapshot carries payload bytes: %s", img)
+	}
+	d3 := openStore(t, dir)
+	defer d3.Close()
+	check("snapshot reopen", d3.State)
 }
 
 func BenchmarkJournaledCreateTasks(b *testing.B) {

@@ -145,6 +145,11 @@ type manager struct {
 	wg sync.WaitGroup
 }
 
+// resultBuffer is the results channel's capacity. It does not scale with
+// QueueCapacity: the agent's intake bound keeps fewer than a hundred results
+// outstanding, and each slot is a Result the GC scans on every cycle.
+const resultBuffer = 1024
+
 // Engine is the interchange.
 type Engine struct {
 	cfg Config
@@ -181,7 +186,7 @@ func New(cfg Config) (*Engine, error) {
 		managers: make(map[string]*manager),
 		blocks:   make(map[string]string),
 		qspans:   make(map[protocol.UUID]*trace.ActiveSpan),
-		results:  make(chan protocol.Result, cfg.QueueCapacity),
+		results:  make(chan protocol.Result, resultBuffer),
 		wake:     make(chan struct{}, 1),
 		done:     make(chan struct{}),
 		Metrics:  metrics.NewRegistry(),
@@ -326,10 +331,12 @@ func (e *Engine) Stats() Stats {
 	return s
 }
 
-// Stop drains nothing further: it cancels blocks, waits for inflight tasks
-// to produce results, and closes the results channel. Pending tasks that
-// never started are dropped with failed results so callers are not left
-// waiting.
+// Stop drains nothing further: it cancels blocks and waits for inflight
+// tasks to produce results. Pending tasks that never started are dropped
+// with failed results so callers are not left waiting, and the results
+// channel closes after the last of them. Those failures are sent from their
+// own goroutine, so Stop returns even when they outnumber the channel's
+// buffer and nobody is reading yet.
 func (e *Engine) Stop() {
 	e.mu.Lock()
 	if !e.started || e.stopped {
@@ -349,12 +356,6 @@ func (e *Engine) Stop() {
 	e.mu.Unlock()
 
 	close(e.done)
-	for _, t := range pending {
-		e.results <- protocol.Result{
-			TaskID: t.ID, State: protocol.StateFailed,
-			Error: "engine stopped before execution",
-		}
-	}
 	for _, id := range blockIDs {
 		_ = e.cfg.Provider.CancelBlock(id)
 	}
@@ -372,7 +373,15 @@ func (e *Engine) Stop() {
 		time.Sleep(2 * time.Millisecond)
 	}
 	e.loops.Wait()
-	close(e.results)
+	go func() {
+		for _, t := range pending {
+			e.results <- protocol.Result{
+				TaskID: t.ID, State: protocol.StateFailed,
+				Error: "engine stopped before execution",
+			}
+		}
+		close(e.results)
+	}()
 }
 
 func (e *Engine) wakeUp() {

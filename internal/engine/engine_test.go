@@ -134,6 +134,52 @@ func TestStopFailsPendingTasks(t *testing.T) {
 	}
 }
 
+// TestStopWithoutReader: Stop returns while nearly ten times as many pending
+// tasks as the results buffer holds are waiting and nobody reads; a reader
+// that comes afterwards gets every task's failure, then the close.
+func TestStopWithoutReader(t *testing.T) {
+	eng, err := New(Config{
+		Provider: provider.NewLocal(1),
+		Run:      echoRunner,
+		// No block, and no scaling tick before Stop: every task stays pending.
+		MaxBlocks: 1, ScalingInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Start(); err != nil {
+		t.Fatal(err)
+	}
+	const n = 10000 // nearly ten times resultBuffer
+	tasks := make([]protocol.Task, n)
+	for i := range tasks {
+		tasks[i] = newTask(fmt.Sprint(i))
+	}
+	if errs := eng.SubmitBatch(tasks); errs != nil {
+		t.Fatalf("submit: %v", errs)
+	}
+	stopped := make(chan struct{})
+	go func() {
+		eng.Stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("Stop hung with %d pending tasks and no reader", n)
+	}
+	failed := 0
+	for r := range eng.Results() {
+		if r.State != protocol.StateFailed {
+			t.Fatalf("result %+v, want a failure", r)
+		}
+		failed++
+	}
+	if failed != n {
+		t.Errorf("%d failures before the close, want %d", failed, n)
+	}
+}
+
 func TestScaleOutOnBacklog(t *testing.T) {
 	sched := scheduler.SimpleCluster(4)
 	defer sched.Close()

@@ -97,6 +97,11 @@ type pendingTask struct {
 	seq  int
 }
 
+// resultBuffer is the results channel's capacity, fixed rather than
+// QueueCapacity-sized: the agent reads results as they arrive, and at most
+// one application per node is running.
+const resultBuffer = 1024
+
 // Engine is the MPI runtime.
 type Engine struct {
 	cfg Config
@@ -122,7 +127,7 @@ func New(cfg Config) (*Engine, error) {
 	return &Engine{
 		cfg:        cfg,
 		partitions: make(map[string]*partition),
-		results:    make(chan protocol.Result, cfg.QueueCapacity),
+		results:    make(chan protocol.Result, resultBuffer),
 		Metrics:    metrics.NewRegistry(),
 	}, nil
 }
@@ -389,7 +394,10 @@ func (e *Engine) Stats() Stats {
 	return s
 }
 
-// Stop cancels blocks, fails queued applications, and closes Results.
+// Stop cancels blocks, waits for running applications to report, fails
+// queued ones, and closes Results after the last failure. The failures are
+// sent from their own goroutine, so Stop returns even when they outnumber
+// the channel's buffer and nobody is reading yet.
 func (e *Engine) Stop() {
 	e.mu.Lock()
 	if !e.started || e.stopped {
@@ -404,15 +412,17 @@ func (e *Engine) Stop() {
 		blockIDs = append(blockIDs, id)
 	}
 	e.mu.Unlock()
-	for _, pt := range pending {
-		e.results <- protocol.Result{
-			TaskID: pt.task.ID, State: protocol.StateFailed,
-			Error: "mpi engine stopped before execution",
-		}
-	}
 	for _, id := range blockIDs {
 		_ = e.cfg.Provider.CancelBlock(id)
 	}
 	e.wg.Wait()
-	close(e.results)
+	go func() {
+		for _, pt := range pending {
+			e.results <- protocol.Result{
+				TaskID: pt.task.ID, State: protocol.StateFailed,
+				Error: "mpi engine stopped before execution",
+			}
+		}
+		close(e.results)
+	}()
 }

@@ -338,3 +338,40 @@ func TestStopFailsQueuedApps(t *testing.T) {
 		t.Errorf("results = %d, want 4 (1 running + 3 failed-on-stop)", got)
 	}
 }
+
+// TestStopWithoutReader: Stop returns while more queued applications than
+// the results buffer holds are waiting and nobody reads; a reader that comes
+// afterwards gets the running app's result and every queued failure, then
+// the close.
+func TestStopWithoutReader(t *testing.T) {
+	eng, cleanup := newMPIEngine(t, 2, 2, FIFO)
+	// Occupies the block until Stop releases it.
+	eng.Submit(mpiTask(t, "sleep 30", protocol.ResourceSpec{NumNodes: 2, RanksPerNode: 1}))
+	time.Sleep(30 * time.Millisecond)
+	const queued = 2 * resultBuffer
+	for i := 0; i < queued; i++ {
+		if err := eng.Submit(mpiTask(t, "echo queued", protocol.ResourceSpec{NumNodes: 2, RanksPerNode: 1})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stopped := make(chan struct{})
+	go func() {
+		cleanup()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("Stop hung with %d queued apps and no reader", queued)
+	}
+	results, failed := 0, 0
+	for r := range eng.Results() {
+		results++
+		if r.State == protocol.StateFailed {
+			failed++
+		}
+	}
+	if results != queued+1 || failed < queued {
+		t.Errorf("%d results (%d failures) before the close, want %d (at least %d failures)", results, failed, queued+1, queued)
+	}
+}

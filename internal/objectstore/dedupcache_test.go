@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -21,24 +22,45 @@ func (c *countingFetcher) Get(key string) ([]byte, error) {
 	return c.src.Get(key)
 }
 
-func TestDedupCacheHitsAndEvictions(t *testing.T) {
-	s := New()
-	keys := make([]string, 4)
+// putObjects stores n distinct objects of size bytes and returns their keys;
+// calls with the same size return the same objects.
+func putObjects(t *testing.T, s *Store, n, size int) []string {
+	t.Helper()
+	keys := make([]string, n)
 	for i := range keys {
-		k, err := s.PutContent(bytes.Repeat([]byte{byte(i + 1)}, 100))
+		b := bytes.Repeat([]byte{'.'}, size)
+		copy(b, fmt.Sprint(size, "/", i))
+		k, err := s.PutContent(b)
 		if err != nil {
 			t.Fatal(err)
 		}
 		keys[i] = k
 	}
-	src := &countingFetcher{src: s}
-	// Budget for two 100-byte objects.
-	d := NewDedupCache(src, 200)
+	return keys
+}
 
-	for i := 0; i < 3; i++ {
-		if _, err := d.Get(keys[0]); err != nil {
+func TestDedupCacheHitsAndEvictions(t *testing.T) {
+	s := New()
+	keys := putObjects(t, s, 5, 100)
+	src := &countingFetcher{src: s}
+	// Budget for three 100-byte objects; probation (30 bytes) holds only
+	// its newest entry.
+	d := NewDedupCache(src, 300)
+	get := func(k string) {
+		t.Helper()
+		if _, err := d.Get(k); err != nil {
 			t.Fatal(err)
 		}
+	}
+	fetched := func(k string) bool {
+		t.Helper()
+		before := src.calls.Load()
+		get(k)
+		return src.calls.Load() != before
+	}
+
+	for i := 0; i < 3; i++ {
+		get(keys[0])
 	}
 	if got := src.calls.Load(); got != 1 {
 		t.Fatalf("source fetches after repeated Get = %d, want 1", got)
@@ -47,26 +69,89 @@ func TestDedupCacheHitsAndEvictions(t *testing.T) {
 		t.Errorf("hits = %d, want 2", hits)
 	}
 
-	// Fill past the budget: keys[0] (least recently used after these) must
-	// evict.
-	if _, err := d.Get(keys[1]); err != nil {
-		t.Fatal(err)
+	// keys[0..2] are each read twice: as the next object arrives, each
+	// leaves probation for the main LRU.
+	get(keys[1])
+	get(keys[1])
+	get(keys[2])
+	get(keys[2])
+	if d.Len() != 3 || d.Bytes() != 300 {
+		t.Fatalf("cache = %d objects / %d bytes, want 3 / 300", d.Len(), d.Bytes())
 	}
-	if _, err := d.Get(keys[2]); err != nil {
-		t.Fatal(err)
+	// keys[0] becomes the most recently used, so keys[1] is the LRU tail
+	// that keys[2]'s promotion (when keys[3] arrives) pushes out.
+	if fetched(keys[0]) {
+		t.Fatal("keys[0] refetched while cached")
 	}
-	if d.Len() != 2 || d.Bytes() != 200 {
-		t.Fatalf("cache = %d objects / %d bytes, want 2 / 200", d.Len(), d.Bytes())
-	}
+	get(keys[3])
 	if ev := d.Metrics.Counter("dedup_cache_evictions").Value(); ev != 1 {
 		t.Errorf("evictions = %d, want 1", ev)
 	}
-	before := src.calls.Load()
-	if _, err := d.Get(keys[0]); err != nil { // evicted: refetches
-		t.Fatal(err)
+	if d.Len() != 3 || d.Bytes() != 300 {
+		t.Fatalf("cache = %d objects / %d bytes, want 3 / 300", d.Len(), d.Bytes())
 	}
-	if got := src.calls.Load(); got != before+1 {
-		t.Errorf("evicted key did not refetch (calls %d -> %d)", before, got)
+	if !fetched(keys[1]) {
+		t.Error("the LRU tail was not evicted")
+	}
+	// keys[3] was read once: keys[1]'s arrival sends it away rather than
+	// promoting it, and the objects read twice stay.
+	if ev := d.Metrics.Counter("dedup_cache_evictions").Value(); ev != 2 {
+		t.Errorf("evictions = %d, want 2", ev)
+	}
+	for _, k := range []string{keys[0], keys[2]} {
+		if fetched(k) {
+			t.Errorf("a one-hit object displaced %s from the main LRU", k)
+		}
+	}
+	if !fetched(keys[3]) {
+		t.Error("a one-hit object stayed after leaving probation")
+	}
+}
+
+// TestDedupCacheScanResistance: eight shared inputs interleaved with 1,000
+// one-hit objects totalling ten times the budget. Every shared Get after its
+// second is a hit, and the cache never holds more than probation plus the
+// shared set.
+func TestDedupCacheScanResistance(t *testing.T) {
+	const budget = 1 << 20
+	s := New()
+	hot := putObjects(t, s, 8, 1<<10)
+	scan := putObjects(t, s, 1000, budget/100)
+	src := &countingFetcher{src: s}
+	d := NewDedupCache(src, budget)
+	reads := map[string]int{}
+	for i, k := range scan {
+		if _, err := d.Get(k); err != nil {
+			t.Fatal(err)
+		}
+		h := hot[i%len(hot)]
+		before := src.calls.Load()
+		if _, err := d.Get(h); err != nil {
+			t.Fatal(err)
+		}
+		if reads[h]++; reads[h] > 2 && src.calls.Load() != before {
+			t.Fatalf("shared object %d: read %d missed", i%len(hot), reads[h])
+		}
+		if got, limit := d.Bytes(), int64(budget/10+len(hot)<<10); got > limit {
+			t.Fatalf("after %d one-hit objects the cache holds %d bytes, want <= %d", i+1, got, limit)
+		}
+	}
+}
+
+// TestDedupCacheLargeFanOut: an input at 60 % of the budget — more than
+// probation's tenth — read by 16 tasks in turn crosses the wire once.
+func TestDedupCacheLargeFanOut(t *testing.T) {
+	s := New()
+	key := putObjects(t, s, 1, 600)[0]
+	src := &countingFetcher{src: s}
+	d := NewDedupCache(src, 1000)
+	for i := 0; i < 16; i++ {
+		if data, err := d.Get(key); err != nil || len(data) != 600 {
+			t.Fatalf("get %d = %d bytes, %v", i, len(data), err)
+		}
+	}
+	if got := src.calls.Load(); got != 1 {
+		t.Errorf("source fetches = %d for 16 sequential gets, want 1", got)
 	}
 }
 
@@ -95,6 +180,62 @@ func TestDedupCacheSingleflight(t *testing.T) {
 	// first caller may complete before the last starts, so allow a couple.
 	if got := src.calls.Load(); got > 3 {
 		t.Errorf("source fetches = %d for 16 concurrent gets, want <= 3", got)
+	}
+}
+
+// gatedFetcher holds every fetch until release is closed.
+type gatedFetcher struct {
+	countingFetcher
+	release chan struct{}
+}
+
+func (g *gatedFetcher) Get(key string) ([]byte, error) {
+	<-g.release
+	return g.countingFetcher.Get(key)
+}
+
+// TestDedupCacheCoalescedReadsCount: callers that waited on one fetch have
+// asked for the object again, so it moves on to the main LRU and outlives a
+// probation's worth of one-hit objects.
+func TestDedupCacheCoalescedReadsCount(t *testing.T) {
+	s := New()
+	key := putObjects(t, s, 1, 100)[0]
+	src := &gatedFetcher{countingFetcher: countingFetcher{src: s}, release: make(chan struct{})}
+	d := NewDedupCache(src, 1000)
+	waiting := func() int {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		if call, ok := d.inflight[key]; ok {
+			return 1 + call.waiters
+		}
+		return 0
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := d.Get(key); err != nil {
+				t.Error(err)
+			}
+		}()
+		for waiting() != i+1 {
+			runtime.Gosched()
+		}
+	}
+	close(src.release)
+	wg.Wait()
+	for _, k := range putObjects(t, s, 11, 101) { // more than the budget
+		if _, err := d.Get(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := src.calls.Load()
+	if _, err := d.Get(key); err != nil {
+		t.Fatal(err)
+	}
+	if got := src.calls.Load(); got != before {
+		t.Error("an object four callers read at once left with the one-hit objects")
 	}
 }
 

@@ -4,8 +4,9 @@
 // offers an in-process API plus an HTTP server (PUT/GET/HEAD/DELETE
 // /objects/<key>) for cross-process access, an optional file-backed mode
 // (OpenDir) that keeps only an index in memory, survives restarts and is
-// swept with the task rows, and a bounded LRU read-through cache
-// (DedupCache) for endpoint-side fan-out dedup and ProxyStore resolves.
+// swept with the task rows, and a read-through cache whose budget goes to
+// objects read more than once — a probation FIFO in front of an LRU
+// (DedupCache) — for endpoint-side fan-out dedup and ProxyStore resolves.
 package objectstore
 
 import (

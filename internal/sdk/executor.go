@@ -44,9 +44,10 @@ type ExecutorConfig struct {
 	MaxBatch int
 	// Objects resolves large results spilled to the object store.
 	Objects ObjectFetcher
-	// ObjectsCacheBytes, when > 0, wraps Objects in a bounded LRU dedup
-	// cache so a fan-in of results sharing one spilled object fetches it
-	// over the wire once.
+	// ObjectsCacheBytes, when > 0, wraps Objects in an
+	// objectstore.DedupCache of that many bytes (probation FIFO + LRU) so a
+	// fan-in of results sharing one spilled object fetches it over the wire
+	// once.
 	ObjectsCacheBytes int64
 	// Tracer, when set, roots a trace per submission (sdk.submit) and
 	// records result resolution (sdk.resolve). Nil disables tracing.

@@ -100,7 +100,9 @@ type EndpointLoad struct {
 	EgressBacklog *int `json:"egress_backlog,omitempty"`
 }
 
-// TaskRecord is the authoritative task row.
+// TaskRecord is the authoritative task row. It keeps the task's PayloadRef
+// but never its inline Payload: the queued message carries those bytes to the
+// endpoint, and nothing reads them from the table.
 type TaskRecord struct {
 	Task      protocol.Task      `json:"task"`
 	State     protocol.TaskState `json:"state"`
@@ -444,7 +446,8 @@ func (s *Store) AdmitTasks(tasks []protocol.Task, bodies [][]byte) error {
 	return s.insertTasks(Mutation{Op: OpAdmitTasks, Tasks: tasks, Bodies: bodies}, protocol.StateDelivered)
 }
 
-// insertTasks journals m and inserts m.Tasks in state.
+// insertTasks journals m, payloads included, and inserts m.Tasks in state
+// without their inline payloads.
 func (s *Store) insertTasks(m Mutation, state protocol.TaskState) error {
 	tasks := m.Tasks
 	done, jerr := s.logMutation(m)
@@ -482,6 +485,7 @@ func (s *Store) insertTasks(m Mutation, state protocol.TaskState) error {
 				}
 				continue
 			}
+			t.Payload = nil
 			sh.m[t.ID] = &TaskRecord{Task: t, State: state, Created: now, Updated: now}
 			sh.counts[state]++
 			created[i] = true
@@ -827,7 +831,8 @@ func (s *Store) Snapshot() ([]byte, error) {
 	return json.Marshal(snap)
 }
 
-// Restore replaces the store contents from a Snapshot image.
+// Restore replaces the store contents from a Snapshot image. Inline payloads
+// in an image written before the table stopped keeping them are dropped.
 func (s *Store) Restore(data []byte) error {
 	var snap snapshot
 	if err := json.Unmarshal(data, &snap); err != nil {
@@ -862,6 +867,7 @@ func (s *Store) Restore(data []byte) error {
 	}
 	for i := range snap.Tasks {
 		t := snap.Tasks[i]
+		t.Task.Payload = nil
 		sh := s.taskShard(t.Task.ID)
 		sh.mu.Lock()
 		sh.m[t.Task.ID] = &t

@@ -1,7 +1,10 @@
 package statestore
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -245,6 +248,81 @@ func TestObjectRefsFollowTheRows(t *testing.T) {
 		t.Fatalf("purged %d tasks, want 1", n)
 	}
 	want("payload-queued")
+}
+
+// TestTaskTableKeepsNoPayload is the task table's heap guard: 2,000 admitted
+// tasks with 8 KiB inline payloads (16 MB of payload) leave the live heap
+// less than 4 MB larger, and each row keeps its PayloadRef but not its
+// bytes.
+func TestTaskTableKeepsNoPayload(t *testing.T) {
+	s := New()
+	ep := protocol.NewUUID()
+	var ids []protocol.UUID
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for b := 0; b < 40; b++ {
+		batch := make([]protocol.Task, 50)
+		for i := range batch {
+			batch[i] = newTask(ep)
+			batch[i].Payload = bytes.Repeat([]byte{byte(i)}, 8<<10)
+			batch[i].PayloadRef = "ref-" + string(batch[i].ID)
+			ids = append(ids, batch[i].ID)
+		}
+		if err := s.AdmitTasks(batch, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grew := int64(after.HeapInuse) - int64(before.HeapInuse); grew >= 4<<20 {
+		t.Errorf("2,000 admitted tasks grew the live heap by %.1f MB, want < 4 MB", float64(grew)/(1<<20))
+	}
+	for _, id := range ids {
+		rec, err := s.GetTask(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Task.Payload != nil || rec.Task.PayloadRef != "ref-"+string(id) {
+			t.Fatalf("task %s kept %d payload bytes, ref %q", id, len(rec.Task.Payload), rec.Task.PayloadRef)
+		}
+	}
+	runtime.KeepAlive(s)
+}
+
+// TestRestoreDropsStoredPayloads: a snapshot image that still carries inline
+// payloads — what the store wrote before it stopped keeping them — restores
+// without them, every other field intact.
+func TestRestoreDropsStoredPayloads(t *testing.T) {
+	ep := protocol.NewUUID()
+	task := newTask(ep)
+	task.Payload, task.PayloadRef = []byte(`"inline"`), "spilled-ref"
+	at := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	img, err := json.Marshal(snapshot{Tasks: []TaskRecord{{
+		Task: task, State: protocol.StateSuccess, Result: []byte(`"inline"`),
+		Created: at, Updated: at, Completed: at,
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(img, []byte(`"payload":"`)) {
+		t.Fatalf("image carries no payload: %s", img)
+	}
+	s := New()
+	if err := s.Restore(img); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := s.GetTask(task.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Task.Payload != nil || rec.Task.PayloadRef != "spilled-ref" || rec.Task.EndpointID != ep ||
+		rec.State != protocol.StateSuccess || string(rec.Result) != `"inline"` || !rec.Completed.Equal(at) {
+		t.Errorf("restored %+v", rec)
+	}
+	if again, _ := s.Snapshot(); bytes.Contains(again, []byte(`"payload":"`)) {
+		t.Errorf("snapshot after restore still carries a payload: %s", again)
+	}
 }
 
 func TestDuplicateTask(t *testing.T) {

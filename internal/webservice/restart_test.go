@@ -1,8 +1,13 @@
 package webservice
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -91,6 +96,137 @@ func TestCloudRestartRecovery(t *testing.T) {
 				t.Fatalf("task %s never completed after restart (state %s)", id, st.State)
 			}
 			time.Sleep(5 * time.Millisecond)
+		}
+	}
+}
+
+// storedPayloadDir is a -data-dir written by the service while its task
+// table still kept inline payloads, with a 64-byte spill threshold: its
+// snapshot and its state log both carry them. Three tasks finished before
+// the snapshot, three were queued in it, and three were queued in the log
+// tail after it, the first of those then cancelled. want.json is what that
+// service reported for every task before it was killed, and what each one
+// was submitted with.
+const storedPayloadDir = "testdata/stored-payloads"
+
+type storedPayloadWant struct {
+	Endpoint protocol.UUID `json:"endpoint"`
+	Tasks    []struct {
+		Status     TaskStatus `json:"status"`
+		Payload    []byte     `json:"payload"`
+		PayloadRef string     `json:"payload_ref"`
+	} `json:"tasks"`
+}
+
+// copyTree copies the directory src to dst.
+func copyTree(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, e fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		if e.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStoredPayloadDataDirOpens opens a data dir whose snapshot and log
+// still carry inline payloads. Every task comes back with its status and
+// result, its PayloadRef and no payload; the queued tasks then run from
+// their queued messages alone and echo what was submitted; and a snapshot
+// taken now carries no payload.
+func TestStoredPayloadDataDirOpens(t *testing.T) {
+	var want storedPayloadWant
+	raw, err := os.ReadFile(filepath.Join(storedPayloadDir, "want.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	hasPayload := func(path string) bool {
+		t.Helper()
+		img, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bytes.Contains(img, []byte(`"payload":"`))
+	}
+	if !hasPayload(filepath.Join(storedPayloadDir, "state", "state.snap")) {
+		t.Fatal("the fixture's snapshot carries no payload: it tests nothing")
+	}
+	dir := t.TempDir()
+	copyTree(t, storedPayloadDir, dir)
+	open := func() *Stack {
+		t.Helper()
+		st, err := OpenStack(StackConfig{DataDir: dir, SnapshotEvery: -1, Service: Config{InlineThreshold: 64}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+
+	st := open()
+	check := func(life string, st *Stack) {
+		t.Helper()
+		for _, w := range want.Tasks {
+			got, err := st.Service.GetTask(w.Status.TaskID)
+			if err != nil {
+				t.Fatalf("%s: %v", life, err)
+			}
+			if !reflect.DeepEqual(got, w.Status) {
+				t.Errorf("%s: status %+v, want %+v", life, got, w.Status)
+			}
+			rec, _ := st.Store.GetTask(w.Status.TaskID)
+			if rec.Task.Payload != nil || rec.Task.PayloadRef != w.PayloadRef {
+				t.Errorf("%s: task %s kept payload %q, ref %q (want ref %q)", life, w.Status.TaskID, rec.Task.Payload, rec.Task.PayloadRef, w.PayloadRef)
+			}
+		}
+	}
+	check("parent data dir", st)
+
+	f := stackFixture(t, st)
+	f.fakeAgent(t, want.Endpoint)
+	ran := 0
+	for _, w := range want.Tasks {
+		if w.Status.State.Terminal() {
+			continue
+		}
+		got := waitTask(t, st.Service, w.Status.TaskID, 10*time.Second)
+		result := got.Result
+		if got.ResultRef != "" {
+			result, _ = st.Objects.Get(got.ResultRef)
+		}
+		if got.State != protocol.StateSuccess || !bytes.Equal(result, w.Payload) {
+			t.Errorf("queued task %s: %s with %q, want success echoing %q", w.Status.TaskID, got.State, result, w.Payload)
+		}
+		ran++
+	}
+	if ran != 5 {
+		t.Errorf("%d queued tasks ran, want 5", ran)
+	}
+	if err := st.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if hasPayload(filepath.Join(dir, "state", "state.snap")) {
+		t.Error("a snapshot written now still carries a payload")
+	}
+	st2 := open()
+	defer st2.Close(context.Background())
+	for _, w := range want.Tasks {
+		rec, err := st2.Store.GetTask(w.Status.TaskID)
+		if err != nil || rec.Task.Payload != nil || rec.Task.PayloadRef != w.PayloadRef || !rec.State.Terminal() {
+			t.Errorf("after the new snapshot: task %s = %+v, %v", w.Status.TaskID, rec, err)
 		}
 	}
 }
