@@ -117,10 +117,12 @@ fuzz:
 	$(GO) test -fuzz FuzzParseRules -fuzztime 30s ./internal/idmap/
 
 # Short codec fuzz pass run as part of `make all`: binary<->JSON equivalence
-# and binary-decode hardening, for wire frames (see docs/PROTOCOL.md "Binary
-# encoding"), python payloads and submit bodies (docs/PROTOCOL.md "REST
-# API") and for WAL records (see docs/DURABILITY.md "Records").
+# and binary-decode hardening, for wire frames (FrameReader, the one decoder
+# of every framed connection; see docs/PROTOCOL.md "Framing"), python
+# payloads and submit bodies (docs/PROTOCOL.md "REST API") and for WAL
+# records (see docs/DURABILITY.md "Records").
 fuzz-codec:
+	$(GO) test -fuzz FuzzFrameReader -fuzztime 10s ./internal/protocol/
 	$(GO) test -fuzz FuzzCodecEquivalence -fuzztime 10s ./internal/protocol/
 	$(GO) test -fuzz FuzzBinaryDecode -fuzztime 10s ./internal/protocol/
 	$(GO) test -fuzz FuzzPythonSpec -fuzztime 10s ./internal/protocol/

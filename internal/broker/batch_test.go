@@ -1,7 +1,9 @@
 package broker
 
 import (
+	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -14,15 +16,10 @@ import (
 
 // --- batched publish/consume over TCP ---
 
-// dialBatching dials a client whose consumers ask for delivery batches of up
-// to maxBatch.
-func dialBatching(addr string, maxBatch int) (*Client, error) {
-	c, err := Dial(addr)
-	if err == nil {
-		c.EnableBatching(BatchConfig{MaxBatch: maxBatch})
-	}
-	return c, err
-}
+// dialBatching dials a client. Every connection is batched, so the batch
+// size its callers name is not passed on: the server caps a delivery_batch
+// at maxDeliveryBatch, and the consumer's prefetch window caps it too.
+func dialBatching(addr string, _ int) (*Client, error) { return Dial(addr) }
 
 func TestBatchPublishConsumeTCP(t *testing.T) {
 	s, _ := newTestServer(t)
@@ -73,74 +70,40 @@ func TestBatchPublishConsumeTCP(t *testing.T) {
 	}
 }
 
-// --- interop: old client against new server ---
+// --- the one wire form ---
 
-// TestOldClientPlainPublishInterop speaks the pre-batching wire protocol by
-// hand (plain publish / consume / ack envelopes, no batch fields) against
-// the batching-aware server: everything must decode and deliver exactly as
-// before, with plain delivery frames only.
-func TestOldClientPlainPublishInterop(t *testing.T) {
-	s, _ := newTestServer(t)
-	conn, err := net.Dial("tcp", s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	r := protocol.NewFrameReader(conn)
-	w := protocol.NewFrameWriter(conn)
-
-	call := func(id, typ string, body any) {
-		t.Helper()
-		if err := w.Write(protocol.MustEnvelope(typ, id, body)); err != nil {
-			t.Fatal(err)
-		}
-		env, err := r.Read()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if env.Type != protocol.EnvOK || env.ID != id {
-			t.Fatalf("reply to %s = %s (id %s)", typ, env.Type, env.ID)
-		}
-	}
-	call("1", protocol.EnvDeclare, declareBody{Queue: "q"})
-	for i := 0; i < 3; i++ {
-		call(fmt.Sprintf("p%d", i), protocol.EnvPublish, publishBody{Queue: "q", Body: []byte(fmt.Sprintf("m%d", i))})
-	}
-	call("c", protocol.EnvConsume, consumeBody{Queue: "q", Prefetch: 4})
-
-	var tags []uint64
-	for i := 0; i < 3; i++ {
-		env, err := r.Read()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if env.Type != protocol.EnvDelivery {
-			t.Fatalf("frame %d type = %q, want plain %q for a non-batch consumer", i, env.Type, protocol.EnvDelivery)
-		}
-		var d deliveryBody
-		if err := env.Decode(&d); err != nil {
-			t.Fatal(err)
-		}
-		if string(d.Body) != fmt.Sprintf("m%d", i) {
-			t.Fatalf("delivery %d body = %q", i, d.Body)
-		}
-		tags = append(tags, d.Tag)
-	}
-	for i, tag := range tags {
-		call(fmt.Sprintf("a%d", i), protocol.EnvAck, ackBody{Queue: "q", Tag: tag})
-	}
+// recordedFrame is one frame as a peer received it: the first payload byte
+// and the envelope decoded from the payload.
+type recordedFrame struct {
+	first byte
+	env   protocol.Envelope
 }
 
-// --- the lone/N wire rule ---
+// readRawFrame reads one length-prefixed frame without FrameReader, so the
+// test sees the bytes a peer put on the wire.
+func readRawFrame(r io.Reader) (recordedFrame, error) {
+	var hdr [4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return recordedFrame{}, err
+	}
+	p := make([]byte, binary.BigEndian.Uint32(hdr[:]))
+	if _, err := io.ReadFull(r, p); err != nil {
+		return recordedFrame{}, err
+	}
+	if len(p) == 0 {
+		return recordedFrame{}, fmt.Errorf("empty frame")
+	}
+	env, err := protocol.DecodeBinaryEnvelope(p)
+	return recordedFrame{first: p[0], env: env}, err
+}
 
 // recordingServer is a minimal frame-level broker stand-in that records
-// every envelope type it receives and replies OK.
+// every frame it receives and replies OK.
 type recordingServer struct {
 	ln net.Listener
 
-	mu    sync.Mutex
-	types []string
+	mu     sync.Mutex
+	frames []recordedFrame
 }
 
 func startRecordingServer(t *testing.T) *recordingServer {
@@ -165,34 +128,34 @@ func startRecordingServer(t *testing.T) *recordingServer {
 
 func (rs *recordingServer) handle(conn net.Conn) {
 	defer conn.Close()
-	r := protocol.NewFrameReader(conn)
 	w := protocol.NewFrameWriter(conn)
 	for {
-		env, err := r.Read()
+		f, err := readRawFrame(conn)
 		if err != nil {
 			return
 		}
 		rs.mu.Lock()
-		rs.types = append(rs.types, env.Type)
+		rs.frames = append(rs.frames, f)
 		rs.mu.Unlock()
-		_ = w.Write(protocol.MustEnvelope(protocol.EnvOK, env.ID, nil))
+		_ = w.Write(protocol.Envelope{Type: protocol.EnvOK, ID: f.env.ID})
 	}
 }
 
-func (rs *recordingServer) recorded() []string {
+func (rs *recordingServer) recorded() []recordedFrame {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	return append([]string(nil), rs.types...)
+	return append([]recordedFrame(nil), rs.frames...)
 }
 
-// TestClientLoneAndBatchFrames pins the wire's lone-message rule at the one
-// place that implements it: a one-element PublishBatch or Ack travels as the
-// plain publish / ack envelope — what a server that predates the batch
-// frames understands, and byte-identical idle traffic — and an N-element one
-// as a single publish_batch / ack_batch frame.
+// TestClientLoneAndBatchFrames pins the wire's one form in both directions.
+// A fresh client's first frame (its consume) is binary; a one-body
+// PublishBatch and a one-tag Ack travel as publish_batch / ack_batch, one
+// frame per call, and empty calls send nothing. The server's reply is
+// binary, and a lone buffered message reaches the consumer as a
+// delivery_batch of one that keeps its trace context.
 func TestClientLoneAndBatchFrames(t *testing.T) {
 	rs := startRecordingServer(t)
-	c, err := dialBatching(rs.ln.Addr().String(), 32)
+	c, err := Dial(rs.ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,17 +165,17 @@ func TestClientLoneAndBatchFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tc := &trace.Context{TraceID: trace.NewTraceID(), SpanID: trace.NewSpanID()}
 	abc := [][]byte{[]byte("a"), []byte("b"), []byte("c")}
 	steps := []struct {
 		do   func() error
 		want string
 	}{
-		{func() error { return conn.PublishBatch("q", abc[:1], nil) }, protocol.EnvPublish},
-		{func() error { return c.Publish("q", []byte("solo")) }, protocol.EnvPublish},
+		{func() error { return conn.PublishBatch("q", abc[:1], []*trace.Context{tc}) }, protocol.EnvPublishBatch},
 		{func() error { return conn.PublishBatch("q", abc, nil) }, protocol.EnvPublishBatch},
-		{func() error { return sub.Ack(7) }, protocol.EnvAck},
+		{func() error { return sub.Ack(7) }, protocol.EnvAckBatch},
 		{func() error { return sub.Ack(8, 9, 10) }, protocol.EnvAckBatch},
-		{func() error { return AckBatchOn(sub, []uint64{11}) }, protocol.EnvAck},
+		{func() error { return AckBatchOn(sub, []uint64{11}) }, protocol.EnvAckBatch},
 		{func() error { return conn.PublishBatch("q", nil, nil) }, ""},
 		{func() error { return sub.Ack() }, ""},
 	}
@@ -225,8 +188,64 @@ func TestClientLoneAndBatchFrames(t *testing.T) {
 			want = append(want, st.want)
 		}
 	}
-	if got := rs.recorded(); fmt.Sprint(got) != fmt.Sprint(want) {
+	frames := rs.recorded()
+	var got []string
+	for i, f := range frames {
+		if f.first != 0xBF {
+			t.Errorf("frame %d (%s) starts with %#x, want 0xBF", i, f.env.Type, f.first)
+		}
+		got = append(got, f.env.Type)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("recorded frames = %v, want %v (one frame per call)", got, want)
+	}
+	var lone protocol.PublishBatchBody
+	if err := frames[1].env.Decode(&lone); err != nil {
+		t.Fatal(err)
+	}
+	if len(lone.Bodies) != 1 || len(lone.Traces) != 1 || lone.Traces[0].TraceID != tc.TraceID {
+		t.Errorf("one-body publish_batch = %+v, want one body carrying trace %s", lone, tc.TraceID)
+	}
+
+	// The server side: a raw connection sees a binary reply to its consume,
+	// then the lone message as a delivery_batch of one.
+	s, b := newTestServer(t)
+	if err := b.Declare("q"); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	raw.SetDeadline(time.Now().Add(10 * time.Second))
+	consume := protocol.Envelope{Type: protocol.EnvConsume, ID: "1", Bin: &consumeBody{Queue: "q", Prefetch: 4}}
+	if err := protocol.NewFrameWriter(raw).Write(consume); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := readRawFrame(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reply.first != 0xBF || reply.env.Type != protocol.EnvOK || reply.env.ID != "1" {
+		t.Fatalf("consume reply = %#x %s id %q, want 0xBF ok id 1", reply.first, reply.env.Type, reply.env.ID)
+	}
+	if err := b.PublishBatch("q", [][]byte{[]byte("solo")}, []*trace.Context{tc}); err != nil {
+		t.Fatal(err)
+	}
+	d, err := readRawFrame(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch deliveryBatchBody
+	if err := d.env.Decode(&batch); err != nil {
+		t.Fatal(err)
+	}
+	if d.first != 0xBF || d.env.Type != protocol.EnvDeliveryBatch || len(batch.Items) != 1 {
+		t.Fatalf("lone delivery = %#x %s with %d items, want 0xBF delivery_batch of one", d.first, d.env.Type, len(batch.Items))
+	}
+	if it := batch.Items[0]; string(it.Body) != "solo" || it.Trace == nil || it.Trace.TraceID != tc.TraceID {
+		t.Fatalf("delivered item = %q trace %+v, want solo with trace %s", it.Body, it.Trace, tc.TraceID)
 	}
 }
 
@@ -331,10 +350,12 @@ func (c replyLossConn) PublishBatch(queue string, bodies [][]byte, traces []*tra
 }
 
 // TestReconnectingBatchedConnSurvivesRestart runs the server-restart chaos
-// drill on the wire the binaries use: a ReconnectingConn dialing batching
-// clients keeps publishing batches and consuming across a broker front-end
-// restart, and a batch whose confirmation is lost is retried as a unit — the
-// consumer sees the whole batch twice, in order, and nothing is lost.
+// drill on the wire the binaries use: a ReconnectingConn keeps publishing
+// batches and consuming across a broker front-end restart, a message
+// delivered but not acked before the restart comes back flagged
+// Redelivered on the new connection, and a batch whose confirmation is lost
+// is retried as a unit — the consumer sees the whole batch twice, in order,
+// and nothing is lost.
 func TestReconnectingBatchedConnSurvivesRestart(t *testing.T) {
 	b := New()
 	defer b.Close()
@@ -364,7 +385,7 @@ func TestReconnectingBatchedConnSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recv := func(want string, timeout time.Duration) {
+	recv := func(want string, timeout time.Duration) Message {
 		t.Helper()
 		deadline := time.After(timeout)
 		for {
@@ -375,7 +396,7 @@ func TestReconnectingBatchedConnSurvivesRestart(t *testing.T) {
 				}
 				_ = sub.Ack(m.Tag)
 				if string(m.Body) == want {
-					return
+					return m
 				}
 				// Redeliveries of earlier messages may interleave; skip them.
 			case <-deadline:
@@ -389,6 +410,19 @@ func TestReconnectingBatchedConnSurvivesRestart(t *testing.T) {
 	}
 	recv("b0", 2*time.Second)
 	recv("b1", 2*time.Second)
+
+	// Delivered, never acked: the restart's disconnect requeues it.
+	if err := rc.PublishBatch("q", [][]byte{[]byte("held")}, nil); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case m := <-sub.Messages():
+		if string(m.Body) != "held" || m.Redelivered {
+			t.Fatalf("first delivery = %q (redelivered=%v), want held", m.Body, m.Redelivered)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("no delivery of held")
+	}
 
 	s.Close()
 	var s2 *Server
@@ -405,6 +439,9 @@ func TestReconnectingBatchedConnSurvivesRestart(t *testing.T) {
 	}
 	defer s2.Close()
 
+	if m := recv("held", 5*time.Second); !m.Redelivered {
+		t.Fatal("held came back after the restart without the Redelivered flag")
+	}
 	if err := rc.PublishBatch("q", [][]byte{[]byte("after0"), []byte("after1")}, nil); err != nil {
 		t.Fatalf("batch publish after restart: %v", err)
 	}

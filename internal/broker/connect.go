@@ -7,12 +7,10 @@ import (
 )
 
 // Connect is how every process in the tree reaches a broker server: plain
-// TCP, or TLS verified against the CA PEM at caPath when one is given, asking
-// for delivery batches and the binary codec (a server that knows neither
-// leaves the connection on per-message JSON frames), behind a connection
-// that redials with backoff so a webservice restart or network blip does not
-// take the caller down — consumers resubscribe and unacked deliveries are
-// redelivered. The first dial happens on first use.
+// TCP, or TLS verified against the CA PEM at caPath when one is given,
+// behind a connection that redials with backoff so a webservice restart or
+// network blip does not take the caller down — consumers resubscribe and
+// unacked deliveries are redelivered. The first dial happens on first use.
 func Connect(addr, caPath string) (*ReconnectingConn, error) {
 	var roots *x509.CertPool
 	if caPath != "" {
@@ -36,8 +34,6 @@ func Connect(addr, caPath string) (*ReconnectingConn, error) {
 			if err != nil {
 				return nil, err
 			}
-			bc.EnableBatching(BatchConfig{})
-			bc.EnableBinary()
 			return bc.AsConn(), nil
 		},
 	})

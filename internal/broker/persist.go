@@ -1,18 +1,15 @@
 package broker
 
-import (
-	"container/list"
-	"encoding/json"
-	"fmt"
-)
+import "container/list"
 
 // Durability: the hosted RabbitMQ deployment persists queue contents so
 // buffered tasks and results survive service restarts ("ensuring they are
-// not lost"). Snapshot/Restore provide the same guarantee for this broker:
-// a snapshot captures every queue's ready messages plus
+// not lost"). SnapshotImage/RestoreImage provide the same guarantee for
+// this broker: an image captures every queue's ready messages plus
 // delivered-but-unacknowledged messages (which a restart must redeliver).
 // The durable package layers a write-ahead journal on top (see Journal),
-// using the message IDs carried in the image to dedupe replayed publishes.
+// stores the image as JSON in its snapshot file, and uses the message IDs
+// carried in the image to dedupe replayed publishes.
 
 // QueueImage is one queue's persisted form.
 type QueueImage struct {
@@ -82,11 +79,6 @@ func (b *Broker) SnapshotImage() Image {
 	return img
 }
 
-// Snapshot serializes SnapshotImage to JSON.
-func (b *Broker) Snapshot() ([]byte, error) {
-	return json.Marshal(b.SnapshotImage())
-}
-
 // RestoreImage recreates queues and their buffered messages from an Image.
 // Existing queues with the same names receive the messages appended;
 // typically it is called on a fresh broker. The journal ID counter resumes
@@ -124,13 +116,4 @@ func (b *Broker) RestoreImage(img Image) error {
 		b.nextMsgID.Store(maxID - 1)
 	}
 	return nil
-}
-
-// Restore is RestoreImage from a Snapshot's JSON form.
-func (b *Broker) Restore(data []byte) error {
-	var img Image
-	if err := json.Unmarshal(data, &img); err != nil {
-		return fmt.Errorf("broker: restore: %w", err)
-	}
-	return b.RestoreImage(img)
 }

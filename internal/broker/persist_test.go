@@ -1,10 +1,32 @@
 package broker
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
 )
+
+// restoreViaJSON carries b's image through the JSON form the durable
+// snapshot file stores and restores it into a fresh broker.
+func restoreViaJSON(t *testing.T, b *Broker) *Broker {
+	t.Helper()
+	data, err := json.Marshal(b.SnapshotImage())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var img Image
+	if err := json.Unmarshal(data, &img); err != nil {
+		t.Fatal(err)
+	}
+	b2 := New()
+	t.Cleanup(b2.Close)
+	if err := b2.RestoreImage(img); err != nil {
+		t.Fatal(err)
+	}
+	return b2
+}
 
 func TestSnapshotRestoreReadyMessages(t *testing.T) {
 	b := New()
@@ -15,17 +37,8 @@ func TestSnapshotRestoreReadyMessages(t *testing.T) {
 	}
 	b.Publish("q2", []byte("solo"))
 
-	img, err := b.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	b2 := restoreViaJSON(t, b)
 	b.Close()
-
-	b2 := New()
-	defer b2.Close()
-	if err := b2.Restore(img); err != nil {
-		t.Fatal(err)
-	}
 	if d, _ := b2.Depth("q1"); d != 5 {
 		t.Errorf("q1 depth = %d", d)
 	}
@@ -57,16 +70,8 @@ func TestSnapshotIncludesUnacked(t *testing.T) {
 	c, _ := b.Consume("q", 1)
 	<-c.Messages() // delivered, never acked: must survive the snapshot
 
-	img, err := b.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	b2 := restoreViaJSON(t, b)
 	b.Close()
-	b2 := New()
-	defer b2.Close()
-	if err := b2.Restore(img); err != nil {
-		t.Fatal(err)
-	}
 	if d, _ := b2.Depth("q"); d != 2 {
 		t.Fatalf("depth = %d, want 2 (unacked folded in)", d)
 	}
@@ -83,26 +88,25 @@ func TestSnapshotIncludesUnacked(t *testing.T) {
 	c2.Ack(second.Tag)
 }
 
+// TestRestoreBadImage checks that neither a truncated snapshot file nor a
+// restore into a closed broker passes silently.
 func TestRestoreBadImage(t *testing.T) {
+	var img Image
+	if err := json.Unmarshal([]byte("{"), &img); err == nil {
+		t.Error("truncated image decoded")
+	}
 	b := New()
-	defer b.Close()
-	if err := b.Restore([]byte("{")); err == nil {
-		t.Error("garbage image restored")
+	b.Close()
+	img = Image{Queues: []QueueImage{{Name: "q", Messages: [][]byte{[]byte("x")}}}}
+	if err := b.RestoreImage(img); !errors.Is(err, ErrClosed) {
+		t.Errorf("restore into a closed broker = %v, want ErrClosed", err)
 	}
 }
 
 func TestSnapshotEmptyBroker(t *testing.T) {
 	b := New()
 	defer b.Close()
-	img, err := b.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2 := New()
-	defer b2.Close()
-	if err := b2.Restore(img); err != nil {
-		t.Fatal(err)
-	}
+	b2 := restoreViaJSON(t, b)
 	if len(b2.Queues()) != 0 {
 		t.Errorf("queues = %v", b2.Queues())
 	}

@@ -135,17 +135,9 @@ func TestPrioritySurvivesSnapshotRestore(t *testing.T) {
 	b.Declare("q")
 	b.PublishBatch("q", [][]byte{[]byte("b1")}, nil)
 	b.PublishBatchInteractive("q", [][]byte{[]byte("i1")}, nil)
-	img, err := b.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	b2 := restoreViaJSON(t, b)
 	b.Close()
 
-	b2 := New()
-	if err := b2.Restore(img); err != nil {
-		t.Fatal(err)
-	}
-	defer b2.Close()
 	c, err := b2.Consume("q", 2)
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package broker
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 )
@@ -188,5 +189,93 @@ func TestTransientBrokerErrClassification(t *testing.T) {
 		if got := transientBrokerErr(c.err); got != c.want {
 			t.Errorf("transientBrokerErr(%v) = %v, want %v", c.err, got, c.want)
 		}
+	}
+}
+
+// TestReconnectKeepsNegotiatedCodec drops the connection under a
+// ReconnectingConn and verifies the replacement connection is a fresh
+// client that speaks the binary codec — the server refuses anything else,
+// so a delivery on it shows the codec held — and redelivers the unacked
+// message.
+func TestReconnectKeepsNegotiatedCodec(t *testing.T) {
+	s, _ := newTestServer(t)
+	var (
+		mu      sync.Mutex
+		clients []*Client
+	)
+	last := func() *Client {
+		mu.Lock()
+		defer mu.Unlock()
+		return clients[len(clients)-1]
+	}
+	rc, err := NewReconnecting(ReconnectConfig{
+		Dial: func() (Conn, error) {
+			c, err := Dial(s.Addr())
+			if err != nil {
+				return nil, err
+			}
+			mu.Lock()
+			clients = append(clients, c)
+			mu.Unlock()
+			return c.AsConn(), nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+
+	queue := "tasks.ep-reconn"
+	if err := rc.Declare(queue); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := rc.Subscribe(queue, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if err := publish(rc, queue, []byte("before-drop")); err != nil {
+		t.Fatal(err)
+	}
+	var m Message
+	select {
+	case m = <-sub.Messages():
+	case <-time.After(2 * time.Second):
+		t.Fatal("no delivery before drop")
+	}
+	if string(m.Body) != "before-drop" {
+		t.Fatalf("body = %q", m.Body)
+	}
+
+	// Kill the connection without acking: the broker requeues, the
+	// subscription resubscribes on a fresh connection, and the message
+	// arrives again flagged Redelivered.
+	first := last()
+	first.Close()
+	select {
+	case m = <-sub.Messages():
+	case <-time.After(5 * time.Second):
+		t.Fatal("no redelivery after reconnect")
+	}
+	if string(m.Body) != "before-drop" || !m.Redelivered {
+		t.Fatalf("redelivery = %q (redelivered=%v)", m.Body, m.Redelivered)
+	}
+	if err := sub.Ack(m.Tag); err != nil {
+		t.Fatal(err)
+	}
+	if last() == first {
+		t.Error("redelivery arrived without a replacement connection")
+	}
+	if err := publish(rc, queue, []byte("after-drop")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case m = <-sub.Messages():
+		if string(m.Body) != "after-drop" {
+			t.Fatalf("post-reconnect body = %q", m.Body)
+		}
+		_ = sub.Ack(m.Tag)
+	case <-time.After(2 * time.Second):
+		t.Fatal("no delivery after reconnect")
 	}
 }

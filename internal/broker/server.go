@@ -10,36 +10,26 @@ import (
 
 	"globuscompute/internal/obs"
 	"globuscompute/internal/protocol"
-	"globuscompute/internal/trace"
 )
 
-// Wire bodies for the framed-TCP broker protocol now live in
-// internal/protocol (wire.go) so the binary hot-path codec can encode them
-// structurally; the aliases keep the broker's handler code unchanged.
+// Wire bodies for the framed-TCP broker protocol live in internal/protocol
+// (wire.go) so the binary codec can encode them structurally; the aliases
+// keep the broker's handler code short.
 
 type declareBody = protocol.DeclareBody
-type publishBody = protocol.PublishBody
 type publishBatchBody = protocol.PublishBatchBody
 type consumeBody = protocol.ConsumeBody
 type ackBody = protocol.AckBody
 type ackBatchBody = protocol.AckBatchBody
-type deliveryBody = protocol.DeliveryBody
 type deliveryItem = protocol.DeliveryItem
 type deliveryBatchBody = protocol.DeliveryBatchBody
 type errorBody = protocol.ErrorBody
-type okBody = protocol.OKBody
 
 // Server exposes a Broker over framed TCP so that endpoint agents and SDK
 // result streams in other processes can reach it.
 type Server struct {
 	B  *Broker
 	ln net.Listener
-
-	// DisableBinary makes the server behave like one that predates the
-	// binary hot-path codec: client Bin advertisements are ignored and every
-	// reply stays JSON. Used by interop tests; production servers leave it
-	// false.
-	DisableBinary bool
 
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
@@ -99,7 +89,8 @@ func (s *Server) acceptLoop() {
 }
 
 // handle serves one client connection. A connection may hold at most one
-// consumer per queue; closing the connection requeues unacked deliveries.
+// consumer per queue; closing the connection requeues unacked deliveries. A
+// frame that is not a binary envelope ends the connection.
 func (s *Server) handle(conn net.Conn) {
 	defer func() {
 		s.mu.Lock()
@@ -125,25 +116,6 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		_ = w.Write(protocol.Envelope{Type: protocol.EnvOK, ID: id})
 	}
-	// negotiated tracks whether this connection's writes use the binary
-	// codec. A client advertises Bin on declare/consume when it can decode
-	// binary frames; the server (whose reader is always bilingual) confirms
-	// with OKBody{Bin:true}, flips its writer, and the client flips its own
-	// writer on seeing the confirmation. Old clients never advertise, old
-	// servers (DisableBinary) never confirm — both sides stay on JSON.
-	negotiated := false
-	replyNegotiate := func(id string, advertise bool, err error) {
-		if err != nil || !advertise || s.DisableBinary {
-			reply(id, err)
-			return
-		}
-		if !negotiated {
-			negotiated = true
-			w.EnableBinary()
-			s.B.Metrics.Counter("codec_binary_conns").Inc()
-		}
-		_ = w.Write(protocol.Envelope{Type: protocol.EnvOK, ID: id, Bin: &protocol.OKBody{Bin: true}})
-	}
 
 	for {
 		env, err := r.Read()
@@ -160,15 +132,7 @@ func (s *Server) handle(conn net.Conn) {
 				reply(env.ID, err)
 				continue
 			}
-			replyNegotiate(env.ID, body.Bin, s.B.Declare(body.Queue))
-
-		case protocol.EnvPublish:
-			var body publishBody
-			if err := env.Decode(&body); err != nil {
-				reply(env.ID, err)
-				continue
-			}
-			reply(env.ID, s.B.PublishBatch(body.Queue, [][]byte{body.Body}, []*trace.Context{env.Trace}))
+			reply(env.ID, s.B.Declare(body.Queue))
 
 		case protocol.EnvPublishBatch:
 			var body publishBatchBody
@@ -194,9 +158,9 @@ func (s *Server) handle(conn net.Conn) {
 				continue
 			}
 			consumers[body.Queue] = c
-			replyNegotiate(env.ID, body.Bin, nil)
+			reply(env.ID, nil)
 			wg.Add(1)
-			go s.deliveryPump(&wg, w, body, c)
+			go s.deliveryPump(&wg, w, body.Queue, c)
 
 		case protocol.EnvAckBatch:
 			var body ackBatchBody
@@ -211,7 +175,7 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			reply(env.ID, c.Ack(body.Tags...))
 
-		case protocol.EnvAck, protocol.EnvNack:
+		case protocol.EnvNack:
 			var body ackBody
 			if err := env.Decode(&body); err != nil {
 				reply(env.ID, err)
@@ -222,12 +186,9 @@ func (s *Server) handle(conn net.Conn) {
 				reply(env.ID, fmt.Errorf("broker: not consuming %q", body.Queue))
 				continue
 			}
-			switch {
-			case env.Type == protocol.EnvAck:
-				reply(env.ID, c.Ack(body.Tag))
-			case body.DeadLetter:
+			if body.DeadLetter {
 				reply(env.ID, c.Reject(body.Tag))
-			default:
+			} else {
 				reply(env.ID, c.Nack(body.Tag))
 			}
 
@@ -266,39 +227,19 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// deliveryPump forwards a consumer's messages onto the connection. For
-// batch-enabled consumers it coalesces whatever is already buffered (bounded
-// by max_batch) into one delivery_batch frame; a lone message still goes out as a plain delivery,
-// so the batched wire path degrades to the classic one at low load.
-func (s *Server) deliveryPump(wg *sync.WaitGroup, w *protocol.FrameWriter, opts consumeBody, c *Consumer) {
+// maxDeliveryBatch caps deliveries per delivery_batch frame. The
+// consumer's prefetch window bounds a frame too.
+const maxDeliveryBatch = 64
+
+// deliveryPump forwards a consumer's messages onto the connection, each
+// frame a delivery_batch of whatever is already buffered: at idle a batch
+// of one, so batching adds no wait.
+func (s *Server) deliveryPump(wg *sync.WaitGroup, w *protocol.FrameWriter, queue string, c *Consumer) {
 	defer wg.Done()
-	maxBatch := opts.MaxBatch
-	if maxBatch <= 0 {
-		maxBatch = 64
-	}
 	for m := range c.Messages() {
-		if !opts.Batch {
-			e := protocol.Envelope{Type: protocol.EnvDelivery, Trace: m.Trace, Bin: &deliveryBody{
-				Queue: opts.Queue, Tag: m.Tag, Body: m.Body, Redelivered: m.Redelivered,
-			}}
-			if err := w.Write(e); err != nil {
-				c.Close()
-				return
-			}
-			continue
-		}
 		items := []deliveryItem{{Tag: m.Tag, Body: m.Body, Redelivered: m.Redelivered, Trace: m.Trace}}
-		items = drainDeliveries(c, items, maxBatch)
-		var e protocol.Envelope
-		if len(items) == 1 {
-			e = protocol.Envelope{Type: protocol.EnvDelivery, Trace: m.Trace, Bin: &deliveryBody{
-				Queue: opts.Queue, Tag: m.Tag, Body: m.Body, Redelivered: m.Redelivered,
-			}}
-		} else {
-			e = protocol.Envelope{Type: protocol.EnvDeliveryBatch, Bin: &deliveryBatchBody{
-				Queue: opts.Queue, Items: items,
-			}}
-		}
+		items = drainDeliveries(c, items)
+		e := protocol.Envelope{Type: protocol.EnvDeliveryBatch, Bin: &deliveryBatchBody{Queue: queue, Items: items}}
 		if err := w.Write(e); err != nil {
 			c.Close()
 			return
@@ -306,9 +247,10 @@ func (s *Server) deliveryPump(wg *sync.WaitGroup, w *protocol.FrameWriter, opts 
 	}
 }
 
-// drainDeliveries appends already-buffered messages to items up to maxBatch.
-func drainDeliveries(c *Consumer, items []deliveryItem, maxBatch int) []deliveryItem {
-	for len(items) < maxBatch {
+// drainDeliveries appends already-buffered messages to items up to
+// maxDeliveryBatch.
+func drainDeliveries(c *Consumer, items []deliveryItem) []deliveryItem {
+	for len(items) < maxDeliveryBatch {
 		select {
 		case m, ok := <-c.Messages():
 			if !ok {

@@ -2,6 +2,8 @@ package broker
 
 import (
 	"fmt"
+	"io"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -42,7 +44,7 @@ func TestClientPublishConsume(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := pub.Publish("tasks.ep1", []byte(fmt.Sprintf("task-%d", i))); err != nil {
+		if err := publish(pub.AsConn(), "tasks.ep1", []byte(fmt.Sprintf("task-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -80,7 +82,7 @@ func TestClientErrorsPropagate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Publish("no-such-queue", []byte("x")); err == nil {
+	if err := publish(c.AsConn(), "no-such-queue", []byte("x")); err == nil {
 		t.Error("publish to missing queue succeeded")
 	}
 	if _, err := c.Consume("no-such-queue", 1); err == nil {
@@ -109,7 +111,7 @@ func TestClientDisconnectRequeues(t *testing.T) {
 	pub, _ := Dial(s.Addr())
 	defer pub.Close()
 	pub.Declare("q")
-	pub.Publish("q", []byte("precious"))
+	publish(pub.AsConn(), "q", []byte("precious"))
 
 	sub, _ := Dial(s.Addr())
 	rc, err := sub.Consume("q", 1)
@@ -151,7 +153,7 @@ func TestClientNack(t *testing.T) {
 	c, _ := Dial(s.Addr())
 	defer c.Close()
 	c.Declare("q")
-	c.Publish("q", []byte("x"))
+	publish(c.AsConn(), "q", []byte("x"))
 	rc, _ := c.Consume("q", 1)
 	m := <-rc.Messages()
 	if err := rc.Nack(m.Tag); err != nil {
@@ -218,7 +220,7 @@ func TestConcurrentClientsThroughput(t *testing.T) {
 			}
 			defer c.Close()
 			for i := 0; i < perProducer; i++ {
-				if err := c.Publish("q", []byte{byte(p), byte(i)}); err != nil {
+				if err := publish(c.AsConn(), "q", []byte{byte(p), byte(i)}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -243,4 +245,55 @@ func TestConcurrentClientsThroughput(t *testing.T) {
 		}
 	}
 	wg.Wait()
+}
+
+// TestServerRefusesJSONFrame checks that a frame which is not a binary
+// envelope ends only the connection that sent it: no reply, no effect on
+// the broker, and a second client on the same server keeps working.
+func TestServerRefusesJSONFrame(t *testing.T) {
+	s, b := newTestServer(t)
+	good, err := Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer good.Close()
+	if err := good.Declare("q"); err != nil {
+		t.Fatal(err)
+	}
+
+	bad, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bad.Close()
+	bad.SetDeadline(time.Now().Add(5 * time.Second))
+	body := `{"type":"declare","id":"1","body":{"queue":"json"}}`
+	if _, err := bad.Write(append([]byte{0, 0, 0, byte(len(body))}, body...)); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := bad.Read(make([]byte, 64)); err != io.EOF {
+		t.Fatalf("after a JSON frame: read %d bytes, err %v; want the connection closed", n, err)
+	}
+	if _, err := b.Depth("json"); err == nil {
+		t.Error("the JSON frame's declare took effect")
+	}
+
+	rc, err := good.Consume("q", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := publish(good.AsConn(), "q", []byte("still here")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case m := <-rc.Messages():
+		if string(m.Body) != "still here" {
+			t.Fatalf("body = %q", m.Body)
+		}
+		if err := rc.Ack(m.Tag); err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the second client stopped working")
+	}
 }

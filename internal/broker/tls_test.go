@@ -38,7 +38,7 @@ func TestTLSPublishConsume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Publish("secure", []byte("encrypted payload")); err != nil {
+	if err := publish(c.AsConn(), "secure", []byte("encrypted payload")); err != nil {
 		t.Fatal(err)
 	}
 	select {

@@ -9,25 +9,18 @@ import (
 	"globuscompute/internal/trace"
 )
 
-// Binary hot-path codec. JSON envelopes spend most of the broker's CPU
-// budget at saturation on marshal/unmarshal and base64-inflate every task
-// body by 4/3. This codec replaces the envelope with a compact binary frame
-// for the hot-path types (publish/publish_batch, delivery/delivery_batch,
-// ack/ack_batch, nack, heartbeat, ok, error): varint lengths, raw bytes for
+// Binary envelope codec: the one encoding of every framed connection. The
+// broker's wire bodies (publish_batch, delivery_batch, ack_batch, nack,
+// error, and publish) encode field by field: varint lengths, raw bytes for
 // message bodies, raw 16-byte UUIDs inside well-known queue names, and an
-// inline trace context. Everything else (consume, declare, task, result,
-// ...) still rides binary framing with its JSON body carried verbatim, so
-// any envelope can cross either codec.
+// inline trace context. Every other envelope (consume, declare, task,
+// result, ...) carries its JSON body verbatim under the same framing.
 //
-// The outer transport is unchanged: a 4-byte big-endian length prefix. A
-// binary payload starts with the magic byte 0xBF, which can never begin a
-// JSON envelope ('{'), so FrameReader decodes both formats without
-// negotiation. Writing binary IS negotiated (see docs/PROTOCOL.md): a peer
-// only enables binary writes after the other side has advertised it can
-// read them, so JSON-only peers keep working unchanged.
+// The outer transport is a 4-byte big-endian length prefix, and every
+// payload starts with the magic byte 0xBF, so a JSON envelope ('{') is
+// refused at the first byte instead of misparsed.
 
-// binMagic is the first payload byte of every binary frame. JSON frames
-// always begin with '{' (0x7B).
+// binMagic is the first payload byte of every frame.
 const binMagic = 0xBF
 
 // BinVersion is the binary frame format version. Readers reject frames with
@@ -36,14 +29,16 @@ const binMagic = 0xBF
 const BinVersion = 1
 
 // Envelope type codes. Code 0 means "type string follows" and covers every
-// envelope type without a code (including ones added later).
+// envelope type without a code (including ones added later). Codes 3 and 5
+// (the single delivery and the single ack) are retired and decode as
+// unknown; no code moves.
 const (
 	binTypeOther byte = iota
 	binTypePublish
 	binTypePublishBatch
-	binTypeDelivery
+	_
 	binTypeDeliveryBatch
-	binTypeAck
+	_
 	binTypeAckBatch
 	binTypeNack
 	binTypeHeartbeat
@@ -59,9 +54,7 @@ const (
 var binTypeCode = map[string]byte{
 	EnvPublish:       binTypePublish,
 	EnvPublishBatch:  binTypePublishBatch,
-	EnvDelivery:      binTypeDelivery,
 	EnvDeliveryBatch: binTypeDeliveryBatch,
-	EnvAck:           binTypeAck,
 	EnvAckBatch:      binTypeAckBatch,
 	EnvNack:          binTypeNack,
 	EnvHeartbeat:     binTypeHeartbeat,
@@ -76,9 +69,7 @@ var binTypeCode = map[string]byte{
 var binTypeName = [binTypeMax]string{
 	binTypePublish:       EnvPublish,
 	binTypePublishBatch:  EnvPublishBatch,
-	binTypeDelivery:      EnvDelivery,
 	binTypeDeliveryBatch: EnvDeliveryBatch,
-	binTypeAck:           EnvAck,
 	binTypeAckBatch:      EnvAckBatch,
 	binTypeNack:          EnvNack,
 	binTypeHeartbeat:     EnvHeartbeat,
@@ -290,7 +281,7 @@ func uuidString(b []byte) UUID {
 	return UUID(s[0:8] + "-" + s[8:12] + "-" + s[12:16] + "-" + s[16:20] + "-" + s[20:32])
 }
 
-// appendBinaryEnvelope renders env as a binary frame payload into buf
+// appendBinaryEnvelope renders env as a frame payload into buf
 // (after the caller's 4-byte length placeholder). When env.Bin is a known
 // wire body it is encoded structurally; otherwise the JSON body (or a JSON
 // marshal of Bin) is carried verbatim under binary framing.
@@ -343,9 +334,9 @@ func appendBinaryEnvelope(buf *bytes.Buffer, env Envelope) error {
 	return nil
 }
 
-// EncodeBinaryEnvelope renders env as a standalone binary frame payload
-// (no length prefix) — the exact bytes a binary-enabled FrameWriter puts
-// after the 4-byte header. Used by tests and the codec fuzzers.
+// EncodeBinaryEnvelope renders env as a standalone frame payload (no length
+// prefix) — the exact bytes a FrameWriter puts after the 4-byte header.
+// Used by tests, the codec fuzzers and the benchmark's codec probe.
 func EncodeBinaryEnvelope(env Envelope) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := appendBinaryEnvelope(&buf, env); err != nil {
@@ -357,8 +348,8 @@ func EncodeBinaryEnvelope(env Envelope) ([]byte, error) {
 // binBodySupported reports whether v has a structured binary encoding.
 func binBodySupported(v any) bool {
 	switch v.(type) {
-	case *PublishBody, *PublishBatchBody, *DeliveryBody, *DeliveryBatchBody,
-		*AckBody, *AckBatchBody, *ErrorBody, *OKBody:
+	case *PublishBody, *PublishBatchBody, *DeliveryBatchBody,
+		*AckBody, *AckBatchBody, *ErrorBody:
 		return true
 	}
 	return false
@@ -392,11 +383,6 @@ func encodeBinBody(w *binWriter, v any) error {
 				w.traceCtx(tc)
 			}
 		}
-	case *DeliveryBody:
-		w.queue(b.Queue)
-		w.uvarint(b.Tag)
-		w.bytesNil(b.Body)
-		w.bool01(b.Redelivered)
 	case *DeliveryBatchBody:
 		w.queue(b.Queue)
 		if b.Items == nil {
@@ -436,8 +422,6 @@ func encodeBinBody(w *binWriter, v any) error {
 		}
 	case *ErrorBody:
 		w.str(b.Message)
-	case *OKBody:
-		w.bool01(b.Bin)
 	default:
 		return fmt.Errorf("protocol: no binary encoding for %T", v)
 	}
@@ -622,10 +606,10 @@ func (r *binReader) queue() (string, error) {
 	return queuePrefixes[code] + string(uuidString(raw)), nil
 }
 
-// DecodeBinaryEnvelope parses one binary frame payload (including the magic
-// byte). Structured hot-path bodies land in Envelope.Bin; raw-carried JSON
-// bodies land in Envelope.Body. It never panics on truncated or corrupt
-// input and every error wraps ErrBadFrame.
+// DecodeBinaryEnvelope parses one frame payload (including the magic byte).
+// Structured bodies land in Envelope.Bin; raw-carried JSON bodies land in
+// Envelope.Body. It never panics on truncated or corrupt input and every
+// error wraps ErrBadFrame.
 func DecodeBinaryEnvelope(p []byte) (Envelope, error) {
 	r := &binReader{p: p}
 	magic, err := r.u8()
@@ -751,22 +735,6 @@ func decodeBinBody(r *binReader, code byte) (any, error) {
 			}
 		}
 		return b, nil
-	case binTypeDelivery:
-		b := &DeliveryBody{}
-		var err error
-		if b.Queue, err = r.queue(); err != nil {
-			return nil, err
-		}
-		if b.Tag, err = r.uvarint(); err != nil {
-			return nil, err
-		}
-		if b.Body, err = r.bytesNil(); err != nil {
-			return nil, err
-		}
-		if b.Redelivered, err = r.bool01(); err != nil {
-			return nil, err
-		}
-		return b, nil
 	case binTypeDeliveryBatch:
 		b := &DeliveryBatchBody{}
 		var err error
@@ -800,7 +768,7 @@ func decodeBinBody(r *binReader, code byte) (any, error) {
 			}
 		}
 		return b, nil
-	case binTypeAck, binTypeNack:
+	case binTypeNack:
 		b := &AckBody{}
 		var err error
 		if b.Queue, err = r.queue(); err != nil {
@@ -836,13 +804,6 @@ func decodeBinBody(r *binReader, code byte) (any, error) {
 		b := &ErrorBody{}
 		var err error
 		if b.Message, err = r.str(); err != nil {
-			return nil, err
-		}
-		return b, nil
-	case binTypeOK:
-		b := &OKBody{}
-		var err error
-		if b.Bin, err = r.bool01(); err != nil {
 			return nil, err
 		}
 		return b, nil

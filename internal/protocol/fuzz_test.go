@@ -2,8 +2,10 @@ package protocol
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,10 +14,13 @@ import (
 	"globuscompute/internal/trace"
 )
 
-// FuzzFrameReader hardens the wire framing against malformed input: no
-// crash, no unbounded allocation, errors surfaced cleanly.
+// FuzzFrameReader hardens the one decoder of network input on every framed
+// connection: no crash, no unbounded allocation, and every failure is a
+// clean stream end, an oversized frame, or an error wrapping ErrBadFrame. A
+// complete first frame whose payload does not start with the magic byte (a
+// JSON envelope, say) must be refused as ErrBadFrame.
 func FuzzFrameReader(f *testing.F) {
-	// Seed with a valid frame, truncations, and junk.
+	// Seed with a valid frame, truncations, junk and JSON frames.
 	var buf bytes.Buffer
 	w := NewFrameWriter(&buf)
 	w.Write(MustEnvelope(EnvTask, "id", map[string]string{"k": "v"}))
@@ -24,20 +29,37 @@ func FuzzFrameReader(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 4, '{', '}', '!', '!'})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte("\x00\x00\x00\x02{}"))
-	// Binary frames: a valid one (length prefix + payload), a bare magic
-	// byte, and a corrupt version.
-	if p, err := EncodeBinaryEnvelope(Envelope{Type: EnvAck, Bin: &AckBody{Queue: "q", Tag: 7}}); err == nil {
+	// Binary frames: a valid structured one (length prefix + payload), a
+	// bare magic byte, and a corrupt version.
+	if p, err := EncodeBinaryEnvelope(Envelope{Type: EnvNack, Bin: &AckBody{Queue: "q", Tag: 7}}); err == nil {
 		framed := append([]byte{0, 0, 0, byte(len(p))}, p...)
 		f.Add(framed)
 	}
 	f.Add([]byte{0, 0, 0, 1, binMagic})
 	f.Add([]byte{0, 0, 0, 3, binMagic, 0xEE, 0x01})
+	// The JSON envelope an old-style peer would send.
+	jsonFrame := []byte(`{"type":"ok","id":"1"}`)
+	f.Add(append([]byte{0, 0, 0, byte(len(jsonFrame))}, jsonFrame...))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= 4 {
+			n := binary.BigEndian.Uint32(data)
+			if n <= MaxFrame && uint64(len(data)-4) >= uint64(n) && (n == 0 || data[4] != binMagic) {
+				if _, err := NewFrameReader(bytes.NewReader(data)).Read(); !errors.Is(err, ErrBadFrame) {
+					t.Fatalf("frame without the magic byte: err = %v, want ErrBadFrame", err)
+				}
+			}
+		}
 		r := NewFrameReader(bytes.NewReader(data))
 		for i := 0; i < 8; i++ {
-			if _, err := r.Read(); err != nil {
-				return
+			_, err := r.Read()
+			if err == nil {
+				continue
 			}
+			if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) &&
+				!errors.Is(err, ErrFrameTooLarge) && !errors.Is(err, ErrBadFrame) {
+				t.Fatalf("unclassified read error: %v", err)
+			}
+			return
 		}
 	})
 }
@@ -113,21 +135,22 @@ func FuzzPythonSpec(f *testing.F) {
 	})
 }
 
-// FuzzCodecEquivalence checks the two wire encodings agree: an envelope
-// pushed through the binary codec decodes to exactly the value the JSON
-// codec produces for the same envelope — including nil-vs-empty bodies,
-// queue-name compression, and trace contexts that are not well-formed hex.
+// FuzzCodecEquivalence checks that a structured binary body decodes to what
+// its JSON body gives: Envelope.Decode falls back to JSON when the
+// destination's type differs from the pre-parsed body, so the two must
+// agree — including nil-vs-empty bodies, queue-name compression, and trace
+// contexts that are not well-formed hex.
 func FuzzCodecEquivalence(f *testing.F) {
 	f.Add(byte(0), "tasks.queue", uint64(0), []byte(`payload`), false, "17", "abcdef", "0123")
 	f.Add(byte(0), "tasks."+string(NewUUID()), uint64(9), []byte{}, true, "", "", "")
 	f.Add(byte(1), "results.group."+string(NewUUID()), uint64(1<<40), []byte("x"), false, "id", "NOT-HEX", "odd")
 	f.Add(byte(2), "results."+string(NewUUID()), uint64(3), []byte(nil), true, "a", "ab", "")
 	f.Add(byte(3), "mepcmd."+string(NewUUID()), uint64(1), []byte("body"), false, "", "ffff", "ee")
-	f.Add(byte(4), "dlq.tasks.x", uint64(2), []byte("b"), true, "z", "", "")
-	f.Add(byte(5), "q", uint64(0), []byte(nil), false, "", "", "")
-	f.Add(byte(6), "boom", uint64(0), []byte(nil), false, "e", "", "")
-	f.Add(byte(7), "", uint64(0), []byte(nil), true, "ok", "", "")
-	f.Add(byte(8), "", uint64(0), []byte("heartbeat"), false, "", "", "")
+	f.Add(byte(3), "dlq.tasks.x", uint64(2), []byte("b"), true, "z", "", "")
+	f.Add(byte(4), "q", uint64(0), []byte(nil), false, "", "", "")
+	f.Add(byte(5), "boom", uint64(0), []byte(nil), false, "e", "", "")
+	f.Add(byte(6), "", uint64(0), []byte(nil), true, "ok", "", "")
+	f.Add(byte(6), "", uint64(0), []byte("heartbeat"), false, "", "", "")
 	f.Fuzz(func(t *testing.T, kind byte, queue string, tag uint64, body []byte, flag bool, id, traceID, spanID string) {
 		// JSON replaces invalid UTF-8 in strings with U+FFFD, so equivalence
 		// is only promised for valid strings (bodies are []byte and exempt).
@@ -140,7 +163,7 @@ func FuzzCodecEquivalence(f *testing.F) {
 		if traceID != "" || spanID != "" {
 			env.Trace = &trace.Context{TraceID: trace.TraceID(traceID), SpanID: trace.SpanID(spanID)}
 		}
-		switch kind % 9 {
+		switch kind % 7 {
 		case 0:
 			env.Type = EnvPublish
 			env.Bin = &PublishBody{Queue: queue, Body: body}
@@ -149,25 +172,19 @@ func FuzzCodecEquivalence(f *testing.F) {
 			env.Bin = &PublishBatchBody{Queue: queue, Bodies: [][]byte{body, nil, {}},
 				Traces: []*trace.Context{nil, env.Trace, nil}}
 		case 2:
-			env.Type = EnvDelivery
-			env.Bin = &DeliveryBody{Queue: queue, Tag: tag, Body: body, Redelivered: flag}
-		case 3:
 			env.Type = EnvDeliveryBatch
 			env.Bin = &DeliveryBatchBody{Queue: queue,
 				Items: []DeliveryItem{{Tag: tag, Body: body, Redelivered: flag, Trace: env.Trace}, {Tag: tag + 1}}}
-		case 4:
-			env.Type = EnvAck
+		case 3:
+			env.Type = EnvNack
 			env.Bin = &AckBody{Queue: queue, Tag: tag, DeadLetter: flag}
-		case 5:
+		case 4:
 			env.Type = EnvAckBatch
 			env.Bin = &AckBatchBody{Queue: queue, Tags: []uint64{tag, tag + 1}}
-		case 6:
+		case 5:
 			env.Type = EnvError
 			env.Bin = &ErrorBody{Message: queue}
-		case 7:
-			env.Type = EnvOK
-			env.Bin = &OKBody{Bin: flag}
-		case 8:
+		case 6:
 			// Generic path: any envelope type, JSON body carried verbatim
 			// under binary framing.
 			env.Type = EnvHeartbeat
@@ -178,7 +195,7 @@ func FuzzCodecEquivalence(f *testing.F) {
 			env.Body = b
 		}
 
-		// The JSON codec's view of the envelope.
+		// The envelope with its body as JSON, through a JSON round trip.
 		norm, err := env.Normalize()
 		if err != nil {
 			t.Fatalf("normalize: %v", err)
@@ -192,7 +209,7 @@ func FuzzCodecEquivalence(f *testing.F) {
 			t.Fatalf("json decode: %v", err)
 		}
 
-		// The binary codec's view of the same envelope.
+		// The same envelope through the binary codec.
 		bp, err := EncodeBinaryEnvelope(env)
 		if err != nil {
 			t.Fatalf("binary encode: %v", err)

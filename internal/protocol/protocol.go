@@ -3,8 +3,8 @@
 // pilot-job engine components (interchange, managers, workers).
 //
 // The real system uses AMQPS between endpoints and the cloud and ZeroMQ
-// inside the endpoint; here both layers speak the same length-prefixed JSON
-// framing over TCP (see Framing in frame.go).
+// inside the endpoint; here both layers speak the same length-prefixed
+// binary framing over TCP (frame.go, binframe.go).
 package protocol
 
 import (

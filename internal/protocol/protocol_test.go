@@ -3,6 +3,7 @@ package protocol
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"strings"
 	"testing"
@@ -246,6 +247,23 @@ func TestFrameReaderOversized(t *testing.T) {
 	r := NewFrameReader(&hdr)
 	if _, err := r.Read(); err != ErrFrameTooLarge {
 		t.Errorf("Read oversized = %v, want ErrFrameTooLarge", err)
+	}
+}
+
+// TestFrameReaderRefusesJSON pins the one wire form: what FrameWriter
+// writes starts with the magic byte, and a JSON envelope is refused.
+func TestFrameReaderRefusesJSON(t *testing.T) {
+	var buf bytes.Buffer
+	if err := NewFrameWriter(&buf).Write(Envelope{Type: EnvOK, ID: "1"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.Bytes()[4]; got != binMagic {
+		t.Fatalf("first payload byte = %#x, want %#x", got, binMagic)
+	}
+	body := `{"type":"ok","id":"1"}`
+	frame := append([]byte{0, 0, 0, byte(len(body))}, body...)
+	if _, err := NewFrameReader(bytes.NewReader(frame)).Read(); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("JSON frame: err = %v, want ErrBadFrame", err)
 	}
 }
 
