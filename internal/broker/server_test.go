@@ -1,12 +1,17 @@
 package broker
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
 	"testing"
 	"time"
+
+	"globuscompute/internal/protocol"
 )
 
 func newTestServer(t *testing.T) (*Server, *Broker) {
@@ -251,6 +256,36 @@ func TestConcurrentClientsThroughput(t *testing.T) {
 // envelope ends only the connection that sent it: no reply, no effect on
 // the broker, and a second client on the same server keeps working.
 func TestServerRefusesJSONFrame(t *testing.T) {
+	body := `{"type":"declare","id":"1","body":{"queue":"json"}}`
+	checkServerRefuses(t, append([]byte{0, 0, 0, byte(len(body))}, body...), "json")
+}
+
+// TestFrameReaderRefusesOldVersion: a version-1 frame — what a peer built
+// before task and result bodies went binary sends — fails to read with
+// ErrBadFrame, and the broker server ends only that connection.
+func TestFrameReaderRefusesOldVersion(t *testing.T) {
+	env, err := protocol.NewEnvelope(protocol.EnvDeclare, "1", protocol.DeclareBody{Queue: "v1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := protocol.EncodeBinaryEnvelope(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload[1] = 1 // the version byte
+	frame := append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+	if _, err := protocol.NewFrameReader(bytes.NewReader(frame)).Read(); !errors.Is(err, protocol.ErrBadFrame) {
+		t.Fatalf("version-1 frame: err = %v, want ErrBadFrame", err)
+	}
+	checkServerRefuses(t, frame, "v1")
+}
+
+// checkServerRefuses sends frame, which would declare queue if it were
+// accepted, on a connection of its own, and checks that the server closes
+// that connection without a reply or an effect while another client on the
+// same server keeps working.
+func checkServerRefuses(t *testing.T, frame []byte, queue string) {
+	t.Helper()
 	s, b := newTestServer(t)
 	good, err := Dial(s.Addr())
 	if err != nil {
@@ -267,15 +302,14 @@ func TestServerRefusesJSONFrame(t *testing.T) {
 	}
 	defer bad.Close()
 	bad.SetDeadline(time.Now().Add(5 * time.Second))
-	body := `{"type":"declare","id":"1","body":{"queue":"json"}}`
-	if _, err := bad.Write(append([]byte{0, 0, 0, byte(len(body))}, body...)); err != nil {
+	if _, err := bad.Write(frame); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := bad.Read(make([]byte, 64)); err != io.EOF {
-		t.Fatalf("after a JSON frame: read %d bytes, err %v; want the connection closed", n, err)
+		t.Fatalf("after a refused frame: read %d bytes, err %v; want the connection closed", n, err)
 	}
-	if _, err := b.Depth("json"); err == nil {
-		t.Error("the JSON frame's declare took effect")
+	if _, err := b.Depth(queue); err == nil {
+		t.Error("the refused frame's declare took effect")
 	}
 
 	rc, err := good.Consume("q", 1)

@@ -9,7 +9,6 @@ package crash
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -263,8 +262,8 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 			// A worker a little slower than the storm, so a backlog of
 			// queued tasks, inline ones among them, crosses every kill.
 			time.Sleep(3 * time.Millisecond)
-			var task protocol.Task
-			if err := json.Unmarshal(m.Body, &task); err != nil {
+			task, err := protocol.DecodeTask(m.Body)
+			if err != nil {
 				_ = sub.Ack(m.Tag)
 				continue
 			}
@@ -284,7 +283,7 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 				Output: payload, EndpointID: ep,
 				Started: time.Now(), Completed: time.Now(),
 			}
-			body, _ := json.Marshal(res)
+			body := protocol.EncodeResult(&res)
 			if err := conn.PublishBatch(reg.ResultQueue, [][]byte{body}, nil); err != nil {
 				// Broker mid-crash: leave the delivery unacked; the
 				// recovered broker redelivers it and we try again.

@@ -13,12 +13,14 @@ import (
 // batch transition and batch complete in the state log, publish and ack in
 // the broker log — are written as varint-framed binary records whose items
 // are the task, result and message bodies exactly as their producer already
-// marshalled them: the same bytes go to the log and to the queue, with no
-// second JSON pass and no base64 of a body that is already JSON. Every other
-// operation stays a JSON record. A binary record starts with a kind byte
-// that is never '{', so replay tells the two apart per record, the way
-// protocol.FrameReader tells frames apart; a data dir written before this
-// encoding existed (all JSON) replays through the same reader.
+// encoded them (protocol.EncodeTask / EncodeResult): the same bytes go to
+// the log and to the queue, with no second encoding pass. Items written
+// before bodies were binary are JSON, and replay reads them through the
+// same decoders. Every other operation stays a JSON record. A binary record
+// starts with a kind byte that is never '{', so replay tells the two apart
+// per record, the way protocol.FrameReader tells frames apart; a data dir
+// written before this encoding existed (all JSON) replays through the same
+// reader.
 const (
 	recAdmitTasks = 1 + iota
 	recTransitionTasks
@@ -57,12 +59,9 @@ func encodeMutation(m statestore.Mutation) ([]byte, error) {
 	var items [][]byte
 	switch kind {
 	case recAdmitTasks:
-		items, err = itemBodies(m.Bodies, len(m.Tasks), func(i int) any { return &m.Tasks[i] })
+		items = itemBodies(m.Bodies, len(m.Tasks), func(i int) []byte { return protocol.EncodeTask(&m.Tasks[i]) })
 	case recCompleteTasks:
-		items, err = itemBodies(m.Bodies, len(m.Results), func(i int) any { return &m.Results[i] })
-	}
-	if err != nil {
-		return nil, err
+		items = itemBodies(m.Bodies, len(m.Results), func(i int) []byte { return protocol.EncodeResult(&m.Results[i]) })
 	}
 	size := 1 + 3*binary.MaxVarintLen64 + len(at) + len(m.State)
 	for _, p := range items {
@@ -87,22 +86,18 @@ func encodeMutation(m statestore.Mutation) ([]byte, error) {
 	return b, nil
 }
 
-// itemBodies returns n JSON bodies: bodies[i] where the producer supplied
-// it, item(i) marshalled here where not.
-func itemBodies(bodies [][]byte, n int, item func(int) any) ([][]byte, error) {
+// itemBodies returns n bodies: bodies[i] where the producer supplied it,
+// encode(i) where not.
+func itemBodies(bodies [][]byte, n int, encode func(int) []byte) [][]byte {
 	if len(bodies) >= n {
-		return bodies[:n], nil
+		return bodies[:n]
 	}
 	out := make([][]byte, n)
 	copy(out, bodies)
 	for i := len(bodies); i < n; i++ {
-		p, err := json.Marshal(item(i))
-		if err != nil {
-			return nil, err
-		}
-		out[i] = p
+		out[i] = encode(i)
 	}
-	return out, nil
+	return out
 }
 
 // decodeMutation is encodeMutation's inverse, sniffing the encoding.
@@ -127,8 +122,9 @@ func decodeMutation(p []byte) (statestore.Mutation, error) {
 	case recAdmitTasks:
 		m.Op = statestore.OpAdmitTasks
 		each(func() {
-			m.Tasks = append(m.Tasks, protocol.Task{})
-			r.json(&m.Tasks[len(m.Tasks)-1])
+			if t, ok := decodeItem(&r, protocol.DecodeTask); ok {
+				m.Tasks = append(m.Tasks, t)
+			}
 		})
 	case recTransitionTasks:
 		m.Op, m.State = statestore.OpTransitionTasks, protocol.TaskState(r.bytes())
@@ -136,8 +132,9 @@ func decodeMutation(p []byte) (statestore.Mutation, error) {
 	case recCompleteTasks:
 		m.Op = statestore.OpCompleteTasks
 		each(func() {
-			m.Results = append(m.Results, protocol.Result{})
-			r.json(&m.Results[len(m.Results)-1])
+			if res, ok := decodeItem(&r, protocol.DecodeResult); ok {
+				m.Results = append(m.Results, res)
+			}
 		})
 	default:
 		r.fail()
@@ -235,10 +232,18 @@ func (r *recReader) bytes() []byte {
 	return b
 }
 
-func (r *recReader) json(v any) {
-	if b := r.bytes(); r.err == nil && json.Unmarshal(b, v) != nil {
+// decodeItem reads one length-prefixed body and decodes it.
+func decodeItem[T any](r *recReader, decode func([]byte) (T, error)) (T, bool) {
+	b := r.bytes()
+	if r.err != nil {
+		var zero T
+		return zero, false
+	}
+	v, err := decode(b)
+	if err != nil {
 		r.fail()
 	}
+	return v, err == nil
 }
 
 // done reports the latched error, or trailing garbage.

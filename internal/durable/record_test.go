@@ -121,6 +121,26 @@ func TestEncodeAdmitAllocatesOnce(t *testing.T) {
 // to; every strict prefix of an encoded record is an error; and a log damaged
 // at any byte replays exactly the records that precede the damage.
 func FuzzWALRecord(f *testing.F) {
+	// Records whose items are binary task and result bodies, as the web
+	// service writes them.
+	task := protocol.Task{ID: protocol.NewUUID(), FunctionID: protocol.NewUUID(), EndpointID: protocol.NewUUID(),
+		Kind: protocol.KindPython, Payload: []byte("payload"), Submitted: time.Unix(1700000000, 5)}
+	res := protocol.Result{TaskID: task.ID, State: protocol.StateSuccess, Output: []byte("42"), EndpointID: task.EndpointID}
+	var binarySeeds [][]byte
+	for _, m := range []statestore.Mutation{
+		{Op: statestore.OpAdmitTasks, At: time.Unix(1700000000, 0), Tasks: []protocol.Task{task}, Bodies: [][]byte{protocol.EncodeTask(&task)}},
+		{Op: statestore.OpCompleteTasks, At: time.Unix(1700000001, 0), Results: []protocol.Result{res}, Bodies: [][]byte{protocol.EncodeResult(&res)}},
+	} {
+		rec, err := encodeMutation(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		binarySeeds = append(binarySeeds, rec)
+	}
+	binarySeeds = append(binarySeeds, encodePub(protocol.TaskQueue(task.EndpointID), []uint64{1}, [][]byte{protocol.EncodeTask(&task)}))
+	for _, seed := range binarySeeds {
+		f.Add(seed, uint16(len(seed)*7))
+	}
 	for _, seed := range [][]byte{
 		nil, {recAck}, {recPub, 0xff, 0xff, 0xff}, []byte(`{"op":"pub","q":"tasks.x","ids":[1],"bodies":["YQ=="]}`),
 		[]byte("\x00queue-123abcdefPAYLOADPAYLOADuserabcdefPAYLOADPAYLOADuser"),

@@ -8,7 +8,6 @@
 package endpoint
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -415,43 +414,9 @@ func (a *Agent) waitForCapacity() {
 	}
 }
 
-// parallelDecodeMin is the drain size at which task decoding fans out
-// across goroutines.
-const parallelDecodeMin = 16
-
 // processDeliveries decodes, dispatches, and acknowledges one intake batch.
 func (a *Agent) processDeliveries(batch []broker.Message) {
 	n := len(batch)
-	tasks := make([]protocol.Task, n)
-	decodeErrs := make([]error, n)
-	decode := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			decodeErrs[i] = json.Unmarshal(batch[i].Body, &tasks[i])
-		}
-	}
-	if n < parallelDecodeMin {
-		decode(0, n)
-	} else {
-		workers := runtime.GOMAXPROCS(0)
-		if workers > 4 {
-			workers = 4
-		}
-		chunk := (n + workers - 1) / workers
-		var wg sync.WaitGroup
-		for lo := 0; lo < n; lo += chunk {
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				decode(lo, hi)
-			}(lo, hi)
-		}
-		wg.Wait()
-	}
-
 	// Dispatch: engine tasks batch-submit under one engine lock; MPI tasks
 	// submit individually (rare, and the MPI engine runs its own dispatch).
 	tags := make([]uint64, 0, n)
@@ -459,8 +424,9 @@ func (a *Agent) processDeliveries(batch []broker.Message) {
 	engSpans := make([]*trace.ActiveSpan, 0, n)
 	received := 0
 	for i := range batch {
-		if decodeErrs[i] != nil {
-			a.log.Warn("malformed task dead-lettered", "error", decodeErrs[i])
+		task, err := protocol.DecodeTask(batch[i].Body)
+		if err != nil {
+			a.log.Warn("malformed task dead-lettered", "error", err)
 			// Poison messages dead-letter to tasks.<ep>.dlq for operator
 			// inspection rather than redelivering forever.
 			if rerr := a.sub.Reject(batch[i].Tag); rerr != nil {
@@ -469,7 +435,6 @@ func (a *Agent) processDeliveries(batch []broker.Message) {
 			a.Metrics.Counter("dead_lettered").Inc()
 			continue
 		}
-		task := tasks[i]
 		// Continue the trace: the delivery context (broker transit span) is
 		// preferred; the task body's context covers untraced transports.
 		parent := batch[i].Trace
@@ -617,29 +582,12 @@ func (a *Agent) egressLoop() {
 	}
 }
 
-// resultBufPool recycles result-encoding buffers on the egress path,
-// mirroring the frame codec's pooling (buffers over 1 MiB are not pooled so
-// one huge output cannot pin memory).
-var resultBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-const maxPooledResultBuf = 1 << 20
-
-// publishResults marshals and publishes one egress flush.
+// publishResults encodes and publishes one egress flush.
 func (a *Agent) publishResults(batch []protocol.Result) {
 	defer a.egressBacklog.Add(-int64(len(batch)))
 	queue := protocol.ResultQueue(a.cfg.EndpointID)
 	bodies := make([][]byte, 0, len(batch))
 	traces := make([]*trace.Context, 0, len(batch))
-	ids := make([]string, 0, len(batch))
-	bufs := make([]*bytes.Buffer, 0, len(batch))
-	defer func() {
-		for _, b := range bufs {
-			if b.Cap() <= maxPooledResultBuf {
-				b.Reset()
-				resultBufPool.Put(b)
-			}
-		}
-	}()
 	for i := range batch {
 		batch[i].EndpointID = a.cfg.EndpointID
 		// Egress-side spill: ship oversized outputs to the object store and
@@ -657,27 +605,8 @@ func (a *Agent) publishResults(batch []protocol.Result) {
 					Warn("result spill failed; sending inline", "error", err)
 			}
 		}
-		buf := resultBufPool.Get().(*bytes.Buffer)
-		buf.Reset()
-		if err := json.NewEncoder(buf).Encode(&batch[i]); err != nil {
-			a.log.WithTask(string(batch[i].TaskID)).WithTrace(batch[i].Trace).
-				Error("marshal result", "error", err)
-			buf.Reset()
-			resultBufPool.Put(buf)
-			continue
-		}
-		bufs = append(bufs, buf)
-		body := buf.Bytes()
-		// Encode appends a newline the classic json.Marshal path never had.
-		if k := len(body); k > 0 && body[k-1] == '\n' {
-			body = body[:k-1]
-		}
-		bodies = append(bodies, body)
+		bodies = append(bodies, protocol.EncodeResult(&batch[i]))
 		traces = append(traces, batch[i].Trace)
-		ids = append(ids, string(batch[i].TaskID))
-	}
-	if len(bodies) == 0 {
-		return
 	}
 	published := len(bodies)
 	if err := a.cfg.Conn.PublishBatch(queue, bodies, traces); err != nil {
@@ -690,7 +619,7 @@ func (a *Agent) publishResults(batch []protocol.Result) {
 		published = 0
 		for i := range bodies {
 			if perr := a.cfg.Conn.PublishBatch(queue, bodies[i:i+1], traces[i:i+1]); perr != nil {
-				a.log.WithTask(ids[i]).WithTrace(traces[i]).
+				a.log.WithTask(string(batch[i].TaskID)).WithTrace(traces[i]).
 					Error("publish result", "error", perr)
 				continue
 			}

@@ -75,15 +75,11 @@ func newHarness(t *testing.T, withMPI bool) *harness {
 	return &harness{brk: brk, agent: agent, epID: epID, objs: objs}
 }
 
-// submit publishes a task to the agent's queue.
+// submit publishes a task body to the agent's queue.
 func (h *harness) submit(t *testing.T, task protocol.Task) {
 	t.Helper()
 	task.EndpointID = h.epID
-	body, err := json.Marshal(task)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.brk.Publish("tasks."+string(h.epID), body); err != nil {
+	if err := h.brk.Publish("tasks."+string(h.epID), protocol.EncodeTask(&task)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -103,8 +99,8 @@ func nextResult(t *testing.T, c *broker.Consumer) protocol.Result {
 	t.Helper()
 	select {
 	case m := <-c.Messages():
-		var res protocol.Result
-		if err := json.Unmarshal(m.Body, &res); err != nil {
+		res, err := protocol.DecodeResult(m.Body)
+		if err != nil {
 			t.Fatal(err)
 		}
 		c.Ack(m.Tag)
@@ -145,6 +141,36 @@ func TestPythonTaskExecution(t *testing.T) {
 	}
 	if res.EndpointID != h.epID {
 		t.Errorf("endpoint = %s", res.EndpointID)
+	}
+}
+
+// TestAgentRunsJSONTaskBody: a JSON task body, which the benchmark's agent
+// probe still publishes (json.Marshal of the task), runs like a binary one,
+// and its result goes out as a binary body.
+func TestAgentRunsJSONTaskBody(t *testing.T) {
+	h := newHarness(t, false)
+	rc := h.results(t)
+	task := pythonTask(t, "add", 4, 5)
+	task.EndpointID = h.epID
+	body, err := json.Marshal(task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.brk.Publish("tasks."+string(h.epID), body); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case m := <-rc.Messages():
+		rc.Ack(m.Tag)
+		if m.Body[0] == '{' {
+			t.Errorf("result published as JSON: %s", m.Body)
+		}
+		res, err := protocol.DecodeResult(m.Body)
+		if err != nil || res.TaskID != task.ID || res.State != protocol.StateSuccess || string(res.Output) != "9" {
+			t.Fatalf("result %+v, %v", res, err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("no result for a JSON task body")
 	}
 }
 

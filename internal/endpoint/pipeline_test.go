@@ -303,8 +303,8 @@ func TestPipelineBatchFailureFallsBackPerResult(t *testing.T) {
 		if len(call) != 1 {
 			t.Fatalf("a publish of %d results succeeded on a conn that fails them", len(call))
 		}
-		var res protocol.Result
-		if err := json.Unmarshal(call[0], &res); err != nil {
+		res, err := protocol.DecodeResult(call[0])
+		if err != nil {
 			t.Fatal(err)
 		}
 		ids[res.TaskID] = true

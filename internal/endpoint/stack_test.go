@@ -150,8 +150,8 @@ func TestStackStopKeepsAcknowledgedTasks(t *testing.T) {
 	left := make(map[protocol.UUID]bool)
 	handedBack := 0
 	for _, m := range drainQueue(t, brk, taskQ) {
-		var task protocol.Task
-		if err := json.Unmarshal(m.Body, &task); err != nil {
+		task, err := protocol.DecodeTask(m.Body)
+		if err != nil {
 			t.Fatal(err)
 		}
 		left[task.ID] = true
@@ -162,8 +162,8 @@ func TestStackStopKeepsAcknowledgedTasks(t *testing.T) {
 	results := make(map[protocol.UUID]bool)
 	published := 0
 	for _, m := range drainQueue(t, brk, resultQ) {
-		var res protocol.Result
-		if err := json.Unmarshal(m.Body, &res); err != nil {
+		res, err := protocol.DecodeResult(m.Body)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if !submitted[res.TaskID] {

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -17,7 +16,8 @@ import (
 
 // TCP transport: in "tcp" mode the interchange listens on a socket and each
 // provisioned block dials in, registers its capacity, and exchanges
-// length-prefixed task/result envelopes — the ZeroMQ-interchange topology of
+// length-prefixed task/result envelopes, whose bodies are protocol's binary
+// task and result bodies — the ZeroMQ-interchange topology of
 // the real engine, with communication to workers multiplexed through one
 // connection per manager.
 
@@ -105,11 +105,7 @@ func (e *Engine) serveManagerConn(conn net.Conn) {
 	go func() {
 		defer close(writeDone)
 		for t := range m.tasks {
-			env, err := protocol.NewEnvelope(protocol.EnvTask, string(t.ID), t)
-			if err != nil {
-				e.requeue(t)
-				continue
-			}
+			env := protocol.Envelope{Type: protocol.EnvTask, ID: string(t.ID), Body: protocol.EncodeTask(&t)}
 			e.mu.Lock()
 			m.inflight[t.ID] = t
 			e.mu.Unlock()
@@ -136,8 +132,8 @@ func (e *Engine) serveManagerConn(conn net.Conn) {
 		}
 		switch env.Type {
 		case protocol.EnvResult:
-			var res protocol.Result
-			if err := env.Decode(&res); err != nil {
+			res, err := protocol.DecodeResult(env.Body)
+			if err != nil {
 				continue
 			}
 			e.mu.Lock()
@@ -276,8 +272,8 @@ func (p *remotePool) serve(done <-chan struct{}, addr string) error {
 		case protocol.EnvShutdown:
 			return nil
 		case protocol.EnvTask:
-			var task protocol.Task
-			if err := env.Decode(&task); err != nil {
+			task, err := protocol.DecodeTask(env.Body)
+			if err != nil {
 				continue
 			}
 			sem <- struct{}{}
@@ -309,11 +305,7 @@ func (p *remotePool) serve(done <-chan struct{}, addr string) error {
 					res.Completed = time.Now()
 				}
 				res.ExecutionMS = float64(res.Completed.Sub(res.Started)) / float64(time.Millisecond)
-				body, err := json.Marshal(res)
-				if err != nil {
-					return
-				}
-				_ = w.Write(protocol.Envelope{Type: protocol.EnvResult, ID: string(task.ID), Body: body})
+				_ = w.Write(protocol.Envelope{Type: protocol.EnvResult, ID: string(task.ID), Body: protocol.EncodeResult(&res)})
 			}(task, info)
 		}
 	}

@@ -2,7 +2,6 @@ package mep
 
 import (
 	"context"
-	"encoding/json"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -119,8 +118,8 @@ func (a *SimAgent) loop() {
 				}
 				continue
 			}
-			var task protocol.Task
-			if err := json.Unmarshal(m.Body, &task); err != nil {
+			task, err := protocol.DecodeTask(m.Body)
+			if err != nil {
 				_ = a.sub.Ack(m.Tag)
 				continue
 			}
@@ -138,13 +137,14 @@ func (a *SimAgent) loop() {
 				Output: []byte("1"), EndpointID: a.cfg.EndpointID,
 				Started: done.started, Completed: time.Now(),
 			}
-			body, _ := json.Marshal(res)
-			_ = a.cfg.Conn.PublishBatch(resultQueue, [][]byte{body}, nil)
-			_ = a.sub.Ack(done.tag)
+			// Count the result before it is visible: a consumer that sees it
+			// then reads Load finds the agent idle.
 			backlog = backlog[1:]
 			a.queued.Add(-1)
 			a.published.Add(1)
 			a.lastAct.Store(time.Now().UnixNano())
+			_ = a.cfg.Conn.PublishBatch(resultQueue, [][]byte{protocol.EncodeResult(&res)}, nil)
+			_ = a.sub.Ack(done.tag)
 			serving = false
 			if len(backlog) > 0 {
 				startNext()

@@ -45,8 +45,8 @@ func TestSimAgentServesTasksAndReportsLoad(t *testing.T) {
 	for i := 0; i < n; i++ {
 		select {
 		case m := <-results.Messages():
-			var res protocol.Result
-			if err := json.Unmarshal(m.Body, &res); err != nil {
+			res, err := protocol.DecodeResult(m.Body)
+			if err != nil {
 				t.Fatal(err)
 			}
 			if res.State != protocol.StateSuccess || res.EndpointID != ep {
@@ -110,8 +110,8 @@ func TestSimSpawnerThroughMEPPipeline(t *testing.T) {
 	}
 	select {
 	case m := <-results.Messages():
-		var res protocol.Result
-		if err := json.Unmarshal(m.Body, &res); err != nil {
+		res, err := protocol.DecodeResult(m.Body)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if res.TaskID != task.ID {

@@ -68,8 +68,7 @@ func runTask(t *testing.T, brk *broker.Broker, child protocol.UUID, task protoco
 	}
 	select {
 	case m := <-results.Messages():
-		var res protocol.Result
-		json.Unmarshal(m.Body, &res)
+		res, _ := protocol.DecodeResult(m.Body)
 		results.Ack(m.Tag)
 		return res
 	case <-time.After(20 * time.Second):

@@ -3,8 +3,8 @@ package protocol
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/hex"
 	"fmt"
+	"strings"
 
 	"globuscompute/internal/trace"
 )
@@ -13,8 +13,9 @@ import (
 // broker's wire bodies (publish_batch, delivery_batch, ack_batch, nack,
 // error, and publish) encode field by field: varint lengths, raw bytes for
 // message bodies, raw 16-byte UUIDs inside well-known queue names, and an
-// inline trace context. Every other envelope (consume, declare, task,
-// result, ...) carries its JSON body verbatim under the same framing.
+// inline trace context per message. Every other envelope (consume, declare,
+// task, result, ...) carries its body verbatim under the same framing: JSON,
+// or for task and result frames the binary body of body.go.
 //
 // The outer transport is a 4-byte big-endian length prefix, and every
 // payload starts with the magic byte 0xBF, so a JSON envelope ('{') is
@@ -25,8 +26,9 @@ const binMagic = 0xBF
 
 // BinVersion is the binary frame format version. Readers reject frames with
 // a version they do not know; bumping it is a wire change that old peers
-// refuse loudly instead of misparsing.
-const BinVersion = 1
+// refuse loudly instead of misparsing. Version 2 carries binary task and
+// result bodies (body.go) and has no frame-header trace context.
+const BinVersion = 2
 
 // Envelope type codes. Code 0 means "type string follows" and covers every
 // envelope type without a code (including ones added later). Codes 3 and 5
@@ -81,12 +83,14 @@ var binTypeName = [binTypeMax]string{
 	binTypeResult:        EnvResult,
 }
 
-// Envelope flag bits.
+// Envelope flag bits. Bit 1 was version 1's frame-header trace context;
+// version 2 retired it, and a frame that sets it is refused.
 const (
 	binFlagID     = 1 << 0 // correlation ID present
-	binFlagTrace  = 1 << 1 // trace context present
+	_             = 1 << 1 // retired: frame-header trace context
 	binFlagStruct = 1 << 2 // structured body (per-typecode encoding)
-	binFlagRaw    = 1 << 3 // raw JSON body carried verbatim
+	binFlagRaw    = 1 << 3 // body carried verbatim
+	binFlagsAll   = binFlagID | binFlagStruct | binFlagRaw
 )
 
 // Queue names: every hot queue is "<prefix><uuid>".
@@ -159,6 +163,32 @@ func (w *binWriter) bytesNil(b []byte) {
 	w.buf.Write(b)
 }
 
+// varint writes a zigzag varint.
+func (w *binWriter) varint(v int64) {
+	n := binary.PutVarint(w.scratch[:], v)
+	w.buf.Write(w.scratch[:n])
+}
+
+// uuid writes u as 0 and its 16 raw bytes when canonical, and as
+// uvarint(len+1) and the string verbatim otherwise.
+func (w *binWriter) uuid(u UUID) {
+	if raw, ok := packUUID(u); ok {
+		w.u8(0)
+		w.buf.Write(raw[:])
+		return
+	}
+	w.uvarint(uint64(len(u)) + 1)
+	w.buf.WriteString(string(u))
+}
+
+// code writes a one-byte code, or 0 and s when the value has none.
+func (w *binWriter) code(c byte, s string) {
+	w.u8(c)
+	if c == 0 {
+		w.str(s)
+	}
+}
+
 // bool01 writes a bool as one byte.
 func (w *binWriter) bool01(v bool) {
 	if v {
@@ -207,9 +237,7 @@ func (w *binWriter) traceCtx(tc *trace.Context) {
 	}
 	w.u8(flags)
 	if flags&tcFlagTraceRaw != 0 {
-		raw, _ := hex.DecodeString(tid)
-		w.uvarint(uint64(len(raw)))
-		w.buf.Write(raw)
+		w.hexRaw(tid)
 	} else {
 		w.str(tid)
 	}
@@ -217,11 +245,17 @@ func (w *binWriter) traceCtx(tc *trace.Context) {
 		return
 	}
 	if flags&tcFlagSpanRaw != 0 {
-		raw, _ := hex.DecodeString(sid)
-		w.uvarint(uint64(len(raw)))
-		w.buf.Write(raw)
+		w.hexRaw(sid)
 	} else {
 		w.str(sid)
+	}
+}
+
+// hexRaw writes the bytes a lowercase hex string spells, length-prefixed.
+func (w *binWriter) hexRaw(s string) {
+	w.uvarint(uint64(len(s) / 2))
+	for i := 0; i < len(s); i += 2 {
+		w.buf.WriteByte(hexValue[s[i]]<<4 | hexValue[s[i+1]])
 	}
 }
 
@@ -236,12 +270,8 @@ func (w *binWriter) queue(q string) {
 		if !ok {
 			continue
 		}
-		u := UUID(rest)
-		if !u.Valid() {
-			continue
-		}
-		raw, err := uuidBytes(u)
-		if err != nil {
+		raw, ok := packUUID(UUID(rest))
+		if !ok {
 			continue
 		}
 		w.u8(byte(code))
@@ -259,26 +289,55 @@ func cutPrefix(s, prefix string) (string, bool) {
 	return "", false
 }
 
-// uuidBytes packs a canonical UUID string into its 16 raw bytes.
-func uuidBytes(u UUID) ([16]byte, error) {
-	var out [16]byte
-	if !u.Valid() {
-		return out, fmt.Errorf("protocol: invalid uuid %q", u)
+const hexDigits = "0123456789abcdef"
+
+// hexValue maps a lowercase hex digit to its value and every other byte to
+// 0xFF.
+var hexValue = func() (t [256]byte) {
+	for i := range t {
+		t[i] = 0xFF
 	}
-	s := string(u)
-	hexStr := s[0:8] + s[9:13] + s[14:18] + s[19:23] + s[24:36]
-	raw, err := hex.DecodeString(hexStr)
-	if err != nil {
-		return out, err
+	for i, c := range hexDigits {
+		t[c] = byte(i)
 	}
-	copy(out[:], raw)
-	return out, nil
+	return t
+}()
+
+// uuidHexAt lists the offsets of a canonical UUID's 32 hex digits.
+var uuidHexAt = [32]uint8{0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 14, 15, 16, 17,
+	19, 20, 21, 22, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35}
+
+// packUUID packs a canonical UUID string into its 16 raw bytes; ok is false
+// for anything else.
+func packUUID(u UUID) (raw [16]byte, ok bool) {
+	if len(u) != 36 || u[8] != '-' || u[13] != '-' || u[18] != '-' || u[23] != '-' {
+		return raw, false
+	}
+	for i := range raw {
+		hi, lo := hexValue[u[uuidHexAt[2*i]]], hexValue[u[uuidHexAt[2*i+1]]]
+		if hi|lo > 15 {
+			return raw, false
+		}
+		raw[i] = hi<<4 | lo
+	}
+	return raw, true
+}
+
+// appendUUID appends the canonical dashed form of 16 raw bytes.
+func appendUUID(dst, raw []byte) []byte {
+	for i, b := range raw {
+		if i == 4 || i == 6 || i == 8 || i == 10 {
+			dst = append(dst, '-')
+		}
+		dst = append(dst, hexDigits[b>>4], hexDigits[b&15])
+	}
+	return dst
 }
 
 // uuidString unpacks 16 raw bytes into the canonical dashed form.
 func uuidString(b []byte) UUID {
-	s := hex.EncodeToString(b)
-	return UUID(s[0:8] + "-" + s[8:12] + "-" + s[12:16] + "-" + s[16:20] + "-" + s[20:32])
+	var buf [36]byte
+	return UUID(appendUUID(buf[:0], b))
 }
 
 // appendBinaryEnvelope renders env as a frame payload into buf
@@ -308,9 +367,6 @@ func appendBinaryEnvelope(buf *bytes.Buffer, env Envelope) error {
 	if env.ID != "" {
 		flags |= binFlagID
 	}
-	if env.Trace != nil {
-		flags |= binFlagTrace
-	}
 	if structured {
 		flags |= binFlagStruct
 	} else if raw != nil {
@@ -319,9 +375,6 @@ func appendBinaryEnvelope(buf *bytes.Buffer, env Envelope) error {
 	w.u8(flags)
 	if flags&binFlagID != 0 {
 		w.str(env.ID)
-	}
-	if flags&binFlagTrace != 0 {
-		w.traceCtx(env.Trace)
 	}
 	if structured {
 		if err := encodeBinBody(w, env.Bin); err != nil {
@@ -543,49 +596,47 @@ func (r *binReader) bool01() (bool, error) {
 }
 
 func (r *binReader) traceCtx() (*trace.Context, error) {
-	flags, err := r.u8()
+	var sb strings.Builder
+	tid, sid, err := r.traceInto(&sb)
 	if err != nil {
 		return nil, err
 	}
-	tc := &trace.Context{}
-	if flags&tcFlagTraceRaw != 0 {
-		n, err := r.length()
-		if err != nil {
-			return nil, err
-		}
-		raw, err := r.take(n)
-		if err != nil {
-			return nil, err
-		}
-		tc.TraceID = trace.TraceID(hex.EncodeToString(raw))
-	} else {
-		s, err := r.str()
-		if err != nil {
-			return nil, err
-		}
-		tc.TraceID = trace.TraceID(s)
+	s := sb.String()
+	return &trace.Context{TraceID: trace.TraceID(tid.in(s)), SpanID: trace.SpanID(sid.in(s))}, nil
+}
+
+// traceInto reads what binWriter.traceCtx writes, appending the trace and
+// span IDs to sb and returning their spans there.
+func (r *binReader) traceInto(sb *strings.Builder) (tid, sid span, err error) {
+	flags, err := r.u8()
+	if err != nil {
+		return tid, sid, err
 	}
-	if flags&tcFlagSpan == 0 {
-		return tc, nil
+	if tid, err = r.idInto(sb, flags&tcFlagTraceRaw != 0); err != nil || flags&tcFlagSpan == 0 {
+		return tid, sid, err
 	}
-	if flags&tcFlagSpanRaw != 0 {
-		n, err := r.length()
-		if err != nil {
-			return nil, err
-		}
-		raw, err := r.take(n)
-		if err != nil {
-			return nil, err
-		}
-		tc.SpanID = trace.SpanID(hex.EncodeToString(raw))
-	} else {
-		s, err := r.str()
-		if err != nil {
-			return nil, err
-		}
-		tc.SpanID = trace.SpanID(s)
+	sid, err = r.idInto(sb, flags&tcFlagSpanRaw != 0)
+	return tid, sid, err
+}
+
+// idInto reads one trace-context ID: hex-packed raw bytes, or a verbatim
+// string.
+func (r *binReader) idInto(sb *strings.Builder, packed bool) (span, error) {
+	b, err := r.chunk()
+	if err != nil {
+		return span{}, err
 	}
-	return tc, nil
+	lo := sb.Len()
+	if !packed {
+		sb.Write(b)
+		return span{lo, sb.Len()}, nil
+	}
+	sb.Grow(2 * len(b))
+	for _, c := range b {
+		sb.WriteByte(hexDigits[c>>4])
+		sb.WriteByte(hexDigits[c&15])
+	}
+	return span{lo, sb.Len()}, nil
 }
 
 func (r *binReader) queue() (string, error) {
@@ -647,19 +698,15 @@ func DecodeBinaryEnvelope(p []byte) (Envelope, error) {
 	if err != nil {
 		return Envelope{}, err
 	}
+	if flags&^binFlagsAll != 0 {
+		return Envelope{}, fmt.Errorf("%w: unknown frame flags %#x", ErrBadFrame, flags&^binFlagsAll)
+	}
 	if flags&binFlagID != 0 {
 		id, err := r.str()
 		if err != nil {
 			return Envelope{}, err
 		}
 		env.ID = id
-	}
-	if flags&binFlagTrace != 0 {
-		tc, err := r.traceCtx()
-		if err != nil {
-			return Envelope{}, err
-		}
-		env.Trace = tc
 	}
 	switch {
 	case flags&binFlagStruct != 0:

@@ -8,20 +8,16 @@ import (
 	"fmt"
 	"io"
 	"sync"
-
-	"globuscompute/internal/trace"
 )
 
 // Envelope is the unit of transmission on every framed connection: a type
-// tag, an optional correlation ID, an optional trace context, and a body.
+// tag, an optional correlation ID, and a body. Trace contexts travel inside
+// the bodies: per message in the broker's batch bodies, and in the task and
+// result bodies themselves.
 type Envelope struct {
-	Type string `json:"type"`
-	ID   string `json:"id,omitempty"`
-	// Trace is a distributed-trace context in the frame header; nil means
-	// no trace. Broker messages carry theirs per message inside the batch
-	// bodies instead, so no envelope in the tree sets it.
-	Trace *trace.Context  `json:"trace,omitempty"`
-	Body  json.RawMessage `json:"body,omitempty"`
+	Type string          `json:"type"`
+	ID   string          `json:"id,omitempty"`
+	Body json.RawMessage `json:"body,omitempty"`
 	// Bin, when non-nil, is the pre-parsed body (a *PublishBatchBody,
 	// *DeliveryBatchBody, ...). Writers encode the broker's wire bodies
 	// structurally and any other value as its JSON under binary framing;

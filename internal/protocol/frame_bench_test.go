@@ -2,16 +2,15 @@ package protocol
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"testing"
 )
 
-// benchEnvelope is an interchange-style frame: a task with a 512-byte
-// payload as a JSON body carried verbatim under binary framing.
+// benchEnvelope is an interchange frame: a task with a 512-byte payload as
+// its binary body carried verbatim.
 func benchEnvelope() Envelope {
 	task := Task{ID: NewUUID(), Kind: KindPython, Payload: bytes.Repeat([]byte("p"), 512)}
-	return MustEnvelope(EnvTask, "17", task)
+	return Envelope{Type: EnvTask, ID: "17", Body: EncodeTask(&task)}
 }
 
 // BenchmarkFrameWrite measures the pooled encode path of a raw-body frame
@@ -32,12 +31,8 @@ func BenchmarkFrameWrite(b *testing.B) {
 // body of a structured publish_batch.
 func benchBinEnvelope() Envelope {
 	task := Task{ID: NewUUID(), Kind: KindPython, Payload: bytes.Repeat([]byte("p"), 512)}
-	body, err := json.Marshal(task)
-	if err != nil {
-		panic(err)
-	}
 	return Envelope{Type: EnvPublishBatch, ID: "17",
-		Bin: &PublishBatchBody{Queue: "tasks." + string(NewUUID()), Bodies: [][]byte{body}}}
+		Bin: &PublishBatchBody{Queue: "tasks." + string(NewUUID()), Bodies: [][]byte{EncodeTask(&task)}}}
 }
 
 // BenchmarkFrameWriteBinary measures the structured encode path: no JSON

@@ -160,8 +160,9 @@ func FuzzCodecEquivalence(f *testing.F) {
 			}
 		}
 		env := Envelope{ID: id}
+		var tc *trace.Context
 		if traceID != "" || spanID != "" {
-			env.Trace = &trace.Context{TraceID: trace.TraceID(traceID), SpanID: trace.SpanID(spanID)}
+			tc = &trace.Context{TraceID: trace.TraceID(traceID), SpanID: trace.SpanID(spanID)}
 		}
 		switch kind % 7 {
 		case 0:
@@ -170,11 +171,11 @@ func FuzzCodecEquivalence(f *testing.F) {
 		case 1:
 			env.Type = EnvPublishBatch
 			env.Bin = &PublishBatchBody{Queue: queue, Bodies: [][]byte{body, nil, {}},
-				Traces: []*trace.Context{nil, env.Trace, nil}}
+				Traces: []*trace.Context{nil, tc, nil}}
 		case 2:
 			env.Type = EnvDeliveryBatch
 			env.Bin = &DeliveryBatchBody{Queue: queue,
-				Items: []DeliveryItem{{Tag: tag, Body: body, Redelivered: flag, Trace: env.Trace}, {Tag: tag + 1}}}
+				Items: []DeliveryItem{{Tag: tag, Body: body, Redelivered: flag, Trace: tc}, {Tag: tag + 1}}}
 		case 3:
 			env.Type = EnvNack
 			env.Bin = &AckBody{Queue: queue, Tag: tag, DeadLetter: flag}
@@ -237,8 +238,10 @@ func FuzzBinaryDecode(f *testing.F) {
 		{Type: EnvPublish, ID: "1", Bin: &PublishBody{Queue: "tasks." + string(NewUUID()), Body: []byte("task")}},
 		{Type: EnvDeliveryBatch, Bin: &DeliveryBatchBody{Queue: "q", Items: []DeliveryItem{{Tag: 1, Body: []byte("x")}}}},
 		{Type: EnvAckBatch, Bin: &AckBatchBody{Queue: "q", Tags: []uint64{1, 2, 3}}},
-		{Type: EnvHeartbeat, Body: []byte(`{"at":1}`),
-			Trace: &trace.Context{TraceID: trace.NewTraceID(), SpanID: trace.NewSpanID()}},
+		{Type: EnvHeartbeat, Body: []byte(`{"at":1}`)},
+		{Type: EnvDeliveryBatch, Bin: &DeliveryBatchBody{Queue: "results." + string(NewUUID()), Items: []DeliveryItem{{Tag: 2,
+			Body:  EncodeResult(&Result{TaskID: NewUUID(), State: StateSuccess, Output: []byte("3")}),
+			Trace: &trace.Context{TraceID: trace.NewTraceID(), SpanID: trace.NewSpanID()}}}}},
 	}
 	for _, env := range seeds {
 		p, err := EncodeBinaryEnvelope(env)

@@ -34,25 +34,11 @@ func NewUUID() UUID {
 	return UUID(s[0:8] + "-" + s[8:12] + "-" + s[12:16] + "-" + s[16:20] + "-" + s[20:32])
 }
 
-// Valid reports whether u looks like a canonical UUID.
+// Valid reports whether u looks like a canonical UUID: 8-4-4-4-12
+// lowercase hex digits.
 func (u UUID) Valid() bool {
-	if len(u) != 36 {
-		return false
-	}
-	for i, c := range u {
-		switch i {
-		case 8, 13, 18, 23:
-			if c != '-' {
-				return false
-			}
-		default:
-			ishex := (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')
-			if !ishex {
-				return false
-			}
-		}
-	}
-	return true
+	_, ok := packUUID(u)
+	return ok
 }
 
 // FunctionKind distinguishes the three task types the paper defines.

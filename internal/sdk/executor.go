@@ -385,8 +385,8 @@ func (ex *Executor) streamLoop() {
 // its submit response wires the future (the orphan path). A malformed body is
 // logged and dropped; the drain still acknowledges it.
 func (ex *Executor) receive(m broker.Message) {
-	var res protocol.Result
-	if err := json.Unmarshal(m.Body, &res); err != nil {
+	res, err := protocol.DecodeResult(m.Body)
+	if err != nil {
 		obs.Component("sdk").WithEndpoint(string(ex.cfg.EndpointID)).
 			Warn("bad streamed result", "error", err)
 		return

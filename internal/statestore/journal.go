@@ -60,8 +60,9 @@ type Mutation struct {
 	Result     *protocol.Result   `json:"result,omitempty"`
 	Results    []protocol.Result  `json:"results,omitempty"`
 	// Bodies, when set, is parallel to Tasks (admit) or Results (complete):
-	// each item's JSON as the caller already marshalled it for the message
-	// queue, so a journal can write those bytes instead of encoding again.
+	// each item's body as the caller already encoded it for the message
+	// queue (protocol.EncodeTask / EncodeResult), so a journal can write
+	// those bytes instead of encoding again.
 	Bodies       [][]byte            `json:"-"`
 	Cutoff       time.Time           `json:"cutoff,omitempty"`
 	Idempotency  *IdempotencyRecord  `json:"idempotency,omitempty"`

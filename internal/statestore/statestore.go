@@ -440,8 +440,8 @@ func (s *Store) CreateTasks(tasks []protocol.Task) error {
 // batch directly in StateDelivered — the caller publishes the tasks to their
 // endpoint queues right after — so one record covers what CreateTasks plus
 // two TransitionTasks would. bodies, when non-nil, is parallel to tasks: each
-// task's JSON as the caller marshalled it for the queue, handed to the
-// journal as is. Errors are CreateTasks's.
+// task's body (protocol.EncodeTask) as the caller encoded it for the queue,
+// handed to the journal as is. Errors are CreateTasks's.
 func (s *Store) AdmitTasks(tasks []protocol.Task, bodies [][]byte) error {
 	return s.insertTasks(Mutation{Op: OpAdmitTasks, Tasks: tasks, Bodies: bodies}, protocol.StateDelivered)
 }
@@ -628,7 +628,7 @@ func (s *Store) CompleteTasks(results []protocol.Result) []error {
 	return s.CompleteEncoded(results, nil)
 }
 
-// CompleteEncoded is CompleteTasks for a caller that has each result's JSON
+// CompleteEncoded is CompleteTasks for a caller that has each result's body
 // in hand (bodies parallel to results, as AdmitTasks takes task bodies): the
 // journal writes those bytes instead of encoding the results again.
 func (s *Store) CompleteEncoded(results []protocol.Result, bodies [][]byte) []error {

@@ -65,8 +65,7 @@ func TestCancelStreamsToGroup(t *testing.T) {
 	}
 	select {
 	case m := <-stream.Messages():
-		var res protocol.Result
-		json.Unmarshal(m.Body, &res)
+		res, _ := protocol.DecodeResult(m.Body)
 		if res.State != protocol.StateCancelled || res.TaskID != ids[0] {
 			t.Errorf("streamed %+v", res)
 		}
@@ -101,7 +100,7 @@ func TestDuplicateResultIdempotent(t *testing.T) {
 	ids, _ := f.svc.Submit(f.token, []SubmitRequest{{EndpointID: ep, FunctionID: fn, Payload: []byte("{}")}})
 
 	res := protocol.Result{TaskID: ids[0], State: protocol.StateSuccess, Output: []byte(`"first"`)}
-	body, _ := json.Marshal(res)
+	body := protocol.EncodeResult(&res)
 	f.brk.Publish(ResultQueue(ep), body)
 	dup := protocol.Result{TaskID: ids[0], State: protocol.StateFailed, Error: "duplicate"}
 	dupBody, _ := json.Marshal(dup)

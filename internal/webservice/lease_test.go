@@ -1,7 +1,6 @@
 package webservice
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -62,8 +61,8 @@ func TestWatchdogLeaseFailsStrandedTasks(t *testing.T) {
 	// The failure streams to the executor's group queue.
 	select {
 	case m := <-gq.Messages():
-		var res protocol.Result
-		if err := json.Unmarshal(m.Body, &res); err != nil {
+		res, err := protocol.DecodeResult(m.Body)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if res.TaskID != id || res.State != protocol.StateFailed {

@@ -2,7 +2,6 @@ package webservice
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -29,8 +28,8 @@ func (f *fixture) spillAgent(t *testing.T, ep protocol.UUID, objects *objectstor
 	}
 	go func() {
 		for m := range c.Messages() {
-			var task protocol.Task
-			if err := json.Unmarshal(m.Body, &task); err != nil {
+			task, err := protocol.DecodeTask(m.Body)
+			if err != nil {
 				c.Ack(m.Tag)
 				continue
 			}
@@ -46,7 +45,7 @@ func (f *fixture) spillAgent(t *testing.T, ep protocol.UUID, objects *objectstor
 				dangling.Add(1)
 				res.State, res.Error = protocol.StateFailed, err.Error()
 			}
-			body, _ := json.Marshal(res)
+			body := protocol.EncodeResult(&res)
 			f.brk.Publish(ResultQueue(ep), body)
 			c.Ack(m.Tag)
 		}

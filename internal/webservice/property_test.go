@@ -1,7 +1,6 @@
 package webservice
 
 import (
-	"encoding/json"
 	"math/rand"
 	"testing"
 	"time"
@@ -27,26 +26,26 @@ func TestPropertyTaskConservation(t *testing.T) {
 	t.Cleanup(c.Close)
 	go func() {
 		for m := range c.Messages() {
-			var task protocol.Task
-			if err := json.Unmarshal(m.Body, &task); err != nil {
+			task, err := protocol.DecodeTask(m.Body)
+			if err != nil {
 				c.Reject(m.Tag)
 				continue
 			}
 			switch rng.Intn(4) {
 			case 0: // succeed
 				res := protocol.Result{TaskID: task.ID, State: protocol.StateSuccess, Output: []byte(`"ok"`)}
-				b, _ := json.Marshal(res)
+				b := protocol.EncodeResult(&res)
 				f.brk.Publish(ResultQueue(ep), b)
 				c.Ack(m.Tag)
 			case 1: // fail
 				res := protocol.Result{TaskID: task.ID, State: protocol.StateFailed, Error: "simulated"}
-				b, _ := json.Marshal(res)
+				b := protocol.EncodeResult(&res)
 				f.brk.Publish(ResultQueue(ep), b)
 				c.Ack(m.Tag)
 			case 2: // nack once; redelivery succeeds
 				if m.Redelivered {
 					res := protocol.Result{TaskID: task.ID, State: protocol.StateSuccess, Output: []byte(`"retried"`)}
-					b, _ := json.Marshal(res)
+					b := protocol.EncodeResult(&res)
 					f.brk.Publish(ResultQueue(ep), b)
 					c.Ack(m.Tag)
 				} else {
@@ -54,7 +53,7 @@ func TestPropertyTaskConservation(t *testing.T) {
 				}
 			default: // duplicate result then success (idempotency pressure)
 				res := protocol.Result{TaskID: task.ID, State: protocol.StateSuccess, Output: []byte(`"dup"`)}
-				b, _ := json.Marshal(res)
+				b := protocol.EncodeResult(&res)
 				f.brk.Publish(ResultQueue(ep), b)
 				f.brk.Publish(ResultQueue(ep), b)
 				c.Ack(m.Tag)

@@ -269,8 +269,8 @@ func TestStreamedResultsSurviveRestart(t *testing.T) {
 	for len(got) < len(ids) {
 		select {
 		case m := <-stream.Messages():
-			var res protocol.Result
-			if err := json.Unmarshal(m.Body, &res); err != nil || res.State != protocol.StateSuccess {
+			res, err := protocol.DecodeResult(m.Body)
+			if err != nil || res.State != protocol.StateSuccess {
 				t.Fatalf("redelivered %s: %v", m.Body, err)
 			}
 			got[res.TaskID] = true

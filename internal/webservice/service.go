@@ -566,7 +566,7 @@ func (s *Service) processResultBatch(c *broker.Consumer, batch []broker.Message)
 
 // recordTerminal is the one path a task takes into a terminal state, whether
 // an endpoint's result, a user's cancellation or an expired lease put it
-// there. bodies is parallel to results, each one's JSON: the batch completes
+// there. bodies is parallel to results, each one's body: the batch completes
 // in one sharded statestore round trip (one journal commit), and every
 // result the task state machine accepted settles its task's admission
 // accounting, feeds the originating endpoint's fleet series and goes out on
@@ -607,7 +607,7 @@ func (s *Service) recordTerminal(results []protocol.Result, bodies [][]byte) []e
 // groupResult is one recorded result bound for its submitter's group stream.
 type groupResult struct {
 	group protocol.UUID
-	body  []byte // the result's JSON
+	body  []byte // the result's body
 	tc    *trace.Context
 }
 
@@ -670,13 +670,14 @@ func (s *Service) observeResult(res protocol.Result, created time.Time) {
 }
 
 // prepareResult parses and spills one result message, returning the result
-// ready for recording, its JSON — the bytes that go to the journal and onto
-// the group stream — and its processing span (ended by the caller). tc is
+// ready for recording, its body — the bytes that go to the journal and onto
+// the group stream, re-encoded only when spilling, tracing or a JSON body
+// changed them — and its processing span (ended by the caller). tc is
 // the trace context delivered with the message (the broker transit span);
 // the result body's own context is the fallback for untraced transports.
 func (s *Service) prepareResult(body []byte, tc *trace.Context) (protocol.Result, []byte, *trace.ActiveSpan, error) {
-	var res protocol.Result
-	if err := json.Unmarshal(body, &res); err != nil {
+	res, err := protocol.DecodeResult(body)
+	if err != nil {
 		return res, nil, nil, fmt.Errorf("bad result message: %w", err)
 	}
 	if !tc.Valid() {
@@ -709,12 +710,8 @@ func (s *Service) prepareResult(body []byte, tc *trace.Context) (protocol.Result
 		res.Trace = next
 		changed = true
 	}
-	if changed {
-		var err error
-		if body, err = json.Marshal(res); err != nil {
-			sp.EndStatus("error")
-			return res, nil, nil, err
-		}
+	if changed || body[0] == '{' {
+		body = protocol.EncodeResult(&res)
 	}
 	return res, body, sp, nil
 }
@@ -811,12 +808,29 @@ func (s *Service) submitAdmitted(tok auth.Token, reqs []SubmitRequest, opts Subm
 		tc     *trace.Context
 	}
 	batch := make([]prepared, 0, len(reqs))
+	// A batch almost always names one function and one endpoint: each record
+	// is looked up once per run of equal IDs, and every check that follows
+	// still runs per task.
+	var (
+		fn             statestore.FunctionRecord
+		fnErr          error
+		direct         statestore.EndpointRecord
+		directErr      error
+		lastFn, lastEp protocol.UUID
+	)
 	for i, req := range reqs {
-		fn, err := s.cfg.Store.GetFunction(req.FunctionID)
-		if err != nil {
-			return nil, 0, fmt.Errorf("task %d: %w", i, err)
+		if i == 0 || req.FunctionID != lastFn {
+			lastFn = req.FunctionID
+			fn, fnErr = s.cfg.Store.GetFunction(req.FunctionID)
 		}
-		ep, err := s.cfg.Store.GetEndpoint(req.EndpointID)
+		if fnErr != nil {
+			return nil, 0, fmt.Errorf("task %d: %w", i, fnErr)
+		}
+		if i == 0 || req.EndpointID != lastEp {
+			lastEp = req.EndpointID
+			direct, directErr = s.cfg.Store.GetEndpoint(req.EndpointID)
+		}
+		ep, err := direct, directErr
 		// A routing group's UUID stands in for an endpoint: each task of the
 		// batch is placed on a member by the group's policy (so one batch
 		// fans out), with backlog sheds already applied per pick.
@@ -886,8 +900,7 @@ func (s *Service) submitAdmitted(tok auth.Token, reqs []SubmitRequest, opts Subm
 		batch = append(batch, prepared{task: task, target: target, tc: req.Trace})
 	}
 
-	// Stamp spans and marshal bodies first, so a marshal failure aborts the
-	// batch before any state changes. The submit span covers validation
+	// Stamp spans and encode bodies. The submit span covers validation
 	// through enqueue; with a batch, each task's span shares the batch
 	// arrival time.
 	ids := make([]protocol.UUID, len(batch))
@@ -909,11 +922,7 @@ func (s *Service) submitAdmitted(tok auth.Token, reqs []SubmitRequest, opts Subm
 			p.task.Trace = p.tc // propagate the client's context even untraced
 		}
 		spans[i] = sp
-		body, err := json.Marshal(p.task)
-		if err != nil {
-			return fail(err)
-		}
-		bodies[i], tasks[i], ids[i] = body, p.task, p.task.ID
+		bodies[i], tasks[i], ids[i] = protocol.EncodeTask(&p.task), p.task, p.task.ID
 	}
 	// One journaled statestore step admits the whole batch straight to
 	// Delivered, then one broker publish per distinct target queue: two
@@ -1157,11 +1166,7 @@ func (s *Service) CancelTask(tok auth.Token, id protocol.UUID) error {
 	// The cancellation is a result like any other: it streams to the
 	// executor's group queue so futures resolve promptly.
 	res := protocol.Result{TaskID: id, State: protocol.StateCancelled, Error: "cancelled by user"}
-	body, err := json.Marshal(res)
-	if err != nil {
-		return err
-	}
-	err = s.recordTerminal([]protocol.Result{res}, [][]byte{body})[0]
+	err = s.recordTerminal([]protocol.Result{res}, [][]byte{protocol.EncodeResult(&res)})[0]
 	s.audit(tok.Identity.Username, "cancel_task", id, err, "")
 	if err != nil {
 		return err
@@ -1240,11 +1245,7 @@ func (s *Service) expireLeases(lease time.Duration) {
 				EndpointID: ep.ID,
 				Error:      fmt.Sprintf("webservice: task lease expired after %s on offline endpoint %s", lease, ep.ID),
 			}
-			body, err := json.Marshal(res)
-			if err != nil {
-				continue
-			}
-			results, bodies = append(results, res), append(bodies, body)
+			results, bodies = append(results, res), append(bodies, protocol.EncodeResult(&res))
 		}
 		for i, err := range s.recordTerminal(results, bodies) {
 			if err != nil {

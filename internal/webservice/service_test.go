@@ -81,8 +81,8 @@ func (f *fixture) fakeAgent(t *testing.T, ep protocol.UUID) {
 	}
 	go func() {
 		for m := range c.Messages() {
-			var task protocol.Task
-			if err := json.Unmarshal(m.Body, &task); err != nil {
+			task, err := protocol.DecodeTask(m.Body)
+			if err != nil {
 				c.Ack(m.Tag)
 				continue
 			}
@@ -95,7 +95,7 @@ func (f *fixture) fakeAgent(t *testing.T, ep protocol.UUID) {
 				Output: payload, EndpointID: ep,
 				Started: time.Now(), Completed: time.Now(),
 			}
-			body, _ := json.Marshal(res)
+			body := protocol.EncodeResult(&res)
 			f.brk.Publish(ResultQueue(ep), body)
 			c.Ack(m.Tag)
 		}
@@ -433,8 +433,8 @@ func TestGroupResultStreaming(t *testing.T) {
 	for len(got) < 2 {
 		select {
 		case m := <-stream.Messages():
-			var res protocol.Result
-			if err := json.Unmarshal(m.Body, &res); err != nil {
+			res, err := protocol.DecodeResult(m.Body)
+			if err != nil {
 				t.Fatal(err)
 			}
 			got[res.TaskID] = true
