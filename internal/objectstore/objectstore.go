@@ -404,6 +404,10 @@ func (s *Store) Delete(key string) error {
 	return nil
 }
 
+// FileBacked reports whether the store keeps its objects in files, the only
+// store Sweep has anything to do for.
+func (s *Store) FileBacked() bool { return s.dir != "" }
+
 // Sweep unlinks every file-backed object that is not in live and was last
 // used (written, or hit by a dedup probe) before cutoff, and returns how
 // many it removed. It is the mark-and-sweep half of object lifetime: the

@@ -172,7 +172,7 @@ func (w *binWriter) varint(v int64) {
 // uuid writes u as 0 and its 16 raw bytes when canonical, and as
 // uvarint(len+1) and the string verbatim otherwise.
 func (w *binWriter) uuid(u UUID) {
-	if raw, ok := packUUID(u); ok {
+	if raw, ok := u.Pack(); ok {
 		w.u8(0)
 		w.buf.Write(raw[:])
 		return
@@ -270,7 +270,7 @@ func (w *binWriter) queue(q string) {
 		if !ok {
 			continue
 		}
-		raw, ok := packUUID(UUID(rest))
+		raw, ok := UUID(rest).Pack()
 		if !ok {
 			continue
 		}
@@ -307,9 +307,9 @@ var hexValue = func() (t [256]byte) {
 var uuidHexAt = [32]uint8{0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 14, 15, 16, 17,
 	19, 20, 21, 22, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35}
 
-// packUUID packs a canonical UUID string into its 16 raw bytes; ok is false
-// for anything else.
-func packUUID(u UUID) (raw [16]byte, ok bool) {
+// Pack returns the 16 raw bytes a canonical UUID spells; ok is false for
+// anything else.
+func (u UUID) Pack() (raw [16]byte, ok bool) {
 	if len(u) != 36 || u[8] != '-' || u[13] != '-' || u[18] != '-' || u[23] != '-' {
 		return raw, false
 	}

@@ -37,9 +37,12 @@ func NewUUID() UUID {
 // Valid reports whether u looks like a canonical UUID: 8-4-4-4-12
 // lowercase hex digits.
 func (u UUID) Valid() bool {
-	_, ok := packUUID(u)
+	_, ok := u.Pack()
 	return ok
 }
+
+// UnpackUUID renders 16 raw bytes in canonical form, the inverse of Pack.
+func UnpackUUID(raw [16]byte) UUID { return uuidString(raw[:]) }
 
 // FunctionKind distinguishes the three task types the paper defines.
 type FunctionKind string

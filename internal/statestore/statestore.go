@@ -13,11 +13,14 @@
 package statestore
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"globuscompute/internal/protocol"
@@ -100,9 +103,11 @@ type EndpointLoad struct {
 	EgressBacklog *int `json:"egress_backlog,omitempty"`
 }
 
-// TaskRecord is the authoritative task row. It keeps the task's PayloadRef
-// but never its inline Payload: the queued message carries those bytes to the
-// endpoint, and nothing reads them from the table.
+// TaskRecord is a task's read view and its snapshot image, built from the
+// task's packed row (taskrow.go). It keeps the task's PayloadRef but never
+// its inline Payload: the queued message carries those bytes to the
+// endpoint, and nothing reads them from the table. Result aliases the row's
+// bytes; readers must not modify it.
 type TaskRecord struct {
 	Task      protocol.Task      `json:"task"`
 	State     protocol.TaskState `json:"state"`
@@ -114,26 +119,9 @@ type TaskRecord struct {
 	Completed time.Time          `json:"completed,omitempty"`
 }
 
-// taskShards is the task-table shard count. Power of two so the hash
-// modulo compiles to a mask.
+// taskShards is the task-table shard count. Power of two so the shard
+// index is a mask.
 const taskShards = 16
-
-// taskShard is one slice of the task table. counts tallies the shard's
-// tasks per state incrementally, so state counts never require a table
-// scan — pollers (benchmark drains, gc-top) read them at fixed cost no
-// matter how many tasks the table holds.
-type taskShard struct {
-	mu     sync.RWMutex
-	m      map[protocol.UUID]*TaskRecord
-	counts map[protocol.TaskState]int
-}
-
-// idxShard is one slice of the endpoint → task-IDs secondary index
-// (creation order preserved per endpoint).
-type idxShard struct {
-	mu sync.RWMutex
-	m  map[protocol.UUID][]protocol.UUID
-}
 
 // Store holds all service state. Safe for concurrent use.
 type Store struct {
@@ -144,7 +132,9 @@ type Store struct {
 	endpoints map[protocol.UUID]*EndpointRecord
 
 	tasks [taskShards]taskShard
-	byEp  [taskShards]idxShard
+	// seq numbers created tasks, so ListTasksByEndpoint can merge the
+	// shards' in-flight indexes in creation order.
+	seq atomic.Uint64
 
 	// idem maps (owner, idempotency key) -> created task IDs (see
 	// idempotency.go).
@@ -168,11 +158,7 @@ func New() *Store {
 		now:       time.Now,
 	}
 	for i := range s.tasks {
-		s.tasks[i].m = make(map[protocol.UUID]*TaskRecord)
-		s.tasks[i].counts = make(map[protocol.TaskState]int)
-	}
-	for i := range s.byEp {
-		s.byEp[i].m = make(map[protocol.UUID][]protocol.UUID)
+		s.tasks[i].reset()
 	}
 	s.idem.init()
 	s.groups.init()
@@ -181,15 +167,6 @@ func New() *Store {
 
 // SetClock overrides the time source (tests).
 func (s *Store) SetClock(now func() time.Time) { s.now = now }
-
-func shardOf(id protocol.UUID) uint32 {
-	h := fnv.New32a()
-	h.Write([]byte(id))
-	return h.Sum32() % taskShards
-}
-
-func (s *Store) taskShard(id protocol.UUID) *taskShard { return &s.tasks[shardOf(id)] }
-func (s *Store) idxShard(ep protocol.UUID) *idxShard   { return &s.byEp[shardOf(ep)] }
 
 // --- functions ---
 
@@ -458,19 +435,16 @@ func (s *Store) insertTasks(m Mutation, state protocol.TaskState) error {
 		defer done()
 	}
 	var firstErr error
-	// Group indices by shard.
-	var groups [taskShards][]int
-	for i, t := range tasks {
-		if !t.ID.Valid() {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("statestore: invalid task ID %q", t.ID)
-			}
-			continue
+	keys, groups := groupKeys(len(tasks), func(i int) protocol.UUID { return tasks[i].ID }, func(i int) {
+		if firstErr == nil {
+			firstErr = fmt.Errorf("statestore: invalid task ID %q", tasks[i].ID)
 		}
-		groups[shardOf(t.ID)] = append(groups[shardOf(t.ID)], i)
-	}
+	})
 	now := s.now()
-	created := make([]bool, len(tasks))
+	// Sequence numbers follow the batch order, whatever order the shards
+	// are visited in.
+	seq := s.seq.Add(uint64(len(tasks))) - uint64(len(tasks))
+	var scratch []byte
 	for si := range groups {
 		if len(groups[si]) == 0 {
 			continue
@@ -478,60 +452,36 @@ func (s *Store) insertTasks(m Mutation, state protocol.TaskState) error {
 		sh := &s.tasks[si]
 		sh.mu.Lock()
 		for _, i := range groups[si] {
-			t := tasks[i]
-			if _, ok := sh.m[t.ID]; ok {
+			if _, ok := sh.slots[keys[i]]; ok {
 				if firstErr == nil {
-					firstErr = fmt.Errorf("%w: task %s", ErrAlreadyExists, t.ID)
+					firstErr = fmt.Errorf("%w: task %s", ErrAlreadyExists, tasks[i].ID)
 				}
 				continue
 			}
-			t.Payload = nil
-			sh.m[t.ID] = &TaskRecord{Task: t, State: state, Created: now, Updated: now}
-			sh.counts[state]++
-			created[i] = true
+			rec := TaskRecord{Task: tasks[i], State: state, Created: now, Updated: now}
+			scratch = sh.put(keys[i], &rec, seq+uint64(i), scratch)
 		}
 		sh.mu.Unlock()
-	}
-	// Index the created tasks, grouped by endpoint shard, preserving the
-	// submit order within each endpoint.
-	var idxGroups [taskShards][]int
-	for i, ok := range created {
-		if ok {
-			g := shardOf(tasks[i].EndpointID)
-			idxGroups[g] = append(idxGroups[g], i)
-		}
-	}
-	for si := range idxGroups {
-		if len(idxGroups[si]) == 0 {
-			continue
-		}
-		ix := &s.byEp[si]
-		ix.mu.Lock()
-		for _, i := range idxGroups[si] {
-			ix.m[tasks[i].EndpointID] = append(ix.m[tasks[i].EndpointID], tasks[i].ID)
-		}
-		ix.mu.Unlock()
 	}
 	return firstErr
 }
 
-func (s *Store) indexTask(ep, id protocol.UUID) {
-	ix := s.idxShard(ep)
-	ix.mu.Lock()
-	ix.m[ep] = append(ix.m[ep], id)
-	ix.mu.Unlock()
-}
+func notFound(id protocol.UUID) error { return fmt.Errorf("%w: task %s", ErrNotFound, id) }
 
 // GetTask fetches a task record.
 func (s *Store) GetTask(id protocol.UUID) (TaskRecord, error) {
-	sh := s.taskShard(id)
+	k, ok := id.Pack()
+	if !ok {
+		return TaskRecord{}, notFound(id)
+	}
+	sh := &s.tasks[shardOf(k)]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	rec, ok := sh.m[id]
+	slot, ok := sh.slots[k]
 	if !ok {
-		return TaskRecord{}, fmt.Errorf("%w: task %s", ErrNotFound, id)
+		return TaskRecord{}, notFound(id)
 	}
-	return *rec, nil
+	return sh.record(id, sh.row(slot)), nil
 }
 
 // GetTaskRecords fetches a batch of task records, grouping reads by shard
@@ -539,19 +489,16 @@ func (s *Store) GetTask(id protocol.UUID) (TaskRecord, error) {
 // returned map.
 func (s *Store) GetTaskRecords(ids []protocol.UUID) map[protocol.UUID]TaskRecord {
 	out := make(map[protocol.UUID]TaskRecord, len(ids))
-	var groups [taskShards][]protocol.UUID
-	for _, id := range ids {
-		groups[shardOf(id)] = append(groups[shardOf(id)], id)
-	}
+	keys, groups := groupKeys(len(ids), func(i int) protocol.UUID { return ids[i] }, func(int) {})
 	for si := range groups {
 		if len(groups[si]) == 0 {
 			continue
 		}
 		sh := &s.tasks[si]
 		sh.mu.RLock()
-		for _, id := range groups[si] {
-			if rec, ok := sh.m[id]; ok {
-				out[id] = *rec
+		for _, i := range groups[si] {
+			if slot, ok := sh.slots[keys[i]]; ok {
+				out[ids[i]] = sh.record(ids[i], sh.row(slot))
 			}
 		}
 		sh.mu.RUnlock()
@@ -576,19 +523,24 @@ func (s *Store) TransitionTasks(ids []protocol.UUID, state protocol.TaskState) e
 		defer done()
 	}
 	var firstErr error
-	var groups [taskShards][]protocol.UUID
-	for _, id := range ids {
-		groups[shardOf(id)] = append(groups[shardOf(id)], id)
+	note := func(err error) {
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
 	}
+	keys, groups := groupKeys(len(ids), func(i int) protocol.UUID { return ids[i] }, func(i int) { note(notFound(ids[i])) })
+	now := nanos(s.now())
 	for si := range groups {
 		if len(groups[si]) == 0 {
 			continue
 		}
 		sh := &s.tasks[si]
 		sh.mu.Lock()
-		for _, id := range groups[si] {
-			if err := s.transitionLocked(sh, id, state); err != nil && firstErr == nil {
-				firstErr = err
+		for _, i := range groups[si] {
+			if slot, ok := sh.slots[keys[i]]; !ok {
+				note(notFound(ids[i]))
+			} else {
+				note(sh.transition(keys[i], ids[i], sh.row(slot), state, now))
 			}
 		}
 		sh.mu.Unlock()
@@ -596,20 +548,19 @@ func (s *Store) TransitionTasks(ids []protocol.UUID, state protocol.TaskState) e
 	return firstErr
 }
 
-func (s *Store) transitionLocked(sh *taskShard, id protocol.UUID, state protocol.TaskState) error {
-	rec, ok := sh.m[id]
-	if !ok {
-		return fmt.Errorf("%w: task %s", ErrNotFound, id)
+// transition moves k's row r to state, enforcing the state machine.
+func (sh *taskShard) transition(k taskKey, id protocol.UUID, r *taskRow, state protocol.TaskState, now int64) error {
+	from := stateNames[r.state]
+	if !legalNext[from][state] {
+		return fmt.Errorf("%w: %s -> %s (task %s)", ErrIllegalTransition, from, state, id)
 	}
-	if !legalNext[rec.State][state] {
-		return fmt.Errorf("%w: %s -> %s (task %s)", ErrIllegalTransition, rec.State, state, id)
-	}
-	sh.counts[rec.State]--
-	sh.counts[state]++
-	rec.State = state
-	rec.Updated = s.now()
+	to := stateCode(state)
+	sh.counts[r.state]--
+	sh.counts[to]++
+	r.state, r.updated = to, now
 	if state.Terminal() {
-		rec.Completed = rec.Updated
+		r.completed = now
+		sh.untrack(r.ep, k)
 	}
 	return nil
 }
@@ -625,32 +576,43 @@ func (s *Store) CompleteTask(res protocol.Result) error {
 // when results[i] was applied, so the caller can ack or dead-letter each
 // source message individually.
 func (s *Store) CompleteTasks(results []protocol.Result) []error {
-	return s.CompleteEncoded(results, nil)
+	_, errs := s.CompleteEncoded(results, nil)
+	return errs
+}
+
+// Completion is what the result path reads back about a task it completed:
+// the admission accounting and the submitter's group stream need these, and
+// nothing else of the row.
+type Completion struct {
+	Created      time.Time
+	UserIdentity string
+	NumNodes     int
+	GroupID      protocol.UUID
 }
 
 // CompleteEncoded is CompleteTasks for a caller that has each result's body
 // in hand (bodies parallel to results, as AdmitTasks takes task bodies): the
-// journal writes those bytes instead of encoding the results again.
-func (s *Store) CompleteEncoded(results []protocol.Result, bodies [][]byte) []error {
+// journal writes those bytes instead of encoding the results again. It also
+// returns, parallel to results, each completed task's Completion, read in
+// the same pass.
+func (s *Store) CompleteEncoded(results []protocol.Result, bodies [][]byte) ([]Completion, []error) {
 	errs := make([]error, len(results))
 	done, jerr := s.logMutation(Mutation{Op: OpCompleteTasks, Results: results, Bodies: bodies})
 	if jerr != nil {
 		for i := range errs {
 			errs[i] = jerr
 		}
-		return errs
+		return nil, errs
 	}
 	if done != nil {
 		defer done()
 	}
-	var groups [taskShards][]int
-	for i, res := range results {
-		if !res.State.Terminal() {
-			errs[i] = fmt.Errorf("statestore: CompleteTask with non-terminal state %s", res.State)
-			continue
-		}
-		groups[shardOf(res.TaskID)] = append(groups[shardOf(res.TaskID)], i)
-	}
+	keys, groups := groupKeys(len(results), func(i int) protocol.UUID { return results[i].TaskID }, func(i int) {
+		errs[i] = notFound(results[i].TaskID)
+	})
+	out := make([]Completion, len(results))
+	now := nanos(s.now())
+	var scratch []byte
 	for si := range groups {
 		if len(groups[si]) == 0 {
 			continue
@@ -658,35 +620,64 @@ func (s *Store) CompleteEncoded(results []protocol.Result, bodies [][]byte) []er
 		sh := &s.tasks[si]
 		sh.mu.Lock()
 		for _, i := range groups[si] {
-			errs[i] = s.completeLocked(sh, results[i])
+			scratch, out[i], errs[i] = sh.complete(keys[i], &results[i], now, scratch)
 		}
 		sh.mu.Unlock()
 	}
-	return errs
+	return out, errs
 }
 
-func (s *Store) completeLocked(sh *taskShard, res protocol.Result) error {
-	rec, ok := sh.m[res.TaskID]
+// complete records res on k's row and moves the row to res.State.
+func (sh *taskShard) complete(k taskKey, res *protocol.Result, now int64, scratch []byte) ([]byte, Completion, error) {
+	if !res.State.Terminal() {
+		return scratch, Completion{}, fmt.Errorf("statestore: CompleteTask with non-terminal state %s", res.State)
+	}
+	slot, ok := sh.slots[k]
 	if !ok {
-		return fmt.Errorf("%w: task %s", ErrNotFound, res.TaskID)
+		return scratch, Completion{}, notFound(res.TaskID)
 	}
-	if err := s.transitionLocked(sh, res.TaskID, res.State); err != nil {
-		return err
+	r := sh.row(slot)
+	if err := sh.transition(k, res.TaskID, r, res.State, now); err != nil {
+		return scratch, Completion{}, err
 	}
-	rec.Result = append([]byte(nil), res.Output...)
-	rec.ResultRef = res.OutputRef
-	rec.Error = res.Error
-	return nil
+	var flags uint8
+	scratch, flags = appendResultTail(append(scratch[:0], r.tail...), res.OutputRef, res.Error, res.Output)
+	if flags != 0 {
+		r.flags |= flags
+		r.setTail(scratch)
+	}
+	return scratch, Completion{
+		Created: timeOf(r.created), UserIdentity: sh.strs.str(r.user),
+		NumNodes: int(r.fields().ints[0]), GroupID: protocol.UUID(sh.strs.str(r.group)),
+	}, nil
 }
 
-// ListTasksByEndpoint returns the task IDs submitted to an endpoint in
-// creation order.
+// ListTasksByEndpoint returns the IDs of the endpoint's non-terminal tasks
+// in creation order. A task leaves the list when it reaches a terminal
+// state. After a Restore, tasks created in the same instant may come back in
+// any order among themselves.
 func (s *Store) ListTasksByEndpoint(ep protocol.UUID) []protocol.UUID {
-	ix := s.idxShard(ep)
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	ids := ix.m[ep]
-	return append([]protocol.UUID(nil), ids...)
+	type entry struct {
+		seq uint64
+		k   taskKey
+	}
+	var entries []entry
+	for si := range s.tasks {
+		sh := &s.tasks[si]
+		sh.mu.RLock()
+		if h, ok := sh.strs.lookup(string(ep)); ok {
+			for k, seq := range sh.inflight[h] {
+				entries = append(entries, entry{seq, k})
+			}
+		}
+		sh.mu.RUnlock()
+	}
+	slices.SortFunc(entries, func(a, b entry) int { return cmp.Compare(a.seq, b.seq) })
+	ids := make([]protocol.UUID, len(entries))
+	for i, e := range entries {
+		ids[i] = protocol.UnpackUUID(e.k)
+	}
+	return ids
 }
 
 // CountTasksByState tallies tasks per state from the shards' incremental
@@ -695,16 +686,20 @@ func (s *Store) ListTasksByEndpoint(ep protocol.UUID) []protocol.UUID {
 // used to dominate whole benchmark runs and starve the submit path of the
 // shard locks).
 func (s *Store) CountTasksByState() map[protocol.TaskState]int {
-	out := make(map[protocol.TaskState]int)
+	var counts [numStates]int
 	for si := range s.tasks {
 		sh := &s.tasks[si]
 		sh.mu.RLock()
-		for st, n := range sh.counts {
-			if n != 0 {
-				out[st] += n
-			}
+		for c, n := range sh.counts {
+			counts[c] += n
 		}
 		sh.mu.RUnlock()
+	}
+	out := make(map[protocol.TaskState]int)
+	for c, n := range counts {
+		if n != 0 {
+			out[stateNames[c]] = n
+		}
 	}
 	return out
 }
@@ -715,7 +710,7 @@ func (s *Store) CountTasks() int {
 	for si := range s.tasks {
 		sh := &s.tasks[si]
 		sh.mu.RLock()
-		n += len(sh.m)
+		n += len(sh.slots)
 		sh.mu.RUnlock()
 	}
 	return n
@@ -723,7 +718,8 @@ func (s *Store) CountTasks() int {
 
 // PurgeTasksBefore deletes terminal task records completed before cutoff,
 // implementing the service's bounded result retention ("results are stored
-// in the cloud for up to two weeks"). It returns the number purged.
+// in the cloud for up to two weeks"). It returns the number purged. A purged
+// row's slot and the strings no remaining row names are released.
 func (s *Store) PurgeTasksBefore(cutoff time.Time) int {
 	done, jerr := s.logMutation(Mutation{Op: OpPurgeBefore, Cutoff: cutoff})
 	if jerr != nil {
@@ -732,16 +728,15 @@ func (s *Store) PurgeTasksBefore(cutoff time.Time) int {
 	if done != nil {
 		defer done()
 	}
+	cut := nanos(cutoff)
 	purged := 0
 	for si := range s.tasks {
 		sh := &s.tasks[si]
 		sh.mu.Lock()
-		for id, rec := range sh.m {
-			if rec.State.Terminal() && !rec.Completed.IsZero() && rec.Completed.Before(cutoff) {
-				delete(sh.m, id)
-				sh.counts[rec.State]--
+		for k, slot := range sh.slots {
+			if r := sh.row(slot); r.completed != 0 && r.completed < cut && stateNames[r.state].Terminal() {
+				sh.drop(k, slot)
 				purged++
-				s.unindexTask(rec.Task.EndpointID, id)
 			}
 		}
 		sh.mu.Unlock()
@@ -757,30 +752,21 @@ func (s *Store) ObjectRefs() map[string]struct{} {
 	for si := range s.tasks {
 		sh := &s.tasks[si]
 		sh.mu.RLock()
-		for _, rec := range sh.m {
-			if rec.Task.PayloadRef != "" {
-				refs[rec.Task.PayloadRef] = struct{}{}
+		for _, slot := range sh.slots {
+			r := sh.row(slot)
+			if r.flags&(tailPayloadRef|tailResultRef) == 0 {
+				continue
 			}
-			if rec.ResultRef != "" {
-				refs[rec.ResultRef] = struct{}{}
+			f := r.fields()
+			for _, ref := range [...][]byte{f.payloadRef, f.resultRef} {
+				if len(ref) > 0 {
+					refs[string(ref)] = struct{}{}
+				}
 			}
 		}
 		sh.mu.RUnlock()
 	}
 	return refs
-}
-
-func (s *Store) unindexTask(ep, id protocol.UUID) {
-	ix := s.idxShard(ep)
-	ix.mu.Lock()
-	ids := ix.m[ep]
-	for i, tid := range ids {
-		if tid == id {
-			ix.m[ep] = append(ids[:i], ids[i+1:]...)
-			break
-		}
-	}
-	ix.mu.Unlock()
 }
 
 // --- durability ---
@@ -797,9 +783,10 @@ type snapshot struct {
 // Snapshot serializes the store to JSON. Each table (and task shard) is
 // read-locked in turn, so the image is per-table consistent; like any
 // periodic database dump it is a point-in-time approximation under
-// concurrent writes.
+// concurrent writes. Task rows are encoded shard by shard into the image:
+// only one shard's views exist at a time, never a copy of the table.
 func (s *Store) Snapshot() ([]byte, error) {
-	var snap snapshot
+	var snap snapshot // every table but the tasks
 	s.fnMu.RLock()
 	for _, f := range s.functions {
 		snap.Functions = append(snap.Functions, *f)
@@ -810,14 +797,6 @@ func (s *Store) Snapshot() ([]byte, error) {
 		snap.Endpoints = append(snap.Endpoints, *e)
 	}
 	s.epMu.RUnlock()
-	for si := range s.tasks {
-		sh := &s.tasks[si]
-		sh.mu.RLock()
-		for _, t := range sh.m {
-			snap.Tasks = append(snap.Tasks, *t)
-		}
-		sh.mu.RUnlock()
-	}
 	s.idem.mu.RLock()
 	for _, rec := range s.idem.m {
 		snap.Idempotency = append(snap.Idempotency, *rec)
@@ -828,7 +807,70 @@ func (s *Store) Snapshot() ([]byte, error) {
 		snap.RoutingGroups = append(snap.RoutingGroups, *rec)
 	}
 	s.groups.mu.RUnlock()
-	return json.Marshal(snap)
+	// The image's keys are written one table at a time, as json.Marshal
+	// would write snapshot's fields, so the task rows can stream in between.
+	var buf bytes.Buffer
+	var err error
+	table := func(key string, v any) {
+		if err != nil {
+			return
+		}
+		var b []byte
+		b, err = json.Marshal(v)
+		buf.WriteString(key)
+		buf.Write(b)
+	}
+	table(`{"functions":`, snap.Functions)
+	table(`,"endpoints":`, snap.Endpoints)
+	if err == nil {
+		buf.WriteString(`,"tasks":`)
+		err = s.appendTasksJSON(&buf)
+	}
+	if len(snap.Idempotency) > 0 {
+		table(`,"idempotency":`, snap.Idempotency)
+	}
+	if len(snap.RoutingGroups) > 0 {
+		table(`,"routing_groups":`, snap.RoutingGroups)
+	}
+	if err != nil {
+		return nil, err
+	}
+	buf.WriteByte('}')
+	return buf.Bytes(), nil
+}
+
+// appendTasksJSON writes the task table as a JSON array of TaskRecords
+// (null when empty, as json.Marshal writes a nil slice).
+func (s *Store) appendTasksJSON(buf *bytes.Buffer) error {
+	enc := json.NewEncoder(buf)
+	start := buf.Len()
+	var views []TaskRecord
+	for si := range s.tasks {
+		sh := &s.tasks[si]
+		sh.mu.RLock()
+		views = views[:0]
+		for k, slot := range sh.slots {
+			views = append(views, sh.record(protocol.UnpackUUID(k), sh.row(slot)))
+		}
+		sh.mu.RUnlock()
+		for i := range views {
+			if buf.Len() == start {
+				buf.WriteByte('[')
+			} else {
+				buf.WriteByte(',')
+			}
+			if err := enc.Encode(&views[i]); err != nil {
+				return err
+			}
+			buf.Truncate(buf.Len() - 1) // Encode's newline
+		}
+	}
+	if buf.Len() == start {
+		buf.WriteString("null")
+	} else {
+		buf.WriteByte(']')
+	}
+	return nil
 }
 
 // Restore replaces the store contents from a Snapshot image. Inline payloads
@@ -837,6 +879,15 @@ func (s *Store) Restore(data []byte) error {
 	var snap snapshot
 	if err := json.Unmarshal(data, &snap); err != nil {
 		return fmt.Errorf("statestore: restore: %w", err)
+	}
+	for i := range snap.Tasks {
+		t := &snap.Tasks[i]
+		if _, ok := t.Task.ID.Pack(); !ok {
+			return fmt.Errorf("statestore: restore: invalid task ID %q", t.Task.ID)
+		}
+		if stateCode(t.State) == 0 {
+			return fmt.Errorf("statestore: restore: task %s: unknown state %q", t.Task.ID, t.State)
+		}
 	}
 	s.fnMu.Lock()
 	s.functions = make(map[protocol.UUID]*FunctionRecord, len(snap.Functions))
@@ -855,25 +906,23 @@ func (s *Store) Restore(data []byte) error {
 	for si := range s.tasks {
 		sh := &s.tasks[si]
 		sh.mu.Lock()
-		sh.m = make(map[protocol.UUID]*TaskRecord)
-		sh.counts = make(map[protocol.TaskState]int)
+		sh.reset()
 		sh.mu.Unlock()
 	}
-	for si := range s.byEp {
-		ix := &s.byEp[si]
-		ix.mu.Lock()
-		ix.m = make(map[protocol.UUID][]protocol.UUID)
-		ix.mu.Unlock()
-	}
+	// The image lists rows in no order; sequence numbers follow creation
+	// times, so ListTasksByEndpoint stays in creation order.
+	slices.SortStableFunc(snap.Tasks, func(a, b TaskRecord) int { return a.Created.Compare(b.Created) })
+	var scratch []byte
 	for i := range snap.Tasks {
-		t := snap.Tasks[i]
-		t.Task.Payload = nil
-		sh := s.taskShard(t.Task.ID)
+		t := &snap.Tasks[i]
+		k, _ := t.Task.ID.Pack()
+		sh := &s.tasks[shardOf(k)]
 		sh.mu.Lock()
-		sh.m[t.Task.ID] = &t
-		sh.counts[t.State]++
+		if slot, ok := sh.slots[k]; ok {
+			sh.drop(k, slot) // a duplicate ID's later row wins, as a map assignment did
+		}
+		scratch = sh.put(k, t, s.seq.Add(1), scratch)
 		sh.mu.Unlock()
-		s.indexTask(t.Task.EndpointID, t.Task.ID)
 	}
 	s.idem.mu.Lock()
 	s.idem.m = make(map[string]*IdempotencyRecord, len(snap.Idempotency))

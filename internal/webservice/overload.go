@@ -91,20 +91,16 @@ func (s *Service) release(user string, n int) {
 // transition: the in-flight slot frees and the fairshare ledger is charged
 // with the task's node-time, which shrinks a heavy tenant's future refill
 // rate.
-func (s *Service) releaseTerminal(task protocol.Task, created time.Time) {
-	if s.cfg.Admission == nil || task.UserIdentity == "" {
+func (s *Service) releaseTerminal(c statestore.Completion) {
+	if s.cfg.Admission == nil || c.UserIdentity == "" {
 		return
 	}
-	s.cfg.Admission.Release(task.UserIdentity, 1)
+	s.cfg.Admission.Release(c.UserIdentity, 1)
 	elapsed := time.Duration(0)
-	if !created.IsZero() {
-		elapsed = time.Since(created)
+	if !c.Created.IsZero() {
+		elapsed = time.Since(c.Created)
 	}
-	nodes := task.Resources.NumNodes
-	if nodes < 1 {
-		nodes = 1
-	}
-	s.cfg.Admission.Charge(task.UserIdentity, nodes, elapsed)
+	s.cfg.Admission.Charge(c.UserIdentity, max(c.NumNodes, 1), elapsed)
 }
 
 // checkBacklog sheds a submission when the target endpoint's self-reported

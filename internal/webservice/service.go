@@ -576,28 +576,17 @@ func (s *Service) recordTerminal(results []protocol.Result, bodies [][]byte) []e
 	if len(results) == 0 {
 		return nil // nothing to journal
 	}
-	errs := s.cfg.Store.CompleteEncoded(results, bodies)
-	ids := make([]protocol.UUID, 0, len(results))
-	for i, res := range results {
-		if errs[i] == nil {
-			ids = append(ids, res.TaskID)
-		}
-	}
-	recs := s.cfg.Store.GetTaskRecords(ids)
+	done, errs := s.cfg.Store.CompleteEncoded(results, bodies)
 	var stream []groupResult
 	for i, res := range results {
 		if errs[i] != nil {
 			continue
 		}
-		rec, ok := recs[res.TaskID]
-		if !ok {
-			s.observeResult(res, time.Time{})
-			continue
-		}
-		s.observeResult(res, rec.Created)
-		s.releaseTerminal(rec.Task, rec.Created)
-		if rec.Task.GroupID != "" {
-			stream = append(stream, groupResult{group: rec.Task.GroupID, body: bodies[i], tc: res.Trace})
+		c := done[i]
+		s.observeResult(res, c.Created)
+		s.releaseTerminal(c)
+		if c.GroupID != "" {
+			stream = append(stream, groupResult{group: c.GroupID, body: bodies[i], tc: res.Trace})
 		}
 	}
 	s.streamGroupResults(stream)
@@ -1287,7 +1276,9 @@ func (s *Service) StartRetentionSweeper(retention, interval time.Duration) (stop
 			if n := s.cfg.Store.PurgeTasksBefore(cutoff); n > 0 {
 				s.Metrics.Counter("tasks_purged").Add(int64(n))
 			}
-			s.cfg.Objects.Sweep(s.cfg.Store.ObjectRefs(), cutoff)
+			if s.cfg.Objects.FileBacked() { // a memory store sweeps nothing
+				s.cfg.Objects.Sweep(s.cfg.Store.ObjectRefs(), cutoff)
+			}
 		}
 	}()
 	var once sync.Once

@@ -245,11 +245,10 @@ func TestBatchSpansMultipleEndpoints(t *testing.T) {
 		t.Errorf("results = %s, %s", stA.Result, stB.Result)
 	}
 	// Tasks landed on their own endpoints.
-	if got := f.store.ListTasksByEndpoint(epA); len(got) != 1 || got[0] != ids[0] {
-		t.Errorf("epA tasks = %v", got)
-	}
-	if got := f.store.ListTasksByEndpoint(epB); len(got) != 1 || got[0] != ids[1] {
-		t.Errorf("epB tasks = %v", got)
+	for i, ep := range []protocol.UUID{epA, epB} {
+		if rec, err := f.store.GetTask(ids[i]); err != nil || rec.Task.EndpointID != ep {
+			t.Errorf("task %d on endpoint %s, want %s (%v)", i, rec.Task.EndpointID, ep, err)
+		}
 	}
 }
 
