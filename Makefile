@@ -60,9 +60,11 @@ overload:
 obs-smoke:
 	$(GO) test -race -run TestObsSmoke -v ./internal/core/
 
-# Span creation/collection overhead (the per-task cost of tracing).
+# Span creation/collection overhead (the per-task cost of tracing), and what
+# carrying a trace context costs a result body and a delivery batch.
 trace-bench:
 	$(GO) test -bench=. -benchmem ./internal/trace/
+	$(GO) test -run '^$$' -bench=BenchmarkTraceContext -benchmem ./internal/protocol/
 
 # Regenerates every table/figure as testing.B measurements.
 bench:
@@ -128,6 +130,7 @@ fuzz-codec:
 	$(GO) test -fuzz FuzzBinaryDecode -fuzztime 10s ./internal/protocol/
 	$(GO) test -fuzz FuzzTaskBody -fuzztime 10s ./internal/protocol/
 	$(GO) test -fuzz FuzzResultBody -fuzztime 10s ./internal/protocol/
+	$(GO) test -fuzz FuzzTraceContext -fuzztime 10s ./internal/protocol/
 	$(GO) test -fuzz FuzzPythonSpec -fuzztime 10s ./internal/protocol/
 	$(GO) test -fuzz FuzzSubmitBody -fuzztime 10s ./internal/webservice/
 	$(GO) test -fuzz FuzzWALRecord -fuzztime 10s ./internal/durable/

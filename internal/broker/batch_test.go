@@ -165,13 +165,13 @@ func TestClientLoneAndBatchFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc := &trace.Context{TraceID: trace.NewTraceID(), SpanID: trace.NewSpanID()}
+	tc := trace.Context{TraceID: trace.NewTraceID(), SpanID: trace.NewSpanID()}
 	abc := [][]byte{[]byte("a"), []byte("b"), []byte("c")}
 	steps := []struct {
 		do   func() error
 		want string
 	}{
-		{func() error { return conn.PublishBatch("q", abc[:1], []*trace.Context{tc}) }, protocol.EnvPublishBatch},
+		{func() error { return conn.PublishBatch("q", abc[:1], []trace.Context{tc}) }, protocol.EnvPublishBatch},
 		{func() error { return conn.PublishBatch("q", abc, nil) }, protocol.EnvPublishBatch},
 		{func() error { return sub.Ack(7) }, protocol.EnvAckBatch},
 		{func() error { return sub.Ack(8, 9, 10) }, protocol.EnvAckBatch},
@@ -230,7 +230,7 @@ func TestClientLoneAndBatchFrames(t *testing.T) {
 	if reply.first != 0xBF || reply.env.Type != protocol.EnvOK || reply.env.ID != "1" {
 		t.Fatalf("consume reply = %#x %s id %q, want 0xBF ok id 1", reply.first, reply.env.Type, reply.env.ID)
 	}
-	if err := b.PublishBatch("q", [][]byte{[]byte("solo")}, []*trace.Context{tc}); err != nil {
+	if err := b.PublishBatch("q", [][]byte{[]byte("solo")}, []trace.Context{tc}); err != nil {
 		t.Fatal(err)
 	}
 	d, err := readRawFrame(raw)
@@ -244,7 +244,7 @@ func TestClientLoneAndBatchFrames(t *testing.T) {
 	if d.first != 0xBF || d.env.Type != protocol.EnvDeliveryBatch || len(batch.Items) != 1 {
 		t.Fatalf("lone delivery = %#x %s with %d items, want 0xBF delivery_batch of one", d.first, d.env.Type, len(batch.Items))
 	}
-	if it := batch.Items[0]; string(it.Body) != "solo" || it.Trace == nil || it.Trace.TraceID != tc.TraceID {
+	if it := batch.Items[0]; string(it.Body) != "solo" || !it.Trace.Valid() || it.Trace.TraceID != tc.TraceID {
 		t.Fatalf("delivered item = %q trace %+v, want solo with trace %s", it.Body, it.Trace, tc.TraceID)
 	}
 }
@@ -341,7 +341,7 @@ type replyLossConn struct {
 	armed *atomic.Bool
 }
 
-func (c replyLossConn) PublishBatch(queue string, bodies [][]byte, traces []*trace.Context) error {
+func (c replyLossConn) PublishBatch(queue string, bodies [][]byte, traces []trace.Context) error {
 	err := c.Conn.PublishBatch(queue, bodies, traces)
 	if err == nil && c.armed.CompareAndSwap(true, false) {
 		return ErrClosed

@@ -50,9 +50,9 @@ type Message struct {
 	Body        []byte
 	Redelivered bool
 	// Trace is the delivery's trace context: the broker-transit span when
-	// the broker traces, otherwise the publisher's context, otherwise nil.
+	// the broker traces, otherwise the publisher's context, otherwise zero.
 	// Consumers continue the task's trace by parenting on it.
-	Trace *trace.Context
+	Trace trace.Context
 }
 
 // queueShards splits the broker's queue map so that lookups and declares on
@@ -178,14 +178,14 @@ func (b *Broker) Publish(name string, body []byte) error {
 // traced) or parallel to bodies: each context rides with its message to the
 // consumer, and queue transit is recorded as a child "broker.deliver" span
 // when the broker has a Tracer. Messages publish at batch (normal) priority.
-func (b *Broker) PublishBatch(name string, bodies [][]byte, traces []*trace.Context) error {
+func (b *Broker) PublishBatch(name string, bodies [][]byte, traces []trace.Context) error {
 	return b.publishPriority(name, bodies, traces, false)
 }
 
 // PublishBatchInteractive publishes at interactive priority: the messages
 // dispatch ahead of batch-priority traffic and, on a depth-limited queue,
 // may fill past the batch shed watermark up to the hard limit.
-func (b *Broker) PublishBatchInteractive(name string, bodies [][]byte, traces []*trace.Context) error {
+func (b *Broker) PublishBatchInteractive(name string, bodies [][]byte, traces []trace.Context) error {
 	return b.publishPriority(name, bodies, traces, true)
 }
 
@@ -195,7 +195,7 @@ func (b *Broker) PublishBatchInteractive(name string, bodies [][]byte, traces []
 // accepted). The check and the enqueue are separate lock acquisitions, so
 // concurrent publishers can overshoot the limit by at most the in-flight
 // batch sizes — watermark shedding is a pressure valve, not an exact cap.
-func (b *Broker) publishPriority(name string, bodies [][]byte, traces []*trace.Context, interactive bool) error {
+func (b *Broker) publishPriority(name string, bodies [][]byte, traces []trace.Context, interactive bool) error {
 	if len(bodies) == 0 {
 		return nil
 	}
@@ -354,7 +354,7 @@ type entry struct {
 	id uint64
 	// tc is the publisher's trace context; it survives requeues so a
 	// redelivered message keeps its original trace ID.
-	tc *trace.Context
+	tc trace.Context
 	// enqueued stamps when the entry (re)entered the ready list, bounding
 	// the broker-transit span.
 	enqueued time.Time
@@ -403,7 +403,7 @@ func (q *queue) admit(n int, interactive bool) error {
 
 // publishBatch appends all bodies and dispatches once: N messages cost one
 // mutex round trip and one dispatch pass instead of N.
-func (q *queue) publishBatch(ids []uint64, bodies [][]byte, traces []*trace.Context, interactive bool) error {
+func (q *queue) publishBatch(ids []uint64, bodies [][]byte, traces []trace.Context, interactive bool) error {
 	now := time.Now()
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -415,7 +415,7 @@ func (q *queue) publishBatch(ids []uint64, bodies [][]byte, traces []*trace.Cont
 		dst = q.readyHigh
 	}
 	for i, body := range bodies {
-		var tc *trace.Context
+		var tc trace.Context
 		if i < len(traces) {
 			tc = traces[i]
 		}
@@ -587,7 +587,7 @@ func (q *queue) reject(b *Broker, c *Consumer, tag uint64) error {
 	if err := b.Declare(dlq); err != nil {
 		return err
 	}
-	return b.PublishBatch(dlq, [][]byte{e.body}, []*trace.Context{e.tc})
+	return b.PublishBatch(dlq, [][]byte{e.body}, []trace.Context{e.tc})
 }
 
 // nack returns a message to the front of the queue for redelivery. The

@@ -170,7 +170,7 @@ func (c *Client) Declare(queue string) error {
 // waits for the broker's single confirmation; no bodies send nothing.
 // traces may be nil or parallel to bodies; the server propagates each
 // context to its delivery.
-func (c *Client) PublishBatch(queue string, bodies [][]byte, traces []*trace.Context) error {
+func (c *Client) PublishBatch(queue string, bodies [][]byte, traces []trace.Context) error {
 	if len(bodies) == 0 {
 		return nil
 	}

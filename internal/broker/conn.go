@@ -15,7 +15,7 @@ type Conn interface {
 	// PublishBatch appends bodies to queue in one round trip; the batch lands
 	// or fails as a unit. traces is nil or parallel to bodies: each context
 	// rides with its message so consumers can continue the publisher's trace.
-	PublishBatch(queue string, bodies [][]byte, traces []*trace.Context) error
+	PublishBatch(queue string, bodies [][]byte, traces []trace.Context) error
 	Subscribe(queue string, prefetch int) (Subscription, error)
 	// Delete removes a queue, dropping pending messages (used to clean up
 	// per-executor group queues and deregistered endpoints).
@@ -38,7 +38,7 @@ type Subscription interface {
 
 // PublishBatchOn and AckBatchOn are the function spellings of
 // Conn.PublishBatch and Subscription.Ack that benchmark/ calls.
-func PublishBatchOn(c Conn, queue string, bodies [][]byte, traces []*trace.Context) error {
+func PublishBatchOn(c Conn, queue string, bodies [][]byte, traces []trace.Context) error {
 	return c.PublishBatch(queue, bodies, traces)
 }
 
@@ -53,7 +53,7 @@ func LocalConn(b *Broker) Conn { return localConn{b} }
 func (l localConn) Declare(queue string) error { return l.b.Declare(queue) }
 func (l localConn) Delete(queue string) error  { return l.b.Delete(queue) }
 
-func (l localConn) PublishBatch(queue string, bodies [][]byte, traces []*trace.Context) error {
+func (l localConn) PublishBatch(queue string, bodies [][]byte, traces []trace.Context) error {
 	return l.b.PublishBatch(queue, bodies, traces)
 }
 
@@ -83,7 +83,7 @@ func (cc clientConn) Delete(queue string) error  { return cc.c.DeleteQueue(queue
 // stale connections through this).
 func (cc clientConn) Close() error { return cc.c.Close() }
 
-func (cc clientConn) PublishBatch(queue string, bodies [][]byte, traces []*trace.Context) error {
+func (cc clientConn) PublishBatch(queue string, bodies [][]byte, traces []trace.Context) error {
 	return cc.c.PublishBatch(queue, bodies, traces)
 }
 

@@ -254,7 +254,7 @@ func (r *ReconnectingConn) Declare(queue string) error {
 // is retried as a unit. It is at-least-once: a retry after a connection lost
 // mid-reply may duplicate messages that already landed, which consumers must
 // tolerate anyway.
-func (r *ReconnectingConn) PublishBatch(queue string, bodies [][]byte, traces []*trace.Context) error {
+func (r *ReconnectingConn) PublishBatch(queue string, bodies [][]byte, traces []trace.Context) error {
 	return r.op("publish", func(c Conn) error { return c.PublishBatch(queue, bodies, traces) })
 }
 

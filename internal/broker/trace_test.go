@@ -50,8 +50,8 @@ func TestDeliveryCarriesTraceContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pub := &trace.Context{TraceID: trace.NewTraceID(), SpanID: trace.NewSpanID()}
-	if err := b.PublishBatch("tasks.ep", [][]byte{[]byte("x")}, []*trace.Context{pub}); err != nil {
+	pub := trace.Context{TraceID: trace.NewTraceID(), SpanID: trace.NewSpanID()}
+	if err := b.PublishBatch("tasks.ep", [][]byte{[]byte("x")}, []trace.Context{pub}); err != nil {
 		t.Fatal(err)
 	}
 	m := recvWithin(t, c.Messages(), 2*time.Second)
@@ -84,8 +84,8 @@ func TestNackPreservesTraceAndRecordsRequeue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pub := &trace.Context{TraceID: trace.NewTraceID(), SpanID: trace.NewSpanID()}
-	if err := b.PublishBatch("q", [][]byte{[]byte("poisonish")}, []*trace.Context{pub}); err != nil {
+	pub := trace.Context{TraceID: trace.NewTraceID(), SpanID: trace.NewSpanID()}
+	if err := b.PublishBatch("q", [][]byte{[]byte("poisonish")}, []trace.Context{pub}); err != nil {
 		t.Fatal(err)
 	}
 	first := recvWithin(t, c.Messages(), 2*time.Second)
@@ -142,8 +142,8 @@ func TestDisconnectRequeuePreservesTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pub := &trace.Context{TraceID: trace.NewTraceID(), SpanID: trace.NewSpanID()}
-	if err := b.PublishBatch("tasks.ep", [][]byte{[]byte("task")}, []*trace.Context{pub}); err != nil {
+	pub := trace.Context{TraceID: trace.NewTraceID(), SpanID: trace.NewSpanID()}
+	if err := b.PublishBatch("tasks.ep", [][]byte{[]byte("task")}, []trace.Context{pub}); err != nil {
 		t.Fatal(err)
 	}
 	m1 := recvWithin(t, rc1.Messages(), 2*time.Second)
@@ -198,8 +198,8 @@ func TestRejectPreservesTraceInDLQ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pub := &trace.Context{TraceID: trace.NewTraceID(), SpanID: trace.NewSpanID()}
-	if err := b.PublishBatch("q", [][]byte{[]byte("poison")}, []*trace.Context{pub}); err != nil {
+	pub := trace.Context{TraceID: trace.NewTraceID(), SpanID: trace.NewSpanID()}
+	if err := b.PublishBatch("q", [][]byte{[]byte("poison")}, []trace.Context{pub}); err != nil {
 		t.Fatal(err)
 	}
 	m := recvWithin(t, c.Messages(), 2*time.Second)

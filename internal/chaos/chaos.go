@@ -136,7 +136,7 @@ func (c *faultyConn) Delete(queue string) error  { return c.inner.Delete(queue) 
 
 // PublishBatch draws its faults once per call: a batch is delayed, fails or
 // lands as a unit, as on a real connection.
-func (c *faultyConn) PublishBatch(queue string, bodies [][]byte, traces []*trace.Context) error {
+func (c *faultyConn) PublishBatch(queue string, bodies [][]byte, traces []trace.Context) error {
 	if c.inj.Decide("conn.publish_delay", c.f.PublishDelayRate) {
 		time.Sleep(c.f.PublishDelay)
 	}

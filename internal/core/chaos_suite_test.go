@@ -372,7 +372,7 @@ type countingConn struct {
 	batchPublishes, batchAcks atomic.Int64
 }
 
-func (c *countingConn) PublishBatch(queue string, bodies [][]byte, traces []*trace.Context) error {
+func (c *countingConn) PublishBatch(queue string, bodies [][]byte, traces []trace.Context) error {
 	if len(bodies) > 1 {
 		c.batchPublishes.Add(1)
 	}

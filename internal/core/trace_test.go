@@ -2,6 +2,10 @@ package core_test
 
 import (
 	"context"
+	"fmt"
+	"regexp"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -108,7 +112,7 @@ func TestEndToEndTrace(t *testing.T) {
 			t.Errorf("span %s never ended", sp.Name)
 		}
 		byID[sp.SpanID] = sp
-		if sp.Parent == "" {
+		if sp.Parent.IsZero() {
 			roots++
 			if sp.Name != "sdk.submit" {
 				t.Errorf("root span is %q, want sdk.submit", sp.Name)
@@ -119,7 +123,7 @@ func TestEndToEndTrace(t *testing.T) {
 		t.Errorf("%d root spans, want 1", roots)
 	}
 	for _, sp := range spans {
-		if sp.Parent == "" {
+		if sp.Parent.IsZero() {
 			continue
 		}
 		if _, ok := byID[sp.Parent]; !ok {
@@ -142,4 +146,64 @@ func TestEndToEndTrace(t *testing.T) {
 	if sum.Unattributed < 0 || sum.Unattributed > sum.Duration {
 		t.Errorf("unattributed %v out of [0, %v]", sum.Unattributed, sum.Duration)
 	}
+
+	// The whole span set: every span's process, name, parent, attributes
+	// and status, with the task's, the endpoint's and other IDs written as
+	// $task, $ep and $uuid. The SDK resolves a future under the group
+	// stream's delivery, or under result.process when the result raced
+	// ahead of the submit response (the orphan path); both are the shape.
+	wantShape := []string{
+		`broker/broker.deliver <- engine/engine.execute [queue=results.$ep] status=""`,
+		`broker/broker.deliver <- webservice/result.process [queue=results.group.$uuid] status=""`,
+		`broker/broker.deliver <- webservice/submit [queue=tasks.$ep] status=""`,
+		`endpoint/endpoint.dispatch <- broker/broker.deliver [endpoint=$ep] status=""`,
+		`engine/engine.execute <- endpoint/endpoint.dispatch [block=local-1 worker=mgr-1-w$n] status=""`,
+		`engine/engine.queue <- endpoint/endpoint.dispatch [] status=""`,
+		`sdk/sdk.resolve <- $resolveParent [task=$task] status=""`,
+		`sdk/sdk.submit <- - [endpoint=$ep] status=""`,
+		`webservice/result.process <- broker/broker.deliver [task=$task] status=""`,
+		`webservice/submit <- sdk/sdk.submit [endpoint=$ep] status=""`,
+	}
+	for deadline := time.Now().Add(5 * time.Second); len(spans) < len(wantShape) && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+		spans = s.tb.Traces.Trace(id)
+	}
+	got := traceShape(spans, string(res.TaskID), string(epID))
+	if strings.Join(got, "\n") != strings.Join(wantShape, "\n") {
+		t.Errorf("span set\n got %s\nwant %s", strings.Join(got, "\n     "), strings.Join(wantShape, "\n     "))
+	}
+}
+
+var (
+	shapeUUID   = regexp.MustCompile(`[0-9a-f]{8}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{12}`)
+	shapeWorker = regexp.MustCompile(`worker=mgr-1-w[0-9]+`)
+)
+
+// traceShape renders one line per span — process/name, its parent's
+// process/name, sorted attributes, status — sorted, IDs replaced by names.
+func traceShape(spans []trace.Span, task, ep string) []string {
+	byID := make(map[trace.SpanID]trace.Span, len(spans))
+	for _, sp := range spans {
+		byID[sp.SpanID] = sp
+	}
+	var lines []string
+	for _, sp := range spans {
+		parent := "-"
+		if p, ok := byID[sp.Parent]; ok {
+			parent = p.Process + "/" + p.Name
+		}
+		if sp.Name == "sdk.resolve" && (parent == "webservice/result.process" || parent == "broker/broker.deliver") {
+			parent = "$resolveParent"
+		}
+		var attrs []string
+		for k, v := range sp.Attrs {
+			v = strings.ReplaceAll(strings.ReplaceAll(v, task, "$task"), ep, "$ep")
+			attrs = append(attrs, k+"="+shapeUUID.ReplaceAllString(v, "$$uuid"))
+		}
+		sort.Strings(attrs)
+		line := fmt.Sprintf("%s/%s <- %s [%s] status=%q", sp.Process, sp.Name, parent, strings.Join(attrs, " "), sp.Status)
+		lines = append(lines, shapeWorker.ReplaceAllString(line, "worker=mgr-1-w$$n"))
+	}
+	sort.Strings(lines)
+	return lines
 }

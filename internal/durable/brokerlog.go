@@ -221,7 +221,7 @@ func OpenBroker(opts BrokerOptions) (*BrokerLog, error) {
 
 	dur := time.Since(start)
 	opts.Metrics.Histogram("broker_wal_replay").Observe(dur)
-	opts.Tracer.Record(nil, "durable.broker_replay", start, time.Now(),
+	opts.Tracer.Record(trace.Context{}, "durable.broker_replay", start, time.Now(),
 		"records", fmt.Sprint(n),
 		"queues", fmt.Sprint(queues),
 		"messages", fmt.Sprint(messages))

@@ -143,7 +143,7 @@ func OpenStore(opts StoreOptions) (*Store, error) {
 	dur := time.Since(start)
 	d.replayHis.Observe(dur)
 	d.replayed.Add(int64(applied))
-	opts.Tracer.Record(nil, "durable.replay", start, time.Now(),
+	opts.Tracer.Record(trace.Context{}, "durable.replay", start, time.Now(),
 		"snapshot_lsn", fmt.Sprint(snapLSN),
 		"records", fmt.Sprint(n),
 		"applied", fmt.Sprint(applied),

@@ -421,7 +421,7 @@ func (a *Agent) processDeliveries(batch []broker.Message) {
 	// submit individually (rare, and the MPI engine runs its own dispatch).
 	tags := make([]uint64, 0, n)
 	engTasks := make([]protocol.Task, 0, n)
-	engSpans := make([]*trace.ActiveSpan, 0, n)
+	engSpans := make([]trace.ActiveSpan, 0, n)
 	received := 0
 	for i := range batch {
 		task, err := protocol.DecodeTask(batch[i].Body)
@@ -443,7 +443,7 @@ func (a *Agent) processDeliveries(batch []broker.Message) {
 		}
 		sp := a.cfg.Tracer.StartSpan(parent, "endpoint.dispatch")
 		sp.SetAttr("endpoint", string(a.cfg.EndpointID))
-		if next := sp.Context(); next != nil {
+		if next := sp.Context(); next.Valid() {
 			task.Trace = next
 		}
 		tags = append(tags, batch[i].Tag)
@@ -476,8 +476,8 @@ func (a *Agent) processDeliveries(batch []broker.Message) {
 
 	if len(engTasks) > 0 {
 		errs := a.cfg.Engine.SubmitBatch(engTasks)
-		for i, sp := range engSpans {
-			sp.End()
+		for i := range engSpans {
+			engSpans[i].End()
 			if errs == nil || errs[i] == nil {
 				continue
 			}
@@ -587,7 +587,7 @@ func (a *Agent) publishResults(batch []protocol.Result) {
 	defer a.egressBacklog.Add(-int64(len(batch)))
 	queue := protocol.ResultQueue(a.cfg.EndpointID)
 	bodies := make([][]byte, 0, len(batch))
-	traces := make([]*trace.Context, 0, len(batch))
+	traces := make([]trace.Context, 0, len(batch))
 	for i := range batch {
 		batch[i].EndpointID = a.cfg.EndpointID
 		// Egress-side spill: ship oversized outputs to the object store and

@@ -100,7 +100,7 @@ func (c *fakeConn) inFlight() int {
 	return c.waiting
 }
 
-func (c *fakeConn) PublishBatch(queue string, bodies [][]byte, traces []*trace.Context) error {
+func (c *fakeConn) PublishBatch(queue string, bodies [][]byte, traces []trace.Context) error {
 	c.gate()
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -164,7 +164,7 @@ type Engine struct {
 
 	// qspans holds the open engine.queue span per traced pending task
 	// (guarded by mu); ended at dispatch, or with status "dropped" at Stop.
-	qspans map[protocol.UUID]*trace.ActiveSpan
+	qspans map[protocol.UUID]trace.ActiveSpan
 
 	results chan protocol.Result
 	wake    chan struct{}
@@ -185,7 +185,7 @@ func New(cfg Config) (*Engine, error) {
 		cfg:      cfg,
 		managers: make(map[string]*manager),
 		blocks:   make(map[string]string),
-		qspans:   make(map[protocol.UUID]*trace.ActiveSpan),
+		qspans:   make(map[protocol.UUID]trace.ActiveSpan),
 		results:  make(chan protocol.Result, resultBuffer),
 		wake:     make(chan struct{}, 1),
 		done:     make(chan struct{}),
@@ -278,9 +278,7 @@ func (e *Engine) startQueueSpanLocked(task *protocol.Task) {
 	if e.cfg.Tracer == nil || !task.Trace.Valid() {
 		return
 	}
-	if sp := e.cfg.Tracer.StartSpan(task.Trace, "engine.queue"); sp != nil {
-		e.qspans[task.ID] = sp
-	}
+	e.qspans[task.ID] = e.cfg.Tracer.StartSpan(task.Trace, "engine.queue")
 }
 
 // endQueueSpanLocked closes the task's engine.queue span (caller holds e.mu).
@@ -557,9 +555,9 @@ func (e *Engine) workerLoop(ctx context.Context, m *manager, w WorkerInfo) {
 		} else {
 			sp.End()
 		}
-		if next := sp.Context(); next != nil {
+		if next := sp.Context(); next.Valid() {
 			res.Trace = next
-		} else if res.Trace == nil {
+		} else if !res.Trace.Valid() {
 			res.Trace = t.Trace
 		}
 		e.results <- res

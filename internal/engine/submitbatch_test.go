@@ -134,7 +134,7 @@ func TestBareRunnerResultGetsIdentity(t *testing.T) {
 	defer eng.Stop()
 
 	task := newTask("identity")
-	root := tracer.StartSpan(nil, "test.root")
+	root := tracer.StartSpan(trace.Context{}, "test.root")
 	task.Trace = root.Context()
 	if err := eng.Submit(task); err != nil {
 		t.Fatal(err)

@@ -147,7 +147,7 @@ func (e *Engine) serveManagerConn(conn net.Conn) {
 			if inflight && t.Trace.Valid() && !res.Started.IsZero() {
 				res.Trace = e.cfg.Tracer.Record(t.Trace, "engine.execute",
 					res.Started, res.Completed, "worker", res.WorkerID, "block", m.blockID)
-			} else if res.Trace == nil && inflight {
+			} else if !res.Trace.Valid() && inflight {
 				res.Trace = t.Trace
 			}
 			e.results <- res

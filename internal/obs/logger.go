@@ -153,12 +153,12 @@ func (l *Logger) WithTask(id string) *Logger {
 }
 
 // WithTrace attaches the trace correlation field from a propagated context;
-// invalid or nil contexts attach nothing, so callers need no guards.
-func (l *Logger) WithTrace(tc *trace.Context) *Logger {
+// an invalid context attaches nothing, so callers need no guards.
+func (l *Logger) WithTrace(tc trace.Context) *Logger {
 	if !tc.Valid() {
 		return l
 	}
-	return l.With(KeyTrace, string(tc.TraceID))
+	return l.With(KeyTrace, tc.TraceID.String())
 }
 
 // Debug logs at debug level.

@@ -16,11 +16,11 @@ func testPipeline(cap int) *Pipeline {
 
 func TestLoggerCorrelationFields(t *testing.T) {
 	p := testPipeline(16)
-	tc := &trace.Context{TraceID: trace.NewTraceID()}
+	tc := trace.Context{TraceID: trace.NewTraceID()}
 	lg := p.Component("webservice").WithEndpoint("ep-1").WithTask("task-9").WithTrace(tc)
 	lg.Info("result stored", "attempt", 2)
 
-	recs := p.Buffer().ByTrace(string(tc.TraceID))
+	recs := p.Buffer().ByTrace(tc.TraceID.String())
 	if len(recs) != 1 {
 		t.Fatalf("ByTrace = %d records, want 1", len(recs))
 	}
@@ -37,7 +37,7 @@ func TestLoggerCorrelationFields(t *testing.T) {
 
 	// Invalid trace contexts attach nothing, and a nil logger is usable.
 	var nilLogger *Logger
-	nilLogger.WithTrace(nil).Debug("no trace")
+	nilLogger.WithTrace(trace.Context{}).Debug("no trace")
 	if got := p.Buffer().Search(Query{TraceID: ""}); len(got) == 0 {
 		t.Fatal("buffer lost records")
 	}

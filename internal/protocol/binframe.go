@@ -3,8 +3,8 @@ package protocol
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
-	"strings"
 
 	"globuscompute/internal/trace"
 )
@@ -198,65 +198,33 @@ func (w *binWriter) bool01(v bool) {
 	}
 }
 
-// isLowerHex reports whether s is nonempty, even-length, strictly lowercase
-// hex — the only strings whose hex round trip is byte-identical.
-func isLowerHex(s string) bool {
-	if len(s) == 0 || len(s)%2 != 0 {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
-
 // Trace-context flag bits.
 const (
-	tcFlagTraceRaw = 1 << 0 // trace ID hex-packed to raw bytes
+	tcFlagTraceRaw = 1 << 0 // trace ID as raw bytes, not hex text
 	tcFlagSpan     = 1 << 1 // span ID present
-	tcFlagSpanRaw  = 1 << 2 // span ID hex-packed
+	tcFlagSpanRaw  = 1 << 2 // span ID as raw bytes
 )
 
-// traceCtx writes a trace context. Well-formed IDs (lowercase hex) pack to
-// half size as raw bytes; anything else falls back to the verbatim string so
-// decode always reproduces the input exactly.
-func (w *binWriter) traceCtx(tc *trace.Context) {
-	var flags byte
-	tid, sid := string(tc.TraceID), string(tc.SpanID)
-	if isLowerHex(tid) {
-		flags |= tcFlagTraceRaw
-	}
-	if sid != "" {
-		flags |= tcFlagSpan
-		if isLowerHex(sid) {
-			flags |= tcFlagSpanRaw
-		}
-	}
-	w.u8(flags)
-	if flags&tcFlagTraceRaw != 0 {
-		w.hexRaw(tid)
-	} else {
-		w.str(tid)
-	}
-	if flags&tcFlagSpan == 0 {
+// Sizes of the packed trace context this tree writes: flags, then each ID
+// length-prefixed. A packed context with a span is tcPackedSize bytes, its
+// trace ID at offset tcTraceAt and its span ID at tcSpanAt.
+const (
+	tcTraceAt    = 2
+	tcSpanAt     = tcTraceAt + len(trace.TraceID{}) + 1
+	tcPackedSize = tcSpanAt + len(trace.SpanID{})
+)
+
+// traceCtx writes a valid trace context as raw IDs: flags, uvarint(16) and
+// the trace ID, then uvarint(8) and the span ID when there is one.
+func (w *binWriter) traceCtx(tc trace.Context) {
+	if tc.SpanID.IsZero() {
+		w.u8(tcFlagTraceRaw)
+		w.chunk(tc.TraceID[:])
 		return
 	}
-	if flags&tcFlagSpanRaw != 0 {
-		w.hexRaw(sid)
-	} else {
-		w.str(sid)
-	}
-}
-
-// hexRaw writes the bytes a lowercase hex string spells, length-prefixed.
-func (w *binWriter) hexRaw(s string) {
-	w.uvarint(uint64(len(s) / 2))
-	for i := 0; i < len(s); i += 2 {
-		w.buf.WriteByte(hexValue[s[i]]<<4 | hexValue[s[i+1]])
-	}
+	w.u8(tcFlagTraceRaw | tcFlagSpan | tcFlagSpanRaw)
+	w.chunk(tc.TraceID[:])
+	w.chunk(tc.SpanID[:])
 }
 
 // queue writes a queue name, compressing "<known-prefix><uuid>" to prefix
@@ -428,7 +396,7 @@ func encodeBinBody(w *binWriter, v any) error {
 		} else {
 			w.uvarint(uint64(len(b.Traces)) + 1)
 			for _, tc := range b.Traces {
-				if tc == nil {
+				if !tc.Valid() {
 					w.u8(0)
 					continue
 				}
@@ -450,11 +418,11 @@ func encodeBinBody(w *binWriter, v any) error {
 				if it.Redelivered {
 					f |= 1
 				}
-				if it.Trace != nil {
+				if it.Trace.Valid() {
 					f |= 2
 				}
 				w.u8(f)
-				if it.Trace != nil {
+				if it.Trace.Valid() {
 					w.traceCtx(it.Trace)
 				}
 			}
@@ -595,48 +563,49 @@ func (r *binReader) bool01() (bool, error) {
 	return b != 0, nil
 }
 
-func (r *binReader) traceCtx() (*trace.Context, error) {
-	var sb strings.Builder
-	tid, sid, err := r.traceInto(&sb)
-	if err != nil {
-		return nil, err
-	}
-	s := sb.String()
-	return &trace.Context{TraceID: trace.TraceID(tid.in(s)), SpanID: trace.SpanID(sid.in(s))}, nil
-}
-
-// traceInto reads what binWriter.traceCtx writes, appending the trace and
-// span IDs to sb and returning their spans there.
-func (r *binReader) traceInto(sb *strings.Builder) (tid, sid span, err error) {
+// traceCtx reads a trace context: this tree's packed form (packed reports
+// it, exactly as traceCtx writes it with a span), or the form older writers
+// used for IDs that were not lower-case hex, the ID text verbatim. An ID
+// that is not 16 (trace) or 8 (span) bytes, packed or as hex text, or a zero
+// trace ID leaves the zero Context: a malformed context is no context, not a
+// bad frame.
+func (r *binReader) traceCtx() (tc trace.Context, packed bool, err error) {
 	flags, err := r.u8()
 	if err != nil {
-		return tid, sid, err
+		return tc, false, err
 	}
-	if tid, err = r.idInto(sb, flags&tcFlagTraceRaw != 0); err != nil || flags&tcFlagSpan == 0 {
-		return tid, sid, err
+	tid, err := r.chunk()
+	if err != nil {
+		return tc, false, err
 	}
-	sid, err = r.idInto(sb, flags&tcFlagSpanRaw != 0)
-	return tid, sid, err
+	var sid []byte
+	if flags&tcFlagSpan != 0 {
+		if sid, err = r.chunk(); err != nil {
+			return tc, false, err
+		}
+	}
+	if !readID(tc.TraceID[:], tid, flags&tcFlagTraceRaw != 0) || !readID(tc.SpanID[:], sid, flags&tcFlagSpanRaw != 0) ||
+		!tc.Valid() {
+		return trace.Context{}, false, nil
+	}
+	packed = flags == tcFlagTraceRaw|tcFlagSpan|tcFlagSpanRaw && len(sid) == len(tc.SpanID)
+	return tc, packed, nil
 }
 
-// idInto reads one trace-context ID: hex-packed raw bytes, or a verbatim
-// string.
-func (r *binReader) idInto(sb *strings.Builder, packed bool) (span, error) {
-	b, err := r.chunk()
-	if err != nil {
-		return span{}, err
+// readID fills dst from one encoded ID, raw or hex text, reporting whether
+// it had dst's size. An absent (empty) ID leaves dst zero and is fine.
+func readID(dst, b []byte, raw bool) bool {
+	switch {
+	case len(b) == 0:
+		return true
+	case raw && len(b) == len(dst):
+		copy(dst, b)
+		return true
+	case !raw && len(b) == 2*len(dst):
+		_, err := hex.Decode(dst, b)
+		return err == nil
 	}
-	lo := sb.Len()
-	if !packed {
-		sb.Write(b)
-		return span{lo, sb.Len()}, nil
-	}
-	sb.Grow(2 * len(b))
-	for _, c := range b {
-		sb.WriteByte(hexDigits[c>>4])
-		sb.WriteByte(hexDigits[c&15])
-	}
-	return span{lo, sb.Len()}, nil
+	return false
 }
 
 func (r *binReader) queue() (string, error) {
@@ -767,7 +736,7 @@ func decodeBinBody(r *binReader, code byte) (any, error) {
 			return nil, err
 		}
 		if present {
-			b.Traces = make([]*trace.Context, n)
+			b.Traces = make([]trace.Context, n)
 			for i := range b.Traces {
 				has, err := r.bool01()
 				if err != nil {
@@ -776,7 +745,7 @@ func decodeBinBody(r *binReader, code byte) (any, error) {
 				if !has {
 					continue
 				}
-				if b.Traces[i], err = r.traceCtx(); err != nil {
+				if b.Traces[i], _, err = r.traceCtx(); err != nil {
 					return nil, err
 				}
 			}
@@ -808,7 +777,7 @@ func decodeBinBody(r *binReader, code byte) (any, error) {
 				}
 				it.Redelivered = f&1 != 0
 				if f&2 != 0 {
-					if it.Trace, err = r.traceCtx(); err != nil {
+					if it.Trace, _, err = r.traceCtx(); err != nil {
 						return nil, err
 					}
 				}

@@ -94,7 +94,7 @@ func EncodeTask(t *Task) []byte {
 	opt(taskRerouted, t.Rerouted != 0, binary.MaxVarintLen64)
 	opt(taskSubmitted, !t.Submitted.IsZero(), binary.MaxVarintLen64)
 	opt(taskAttempts, t.Attempts != 0, binary.MaxVarintLen64)
-	opt(taskTrace, t.Trace != nil, traceSize(t.Trace))
+	opt(taskTrace, t.Trace.Valid(), tcPackedSize)
 
 	var buf bytes.Buffer
 	buf.Grow(size)
@@ -158,7 +158,7 @@ func EncodeResult(r *Result) []byte {
 	opt(resultExecutionMS, math.Float64bits(r.ExecutionMS) != 0, 8)
 	opt(resultQueueDelay, r.QueueDelay != 0, binary.MaxVarintLen64)
 	opt(resultDeadLettered, r.DeadLettered, 0)
-	opt(resultTrace, r.Trace != nil, traceSize(r.Trace))
+	opt(resultTrace, r.Trace.Valid(), tcPackedSize)
 
 	var buf bytes.Buffer
 	buf.Grow(size)
@@ -216,11 +216,11 @@ func DecodeTask(b []byte) (Task, error) {
 	}
 	r := bodyReader{in: binReader{p: b}}
 	flags := r.header(taskBodyMagic, taskFlagsAll)
-	r.strs.Grow(arenaHint(3, flags&(taskGroupID|taskRoutingGroup|taskTrace)))
+	r.strs.Grow(arenaHint(3, flags&(taskGroupID|taskRoutingGroup)))
 	id, fn, ep := r.uuid(), r.uuid(), r.uuid()
 	kindCode, kind := r.code(len(kindCodes))
 	t.Payload = r.bytesNil()
-	var ref, user, group, routing, tid, sid span
+	var ref, user, group, routing span
 	if flags&taskPayloadRef != 0 {
 		ref = r.str()
 	}
@@ -246,7 +246,7 @@ func DecodeTask(b []byte) (Task, error) {
 		t.Attempts = int(r.uvarint())
 	}
 	if flags&taskTrace != 0 {
-		tid, sid = r.trace()
+		t.Trace, _ = r.trace()
 	}
 	if err := r.done("task"); err != nil {
 		return Task{}, err
@@ -259,9 +259,6 @@ func DecodeTask(b []byte) (Task, error) {
 	}
 	t.PayloadRef, t.UserIdentity = ref.in(s), user.in(s)
 	t.GroupID, t.RoutingGroup = UUID(group.in(s)), UUID(routing.in(s))
-	if flags&taskTrace != 0 {
-		t.Trace = &trace.Context{TraceID: trace.TraceID(tid.in(s)), SpanID: trace.SpanID(sid.in(s))}
-	}
 	return t, nil
 }
 
@@ -270,21 +267,29 @@ func DecodeTask(b []byte) (Task, error) {
 // written before result bodies were binary still hold them. Every error
 // wraps ErrBadFrame, and the decoded result shares no memory with b.
 func DecodeResult(b []byte) (Result, error) {
-	var res Result
+	res, _, err := DecodeResultAt(b)
+	return res, err
+}
+
+// DecodeResultAt is DecodeResult that also reports where the body's trace
+// context lies when it is in the packed form EncodeResult writes for a
+// context with a span: traceAt is its offset, for RetraceResult, and -1
+// when the body has no such context (none, a verbatim one, or JSON).
+func DecodeResultAt(b []byte) (res Result, traceAt int, err error) {
 	if len(b) > 0 && b[0] == '{' {
 		if err := json.Unmarshal(b, &res); err != nil {
-			return Result{}, fmt.Errorf("%w: json result body: %v", ErrBadFrame, err)
+			return Result{}, -1, fmt.Errorf("%w: json result body: %v", ErrBadFrame, err)
 		}
-		return res, nil
+		return res, -1, nil
 	}
 	r := bodyReader{in: binReader{p: b}}
 	flags := r.header(resultBodyMagic, resultFlagsAll)
-	r.strs.Grow(arenaHint(2, flags&(resultWorkerID|resultTrace)))
+	r.strs.Grow(arenaHint(2, flags&resultWorkerID))
 	id := r.uuid()
 	stateCode, state := r.code(len(stateCodes))
 	ep := r.uuid()
 	res.Output = r.bytesNil()
-	var ref, msg, worker, tid, sid span
+	var ref, msg, worker span
 	if flags&resultOutputRef != 0 {
 		ref = r.str()
 	}
@@ -309,11 +314,16 @@ func DecodeResult(b []byte) (Result, error) {
 		res.QueueDelay = time.Duration(r.varint())
 	}
 	res.DeadLettered = flags&resultDeadLettered != 0
+	traceAt = -1
 	if flags&resultTrace != 0 {
-		tid, sid = r.trace()
+		at := r.in.off
+		var packed bool
+		if res.Trace, packed = r.trace(); packed {
+			traceAt = at
+		}
 	}
 	if err := r.done("result"); err != nil {
-		return Result{}, err
+		return Result{}, -1, err
 	}
 	s := r.strs.String()
 	res.TaskID, res.EndpointID = UUID(id.in(s)), UUID(ep.in(s))
@@ -322,10 +332,23 @@ func DecodeResult(b []byte) (Result, error) {
 		res.State = TaskState(state.in(s))
 	}
 	res.OutputRef, res.Error, res.WorkerID = ref.in(s), msg.in(s), worker.in(s)
-	if flags&resultTrace != 0 {
-		res.Trace = &trace.Context{TraceID: trace.TraceID(tid.in(s)), SpanID: trace.SpanID(sid.in(s))}
+	return res, traceAt, nil
+}
+
+// RetraceResult returns a copy of body, a result body whose packed trace
+// context DecodeResultAt found at traceAt, re-pointed at tc: the bytes
+// EncodeResult writes for the decoded result with its Trace set to tc,
+// without encoding it again. ok is false when the copy cannot be patched
+// (no packed context, or tc without a span); then the caller encodes. body
+// itself is never written: a broker may deliver it again.
+func RetraceResult(body []byte, traceAt int, tc trace.Context) (out []byte, ok bool) {
+	if traceAt < 0 || traceAt+tcPackedSize != len(body) || tc.SpanID.IsZero() {
+		return nil, false
 	}
-	return res, nil
+	out = bytes.Clone(body)
+	copy(out[traceAt+tcTraceAt:], tc.TraceID[:])
+	copy(out[traceAt+tcSpanAt:], tc.SpanID[:])
+	return out, true
 }
 
 // --- encoding helpers ---
@@ -350,14 +373,6 @@ func codeSize(code byte, n int) int {
 	return 1 + uvarintLen(uint64(n)) + n
 }
 
-// traceSize bounds what binWriter.traceCtx writes for tc.
-func traceSize(tc *trace.Context) int {
-	if tc == nil {
-		return 0
-	}
-	return 1 + strSize(string(tc.TraceID)) + strSize(string(tc.SpanID))
-}
-
 func kindCode(k FunctionKind) byte {
 	for i, c := range kindCodes {
 		if i > 0 && c == k {
@@ -379,8 +394,9 @@ func stateCode(s TaskState) byte {
 // --- decoding helpers ---
 
 // arenaHint sizes a body's string arena: uuids canonical UUIDs (36 bytes
-// each) plus up to 48 bytes per flag in optional — a UUID, a trace
-// context's two hex IDs, a worker ID — and a little room for short names.
+// each) plus up to 48 bytes per flag in optional — a UUID or a worker ID;
+// a trace context decodes into the value, not the arena — and a little
+// room for short names.
 // A longer body grows the arena once more.
 func arenaHint(uuids int, optional uint64) int {
 	return 36*uuids + 48*bits.OnesCount64(optional) + 16
@@ -546,15 +562,14 @@ func (r *bodyReader) code(limit int) (byte, span) {
 	return c, span{}
 }
 
-// trace reads what binWriter.traceCtx writes into the arena.
-func (r *bodyReader) trace() (tid, sid span) {
+// trace reads a trace context (binReader.traceCtx).
+func (r *bodyReader) trace() (trace.Context, bool) {
 	if r.err != nil {
-		return
+		return trace.Context{}, false
 	}
-	var err error
-	tid, sid, err = r.in.traceInto(&r.strs)
+	tc, packed, err := r.in.traceCtx()
 	r.ok(err)
-	return
+	return tc, packed
 }
 
 func (r *bodyReader) done(what string) error {

@@ -47,9 +47,9 @@ func TestTaskBodyRoundTrip(t *testing.T) {
 	full := addTask()
 	full.PayloadRef, full.Resources = "obj-key", ResourceSpec{NumNodes: 2, RanksPerNode: 4, NumRanks: 8}
 	full.RoutingGroup, full.Rerouted, full.Attempts = NewUUID(), 1, 3
-	full.Trace = &trace.Context{TraceID: trace.NewTraceID(), SpanID: trace.NewSpanID()}
+	full.Trace = trace.Context{TraceID: trace.NewTraceID(), SpanID: trace.NewSpanID()}
 	odd := Task{ID: "not-a-uuid", FunctionID: UUID(NewUUID()[:35] + "G"), Kind: "wasm", Payload: []byte{},
-		Trace: &trace.Context{TraceID: "NOT-HEX", SpanID: "abc"}, Attempts: -1}
+		Trace: trace.Context{TraceID: trace.NewTraceID()}, Attempts: -1}
 	for name, task := range map[string]Task{"add": addTask(), "full": full, "odd": odd, "zero": {}} {
 		task.Submitted = sameInstant(task.Submitted)
 		got, err := DecodeTask(EncodeTask(&task))
@@ -65,7 +65,7 @@ func TestTaskBodyRoundTrip(t *testing.T) {
 func TestResultBodyRoundTrip(t *testing.T) {
 	full := addResult(addTask())
 	full.OutputRef, full.Error, full.DeadLettered = "obj-key", "boom", true
-	full.Trace = &trace.Context{TraceID: trace.NewTraceID()}
+	full.Trace = trace.Context{TraceID: trace.NewTraceID()}
 	odd := Result{TaskID: "x", State: "lost", Output: []byte{}, ExecutionMS: math.Copysign(0, -1), QueueDelay: -time.Second}
 	for name, res := range map[string]Result{"add": addResult(addTask()), "full": full, "odd": odd, "zero": {}} {
 		res.Started, res.Completed = sameInstant(res.Started), sameInstant(res.Completed)
@@ -129,15 +129,21 @@ func TestBodySizeGuard(t *testing.T) {
 	}
 }
 
-// TestBodyAllocs: an encode allocates once, and a decode at most half what
-// json.Unmarshal does for the same value, traced or not.
+// TestBodyAllocs: an encode allocates once, a decode at most half what
+// json.Unmarshal does for the same value, traced or not, and a traced
+// decode no more than an untraced one: the context decodes into the value.
 func TestBodyAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
 	traced := addTask()
-	traced.Trace = &trace.Context{TraceID: trace.NewTraceID(), SpanID: trace.NewSpanID()}
-	for name, task := range map[string]Task{"untraced": addTask(), "traced": traced} {
+	traced.Trace = trace.Context{TraceID: trace.NewTraceID(), SpanID: trace.NewSpanID()}
+	var untracedTask, untracedResult float64
+	for _, c := range []struct {
+		name string
+		task Task
+	}{{"untraced", addTask()}, {"traced", traced}} {
+		name, task := c.name, c.task
 		res := addResult(task)
 		res.Trace = task.Trace
 		tb, rb := EncodeTask(&task), EncodeResult(&res)
@@ -159,6 +165,12 @@ func TestBodyAllocs(t *testing.T) {
 		}
 		if 2*br > jr {
 			t.Errorf("%s: DecodeResult allocates %v times, more than half of json.Unmarshal's %v", name, br, jr)
+		}
+		if name == "untraced" {
+			untracedTask, untracedResult = bt, br
+		} else if bt > untracedTask || br > untracedResult {
+			t.Errorf("traced decodes allocate %v (task) and %v (result) times, untraced %v and %v",
+				bt, br, untracedTask, untracedResult)
 		}
 	}
 }
@@ -207,11 +219,18 @@ func validUTF8(ss ...string) bool {
 	return true
 }
 
-func fuzzTrace(has bool, traceID, spanID string) *trace.Context {
-	if !has {
-		return nil
+// fuzzTrace builds a context from the leading bytes of the fuzzed IDs; one
+// whose trace ID comes out zero is no context.
+func fuzzTrace(has bool, traceID, spanID string) trace.Context {
+	var tc trace.Context
+	if has {
+		copy(tc.TraceID[:], traceID)
+		copy(tc.SpanID[:], spanID)
 	}
-	return &trace.Context{TraceID: trace.TraceID(traceID), SpanID: trace.SpanID(spanID)}
+	if !tc.Valid() {
+		return trace.Context{}
+	}
+	return tc
 }
 
 func fuzzTime(ns int64) time.Time {
@@ -228,7 +247,7 @@ func fuzzTime(ns int64) time.Time {
 func FuzzTaskBody(f *testing.F) {
 	add := addTask()
 	full := add
-	full.Trace, full.Attempts, full.PayloadRef = &trace.Context{TraceID: trace.NewTraceID(), SpanID: trace.NewSpanID()}, 2, "k"
+	full.Trace, full.Attempts, full.PayloadRef = trace.Context{TraceID: trace.NewTraceID(), SpanID: trace.NewSpanID()}, 2, "k"
 	addJSON, _ := json.Marshal(add)
 	for _, seed := range [][]byte{EncodeTask(&add), EncodeTask(&full), addJSON, nil, {taskBodyMagic, bodyVersion, 0xff, 0x7f}} {
 		f.Add(seed, string(add.ID), "python", []byte("p"), false, "user", int64(1), 0, true, "abcd", "ef")
@@ -270,7 +289,7 @@ func FuzzTaskBody(f *testing.F) {
 func FuzzResultBody(f *testing.F) {
 	add := addResult(addTask())
 	full := add
-	full.Trace, full.DeadLettered, full.Error = &trace.Context{TraceID: trace.NewTraceID()}, true, "boom"
+	full.Trace, full.DeadLettered, full.Error = trace.Context{TraceID: trace.NewTraceID()}, true, "boom"
 	addJSON, _ := json.Marshal(add)
 	for _, seed := range [][]byte{EncodeResult(&add), EncodeResult(&full), addJSON, nil, {resultBodyMagic, bodyVersion, 0x80}} {
 		f.Add(seed, string(add.TaskID), "success", []byte("42"), false, "", int64(1), int64(2), 0.5, false, true, "abcd", "")

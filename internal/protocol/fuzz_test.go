@@ -160,10 +160,7 @@ func FuzzCodecEquivalence(f *testing.F) {
 			}
 		}
 		env := Envelope{ID: id}
-		var tc *trace.Context
-		if traceID != "" || spanID != "" {
-			tc = &trace.Context{TraceID: trace.TraceID(traceID), SpanID: trace.SpanID(spanID)}
-		}
+		tc := fuzzTrace(true, traceID, spanID)
 		switch kind % 7 {
 		case 0:
 			env.Type = EnvPublish
@@ -171,7 +168,7 @@ func FuzzCodecEquivalence(f *testing.F) {
 		case 1:
 			env.Type = EnvPublishBatch
 			env.Bin = &PublishBatchBody{Queue: queue, Bodies: [][]byte{body, nil, {}},
-				Traces: []*trace.Context{nil, tc, nil}}
+				Traces: []trace.Context{{}, tc, {}}}
 		case 2:
 			env.Type = EnvDeliveryBatch
 			env.Bin = &DeliveryBatchBody{Queue: queue,
@@ -241,7 +238,7 @@ func FuzzBinaryDecode(f *testing.F) {
 		{Type: EnvHeartbeat, Body: []byte(`{"at":1}`)},
 		{Type: EnvDeliveryBatch, Bin: &DeliveryBatchBody{Queue: "results." + string(NewUUID()), Items: []DeliveryItem{{Tag: 2,
 			Body:  EncodeResult(&Result{TaskID: NewUUID(), State: StateSuccess, Output: []byte("3")}),
-			Trace: &trace.Context{TraceID: trace.NewTraceID(), SpanID: trace.NewSpanID()}}}}},
+			Trace: trace.Context{TraceID: trace.NewTraceID(), SpanID: trace.NewSpanID()}}}}},
 	}
 	for _, env := range seeds {
 		p, err := EncodeBinaryEnvelope(env)

@@ -161,8 +161,8 @@ type Task struct {
 	Attempts int `json:"attempts,omitempty"`
 	// Trace carries the task's distributed-trace context across process
 	// boundaries; each component continues the trace by starting child
-	// spans off it. Omitted when tracing is disabled.
-	Trace *trace.Context `json:"trace,omitempty"`
+	// spans off it. Zero (and omitted) when tracing is disabled.
+	Trace trace.Context `json:"trace,omitzero"`
 }
 
 // Result is the record a worker produces for a completed task.
@@ -188,7 +188,7 @@ type Result struct {
 	DeadLettered bool `json:"dead_lettered,omitempty"`
 	// Trace continues the submitting task's trace through the result path
 	// (worker -> broker -> result processor -> client future).
-	Trace *trace.Context `json:"trace,omitempty"`
+	Trace trace.Context `json:"trace,omitzero"`
 }
 
 // ShellSpec is the payload body for KindShell and KindMPI tasks.

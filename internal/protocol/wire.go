@@ -25,11 +25,11 @@ type PublishBody struct {
 }
 
 // PublishBatchBody carries N messages for one queue in a single frame.
-// Traces, when present, is parallel to Bodies (nil entries = untraced).
+// Traces, when present, is parallel to Bodies (zero entries = untraced).
 type PublishBatchBody struct {
-	Queue  string           `json:"queue"`
-	Bodies [][]byte         `json:"bodies"`
-	Traces []*trace.Context `json:"traces,omitempty"`
+	Queue  string          `json:"queue"`
+	Bodies [][]byte        `json:"bodies"`
+	Traces []trace.Context `json:"traces,omitempty"`
 }
 
 // ConsumeBody begins consuming a queue.
@@ -54,10 +54,10 @@ type AckBatchBody struct {
 
 // DeliveryItem is one delivery inside a delivery_batch frame.
 type DeliveryItem struct {
-	Tag         uint64         `json:"tag"`
-	Body        []byte         `json:"body"`
-	Redelivered bool           `json:"redelivered,omitempty"`
-	Trace       *trace.Context `json:"trace,omitempty"`
+	Tag         uint64        `json:"tag"`
+	Body        []byte        `json:"body"`
+	Redelivered bool          `json:"redelivered,omitempty"`
+	Trace       trace.Context `json:"trace,omitzero"`
 }
 
 // DeliveryBatchBody carries N deliveries for one queue in a single frame.

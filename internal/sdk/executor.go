@@ -272,10 +272,14 @@ func (ex *Executor) enqueue(fnID protocol.UUID, payload []byte, res protocol.Res
 	}
 	fut := newFuture()
 	// Each submission roots its own trace; the span covers the wait for the
-	// POST in flight plus its own REST round trip.
-	sp := ex.cfg.Tracer.StartSpan(nil, "sdk.submit")
-	sp.SetAttr("endpoint", string(ex.cfg.EndpointID))
-	req.Trace = sp.Context()
+	// POST in flight plus its own REST round trip. It is held by pointer, so
+	// an untraced executor's pending batch carries no span.
+	var sp *trace.ActiveSpan
+	if ex.cfg.Tracer != nil {
+		s := ex.cfg.Tracer.StartSpan(trace.Context{}, "sdk.submit")
+		s.SetAttr("endpoint", string(ex.cfg.EndpointID))
+		req.Trace, sp = s.Context(), &s
+	}
 	ex.mu.Lock()
 	if ex.closed {
 		ex.mu.Unlock()
@@ -346,7 +350,7 @@ func (ex *Executor) flush(batch []pendingSub) {
 		if res, ok := ex.orphans[id]; ok {
 			delete(ex.orphans, id)
 			ex.mu.Unlock()
-			ex.resolveTraced(p.fut, res, nil)
+			ex.resolveTraced(p.fut, res, trace.Context{})
 			ex.mu.Lock()
 			continue
 		}
@@ -412,7 +416,7 @@ func (ex *Executor) receive(m broker.Message) {
 // otherwise the result's own carried context is used. Results that raced
 // ahead of the submit response (the orphan path) resolve here too, so every
 // traced task gets a resolution span.
-func (ex *Executor) resolveTraced(fut *Future, res protocol.Result, parent *trace.Context) {
+func (ex *Executor) resolveTraced(fut *Future, res protocol.Result, parent trace.Context) {
 	if !parent.Valid() {
 		parent = res.Trace
 	}

@@ -88,18 +88,22 @@ type taskRow struct {
 	// Unix nanoseconds; 0 is the zero time.
 	submitted, created, updated, completed int64
 	// tail carries the variable fields flags names, in the order of the
-	// tail* bits, each uvarint-length-prefixed except the result, which runs
-	// to the end. It is nil when there is nothing to carry, and replaced, never
-	// written in place, so a view may alias it.
+	// tail* bits, each uvarint-length-prefixed except the trace context, 24
+	// raw bytes, and the result, which runs to the end. It is nil when there
+	// is nothing to carry, and replaced, never written in place, so a view
+	// may alias it.
 	tail []byte
 }
+
+// traceSize is the raw trace context a tail carries.
+const traceSize = len(trace.TraceID{}) + len(trace.SpanID{})
 
 // Tail fields, in tail order.
 const (
 	tailKind       = 1 << iota // a function kind without a code
 	tailPayloadRef             // Task.PayloadRef
 	tailInts                   // Resources, Rerouted, Attempts: five varints
-	tailTrace                  // trace ID, span ID
+	tailTrace                  // trace ID and span ID, 24 raw bytes
 	tailResultRef
 	tailError
 	tailResult // the inline result, unprefixed
@@ -128,9 +132,9 @@ func appendTaskTail(dst []byte, t *protocol.Task) ([]byte, uint8) {
 			dst = binary.AppendVarint(dst, int64(v))
 		}
 	}
-	if t.Trace != nil {
+	if t.Trace.Valid() {
 		flags |= tailTrace
-		dst = appendField(appendField(dst, string(t.Trace.TraceID)), string(t.Trace.SpanID))
+		dst = append(append(dst, t.Trace.TraceID[:]...), t.Trace.SpanID[:]...)
 	}
 	return dst, flags
 }
@@ -163,8 +167,9 @@ func (r *taskRow) setTail(scratch []byte) {
 
 // tailFields are a row tail's fields, sliced from it without copying.
 type tailFields struct {
-	kind, payloadRef, traceID, spanID, resultRef, msg, result []byte
-	ints                                                      [5]int64
+	kind, payloadRef, resultRef, msg, result []byte
+	ints                                     [5]int64
+	trace                                    trace.Context
 }
 
 func (r *taskRow) fields() (f tailFields) {
@@ -188,7 +193,9 @@ func (r *taskRow) fields() (f tailFields) {
 		}
 	}
 	if r.flags&tailTrace != 0 {
-		f.traceID, f.spanID = next(), next()
+		copy(f.trace.TraceID[:], b)
+		copy(f.trace.SpanID[:], b[len(f.trace.TraceID):])
+		b = b[traceSize:]
 	}
 	if r.flags&tailResultRef != 0 {
 		f.resultRef = next()
@@ -399,8 +406,6 @@ func (sh *taskShard) record(id protocol.UUID, r *taskRow) TaskRecord {
 	if r.flags&tailKind != 0 {
 		rec.Task.Kind = protocol.FunctionKind(f.kind)
 	}
-	if r.flags&tailTrace != 0 {
-		rec.Task.Trace = &trace.Context{TraceID: trace.TraceID(f.traceID), SpanID: trace.SpanID(f.spanID)}
-	}
+	rec.Task.Trace = f.trace
 	return rec
 }

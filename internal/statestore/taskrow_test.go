@@ -181,7 +181,7 @@ func TestTaskRowRoundTrip(t *testing.T) {
 		Resources:    protocol.ResourceSpec{NumNodes: 3, RanksPerNode: 4, NumRanks: 1 << 40},
 		UserIdentity: "alice", GroupID: protocol.NewUUID(), RoutingGroup: protocol.NewUUID(),
 		Rerouted: 2, Submitted: at.Add(-time.Second), Attempts: -1,
-		Trace: &trace.Context{TraceID: "0123456789abcdef", SpanID: "span"},
+		Trace: trace.Context{TraceID: trace.NewTraceID(), SpanID: trace.NewSpanID()},
 	}
 	plain := newTask(task.EndpointID)
 	if err := s.CreateTasks([]protocol.Task{task, plain}); err != nil {
@@ -203,10 +203,10 @@ func TestTaskRowRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, want := rec.Task, task
-		if !got.Submitted.Equal(want.Submitted) || *got.Trace != *want.Trace {
+		if !got.Submitted.Equal(want.Submitted) || got.Trace != want.Trace {
 			t.Errorf("%s: submitted %v trace %+v", when, got.Submitted, got.Trace)
 		}
-		got.Submitted, got.Trace, want.Submitted, want.Trace = time.Time{}, nil, time.Time{}, nil
+		got.Submitted, got.Trace, want.Submitted, want.Trace = time.Time{}, trace.Context{}, time.Time{}, trace.Context{}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: task\n got %+v\nwant %+v", when, got, want)
 		}
@@ -215,7 +215,7 @@ func TestTaskRowRoundTrip(t *testing.T) {
 			t.Errorf("%s: record %+v", when, rec)
 		}
 		p, err := s.GetTask(plain.ID)
-		if err != nil || p.Task.PayloadRef != "" || p.Task.Trace != nil || p.Result != nil || !p.Completed.IsZero() ||
+		if err != nil || p.Task.PayloadRef != "" || p.Task.Trace.Valid() || p.Result != nil || !p.Completed.IsZero() ||
 			p.Task.Kind != protocol.KindPython || p.State != protocol.StateReceived {
 			t.Errorf("%s: plain row %+v, %v", when, p, err)
 		}

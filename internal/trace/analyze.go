@@ -12,7 +12,7 @@ type Stage struct {
 	Name     string        `json:"name"`
 	Process  string        `json:"process,omitempty"`
 	SpanID   SpanID        `json:"span_id"`
-	Parent   SpanID        `json:"parent_span_id,omitempty"`
+	Parent   SpanID        `json:"parent_span_id,omitzero"`
 	Offset   time.Duration `json:"offset_ns"`   // start relative to trace start
 	Duration time.Duration `json:"duration_ns"` // span wall time
 	// Gap is dead time between this stage's start and its predecessor's end
@@ -90,7 +90,7 @@ func criticalPath(ordered []Span, traceStart time.Time) []Stage {
 	children := make(map[SpanID][]Span, len(ordered))
 	for _, s := range ordered {
 		byID[s.SpanID] = s
-		if s.Parent != "" {
+		if !s.Parent.IsZero() {
 			children[s.Parent] = append(children[s.Parent], s)
 		}
 	}
@@ -99,7 +99,7 @@ func criticalPath(ordered []Span, traceStart time.Time) []Stage {
 	var root Span
 	found := false
 	for _, s := range ordered {
-		if _, ok := byID[s.Parent]; s.Parent == "" || !ok {
+		if _, ok := byID[s.Parent]; s.Parent.IsZero() || !ok {
 			root = s
 			found = true
 			break

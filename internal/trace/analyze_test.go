@@ -12,7 +12,7 @@ func chain(t0 time.Time, id TraceID) []Span {
 		return Span{TraceID: id, SpanID: NewSpanID(), Parent: parent, Name: name,
 			Start: t0.Add(off), EndTime: t0.Add(off + dur)}
 	}
-	root := mk("submit", "", 0, 10*time.Millisecond)
+	root := mk("submit", SpanID{}, 0, 10*time.Millisecond)
 	deliver := mk("deliver", root.SpanID, 12*time.Millisecond, 3*time.Millisecond)
 	execute := mk("execute", deliver.SpanID, 15*time.Millisecond, 20*time.Millisecond)
 	// A short sibling that finishes before execute: must NOT be on the
@@ -53,7 +53,7 @@ func TestAnalyze(t *testing.T) {
 		t.Errorf("stages[0] = %+v, want submit at offset 0", sum.Stages[0])
 	}
 	out := sum.String()
-	if !strings.Contains(out, "submit") || !strings.Contains(out, string(id)) {
+	if !strings.Contains(out, "submit") || !strings.Contains(out, id.String()) {
 		t.Errorf("render missing content:\n%s", out)
 	}
 }

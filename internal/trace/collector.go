@@ -5,6 +5,7 @@ import (
 	"io"
 	"sort"
 	"sync"
+	"time"
 )
 
 // DefaultCapacity is the collector ring size when unspecified: enough for
@@ -12,13 +13,14 @@ import (
 const DefaultCapacity = 8192
 
 // Collector is a bounded in-memory sink for finished spans. It keeps the
-// most recent capacity spans in a ring buffer and is safe for concurrent
-// use from every instrumented hot path.
+// most recent capacity spans in a ring of fixed-size slots and is safe for
+// concurrent use from every instrumented hot path. Recording a span copies
+// it into a slot; the Span views are built only when the ring is read.
 type Collector struct {
 	mu      sync.Mutex
-	buf     []Span
+	slots   []record
 	next    int    // ring write cursor
-	filled  bool   // true once the ring has wrapped
+	n       int    // retained slots
 	total   uint64 // spans ever added
 	dropped uint64 // spans overwritten by the ring
 }
@@ -29,29 +31,42 @@ func NewCollector(capacity int) *Collector {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Collector{buf: make([]Span, 0, capacity)}
+	return &Collector{slots: make([]record, capacity)}
 }
 
-// Add records one finished span.
-func (c *Collector) Add(s Span) {
+// add records one finished span.
+func (c *Collector) add(r *record) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.total++
-	if !c.filled && len(c.buf) < cap(c.buf) {
-		c.buf = append(c.buf, s)
-		return
+	c.addLocked(r)
+	c.mu.Unlock()
+}
+
+func (c *Collector) addLocked(r *record) {
+	c.slots[c.next] = *r
+	if c.next++; c.next == len(c.slots) {
+		c.next = 0
 	}
-	c.filled = true
-	c.buf[c.next] = s
-	c.next = (c.next + 1) % cap(c.buf)
-	c.dropped++
+	c.total++
+	if c.n < len(c.slots) {
+		c.n++
+	} else {
+		c.dropped++
+	}
+}
+
+// oldestLocked is the ring index of the oldest retained slot.
+func (c *Collector) oldestLocked() int {
+	if c.n < len(c.slots) {
+		return 0
+	}
+	return c.next
 }
 
 // Len reports the number of retained spans.
 func (c *Collector) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.buf)
+	return c.n
 }
 
 // Total reports spans ever added; Dropped reports how many the ring
@@ -69,43 +84,71 @@ func (c *Collector) Dropped() uint64 {
 	return c.dropped
 }
 
-// Snapshot returns retained spans oldest-first.
-func (c *Collector) Snapshot() []Span {
+// OldestStart reports the start of the oldest retained span (the zero time
+// when none is), so now minus it is the history the ring holds.
+func (c *Collector) OldestStart() time.Time {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]Span, 0, len(c.buf))
-	if c.filled {
-		out = append(out, c.buf[c.next:]...)
-		out = append(out, c.buf[:c.next]...)
-	} else {
-		out = append(out, c.buf...)
+	if c.n == 0 {
+		return time.Time{}
 	}
-	return out
+	return time.Unix(0, c.slots[c.oldestLocked()].start)
+}
+
+// Snapshot returns retained spans oldest-first. The slots are copied out
+// under the lock and viewed after it, so a reader holds span writers up
+// for a copy, not for the views' allocations.
+func (c *Collector) Snapshot() []Span {
+	c.mu.Lock()
+	recs := make([]record, c.n)
+	k := copy(recs, c.slots[c.oldestLocked():c.n])
+	copy(recs[k:], c.slots[:c.n-k])
+	c.mu.Unlock()
+	return views(recs)
 }
 
 // Trace returns the retained spans of one trace, ordered by start time.
 func (c *Collector) Trace(id TraceID) []Span {
+	var recs []record
 	c.mu.Lock()
-	var out []Span
-	for i := range c.buf {
-		if c.buf[i].TraceID == id {
-			out = append(out, c.buf[i])
+	for i := range c.slots[:c.n] {
+		if c.slots[i].traceID == id {
+			recs = append(recs, c.slots[i])
 		}
 	}
 	c.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Start.Before(out[j].Start) })
+	sort.Slice(recs, func(i, j int) bool { return recs[i].start < recs[j].start })
+	return views(recs)
+}
+
+func views(recs []record) []Span {
+	if len(recs) == 0 {
+		return nil
+	}
+	out := make([]Span, len(recs))
+	for i := range recs {
+		out[i] = recs[i].view()
+	}
 	return out
 }
 
 // TraceIDs lists the distinct retained trace IDs, most recently added last.
 func (c *Collector) TraceIDs() []TraceID {
-	spans := c.Snapshot()
-	seen := make(map[TraceID]bool, len(spans))
-	var out []TraceID
-	for _, s := range spans {
-		if !seen[s.TraceID] {
-			seen[s.TraceID] = true
-			out = append(out, s.TraceID)
+	c.mu.Lock()
+	ids := make([]TraceID, 0, c.n)
+	for i, at := 0, c.oldestLocked(); i < c.n; i++ {
+		ids = append(ids, c.slots[at].traceID)
+		if at++; at == len(c.slots) {
+			at = 0
+		}
+	}
+	c.mu.Unlock()
+	seen := make(map[TraceID]bool, len(ids))
+	out := ids[:0]
+	for _, id := range ids {
+		if !seen[id] {
+			seen[id] = true
+			out = append(out, id)
 		}
 	}
 	return out
@@ -115,9 +158,8 @@ func (c *Collector) TraceIDs() []TraceID {
 func (c *Collector) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.buf = c.buf[:0]
-	c.next = 0
-	c.filled = false
+	clear(c.slots)
+	c.next, c.n = 0, 0
 }
 
 // WriteJSONL exports retained spans oldest-first, one JSON object per line

@@ -13,7 +13,7 @@ func TestIDUniqueness(t *testing.T) {
 	seenS := make(map[SpanID]bool)
 	for i := 0; i < 10000; i++ {
 		tid := NewTraceID()
-		if len(tid) != 32 {
+		if len(tid.String()) != 32 {
 			t.Fatalf("trace id %q: want 32 hex chars", tid)
 		}
 		if seenT[tid] {
@@ -21,7 +21,7 @@ func TestIDUniqueness(t *testing.T) {
 		}
 		seenT[tid] = true
 		sid := NewSpanID()
-		if len(sid) != 16 {
+		if len(sid.String()) != 16 {
 			t.Fatalf("span id %q: want 16 hex chars", sid)
 		}
 		if seenS[sid] {
@@ -35,7 +35,7 @@ func TestSpanLifecycle(t *testing.T) {
 	c := NewCollector(16)
 	tr := NewTracer("test", c)
 
-	root := tr.StartSpan(nil, "root")
+	root := tr.StartSpan(Context{}, "root")
 	root.SetAttr("k", "v")
 	rc := root.Context()
 	if !rc.Valid() {
@@ -60,11 +60,11 @@ func TestSpanLifecycle(t *testing.T) {
 		byName[s.Name] = s
 	}
 	r, ch := byName["root"], byName["child"]
-	if r.Parent != "" {
-		t.Errorf("root parent = %q, want none", r.Parent)
+	if !r.Parent.IsZero() {
+		t.Errorf("root parent = %s, want none", r.Parent)
 	}
 	if ch.Parent != r.SpanID {
-		t.Errorf("child parent = %q, want %q", ch.Parent, r.SpanID)
+		t.Errorf("child parent = %s, want %s", ch.Parent, r.SpanID)
 	}
 	if ch.Status != "error" {
 		t.Errorf("child status = %q, want error (first End wins)", ch.Status)
@@ -83,7 +83,7 @@ func TestSpanLifecycle(t *testing.T) {
 func TestAttrAfterEndIgnored(t *testing.T) {
 	c := NewCollector(4)
 	tr := NewTracer("test", c)
-	sp := tr.StartSpan(nil, "s")
+	sp := tr.StartSpan(Context{}, "s")
 	sp.End()
 	sp.SetAttr("late", "x")
 	if got := c.Snapshot()[0].Attrs; got != nil {
@@ -93,31 +93,37 @@ func TestAttrAfterEndIgnored(t *testing.T) {
 
 func TestNilSafety(t *testing.T) {
 	var tr *Tracer
-	sp := tr.StartSpan(nil, "noop")
-	if sp != nil {
-		t.Fatal("nil tracer must hand out nil spans")
+	sp := tr.StartSpan(Context{}, "noop")
+	if sp != (ActiveSpan{}) {
+		t.Fatal("nil tracer must hand out the no-op span")
 	}
 	// All of these must be no-ops, not panics.
 	sp.SetAttr("k", "v")
 	sp.EndStatus("error")
 	sp.End()
-	if sp.Context() != nil {
-		t.Error("nil span context must be nil")
+	if sp.Context().Valid() {
+		t.Error("no-op span context must be invalid")
 	}
 	if tr.Collector() != nil {
 		t.Error("nil tracer collector must be nil")
 	}
-	parent := &Context{TraceID: NewTraceID()}
+	parent := Context{TraceID: NewTraceID()}
 	if got := tr.Record(parent, "x", time.Now(), time.Now()); got != parent {
 		t.Error("nil tracer Record must return parent unchanged")
 	}
 	ctx, s2 := tr.Start(context.Background(), "noop")
-	if s2 != nil || FromContext(ctx) != nil {
+	if s2 != (ActiveSpan{}) || FromContext(ctx).Valid() {
 		t.Error("nil tracer Start must be a no-op")
 	}
-	var nc *Context
+	var nc Context
 	if nc.Valid() {
-		t.Error("nil context must be invalid")
+		t.Error("zero context must be invalid")
+	}
+	var ps *ActiveSpan // a caller holding spans by pointer: nil when untraced
+	ps.SetAttr("k", "v")
+	ps.End()
+	if ps.Context().Valid() {
+		t.Error("nil span context must be invalid")
 	}
 }
 
@@ -140,7 +146,7 @@ func TestContextPropagation(t *testing.T) {
 func TestRecord(t *testing.T) {
 	c := NewCollector(8)
 	tr := NewTracer("interchange", c)
-	parent := &Context{TraceID: NewTraceID(), SpanID: NewSpanID()}
+	parent := Context{TraceID: NewTraceID(), SpanID: NewSpanID()}
 	start := time.Now().Add(-time.Second)
 	end := time.Now()
 	got := tr.Record(parent, "engine.execute", start, end, "worker", "w1")
@@ -158,11 +164,12 @@ func TestRecord(t *testing.T) {
 
 func TestCollectorRing(t *testing.T) {
 	c := NewCollector(4)
+	tr := NewTracer("ring", c)
 	id := NewTraceID()
 	base := time.Now()
 	for i := 0; i < 7; i++ {
-		c.Add(Span{TraceID: id, SpanID: NewSpanID(), Name: string(rune('a' + i)),
-			Start: base.Add(time.Duration(i) * time.Millisecond)})
+		at := base.Add(time.Duration(i) * time.Millisecond)
+		tr.Record(Context{TraceID: id}, string(rune('a'+i)), at, at)
 	}
 	if c.Len() != 4 {
 		t.Fatalf("len = %d", c.Len())
@@ -190,7 +197,7 @@ func TestCollectorRing(t *testing.T) {
 	if c.Total() != 7 {
 		t.Errorf("total after reset = %d (counters must persist)", c.Total())
 	}
-	c.Add(Span{TraceID: id, Name: "h"})
+	tr.Record(Context{TraceID: id}, "h", base, base)
 	if snap := c.Snapshot(); len(snap) != 1 || snap[0].Name != "h" {
 		t.Errorf("post-reset snapshot = %v", snap)
 	}
@@ -199,10 +206,11 @@ func TestCollectorRing(t *testing.T) {
 func TestJSONLRoundTrip(t *testing.T) {
 	c := NewCollector(8)
 	tr := NewTracer("p", c)
-	root := tr.StartSpan(nil, "a")
+	root := tr.StartSpan(Context{}, "a")
 	root.SetAttr("x", "1")
 	root.End()
-	tr.StartSpan(root.Context(), "b").End()
+	child := tr.StartSpan(root.Context(), "b")
+	child.End()
 
 	var buf bytes.Buffer
 	if err := c.WriteJSONL(&buf); err != nil {
@@ -236,7 +244,7 @@ func TestConcurrentUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				sp := tr.StartSpan(nil, "s")
+				sp := tr.StartSpan(Context{}, "s")
 				sp.SetAttr("i", "x")
 				sp.End()
 				_ = c.Len()
@@ -254,7 +262,7 @@ func TestConcurrentUse(t *testing.T) {
 
 func BenchmarkStartEnd(b *testing.B) {
 	tr := NewTracer("bench", NewCollector(DefaultCapacity))
-	parent := &Context{TraceID: NewTraceID(), SpanID: NewSpanID()}
+	parent := Context{TraceID: NewTraceID(), SpanID: NewSpanID()}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sp := tr.StartSpan(parent, "stage")
@@ -266,17 +274,69 @@ func BenchmarkStartEndNoop(b *testing.B) {
 	var tr *Tracer
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sp := tr.StartSpan(nil, "stage")
+		sp := tr.StartSpan(Context{}, "stage")
 		sp.SetAttr("k", "v")
 		sp.End()
 	}
 }
 
-func BenchmarkCollectorAdd(b *testing.B) {
-	c := NewCollector(DefaultCapacity)
-	s := Span{TraceID: NewTraceID(), SpanID: NewSpanID(), Name: "s"}
+func BenchmarkRecord(b *testing.B) {
+	tr := NewTracer("bench", NewCollector(DefaultCapacity))
+	parent := Context{TraceID: NewTraceID(), SpanID: NewSpanID()}
+	now := time.Now()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c.Add(s)
+		tr.Record(parent, "broker.deliver", now, now, "queue", "tasks.ep")
+	}
+}
+
+// BenchmarkStartAttrEnd is the webservice's per-task span: a UUID-valued
+// attribute, packed into the slot.
+func BenchmarkStartAttrEnd(b *testing.B) {
+	tr := NewTracer("bench", NewCollector(DefaultCapacity))
+	parent := Context{TraceID: NewTraceID(), SpanID: NewSpanID()}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sp := tr.StartSpan(parent, "result.process")
+		sp.SetAttr("task", "0f8e7d6c-5b4a-4392-8170-6f5e4d3c2b1a")
+		sp.End()
+	}
+}
+
+func BenchmarkSnapshot(b *testing.B) {
+	c := NewCollector(DefaultCapacity)
+	tr := NewTracer("bench", c)
+	now := time.Now()
+	for i := 0; i < DefaultCapacity; i++ {
+		tr.Record(Context{}, "s", now, now, "task", "0f8e7d6c-5b4a-4392-8170-6f5e4d3c2b1a")
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c.Snapshot()
+	}
+}
+
+func TestEndAll(t *testing.T) {
+	c := NewCollector(8)
+	tr := NewTracer("batch", c)
+	spans := []ActiveSpan{tr.StartSpan(Context{}, "a"), {}, tr.StartSpan(Context{}, "b"), tr.StartSpan(Context{}, "c")}
+	spans[2].EndStatus("error")
+	EndAll(spans, "")
+	EndAll(spans, "late") // every span already ended: records nothing
+	got := c.Snapshot()
+	if len(got) != 3 || got[0].Name != "b" || got[0].Status != "error" ||
+		got[1].Name != "a" || got[2].Name != "c" || got[1].Status != "" || !got[1].EndTime.Equal(got[2].EndTime) {
+		t.Fatalf("spans %+v", got)
+	}
+	if raceEnabled {
+		return
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		for i := range spans {
+			spans[i] = tr.StartSpan(Context{}, "s")
+		}
+		EndAll(spans, "")
+	}); n != 0 {
+		t.Errorf("EndAll allocates %v times, want 0", n)
 	}
 }

@@ -3,6 +3,7 @@ package webservice
 import (
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"sort"
@@ -54,7 +55,9 @@ func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if id := r.URL.Query().Get("id"); id != "" {
-		spans := col.Trace(trace.TraceID(id))
+		var tid trace.TraceID
+		_ = tid.UnmarshalText([]byte(id)) // a malformed ID names no trace: 404 below
+		spans := col.Trace(tid)
 		sum, err := trace.Analyze(spans)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusNotFound)
@@ -63,15 +66,29 @@ func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprint(w, sum.String())
 		return
 	}
+	writeTraceList(w, col)
+}
 
-	ids := col.TraceIDs()
+// writeTraceList writes the listing: one line per retained trace, most
+// recent first, capped for readability. It reads the ring once, grouping
+// one Snapshot by trace ID, so a listing holds span writers up for one copy
+// of the ring rather than for a scan per trace.
+func writeTraceList(w io.Writer, col *trace.Collector) {
+	spans := col.Snapshot()
+	var ids []trace.TraceID // first-seen order, as TraceIDs lists them
+	byTrace := make(map[trace.TraceID][]trace.Span)
+	for _, sp := range spans {
+		if _, ok := byTrace[sp.TraceID]; !ok {
+			ids = append(ids, sp.TraceID)
+		}
+		byTrace[sp.TraceID] = append(byTrace[sp.TraceID], sp)
+	}
 	fmt.Fprintf(w, "%d traces retained (%d spans, %d total, %d dropped)\n\n",
-		len(ids), col.Len(), col.Total(), col.Dropped())
-	// Most recent first, capped for readability.
+		len(ids), len(spans), col.Total(), col.Dropped())
 	const maxList = 200
 	shown := 0
 	for i := len(ids) - 1; i >= 0 && shown < maxList; i-- {
-		spans := col.Trace(ids[i])
+		spans := byTrace[ids[i]]
 		sum, err := trace.Analyze(spans)
 		if err != nil {
 			continue
@@ -88,6 +105,19 @@ func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 	if shown == 0 {
 		fmt.Fprintln(w, "no complete traces yet")
 	}
+}
+
+// writeTraceRing exports the span ring's reach: spans recorded, spans the
+// ring overwrote, and the history it holds (now minus the oldest retained
+// span's start; 0 while empty).
+func writeTraceRing(w io.Writer, col *trace.Collector, now time.Time) {
+	window := 0.0
+	if oldest := col.OldestStart(); !oldest.IsZero() {
+		window = now.Sub(oldest).Seconds()
+	}
+	fmt.Fprintf(w, "# TYPE gc_trace_spans_total counter\ngc_trace_spans_total %d\n", col.Total())
+	fmt.Fprintf(w, "# TYPE gc_trace_spans_dropped_total counter\ngc_trace_spans_dropped_total %d\n", col.Dropped())
+	fmt.Fprintf(w, "# TYPE gc_trace_ring_window_seconds gauge\ngc_trace_ring_window_seconds %g\n", window)
 }
 
 func joinMax(names []string, max int) string {
@@ -124,6 +154,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// gc_route_pick_staleness_seconds) share the bare gc prefix.
 	if err := s.svc.Routing.WriteText(w, "gc"); err != nil {
 		return
+	}
+	if col := s.svc.TraceCollector(); col != nil {
+		writeTraceRing(w, col, time.Now())
 	}
 	if s.svc.cfg.Broker != nil {
 		_ = s.svc.cfg.Broker.Metrics.WriteText(w, "gc_broker")

@@ -98,12 +98,12 @@ func TestDebugTracesEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("list status = %d", resp.StatusCode)
 	}
-	if !strings.Contains(string(body), string(id)) {
+	if !strings.Contains(string(body), id.String()) {
 		t.Errorf("listing missing trace %s:\n%s", id, body)
 	}
 
 	// Per-trace view renders the critical path.
-	resp, body = h.do(t, "GET", "/debug/traces?id="+string(id)+"&token="+h.token.Value, "", nil)
+	resp, body = h.do(t, "GET", "/debug/traces?id="+id.String()+"&token="+h.token.Value, "", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("detail status = %d", resp.StatusCode)
 	}

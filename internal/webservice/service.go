@@ -524,19 +524,21 @@ func (s *Service) processResultBatch(c *broker.Consumer, batch []broker.Message)
 	// Parallel slices over the batch's well-formed results.
 	results := make([]protocol.Result, 0, len(batch))
 	bodies := make([][]byte, 0, len(batch))
-	spans := make([]*trace.ActiveSpan, 0, len(batch))
+	spans := make([]trace.ActiveSpan, 0, len(batch))
 	tags := make([]uint64, 0, len(batch))
 	settled := make([]uint64, 0, len(batch))
 	for _, m := range batch {
-		res, body, sp, err := s.prepareResult(m.Body, m.Trace)
+		spans = append(spans, trace.ActiveSpan{})
+		res, body, err := s.prepareResult(m.Body, m.Trace, &spans[len(spans)-1])
 		if err != nil {
+			spans = spans[:len(spans)-1]
 			s.log.WithTask(string(res.TaskID)).WithTrace(m.Trace).
 				Warn("dropping unprocessable result", "error", err)
 			settled = append(settled, m.Tag)
 			continue
 		}
 		results, bodies = append(results, res), append(bodies, body)
-		spans, tags = append(spans, sp), append(tags, m.Tag)
+		tags = append(tags, m.Tag)
 	}
 	errs := s.recordTerminal(results, bodies)
 	for i, res := range results {
@@ -559,8 +561,8 @@ func (s *Service) processResultBatch(c *broker.Consumer, batch []broker.Message)
 				WithEndpoint(string(res.EndpointID)).
 				Warn("task dead-lettered by engine", "error", res.Error)
 		}
-		spans[i].End()
 	}
+	trace.EndAll(spans, "") // the recorded ones; the rest ended with "error"
 	_ = c.Ack(settled...)
 }
 
@@ -597,7 +599,7 @@ func (s *Service) recordTerminal(results []protocol.Result, bodies [][]byte) []e
 type groupResult struct {
 	group protocol.UUID
 	body  []byte // the result's body
-	tc    *trace.Context
+	tc    trace.Context
 }
 
 // streamGroupResults publishes recorded results onto the submitting
@@ -610,7 +612,7 @@ func (s *Service) streamGroupResults(items []groupResult) {
 	for _, g := range order {
 		idxs := byGroup[g]
 		bodies := make([][]byte, len(idxs))
-		traces := make([]*trace.Context, len(idxs))
+		traces := make([]trace.Context, len(idxs))
 		for j, i := range idxs {
 			bodies[j], traces[j] = items[i].body, items[i].tc
 		}
@@ -659,25 +661,28 @@ func (s *Service) observeResult(res protocol.Result, created time.Time) {
 }
 
 // prepareResult parses and spills one result message, returning the result
-// ready for recording, its body — the bytes that go to the journal and onto
-// the group stream, re-encoded only when spilling, tracing or a JSON body
-// changed them — and its processing span (ended by the caller). tc is
-// the trace context delivered with the message (the broker transit span);
-// the result body's own context is the fallback for untraced transports.
-func (s *Service) prepareResult(body []byte, tc *trace.Context) (protocol.Result, []byte, *trace.ActiveSpan, error) {
-	res, err := protocol.DecodeResult(body)
+// ready for recording and its body — the bytes that go to the journal and
+// onto the group stream — and starting its processing span in sp: left open
+// for the caller to end, or ended when an error is returned. tc is the trace
+// context delivered with the message (the broker transit span); the result
+// body's own context is the fallback for untraced transports.
+// The body is re-encoded only when spilling or a JSON body changed it;
+// re-pointing its packed trace context at the processing span patches a
+// copy (the delivered body may be delivered again, so it is not written).
+func (s *Service) prepareResult(body []byte, tc trace.Context, sp *trace.ActiveSpan) (protocol.Result, []byte, error) {
+	res, traceAt, err := protocol.DecodeResultAt(body)
 	if err != nil {
-		return res, nil, nil, fmt.Errorf("bad result message: %w", err)
+		return res, nil, fmt.Errorf("bad result message: %w", err)
 	}
 	if !tc.Valid() {
 		tc = res.Trace
 	}
-	sp := s.cfg.Tracer.StartSpan(tc, "result.process")
+	*sp = s.cfg.Tracer.StartSpan(tc, "result.process")
 	sp.SetAttr("task", string(res.TaskID))
 	if !res.State.Terminal() {
 		sp.SetAttr("error", "non-terminal state")
 		sp.End()
-		return res, nil, nil, fmt.Errorf("non-terminal result state %q for task %s", res.State, res.TaskID)
+		return res, nil, fmt.Errorf("non-terminal result state %q for task %s", res.State, res.TaskID)
 	}
 	changed := false
 	// Spill oversized outputs to the object store before recording.
@@ -685,7 +690,7 @@ func (s *Service) prepareResult(body []byte, tc *trace.Context) (protocol.Result
 		key, err := s.cfg.Objects.PutContent(res.Output)
 		if err != nil {
 			sp.EndStatus("error")
-			return res, nil, nil, err
+			return res, nil, err
 		}
 		s.Metrics.Counter("spill_results").Inc()
 		s.Metrics.Counter("spill_result_bytes").Add(int64(len(res.Output)))
@@ -695,14 +700,19 @@ func (s *Service) prepareResult(body []byte, tc *trace.Context) (protocol.Result
 	}
 	// Re-point the result's context at the processing span so the SDK's
 	// resolution span chains off it.
-	if next := sp.Context(); next != nil {
+	if next := sp.Context(); next.Valid() {
 		res.Trace = next
+		if !changed {
+			if patched, ok := protocol.RetraceResult(body, traceAt, next); ok {
+				return res, patched, nil
+			}
+		}
 		changed = true
 	}
 	if changed || body[0] == '{' {
 		body = protocol.EncodeResult(&res)
 	}
-	return res, body, sp, nil
+	return res, body, nil
 }
 
 // --- submission ---
@@ -723,7 +733,7 @@ type SubmitRequest struct {
 	// Trace joins the submission to a trace begun by the client (the SDK's
 	// per-task root span). Absent means the service starts a new trace if
 	// tracing is enabled.
-	Trace *trace.Context `json:"trace,omitempty"`
+	Trace trace.Context `json:"trace,omitzero"`
 }
 
 // SubmitOptions modifies a batch submission.
@@ -794,7 +804,7 @@ func (s *Service) submitAdmitted(tok auth.Token, reqs []SubmitRequest, opts Subm
 	type prepared struct {
 		task   protocol.Task
 		target protocol.UUID
-		tc     *trace.Context
+		tc     trace.Context
 	}
 	batch := make([]prepared, 0, len(reqs))
 	// A batch almost always names one function and one endpoint: each record
@@ -894,23 +904,24 @@ func (s *Service) submitAdmitted(tok auth.Token, reqs []SubmitRequest, opts Subm
 	// arrival time.
 	ids := make([]protocol.UUID, len(batch))
 	tasks := make([]protocol.Task, len(batch))
-	spans := make([]*trace.ActiveSpan, len(batch))
 	bodies := make([][]byte, len(batch))
+	var spans []trace.ActiveSpan // a few hundred bytes a task: only when tracing
+	if s.cfg.Tracer != nil {
+		spans = make([]trace.ActiveSpan, len(batch))
+	}
 	fail := func(err error) ([]protocol.UUID, int, error) {
-		for _, sp := range spans {
-			sp.EndStatus("error")
-		}
+		trace.EndAll(spans, "error")
 		return nil, 0, err
 	}
 	for i := range batch {
 		p := &batch[i]
-		sp := s.cfg.Tracer.StartSpanAt(p.tc, "submit", arrived)
-		sp.SetAttr("endpoint", string(p.target))
-		p.task.Trace = sp.Context()
-		if p.task.Trace == nil {
-			p.task.Trace = p.tc // propagate the client's context even untraced
+		p.task.Trace = p.tc // the client's context rides on even untraced
+		if spans != nil {
+			sp := &spans[i]
+			*sp = s.cfg.Tracer.StartSpanAt(p.tc, "submit", arrived)
+			sp.SetAttr("endpoint", string(p.target))
+			p.task.Trace = sp.Context()
 		}
-		spans[i] = sp
 		bodies[i], tasks[i], ids[i] = protocol.EncodeTask(&p.task), p.task, p.task.ID
 	}
 	// One journaled statestore step admits the whole batch straight to
@@ -928,7 +939,7 @@ func (s *Service) submitAdmitted(tok auth.Token, reqs []SubmitRequest, opts Subm
 	for qi, q := range queueOrder {
 		idxs := queueIdx[q]
 		qBodies := make([][]byte, len(idxs))
-		qTraces := make([]*trace.Context, len(idxs))
+		qTraces := make([]trace.Context, len(idxs))
 		for j, i := range idxs {
 			qBodies[j], qTraces[j] = bodies[i], tasks[i].Trace
 		}
@@ -948,18 +959,14 @@ func (s *Service) submitAdmitted(tok auth.Token, reqs []SubmitRequest, opts Subm
 				}
 			}
 			_ = s.cfg.Store.TransitionTasks(lostIDs, protocol.StateFailed)
-			for _, sp := range spans {
-				sp.EndStatus("error")
-			}
+			trace.EndAll(spans, "error")
 			if errors.Is(err, broker.ErrQueueFull) {
 				err = s.queueFullError(batch[idxs[0]].target, err)
 			}
 			return nil, published, err
 		}
 	}
-	for _, sp := range spans {
-		sp.End()
-	}
+	trace.EndAll(spans, "")
 	s.Metrics.Counter("tasks_submitted").Add(int64(len(ids)))
 	s.audit(tok.Identity.Username, "submit", reqs[0].EndpointID, nil,
 		fmt.Sprintf("%d tasks", len(ids)))

@@ -24,7 +24,7 @@ func TestSubmitBodyFormsAgree(t *testing.T) {
 	ep := h.registerEndpoint(t, RegisterEndpointRequest{Name: "e", Owner: "o"})
 	h.fakeAgent(t, ep)
 	group := protocol.NewUUID()
-	tc := &trace.Context{TraceID: trace.NewTraceID(), SpanID: trace.NewSpanID()}
+	tc := trace.Context{TraceID: trace.NewTraceID(), SpanID: trace.NewSpanID()}
 	spill := bytes.Repeat([]byte("s"), serialize.DefaultInlineThreshold+1)
 	batch := []SubmitRequest{
 		{EndpointID: ep, FunctionID: fn, GroupID: group, Trace: tc,
@@ -118,7 +118,7 @@ func splitSubmitBody(body []byte) (header []byte, sections [][]byte, ok bool) {
 func FuzzSubmitBody(f *testing.F) {
 	tasks := []SubmitRequest{
 		{EndpointID: protocol.NewUUID(), FunctionID: protocol.NewUUID(), Payload: []byte(`{"entrypoint":"identity","args":[1]}`),
-			GroupID: protocol.NewUUID(), Trace: &trace.Context{TraceID: trace.NewTraceID(), SpanID: trace.NewSpanID()},
+			GroupID: protocol.NewUUID(), Trace: trace.Context{TraceID: trace.NewTraceID(), SpanID: trace.NewSpanID()},
 			UserEndpointConfig: json.RawMessage(`{"ACCOUNT_ID":"x"}`)},
 		{EndpointID: "e", FunctionID: "f", Payload: nil},
 		{EndpointID: "e", FunctionID: "f", Payload: []byte{0xBE, 1, 0, 0xff}},
