@@ -133,6 +133,7 @@ fuzz-codec:
 	$(GO) test -fuzz FuzzTraceContext -fuzztime 10s ./internal/protocol/
 	$(GO) test -fuzz FuzzPythonSpec -fuzztime 10s ./internal/protocol/
 	$(GO) test -fuzz FuzzSubmitBody -fuzztime 10s ./internal/webservice/
+	$(GO) test -fuzz FuzzSubmitIDs -fuzztime 10s ./internal/protocol/
 	$(GO) test -fuzz FuzzWALRecord -fuzztime 10s ./internal/durable/
 
 clean:

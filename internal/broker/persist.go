@@ -1,7 +1,5 @@
 package broker
 
-import "container/list"
-
 // Durability: the hosted RabbitMQ deployment persists queue contents so
 // buffered tasks and results survive service restarts ("ensuring they are
 // not lost"). SnapshotImage/RestoreImage provide the same guarantee for
@@ -61,9 +59,8 @@ func (b *Broker) SnapshotImage() Image {
 		}
 		qi.RedeliverTo = len(qi.Messages)
 		// Ready levels in dispatch order: interactive first, then batch.
-		for _, lst := range []*list.List{q.readyHigh, q.ready} {
-			for el := lst.Front(); el != nil; el = el.Next() {
-				e := el.Value.(*entry)
+		for _, d := range []*deque{&q.readyHigh, &q.ready} {
+			d.Each(func(e *entry) {
 				qi.Messages = append(qi.Messages, append([]byte(nil), e.body...))
 				qi.IDs = append(qi.IDs, e.id)
 				qi.Interactive = append(qi.Interactive, e.interactive)
@@ -71,7 +68,7 @@ func (b *Broker) SnapshotImage() Image {
 					// preserve redelivery flags for already-requeued entries
 					qi.RedeliverTo = len(qi.Messages)
 				}
-			}
+			})
 		}
 		q.mu.Unlock()
 		img.Queues = append(img.Queues, qi)
@@ -95,7 +92,7 @@ func (b *Broker) RestoreImage(img Image) error {
 		}
 		q.mu.Lock()
 		for i, body := range qi.Messages {
-			e := &entry{body: append([]byte(nil), body...), redelivered: i < qi.RedeliverTo}
+			e := entry{body: append([]byte(nil), body...), redelivered: i < qi.RedeliverTo}
 			if i < len(qi.IDs) {
 				e.id = qi.IDs[i]
 				if e.id >= maxID {

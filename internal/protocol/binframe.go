@@ -277,7 +277,10 @@ var uuidHexAt = [32]uint8{0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 14, 15, 16, 17,
 
 // Pack returns the 16 raw bytes a canonical UUID spells; ok is false for
 // anything else.
-func (u UUID) Pack() (raw [16]byte, ok bool) {
+func (u UUID) Pack() (raw [16]byte, ok bool) { return pack(u) }
+
+// pack is Pack for a UUID's text as a string or as bytes.
+func pack[T ~string | ~[]byte](u T) (raw [16]byte, ok bool) {
 	if len(u) != 36 || u[8] != '-' || u[13] != '-' || u[18] != '-' || u[23] != '-' {
 		return raw, false
 	}

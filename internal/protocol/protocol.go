@@ -9,7 +9,6 @@ package protocol
 
 import (
 	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"time"
@@ -30,8 +29,7 @@ func NewUUID() UUID {
 	}
 	b[6] = (b[6] & 0x0f) | 0x40
 	b[8] = (b[8] & 0x3f) | 0x80
-	s := hex.EncodeToString(b[:])
-	return UUID(s[0:8] + "-" + s[8:12] + "-" + s[12:16] + "-" + s[16:20] + "-" + s[20:32])
+	return uuidString(b[:])
 }
 
 // Valid reports whether u looks like a canonical UUID: 8-4-4-4-12

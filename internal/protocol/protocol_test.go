@@ -29,6 +29,21 @@ func TestNewUUIDFormat(t *testing.T) {
 	}
 }
 
+// TestNewUUIDOneAlloc: a fresh ID is one allocation, its string, and is
+// always a canonical version 4, RFC 4122 variant UUID.
+func TestNewUUIDOneAlloc(t *testing.T) {
+	if allocs := testing.AllocsPerRun(100, func() { _ = NewUUID() }); allocs != 1 && !raceEnabled {
+		t.Errorf("NewUUID: %.1f allocations, want 1", allocs)
+	}
+	for i := 0; i < 10000; i++ {
+		u := NewUUID()
+		raw, ok := u.Pack()
+		if !ok || !u.Valid() || raw[6]>>4 != 4 || raw[8]>>6 != 2 {
+			t.Fatalf("NewUUID = %q: valid %v, version %d, variant %b", u, ok, raw[6]>>4, raw[8]>>6)
+		}
+	}
+}
+
 func TestNewUUIDUnique(t *testing.T) {
 	seen := make(map[UUID]bool)
 	for i := 0; i < 2000; i++ {

@@ -119,17 +119,25 @@ func (c *Client) do(method, path string, body, out any) error {
 		}
 		encoded = b
 	}
-	return c.send(method, path, "application/json", encoded, out)
+	data, _, err := c.send(method, path, "application/json", encoded)
+	if err != nil || out == nil {
+		return err
+	}
+	if err := json.Unmarshal(data, out); err != nil {
+		return fmt.Errorf("sdk: decode response: %w", err)
+	}
+	return nil
 }
 
-// send performs a request/response round trip with an encoded body and a
-// JSON response. Transient failures — transport errors, 429, and 5xx —
-// retry with jittered exponential backoff under the client's retry budget,
-// honoring Retry-After when the server sends one. Retried submits are made
-// exactly-once by attaching an idempotency key (see SubmitBatchOpts): a
-// retry whose first attempt was processed but whose response was lost
-// replays the original task IDs instead of enqueuing duplicates.
-func (c *Client) send(method, path, contentType string, encoded []byte, out any) error {
+// send performs a request/response round trip with an encoded body,
+// returning a 2xx response's body and Content-Type. Transient failures —
+// transport errors, 429, and 5xx — retry with jittered exponential backoff
+// under the client's retry budget, honoring Retry-After when the server
+// sends one. Retried submits are made exactly-once by attaching an
+// idempotency key (see SubmitBatchOpts): a retry whose first attempt was
+// processed but whose response was lost replays the original task IDs
+// instead of enqueuing duplicates.
+func (c *Client) send(method, path, contentType string, encoded []byte) ([]byte, string, error) {
 	hc := c.HTTP
 	if hc == nil {
 		hc = http.DefaultClient
@@ -143,7 +151,7 @@ func (c *Client) send(method, path, contentType string, encoded []byte, out any)
 		buf := bytes.NewReader(encoded)
 		req, err := http.NewRequest(method, c.BaseURL+path, buf)
 		if err != nil {
-			return err
+			return nil, "", err
 		}
 		req.Header.Set("Authorization", "Bearer "+c.Token)
 		req.Header.Set("Content-Type", contentType)
@@ -189,16 +197,11 @@ func (c *Client) send(method, path, contentType string, encoded []byte, out any)
 				c.backoff(attempt, ra)
 				continue
 			}
-			return lastErr
+			return nil, "", lastErr
 		}
-		if out != nil {
-			if err := json.Unmarshal(data, out); err != nil {
-				return fmt.Errorf("sdk: decode response: %w", err)
-			}
-		}
-		return nil
+		return data, resp.Header.Get("Content-Type"), nil
 	}
-	return lastErr
+	return nil, "", lastErr
 }
 
 // retryBudget returns the number of extra attempts allowed.
@@ -324,28 +327,28 @@ func (c *Client) SubmitBatch(tasks []webservice.SubmitRequest) ([]protocol.UUID,
 
 // SubmitBatchOpts submits tasks with overload-protection options, in the
 // binary submit body (webservice.EncodeSubmitBody), so payload bytes travel
-// verbatim. Setting IdempotencyKey makes the POST safely retryable — the
+// verbatim, and reads the binary task-ID reply. Setting IdempotencyKey makes the POST safely retryable — the
 // retry loop in send() can replay it after a lost response and receive the
 // original task IDs.
 func (c *Client) SubmitBatchOpts(tasks []webservice.SubmitRequest, opts webservice.SubmitOptions) ([]protocol.UUID, error) {
 	if len(tasks) == 0 {
 		return nil, errors.New("sdk: empty batch")
 	}
-	body, err := webservice.EncodeSubmitBody(tasks, opts)
-	if err != nil {
-		return nil, fmt.Errorf("sdk: encode request: %w", err)
-	}
-	var resp struct {
-		TaskIDs []protocol.UUID `json:"task_uuids"`
-	}
-	err = c.send("POST", "/v2/submit", webservice.SubmitContentType, body, &resp)
+	data, ct, err := c.send("POST", "/v2/submit", webservice.SubmitContentType, webservice.EncodeSubmitBody(tasks, opts))
 	if err != nil {
 		return nil, err
 	}
-	if len(resp.TaskIDs) != len(tasks) {
-		return nil, fmt.Errorf("sdk: submitted %d tasks, got %d IDs", len(tasks), len(resp.TaskIDs))
+	if ct != protocol.TaskIDsMediaType {
+		return nil, fmt.Errorf("sdk: submit reply is %q, want %s", ct, protocol.TaskIDsMediaType)
 	}
-	return resp.TaskIDs, nil
+	ids, err := protocol.DecodeTaskIDs(data)
+	if err != nil {
+		return nil, fmt.Errorf("sdk: decode submit reply: %w", err)
+	}
+	if len(ids) != len(tasks) {
+		return nil, fmt.Errorf("sdk: submitted %d tasks, got %d IDs", len(tasks), len(ids))
+	}
+	return ids, nil
 }
 
 // TaskStatus polls one task.

@@ -61,7 +61,7 @@ func (f *fakeService) serve(w http.ResponseWriter, r *http.Request) {
 		if hook != nil {
 			hook(ids)
 		}
-		_ = json.NewEncoder(w).Encode(map[string]any{"task_uuids": ids})
+		webservice.WriteSubmitReply(w, r, ids)
 	default:
 		http.NotFound(w, r)
 	}

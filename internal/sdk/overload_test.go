@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"globuscompute/internal/protocol"
 	"globuscompute/internal/webservice"
 )
 
@@ -86,7 +87,7 @@ func TestSubmitBatchOptsIdempotentRetry(t *testing.T) {
 			http.Error(w, `{"error":"response lost"}`, http.StatusInternalServerError)
 			return
 		}
-		w.Write([]byte(`{"task_uuids":["11111111-1111-4111-8111-111111111111"]}`))
+		webservice.WriteSubmitReply(w, r, []protocol.UUID{"11111111-1111-4111-8111-111111111111"})
 	}))
 	defer srv.Close()
 	var sleeps []time.Duration

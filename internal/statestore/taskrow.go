@@ -33,9 +33,11 @@ func shardOf(k taskKey) int {
 
 // groupKeys packs n task IDs and buckets their indices by shard, input order
 // kept within a bucket. bad(i) is called for each ID that is not canonical.
+// The buckets share one backing slice, filled by a counting pass, so a
+// batch costs two allocations however large it is.
 func groupKeys(n int, id func(int) protocol.UUID, bad func(int)) ([]taskKey, [taskShards][]int) {
 	keys := make([]taskKey, n)
-	var groups [taskShards][]int
+	var counts [taskShards]int
 	for i := range keys {
 		k, ok := id(i).Pack()
 		if !ok {
@@ -43,6 +45,20 @@ func groupKeys(n int, id func(int) protocol.UUID, bad func(int)) ([]taskKey, [ta
 			continue
 		}
 		keys[i] = k
+		counts[shardOf(k)]++
+	}
+	var groups [taskShards][]int
+	backing := make([]int, n)
+	at := 0
+	for si, c := range counts {
+		groups[si] = backing[at : at : at+c]
+		at += c
+	}
+	for i, k := range keys {
+		// A zero key is a bad ID, or the nil UUID.
+		if k == (taskKey{}) && !id(i).Valid() {
+			continue
+		}
 		groups[shardOf(k)] = append(groups[shardOf(k)], i)
 	}
 	return keys, groups

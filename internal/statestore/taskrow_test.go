@@ -314,3 +314,36 @@ func TestTaskTableConcurrentUse(t *testing.T) {
 		}
 	}
 }
+
+// TestGroupKeysAllocs: bucketing a batch by shard costs the same two
+// allocations (the keys and one backing slice) at 1 task and at 256, and
+// keeps each bucket in batch order without its bad IDs.
+func TestGroupKeysAllocs(t *testing.T) {
+	for _, n := range []int{1, 256} {
+		ids := make([]protocol.UUID, n)
+		for i := range ids {
+			ids[i] = protocol.NewUUID()
+		}
+		ids[n/2] = "not-a-uuid"
+		allocs := testing.AllocsPerRun(50, func() {
+			groupKeys(n, func(i int) protocol.UUID { return ids[i] }, func(int) {})
+		})
+		if allocs > 2 {
+			t.Errorf("%d tasks: %.0f allocations, want 2", n, allocs)
+		}
+		var bad []int
+		keys, groups := groupKeys(n, func(i int) protocol.UUID { return ids[i] }, func(i int) { bad = append(bad, i) })
+		seen := 0
+		for si, g := range groups {
+			for j, i := range g {
+				if j > 0 && g[j-1] >= i || shardOf(keys[i]) != si || !ids[i].Valid() {
+					t.Fatalf("%d tasks: shard %d holds %v", n, si, g)
+				}
+			}
+			seen += len(g)
+		}
+		if seen != n-1 || len(bad) != 1 || bad[0] != n/2 {
+			t.Errorf("%d tasks: %d bucketed, bad %v", n, seen, bad)
+		}
+	}
+}

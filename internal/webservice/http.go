@@ -368,7 +368,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, tok auth.T
 		writeError(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, submitResponse{TaskIDs: ids})
+	WriteSubmitReply(w, r, ids)
 }
 
 func (s *Server) handleGetTask(w http.ResponseWriter, r *http.Request, _ auth.Token) {

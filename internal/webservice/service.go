@@ -609,8 +609,8 @@ type groupResult struct {
 // to tell.
 func (s *Service) streamGroupResults(items []groupResult) {
 	order, byGroup := groupIndices(len(items), func(i int) protocol.UUID { return items[i].group })
-	for _, g := range order {
-		idxs := byGroup[g]
+	for gi, g := range order {
+		idxs := byGroup[gi]
 		bodies := make([][]byte, len(idxs))
 		traces := make([]trace.Context, len(idxs))
 		for j, i := range idxs {
@@ -624,18 +624,49 @@ func (s *Service) streamGroupResults(items []groupResult) {
 }
 
 // groupIndices buckets the indices 0..n-1 by key: keys in first-seen order,
-// indices in input order within a key.
-func groupIndices[K comparable](n int, key func(int) K) ([]K, map[K][]int) {
+// and beside each its indices in order. A batch costs four allocations
+// however large it is (a map as well when it has more than one key): the
+// buckets share one backing slice, filled by a counting pass.
+func groupIndices[K comparable](n int, key func(int) K) ([]K, [][]int) {
 	var order []K
-	idx := make(map[K][]int, 1)
-	for i := 0; i < n; i++ {
-		k := key(i)
-		if _, ok := idx[k]; !ok {
+	var index map[K]int // built once a second key shows up
+	group := make([]int, n)
+	for i := range group {
+		k, g := key(i), 0
+		switch {
+		case i > 0 && order[group[i-1]] == k:
+			g = group[i-1]
+		case index != nil:
+			var ok bool
+			if g, ok = index[k]; !ok {
+				g = len(order)
+				order = append(order, k)
+				index[k] = g
+			}
+		case len(order) == 0:
 			order = append(order, k)
+		default: // the second key
+			g = 1
+			order = append(order, k)
+			index = map[K]int{order[0]: 0, k: 1}
 		}
-		idx[k] = append(idx[k], i)
+		group[i] = g
 	}
-	return order, idx
+	// Count each bucket in its length, then cut the backing slice to fit.
+	buckets := make([][]int, len(order))
+	backing := make([]int, n)
+	for _, g := range group {
+		buckets[g] = backing[:len(buckets[g])+1]
+	}
+	at := 0
+	for g, b := range buckets {
+		buckets[g] = backing[at : at : at+len(b)]
+		at += len(b)
+	}
+	for i, g := range group {
+		buckets[g] = append(buckets[g], i)
+	}
+	return order, buckets
 }
 
 // observeResult records one terminal result in the originating endpoint's
@@ -722,8 +753,8 @@ type SubmitRequest struct {
 	EndpointID protocol.UUID `json:"endpoint_id"`
 	FunctionID protocol.UUID `json:"function_id"`
 	// Payload carries serialized arguments (python) or a rendered
-	// ShellSpec (shell/MPI). The binary submit body carries it outside the
-	// JSON header (see EncodeSubmitBody), so the header omits it.
+	// ShellSpec (shell/MPI). The binary submit body carries it in its own
+	// section after the header (see EncodeSubmitBody).
 	Payload   []byte                `json:"payload,omitempty"`
 	Resources protocol.ResourceSpec `json:"resources,omitempty"`
 	// UserEndpointConfig routes submissions to multi-user endpoints: the
@@ -931,30 +962,30 @@ func (s *Service) submitAdmitted(tok auth.Token, reqs []SubmitRequest, opts Subm
 	if err := s.cfg.Store.AdmitTasks(tasks, bodies); err != nil {
 		return fail(err)
 	}
-	queueOrder, queueIdx := groupIndices(len(batch), func(i int) string { return TaskQueue(batch[i].target) })
+	targets, byTarget := groupIndices(len(batch), func(i int) protocol.UUID { return batch[i].target })
 	publish := s.cfg.Broker.PublishBatch
 	if opts.Interactive {
 		publish = s.cfg.Broker.PublishBatchInteractive
 	}
-	for qi, q := range queueOrder {
-		idxs := queueIdx[q]
+	for ti, target := range targets {
+		idxs := byTarget[ti]
 		qBodies := make([][]byte, len(idxs))
 		qTraces := make([]trace.Context, len(idxs))
 		for j, i := range idxs {
 			qBodies[j], qTraces[j] = bodies[i], tasks[i].Trace
 		}
-		if err := publish(q, qBodies, qTraces); err != nil {
+		if err := publish(TaskQueue(target), qBodies, qTraces); err != nil {
 			// The broker did not take this queue's batch (shed at the depth
 			// limit, or failing). Tasks published to earlier queues proceed;
 			// the rest never reach an endpoint, so fail them now — every
 			// admitted task still lands on exactly one terminal state.
 			published := 0
-			for _, q2 := range queueOrder[:qi] {
-				published += len(queueIdx[q2])
+			for _, done := range byTarget[:ti] {
+				published += len(done)
 			}
 			var lostIDs []protocol.UUID
-			for _, q2 := range queueOrder[qi:] {
-				for _, i := range queueIdx[q2] {
+			for _, lost := range byTarget[ti:] {
+				for _, i := range lost {
 					lostIDs = append(lostIDs, ids[i])
 				}
 			}

@@ -3,6 +3,7 @@ package webservice
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -483,5 +484,26 @@ func TestUsageCounters(t *testing.T) {
 	}
 	if u.TasksByState[protocol.StateSuccess] != 1 {
 		t.Errorf("by-state = %v", u.TasksByState)
+	}
+}
+
+// TestGroupIndicesAllocs: bucketing a batch by target costs the same
+// allocations at 1 task and at 256, and each bucket keeps batch order.
+func TestGroupIndicesAllocs(t *testing.T) {
+	a, b := protocol.NewUUID(), protocol.NewUUID()
+	allocs := func(n int, key func(int) protocol.UUID) float64 {
+		return testing.AllocsPerRun(50, func() { groupIndices(n, key) })
+	}
+	one := func(int) protocol.UUID { return a }
+	if small, large := allocs(1, one), allocs(256, one); small != large || large > 4 {
+		t.Errorf("one target: %.0f allocations at 1 task, %.0f at 256, want the same and at most 4", small, large)
+	}
+	two := func(i int) protocol.UUID { return [2]protocol.UUID{a, b}[i%3/2] }
+	if small, large := allocs(3, two), allocs(256, two); small != large {
+		t.Errorf("two targets: %.0f allocations at 3 tasks, %.0f at 256", small, large)
+	}
+	order, buckets := groupIndices(7, two)
+	if fmt.Sprint(order, buckets) != fmt.Sprint([]protocol.UUID{a, b}, [][]int{{0, 1, 3, 4, 6}, {2, 5}}) {
+		t.Errorf("groupIndices = %v %v", order, buckets)
 	}
 }
