@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race trace-bench bench benchmark chaos crash overload obs-smoke route-smoke scenario scenario-full examples experiments fuzz fuzz-codec clean
+.PHONY: all build vet test race trace-bench alloc-bench bench benchmark chaos crash overload obs-smoke route-smoke scenario scenario-full examples experiments fuzz fuzz-codec clean
 
 all: build vet test race crash overload route-smoke fuzz-codec scenario
 
@@ -65,6 +65,15 @@ obs-smoke:
 trace-bench:
 	$(GO) test -bench=. -benchmem ./internal/trace/
 	$(GO) test -run '^$$' -bench=BenchmarkTraceContext -benchmem ./internal/protocol/
+
+# Allocation ratchets of the saturated path: bytes and objects per batch for
+# the broker's publish and delivery pump, the agent's intake and egress
+# flush, and the result processor, the retention checks that reused batch
+# scratch pins no body, and the submit exchange and result batch benchmarks
+# under -benchmem (see docs/PERFORMANCE.md "Batch scratch").
+alloc-bench:
+	$(GO) test -count=1 -v -run 'Allocs$$|PinsNoBody$$' ./internal/broker/ ./internal/endpoint/ ./internal/webservice/ ./internal/protocol/ ./internal/sdk/
+	$(GO) test -run '^$$' -bench 'BenchmarkSubmitExchange|BenchmarkResultBatch' -benchmem ./internal/webservice/
 
 # Regenerates every table/figure as testing.B measurements.
 bench:

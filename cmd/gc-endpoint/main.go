@@ -16,6 +16,7 @@ import (
 
 	"globuscompute/internal/endpoint"
 	"globuscompute/internal/engine"
+	"globuscompute/internal/metrics"
 	"globuscompute/internal/mpiengine"
 	"globuscompute/internal/objectstore"
 	"globuscompute/internal/provider"
@@ -93,7 +94,9 @@ func main() {
 		mux := http.NewServeMux()
 		mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			_ = ep.WriteMetrics(w)
+			if ep.WriteMetrics(w) == nil {
+				_ = metrics.WriteRuntime(w)
+			}
 		})
 		if *pprofOn {
 			// Agent-side continuous-profiling hook: the scenario harness (and

@@ -19,6 +19,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"globuscompute/internal/deque"
 	"globuscompute/internal/metrics"
 	"globuscompute/internal/trace"
 )
@@ -327,8 +328,8 @@ type queue struct {
 	// Two-level priority: readyHigh (interactive) drains completely before
 	// ready (batch). Requeues return to the front of their original level,
 	// preserving redelivery-first ordering within each class.
-	ready     deque // batch priority
-	readyHigh deque // interactive priority
+	ready     deque.Deque[entry] // batch priority
+	readyHigh deque.Deque[entry] // interactive priority
 	consumers []*Consumer
 	nextRR    int // round-robin cursor
 	nextTag   uint64

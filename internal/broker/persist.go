@@ -9,6 +9,8 @@ package broker
 // stores the image as JSON in its snapshot file, and uses the message IDs
 // carried in the image to dedupe replayed publishes.
 
+import "globuscompute/internal/deque"
+
 // QueueImage is one queue's persisted form.
 type QueueImage struct {
 	Name string `json:"name"`
@@ -59,7 +61,7 @@ func (b *Broker) SnapshotImage() Image {
 		}
 		qi.RedeliverTo = len(qi.Messages)
 		// Ready levels in dispatch order: interactive first, then batch.
-		for _, d := range []*deque{&q.readyHigh, &q.ready} {
+		for _, d := range []*deque.Deque[entry]{&q.readyHigh, &q.ready} {
 			d.Each(func(e *entry) {
 				qi.Messages = append(qi.Messages, append([]byte(nil), e.body...))
 				qi.IDs = append(qi.IDs, e.id)

@@ -1,0 +1,7 @@
+//go:build race
+
+package broker
+
+// raceEnabled: the race detector's instrumentation moves some stack buffers
+// to the heap, so allocation counts are only checked without it.
+const raceEnabled = true

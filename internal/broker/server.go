@@ -233,18 +233,26 @@ const maxDeliveryBatch = 64
 
 // deliveryPump forwards a consumer's messages onto the connection, each
 // frame a delivery_batch of whatever is already buffered: at idle a batch
-// of one, so batching adds no wait.
+// of one, so batching adds no wait. The frame's item slice lives as long as
+// the pump; after each write its used prefix is cleared, so no body stays
+// referenced once its frame is on the wire.
 func (s *Server) deliveryPump(wg *sync.WaitGroup, w *protocol.FrameWriter, queue string, c *Consumer) {
 	defer wg.Done()
+	body := &deliveryBatchBody{Queue: queue, Items: make([]deliveryItem, 0, maxDeliveryBatch)}
 	for m := range c.Messages() {
-		items := []deliveryItem{{Tag: m.Tag, Body: m.Body, Redelivered: m.Redelivered, Trace: m.Trace}}
-		items = drainDeliveries(c, items)
-		e := protocol.Envelope{Type: protocol.EnvDeliveryBatch, Bin: &deliveryBatchBody{Queue: queue, Items: items}}
-		if err := w.Write(e); err != nil {
+		body.Items = drainDeliveries(c, append(body.Items, deliveryItemOf(m)))
+		err := w.Write(protocol.Envelope{Type: protocol.EnvDeliveryBatch, Bin: body})
+		clear(body.Items)
+		body.Items = body.Items[:0]
+		if err != nil {
 			c.Close()
 			return
 		}
 	}
+}
+
+func deliveryItemOf(m Message) deliveryItem {
+	return deliveryItem{Tag: m.Tag, Body: m.Body, Redelivered: m.Redelivered, Trace: m.Trace}
 }
 
 // drainDeliveries appends already-buffered messages to items up to
@@ -256,7 +264,7 @@ func drainDeliveries(c *Consumer, items []deliveryItem) []deliveryItem {
 			if !ok {
 				return items
 			}
-			items = append(items, deliveryItem{Tag: m.Tag, Body: m.Body, Redelivered: m.Redelivered, Trace: m.Trace})
+			items = append(items, deliveryItemOf(m))
 		default:
 			return items
 		}

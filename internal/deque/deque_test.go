@@ -1,15 +1,20 @@
-package broker
+package deque
 
 import (
 	"fmt"
 	"testing"
 )
 
+type entry struct {
+	id   uint64
+	body []byte
+}
+
 // TestDequeOrder: push-back and push-front keep FIFO order with requeues
 // at the front, across growth, wraparound and shrinking, and a popped slot
 // drops its body.
 func TestDequeOrder(t *testing.T) {
-	var d deque
+	var d Deque[entry]
 	var want []uint64
 	next := uint64(0)
 	push := func(n int) {
@@ -43,12 +48,12 @@ func TestDequeOrder(t *testing.T) {
 		t.Fatalf("Each = %v, want %v", seen, want)
 	}
 	pop(d.Len())
-	if len(d.buf) > dequeKeepCap {
+	if len(d.buf) > keepCap {
 		t.Errorf("drained deque keeps %d slots", len(d.buf))
 	}
-	push(10 * dequeKeepCap)
+	push(10 * keepCap)
 	pop(d.Len())
-	if len(d.buf) > dequeKeepCap {
+	if len(d.buf) > keepCap {
 		t.Errorf("deque drained after a burst keeps %d slots", len(d.buf))
 	}
 	d.PushBack(entry{body: []byte("x")})
@@ -57,31 +62,5 @@ func TestDequeOrder(t *testing.T) {
 		if d.buf[i].body != nil {
 			t.Fatal("a popped slot still holds its body")
 		}
-	}
-}
-
-// TestPublishBatchAllocs: publishing a batch costs one allocation for its
-// bodies, not one per message for the entry, the body copy and a list
-// element.
-func TestPublishBatchAllocs(t *testing.T) {
-	b := New()
-	defer b.Close()
-	if err := b.Declare("q"); err != nil {
-		t.Fatal(err)
-	}
-	bodies := make([][]byte, 64)
-	for i := range bodies {
-		bodies[i] = []byte(fmt.Sprintf("task body %d", i))
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := b.PublishBatch("q", bodies, nil); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 2 {
-		t.Errorf("publishing %d messages: %.1f allocations, want at most 2", len(bodies), allocs)
-	}
-	if d, _ := b.Depth("q"); d != 101*len(bodies) {
-		t.Errorf("depth %d, want %d", d, 101*len(bodies))
 	}
 }

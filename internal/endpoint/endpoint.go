@@ -122,6 +122,11 @@ type Agent struct {
 	ackSem chan struct{}
 	acks   sync.WaitGroup
 
+	// engTasks and engSpans are taskLoop's per-drain scratch: they live as
+	// long as the loop, and processDeliveries clears the prefix it used.
+	engTasks []protocol.Task
+	engSpans []trace.ActiveSpan
+
 	// lastActivity is the unix-nano time of the last task receipt or
 	// result publication, used by multi-user endpoints to reap idle user
 	// endpoints.
@@ -350,6 +355,7 @@ func (a *Agent) taskLoop() {
 			}
 		}
 		a.processDeliveries(batch)
+		batch = clearPrefix(batch)
 	}
 }
 
@@ -419,9 +425,8 @@ func (a *Agent) processDeliveries(batch []broker.Message) {
 	n := len(batch)
 	// Dispatch: engine tasks batch-submit under one engine lock; MPI tasks
 	// submit individually (rare, and the MPI engine runs its own dispatch).
-	tags := make([]uint64, 0, n)
-	engTasks := make([]protocol.Task, 0, n)
-	engSpans := make([]trace.ActiveSpan, 0, n)
+	tags := make([]uint64, 0, n) // the ack goroutine holds it
+	engTasks, engSpans := a.engTasks, a.engSpans
 	received := 0
 	for i := range batch {
 		task, err := protocol.DecodeTask(batch[i].Body)
@@ -490,6 +495,7 @@ func (a *Agent) processDeliveries(batch []broker.Message) {
 			a.Metrics.Counter("submit_errors").Inc()
 		}
 	}
+	a.engTasks, a.engSpans = clearPrefix(engTasks), clearPrefix(engSpans)
 
 	// Acknowledge the whole drain at once, without blocking the loop: an
 	// ack's only job is to move the delivery window, and a round trip spent
@@ -536,25 +542,41 @@ const egressFlightCap = 4
 // egressMaxBatch caps results coalesced into one flush.
 const egressMaxBatch = 64
 
+// egressBuf is one flush: its results and, once encoded, their bodies and
+// trace contexts.
+type egressBuf struct {
+	results []protocol.Result
+	bodies  [][]byte
+	traces  []trace.Context
+}
+
 // egressLoop is the group-commit result flusher: the first queued result
 // wakes it and everything buffered up to egressMaxBatch coalesces into one
 // publish. While flushes are in flight new results accumulate, so batch size
 // adapts to load without adding latency at idle. Results within a flush
 // preserve completion order; concurrent flushes may interleave (tasks are
 // independent and the task state machine does not rely on cross-result
-// ordering).
+// ordering). egressFlightCap flush buffers circulate: taking a free one is
+// taking a flight slot, and a flush returns its buffer cleared.
 func (a *Agent) egressLoop() {
 	defer a.wg.Done()
-	sem := make(chan struct{}, egressFlightCap)
+	free := make(chan *egressBuf, egressFlightCap)
+	for i := 0; i < egressFlightCap; i++ {
+		free <- &egressBuf{
+			results: make([]protocol.Result, 0, egressMaxBatch),
+			bodies:  make([][]byte, 0, egressMaxBatch),
+			traces:  make([]trace.Context, 0, egressMaxBatch),
+		}
+	}
 	var flights sync.WaitGroup
 	defer flights.Wait()
 	for {
+		buf := <-free
 		res, ok := <-a.egress
 		if !ok {
 			return
 		}
-		batch := make([]protocol.Result, 0, egressMaxBatch)
-		batch = append(batch, res)
+		batch := append(buf.results, res)
 		closed := false
 	drain:
 		for len(batch) < egressMaxBatch {
@@ -569,13 +591,19 @@ func (a *Agent) egressLoop() {
 				break drain
 			}
 		}
-		sem <- struct{}{}
+		buf.results = batch
 		flights.Add(1)
-		go func(b []protocol.Result) {
+		go func() {
 			defer flights.Done()
-			defer func() { <-sem }()
-			a.publishResults(b)
-		}(batch)
+			a.publishResults(buf)
+			// Cleared before the backlog drops, so a drained backlog means
+			// no buffer still holds a result.
+			n := len(buf.results)
+			buf.results, buf.bodies = clearPrefix(buf.results), clearPrefix(buf.bodies)
+			buf.traces = buf.traces[:0]
+			free <- buf
+			a.egressBacklog.Add(-int64(n))
+		}()
 		if closed {
 			return
 		}
@@ -583,11 +611,10 @@ func (a *Agent) egressLoop() {
 }
 
 // publishResults encodes and publishes one egress flush.
-func (a *Agent) publishResults(batch []protocol.Result) {
-	defer a.egressBacklog.Add(-int64(len(batch)))
+func (a *Agent) publishResults(buf *egressBuf) {
+	batch := buf.results
 	queue := protocol.ResultQueue(a.cfg.EndpointID)
-	bodies := make([][]byte, 0, len(batch))
-	traces := make([]trace.Context, 0, len(batch))
+	bodies, traces := buf.bodies, buf.traces
 	for i := range batch {
 		batch[i].EndpointID = a.cfg.EndpointID
 		// Egress-side spill: ship oversized outputs to the object store and
@@ -608,6 +635,7 @@ func (a *Agent) publishResults(batch []protocol.Result) {
 		bodies = append(bodies, protocol.EncodeResult(&batch[i]))
 		traces = append(traces, batch[i].Trace)
 	}
+	buf.bodies, buf.traces = bodies, traces
 	published := len(bodies)
 	if err := a.cfg.Conn.PublishBatch(queue, bodies, traces); err != nil {
 		// A flush succeeds or fails as a unit, so one flaky publish would sink
@@ -815,6 +843,13 @@ func newRunner(rc RunnerConfig) engine.TaskRunner {
 			return failure(task, fmt.Sprintf("unsupported task kind %q", task.Kind))
 		}
 	}
+}
+
+// clearPrefix zeroes the used elements of a scratch slice, so it references
+// nothing of the batch it held, and returns it emptied for the next one.
+func clearPrefix[T any](s []T) []T {
+	clear(s)
+	return s[:0]
 }
 
 func failure(task protocol.Task, msg string) protocol.Result {

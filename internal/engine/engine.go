@@ -16,6 +16,7 @@ import (
 	"sync"
 	"time"
 
+	"globuscompute/internal/deque"
 	"globuscompute/internal/metrics"
 	"globuscompute/internal/protocol"
 	"globuscompute/internal/provider"
@@ -155,7 +156,7 @@ type Engine struct {
 	cfg Config
 
 	mu       sync.Mutex
-	pending  []protocol.Task
+	pending  deque.Deque[protocol.Task] // dispatch order; a requeue goes to the front
 	managers map[string]*manager
 	blocks   map[string]string // block ID -> manager ID ("" until registered)
 	started  bool
@@ -252,15 +253,15 @@ func (e *Engine) SubmitBatch(tasks []protocol.Task) []error {
 	var errs []error
 	accepted := 0
 	for i := range tasks {
-		if len(e.pending) >= e.cfg.QueueCapacity {
+		if e.pending.Len() >= e.cfg.QueueCapacity {
 			if errs == nil {
 				errs = make([]error, len(tasks))
 			}
-			errs[i] = fmt.Errorf("engine: backlog full (%d tasks)", len(e.pending))
+			errs[i] = fmt.Errorf("engine: backlog full (%d tasks)", e.pending.Len())
 			continue
 		}
 		e.startQueueSpanLocked(&tasks[i])
-		e.pending = append(e.pending, tasks[i])
+		e.pending.PushBack(tasks[i])
 		accepted++
 	}
 	e.mu.Unlock()
@@ -311,7 +312,7 @@ func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	s := Stats{
-		PendingTasks:   len(e.pending),
+		PendingTasks:   e.pending.Len(),
 		LiveBlocks:     len(e.blocks),
 		TasksSubmitted: e.Metrics.Counter("submitted").Value(),
 		TasksCompleted: e.Metrics.Counter("completed").Value(),
@@ -342,10 +343,11 @@ func (e *Engine) Stop() {
 		return
 	}
 	e.stopped = true
-	pending := e.pending
-	e.pending = nil
-	for _, t := range pending {
+	pending := make([]protocol.Task, 0, e.pending.Len())
+	for e.pending.Len() > 0 {
+		t := e.pending.PopFront()
 		e.endQueueSpanLocked(t.ID, "dropped")
+		pending = append(pending, t)
 	}
 	blockIDs := make([]string, 0, len(e.blocks))
 	for id := range e.blocks {
@@ -493,7 +495,7 @@ func (e *Engine) requeue(t protocol.Task) {
 	now := time.Now()
 	e.cfg.Tracer.Record(t.Trace, "engine.requeue", now, now, "attempt", strconv.Itoa(t.Attempts))
 	e.startQueueSpanLocked(&t)
-	e.pending = append([]protocol.Task{t}, e.pending...)
+	e.pending.PushFront(t)
 	e.mu.Unlock()
 	e.Metrics.Counter("requeued").Inc()
 	e.wakeUp()
@@ -582,7 +584,7 @@ func (e *Engine) dispatchLoop() {
 		}
 		for {
 			e.mu.Lock()
-			if e.stopped || len(e.pending) == 0 {
+			if e.stopped || e.pending.Len() == 0 {
 				e.mu.Unlock()
 				break
 			}
@@ -599,8 +601,7 @@ func (e *Engine) dispatchLoop() {
 				e.mu.Unlock()
 				break
 			}
-			t := e.pending[0]
-			e.pending = e.pending[1:]
+			t := e.pending.PopFront()
 			e.endQueueSpanLocked(t.ID, "")
 			target.freeSlots--
 			target.lastActive = time.Now()
@@ -641,7 +642,7 @@ func (e *Engine) scalingLoop() {
 		for _, id := range stale {
 			delete(e.blocks, id)
 		}
-		backlog := len(e.pending)
+		backlog := e.pending.Len()
 		live := len(e.blocks)
 		perBlock := e.cfg.Provider.NodesPerBlock() * e.cfg.WorkersPerNode
 		if perBlock <= 0 {

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -113,3 +114,49 @@ func TestSanitizeMetricName(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteRuntime: the runtime counters export as Prometheus counters, and
+// allocating moves the heap-allocation ones.
+func TestWriteRuntime(t *testing.T) {
+	read := func() map[string]float64 {
+		var b strings.Builder
+		if err := WriteRuntime(&b); err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]float64{}
+		for _, line := range strings.Split(strings.TrimSpace(b.String()), "\n") {
+			if strings.HasPrefix(line, "# TYPE ") {
+				if !strings.HasSuffix(line, " counter") {
+					t.Errorf("%q: want a counter", line)
+				}
+				continue
+			}
+			name, val, ok := strings.Cut(line, " ")
+			if !ok {
+				t.Fatalf("malformed sample %q", line)
+			}
+			f, err := strconv.ParseFloat(val, 64)
+			if err != nil {
+				t.Fatalf("sample %q: %v", line, err)
+			}
+			out[name] = f
+		}
+		return out
+	}
+	before := read()
+	for _, s := range runtimeSeries {
+		if _, ok := before[s.name]; !ok {
+			t.Errorf("%s (%s) not exported", s.name, s.key)
+		}
+	}
+	sink = make([]byte, 1<<20)
+	after := read()
+	if d := after["go_gc_heap_allocs_bytes_total"] - before["go_gc_heap_allocs_bytes_total"]; d < 1<<20 {
+		t.Errorf("a 1 MiB allocation moved go_gc_heap_allocs_bytes_total by %.0f", d)
+	}
+	if after["go_gc_heap_allocs_objects_total"] <= before["go_gc_heap_allocs_objects_total"] {
+		t.Error("go_gc_heap_allocs_objects_total did not move")
+	}
+}
+
+var sink []byte

@@ -207,13 +207,16 @@ func EncodeResult(r *Result) []byte {
 // Every error wraps ErrBadFrame, and the decoded task shares no memory with
 // b.
 func DecodeTask(b []byte) (Task, error) {
-	var t Task
 	if len(b) > 0 && b[0] == '{' {
-		if err := json.Unmarshal(b, &t); err != nil {
+		// A variable of this branch's own: json.Unmarshal moves it to the
+		// heap, and the binary path's task stays off it.
+		var jt Task
+		if err := json.Unmarshal(b, &jt); err != nil {
 			return Task{}, fmt.Errorf("%w: json task body: %v", ErrBadFrame, err)
 		}
-		return t, nil
+		return jt, nil
 	}
+	var t Task
 	r := bodyReader{in: binReader{p: b}}
 	flags := r.header(taskBodyMagic, taskFlagsAll)
 	r.strs.Grow(arenaHint(3, flags&(taskGroupID|taskRoutingGroup)))
@@ -277,10 +280,11 @@ func DecodeResult(b []byte) (Result, error) {
 // when the body has no such context (none, a verbatim one, or JSON).
 func DecodeResultAt(b []byte) (res Result, traceAt int, err error) {
 	if len(b) > 0 && b[0] == '{' {
-		if err := json.Unmarshal(b, &res); err != nil {
+		var jr Result // as in DecodeTask: only this branch's result escapes
+		if err := json.Unmarshal(b, &jr); err != nil {
 			return Result{}, -1, fmt.Errorf("%w: json result body: %v", ErrBadFrame, err)
 		}
-		return res, -1, nil
+		return jr, -1, nil
 	}
 	r := bodyReader{in: binReader{p: b}}
 	flags := r.header(resultBodyMagic, resultFlagsAll)

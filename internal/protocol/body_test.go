@@ -129,8 +129,9 @@ func TestBodySizeGuard(t *testing.T) {
 	}
 }
 
-// TestBodyAllocs: an encode allocates once, a decode at most half what
-// json.Unmarshal does for the same value, traced or not, and a traced
+// TestBodyAllocs: an encode allocates once, a binary decode at most twice
+// and at most half what json.Unmarshal does for the same value, traced or
+// not, and a traced
 // decode no more than an untraced one: the context decodes into the value.
 func TestBodyAllocs(t *testing.T) {
 	if raceEnabled {
@@ -160,6 +161,11 @@ func TestBodyAllocs(t *testing.T) {
 		jr := testing.AllocsPerRun(100, func() { var v Result; _ = json.Unmarshal(rj, &v) })
 		br := testing.AllocsPerRun(100, func() { _, _ = DecodeResult(rb) })
 		t.Logf("%s: task decode %v allocs (JSON %v), result decode %v (JSON %v)", name, bt, jt, br, jr)
+		if bt > 2 || br > 2 {
+			// The string arena and the payload or output copy; the decoded
+			// value itself stays off the heap.
+			t.Errorf("%s: DecodeTask allocates %v times and DecodeResult %v, want at most 2", name, bt, br)
+		}
 		if 2*bt > jt {
 			t.Errorf("%s: DecodeTask allocates %v times, more than half of json.Unmarshal's %v", name, bt, jt)
 		}

@@ -61,11 +61,12 @@ func EncodePythonSpec(spec PythonSpec) []byte {
 // Arguments are copied out of b, never aliased, so b may be a buffer the
 // caller shares or reuses.
 func DecodePythonSpec(b []byte) (PythonSpec, error) {
-	var spec PythonSpec
 	if len(b) == 0 || b[0] != pySpecTag {
-		err := DecodePayload(b, &spec)
-		return spec, err
+		var js PythonSpec // as in DecodeTask: only this branch's spec escapes
+		err := DecodePayload(b, &js)
+		return js, err
 	}
+	var spec PythonSpec
 	r := &binReader{p: b, off: 1}
 	if err := r.pythonSpec(&spec); err != nil {
 		return PythonSpec{}, fmt.Errorf("protocol: decode python payload: %w", err)

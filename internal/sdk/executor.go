@@ -71,8 +71,12 @@ type Executor struct {
 	// ResourceSpec applies to MPIFunction submissions.
 	ResourceSpec protocol.ResourceSpec
 
-	mu      sync.Mutex
-	pending []pendingSub
+	mu sync.Mutex
+	// pending is the batch the next POST takes. spare is a posted batch,
+	// emptied, that pending swaps to when taken, so the two circulate
+	// instead of regrowing from nil.
+	pending submitBatch
+	spare   submitBatch
 	futures map[protocol.UUID]*Future
 	orphans map[protocol.UUID]protocol.Result
 	closed  bool
@@ -92,10 +96,13 @@ type Executor struct {
 	wg   sync.WaitGroup
 }
 
-type pendingSub struct {
-	req  webservice.SubmitRequest
-	fut  *Future
-	span *trace.ActiveSpan // open sdk.submit root span (nil when untraced)
+// submitBatch is the submissions of one POST: the requests, and beside
+// each the future it resolves and its open sdk.submit root span (nil when
+// untraced).
+type submitBatch struct {
+	reqs  []webservice.SubmitRequest
+	futs  []*Future
+	spans []*trace.ActiveSpan
 }
 
 // NewExecutor builds and starts an executor.
@@ -285,9 +292,10 @@ func (ex *Executor) enqueue(fnID protocol.UUID, payload []byte, res protocol.Res
 		ex.mu.Unlock()
 		return nil, ErrExecutorClosed
 	}
-	ex.pending = append(ex.pending, pendingSub{req: req, fut: fut, span: sp})
+	p := &ex.pending
+	p.reqs, p.futs, p.spans = append(p.reqs, req), append(p.futs, fut), append(p.spans, sp)
 	ex.unresolved.Add(1)
-	if len(ex.pending) >= ex.cfg.MaxBatch {
+	if len(p.reqs) >= ex.cfg.MaxBatch {
 		batch := ex.takeBatchLocked()
 		ex.mu.Unlock()
 		ex.flush(batch)
@@ -301,10 +309,21 @@ func (ex *Executor) enqueue(fnID protocol.UUID, payload []byte, res protocol.Res
 	return fut, nil
 }
 
-func (ex *Executor) takeBatchLocked() []pendingSub {
+func (ex *Executor) takeBatchLocked() submitBatch {
 	batch := ex.pending
-	ex.pending = nil
+	ex.pending, ex.spare = ex.spare, submitBatch{}
 	return batch
+}
+
+// recycleLocked keeps a posted batch, its used prefix cleared, as the spare
+// unless one is already kept (two flushes can be in flight).
+func (ex *Executor) recycleLocked(b submitBatch) {
+	if ex.spare.reqs == nil {
+		clear(b.reqs)
+		clear(b.futs)
+		clear(b.spans)
+		ex.spare = submitBatch{reqs: b.reqs[:0], futs: b.futs[:0], spans: b.spans[:0]}
+	}
 }
 
 // flushLoop is the self-clocked submit path: it posts whatever is pending as
@@ -323,39 +342,39 @@ func (ex *Executor) flushLoop() {
 }
 
 // flush submits one batch and wires task IDs to futures.
-func (ex *Executor) flush(batch []pendingSub) {
-	if len(batch) == 0 {
+func (ex *Executor) flush(batch submitBatch) {
+	if len(batch.reqs) == 0 {
 		return
 	}
-	reqs := make([]webservice.SubmitRequest, len(batch))
-	for i, p := range batch {
-		reqs[i] = p.req
-	}
-	ids, err := ex.cfg.Client.SubmitBatch(reqs)
+	ids, err := ex.cfg.Client.SubmitBatch(batch.reqs)
 	if err != nil {
-		for _, p := range batch {
-			p.span.EndStatus("error")
-			p.fut.resolve(protocol.Result{}, fmt.Errorf("sdk: submission failed: %w", err))
+		for i, fut := range batch.futs {
+			batch.spans[i].EndStatus("error")
+			fut.resolve(protocol.Result{}, fmt.Errorf("sdk: submission failed: %w", err))
 			ex.unresolved.Add(-1)
 		}
+		ex.mu.Lock()
+		ex.recycleLocked(batch)
+		ex.mu.Unlock()
 		return
 	}
-	for _, p := range batch {
-		p.span.End()
+	for _, sp := range batch.spans {
+		sp.End()
 	}
 	ex.mu.Lock()
-	for i, p := range batch {
+	for i, fut := range batch.futs {
 		id := ids[i]
-		p.fut.setTaskID(id)
+		fut.setTaskID(id)
 		if res, ok := ex.orphans[id]; ok {
 			delete(ex.orphans, id)
 			ex.mu.Unlock()
-			ex.resolveTraced(p.fut, res, trace.Context{})
+			ex.resolveTraced(fut, res, trace.Context{})
 			ex.mu.Lock()
 			continue
 		}
-		ex.futures[id] = p.fut
+		ex.futures[id] = fut
 	}
+	ex.recycleLocked(batch)
 	ex.mu.Unlock()
 }
 

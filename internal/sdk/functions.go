@@ -65,7 +65,10 @@ type registrationCache struct {
 	ids map[*Client]protocol.UUID
 }
 
-func (rc *registrationCache) idFor(c *Client, kind protocol.FunctionKind, definition any) (protocol.UUID, error) {
+// idFor returns c's ID for the function, registering it on a cache miss.
+// definition builds the registered definition; a hit never calls it, so a
+// Submit after the first builds nothing.
+func (rc *registrationCache) idFor(c *Client, kind protocol.FunctionKind, definition func() any) (protocol.UUID, error) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	if rc.ids == nil {
@@ -74,7 +77,7 @@ func (rc *registrationCache) idFor(c *Client, kind protocol.FunctionKind, defini
 	if id, ok := rc.ids[c]; ok {
 		return id, nil
 	}
-	def, err := json.Marshal(definition)
+	def, err := json.Marshal(definition())
 	if err != nil {
 		return "", err
 	}
@@ -88,18 +91,20 @@ func (rc *registrationCache) idFor(c *Client, kind protocol.FunctionKind, defini
 
 // ensureRegistered returns the function UUID, registering on first use.
 func (p *PythonFunction) ensureRegistered(c *Client) (protocol.UUID, error) {
-	return p.reg.idFor(c, protocol.KindPython, map[string]string{"entrypoint": p.Entrypoint})
+	return p.reg.idFor(c, protocol.KindPython, func() any {
+		return map[string]string{"entrypoint": p.Entrypoint}
+	})
 }
 
 func (s *ShellFunction) ensureRegistered(c *Client) (protocol.UUID, error) {
-	return s.reg.idFor(c, protocol.KindShell, map[string]any{
-		"command_template": s.Command, "sandbox": s.Sandbox,
+	return s.reg.idFor(c, protocol.KindShell, func() any {
+		return map[string]any{"command_template": s.Command, "sandbox": s.Sandbox}
 	})
 }
 
 func (m *MPIFunction) ensureRegistered(c *Client) (protocol.UUID, error) {
-	return m.reg.idFor(c, protocol.KindMPI, map[string]any{
-		"command_template": m.Command, "launcher": m.Launcher,
+	return m.reg.idFor(c, protocol.KindMPI, func() any {
+		return map[string]any{"command_template": m.Command, "launcher": m.Launcher}
 	})
 }
 

@@ -55,7 +55,7 @@ func resultBodies(t *testing.T, ep protocol.UUID, ids []protocol.UUID) [][]byte 
 
 // submitGrouped submits n tasks in one batch under a fresh group whose queue
 // is declared, as an executor would.
-func submitGrouped(t *testing.T, f *fixture, ep, fn protocol.UUID, n int) (protocol.UUID, []protocol.UUID) {
+func submitGrouped(t testing.TB, f *fixture, ep, fn protocol.UUID, n int) (protocol.UUID, []protocol.UUID) {
 	t.Helper()
 	group := protocol.NewUUID()
 	if err := f.brk.Declare(GroupResultQueue(group)); err != nil {
@@ -269,7 +269,7 @@ func TestCommitBudget(t *testing.T) {
 	for i := range batch {
 		batch[i] = <-c.Messages()
 	}
-	st.Service.processResultBatch(c, batch)
+	st.Service.processResultBatch(c, batch, &resultScratch{})
 	for i := 0; i < n; i++ {
 		select {
 		case m := <-stream.Messages():

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"time"
 
+	"globuscompute/internal/metrics"
 	"globuscompute/internal/obs"
 	"globuscompute/internal/trace"
 )
@@ -167,6 +168,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.svc.cfg.Objects != nil && s.svc.cfg.Objects.Metrics != nil {
 		_ = s.svc.cfg.Objects.Metrics.WriteText(w, "gc_objectstore")
 	}
+	_ = metrics.WriteRuntime(w)
 }
 
 // handleMetricsFleet writes the federated fleet view: every tracked

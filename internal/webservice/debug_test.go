@@ -175,3 +175,19 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 }
+
+// TestMetricsRuntimeCounters: /metrics carries the process's allocation
+// and GC counters beside the service's registries.
+func TestMetricsRuntimeCounters(t *testing.T) {
+	h := newHTTPFixture(t)
+	resp, body := h.do(t, "GET", "/metrics?token="+h.token.Value, "", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("metrics status %d", resp.StatusCode)
+	}
+	for _, name := range []string{"go_gc_cycles_total_gc_cycles_total", "go_gc_heap_allocs_bytes_total",
+		"go_gc_heap_allocs_objects_total", "go_cpu_classes_gc_total_cpu_seconds_total"} {
+		if !bytes.Contains(body, []byte("# TYPE "+name+" counter\n"+name+" ")) {
+			t.Errorf("metrics lack counter %s", name)
+		}
+	}
+}

@@ -491,12 +491,14 @@ const resultBatchMax = 64
 // runResultProcessor drains a result consumer. The first receive blocks;
 // whatever else is already buffered (up to resultBatchMax) is folded into
 // the same batch, so one statestore write and one ack round trip cover a
-// burst while a lone result is processed immediately.
+// burst while a lone result is processed immediately. The batch's slices
+// live as long as the loop.
 func (s *Service) runResultProcessor(c *broker.Consumer) {
 	defer s.wg.Done()
+	var sc resultScratch
 	msgs := c.Messages()
 	for m := range msgs {
-		batch := []broker.Message{m}
+		batch := append(sc.msgs, m)
 	drain:
 		for len(batch) < resultBatchMax {
 			select {
@@ -509,8 +511,29 @@ func (s *Service) runResultProcessor(c *broker.Consumer) {
 				break drain
 			}
 		}
-		s.processResultBatch(c, batch)
+		s.processResultBatch(c, batch, &sc)
+		sc.msgs = clearPrefix(batch)
 	}
+}
+
+// resultScratch is one result processor's per-batch scratch. It outlives
+// the batch so a batch allocates none of its slices; processResultBatch
+// clears the prefix it used, so no body, output or span stays referenced
+// between batches.
+type resultScratch struct {
+	msgs          []broker.Message
+	results       []protocol.Result
+	bodies        [][]byte
+	spans         []trace.ActiveSpan
+	tags, settled []uint64
+}
+
+// clearPrefix zeroes the used elements of a scratch slice (not its whole
+// capacity: a lone result must not pay for clearing 64 slots) and returns
+// it emptied for the next batch.
+func clearPrefix[T any](s []T) []T {
+	clear(s)
+	return s[:0]
 }
 
 // processResultBatch records a batch of result messages: parse and spill
@@ -519,14 +542,11 @@ func (s *Service) runResultProcessor(c *broker.Consumer) {
 // or rejected for good (malformed, or refused by the task state machine). One
 // the journal failed to record stays unacknowledged, so the broker redelivers
 // it when this consumer closes or the process restarts; it is not nacked,
-// which would spin against a dead log.
-func (s *Service) processResultBatch(c *broker.Consumer, batch []broker.Message) {
+// which would spin against a dead log. sc holds the batch's parallel slices.
+func (s *Service) processResultBatch(c *broker.Consumer, batch []broker.Message, sc *resultScratch) {
 	// Parallel slices over the batch's well-formed results.
-	results := make([]protocol.Result, 0, len(batch))
-	bodies := make([][]byte, 0, len(batch))
-	spans := make([]trace.ActiveSpan, 0, len(batch))
-	tags := make([]uint64, 0, len(batch))
-	settled := make([]uint64, 0, len(batch))
+	results, bodies, spans := sc.results, sc.bodies, sc.spans
+	tags, settled := sc.tags, sc.settled
 	for _, m := range batch {
 		spans = append(spans, trace.ActiveSpan{})
 		res, body, err := s.prepareResult(m.Body, m.Trace, &spans[len(spans)-1])
@@ -564,6 +584,8 @@ func (s *Service) processResultBatch(c *broker.Consumer, batch []broker.Message)
 	}
 	trace.EndAll(spans, "") // the recorded ones; the rest ended with "error"
 	_ = c.Ack(settled...)
+	sc.results, sc.bodies, sc.spans = clearPrefix(results), clearPrefix(bodies), clearPrefix(spans)
+	sc.tags, sc.settled = tags[:0], settled[:0]
 }
 
 // recordTerminal is the one path a task takes into a terminal state, whether
@@ -579,7 +601,7 @@ func (s *Service) recordTerminal(results []protocol.Result, bodies [][]byte) []e
 		return nil // nothing to journal
 	}
 	done, errs := s.cfg.Store.CompleteEncoded(results, bodies)
-	var stream []groupResult
+	gs := groupStreamPool.Get().(*groupStream)
 	for i, res := range results {
 		if errs[i] != nil {
 			continue
@@ -588,10 +610,12 @@ func (s *Service) recordTerminal(results []protocol.Result, bodies [][]byte) []e
 		s.observeResult(res, c.Created)
 		s.releaseTerminal(c)
 		if c.GroupID != "" {
-			stream = append(stream, groupResult{group: c.GroupID, body: bodies[i], tc: res.Trace})
+			gs.items = append(gs.items, groupResult{group: c.GroupID, body: bodies[i], tc: res.Trace})
 		}
 	}
-	s.streamGroupResults(stream)
+	s.streamGroupResults(gs)
+	gs.items = clearPrefix(gs.items)
+	groupStreamPool.Put(gs)
 	return errs
 }
 
@@ -602,24 +626,35 @@ type groupResult struct {
 	tc    trace.Context
 }
 
-// streamGroupResults publishes recorded results onto the submitting
-// executors' group queues so their futures resolve: one broker publish — on
-// a durable broker, one journal commit — per distinct group, in the order
-// given. A group whose queue is gone (its executor closed) has nobody left
-// to tell.
-func (s *Service) streamGroupResults(items []groupResult) {
+// groupStream is the scratch of one recordTerminal call: the recorded
+// results bound for group streams, and one group's publish at a time.
+// Result processors record concurrently, so the scratch comes from a pool.
+type groupStream struct {
+	items  []groupResult
+	bodies [][]byte
+	traces []trace.Context
+}
+
+var groupStreamPool = sync.Pool{New: func() any { return new(groupStream) }}
+
+// streamGroupResults publishes gs.items onto the submitting executors'
+// group queues so their futures resolve: one broker publish — on a durable
+// broker, one journal commit — per distinct group, in the order given. A
+// group whose queue is gone (its executor closed) has nobody left to tell.
+func (s *Service) streamGroupResults(gs *groupStream) {
+	items := gs.items
 	order, byGroup := groupIndices(len(items), func(i int) protocol.UUID { return items[i].group })
 	for gi, g := range order {
 		idxs := byGroup[gi]
-		bodies := make([][]byte, len(idxs))
-		traces := make([]trace.Context, len(idxs))
-		for j, i := range idxs {
-			bodies[j], traces[j] = items[i].body, items[i].tc
+		bodies, traces := gs.bodies[:0], gs.traces[:0]
+		for _, i := range idxs {
+			bodies, traces = append(bodies, items[i].body), append(traces, items[i].tc)
 		}
 		err := s.cfg.Broker.PublishBatch(GroupResultQueue(g), bodies, traces)
 		if err != nil && !errors.Is(err, broker.ErrQueueNotFound) {
 			s.log.Warn("group results not streamed", "group", string(g), "results", len(idxs), "error", err)
 		}
+		gs.bodies, gs.traces = clearPrefix(bodies), traces[:0]
 	}
 }
 
@@ -832,12 +867,8 @@ func (s *Service) SubmitBatch(tok auth.Token, reqs []SubmitRequest, opts SubmitO
 // admission slots settle at their terminal state, not in the error path).
 func (s *Service) submitAdmitted(tok auth.Token, reqs []SubmitRequest, opts SubmitOptions) ([]protocol.UUID, int, error) {
 	arrived := time.Now()
-	type prepared struct {
-		task   protocol.Task
-		target protocol.UUID
-		tc     trace.Context
-	}
-	batch := make([]prepared, 0, len(reqs))
+	sc := submitScratchPool.Get().(*submitScratch)
+	defer sc.release()
 	// A batch almost always names one function and one endpoint: each record
 	// is looked up once per run of equal IDs, and every check that follows
 	// still runs per task.
@@ -906,6 +937,7 @@ func (s *Service) submitAdmitted(tok auth.Token, reqs []SubmitRequest, opts Subm
 
 		task := protocol.Task{
 			ID:           protocol.NewUUID(),
+			Trace:        req.Trace, // the client's context rides on even untraced
 			FunctionID:   req.FunctionID,
 			EndpointID:   target,
 			Kind:         fn.Kind,
@@ -927,34 +959,34 @@ func (s *Service) submitAdmitted(tok auth.Token, reqs []SubmitRequest, opts Subm
 			task.PayloadRef = key
 			task.Payload = nil
 		}
-		batch = append(batch, prepared{task: task, target: target, tc: req.Trace})
+		sc.tasks = append(sc.tasks, task)
 	}
 
 	// Stamp spans and encode bodies. The submit span covers validation
 	// through enqueue; with a batch, each task's span shares the batch
 	// arrival time.
-	ids := make([]protocol.UUID, len(batch))
-	tasks := make([]protocol.Task, len(batch))
-	bodies := make([][]byte, len(batch))
+	tasks := sc.tasks
+	ids := make([]protocol.UUID, len(tasks))
 	var spans []trace.ActiveSpan // a few hundred bytes a task: only when tracing
 	if s.cfg.Tracer != nil {
-		spans = make([]trace.ActiveSpan, len(batch))
+		sc.spans = append(sc.spans, make([]trace.ActiveSpan, len(tasks))...)
+		spans = sc.spans
 	}
 	fail := func(err error) ([]protocol.UUID, int, error) {
 		trace.EndAll(spans, "error")
 		return nil, 0, err
 	}
-	for i := range batch {
-		p := &batch[i]
-		p.task.Trace = p.tc // the client's context rides on even untraced
+	for i := range tasks {
+		t := &tasks[i]
 		if spans != nil {
 			sp := &spans[i]
-			*sp = s.cfg.Tracer.StartSpanAt(p.tc, "submit", arrived)
-			sp.SetAttr("endpoint", string(p.target))
-			p.task.Trace = sp.Context()
+			*sp = s.cfg.Tracer.StartSpanAt(t.Trace, "submit", arrived)
+			sp.SetAttr("endpoint", string(t.EndpointID))
+			t.Trace = sp.Context()
 		}
-		bodies[i], tasks[i], ids[i] = protocol.EncodeTask(&p.task), p.task, p.task.ID
+		sc.bodies, ids[i] = append(sc.bodies, protocol.EncodeTask(t)), t.ID
 	}
+	bodies := sc.bodies
 	// One journaled statestore step admits the whole batch straight to
 	// Delivered, then one broker publish per distinct target queue: two
 	// commits per batch. Store first, so a fast agent's result can never
@@ -962,19 +994,20 @@ func (s *Service) submitAdmitted(tok auth.Token, reqs []SubmitRequest, opts Subm
 	if err := s.cfg.Store.AdmitTasks(tasks, bodies); err != nil {
 		return fail(err)
 	}
-	targets, byTarget := groupIndices(len(batch), func(i int) protocol.UUID { return batch[i].target })
+	targets, byTarget := groupIndices(len(tasks), func(i int) protocol.UUID { return tasks[i].EndpointID })
 	publish := s.cfg.Broker.PublishBatch
 	if opts.Interactive {
 		publish = s.cfg.Broker.PublishBatchInteractive
 	}
 	for ti, target := range targets {
 		idxs := byTarget[ti]
-		qBodies := make([][]byte, len(idxs))
-		qTraces := make([]trace.Context, len(idxs))
-		for j, i := range idxs {
-			qBodies[j], qTraces[j] = bodies[i], tasks[i].Trace
+		qBodies, qTraces := sc.qBodies[:0], sc.qTraces[:0]
+		for _, i := range idxs {
+			qBodies, qTraces = append(qBodies, bodies[i]), append(qTraces, tasks[i].Trace)
 		}
-		if err := publish(TaskQueue(target), qBodies, qTraces); err != nil {
+		err := publish(TaskQueue(target), qBodies, qTraces)
+		sc.qBodies, sc.qTraces = clearPrefix(qBodies), qTraces[:0]
+		if err != nil {
 			// The broker did not take this queue's batch (shed at the depth
 			// limit, or failing). Tasks published to earlier queues proceed;
 			// the rest never reach an endpoint, so fail them now — every
@@ -992,7 +1025,7 @@ func (s *Service) submitAdmitted(tok auth.Token, reqs []SubmitRequest, opts Subm
 			_ = s.cfg.Store.TransitionTasks(lostIDs, protocol.StateFailed)
 			trace.EndAll(spans, "error")
 			if errors.Is(err, broker.ErrQueueFull) {
-				err = s.queueFullError(batch[idxs[0]].target, err)
+				err = s.queueFullError(target, err)
 			}
 			return nil, published, err
 		}
@@ -1002,6 +1035,24 @@ func (s *Service) submitAdmitted(tok auth.Token, reqs []SubmitRequest, opts Subm
 	s.audit(tok.Identity.Username, "submit", reqs[0].EndpointID, nil,
 		fmt.Sprintf("%d tasks", len(ids)))
 	return ids, len(ids), nil
+}
+
+// submitScratch is one submit call's per-batch slices. Submits run
+// concurrently, so the scratch comes from a pool; release clears the prefix
+// a batch used, so a pooled scratch holds no payload or body.
+type submitScratch struct {
+	tasks   []protocol.Task
+	bodies  [][]byte
+	spans   []trace.ActiveSpan
+	qBodies [][]byte
+	qTraces []trace.Context
+}
+
+var submitScratchPool = sync.Pool{New: func() any { return new(submitScratch) }}
+
+func (sc *submitScratch) release() {
+	sc.tasks, sc.bodies, sc.spans = clearPrefix(sc.tasks), clearPrefix(sc.bodies), clearPrefix(sc.spans)
+	submitScratchPool.Put(sc)
 }
 
 // resolveUserEndpoint maps (MEP, identity, config hash) to a user endpoint,

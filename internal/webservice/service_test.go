@@ -24,14 +24,14 @@ type fixture struct {
 	token auth.Token
 }
 
-func newFixture(t *testing.T) *fixture {
+func newFixture(t testing.TB) *fixture {
 	t.Helper()
 	return newFixtureConfig(t, Config{Objects: objectstore.New()})
 }
 
 // newFixtureConfig builds the fixture around cfg.Objects and any other
 // service settings cfg carries.
-func newFixtureConfig(t *testing.T, cfg Config) *fixture {
+func newFixtureConfig(t testing.TB, cfg Config) *fixture {
 	t.Helper()
 	f := &fixture{
 		store: statestore.New(),
@@ -60,7 +60,7 @@ func newFixtureConfig(t *testing.T, cfg Config) *fixture {
 }
 
 // registerEndpoint is a helper returning a plain online endpoint.
-func (f *fixture) registerEndpoint(t *testing.T, req RegisterEndpointRequest) protocol.UUID {
+func (f *fixture) registerEndpoint(t testing.TB, req RegisterEndpointRequest) protocol.UUID {
 	t.Helper()
 	id, err := f.svc.RegisterEndpoint(req)
 	if err != nil {
@@ -104,7 +104,7 @@ func (f *fixture) fakeAgent(t *testing.T, ep protocol.UUID) {
 	t.Cleanup(c.Close)
 }
 
-func (f *fixture) registerFunction(t *testing.T) protocol.UUID {
+func (f *fixture) registerFunction(t testing.TB) protocol.UUID {
 	t.Helper()
 	id, err := f.svc.RegisterFunction("alice@uchicago.edu", protocol.KindPython, []byte(`{"entrypoint":"identity"}`))
 	if err != nil {

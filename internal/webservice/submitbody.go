@@ -9,6 +9,7 @@ import (
 	"mime"
 	"net/http"
 	"strconv"
+	"sync"
 
 	"globuscompute/internal/protocol"
 	"globuscompute/internal/serialize"
@@ -348,7 +349,9 @@ func readBinarySubmit(body io.Reader, size int64, payloadLimit int) (submitReque
 	if size > maxBodyBytes {
 		return req, &http.MaxBytesError{Limit: maxBodyBytes}
 	}
-	s := &sectionReader{r: body, left: size, past: errTruncated}
+	s := sectionReaderPool.Get().(*sectionReader)
+	defer s.release()
+	s.r, s.left, s.past = body, size, errTruncated
 	if size < 0 {
 		s.left, s.past = maxBodyBytes, &http.MaxBytesError{Limit: maxBodyBytes}
 	}
@@ -385,6 +388,17 @@ type sectionReader struct {
 	buf  []byte
 	left int64 // bytes the body can still hold, buf's included
 	past error // what a section running past left means
+}
+
+// sectionReaderPool recycles readers across requests: submits run
+// concurrently, and a reader is a 4 KiB buffer that nothing outlives
+// readBinarySubmit in (payload sections are copied out, and the header's
+// IDs are strings of their own).
+var sectionReaderPool = sync.Pool{New: func() any { return new(sectionReader) }}
+
+func (s *sectionReader) release() {
+	s.r, s.buf, s.past = nil, nil, nil
+	sectionReaderPool.Put(s)
 }
 
 func (s *sectionReader) ReadByte() (byte, error) {

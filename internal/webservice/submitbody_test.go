@@ -120,9 +120,10 @@ func TestSubmitBodyFormsAgree(t *testing.T) {
 }
 
 // TestSubmitDecodeAllocs: a binary body whose tasks share their IDs costs
-// the decoder one allocation per payload section and four besides (the
-// section reader with its read buffer, the task slice, and the endpoint and
-// function strings), however many tasks it holds.
+// the decoder one allocation per payload section and at most four besides
+// (the task slice, the endpoint and function strings, and the section
+// reader with its read buffer when its pool has none), however many tasks
+// it holds.
 func TestSubmitDecodeAllocs(t *testing.T) {
 	ep, fn := protocol.NewUUID(), protocol.NewUUID()
 	const n = 256
