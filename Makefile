@@ -26,13 +26,18 @@ race:
 # Fault-injection suite under the race detector: seeded chaos (connection
 # drops, worker kills, publish failures) against the full stack, plus the
 # chaos/reconnect/lease/retry unit tests. Fixed seeds make failures
-# reproducible (see docs/ROBUSTNESS.md). A focused subset of `race`.
+# reproducible (see docs/ROBUSTNESS.md). A focused subset of `race`. The
+# engine's manager-removal, requeue, worker-crash and Stop tests run twenty
+# times each: they stress the hand-off between the pending deque and the
+# workers and TCP writers parked on it.
 chaos:
 	$(GO) test -race ./internal/chaos/
 	$(GO) test -race -run 'TestChaos|TestReconnecting|TestWatchdog|TestHeartbeats|TestLease|TestPoison|TestWorkerCrash|TestDo' \
 		./internal/core/ ./internal/broker/ \
 		./internal/webservice/ ./internal/engine/ ./internal/sdk/ \
 		./internal/experiments/
+	$(GO) test -race -count=20 -run 'TestScaleInOnIdle|TestBlockWalltime|TestTCPManagerDeath|TestRequeue|TestWorkerCrash|TestPoison|TestStop|TestTCPStop' \
+		./internal/engine/
 
 # Crash-recovery suite: builds the real gc-webservice binary, runs it with
 # -data-dir, SIGKILLs it 3 times in the middle of a task storm, and asserts
@@ -69,10 +74,12 @@ trace-bench:
 # Allocation ratchets of the saturated path: bytes and objects per batch for
 # the broker's publish and delivery pump, the agent's intake and egress
 # flush, and the result processor, the retention checks that reused batch
-# scratch pins no body, and the submit exchange and result batch benchmarks
-# under -benchmem (see docs/PERFORMANCE.md "Batch scratch").
+# scratch pins no body, the agent's flat goroutine count (no goroutine per
+# drain or flush), and the submit exchange and result batch benchmarks
+# under -benchmem (see docs/PERFORMANCE.md "Batch scratch" and "Endpoint
+# pipeline").
 alloc-bench:
-	$(GO) test -count=1 -v -run 'Allocs$$|PinsNoBody$$' ./internal/broker/ ./internal/endpoint/ ./internal/webservice/ ./internal/protocol/ ./internal/sdk/
+	$(GO) test -count=1 -v -run 'Allocs$$|PinsNoBody$$|GoroutinesFlat$$' ./internal/broker/ ./internal/endpoint/ ./internal/webservice/ ./internal/protocol/ ./internal/sdk/
 	$(GO) test -run '^$$' -bench 'BenchmarkSubmitExchange|BenchmarkResultBatch' -benchmem ./internal/webservice/
 
 # Regenerates every table/figure as testing.B measurements.

@@ -88,7 +88,7 @@ func TestDeliveryPumpAllocs(t *testing.T) {
 	if err := b.Declare("q"); err != nil {
 		t.Fatal(err)
 	}
-	c, err := b.Consume("q", maxDeliveryBatch)
+	c, err := b.Consume("q", MaxDeliveryBatch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestDeliveryPumpAllocs(t *testing.T) {
 	defer wg.Wait()
 	defer c.Close()
 
-	bodies := make([][]byte, maxDeliveryBatch)
+	bodies := make([][]byte, MaxDeliveryBatch)
 	for i := range bodies {
 		bodies[i] = []byte(fmt.Sprintf("task body %d", i))
 	}
@@ -134,7 +134,7 @@ func TestDeliveryPumpPinsNoBody(t *testing.T) {
 	if err := b.Declare("q"); err != nil {
 		t.Fatal(err)
 	}
-	c, err := b.Consume("q", maxDeliveryBatch)
+	c, err := b.Consume("q", MaxDeliveryBatch)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ import (
 
 // dialBatching dials a client. Every connection is batched, so the batch
 // size its callers name is not passed on: the server caps a delivery_batch
-// at maxDeliveryBatch, and the consumer's prefetch window caps it too.
+// at MaxDeliveryBatch, and the consumer's prefetch window caps it too.
 func dialBatching(addr string, _ int) (*Client, error) { return Dial(addr) }
 
 func TestBatchPublishConsumeTCP(t *testing.T) {

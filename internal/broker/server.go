@@ -227,9 +227,10 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// maxDeliveryBatch caps deliveries per delivery_batch frame. The
-// consumer's prefetch window bounds a frame too.
-const maxDeliveryBatch = 64
+// MaxDeliveryBatch caps deliveries per delivery_batch frame. The
+// consumer's prefetch window bounds a frame too, so a consumer whose window
+// is one frame (the endpoint agent's default) takes whole frames.
+const MaxDeliveryBatch = 64
 
 // deliveryPump forwards a consumer's messages onto the connection, each
 // frame a delivery_batch of whatever is already buffered: at idle a batch
@@ -238,7 +239,7 @@ const maxDeliveryBatch = 64
 // referenced once its frame is on the wire.
 func (s *Server) deliveryPump(wg *sync.WaitGroup, w *protocol.FrameWriter, queue string, c *Consumer) {
 	defer wg.Done()
-	body := &deliveryBatchBody{Queue: queue, Items: make([]deliveryItem, 0, maxDeliveryBatch)}
+	body := &deliveryBatchBody{Queue: queue, Items: make([]deliveryItem, 0, MaxDeliveryBatch)}
 	for m := range c.Messages() {
 		body.Items = drainDeliveries(c, append(body.Items, deliveryItemOf(m)))
 		err := w.Write(protocol.Envelope{Type: protocol.EnvDeliveryBatch, Bin: body})
@@ -256,9 +257,9 @@ func deliveryItemOf(m Message) deliveryItem {
 }
 
 // drainDeliveries appends already-buffered messages to items up to
-// maxDeliveryBatch.
+// MaxDeliveryBatch.
 func drainDeliveries(c *Consumer, items []deliveryItem) []deliveryItem {
-	for len(items) < maxDeliveryBatch {
+	for len(items) < MaxDeliveryBatch {
 		select {
 		case m, ok := <-c.Messages():
 			if !ok {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"globuscompute/internal/broker"
@@ -63,8 +65,8 @@ func addDeliveries(n int, payload []byte) []broker.Message {
 }
 
 // TestProcessDeliveriesAllocs: dispatching a 64-task intake batch costs the
-// decodes (a string arena and a payload copy per task) and the ack, and no
-// per-batch slice of tasks or spans.
+// decodes (a string arena and a payload copy per task) and nothing else: no
+// per-batch slice of tasks, spans or ack tags, and no goroutine for the ack.
 func TestProcessDeliveriesAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -86,27 +88,31 @@ func TestProcessDeliveriesAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.sub = sub
+	a.startAckers()
+	defer close(a.ackQ)
 	const n = 64
 	batch := addDeliveries(n, []byte(`{"entrypoint":"add","args":[1,2]}`))
 	bytes, objects := heapPerRun(10, func() { a.processDeliveries(batch) }, func() {
 		for i := 0; i < n; i++ {
 			<-eng.Results()
 		}
-		a.acks.Wait()
+		for len(a.ackFree) < ackFlightCap {
+			runtime.Gosched()
+		}
 		sub.mu.Lock()
 		sub.acks = sub.acks[:0]
 		sub.mu.Unlock()
 	})
 	t.Logf("a %d-task intake batch: %.0f B, %.1f objects", n, bytes, objects)
-	if bytes > 14<<10 || objects > 2*n+4 {
+	if bytes > 12<<10 || objects > 2*n+1 {
 		t.Errorf("a %d-task intake batch allocates %.0f B in %.1f objects, want at most %d B and %d",
-			n, bytes, objects, 14<<10, 2*n+4)
+			n, bytes, objects, 12<<10, 2*n+1)
 	}
 }
 
-// TestEgressFlushAllocs: a 64-result flush costs one body per result and
-// the flush's goroutine: the results, bodies and contexts ride in a
-// circulating buffer.
+// TestEgressFlushAllocs: a 64-result flush costs one body per result: the
+// results, bodies and contexts ride in the publisher's own buffer, and the
+// publisher is a long-lived goroutine.
 func TestEgressFlushAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -120,16 +126,16 @@ func TestEgressFlushAllocs(t *testing.T) {
 	}
 	bytes, objects := heapPerRun(10, func() {
 		for _, res := range results {
-			a.enqueueResult(res)
+			a.failures <- res
 		}
-		for a.egressBacklog.Load() > 0 {
+		for a.egressPending() > 0 {
 			runtime.Gosched()
 		}
 	}, nil)
 	t.Logf("a %d-result flush: %.0f B, %.1f objects", n, bytes, objects)
-	if bytes > 6<<10 || objects > n+6 {
+	if bytes > 5<<10 || objects > n+2 {
 		t.Errorf("a %d-result flush allocates %.0f B in %.1f objects, want at most %d B and %d",
-			n, bytes, objects, 6<<10, n+6)
+			n, bytes, objects, 5<<10, n+2)
 	}
 }
 
@@ -159,7 +165,7 @@ func TestAgentScratchPinsNoBody(t *testing.T) {
 		}
 		waitFor(t, "results published", func() bool {
 			return a.Metrics.Counter("results_published").Value() == want &&
-				a.egressBacklog.Load() == 0 && len(sub.ackedTags()) == acked
+				a.egressPending() == 0 && len(sub.ackedTags()) == acked
 		})
 	}
 	small := func() []byte { return []byte(`"small"`) }
@@ -169,5 +175,79 @@ func TestAgentScratchPinsNoBody(t *testing.T) {
 	run(1, small) // the intake loop has moved past the big batch
 	if grown := int64(liveHeap()) - int64(base); grown > size/2 {
 		t.Errorf("heap in use grew %d B over a batch of %d B bodies: scratch pins a body", grown, size)
+	}
+}
+
+// goroutineCeiling records the most goroutines seen at any sample.
+type goroutineCeiling struct {
+	mu  sync.Mutex
+	max int
+}
+
+func (g *goroutineCeiling) sample() {
+	n := runtime.NumGoroutine()
+	g.mu.Lock()
+	g.max = max(g.max, n)
+	g.mu.Unlock()
+}
+
+// sampledSub samples the goroutine count inside every Ack.
+type sampledSub struct {
+	*fakeSub
+	g *goroutineCeiling
+}
+
+func (s sampledSub) Ack(tags ...uint64) error {
+	s.g.sample()
+	return s.fakeSub.Ack(tags...)
+}
+
+// sampledConn samples the goroutine count inside every publish.
+type sampledConn struct {
+	nopConn
+	g         *goroutineCeiling
+	published atomic.Int64
+}
+
+func (c *sampledConn) PublishBatch(_ string, bodies [][]byte, _ []trace.Context) error {
+	c.g.sample()
+	c.published.Add(int64(len(bodies)))
+	return nil
+}
+
+// TestAgentGoroutinesFlat: across a 10k-task agent run the goroutine count
+// never rises above the idle agent's. Every ack and every flush is sampled
+// while it is under way, so a goroutine spawned per drain or per flush would
+// show up in the sample it is running.
+func TestAgentGoroutinesFlat(t *testing.T) {
+	const warm, n = 1000, 10000
+	fs := newFakeSub(n)
+	g := &goroutineCeiling{}
+	conn := &sampledConn{nopConn: nopConn{fakeConn{sub: sampledSub{fs, g}}}, g: g}
+	a := pipelineAgent(t, conn, instantRunner)
+	tag := uint64(0)
+	run := func(k int) {
+		t.Helper()
+		for i := 0; i < k; i++ {
+			tag++
+			task := protocol.Task{ID: protocol.NewUUID(), Kind: protocol.KindPython, Payload: []byte(`"x"`)}
+			fs.msgs <- broker.Message{Tag: tag, Body: protocol.EncodeTask(&task)}
+		}
+		waitFor(t, "the agent idle", func() bool {
+			return conn.published.Load() == int64(tag) && a.egressPending() == 0 &&
+				len(fs.ackedTags()) == int(tag) && len(a.ackFree) == ackFlightCap
+		})
+	}
+	run(warm) // every worker, publisher and acker is up
+	base := runtime.NumGoroutine()
+	g.mu.Lock()
+	g.max = 0
+	g.mu.Unlock()
+	run(n)
+	if g.max > base {
+		t.Errorf("%d goroutines at the busiest ack or flush of a %d-task run, %d at idle", g.max, n, base)
+	}
+	if now := runtime.NumGoroutine(); now > base {
+		t.Errorf("%d goroutines after the run, %d before", now, base)
 	}
 }

@@ -82,7 +82,8 @@ type Config struct {
 	// pipeline's "endpoint" component, stamped with the endpoint ID).
 	Log *obs.Logger
 	// Prefetch bounds in-flight task deliveries and caps how many are
-	// decoded, submitted, and acked per task-loop wakeup (default 32).
+	// decoded, submitted, and acked per task-loop wakeup (default one
+	// delivery frame, broker.MaxDeliveryBatch).
 	Prefetch int
 	// Tracer, when set, records an endpoint.dispatch span per traced task
 	// and carries trace context on published results. Nil disables tracing.
@@ -104,23 +105,25 @@ type Agent struct {
 	// the engines after it.
 	intakeDone chan struct{}
 
-	// egress is the result pipeline: producers (the engine/MPI result
-	// forwarders and the task loop, which emits submit-failure results)
-	// enqueue, the egress loop group-commits to the result queue. producers
-	// tracks them all so the channel closes exactly once, after the last
-	// possible send.
-	egress    chan protocol.Result
-	producers sync.WaitGroup
-	// egressBacklog counts results accepted from the engines but not yet
-	// published (queued or inside an in-flight flush) — the agent-side
-	// pressure signal carried in heartbeat load reports.
+	// failures carries the results of tasks refused at intake, with room
+	// for a whole drain so taskLoop never waits on a publisher; taskLoop
+	// closes it on return. The publishers read sources: the engines' result
+	// channels and failures.
+	failures chan protocol.Result
+	sources  resultSources
+	// gatherTurn holds the one token a publisher takes to gather a flush.
+	gatherTurn chan struct{}
+	// egressBacklog counts results the publishers have taken but not yet
+	// published; egressPending adds those still buffered in the sources.
 	egressBacklog atomic.Int64
 
-	// ackSem bounds batch-ack round trips in flight so intake keeps
-	// draining while an ack reply is on the wire; acks tracks them so
-	// taskLoop exits only after the last ack lands.
-	ackSem chan struct{}
-	acks   sync.WaitGroup
+	// ackQ hands each drain's tags to the ackers; taskLoop swaps its filled
+	// tags for a free buffer from ackFree, which takes a flight slot. acks
+	// tracks the ackers so taskLoop exits only after the last ack lands.
+	tags    []uint64
+	ackFree chan []uint64
+	ackQ    chan []uint64
+	acks    sync.WaitGroup
 
 	// engTasks and engSpans are taskLoop's per-drain scratch: they live as
 	// long as the loop, and processDeliveries clears the prefix it used.
@@ -167,15 +170,26 @@ func (a *Agent) SnapshotLoad() statestore.EndpointLoad {
 	}
 	l.TasksReceived = a.Metrics.Counter("tasks_received").Value()
 	l.ResultsPublished = a.Metrics.Counter("results_published").Value()
-	backlog := int(a.egressBacklog.Load())
+	backlog := int(a.egressPending())
 	l.EgressBacklog = &backlog
 	return l
+}
+
+// egressPending counts finished results not yet published: those the
+// publishers hold and those still buffered in the engines' result channels
+// and the agent's own.
+func (a *Agent) egressPending() int64 {
+	n := a.egressBacklog.Load()
+	for _, ch := range a.sources {
+		n += int64(len(ch))
+	}
+	return n
 }
 
 // Busy reports whether any tasks are pending, executing, or awaiting result
 // publication.
 func (a *Agent) Busy() bool {
-	if a.egressBacklog.Load() > 0 {
+	if a.egressPending() > 0 {
 		return true
 	}
 	if a.cfg.Engine != nil {
@@ -205,7 +219,7 @@ func New(cfg Config) (*Agent, error) {
 		return nil, errors.New("endpoint: engine required")
 	}
 	if cfg.Prefetch <= 0 {
-		cfg.Prefetch = 32
+		cfg.Prefetch = broker.MaxDeliveryBatch
 	}
 	if cfg.HeartbeatInterval <= 0 {
 		cfg.HeartbeatInterval = 5 * time.Second
@@ -220,9 +234,17 @@ func New(cfg Config) (*Agent, error) {
 		cfg:        cfg,
 		done:       make(chan struct{}),
 		intakeDone: make(chan struct{}),
-		egress:     make(chan protocol.Result, 2*egressMaxBatch),
-		ackSem:     make(chan struct{}, ackFlightCap),
+		failures:   make(chan protocol.Result, cfg.Prefetch),
+		gatherTurn: make(chan struct{}, 1),
+		tags:       make([]uint64, 0, cfg.Prefetch),
+		ackFree:    make(chan []uint64, ackFlightCap),
+		ackQ:       make(chan []uint64, ackFlightCap),
 		Metrics:    metrics.NewRegistry(),
+	}
+	a.gatherTurn <- struct{}{}
+	a.sources = resultSources{cfg.Engine.Results(), nil, a.failures}
+	if cfg.MPI != nil {
+		a.sources[1] = cfg.MPI.Results()
 	}
 	a.log = cfg.Log
 	if a.log == nil {
@@ -267,8 +289,8 @@ func (a *Agent) SnapshotMetrics(now time.Time) (metrics.Snapshot, bool) {
 	return d, true
 }
 
-// Start launches the engines, begins consuming tasks, and starts result
-// forwarding and heartbeats.
+// Start launches the engines, begins consuming tasks, and starts the result
+// publishers and heartbeats.
 func (a *Agent) Start() error {
 	a.mu.Lock()
 	if a.started {
@@ -292,22 +314,12 @@ func (a *Agent) Start() error {
 	}
 	a.sub = sub
 
-	a.wg.Add(2)
-	a.producers.Add(2)
+	a.startAckers()
+	a.wg.Add(1 + egressFlightCap)
 	go a.taskLoop()
-	go a.egressLoop()
-	go a.forwardResults(a.cfg.Engine.Results())
-	if a.cfg.MPI != nil {
-		a.producers.Add(1)
-		go a.forwardResults(a.cfg.MPI.Results())
+	for i := 0; i < egressFlightCap; i++ {
+		go a.publishLoop()
 	}
-	// The egress channel closes exactly once, after the task loop and every
-	// engine's result stream drain; egressLoop then flushes the tail and
-	// exits.
-	go func() {
-		a.producers.Wait()
-		close(a.egress)
-	}()
 	if a.cfg.Heartbeat != nil {
 		a.heartbeat(true)
 		a.wg.Add(1)
@@ -322,8 +334,9 @@ func (a *Agent) Start() error {
 // tag in one round trip.
 func (a *Agent) taskLoop() {
 	defer a.wg.Done()
-	defer a.producers.Done()
 	defer a.acks.Wait()
+	defer close(a.ackQ)
+	defer close(a.failures)
 	defer close(a.intakeDone)
 	batch := make([]broker.Message, 0, a.cfg.Prefetch)
 	for {
@@ -363,7 +376,8 @@ func (a *Agent) taskLoop() {
 // which intake pauses entirely.
 const intakeHighWater = 2
 
-// ackFlightCap bounds concurrent ack round trips (see processDeliveries).
+// ackFlightCap is the number of ackers, and so bounds ack round trips in
+// flight (see processDeliveries).
 const ackFlightCap = 2
 
 // highWater is the engine backlog at which intake stops pulling: a multiple
@@ -422,11 +436,9 @@ func (a *Agent) waitForCapacity() {
 
 // processDeliveries decodes, dispatches, and acknowledges one intake batch.
 func (a *Agent) processDeliveries(batch []broker.Message) {
-	n := len(batch)
 	// Dispatch: engine tasks batch-submit under one engine lock; MPI tasks
 	// submit individually (rare, and the MPI engine runs its own dispatch).
-	tags := make([]uint64, 0, n) // the ack goroutine holds it
-	engTasks, engSpans := a.engTasks, a.engSpans
+	tags, engTasks, engSpans := a.tags, a.engTasks, a.engSpans
 	received := 0
 	for i := range batch {
 		task, err := protocol.DecodeTask(batch[i].Body)
@@ -455,23 +467,14 @@ func (a *Agent) processDeliveries(batch []broker.Message) {
 		received++
 		if task.Kind == protocol.KindMPI {
 			if a.cfg.MPI == nil {
-				a.enqueueResult(protocol.Result{
-					TaskID: task.ID, State: protocol.StateFailed,
-					Error: "endpoint has no MPI engine configured",
-					Trace: task.Trace,
-				})
-				a.Metrics.Counter("rejected_mpi").Inc()
 				sp.EndStatus("error")
+				a.fail(&task, "endpoint has no MPI engine configured", "rejected_mpi")
 				continue
 			}
 			err := a.cfg.MPI.Submit(task)
 			sp.End()
 			if err != nil {
-				a.enqueueResult(protocol.Result{
-					TaskID: task.ID, State: protocol.StateFailed, Error: err.Error(),
-					Trace: task.Trace,
-				})
-				a.Metrics.Counter("submit_errors").Inc()
+				a.fail(&task, err.Error(), "submit_errors")
 			}
 			continue
 		}
@@ -488,11 +491,7 @@ func (a *Agent) processDeliveries(batch []broker.Message) {
 			}
 			// Invalid tasks fail permanently; transient backlog errors
 			// would also land here — report rather than redeliver forever.
-			a.enqueueResult(protocol.Result{
-				TaskID: engTasks[i].ID, State: protocol.StateFailed,
-				Error: errs[i].Error(), Trace: engTasks[i].Trace,
-			})
-			a.Metrics.Counter("submit_errors").Inc()
+			a.fail(&engTasks[i], errs[i].Error(), "submit_errors")
 		}
 	}
 	a.engTasks, a.engSpans = clearPrefix(engTasks), clearPrefix(engSpans)
@@ -503,14 +502,11 @@ func (a *Agent) processDeliveries(batch []broker.Message) {
 	// small flight bound keeps unacked tags from piling up unboundedly when
 	// the broker slows down.
 	if len(tags) > 0 {
-		a.ackSem <- struct{}{}
-		a.acks.Add(1)
-		go func() {
-			defer a.acks.Done()
-			defer func() { <-a.ackSem }()
-			_ = a.sub.Ack(tags...)
-		}()
+		free := <-a.ackFree
+		a.ackQ <- tags
+		tags = free
 	}
+	a.tags = tags
 	if received > 0 {
 		a.Metrics.Counter("tasks_received").Add(int64(received))
 		a.Metrics.Counter("intake_batches").Inc()
@@ -518,25 +514,35 @@ func (a *Agent) processDeliveries(batch []broker.Message) {
 	}
 }
 
-// forwardResults feeds one engine's result stream into the egress pipeline.
-func (a *Agent) forwardResults(ch <-chan protocol.Result) {
-	defer a.producers.Done()
-	for res := range ch {
-		a.enqueueResult(res)
+// startAckers starts the ackFlightCap ackers, each with a free tag buffer
+// of its own. An acker sends the buffers taskLoop hands it, one Ack per
+// drain, and returns each emptied.
+func (a *Agent) startAckers() {
+	a.acks.Add(ackFlightCap)
+	for i := 0; i < ackFlightCap; i++ {
+		a.ackFree <- make([]uint64, 0, a.cfg.Prefetch)
+		go func() {
+			defer a.acks.Done()
+			for tags := range a.ackQ {
+				_ = a.sub.Ack(tags...)
+				a.ackFree <- tags[:0]
+			}
+		}()
 	}
 }
 
-// enqueueResult hands a result to the egress flusher.
-func (a *Agent) enqueueResult(res protocol.Result) {
-	a.egressBacklog.Add(1)
-	a.egress <- res
+// fail hands the publishers the failed result of a task refused at intake,
+// counted under counter.
+func (a *Agent) fail(t *protocol.Task, msg, counter string) {
+	a.Metrics.Counter(counter).Inc()
+	a.failures <- protocol.Result{TaskID: t.ID, State: protocol.StateFailed, Error: msg, Trace: t.Trace}
 }
 
-// egressFlightCap bounds concurrent flush publishes in flight. A synchronous
-// publish round trip would otherwise serialize egress at one flush per RTT;
-// a few overlapping flushes hide that latency, and when every slot is busy
-// the drainer blocks — which is exactly when queued results coalesce into
-// larger batches.
+// egressFlightCap is the number of publishers, and so bounds flush
+// publishes in flight. A synchronous publish round trip would otherwise
+// serialize egress at one flush per RTT; a few overlapping flushes hide that
+// latency, and when every publisher is busy the results wait in their
+// channels — which is exactly when they coalesce into larger batches.
 const egressFlightCap = 4
 
 // egressMaxBatch caps results coalesced into one flush.
@@ -550,64 +556,79 @@ type egressBuf struct {
 	traces  []trace.Context
 }
 
-// egressLoop is the group-commit result flusher: the first queued result
-// wakes it and everything buffered up to egressMaxBatch coalesces into one
-// publish. While flushes are in flight new results accumulate, so batch size
-// adapts to load without adding latency at idle. Results within a flush
-// preserve completion order; concurrent flushes may interleave (tasks are
-// independent and the task state machine does not rely on cross-result
-// ordering). egressFlightCap flush buffers circulate: taking a free one is
-// taking a flight slot, and a flush returns its buffer cleared.
-func (a *Agent) egressLoop() {
+// publishLoop is one of egressFlightCap long-lived publishers, each with a
+// flush buffer of its own. The publisher holding the gather turn waits for
+// the next finished result and takes everything already buffered, up to
+// egressMaxBatch; it passes the turn on before publishing, so the next one
+// gathers while this flush is on the wire, and batch size adapts to load
+// without adding latency at idle. Results from one source keep completion
+// order within a flush; concurrent flushes may interleave (tasks are
+// independent). A publisher returns once every source is closed.
+func (a *Agent) publishLoop() {
 	defer a.wg.Done()
-	free := make(chan *egressBuf, egressFlightCap)
-	for i := 0; i < egressFlightCap; i++ {
-		free <- &egressBuf{
-			results: make([]protocol.Result, 0, egressMaxBatch),
-			bodies:  make([][]byte, 0, egressMaxBatch),
-			traces:  make([]trace.Context, 0, egressMaxBatch),
-		}
+	buf := &egressBuf{
+		results: make([]protocol.Result, 0, egressMaxBatch),
+		bodies:  make([][]byte, 0, egressMaxBatch),
+		traces:  make([]trace.Context, 0, egressMaxBatch),
 	}
-	var flights sync.WaitGroup
-	defer flights.Wait()
+	src := a.sources // this publisher's view
 	for {
-		buf := <-free
-		res, ok := <-a.egress
+		<-a.gatherTurn
+		res, ok := src.wait()
 		if !ok {
+			a.gatherTurn <- struct{}{}
 			return
 		}
-		batch := append(buf.results, res)
-		closed := false
-	drain:
-		for len(batch) < egressMaxBatch {
-			select {
-			case r2, ok := <-a.egress:
-				if !ok {
-					closed = true
-					break drain
-				}
-				batch = append(batch, r2)
-			default:
-				break drain
-			}
-		}
+		batch := src.drain(append(buf.results, res))
+		a.egressBacklog.Add(int64(len(batch)))
+		a.gatherTurn <- struct{}{}
 		buf.results = batch
-		flights.Add(1)
-		go func() {
-			defer flights.Done()
-			a.publishResults(buf)
-			// Cleared before the backlog drops, so a drained backlog means
-			// no buffer still holds a result.
-			n := len(buf.results)
-			buf.results, buf.bodies = clearPrefix(buf.results), clearPrefix(buf.bodies)
-			buf.traces = buf.traces[:0]
-			free <- buf
-			a.egressBacklog.Add(-int64(n))
-		}()
-		if closed {
-			return
+		a.publishResults(buf)
+		// Cleared before the backlog drops, so a drained backlog means no
+		// buffer still holds a result.
+		buf.results, buf.bodies = clearPrefix(buf.results), clearPrefix(buf.bodies)
+		buf.traces = buf.traces[:0]
+		a.egressBacklog.Add(-int64(len(batch)))
+	}
+}
+
+// resultSources are one publisher's views of the result channels: the
+// engine's, the MPI engine's and the agent's own. A channel seen closed is
+// set to nil.
+type resultSources [3]<-chan protocol.Result
+
+// wait receives the next result from any open channel. It reports false
+// once every channel is closed.
+func (s *resultSources) wait() (protocol.Result, bool) {
+	for s[0] != nil || s[1] != nil || s[2] != nil {
+		i := 0
+		var res protocol.Result
+		var ok bool
+		select {
+		case res, ok = <-s[0]:
+		case res, ok = <-s[1]:
+			i = 1
+		case res, ok = <-s[2]:
+			i = 2
+		}
+		if ok {
+			return res, true
+		}
+		s[i] = nil
+	}
+	return protocol.Result{}, false
+}
+
+// drain appends the results already buffered in the channels, up to
+// egressMaxBatch. Only the publisher holding the gather turn receives, so a
+// non-empty buffer is a receive that cannot block.
+func (s *resultSources) drain(batch []protocol.Result) []protocol.Result {
+	for _, ch := range s {
+		for len(batch) < egressMaxBatch && len(ch) > 0 {
+			batch = append(batch, <-ch)
 		}
 	}
+	return batch
 }
 
 // publishResults encodes and publishes one egress flush.
@@ -669,7 +690,7 @@ func (a *Agent) publishResults(buf *egressBuf) {
 // Prometheus text format (the body gc-endpoint serves on /metrics). The
 // egress backlog is exported as a gauge sampled at scrape time.
 func (a *Agent) WriteMetrics(w io.Writer) error {
-	a.Metrics.Gauge("egress_backlog").Set(a.egressBacklog.Load())
+	a.Metrics.Gauge("egress_backlog").Set(a.egressPending())
 	if err := a.Metrics.WriteText(w, "gc_endpoint"); err != nil {
 		return err
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -220,12 +221,12 @@ func TestPipelineBatchedIntakeAcksInOneBatch(t *testing.T) {
 // group-commit, so at least one flush carries more than one result.
 func pileUpResults(t *testing.T, agent *Agent, conn *fakeConn, release chan struct{}, rest int) {
 	t.Helper()
-	agent.enqueueResult(protocol.Result{TaskID: protocol.NewUUID(), State: protocol.StateSuccess})
+	agent.failures <- protocol.Result{TaskID: protocol.NewUUID(), State: protocol.StateSuccess}
 	waitFor(t, "first flush in flight", func() bool { return conn.inFlight() == 1 })
 	for i := 0; i < rest; i++ {
-		agent.enqueueResult(protocol.Result{TaskID: protocol.NewUUID(), State: protocol.StateSuccess})
+		agent.failures <- protocol.Result{TaskID: protocol.NewUUID(), State: protocol.StateSuccess}
 	}
-	waitFor(t, "results buffered", func() bool { return int(agent.egressBacklog.Load()) >= rest+1 })
+	waitFor(t, "results buffered", func() bool { return int(agent.egressPending()) >= rest+1 })
 	close(release)
 }
 
@@ -248,9 +249,56 @@ func TestPipelineEgressGroupCommit(t *testing.T) {
 	if len(flushes) >= total {
 		t.Errorf("%d flushes for %d results; group commit never batched (sizes %v)", len(flushes), total, batchSizes(flushes))
 	}
-	waitFor(t, "backlog drained", func() bool { return agent.egressBacklog.Load() == 0 })
+	waitFor(t, "backlog drained", func() bool { return agent.egressPending() == 0 })
 	if got := agent.Metrics.Counter("egress_flushes").Value(); got != int64(len(flushes)) {
 		t.Errorf("egress_flushes = %d, want %d", got, len(flushes))
+	}
+}
+
+// TestEgressBacklogCountsUnpublished holds every publisher in flight with
+// one result each and finishes more tasks behind them: egress_backlog, in
+// the load report and on /metrics, counts every finished result not yet
+// published, those still in the engine's result channel included, and
+// drains to zero once the publishes go through.
+func TestEgressBacklogCountsUnpublished(t *testing.T) {
+	sub := newFakeSub(64)
+	release := make(chan struct{})
+	conn := &fakeConn{sub: sub, hold: release}
+	agent := pipelineAgent(t, conn, instantRunner)
+	tag := uint64(0)
+	for i := 1; i <= egressFlightCap; i++ {
+		tag++
+		loadTask(t, sub, tag, `"held"`)
+		waitFor(t, "one more flush in flight", func() bool { return conn.inFlight() == i })
+	}
+	const queued = 10
+	for i := 0; i < queued; i++ {
+		tag++
+		loadTask(t, sub, tag, `"queued"`)
+	}
+	const want = egressFlightCap + queued
+	eng := agent.cfg.Engine
+	waitFor(t, "every task finished", func() bool { return eng.Stats().TasksCompleted == want })
+	if got := len(eng.Results()); got != queued {
+		t.Errorf("%d results in the engine's channel, want %d", got, queued)
+	}
+	if got := *agent.SnapshotLoad().EgressBacklog; got != want {
+		t.Errorf("load report egress backlog = %d, want %d", got, want)
+	}
+	var text strings.Builder
+	if err := agent.WriteMetrics(&text); err != nil {
+		t.Fatal(err)
+	}
+	if line := fmt.Sprintf("gc_endpoint_egress_backlog %d\n", want); !strings.Contains(text.String(), line) {
+		t.Errorf("/metrics lacks %q", line)
+	}
+	if !agent.Busy() {
+		t.Error("agent with unpublished results reports idle")
+	}
+	close(release)
+	waitFor(t, "backlog drained", func() bool { return agent.egressPending() == 0 })
+	if got := conn.totalPublished(); got != want {
+		t.Errorf("%d results published, want %d", got, want)
 	}
 }
 
@@ -297,7 +345,7 @@ func TestPipelineBatchFailureFallsBackPerResult(t *testing.T) {
 
 	const total = rest + 1
 	waitFor(t, "all results published", func() bool { return fake.totalPublished() == total })
-	waitFor(t, "backlog drained", func() bool { return agent.egressBacklog.Load() == 0 })
+	waitFor(t, "backlog drained", func() bool { return agent.egressPending() == 0 })
 	ids := map[protocol.UUID]bool{}
 	for _, call := range fake.published() {
 		if len(call) != 1 {

@@ -127,23 +127,33 @@ func (c *Config) fill() error {
 	return nil
 }
 
-// manager is the per-block worker pool head.
+// manager is the per-block worker pool head. Its workers (on the TCP
+// transport, its connection's writer) take tasks from the pending deque.
 type manager struct {
 	id       string
 	blockID  string
-	nodes    []string
 	capacity int
-	tasks    chan protocol.Task
 	// guarded by engine.mu
 	freeSlots  int
 	removed    bool
 	lastActive time.Time
 	// inflight tracks tasks written to a TCP manager but not yet
-	// answered, so a dying connection can requeue them (nil in channel
-	// mode, where workers always deliver results in-process).
-	inflight map[protocol.UUID]protocol.Task
+	// answered, so a dying connection can requeue them, each with its
+	// dispatch sequence number (nil in channel mode, where workers always
+	// deliver results in-process).
+	inflight map[protocol.UUID]sentTask
+	sent     uint64
+	// slot parks the TCP writer while every remote slot is busy; a result
+	// signals it (unused in channel mode).
+	slot sync.Cond
 	// workers done
 	wg sync.WaitGroup
+}
+
+// sentTask is a task in a TCP manager's in-flight set.
+type sentTask struct {
+	seq  uint64
+	task protocol.Task
 }
 
 // resultBuffer is the results channel's capacity. It does not scale with
@@ -155,8 +165,12 @@ const resultBuffer = 1024
 type Engine struct {
 	cfg Config
 
-	mu       sync.Mutex
-	pending  deque.Deque[protocol.Task] // dispatch order; a requeue goes to the front
+	mu      sync.Mutex
+	pending deque.Deque[protocol.Task] // dispatch order; a requeue goes to the front
+	// idle parks the takers that could start a task if one were pending:
+	// idle in-process workers, and TCP writers whose manager has a free
+	// slot. Each accepted or requeued task signals one of them.
+	idle     sync.Cond
 	managers map[string]*manager
 	blocks   map[string]string // block ID -> manager ID ("" until registered)
 	started  bool
@@ -168,13 +182,14 @@ type Engine struct {
 	qspans map[protocol.UUID]trace.ActiveSpan
 
 	results chan protocol.Result
-	wake    chan struct{}
 	done    chan struct{}
 	loops   sync.WaitGroup
 	// ln is the TCP interchange listener (tcp transport only).
 	ln net.Listener
 
 	Metrics *metrics.Registry
+	// The per-task counters, resolved once from Metrics.
+	submitted, dispatched, completed, requeued *metrics.Counter
 }
 
 // New validates cfg and returns an engine.
@@ -182,19 +197,24 @@ func New(cfg Config) (*Engine, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	return &Engine{
+	e := &Engine{
 		cfg:      cfg,
 		managers: make(map[string]*manager),
 		blocks:   make(map[string]string),
 		qspans:   make(map[protocol.UUID]trace.ActiveSpan),
 		results:  make(chan protocol.Result, resultBuffer),
-		wake:     make(chan struct{}, 1),
 		done:     make(chan struct{}),
 		Metrics:  metrics.NewRegistry(),
-	}, nil
+	}
+	e.idle.L = &e.mu
+	e.submitted = e.Metrics.Counter("submitted")
+	e.dispatched = e.Metrics.Counter("dispatched")
+	e.completed = e.Metrics.Counter("completed")
+	e.requeued = e.Metrics.Counter("requeued")
+	return e, nil
 }
 
-// Start provisions initial blocks and begins dispatching.
+// Start provisions initial blocks and begins scaling.
 func (e *Engine) Start() error {
 	e.mu.Lock()
 	if e.started {
@@ -213,8 +233,7 @@ func (e *Engine) Start() error {
 			return err
 		}
 	}
-	e.loops.Add(2)
-	go e.dispatchLoop()
+	e.loops.Add(1)
 	go e.scalingLoop()
 	return nil
 }
@@ -227,8 +246,9 @@ func (e *Engine) Submit(task protocol.Task) error {
 	return nil
 }
 
-// SubmitBatch enqueues tasks under a single lock acquisition and one
-// dispatcher wakeup — the engine half of the endpoint's batched intake. It
+// SubmitBatch enqueues tasks under a single lock acquisition, waking one
+// parked taker per accepted task — the engine half of the endpoint's
+// batched intake. It
 // returns nil when every task was accepted; otherwise a slice parallel to
 // tasks where errs[i] reports task i's rejection (not started, stopped, or
 // backlog full). Acceptance is per-task: tasks before a rejected one stay
@@ -266,15 +286,17 @@ func (e *Engine) SubmitBatch(tasks []protocol.Task) []error {
 	}
 	e.mu.Unlock()
 	if accepted > 0 {
-		e.Metrics.Counter("submitted").Add(int64(accepted))
-		e.wakeUp()
+		e.submitted.Add(int64(accepted))
+		for i := 0; i < accepted; i++ {
+			e.idle.Signal()
+		}
 	}
 	return errs
 }
 
 // startQueueSpanLocked opens an engine.queue span for a traced task (caller
 // holds e.mu). The task's context is NOT re-pointed: the queue span is a leaf
-// measuring backlog wait, and execute chains off the dispatch-time context.
+// measuring backlog wait, and execute chains off the take-time context.
 func (e *Engine) startQueueSpanLocked(task *protocol.Task) {
 	if e.cfg.Tracer == nil || !task.Trace.Valid() {
 		return
@@ -314,8 +336,8 @@ func (e *Engine) Stats() Stats {
 	s := Stats{
 		PendingTasks:   e.pending.Len(),
 		LiveBlocks:     len(e.blocks),
-		TasksSubmitted: e.Metrics.Counter("submitted").Value(),
-		TasksCompleted: e.Metrics.Counter("completed").Value(),
+		TasksSubmitted: e.submitted.Value(),
+		TasksCompleted: e.completed.Value(),
 		BlocksLaunched: e.Metrics.Counter("blocks_launched").Value(),
 		BlocksReleased: e.Metrics.Counter("blocks_released").Value(),
 	}
@@ -384,13 +406,6 @@ func (e *Engine) Stop() {
 	}()
 }
 
-func (e *Engine) wakeUp() {
-	select {
-	case e.wake <- struct{}{}:
-	default:
-	}
-}
-
 // addBlock provisions one block whose launch function runs a manager
 // (in-process or dialing the TCP interchange, per the transport).
 func (e *Engine) addBlock() error {
@@ -414,10 +429,7 @@ func (e *Engine) addBlock() error {
 // runManager is the pilot-job body: it registers a manager for the block,
 // spawns workers, and serves until the block context ends.
 func (e *Engine) runManager(ctx context.Context, blk provider.BlockInfo) error {
-	capacity := len(blk.Nodes) * e.cfg.WorkersPerNode
-	if capacity == 0 {
-		capacity = e.cfg.WorkersPerNode
-	}
+	capacity := e.blockCapacity(blk)
 	e.mu.Lock()
 	if e.stopped {
 		e.mu.Unlock()
@@ -427,16 +439,13 @@ func (e *Engine) runManager(ctx context.Context, blk provider.BlockInfo) error {
 	m := &manager{
 		id:         fmt.Sprintf("mgr-%d", e.nextMgr),
 		blockID:    blk.ID,
-		nodes:      blk.Nodes,
 		capacity:   capacity,
-		tasks:      make(chan protocol.Task, capacity),
 		freeSlots:  capacity,
 		lastActive: time.Now(),
 	}
 	e.managers[m.id] = m
 	e.blocks[blk.ID] = m.id
 	e.mu.Unlock()
-	e.wakeUp()
 
 	for i := 0; i < capacity; i++ {
 		node := ""
@@ -449,29 +458,28 @@ func (e *Engine) runManager(ctx context.Context, blk provider.BlockInfo) error {
 	}
 
 	<-ctx.Done()
-	// Stop dispatch to this manager, requeue undrained tasks, wait workers.
-	// removed=true and close happen under the same lock acquisition that
-	// the dispatcher sends under, so no send can follow the close.
+	// The workers take nothing more; those running a task finish it under
+	// the cancelled context. Every pending task stays in the deque.
 	e.mu.Lock()
 	m.removed = true
-	close(m.tasks)
 	e.mu.Unlock()
-	requeued := 0
-	for t := range m.tasks {
-		e.requeue(t)
-		requeued++
-	}
+	e.idle.Broadcast()
 	m.wg.Wait()
 	e.mu.Lock()
 	delete(e.managers, m.id)
 	delete(e.blocks, blk.ID)
 	e.mu.Unlock()
 	e.Metrics.Counter("blocks_released").Inc()
-	e.wakeUp()
 	return nil
 }
 
-// requeue returns an undispatched or crashed task to the interchange,
+// blockCapacity is the worker count of a block: WorkersPerNode per node, and
+// at least one node's worth.
+func (e *Engine) blockCapacity(blk provider.BlockInfo) int {
+	return max(len(blk.Nodes), 1) * e.cfg.WorkersPerNode
+}
+
+// requeue returns a crashed or orphaned task to the front of the interchange,
 // consuming one delivery attempt. A task that exhausts cfg.MaxAttempts is
 // dead-lettered — a failed Result marked DeadLettered is emitted instead of
 // requeueing — so a poison task cannot cycle forever. When the engine is
@@ -497,8 +505,8 @@ func (e *Engine) requeue(t protocol.Task) {
 	e.startQueueSpanLocked(&t)
 	e.pending.PushFront(t)
 	e.mu.Unlock()
-	e.Metrics.Counter("requeued").Inc()
-	e.wakeUp()
+	e.requeued.Inc()
+	e.idle.Signal()
 }
 
 // deadLetter emits the terminal failure for a task that exceeded its
@@ -509,7 +517,7 @@ func (e *Engine) deadLetter(t protocol.Task) {
 	// Counted before the result is visible, so a reader of the result reads
 	// the counters that include it.
 	e.Metrics.Counter("deadlettered_tasks").Inc()
-	e.Metrics.Counter("completed").Inc()
+	e.completed.Inc()
 	e.results <- protocol.Result{
 		TaskID: t.ID, State: protocol.StateFailed, DeadLettered: true,
 		Error: fmt.Sprintf("engine: task exceeded %d delivery attempts", e.cfg.MaxAttempts),
@@ -517,10 +525,15 @@ func (e *Engine) deadLetter(t protocol.Task) {
 	}
 }
 
-// workerLoop is one worker: take a task, run it, report the result.
+// workerLoop is one worker: take the front pending task, run it, report
+// the result, and take the next.
 func (e *Engine) workerLoop(ctx context.Context, m *manager, w WorkerInfo) {
 	defer m.wg.Done()
-	for t := range m.tasks {
+	for busy := false; ; busy = true {
+		t, ok := e.take(ctx, m, busy)
+		if !ok {
+			return
+		}
 		started := time.Now()
 		sp := e.cfg.Tracer.StartSpanAt(t.Trace, "engine.execute", started)
 		sp.SetAttr("worker", w.ID)
@@ -528,16 +541,11 @@ func (e *Engine) workerLoop(ctx context.Context, m *manager, w WorkerInfo) {
 		res := e.cfg.Run(ctx, t, w)
 		if res.State == "" {
 			// No result produced: the worker died mid-task (a chaos kill or
-			// a crashed runner). Free the slot and retry the task under its
-			// attempt budget rather than losing it.
+			// a crashed runner). Retry the task under its attempt budget
+			// rather than losing it; the next take frees the slot.
 			sp.EndStatus("killed")
 			e.Metrics.Counter("worker_crashes").Inc()
-			e.mu.Lock()
-			m.freeSlots++
-			m.lastActive = time.Now()
-			e.mu.Unlock()
 			e.requeue(t)
-			e.wakeUp()
 			continue
 		}
 		res.TaskID = t.ID
@@ -563,57 +571,38 @@ func (e *Engine) workerLoop(ctx context.Context, m *manager, w WorkerInfo) {
 			res.Trace = t.Trace
 		}
 		e.results <- res
-		e.Metrics.Counter("completed").Inc()
-		e.mu.Lock()
-		m.freeSlots++
-		m.lastActive = time.Now()
-		e.mu.Unlock()
-		e.wakeUp()
+		e.completed.Inc()
 	}
 }
 
-// dispatchLoop hands pending tasks to managers with free slots, round-robin
-// by map iteration with a fairness nudge from lastActive updates.
-func (e *Engine) dispatchLoop() {
-	defer e.loops.Done()
-	for {
-		select {
-		case <-e.done:
-			return
-		case <-e.wake:
-		}
-		for {
-			e.mu.Lock()
-			if e.stopped || e.pending.Len() == 0 {
-				e.mu.Unlock()
-				break
-			}
-			var target *manager
-			for _, m := range e.managers {
-				if m.removed || m.freeSlots <= 0 {
-					continue
-				}
-				if target == nil || m.freeSlots > target.freeSlots {
-					target = m
-				}
-			}
-			if target == nil {
-				e.mu.Unlock()
-				break
-			}
-			t := e.pending.PopFront()
-			e.endQueueSpanLocked(t.ID, "")
-			target.freeSlots--
-			target.lastActive = time.Now()
-			// The channel is buffered to capacity and freeSlots accounting
-			// keeps this send nonblocking, so it is safe under the lock —
-			// and holding the lock orders it before the manager's
-			// removed=true + close sequence.
-			target.tasks <- t
-			e.mu.Unlock()
-			e.Metrics.Counter("dispatched").Inc()
-		}
+// take frees the worker's slot when it has just finished a task (busy),
+// parks until a task is pending, and takes the front one. It reports false
+// once m is removed or its block released (ctx done, even before removal).
+func (e *Engine) take(ctx context.Context, m *manager, busy bool) (protocol.Task, bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if busy {
+		m.freeSlots++
+		m.lastActive = time.Now()
 	}
+	for !m.removed && e.pending.Len() == 0 {
+		e.idle.Wait()
+	}
+	if m.removed || ctx.Err() != nil {
+		return protocol.Task{}, false
+	}
+	return e.popLocked(m), true
+}
+
+// popLocked moves the front pending task into one of m's free slots
+// (caller holds e.mu).
+func (e *Engine) popLocked(m *manager) protocol.Task {
+	t := e.pending.PopFront()
+	e.endQueueSpanLocked(t.ID, "")
+	m.freeSlots--
+	m.lastActive = time.Now()
+	e.dispatched.Inc()
+	return t
 }
 
 // scalingLoop implements the elasticity strategy.
@@ -679,11 +668,4 @@ func (e *Engine) scalingLoop() {
 			_ = e.cfg.Provider.CancelBlock(blockID)
 		}
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -292,6 +293,83 @@ func TestBlockWalltimeRequeuesTasks(t *testing.T) {
 		case <-timeout:
 			t.Fatalf("results = %d of %d after block churn", got, n)
 		}
+	}
+	checkChurnKeepsOrder(t, "channel")
+}
+
+// checkChurnKeepsOrder runs tasks one at a time on one-worker blocks that
+// reach their walltime with tasks pending, over the given transport. Every
+// task gets exactly one result, and tasks start in submission order: a task
+// requeued from a dying block starts again before any task behind it.
+func checkChurnKeepsOrder(t *testing.T, transport string) {
+	t.Helper()
+	sched := scheduler.SimpleCluster(1)
+	defer sched.Close()
+	prov, _ := provider.NewBatch(provider.BatchConfig{
+		Scheduler: sched, NodesPerBlock: 1, Walltime: 100 * time.Millisecond,
+	})
+	var mu sync.Mutex
+	var starts []int
+	slow := slowRunner(10 * time.Millisecond)
+	eng, err := New(Config{
+		Provider: prov,
+		Run: func(ctx context.Context, task protocol.Task, w WorkerInfo) protocol.Result {
+			i, _ := strconv.Atoi(string(task.Payload))
+			mu.Lock()
+			starts = append(starts, i)
+			mu.Unlock()
+			return slow(ctx, task, w)
+		},
+		InitBlocks: 1, MinBlocks: 1, MaxBlocks: 1,
+		ScalingInterval: 10 * time.Millisecond,
+		Transport:       transport,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Stop()
+	const n = 40
+	tasks := make([]protocol.Task, n)
+	for i := range tasks {
+		tasks[i] = newTask(strconv.Itoa(i))
+	}
+	if errs := eng.SubmitBatch(tasks); errs != nil {
+		t.Fatalf("submit: %v", errs)
+	}
+	results := map[protocol.UUID]int{}
+	timeout := time.After(30 * time.Second)
+	for len(results) < n {
+		select {
+		case r := <-eng.Results():
+			results[r.TaskID]++
+		case <-timeout:
+			t.Fatalf("%s: results = %d of %d after block churn", transport, len(results), n)
+		}
+	}
+	for _, task := range tasks {
+		if c := results[task.ID]; c != 1 {
+			t.Errorf("%s: task %s has %d results, want 1", transport, task.Payload, c)
+		}
+	}
+	if released := eng.Metrics.Counter("blocks_released").Value(); released == 0 {
+		t.Errorf("%s: no block reached its walltime during the run", transport)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	next := 0
+	for _, i := range starts {
+		if i != next && i != next-1 {
+			t.Fatalf("%s: start order %v: task %d started when %d was next", transport, starts, i, next)
+		}
+		if i == next {
+			next++
+		}
+	}
+	if next != n {
+		t.Errorf("%s: %d of %d tasks started", transport, next, n)
 	}
 }
 

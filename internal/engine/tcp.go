@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -87,38 +89,38 @@ func (e *Engine) serveManagerConn(conn net.Conn) {
 	m := &manager{
 		id:         fmt.Sprintf("mgr-%d", e.nextMgr),
 		blockID:    reg.BlockID,
-		nodes:      reg.Nodes,
 		capacity:   reg.Capacity,
-		tasks:      make(chan protocol.Task, reg.Capacity),
 		freeSlots:  reg.Capacity,
 		lastActive: time.Now(),
-		inflight:   make(map[protocol.UUID]protocol.Task, reg.Capacity),
+		inflight:   make(map[protocol.UUID]sentTask, reg.Capacity),
 	}
+	m.slot.L = &e.mu
 	e.managers[m.id] = m
 	e.blocks[reg.BlockID] = m.id
 	e.mu.Unlock()
-	e.wakeUp()
 	_ = w.Write(protocol.MustEnvelope(protocol.EnvOK, m.id, nil))
 
-	// Writer: forward dispatched tasks onto the wire.
+	// Writer: take pending tasks into the manager's free slots and write
+	// them onto the wire. A failed write closes the connection, so the
+	// reader below requeues everything in flight.
 	writeDone := make(chan struct{})
 	go func() {
 		defer close(writeDone)
-		for t := range m.tasks {
-			env := protocol.Envelope{Type: protocol.EnvTask, ID: string(t.ID), Body: protocol.EncodeTask(&t)}
-			e.mu.Lock()
-			m.inflight[t.ID] = t
-			e.mu.Unlock()
-			if err := w.Write(env); err != nil {
-				e.mu.Lock()
-				delete(m.inflight, t.ID)
-				e.mu.Unlock()
-				e.requeue(t)
+		var batch []protocol.Task
+		for {
+			batch = e.takeRemote(m, batch[:0])
+			if len(batch) == 0 {
 				return
 			}
+			for i := range batch {
+				env := protocol.Envelope{Type: protocol.EnvTask, ID: string(batch[i].ID), Body: protocol.EncodeTask(&batch[i])}
+				if err := w.Write(env); err != nil {
+					conn.Close()
+					return
+				}
+			}
+			clear(batch)
 		}
-		// Orderly close: tell the manager to finish and exit.
-		_ = w.Write(protocol.MustEnvelope(protocol.EnvShutdown, "", nil))
 	}()
 
 	// Reader: results and heartbeats until the connection drops.
@@ -137,22 +139,22 @@ func (e *Engine) serveManagerConn(conn net.Conn) {
 				continue
 			}
 			e.mu.Lock()
-			t, inflight := m.inflight[res.TaskID]
+			sent, inflight := m.inflight[res.TaskID]
 			delete(m.inflight, res.TaskID)
 			m.freeSlots++
 			m.lastActive = time.Now()
 			e.mu.Unlock()
+			m.slot.Signal()
 			// The remote pool has no tracer; record its execution span here
 			// from the result's timestamps, on behalf of the worker.
-			if inflight && t.Trace.Valid() && !res.Started.IsZero() {
+			if t := sent.task; inflight && t.Trace.Valid() && !res.Started.IsZero() {
 				res.Trace = e.cfg.Tracer.Record(t.Trace, "engine.execute",
 					res.Started, res.Completed, "worker", res.WorkerID, "block", m.blockID)
 			} else if !res.Trace.Valid() && inflight {
 				res.Trace = t.Trace
 			}
 			e.results <- res
-			e.Metrics.Counter("completed").Inc()
-			e.wakeUp()
+			e.completed.Inc()
 		case protocol.EnvHeartbeat:
 			e.mu.Lock()
 			m.lastActive = time.Now()
@@ -160,28 +162,23 @@ func (e *Engine) serveManagerConn(conn net.Conn) {
 		}
 	}
 
-	// Connection gone: remove the manager and requeue anything undrained
-	// or in flight (at-least-once; a task whose result write failed after
-	// execution runs again).
+	// Connection gone: remove the manager and requeue what was in flight
+	// (at-least-once), in reverse dispatch order so the tasks return to the
+	// front of the deque in the order they left it.
+	conn.Close()
 	e.mu.Lock()
-	alreadyRemoved := m.removed
-	var orphaned []protocol.Task
-	if !m.removed {
-		m.removed = true
-		close(m.tasks)
-		for _, t := range m.inflight {
-			orphaned = append(orphaned, t)
-		}
-		m.inflight = make(map[protocol.UUID]protocol.Task)
+	m.removed = true
+	orphaned := make([]sentTask, 0, len(m.inflight))
+	for _, s := range m.inflight {
+		orphaned = append(orphaned, s)
 	}
+	clear(m.inflight)
 	e.mu.Unlock()
-	if !alreadyRemoved {
-		for t := range m.tasks {
-			e.requeue(t)
-		}
-		for _, t := range orphaned {
-			e.requeue(t)
-		}
+	e.idle.Broadcast()
+	m.slot.Broadcast()
+	slices.SortFunc(orphaned, func(a, b sentTask) int { return cmp.Compare(b.seq, a.seq) })
+	for _, s := range orphaned {
+		e.requeue(s.task)
 	}
 	<-writeDone
 	e.mu.Lock()
@@ -189,37 +186,40 @@ func (e *Engine) serveManagerConn(conn net.Conn) {
 	delete(e.blocks, m.blockID)
 	e.mu.Unlock()
 	e.Metrics.Counter("blocks_released").Inc()
-	e.wakeUp()
+}
+
+// takeRemote parks m's writer until m has a free slot and a task is
+// pending, then moves one front task per free slot into m's in-flight set
+// and appends it to batch. It appends none once m is removed.
+func (e *Engine) takeRemote(m *manager, batch []protocol.Task) []protocol.Task {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for !m.removed && (m.freeSlots == 0 || e.pending.Len() == 0) {
+		if m.freeSlots == 0 {
+			m.slot.Wait()
+		} else {
+			e.idle.Wait()
+		}
+	}
+	for !m.removed && m.freeSlots > 0 && e.pending.Len() > 0 {
+		t := e.popLocked(m)
+		m.sent++
+		m.inflight[t.ID] = sentTask{seq: m.sent, task: t}
+		batch = append(batch, t)
+	}
+	return batch
 }
 
 // runRemoteManager is the pilot-job body for TCP mode: the provisioned
 // block dials the interchange and serves tasks until released.
 func (e *Engine) runRemoteManager(ctx context.Context, blk provider.BlockInfo) error {
-	capacity := len(blk.Nodes) * e.cfg.WorkersPerNode
-	if capacity == 0 {
-		capacity = e.cfg.WorkersPerNode
-	}
 	pool := &remotePool{
 		run:      e.cfg.Run,
-		capacity: capacity,
+		capacity: e.blockCapacity(blk),
 		blockID:  blk.ID,
 		nodes:    blk.Nodes,
 	}
-	return pool.serve(ctx.Done(), e.InterchangeAddr())
-}
-
-// taskContext derives a context cancelled when done closes (the block was
-// released), handed to task runners so in-flight work stops promptly.
-func taskContext(done <-chan struct{}) (context.Context, context.CancelFunc) {
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		select {
-		case <-done:
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
-	return ctx, cancel
+	return pool.serve(ctx, e.InterchangeAddr())
 }
 
 // remotePool is the block-side half of the TCP transport.
@@ -230,9 +230,9 @@ type remotePool struct {
 	nodes    []string
 }
 
-// serve dials addr and processes tasks until the context ends or the
-// interchange shuts the stream down.
-func (p *remotePool) serve(done <-chan struct{}, addr string) error {
+// serve dials addr and processes tasks until the block is released (ctx
+// done, which also stops its runners) or the interchange closes the stream.
+func (p *remotePool) serve(ctx context.Context, addr string) error {
 	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {
 		return fmt.Errorf("engine: manager dial: %w", err)
@@ -252,12 +252,9 @@ func (p *remotePool) serve(done <-chan struct{}, addr string) error {
 
 	// Close the connection when the block is released so both loops end.
 	go func() {
-		<-done
+		<-ctx.Done()
 		conn.Close()
 	}()
-
-	taskCtx, cancel := taskContext(done)
-	defer cancel()
 
 	var wg sync.WaitGroup
 	defer wg.Wait()
@@ -292,7 +289,7 @@ func (p *remotePool) serve(done <-chan struct{}, addr string) error {
 				defer wg.Done()
 				defer func() { <-sem }()
 				started := time.Now()
-				res := p.run(taskCtx, task, info)
+				res := p.run(ctx, task, info)
 				res.TaskID = task.ID
 				res.WorkerID = info.ID
 				if !task.Submitted.IsZero() {

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -133,6 +135,7 @@ func TestTCPManagerDeathRequeues(t *testing.T) {
 			t.Fatalf("results = %d of %d after manager churn", got, n)
 		}
 	}
+	checkChurnKeepsOrder(t, "tcp")
 }
 
 func TestTCPStopCleansUp(t *testing.T) {
@@ -143,5 +146,78 @@ func TestTCPStopCleansUp(t *testing.T) {
 	// Listener is closed: dialing fails.
 	if _, err := New(Config{Provider: provider.NewLocal(1), Run: echoRunner, Transport: "warp"}); err == nil {
 		t.Error("unknown transport accepted")
+	}
+}
+
+// TestTCPManagerDeathRequeuesInOrder: a manager that dies with every slot
+// in flight and more tasks pending returns its in-flight tasks to the front
+// of the deque in the order they were dispatched, ahead of the pending
+// ones, each with one attempt spent.
+func TestTCPManagerDeathRequeuesInOrder(t *testing.T) {
+	gate := make(chan struct{})
+	var started atomic.Int32
+	eng, err := New(Config{
+		Provider: provider.NewLocal(1),
+		Run: func(ctx context.Context, task protocol.Task, w WorkerInfo) protocol.Result {
+			started.Add(1)
+			<-gate // no result reaches the interchange before the drop
+			return protocol.Result{State: protocol.StateSuccess}
+		},
+		InitBlocks: 1, MaxBlocks: 1, WorkersPerNode: 4,
+		ScalingInterval: time.Hour, // no replacement block
+		Transport:       "tcp",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Stop()
+	defer close(gate)
+	const n = 8
+	tasks := make([]protocol.Task, n)
+	for i := range tasks {
+		tasks[i] = newTask(fmt.Sprint(i))
+	}
+	if errs := eng.SubmitBatch(tasks); errs != nil {
+		t.Fatalf("submit: %v", errs)
+	}
+	waitUntil(t, "every slot busy", func() bool { return started.Load() == 4 })
+	eng.mu.Lock()
+	var blockID string
+	for id := range eng.blocks {
+		blockID = id
+	}
+	eng.mu.Unlock()
+	go eng.cfg.Provider.CancelBlock(blockID) // returns once the gate opens
+	waitUntil(t, "the manager gone and its tasks requeued", func() bool {
+		s := eng.Stats()
+		return s.ConnectedMgrs == 0 && s.PendingTasks == n
+	})
+	var order []string
+	var attempts []int
+	eng.mu.Lock()
+	eng.pending.Each(func(t *protocol.Task) {
+		order = append(order, string(t.Payload))
+		attempts = append(attempts, t.Attempts)
+	})
+	eng.mu.Unlock()
+	if got, want := fmt.Sprint(order), "[0 1 2 3 4 5 6 7]"; got != want {
+		t.Errorf("pending order %s, want %s", got, want)
+	}
+	if got, want := fmt.Sprint(attempts), "[1 1 1 1 0 0 0 0]"; got != want {
+		t.Errorf("attempts %s, want %s", got, want)
+	}
+}
+
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -28,10 +28,10 @@ type SimAgentConfig struct {
 	// ServiceTime is how long the agent holds each task before publishing
 	// its result — the skew knob (0 = instant echo).
 	ServiceTime time.Duration
-	// Prefetch bounds in-flight deliveries (default 64). Keep it above the
-	// expected queue depth: placement reads queued intake from heartbeats,
-	// and tasks parked in the broker because prefetch is exhausted are load
-	// the report would miss.
+	// Prefetch bounds in-flight deliveries (default one delivery frame,
+	// broker.MaxDeliveryBatch). Keep it above the expected queue depth:
+	// placement reads queued intake from heartbeats, and tasks parked in the
+	// broker because prefetch is exhausted are load the report would miss.
 	Prefetch int
 }
 
@@ -55,7 +55,7 @@ type SimAgent struct {
 // single service goroutine.
 func StartSimAgent(cfg SimAgentConfig) (*SimAgent, error) {
 	if cfg.Prefetch <= 0 {
-		cfg.Prefetch = 64
+		cfg.Prefetch = broker.MaxDeliveryBatch
 	}
 	// Declare idempotently: the webservice declares these on registration,
 	// but a harness-spawned agent may come up first.

@@ -56,7 +56,7 @@ type ExecutorConfig struct {
 
 // streamPrefetch is the group-queue subscription's delivery window, and so
 // the most results one drain of the stream resolves under one Ack.
-const streamPrefetch = 64
+const streamPrefetch = broker.MaxDeliveryBatch
 
 // Executor mirrors concurrent.futures.Executor over Globus Compute: Submit
 // returns a Future, submissions batch into single REST calls, and results
