@@ -134,15 +134,16 @@ fuzz:
 	$(GO) test -fuzz FuzzRender -fuzztime 30s ./internal/template/
 	$(GO) test -fuzz FuzzParseRules -fuzztime 30s ./internal/idmap/
 
-# Short codec fuzz pass run as part of `make all`: binary<->JSON equivalence
-# and binary-decode hardening, for wire frames (FrameReader, the one decoder
-# of every framed connection; see docs/PROTOCOL.md "Framing"), task and
+# Short codec fuzz pass run as part of `make all`: binary round trips,
+# binary<->JSON equivalence where a JSON form is still accepted, and
+# binary-decode hardening, for wire frames (FrameReader, the one decoder of
+# every framed connection; see docs/PROTOCOL.md "Framing"), task and
 # result bodies (docs/PROTOCOL.md "Task and result bodies"), python payloads
 # and submit bodies (docs/PROTOCOL.md "REST API") and for WAL records (see
 # docs/DURABILITY.md "Records").
 fuzz-codec:
 	$(GO) test -fuzz FuzzFrameReader -fuzztime 10s ./internal/protocol/
-	$(GO) test -fuzz FuzzCodecEquivalence -fuzztime 10s ./internal/protocol/
+	$(GO) test -fuzz FuzzCodecRoundTrip -fuzztime 10s ./internal/protocol/
 	$(GO) test -fuzz FuzzBinaryDecode -fuzztime 10s ./internal/protocol/
 	$(GO) test -fuzz FuzzTaskBody -fuzztime 10s ./internal/protocol/
 	$(GO) test -fuzz FuzzResultBody -fuzztime 10s ./internal/protocol/

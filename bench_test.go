@@ -512,7 +512,7 @@ func BenchmarkBrokerPublishConsume(b *testing.B) {
 
 func BenchmarkFrameRoundTrip(b *testing.B) {
 	task := protocol.Task{ID: protocol.NewUUID(), Kind: protocol.KindShell, Payload: bytes.Repeat([]byte("p"), 256)}
-	env := protocol.MustEnvelope(protocol.EnvTask, string(task.ID), task)
+	env := protocol.Envelope{Type: protocol.EnvTask, ID: string(task.ID), Body: protocol.EncodeTask(&task)}
 	var buf bytes.Buffer
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -169,27 +169,27 @@ func TestClientLoneAndBatchFrames(t *testing.T) {
 	abc := [][]byte{[]byte("a"), []byte("b"), []byte("c")}
 	steps := []struct {
 		do   func() error
-		want string
+		want protocol.EnvType
 	}{
 		{func() error { return conn.PublishBatch("q", abc[:1], []trace.Context{tc}) }, protocol.EnvPublishBatch},
 		{func() error { return conn.PublishBatch("q", abc, nil) }, protocol.EnvPublishBatch},
 		{func() error { return sub.Ack(7) }, protocol.EnvAckBatch},
 		{func() error { return sub.Ack(8, 9, 10) }, protocol.EnvAckBatch},
 		{func() error { return AckBatchOn(sub, []uint64{11}) }, protocol.EnvAckBatch},
-		{func() error { return conn.PublishBatch("q", nil, nil) }, ""},
-		{func() error { return sub.Ack() }, ""},
+		{func() error { return conn.PublishBatch("q", nil, nil) }, 0},
+		{func() error { return sub.Ack() }, 0},
 	}
-	want := []string{protocol.EnvConsume}
+	want := []protocol.EnvType{protocol.EnvConsume}
 	for i, st := range steps {
 		if err := st.do(); err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
-		if st.want != "" {
+		if st.want != 0 {
 			want = append(want, st.want)
 		}
 	}
 	frames := rs.recorded()
-	var got []string
+	var got []protocol.EnvType
 	for i, f := range frames {
 		if f.first != 0xBF {
 			t.Errorf("frame %d (%s) starts with %#x, want 0xBF", i, f.env.Type, f.first)
@@ -199,10 +199,7 @@ func TestClientLoneAndBatchFrames(t *testing.T) {
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("recorded frames = %v, want %v (one frame per call)", got, want)
 	}
-	var lone protocol.PublishBatchBody
-	if err := frames[1].env.Decode(&lone); err != nil {
-		t.Fatal(err)
-	}
+	lone := frames[1].env.Bin.(*protocol.PublishBatchBody)
 	if len(lone.Bodies) != 1 || len(lone.Traces) != 1 || lone.Traces[0].TraceID != tc.TraceID {
 		t.Errorf("one-body publish_batch = %+v, want one body carrying trace %s", lone, tc.TraceID)
 	}
@@ -237,10 +234,7 @@ func TestClientLoneAndBatchFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var batch deliveryBatchBody
-	if err := d.env.Decode(&batch); err != nil {
-		t.Fatal(err)
-	}
+	batch, _ := d.env.Bin.(*deliveryBatchBody)
 	if d.first != 0xBF || d.env.Type != protocol.EnvDeliveryBatch || len(batch.Items) != 1 {
 		t.Fatalf("lone delivery = %#x %s with %d items, want 0xBF delivery_batch of one", d.first, d.env.Type, len(batch.Items))
 	}

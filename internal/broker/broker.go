@@ -1,6 +1,6 @@
 // Package broker implements the message-queue substrate that stands in for
 // the cloud-hosted RabbitMQ deployment: named FIFO queues with
-// publish/consume, per-consumer prefetch, explicit ack/nack, and requeue of
+// publish/consume, per-consumer prefetch, explicit ack/reject, and requeue of
 // unacknowledged messages when a consumer disconnects (at-least-once
 // delivery).
 //
@@ -27,7 +27,6 @@ import (
 // Common errors.
 var (
 	ErrQueueNotFound  = errors.New("broker: queue not found")
-	ErrQueueExists    = errors.New("broker: queue already declared")
 	ErrClosed         = errors.New("broker: closed")
 	ErrUnknownTag     = errors.New("broker: unknown delivery tag")
 	ErrConsumerClosed = errors.New("broker: consumer closed")
@@ -43,7 +42,7 @@ var (
 // backs off first.
 const shedWatermark = 0.8
 
-// Message is a delivered queue entry. Tag identifies it for Ack/Nack on the
+// Message is a delivered queue entry. Tag identifies it for Ack/Reject on the
 // consumer that received it.
 type Message struct {
 	Tag         uint64
@@ -75,7 +74,7 @@ type Broker struct {
 	Metrics *metrics.Registry
 	// Tracer, when set before use, records a "broker.deliver" span per
 	// traced message (publish -> delivery, the queue-transit time) and a
-	// "requeue" span per nack/disconnect requeue.
+	// "requeue" span per disconnect requeue.
 	Tracer *trace.Tracer
 
 	// jrnl, when set, journals queue lifecycle and message flow so a broker
@@ -596,31 +595,15 @@ func (q *queue) reject(b *Broker, c *Consumer, tag uint64) error {
 	return b.PublishBatch(dlq, [][]byte{e.body}, []trace.Context{e.tc})
 }
 
-// nack returns a message to the front of the queue for redelivery. The
-// entry keeps its original trace context, and the requeue itself is
-// recorded as a "requeue" span so redeliveries are visible in the trace.
-func (q *queue) nack(c *Consumer, tag uint64) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	e, ok := c.unacked[tag]
-	if !ok {
-		return ErrUnknownTag
-	}
-	delete(c.unacked, tag)
-	e.redelivered = true
-	q.requeueLocked(e, "nack")
-	q.dispatchLocked()
-	return nil
-}
-
-// requeueLocked returns e to the front of its priority level's ready list,
-// re-stamping its transit clock and recording a "requeue" span under the
-// message's original trace. Requeues bypass the depth limit: the message
-// was already accepted once and must not be lost. Caller holds q.mu.
-func (q *queue) requeueLocked(e entry, reason string) {
+// requeueLocked returns e, left unacked by a consumer that went away, to
+// the front of its priority level's ready list, re-stamping its transit
+// clock and recording a "requeue" span under the message's original trace.
+// Requeues bypass the depth limit: the message was already accepted once
+// and must not be lost. Caller holds q.mu.
+func (q *queue) requeueLocked(e entry) {
 	if e.tc.Valid() {
 		now := time.Now()
-		q.b.Tracer.Record(e.tc, "requeue", now, now, "queue", q.name, "reason", reason)
+		q.b.Tracer.Record(e.tc, "requeue", now, now, "queue", q.name, "reason", "disconnect")
 	}
 	e.enqueued = time.Now()
 	if e.interactive {
@@ -649,7 +632,7 @@ func (q *queue) removeConsumer(c *Consumer) {
 	for tag, e := range c.unacked {
 		delete(c.unacked, tag)
 		e.redelivered = true
-		q.requeueLocked(e, "disconnect")
+		q.requeueLocked(e)
 	}
 	close(c.ch)
 	q.dispatchLocked()
@@ -671,7 +654,7 @@ func (q *queue) close() {
 }
 
 // Consumer receives deliveries from one queue. Messages must be Acked,
-// Nacked, or Rejected; Close requeues anything outstanding.
+// Rejected; Close requeues anything outstanding.
 type Consumer struct {
 	q        *queue
 	b        *Broker
@@ -689,10 +672,6 @@ func (c *Consumer) Messages() <-chan Message { return c.ch }
 // Ack acknowledges delivered messages by tag in one queue-lock round trip.
 // Stale tags are skipped (reported in the error) after valid ones are acked.
 func (c *Consumer) Ack(tags ...uint64) error { return c.q.ack(c, tags) }
-
-// Nack rejects a delivered message; it is requeued at the front and will be
-// flagged Redelivered.
-func (c *Consumer) Nack(tag uint64) error { return c.q.nack(c, tag) }
 
 // Reject dead-letters a delivered message to "<queue>.dlq" instead of
 // redelivering it (for poison messages the consumer cannot process).

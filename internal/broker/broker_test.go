@@ -92,25 +92,6 @@ func TestPrefetchWindow(t *testing.T) {
 	}
 }
 
-func TestNackRedelivers(t *testing.T) {
-	b := New()
-	b.Declare("q")
-	b.Publish("q", []byte("x"))
-	c, _ := b.Consume("q", 1)
-	m := <-c.Messages()
-	if err := c.Nack(m.Tag); err != nil {
-		t.Fatal(err)
-	}
-	m2 := <-c.Messages()
-	if !m2.Redelivered {
-		t.Error("redelivered message not flagged")
-	}
-	if string(m2.Body) != "x" {
-		t.Errorf("body = %q", m2.Body)
-	}
-	c.Ack(m2.Tag)
-}
-
 func TestConsumerCloseRequeues(t *testing.T) {
 	b := New()
 	b.Declare("q")
@@ -223,8 +204,7 @@ func TestAtLeastOnceUnderChurn(t *testing.T) {
 							return
 						}
 						if (int(m.Tag)+w)%7 == 0 {
-							c.Nack(m.Tag)
-							continue
+							continue // left unacked: the Close below requeues it
 						}
 						mu.Lock()
 						seen[string(m.Body)]++

@@ -83,17 +83,9 @@ func (c *Client) readLoop() {
 		case protocol.EnvOK:
 			c.complete(env.ID, nil)
 		case protocol.EnvError:
-			var body errorBody
-			msg := "unknown broker error"
-			if derr := env.Decode(&body); derr == nil {
-				msg = body.Message
-			}
-			c.complete(env.ID, errors.New(msg))
+			c.complete(env.ID, errors.New(env.Bin.(*errorBody).Message))
 		case protocol.EnvDeliveryBatch:
-			var body deliveryBatchBody
-			if derr := env.Decode(&body); derr != nil {
-				continue
-			}
+			body := env.Bin.(*deliveryBatchBody)
 			// The sends happen under the lock so Cancel's close of the
 			// channel cannot race them; the buffer (prefetch+1) exceeds the
 			// server's delivery window, so they never block.
@@ -133,7 +125,7 @@ func (c *Client) complete(id string, err error) {
 }
 
 // call sends a request and waits for its ok/error reply.
-func (c *Client) call(typ string, body any) error {
+func (c *Client) call(typ protocol.EnvType, body any) error {
 	id := c.ids.next()
 	ch := make(chan error, 1)
 	c.mu.Lock()
@@ -185,11 +177,11 @@ func (c *Client) Ping() error {
 // DeleteQueue removes a queue on the remote broker, dropping its messages
 // and closing its consumers.
 func (c *Client) DeleteQueue(queue string) error {
-	return c.call(protocol.EnvShutdown, &declareBody{Queue: queue})
+	return c.call(protocol.EnvDelete, &declareBody{Queue: queue})
 }
 
 // RemoteConsumer mirrors Consumer for a TCP client — a delivery channel plus
-// Ack/Nack that round-trip to the server — and is the TCP Subscription.
+// Ack/Reject that round-trip to the server — and is the TCP Subscription.
 type RemoteConsumer struct {
 	c     *Client
 	queue string
@@ -232,20 +224,15 @@ func (rc *RemoteConsumer) Ack(tags ...uint64) error {
 	return rc.c.call(protocol.EnvAckBatch, &ackBatchBody{Queue: rc.queue, Tags: tags})
 }
 
-// Nack rejects a delivery; the server requeues it.
-func (rc *RemoteConsumer) Nack(tag uint64) error {
-	return rc.c.call(protocol.EnvNack, &ackBody{Queue: rc.queue, Tag: tag})
-}
-
 // Reject dead-letters a delivery to "<queue>.dlq" on the server.
 func (rc *RemoteConsumer) Reject(tag uint64) error {
-	return rc.c.call(protocol.EnvNack, &ackBody{Queue: rc.queue, Tag: tag, DeadLetter: true})
+	return rc.c.call(protocol.EnvReject, &rejectBody{Queue: rc.queue, Tag: tag})
 }
 
 // Cancel stops consuming: the server detaches the consumer (requeueing
 // anything unacknowledged) and the local delivery channel closes.
 func (rc *RemoteConsumer) Cancel() error {
-	err := rc.c.call(protocol.EnvDrain, &declareBody{Queue: rc.queue})
+	err := rc.c.call(protocol.EnvCancel, &declareBody{Queue: rc.queue})
 	rc.c.mu.Lock()
 	if _, ok := rc.c.streams[rc.queue]; ok {
 		delete(rc.c.streams, rc.queue)

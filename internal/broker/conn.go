@@ -29,7 +29,6 @@ type Subscription interface {
 	// a reconnect) are skipped and reported in the error after the valid ones
 	// are acked; their messages simply redeliver.
 	Ack(tags ...uint64) error
-	Nack(tag uint64) error
 	// Reject dead-letters a poison message to "<queue>.dlq".
 	Reject(tag uint64) error
 	// Cancel detaches the consumer; unacknowledged messages requeue.

@@ -34,16 +34,10 @@ func connRoundTrip(t *testing.T, conn Conn) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("no delivery")
 	}
-	// Nack redelivers.
+	// Cancel closes the channel and requeues the unacked delivery, which
+	// the next subscription receives flagged redelivered.
 	publish(conn, "q", []byte("two"))
-	m := <-sub.Messages()
-	sub.Nack(m.Tag)
-	m2 := <-sub.Messages()
-	if !m2.Redelivered || string(m2.Body) != "two" {
-		t.Errorf("redelivery = %+v", m2)
-	}
-	sub.Ack(m2.Tag)
-	// Cancel closes the channel.
+	<-sub.Messages()
 	if err := sub.Cancel(); err != nil {
 		t.Fatal(err)
 	}
@@ -55,6 +49,20 @@ func connRoundTrip(t *testing.T, conn Conn) {
 	case <-time.After(2 * time.Second):
 		t.Error("channel not closed after cancel")
 	}
+	sub2, err := conn.Subscribe("q", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case m2 := <-sub2.Messages():
+		if !m2.Redelivered || string(m2.Body) != "two" {
+			t.Errorf("redelivery = %+v", m2)
+		}
+		sub2.Ack(m2.Tag)
+	case <-time.After(2 * time.Second):
+		t.Fatal("cancelled delivery never redelivered")
+	}
+	sub2.Cancel()
 }
 
 func TestRejectDeadLetters(t *testing.T) {

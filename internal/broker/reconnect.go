@@ -42,7 +42,7 @@ type ReconnectConfig struct {
 // again flagged Redelivered — the at-least-once contract the hosted service
 // offers over AMQPS.
 //
-// After a reconnect, Ack/Nack tags from deliveries of the previous
+// After a reconnect, Ack/Reject tags from deliveries of the previous
 // connection are stale; acknowledging them returns ErrUnknownTag and the
 // message is simply redelivered. Consumers must therefore tolerate
 // duplicate deliveries (all consumers in this codebase do).
@@ -382,7 +382,6 @@ func (s *resilientSub) current() Subscription {
 // from the previous stream are stale: they fail and the broker redelivers
 // their messages.
 func (s *resilientSub) Ack(tags ...uint64) error { return s.current().Ack(tags...) }
-func (s *resilientSub) Nack(tag uint64) error    { return s.current().Nack(tag) }
 func (s *resilientSub) Reject(tag uint64) error  { return s.current().Reject(tag) }
 
 // Cancel permanently detaches the consumer; unacked deliveries requeue on

@@ -19,7 +19,7 @@ import (
 type declareBody = protocol.DeclareBody
 type publishBatchBody = protocol.PublishBatchBody
 type consumeBody = protocol.ConsumeBody
-type ackBody = protocol.AckBody
+type rejectBody = protocol.RejectBody
 type ackBatchBody = protocol.AckBatchBody
 type deliveryItem = protocol.DeliveryItem
 type deliveryBatchBody = protocol.DeliveryBatchBody
@@ -125,29 +125,18 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			return
 		}
+		// The frame reader hands over each code's one body type, so the
+		// assertions below cannot fail.
 		switch env.Type {
 		case protocol.EnvDeclare:
-			var body declareBody
-			if err := env.Decode(&body); err != nil {
-				reply(env.ID, err)
-				continue
-			}
-			reply(env.ID, s.B.Declare(body.Queue))
+			reply(env.ID, s.B.Declare(env.Bin.(*declareBody).Queue))
 
 		case protocol.EnvPublishBatch:
-			var body publishBatchBody
-			if err := env.Decode(&body); err != nil {
-				reply(env.ID, err)
-				continue
-			}
+			body := env.Bin.(*publishBatchBody)
 			reply(env.ID, s.B.PublishBatch(body.Queue, body.Bodies, body.Traces))
 
 		case protocol.EnvConsume:
-			var body consumeBody
-			if err := env.Decode(&body); err != nil {
-				reply(env.ID, err)
-				continue
-			}
+			body := env.Bin.(*consumeBody)
 			if _, dup := consumers[body.Queue]; dup {
 				reply(env.ID, fmt.Errorf("broker: already consuming %q on this connection", body.Queue))
 				continue
@@ -163,11 +152,7 @@ func (s *Server) handle(conn net.Conn) {
 			go s.deliveryPump(&wg, w, body.Queue, c)
 
 		case protocol.EnvAckBatch:
-			var body ackBatchBody
-			if err := env.Decode(&body); err != nil {
-				reply(env.ID, err)
-				continue
-			}
+			body := env.Bin.(*ackBatchBody)
 			c, ok := consumers[body.Queue]
 			if !ok {
 				reply(env.ID, fmt.Errorf("broker: not consuming %q", body.Queue))
@@ -175,48 +160,30 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			reply(env.ID, c.Ack(body.Tags...))
 
-		case protocol.EnvNack:
-			var body ackBody
-			if err := env.Decode(&body); err != nil {
-				reply(env.ID, err)
-				continue
-			}
+		case protocol.EnvReject:
+			body := env.Bin.(*rejectBody)
 			c, ok := consumers[body.Queue]
 			if !ok {
 				reply(env.ID, fmt.Errorf("broker: not consuming %q", body.Queue))
 				continue
 			}
-			if body.DeadLetter {
-				reply(env.ID, c.Reject(body.Tag))
-			} else {
-				reply(env.ID, c.Nack(body.Tag))
-			}
+			reply(env.ID, c.Reject(body.Tag))
 
-		case protocol.EnvDrain:
-			// Cancel an active consume on this connection.
-			var body declareBody
-			if err := env.Decode(&body); err != nil {
-				reply(env.ID, err)
-				continue
-			}
-			c, ok := consumers[body.Queue]
+		case protocol.EnvCancel:
+			queue := env.Bin.(*declareBody).Queue
+			c, ok := consumers[queue]
 			if !ok {
-				reply(env.ID, fmt.Errorf("broker: not consuming %q", body.Queue))
+				reply(env.ID, fmt.Errorf("broker: not consuming %q", queue))
 				continue
 			}
 			c.Close()
-			delete(consumers, body.Queue)
+			delete(consumers, queue)
 			reply(env.ID, nil)
 
-		case protocol.EnvShutdown:
-			// Delete a queue broker-wide.
-			var body declareBody
-			if err := env.Decode(&body); err != nil {
-				reply(env.ID, err)
-				continue
-			}
-			delete(consumers, body.Queue) // local consumer (if any) is closed by the broker
-			reply(env.ID, s.B.Delete(body.Queue))
+		case protocol.EnvDelete:
+			queue := env.Bin.(*declareBody).Queue
+			delete(consumers, queue) // local consumer (if any) is closed by the broker
+			reply(env.ID, s.B.Delete(queue))
 
 		case protocol.EnvHeartbeat:
 			reply(env.ID, nil)

@@ -153,28 +153,6 @@ func TestClientDisconnectRequeues(t *testing.T) {
 	}
 }
 
-func TestClientNack(t *testing.T) {
-	s, _ := newTestServer(t)
-	c, _ := Dial(s.Addr())
-	defer c.Close()
-	c.Declare("q")
-	publish(c.AsConn(), "q", []byte("x"))
-	rc, _ := c.Consume("q", 1)
-	m := <-rc.Messages()
-	if err := rc.Nack(m.Tag); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case m2 := <-rc.Messages():
-		if !m2.Redelivered {
-			t.Error("nacked message not flagged redelivered")
-		}
-		rc.Ack(m2.Tag)
-	case <-time.After(2 * time.Second):
-		t.Fatal("nacked message never redelivered")
-	}
-}
-
 func TestClientCallsAfterClose(t *testing.T) {
 	s, _ := newTestServer(t)
 	c, _ := Dial(s.Addr())
@@ -260,24 +238,19 @@ func TestServerRefusesJSONFrame(t *testing.T) {
 	checkServerRefuses(t, append([]byte{0, 0, 0, byte(len(body))}, body...), "json")
 }
 
-// TestFrameReaderRefusesOldVersion: a version-1 frame — what a peer built
-// before task and result bodies went binary sends — fails to read with
-// ErrBadFrame, and the broker server ends only that connection.
+// TestFrameReaderRefusesOldVersion: a version-2 frame — what a peer built
+// before every envelope type had one binary body sends, here its declare
+// with the JSON body version 2 carried — fails to read with ErrBadFrame,
+// and the broker server ends only that connection.
 func TestFrameReaderRefusesOldVersion(t *testing.T) {
-	env, err := protocol.NewEnvelope(protocol.EnvDeclare, "1", protocol.DeclareBody{Queue: "v1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, err := protocol.EncodeBinaryEnvelope(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload[1] = 1 // the version byte
+	body := `{"queue":"v2"}`
+	// magic, version 2, declare's version-2 code, flags (id + verbatim body), id "1"
+	payload := append([]byte{0xBF, 2, 12, 0x09, 1, '1', byte(len(body))}, body...)
 	frame := append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
 	if _, err := protocol.NewFrameReader(bytes.NewReader(frame)).Read(); !errors.Is(err, protocol.ErrBadFrame) {
-		t.Fatalf("version-1 frame: err = %v, want ErrBadFrame", err)
+		t.Fatalf("version-2 frame: err = %v, want ErrBadFrame", err)
 	}
-	checkServerRefuses(t, frame, "v1")
+	checkServerRefuses(t, frame, "v2")
 }
 
 // checkServerRefuses sends frame, which would declare queue if it were

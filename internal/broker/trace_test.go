@@ -75,7 +75,7 @@ func TestDeliveryCarriesTraceContext(t *testing.T) {
 	}
 }
 
-func TestNackPreservesTraceAndRecordsRequeue(t *testing.T) {
+func TestCloseRequeuePreservesTraceAndRecordsRequeue(t *testing.T) {
 	b, col := tracedBroker(t)
 	if err := b.Declare("q"); err != nil {
 		t.Fatal(err)
@@ -88,11 +88,13 @@ func TestNackPreservesTraceAndRecordsRequeue(t *testing.T) {
 	if err := b.PublishBatch("q", [][]byte{[]byte("poisonish")}, []trace.Context{pub}); err != nil {
 		t.Fatal(err)
 	}
-	first := recvWithin(t, c.Messages(), 2*time.Second)
-	if err := c.Nack(first.Tag); err != nil {
+	recvWithin(t, c.Messages(), 2*time.Second)
+	c.Close() // requeues the unacked delivery
+	c2, err := b.Consume("q", 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	second := recvWithin(t, c.Messages(), 2*time.Second)
+	second := recvWithin(t, c2.Messages(), 2*time.Second)
 	if !second.Redelivered {
 		t.Error("redelivery not flagged")
 	}
@@ -103,7 +105,7 @@ func TestNackPreservesTraceAndRecordsRequeue(t *testing.T) {
 	if len(req) != 1 {
 		t.Fatalf("%d requeue spans, want 1", len(req))
 	}
-	if req[0].TraceID != pub.TraceID || req[0].Attrs["reason"] != "nack" || req[0].Attrs["queue"] != "q" {
+	if req[0].TraceID != pub.TraceID || req[0].Attrs["reason"] != "disconnect" || req[0].Attrs["queue"] != "q" {
 		t.Errorf("requeue span %+v", req[0])
 	}
 	// Both deliveries recorded transit spans under the same trace.
@@ -111,7 +113,7 @@ func TestNackPreservesTraceAndRecordsRequeue(t *testing.T) {
 		d[0].TraceID != pub.TraceID || d[1].TraceID != pub.TraceID {
 		t.Errorf("deliver spans = %+v", d)
 	}
-	if err := c.Ack(second.Tag); err != nil {
+	if err := c2.Ack(second.Tag); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -185,7 +185,6 @@ func (s *faultySub) pump() {
 
 func (s *faultySub) Messages() <-chan broker.Message { return s.out }
 func (s *faultySub) Ack(tags ...uint64) error        { return s.inner.Ack(tags...) }
-func (s *faultySub) Nack(tag uint64) error           { return s.inner.Nack(tag) }
 func (s *faultySub) Reject(tag uint64) error         { return s.inner.Reject(tag) }
 func (s *faultySub) Cancel() error                   { return s.inner.Cancel() }
 

@@ -8,7 +8,6 @@ import (
 	"globuscompute/internal/idmap"
 	"globuscompute/internal/mep"
 	"globuscompute/internal/protocol"
-	"globuscompute/internal/registry"
 	"globuscompute/internal/template"
 	"globuscompute/internal/webservice"
 )
@@ -26,12 +25,6 @@ type MEPOptions struct {
 	Schema template.Schema
 	// IdleTimeout reaps idle user endpoints.
 	IdleTimeout time.Duration
-	// AllowedFunctions restricts the functions children may execute.
-	AllowedFunctions []protocol.UUID
-	// AuthPolicy names a cloud-enforced policy.
-	AuthPolicy string
-	// Registry seeds the callable registry of spawned user endpoints.
-	Registry *registry.Registry
 	// SandboxRoot hosts ShellFunction sandboxes in children.
 	SandboxRoot string
 }
@@ -79,7 +72,6 @@ func (tb *Testbed) StartMEP(opts MEPOptions) (protocol.UUID, *mep.Manager, error
 	}
 	mepID, err := tb.Service.RegisterEndpoint(webservice.RegisterEndpointRequest{
 		Name: opts.Name, Owner: opts.Owner, MultiUser: true,
-		AllowedFunctions: opts.AllowedFunctions, AuthPolicy: opts.AuthPolicy,
 	})
 	if err != nil {
 		return "", nil, err
@@ -113,7 +105,6 @@ func (tb *Testbed) mepSpawner(opts MEPOptions) mep.SpawnFunc {
 		Scheduler:   tb.Sched,
 		Conn:        broker.LocalConn(tb.Broker),
 		Objects:     tb.Objects,
-		Registry:    opts.Registry,
 		SandboxRoot: opts.SandboxRoot,
 		Heartbeat:   tb.Service.RecordHeartbeat,
 	})

@@ -23,7 +23,6 @@ import (
 	"globuscompute/internal/protocol"
 	"globuscompute/internal/provider"
 	"globuscompute/internal/proxystore"
-	"globuscompute/internal/registry"
 	"globuscompute/internal/scheduler"
 	"globuscompute/internal/shellfn"
 	"globuscompute/internal/statestore"
@@ -40,11 +39,6 @@ type Options struct {
 	DisableHTTP bool
 	// ClusterNodes sizes the simulated batch cluster (default 8).
 	ClusterNodes int
-	// InlineThreshold overrides the service spill threshold.
-	InlineThreshold int
-	// TraceCapacity sizes the shared span collector ring
-	// (default trace.DefaultCapacity).
-	TraceCapacity int
 	// FleetConfig tunes the fleet metrics store (ring sizes, staleness
 	// window); the zero value takes the obs defaults.
 	FleetConfig obs.FleetConfig
@@ -56,9 +50,6 @@ type Options struct {
 	Admission *scheduler.Admission
 	// QueueLimit bounds each endpoint's broker task queue (0 = unbounded).
 	QueueLimit int
-	// BacklogShedThreshold sheds batch submits targeting endpoints whose
-	// reported egress backlog is at or past this depth (0 = off).
-	BacklogShedThreshold int
 }
 
 // Testbed is a running deployment: the cloud-side stack gc-webservice runs
@@ -80,14 +71,11 @@ func NewTestbed(opts Options) (*Testbed, error) {
 	}
 	cfg := webservice.StackConfig{
 		Service: webservice.Config{
-			InlineThreshold:      opts.InlineThreshold,
-			Fleet:                obs.NewFleetStore(opts.FleetConfig),
-			SLORules:             opts.SLORules,
-			Admission:            opts.Admission,
-			QueueLimit:           opts.QueueLimit,
-			BacklogShedThreshold: opts.BacklogShedThreshold,
+			Fleet:      obs.NewFleetStore(opts.FleetConfig),
+			SLORules:   opts.SLORules,
+			Admission:  opts.Admission,
+			QueueLimit: opts.QueueLimit,
 		},
-		TraceCapacity: opts.TraceCapacity,
 	}
 	if !opts.DisableHTTP {
 		cfg.HTTPAddr, cfg.BrokerAddr, cfg.ObjectsAddr = "127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0"
@@ -137,14 +125,10 @@ type EndpointOptions struct {
 	WithMPI bool
 	// MPIBlockNodes sizes the MPI engine's block (default 2).
 	MPIBlockNodes int
-	// Registry overrides the worker callable registry (default Builtins).
-	Registry *registry.Registry
 	// SandboxRoot hosts ShellFunction sandboxes (default system temp).
 	SandboxRoot string
 	// AllowedFunctions restricts executable functions.
 	AllowedFunctions []protocol.UUID
-	// AuthPolicy names an auth policy enforced at submit.
-	AuthPolicy string
 	// WrapRunner, when set, wraps the engine's task runner (fault injection:
 	// worker kills, execution delays).
 	WrapRunner func(engine.TaskRunner) engine.TaskRunner
@@ -174,7 +158,7 @@ func (tb *Testbed) StartEndpoint(opts EndpointOptions) (protocol.UUID, error) {
 	}
 	epID, err := tb.Service.RegisterEndpoint(webservice.RegisterEndpointRequest{
 		Name: opts.Name, Owner: opts.Owner,
-		AllowedFunctions: opts.AllowedFunctions, AuthPolicy: opts.AuthPolicy,
+		AllowedFunctions: opts.AllowedFunctions,
 	})
 	if err != nil {
 		return "", err
@@ -258,7 +242,6 @@ func (tb *Testbed) buildAgent(epID protocol.UUID, opts EndpointOptions) (*endpoi
 		// object store is in this process, so neither saves a wire crossing.
 		Objects: tb.Objects, SpillThreshold: 0, DedupCache: 0,
 		Runner: endpoint.RunnerConfig{
-			Registry: opts.Registry,
 			Shell: shellfn.Options{
 				SandboxRoot: opts.SandboxRoot,
 				Containers:  opts.Containers,

@@ -28,8 +28,6 @@ type BrokerOptions struct {
 	// SnapshotEvery is the snapshot + compaction cadence (default
 	// DefaultSnapshotEvery; <0 disables the background loop).
 	SnapshotEvery time.Duration
-	// SegmentBytes overrides the WAL rotation threshold.
-	SegmentBytes int64
 	// NoSync disables fsync.
 	NoSync bool
 	// Metrics receives the WAL gauges plus broker_snapshot_age_seconds and
@@ -107,10 +105,9 @@ func OpenBroker(opts BrokerOptions) (*BrokerLog, error) {
 	}
 
 	wal, err := OpenWAL(WALOptions{
-		Dir:          filepath.Join(opts.Dir, brokerWALDir),
-		SegmentBytes: opts.SegmentBytes,
-		NoSync:       opts.NoSync,
-		Metrics:      opts.Metrics,
+		Dir:     filepath.Join(opts.Dir, brokerWALDir),
+		NoSync:  opts.NoSync,
+		Metrics: opts.Metrics,
 	})
 	if err != nil {
 		return nil, err

@@ -40,8 +40,6 @@ func (s *fakeSub) Ack(tags ...uint64) error {
 	return nil
 }
 
-func (s *fakeSub) Nack(tag uint64) error { return nil }
-
 func (s *fakeSub) Reject(tag uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -23,13 +23,6 @@ import (
 // the real engine, with communication to workers multiplexed through one
 // connection per manager.
 
-// registerBody announces a manager to the interchange.
-type registerBody struct {
-	BlockID  string   `json:"block_id"`
-	Capacity int      `json:"capacity"`
-	Nodes    []string `json:"nodes"`
-}
-
 // startInterchange opens the listener and serves manager connections.
 func (e *Engine) startInterchange() error {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -75,9 +68,9 @@ func (e *Engine) serveManagerConn(conn net.Conn) {
 	if err != nil || env.Type != protocol.EnvRegister {
 		return
 	}
-	var reg registerBody
-	if err := env.Decode(&reg); err != nil {
-		return
+	reg := env.Bin.(*protocol.RegisterBody)
+	if reg.Capacity < 1 {
+		return // no worker slot to fill, and a negative one cannot size a map
 	}
 
 	e.mu.Lock()
@@ -98,7 +91,7 @@ func (e *Engine) serveManagerConn(conn net.Conn) {
 	e.managers[m.id] = m
 	e.blocks[reg.BlockID] = m.id
 	e.mu.Unlock()
-	_ = w.Write(protocol.MustEnvelope(protocol.EnvOK, m.id, nil))
+	_ = w.Write(protocol.Envelope{Type: protocol.EnvOK, ID: m.id})
 
 	// Writer: take pending tasks into the manager's free slots and write
 	// them onto the wire. A failed write closes the connection, so the
@@ -123,7 +116,7 @@ func (e *Engine) serveManagerConn(conn net.Conn) {
 		}
 	}()
 
-	// Reader: results and heartbeats until the connection drops.
+	// Reader: results until the connection drops.
 	for {
 		env, err := r.Read()
 		if err != nil {
@@ -132,8 +125,7 @@ func (e *Engine) serveManagerConn(conn net.Conn) {
 			}
 			break
 		}
-		switch env.Type {
-		case protocol.EnvResult:
+		if env.Type == protocol.EnvResult {
 			res, err := protocol.DecodeResult(env.Body)
 			if err != nil {
 				continue
@@ -155,10 +147,6 @@ func (e *Engine) serveManagerConn(conn net.Conn) {
 			}
 			e.results <- res
 			e.completed.Inc()
-		case protocol.EnvHeartbeat:
-			e.mu.Lock()
-			m.lastActive = time.Now()
-			e.mu.Unlock()
 		}
 	}
 
@@ -240,8 +228,8 @@ func (p *remotePool) serve(ctx context.Context, addr string) error {
 	defer conn.Close()
 	w := protocol.NewFrameWriter(conn)
 	r := protocol.NewFrameReader(conn)
-	reg := registerBody{BlockID: p.blockID, Capacity: p.capacity, Nodes: p.nodes}
-	if err := w.Write(protocol.MustEnvelope(protocol.EnvRegister, "", reg)); err != nil {
+	reg := &protocol.RegisterBody{BlockID: p.blockID, Capacity: p.capacity, Nodes: p.nodes}
+	if err := w.Write(protocol.Envelope{Type: protocol.EnvRegister, Bin: reg}); err != nil {
 		return err
 	}
 	ack, err := r.Read()
@@ -265,10 +253,7 @@ func (p *remotePool) serve(ctx context.Context, addr string) error {
 		if err != nil {
 			return nil // connection closed (shutdown or interchange gone)
 		}
-		switch env.Type {
-		case protocol.EnvShutdown:
-			return nil
-		case protocol.EnvTask:
+		if env.Type == protocol.EnvTask {
 			task, err := protocol.DecodeTask(env.Body)
 			if err != nil {
 				continue

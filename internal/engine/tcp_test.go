@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"net"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -64,6 +65,40 @@ func TestTCPTransportRunsTasks(t *testing.T) {
 		if !got[p] {
 			t.Errorf("missing %s", p)
 		}
+	}
+}
+
+// TestTCPRegisterRefusesNoCapacity: a register without a worker slot is
+// refused by closing its connection, and the engine keeps serving its own
+// manager.
+func TestTCPRegisterRefusesNoCapacity(t *testing.T) {
+	eng := newTCPEngine(t, provider.NewLocal(1), echoRunner, 1)
+	defer eng.Stop()
+	for _, capacity := range []int{-1, 0} {
+		conn, err := net.Dial("tcp", eng.InterchangeAddr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		reg := &protocol.RegisterBody{BlockID: "rogue", Capacity: capacity}
+		if err := protocol.NewFrameWriter(conn).Write(protocol.Envelope{Type: protocol.EnvRegister, Bin: reg}); err != nil {
+			t.Fatal(err)
+		}
+		if env, err := protocol.NewFrameReader(conn).Read(); err == nil {
+			t.Errorf("capacity %d: registration answered %s, want the connection closed", capacity, env.Type)
+		}
+		conn.Close()
+	}
+	if err := eng.Submit(newTask("after")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case r := <-eng.Results():
+		if r.State != protocol.StateSuccess {
+			t.Fatalf("result %+v", r)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the engine stopped serving after a refused registration")
 	}
 }
 

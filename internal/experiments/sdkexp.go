@@ -116,14 +116,6 @@ func Streaming(n int) (Report, error) {
 	return r, nil
 }
 
-// BatchingResult is one arm of the request-batching experiment (T2).
-type BatchingResult struct {
-	Mode         string
-	Tasks        int
-	Elapsed      time.Duration
-	RESTRequests int64
-}
-
 // Batching compares batched submission against one-REST-call-per-task (T2).
 // The batched arm is the executor's default: submissions post as soon as the
 // previous POST returns, so a burst leaves in a few calls. The unbatched arm

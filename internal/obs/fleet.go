@@ -155,9 +155,6 @@ func NewFleetStore(cfg FleetConfig) *FleetStore {
 	return &FleetStore{cfg: cfg.withDefaults(), eps: make(map[string]*endpointState)}
 }
 
-// Config returns the effective (defaulted) configuration.
-func (f *FleetStore) Config() FleetConfig { return f.cfg }
-
 // state returns the endpoint's state, creating it under the endpoint cap;
 // nil when the cap rejects a new endpoint.
 func (f *FleetStore) state(id string) *endpointState {

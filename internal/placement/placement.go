@@ -171,12 +171,6 @@ func New(cfg Config) (*Selector, error) {
 	return s, nil
 }
 
-// Policy returns the selector's policy.
-func (s *Selector) Policy() Policy { return s.cfg.Policy }
-
-// StaleAfter returns the staleness horizon in effect.
-func (s *Selector) StaleAfter() time.Duration { return s.cfg.StaleAfter }
-
 // NoteReroute counts a pick that had to be retried because the chosen
 // endpoint rejected the task (backlog shed, queue full).
 func (s *Selector) NoteReroute() {

@@ -9,13 +9,12 @@ import (
 	"globuscompute/internal/trace"
 )
 
-// Binary envelope codec: the one encoding of every framed connection. The
-// broker's wire bodies (publish_batch, delivery_batch, ack_batch, nack,
-// error, and publish) encode field by field: varint lengths, raw bytes for
-// message bodies, raw 16-byte UUIDs inside well-known queue names, and an
-// inline trace context per message. Every other envelope (consume, declare,
-// task, result, ...) carries its body verbatim under the same framing: JSON,
-// or for task and result frames the binary body of body.go.
+// Binary envelope codec: the one encoding of every framed connection. Each
+// envelope type has a code, and the code fixes the body's one layout. The
+// structured bodies (wire.go) encode field by field: varint lengths, raw
+// bytes for message bodies, raw 16-byte UUIDs inside well-known queue names,
+// and an inline trace context per message. Task and result frames carry the
+// binary bodies of body.go as opaque bytes; ok and heartbeat carry none.
 //
 // The outer transport is a 4-byte big-endian length prefix, and every
 // payload starts with the magic byte 0xBF, so a JSON envelope ('{') is
@@ -26,72 +25,13 @@ const binMagic = 0xBF
 
 // BinVersion is the binary frame format version. Readers reject frames with
 // a version they do not know; bumping it is a wire change that old peers
-// refuse loudly instead of misparsing. Version 2 carries binary task and
-// result bodies (body.go) and has no frame-header trace context.
-const BinVersion = 2
+// refuse loudly instead of misparsing. Version 3 gives every envelope type a
+// code and one binary body; version 2 still carried some bodies as JSON.
+const BinVersion = 3
 
-// Envelope type codes. Code 0 means "type string follows" and covers every
-// envelope type without a code (including ones added later). Codes 3 and 5
-// (the single delivery and the single ack) are retired and decode as
-// unknown; no code moves.
-const (
-	binTypeOther byte = iota
-	binTypePublish
-	binTypePublishBatch
-	_
-	binTypeDeliveryBatch
-	_
-	binTypeAckBatch
-	binTypeNack
-	binTypeHeartbeat
-	binTypeOK
-	binTypeError
-	binTypeConsume
-	binTypeDeclare
-	binTypeTask
-	binTypeResult
-	binTypeMax // sentinel
-)
-
-var binTypeCode = map[string]byte{
-	EnvPublish:       binTypePublish,
-	EnvPublishBatch:  binTypePublishBatch,
-	EnvDeliveryBatch: binTypeDeliveryBatch,
-	EnvAckBatch:      binTypeAckBatch,
-	EnvNack:          binTypeNack,
-	EnvHeartbeat:     binTypeHeartbeat,
-	EnvOK:            binTypeOK,
-	EnvError:         binTypeError,
-	EnvConsume:       binTypeConsume,
-	EnvDeclare:       binTypeDeclare,
-	EnvTask:          binTypeTask,
-	EnvResult:        binTypeResult,
-}
-
-var binTypeName = [binTypeMax]string{
-	binTypePublish:       EnvPublish,
-	binTypePublishBatch:  EnvPublishBatch,
-	binTypeDeliveryBatch: EnvDeliveryBatch,
-	binTypeAckBatch:      EnvAckBatch,
-	binTypeNack:          EnvNack,
-	binTypeHeartbeat:     EnvHeartbeat,
-	binTypeOK:            EnvOK,
-	binTypeError:         EnvError,
-	binTypeConsume:       EnvConsume,
-	binTypeDeclare:       EnvDeclare,
-	binTypeTask:          EnvTask,
-	binTypeResult:        EnvResult,
-}
-
-// Envelope flag bits. Bit 1 was version 1's frame-header trace context;
-// version 2 retired it, and a frame that sets it is refused.
-const (
-	binFlagID     = 1 << 0 // correlation ID present
-	_             = 1 << 1 // retired: frame-header trace context
-	binFlagStruct = 1 << 2 // structured body (per-typecode encoding)
-	binFlagRaw    = 1 << 3 // body carried verbatim
-	binFlagsAll   = binFlagID | binFlagStruct | binFlagRaw
-)
+// binFlagID is the one envelope flag: a correlation ID follows. A frame
+// that sets any other bit is refused.
+const binFlagID = 1 << 0
 
 // Queue names: every hot queue is "<prefix><uuid>".
 const (
@@ -152,8 +92,7 @@ func (w *binWriter) chunk(b []byte) {
 }
 
 // bytesNil writes a length-prefixed byte slice that distinguishes nil from
-// empty: 0 = nil, n+1 = n bytes. JSON makes the same distinction (null vs
-// ""), and codec equivalence requires preserving it.
+// empty: 0 = nil, n+1 = n bytes, so a decoded body equals the encoded one.
 func (w *binWriter) bytesNil(b []byte) {
 	if b == nil {
 		w.uvarint(0)
@@ -186,15 +125,6 @@ func (w *binWriter) code(c byte, s string) {
 	w.u8(c)
 	if c == 0 {
 		w.str(s)
-	}
-}
-
-// bool01 writes a bool as one byte.
-func (w *binWriter) bool01(v bool) {
-	if v {
-		w.u8(1)
-	} else {
-		w.u8(0)
 	}
 }
 
@@ -311,49 +241,32 @@ func uuidString(b []byte) UUID {
 	return UUID(appendUUID(buf[:0], b))
 }
 
-// appendBinaryEnvelope renders env as a frame payload into buf
-// (after the caller's 4-byte length placeholder). When env.Bin is a known
-// wire body it is encoded structurally; otherwise the JSON body (or a JSON
-// marshal of Bin) is carried verbatim under binary framing.
+// appendBinaryEnvelope renders env as a frame payload into buf (after the
+// caller's 4-byte length placeholder). A body that does not match env's
+// code is an error.
 func appendBinaryEnvelope(buf *bytes.Buffer, env Envelope) error {
+	if !env.Type.valid() {
+		return fmt.Errorf("%w: unknown type code %d", ErrBadFrame, byte(env.Type))
+	}
+	kind := envTypes[env.Type].body
+	if (kind != bodyBytes && env.Body != nil) || (kind != bodyStructured && env.Bin != nil) {
+		return fmt.Errorf("%w: %s envelope carries a body of another type", ErrBadFrame, env.Type)
+	}
 	w := &binWriter{buf: buf}
 	w.u8(binMagic)
 	w.u8(BinVersion)
-	code := binTypeCode[env.Type]
-	w.u8(code)
-	if code == binTypeOther {
-		w.str(env.Type)
-	}
-
-	structured := env.Bin != nil && binBodySupported(env.Bin)
-	raw := env.Body
-	if env.Bin != nil && !structured {
-		b, err := marshalBody(env.Bin)
-		if err != nil {
-			return err
-		}
-		raw = b
-	}
-	var flags byte
-	if env.ID != "" {
-		flags |= binFlagID
-	}
-	if structured {
-		flags |= binFlagStruct
-	} else if raw != nil {
-		flags |= binFlagRaw
-	}
-	w.u8(flags)
-	if flags&binFlagID != 0 {
+	w.u8(byte(env.Type))
+	if env.ID == "" {
+		w.u8(0)
+	} else {
+		w.u8(binFlagID)
 		w.str(env.ID)
 	}
-	if structured {
-		if err := encodeBinBody(w, env.Bin); err != nil {
-			return err
-		}
-	} else if flags&binFlagRaw != 0 {
-		w.uvarint(uint64(len(raw)))
-		w.buf.Write(raw)
+	switch kind {
+	case bodyBytes:
+		w.bytesNil(env.Body)
+	case bodyStructured:
+		return encodeBinBody(w, env)
 	}
 	return nil
 }
@@ -369,22 +282,20 @@ func EncodeBinaryEnvelope(env Envelope) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// binBodySupported reports whether v has a structured binary encoding.
-func binBodySupported(v any) bool {
-	switch v.(type) {
-	case *PublishBody, *PublishBatchBody, *DeliveryBatchBody,
-		*AckBody, *AckBatchBody, *ErrorBody:
-		return true
-	}
-	return false
-}
-
-func encodeBinBody(w *binWriter, v any) error {
-	switch b := v.(type) {
+// encodeBinBody writes env's structured body in its code's layout.
+func encodeBinBody(w *binWriter, env Envelope) error {
+	switch b := env.Bin.(type) {
 	case *PublishBody:
+		if env.Type != EnvPublish {
+			break
+		}
 		w.queue(b.Queue)
 		w.bytesNil(b.Body)
+		return nil
 	case *PublishBatchBody:
+		if env.Type != EnvPublishBatch {
+			break
+		}
 		w.queue(b.Queue)
 		if b.Bodies == nil {
 			w.uvarint(0)
@@ -407,7 +318,11 @@ func encodeBinBody(w *binWriter, v any) error {
 				w.traceCtx(tc)
 			}
 		}
+		return nil
 	case *DeliveryBatchBody:
+		if env.Type != EnvDeliveryBatch {
+			break
+		}
 		w.queue(b.Queue)
 		if b.Items == nil {
 			w.uvarint(0)
@@ -430,11 +345,11 @@ func encodeBinBody(w *binWriter, v any) error {
 				}
 			}
 		}
-	case *AckBody:
-		w.queue(b.Queue)
-		w.uvarint(b.Tag)
-		w.bool01(b.DeadLetter)
+		return nil
 	case *AckBatchBody:
+		if env.Type != EnvAckBatch {
+			break
+		}
 		w.queue(b.Queue)
 		if b.Tags == nil {
 			w.uvarint(0)
@@ -444,12 +359,50 @@ func encodeBinBody(w *binWriter, v any) error {
 				w.uvarint(t)
 			}
 		}
+		return nil
+	case *RejectBody:
+		if env.Type != EnvReject {
+			break
+		}
+		w.queue(b.Queue)
+		w.uvarint(b.Tag)
+		return nil
+	case *DeclareBody:
+		if env.Type != EnvDeclare && env.Type != EnvCancel && env.Type != EnvDelete {
+			break
+		}
+		w.queue(b.Queue)
+		return nil
+	case *ConsumeBody:
+		if env.Type != EnvConsume {
+			break
+		}
+		w.queue(b.Queue)
+		w.varint(int64(b.Prefetch))
+		return nil
 	case *ErrorBody:
+		if env.Type != EnvError {
+			break
+		}
 		w.str(b.Message)
-	default:
-		return fmt.Errorf("protocol: no binary encoding for %T", v)
+		return nil
+	case *RegisterBody:
+		if env.Type != EnvRegister {
+			break
+		}
+		w.str(b.BlockID)
+		w.varint(int64(b.Capacity))
+		if b.Nodes == nil {
+			w.uvarint(0)
+		} else {
+			w.uvarint(uint64(len(b.Nodes)) + 1)
+			for _, n := range b.Nodes {
+				w.str(n)
+			}
+		}
+		return nil
 	}
-	return nil
+	return fmt.Errorf("%w: %s envelope cannot carry %T", ErrBadFrame, env.Type, env.Bin)
 }
 
 // binReader is a bounds-checked cursor over one binary frame payload. Every
@@ -479,6 +432,16 @@ func (r *binReader) uvarint() (uint64, error) {
 	}
 	r.off += n
 	return v, nil
+}
+
+// int reads a zigzag varint.
+func (r *binReader) int() (int, error) {
+	v, n := binary.Varint(r.p[r.off:])
+	if n <= 0 {
+		return 0, fmt.Errorf("%w: bad varint at byte %d", ErrBadFrame, r.off)
+	}
+	r.off += n
+	return int(v), nil
 }
 
 // length reads a uvarint and validates it fits in the remaining payload.
@@ -630,8 +593,8 @@ func (r *binReader) queue() (string, error) {
 }
 
 // DecodeBinaryEnvelope parses one frame payload (including the magic byte).
-// Structured bodies land in Envelope.Bin; raw-carried JSON bodies land in
-// Envelope.Body. It never panics on truncated or corrupt input and every
+// A structured body lands in Envelope.Bin as its code's type, an opaque one
+// in Envelope.Body. It never panics on truncated or corrupt input and every
 // error wraps ErrBadFrame.
 func DecodeBinaryEnvelope(p []byte) (Envelope, error) {
 	r := &binReader{p: p}
@@ -653,50 +616,31 @@ func DecodeBinaryEnvelope(p []byte) (Envelope, error) {
 	if err != nil {
 		return Envelope{}, err
 	}
-	var env Envelope
-	switch {
-	case code == binTypeOther:
-		t, err := r.str()
-		if err != nil {
-			return Envelope{}, err
-		}
-		env.Type = t
-	case int(code) < len(binTypeName) && binTypeName[code] != "":
-		env.Type = binTypeName[code]
-	default:
+	env := Envelope{Type: EnvType(code)}
+	if !env.Type.valid() {
 		return Envelope{}, fmt.Errorf("%w: unknown type code %d", ErrBadFrame, code)
 	}
 	flags, err := r.u8()
 	if err != nil {
 		return Envelope{}, err
 	}
-	if flags&^binFlagsAll != 0 {
-		return Envelope{}, fmt.Errorf("%w: unknown frame flags %#x", ErrBadFrame, flags&^binFlagsAll)
+	if flags&^binFlagID != 0 {
+		return Envelope{}, fmt.Errorf("%w: unknown frame flags %#x", ErrBadFrame, flags&^binFlagID)
 	}
 	if flags&binFlagID != 0 {
-		id, err := r.str()
-		if err != nil {
+		if env.ID, err = r.str(); err != nil {
 			return Envelope{}, err
 		}
-		env.ID = id
 	}
-	switch {
-	case flags&binFlagStruct != 0:
-		bin, err := decodeBinBody(r, code)
-		if err != nil {
+	switch envTypes[env.Type].body {
+	case bodyBytes:
+		if env.Body, err = r.bytesNil(); err != nil {
 			return Envelope{}, err
 		}
-		env.Bin = bin
-	case flags&binFlagRaw != 0:
-		n, err := r.length()
-		if err != nil {
+	case bodyStructured:
+		if env.Bin, err = decodeBinBody(r, env.Type); err != nil {
 			return Envelope{}, err
 		}
-		raw, err := r.take(n)
-		if err != nil {
-			return Envelope{}, err
-		}
-		env.Body = append([]byte(nil), raw...)
 	}
 	if r.rem() != 0 {
 		return Envelope{}, fmt.Errorf("%w: %d trailing bytes", ErrBadFrame, r.rem())
@@ -704,11 +648,12 @@ func DecodeBinaryEnvelope(p []byte) (Envelope, error) {
 	return env, nil
 }
 
-func decodeBinBody(r *binReader, code byte) (any, error) {
-	switch code {
-	case binTypePublish:
+// decodeBinBody reads the structured body of code t.
+func decodeBinBody(r *binReader, t EnvType) (any, error) {
+	var err error
+	switch t {
+	case EnvPublish:
 		b := &PublishBody{}
-		var err error
 		if b.Queue, err = r.queue(); err != nil {
 			return nil, err
 		}
@@ -716,9 +661,8 @@ func decodeBinBody(r *binReader, code byte) (any, error) {
 			return nil, err
 		}
 		return b, nil
-	case binTypePublishBatch:
+	case EnvPublishBatch:
 		b := &PublishBatchBody{}
-		var err error
 		if b.Queue, err = r.queue(); err != nil {
 			return nil, err
 		}
@@ -754,9 +698,8 @@ func decodeBinBody(r *binReader, code byte) (any, error) {
 			}
 		}
 		return b, nil
-	case binTypeDeliveryBatch:
+	case EnvDeliveryBatch:
 		b := &DeliveryBatchBody{}
-		var err error
 		if b.Queue, err = r.queue(); err != nil {
 			return nil, err
 		}
@@ -787,22 +730,8 @@ func decodeBinBody(r *binReader, code byte) (any, error) {
 			}
 		}
 		return b, nil
-	case binTypeNack:
-		b := &AckBody{}
-		var err error
-		if b.Queue, err = r.queue(); err != nil {
-			return nil, err
-		}
-		if b.Tag, err = r.uvarint(); err != nil {
-			return nil, err
-		}
-		if b.DeadLetter, err = r.bool01(); err != nil {
-			return nil, err
-		}
-		return b, nil
-	case binTypeAckBatch:
+	case EnvAckBatch:
 		b := &AckBatchBody{}
-		var err error
 		if b.Queue, err = r.queue(); err != nil {
 			return nil, err
 		}
@@ -819,14 +748,57 @@ func decodeBinBody(r *binReader, code byte) (any, error) {
 			}
 		}
 		return b, nil
-	case binTypeError:
+	case EnvReject:
+		b := &RejectBody{}
+		if b.Queue, err = r.queue(); err != nil {
+			return nil, err
+		}
+		if b.Tag, err = r.uvarint(); err != nil {
+			return nil, err
+		}
+		return b, nil
+	case EnvDeclare, EnvCancel, EnvDelete:
+		b := &DeclareBody{}
+		if b.Queue, err = r.queue(); err != nil {
+			return nil, err
+		}
+		return b, nil
+	case EnvConsume:
+		b := &ConsumeBody{}
+		if b.Queue, err = r.queue(); err != nil {
+			return nil, err
+		}
+		if b.Prefetch, err = r.int(); err != nil {
+			return nil, err
+		}
+		return b, nil
+	case EnvError:
 		b := &ErrorBody{}
-		var err error
 		if b.Message, err = r.str(); err != nil {
 			return nil, err
 		}
 		return b, nil
-	default:
-		return nil, fmt.Errorf("%w: type code %d has no structured body", ErrBadFrame, code)
+	case EnvRegister:
+		b := &RegisterBody{}
+		if b.BlockID, err = r.str(); err != nil {
+			return nil, err
+		}
+		if b.Capacity, err = r.int(); err != nil {
+			return nil, err
+		}
+		n, present, err := r.count()
+		if err != nil {
+			return nil, err
+		}
+		if present {
+			b.Nodes = make([]string, n)
+			for i := range b.Nodes {
+				if b.Nodes[i], err = r.str(); err != nil {
+					return nil, err
+				}
+			}
+		}
+		return b, nil
 	}
+	return nil, fmt.Errorf("%w: %s has no structured body", ErrBadFrame, t)
 }

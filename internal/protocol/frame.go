@@ -4,50 +4,95 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
 )
 
 // Envelope is the unit of transmission on every framed connection: a type
-// tag, an optional correlation ID, and a body. Trace contexts travel inside
-// the bodies: per message in the broker's batch bodies, and in the task and
-// result bodies themselves.
+// code, an optional correlation ID, and the one body its code fixes. Trace
+// contexts travel inside the bodies: per message in the broker's batch
+// bodies, and in the task and result bodies themselves.
 type Envelope struct {
-	Type string          `json:"type"`
-	ID   string          `json:"id,omitempty"`
-	Body json.RawMessage `json:"body,omitempty"`
-	// Bin, when non-nil, is the pre-parsed body (a *PublishBatchBody,
-	// *DeliveryBatchBody, ...). Writers encode the broker's wire bodies
-	// structurally and any other value as its JSON under binary framing;
-	// reads land structured bodies here so Decode can copy without a JSON
-	// round trip.
-	Bin any `json:"-"`
+	Type EnvType
+	ID   string
+	// Body is the opaque body of a task or result envelope: protocol's
+	// binary task or result body (EncodeTask, EncodeResult).
+	Body []byte
+	// Bin is the structured body of every other code that has one, a
+	// pointer to its code's wire.go type (*PublishBatchBody, *DeclareBody,
+	// ...). A decoded envelope always carries its code's type here, so call
+	// sites type-assert it.
+	Bin any
 }
 
-// Envelope type tags used across the system.
-const (
-	EnvTask      = "task"      // broker -> endpoint, interchange -> manager
-	EnvResult    = "result"    // worker -> ... -> broker
-	EnvNack      = "nack"      // consumer rejection (requeue or dead-letter)
-	EnvHeartbeat = "heartbeat" // liveness
-	EnvRegister  = "register"  // manager registration with interchange
-	EnvCapacity  = "capacity"  // manager advertises free worker slots
-	EnvConsume   = "consume"   // broker client: begin consuming a queue
-	EnvPublish   = "publish"   // one message; encoded by the codec, sent by no peer
-	EnvDeclare   = "declare"   // broker client: declare a queue
-	EnvError     = "error"     // protocol-level error report
-	EnvOK        = "ok"        // generic success reply
-	EnvDrain     = "drain"     // manager: stop accepting, finish inflight
-	EnvShutdown  = "shutdown"  // orderly termination
+// EnvType is an envelope's type code, one byte on the wire. The code alone
+// fixes the body: structured, opaque bytes, or none.
+type EnvType byte
 
-	// The broker's message traffic travels only in these multi-message
-	// envelopes; one message is a batch of one.
-	EnvPublishBatch  = "publish_batch"  // broker client: publish N messages to one queue
-	EnvDeliveryBatch = "delivery_batch" // broker -> consumer: N deliveries in one frame
-	EnvAckBatch      = "ack_batch"      // consumer: acknowledge N tags in one frame
+// Envelope type codes. Code 0 and codes past the last are refused.
+const (
+	EnvPublish       EnvType = iota + 1 // one message; encoded by the benchmark's codec probe, sent by no peer
+	EnvPublishBatch                     // broker client: publish N messages to one queue
+	EnvDeliveryBatch                    // broker -> consumer: N deliveries in one frame
+	EnvAckBatch                         // consumer: acknowledge N tags in one frame
+	EnvReject                           // consumer: dead-letter one delivery
+	EnvDeclare                          // broker client: declare a queue
+	EnvConsume                          // broker client: begin consuming a queue
+	EnvCancel                           // broker client: cancel this connection's consumer
+	EnvDelete                           // broker client: delete a queue broker-wide
+	EnvHeartbeat                        // broker client: liveness round trip
+	EnvOK                               // success reply
+	EnvError                            // error reply
+	EnvRegister                         // manager registration with the interchange
+	EnvTask                             // interchange -> manager
+	EnvResult                           // manager -> interchange
+	envTypeEnd
 )
+
+// bodyKind says what an envelope type's body is.
+type bodyKind uint8
+
+const (
+	bodyNone       bodyKind = iota // no body: ok, heartbeat
+	bodyBytes                      // opaque bytes in Envelope.Body: task, result
+	bodyStructured                 // a structured body in Envelope.Bin
+)
+
+// envTypes is the one table of envelope types, indexed by code: each code's
+// name and body kind. The structured layouts are encodeBinBody's and
+// decodeBinBody's cases.
+var envTypes = [envTypeEnd]struct {
+	name string
+	body bodyKind
+}{
+	EnvPublish:       {"publish", bodyStructured},
+	EnvPublishBatch:  {"publish_batch", bodyStructured},
+	EnvDeliveryBatch: {"delivery_batch", bodyStructured},
+	EnvAckBatch:      {"ack_batch", bodyStructured},
+	EnvReject:        {"reject", bodyStructured},
+	EnvDeclare:       {"declare", bodyStructured},
+	EnvConsume:       {"consume", bodyStructured},
+	EnvCancel:        {"cancel", bodyStructured},
+	EnvDelete:        {"delete", bodyStructured},
+	EnvHeartbeat:     {"heartbeat", bodyNone},
+	EnvOK:            {"ok", bodyNone},
+	EnvError:         {"error", bodyStructured},
+	EnvRegister:      {"register", bodyStructured},
+	EnvTask:          {"task", bodyBytes},
+	EnvResult:        {"result", bodyBytes},
+}
+
+// valid reports whether t is a known code.
+func (t EnvType) valid() bool { return t > 0 && t < envTypeEnd }
+
+// String returns the type's name, or its code for an unknown one.
+func (t EnvType) String() string {
+	if t.valid() {
+		return envTypes[t].name
+	}
+	return fmt.Sprintf("type(%d)", byte(t))
+}
 
 // MaxFrame bounds a single frame; larger frames indicate corruption or a
 // payload that should have gone through the object store.
@@ -56,113 +101,6 @@ const MaxFrame = 64 << 20
 // ErrFrameTooLarge is returned when an encoded or received frame exceeds
 // MaxFrame.
 var ErrFrameTooLarge = fmt.Errorf("protocol: frame exceeds %d bytes", MaxFrame)
-
-// NewEnvelope builds an envelope, JSON-encoding body. A nil body yields an
-// empty envelope body.
-func NewEnvelope(typ, id string, body any) (Envelope, error) {
-	env := Envelope{Type: typ, ID: id}
-	if body != nil {
-		b, err := json.Marshal(body)
-		if err != nil {
-			return env, fmt.Errorf("protocol: marshal envelope body: %w", err)
-		}
-		env.Body = b
-	}
-	return env, nil
-}
-
-// MustEnvelope is NewEnvelope for bodies that cannot fail to marshal.
-func MustEnvelope(typ, id string, body any) Envelope {
-	env, err := NewEnvelope(typ, id, body)
-	if err != nil {
-		panic(err)
-	}
-	return env
-}
-
-// Decode unmarshals the envelope body into v. When the envelope carries a
-// pre-parsed Bin body of the same type (a binary read, or a same-process
-// handoff), the body is copied without touching JSON at all.
-func (e Envelope) Decode(v any) error {
-	if e.Bin != nil {
-		if copyBinBody(e.Bin, v) {
-			return nil
-		}
-		b, err := marshalBody(e.Bin)
-		if err != nil {
-			return fmt.Errorf("protocol: decode %s envelope: %w", e.Type, err)
-		}
-		e.Body = b
-	}
-	if err := json.Unmarshal(e.Body, v); err != nil {
-		return fmt.Errorf("protocol: decode %s envelope: %w", e.Type, err)
-	}
-	return nil
-}
-
-// copyBinBody copies a pre-parsed body into a destination of the same
-// concrete type. Returns false on any type mismatch so Decode can fall back
-// to the JSON route.
-func copyBinBody(src, dst any) bool {
-	switch s := src.(type) {
-	case *PublishBatchBody:
-		if d, ok := dst.(*PublishBatchBody); ok {
-			*d = *s
-			return true
-		}
-	case *DeliveryBatchBody:
-		if d, ok := dst.(*DeliveryBatchBody); ok {
-			*d = *s
-			return true
-		}
-	case *AckBody:
-		if d, ok := dst.(*AckBody); ok {
-			*d = *s
-			return true
-		}
-	case *AckBatchBody:
-		if d, ok := dst.(*AckBatchBody); ok {
-			*d = *s
-			return true
-		}
-	case *ConsumeBody:
-		if d, ok := dst.(*ConsumeBody); ok {
-			*d = *s
-			return true
-		}
-	case *DeclareBody:
-		if d, ok := dst.(*DeclareBody); ok {
-			*d = *s
-			return true
-		}
-	case *ErrorBody:
-		if d, ok := dst.(*ErrorBody); ok {
-			*d = *s
-			return true
-		}
-	}
-	return false
-}
-
-// marshalBody JSON-encodes a pre-parsed body.
-func marshalBody(v any) (json.RawMessage, error) {
-	return json.Marshal(v)
-}
-
-// Normalize returns the envelope with Bin materialized into Body: its JSON
-// form, which FuzzCodecEquivalence compares against.
-func (e Envelope) Normalize() (Envelope, error) {
-	if e.Bin == nil {
-		return e, nil
-	}
-	b, err := marshalBody(e.Bin)
-	if err != nil {
-		return e, err
-	}
-	e.Body = b
-	e.Bin = nil
-	return e, nil
-}
 
 // encodeBufPool recycles the per-frame encode buffers across every
 // FrameWriter in the process, so steady-state encoding of a structured body
@@ -244,9 +182,10 @@ func NewFrameReader(r io.Reader) *FrameReader {
 	return &FrameReader{r: bufio.NewReader(r)}
 }
 
-// Read returns the next envelope. io.EOF is returned unwrapped at a clean
-// stream end. A payload that is not a binary envelope (a JSON frame, say)
-// is refused with an error wrapping ErrBadFrame.
+// Read returns the next envelope, its body of its code's one type (see
+// DecodeBinaryEnvelope). io.EOF is returned unwrapped at a clean stream end.
+// A payload that is not a binary envelope (a JSON frame, say) is refused
+// with an error wrapping ErrBadFrame.
 func (fr *FrameReader) Read() (Envelope, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {

@@ -23,7 +23,7 @@ func FuzzFrameReader(f *testing.F) {
 	// Seed with a valid frame, truncations, junk and JSON frames.
 	var buf bytes.Buffer
 	w := NewFrameWriter(&buf)
-	w.Write(MustEnvelope(EnvTask, "id", map[string]string{"k": "v"}))
+	w.Write(Envelope{Type: EnvTask, ID: "id", Body: EncodeTask(&Task{ID: NewUUID(), Kind: KindPython})})
 	f.Add(buf.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 4, '{', '}', '!', '!'})
@@ -31,7 +31,7 @@ func FuzzFrameReader(f *testing.F) {
 	f.Add([]byte("\x00\x00\x00\x02{}"))
 	// Binary frames: a valid structured one (length prefix + payload), a
 	// bare magic byte, and a corrupt version.
-	if p, err := EncodeBinaryEnvelope(Envelope{Type: EnvNack, Bin: &AckBody{Queue: "q", Tag: 7}}); err == nil {
+	if p, err := EncodeBinaryEnvelope(Envelope{Type: EnvReject, Bin: &RejectBody{Queue: "q", Tag: 7}}); err == nil {
 		framed := append([]byte{0, 0, 0, byte(len(p))}, p...)
 		f.Add(framed)
 	}
@@ -135,94 +135,73 @@ func FuzzPythonSpec(f *testing.F) {
 	})
 }
 
-// FuzzCodecEquivalence checks that a structured binary body decodes to what
-// its JSON body gives: Envelope.Decode falls back to JSON when the
-// destination's type differs from the pre-parsed body, so the two must
-// agree — including nil-vs-empty bodies, queue-name compression, and trace
-// contexts that are not well-formed hex.
-func FuzzCodecEquivalence(f *testing.F) {
+// FuzzCodecRoundTrip checks every envelope code's one body layout: the
+// binary round trip gives the envelope back exactly, including nil-vs-empty
+// bodies, queue-name compression and trace contexts, and re-encoding the
+// decoded envelope is byte-identical.
+func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add(byte(0), "tasks.queue", uint64(0), []byte(`payload`), false, "17", "abcdef", "0123")
 	f.Add(byte(0), "tasks."+string(NewUUID()), uint64(9), []byte{}, true, "", "", "")
 	f.Add(byte(1), "results.group."+string(NewUUID()), uint64(1<<40), []byte("x"), false, "id", "NOT-HEX", "odd")
 	f.Add(byte(2), "results."+string(NewUUID()), uint64(3), []byte(nil), true, "a", "ab", "")
 	f.Add(byte(3), "mepcmd."+string(NewUUID()), uint64(1), []byte("body"), false, "", "ffff", "ee")
-	f.Add(byte(3), "dlq.tasks.x", uint64(2), []byte("b"), true, "z", "", "")
-	f.Add(byte(4), "q", uint64(0), []byte(nil), false, "", "", "")
-	f.Add(byte(5), "boom", uint64(0), []byte(nil), false, "e", "", "")
-	f.Add(byte(6), "", uint64(0), []byte(nil), true, "ok", "", "")
-	f.Add(byte(6), "", uint64(0), []byte("heartbeat"), false, "", "", "")
+	f.Add(byte(4), "dlq.tasks.x", uint64(2), []byte("b"), true, "z", "", "")
+	f.Add(byte(5), "q", uint64(0), []byte(nil), false, "", "", "")
+	f.Add(byte(6), "tasks."+string(NewUUID()), uint64(1<<63), []byte(nil), false, "e", "", "")
+	f.Add(byte(7), "", uint64(0), []byte(nil), true, "ok", "", "")
+	f.Add(byte(8), "results."+string(NewUUID()), uint64(0), []byte(nil), false, "3", "", "")
+	f.Add(byte(9), "boom", uint64(0), []byte("heartbeat"), false, "", "", "")
+	f.Add(byte(10), "", uint64(0), []byte(nil), false, "4", "", "")
+	f.Add(byte(11), "", uint64(0), []byte(nil), false, "7", "", "")
+	f.Add(byte(12), "block-1", uint64(8), []byte(nil), false, "node-a", "", "")
+	f.Add(byte(13), "", uint64(0), EncodeTask(&Task{ID: NewUUID(), Kind: KindPython}), false, "t", "", "")
+	f.Add(byte(14), "", uint64(0), []byte{}, true, "r", "", "")
 	f.Fuzz(func(t *testing.T, kind byte, queue string, tag uint64, body []byte, flag bool, id, traceID, spanID string) {
-		// JSON replaces invalid UTF-8 in strings with U+FFFD, so equivalence
-		// is only promised for valid strings (bodies are []byte and exempt).
-		for _, s := range []string{queue, id, traceID, spanID} {
-			if !utf8.ValidString(s) {
-				return
-			}
-		}
-		env := Envelope{ID: id}
+		env := Envelope{Type: EnvType(kind%byte(envTypeEnd-1) + 1), ID: id}
 		tc := fuzzTrace(true, traceID, spanID)
-		switch kind % 7 {
-		case 0:
-			env.Type = EnvPublish
+		switch env.Type {
+		case EnvPublish:
 			env.Bin = &PublishBody{Queue: queue, Body: body}
-		case 1:
-			env.Type = EnvPublishBatch
+		case EnvPublishBatch:
 			env.Bin = &PublishBatchBody{Queue: queue, Bodies: [][]byte{body, nil, {}},
 				Traces: []trace.Context{{}, tc, {}}}
-		case 2:
-			env.Type = EnvDeliveryBatch
+		case EnvDeliveryBatch:
 			env.Bin = &DeliveryBatchBody{Queue: queue,
 				Items: []DeliveryItem{{Tag: tag, Body: body, Redelivered: flag, Trace: tc}, {Tag: tag + 1}}}
-		case 3:
-			env.Type = EnvNack
-			env.Bin = &AckBody{Queue: queue, Tag: tag, DeadLetter: flag}
-		case 4:
-			env.Type = EnvAckBatch
+		case EnvAckBatch:
 			env.Bin = &AckBatchBody{Queue: queue, Tags: []uint64{tag, tag + 1}}
-		case 5:
-			env.Type = EnvError
+		case EnvReject:
+			env.Bin = &RejectBody{Queue: queue, Tag: tag}
+		case EnvDeclare, EnvCancel, EnvDelete:
+			env.Bin = &DeclareBody{Queue: queue}
+		case EnvConsume:
+			env.Bin = &ConsumeBody{Queue: queue, Prefetch: int(tag)}
+		case EnvError:
 			env.Bin = &ErrorBody{Message: queue}
-		case 6:
-			// Generic path: any envelope type, JSON body carried verbatim
-			// under binary framing.
-			env.Type = EnvHeartbeat
-			b, err := json.Marshal(string(body))
-			if err != nil {
-				t.Fatal(err)
+		case EnvRegister:
+			reg := &RegisterBody{BlockID: queue, Capacity: int(tag)}
+			if flag {
+				reg.Nodes = []string{id, "", traceID}
 			}
-			env.Body = b
+			env.Bin = reg
+		case EnvTask, EnvResult:
+			env.Body = body
 		}
 
-		// The envelope with its body as JSON, through a JSON round trip.
-		norm, err := env.Normalize()
+		p, err := EncodeBinaryEnvelope(env)
 		if err != nil {
-			t.Fatalf("normalize: %v", err)
+			t.Fatalf("encode %s: %v", env.Type, err)
 		}
-		jb, err := json.Marshal(norm)
+		got, err := DecodeBinaryEnvelope(p)
 		if err != nil {
-			t.Fatalf("json encode: %v", err)
+			t.Fatalf("decode own %s encoding: %v", env.Type, err)
 		}
-		var viaJSON Envelope
-		if err := json.Unmarshal(jb, &viaJSON); err != nil {
-			t.Fatalf("json decode: %v", err)
+		if !reflect.DeepEqual(got, env) {
+			t.Fatalf("round trip differs:\n  got: %#v\n want: %#v", got, env)
 		}
-
-		// The same envelope through the binary codec.
-		bp, err := EncodeBinaryEnvelope(env)
-		if err != nil {
-			t.Fatalf("binary encode: %v", err)
-		}
-		dec, err := DecodeBinaryEnvelope(bp)
-		if err != nil {
-			t.Fatalf("binary decode of own encoding: %v", err)
-		}
-		viaBin, err := dec.Normalize()
-		if err != nil {
-			t.Fatalf("normalize decoded: %v", err)
-		}
-
-		if !reflect.DeepEqual(viaJSON, viaBin) {
-			t.Fatalf("codecs disagree:\n json: %#v\n  bin: %#v", viaJSON, viaBin)
+		again, err := EncodeBinaryEnvelope(got)
+		if err != nil || !bytes.Equal(again, p) {
+			t.Fatalf("re-encoding differs (%v):\n  got: %x\n want: %x", err, again, p)
 		}
 	})
 }
@@ -235,7 +214,9 @@ func FuzzBinaryDecode(f *testing.F) {
 		{Type: EnvPublish, ID: "1", Bin: &PublishBody{Queue: "tasks." + string(NewUUID()), Body: []byte("task")}},
 		{Type: EnvDeliveryBatch, Bin: &DeliveryBatchBody{Queue: "q", Items: []DeliveryItem{{Tag: 1, Body: []byte("x")}}}},
 		{Type: EnvAckBatch, Bin: &AckBatchBody{Queue: "q", Tags: []uint64{1, 2, 3}}},
-		{Type: EnvHeartbeat, Body: []byte(`{"at":1}`)},
+		{Type: EnvHeartbeat, ID: "9"},
+		{Type: EnvRegister, Bin: &RegisterBody{BlockID: "b", Capacity: 4, Nodes: []string{"n0", "n1"}}},
+		{Type: EnvConsume, ID: "2", Bin: &ConsumeBody{Queue: "tasks." + string(NewUUID()), Prefetch: 64}},
 		{Type: EnvDeliveryBatch, Bin: &DeliveryBatchBody{Queue: "results." + string(NewUUID()), Items: []DeliveryItem{{Tag: 2,
 			Body:  EncodeResult(&Result{TaskID: NewUUID(), State: StateSuccess, Output: []byte("3")}),
 			Trace: trace.Context{TraceID: trace.NewTraceID(), SpanID: trace.NewSpanID()}}}}},

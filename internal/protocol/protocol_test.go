@@ -2,9 +2,9 @@ package protocol
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -183,11 +183,7 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewFrameWriter(&buf)
 	task := Task{ID: NewUUID(), Kind: KindShell, Payload: []byte(`{"command":"ls"}`)}
-	env, err := NewEnvelope(EnvTask, string(task.ID), task)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Write(env); err != nil {
+	if err := w.Write(Envelope{Type: EnvTask, ID: string(task.ID), Body: EncodeTask(&task)}); err != nil {
 		t.Fatal(err)
 	}
 	r := NewFrameReader(&buf)
@@ -198,8 +194,8 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	if got.Type != EnvTask || got.ID != string(task.ID) {
 		t.Errorf("envelope header = %q/%q, want %q/%q", got.Type, got.ID, EnvTask, task.ID)
 	}
-	var t2 Task
-	if err := got.Decode(&t2); err != nil {
+	t2, err := DecodeTask(got.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if t2.ID != task.ID || t2.Kind != task.Kind {
@@ -211,7 +207,7 @@ func TestFrameMultipleSequential(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewFrameWriter(&buf)
 	for i := 0; i < 100; i++ {
-		if err := w.Write(MustEnvelope(EnvHeartbeat, "", map[string]int{"seq": i})); err != nil {
+		if err := w.Write(Envelope{Type: EnvAckBatch, Bin: &AckBatchBody{Queue: "q", Tags: []uint64{uint64(i)}}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -221,12 +217,8 @@ func TestFrameMultipleSequential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		var body map[string]int
-		if err := env.Decode(&body); err != nil {
-			t.Fatal(err)
-		}
-		if body["seq"] != i {
-			t.Fatalf("frame %d out of order: got seq %d", i, body["seq"])
+		if seq := env.Bin.(*AckBatchBody).Tags[0]; seq != uint64(i) {
+			t.Fatalf("frame %d out of order: got seq %d", i, seq)
 		}
 	}
 	if _, err := r.Read(); err != io.EOF {
@@ -284,18 +276,16 @@ func TestFrameReaderRefusesJSON(t *testing.T) {
 
 func TestFrameWriterOversized(t *testing.T) {
 	w := NewFrameWriter(io.Discard)
-	big := make([]byte, MaxFrame+1)
-	env := Envelope{Type: EnvTask, Body: json.RawMessage(`"x"`)}
-	env.Body, _ = json.Marshal(string(big))
+	env := Envelope{Type: EnvTask, Body: make([]byte, MaxFrame+1)}
 	if err := w.Write(env); err != ErrFrameTooLarge {
 		t.Errorf("Write oversized = %v, want ErrFrameTooLarge", err)
 	}
 }
 
 func TestFramePropertyRoundTrip(t *testing.T) {
-	f := func(typ string, id string, body []byte) bool {
-		payload, _ := json.Marshal(string(body))
-		env := Envelope{Type: typ, ID: id, Body: payload}
+	f := func(code uint8, id string, body []byte) bool {
+		typ := []EnvType{EnvTask, EnvResult}[code%2]
+		env := Envelope{Type: typ, ID: id, Body: body}
 		var buf bytes.Buffer
 		w := NewFrameWriter(&buf)
 		if err := w.Write(env); err != nil {
@@ -305,9 +295,86 @@ func TestFramePropertyRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return got.Type == typ && got.ID == id && bytes.Equal(got.Body, payload)
+		return got.Type == typ && got.ID == id && bytes.Equal(got.Body, body)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestEveryCodeHasOneBody pins the code table: every code round-trips with
+// its one body type, and code 0, unknown codes and a body that does not
+// match its code are refused with ErrBadFrame.
+func TestEveryCodeHasOneBody(t *testing.T) {
+	queue := TaskQueue(NewUUID())
+	cases := []struct {
+		env  Envelope
+		want any // the decoded Bin, or nil for a bodiless or opaque code
+	}{
+		{Envelope{Type: EnvPublish, ID: "1", Bin: &PublishBody{Queue: queue, Body: []byte("m")}}, &PublishBody{}},
+		{Envelope{Type: EnvPublishBatch, ID: "2", Bin: &PublishBatchBody{Queue: queue, Bodies: [][]byte{[]byte("m")}}}, &PublishBatchBody{}},
+		{Envelope{Type: EnvDeliveryBatch, Bin: &DeliveryBatchBody{Queue: queue, Items: []DeliveryItem{{Tag: 1}}}}, &DeliveryBatchBody{}},
+		{Envelope{Type: EnvAckBatch, ID: "3", Bin: &AckBatchBody{Queue: queue, Tags: []uint64{1}}}, &AckBatchBody{}},
+		{Envelope{Type: EnvReject, ID: "4", Bin: &RejectBody{Queue: queue, Tag: 1}}, &RejectBody{}},
+		{Envelope{Type: EnvDeclare, ID: "5", Bin: &DeclareBody{Queue: queue}}, &DeclareBody{}},
+		{Envelope{Type: EnvConsume, ID: "6", Bin: &ConsumeBody{Queue: queue, Prefetch: 64}}, &ConsumeBody{}},
+		{Envelope{Type: EnvCancel, ID: "7", Bin: &DeclareBody{Queue: queue}}, &DeclareBody{}},
+		{Envelope{Type: EnvDelete, ID: "8", Bin: &DeclareBody{Queue: queue}}, &DeclareBody{}},
+		{Envelope{Type: EnvHeartbeat, ID: "9"}, nil},
+		{Envelope{Type: EnvOK, ID: "9"}, nil},
+		{Envelope{Type: EnvError, ID: "10", Bin: &ErrorBody{Message: "boom"}}, &ErrorBody{}},
+		{Envelope{Type: EnvRegister, Bin: &RegisterBody{BlockID: "b", Capacity: 4, Nodes: []string{"n"}}}, &RegisterBody{}},
+		{Envelope{Type: EnvTask, ID: "t", Body: EncodeTask(&Task{ID: NewUUID()})}, nil},
+		{Envelope{Type: EnvResult, ID: "r", Body: EncodeResult(&Result{TaskID: NewUUID()})}, nil},
+	}
+	seen := map[EnvType]bool{}
+	for _, c := range cases {
+		seen[c.env.Type] = true
+		p, err := EncodeBinaryEnvelope(c.env)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", c.env.Type, err)
+		}
+		got, err := DecodeBinaryEnvelope(p)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", c.env.Type, err)
+		}
+		if reflect.TypeOf(got.Bin) != reflect.TypeOf(c.want) || !reflect.DeepEqual(got, c.env) {
+			t.Errorf("%s: decoded %#v, want %#v", c.env.Type, got, c.env)
+		}
+		if c.env.Body == nil && c.want == nil {
+			// A bodiless frame is its header alone: a trailing body byte is refused.
+			if _, err := DecodeBinaryEnvelope(append(p, 0)); !errors.Is(err, ErrBadFrame) {
+				t.Errorf("%s with a body: err = %v, want ErrBadFrame", c.env.Type, err)
+			}
+		} else if _, err := DecodeBinaryEnvelope(p[:4+len(c.env.ID)+min(len(c.env.ID), 1)]); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("%s without its body: err = %v, want ErrBadFrame", c.env.Type, err)
+		}
+	}
+	for code := EnvType(1); code.valid(); code++ {
+		if !seen[code] {
+			t.Errorf("code %d (%s) has no case", code, code)
+		}
+	}
+
+	for _, code := range []byte{0, byte(envTypeEnd), 0xFF} {
+		if _, err := DecodeBinaryEnvelope([]byte{binMagic, BinVersion, code, 0}); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("code %d: err = %v, want ErrBadFrame", code, err)
+		}
+		if _, err := EncodeBinaryEnvelope(Envelope{Type: EnvType(code)}); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("encode code %d: err = %v, want ErrBadFrame", code, err)
+		}
+	}
+	for _, env := range []Envelope{
+		{Type: EnvDeclare, Bin: &ErrorBody{Message: "x"}},
+		{Type: EnvDeclare},
+		{Type: EnvReject, Bin: &AckBatchBody{Queue: "q"}},
+		{Type: EnvOK, Body: []byte("x")},
+		{Type: EnvHeartbeat, Bin: &DeclareBody{Queue: "q"}},
+		{Type: EnvTask, Bin: &DeclareBody{Queue: "q"}},
+		{Type: EnvPublish, Body: []byte("x"), Bin: &PublishBody{Queue: "q"}},
+	} {
+		if _, err := EncodeBinaryEnvelope(env); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("%s carrying %T / %q: err = %v, want ErrBadFrame", env.Type, env.Bin, env.Body, err)
+		}
 	}
 }

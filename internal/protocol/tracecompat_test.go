@@ -15,12 +15,14 @@ import (
 // result and two broker frames carrying the W3C example IDs
 // (0af7651916cd43dd8448eb211c80319c / b7ad6b7169203331) in each form that
 // encoding had: lower-case hex packed to raw bytes (flags 7, or 1 without a
-// span), and any other text verbatim (flags 2 or 0).
+// span), and any other text verbatim (flags 2 or 0). The two frames carry
+// the version-3 header (magic, version, code, flags); their bodies are the
+// ones that encoding wrote.
 const (
 	parentTaskPrefix   = "bd018002006ba7b8129dad41d180b400c04fd430c8006ba7b8119dad41d180b400c04fd430c8006ba7b8109dad41d180b400c04fd430c8010270"
 	parentResultPrefix = "bc018002006ba7b8129dad41d180b400c04fd430c805006ba7b8109dad41d180b400c04fd430c8033432"
-	parentDelivery     = "bf020404036ba7b8109dad41d180b400c04fd430c8040102780207100af7651916cd43dd8448eb211c80319c08b7ad6b71692033310202790200074e4f542d48455803027a00"
-	parentPublish      = "bf020204016ba7b8109dad41d180b400c04fd430c80302610262030107100af7651916cd43dd8448eb211c80319c08b7ad6b716920333100"
+	parentDelivery     = "bf030300036ba7b8109dad41d180b400c04fd430c8040102780207100af7651916cd43dd8448eb211c80319c08b7ad6b71692033310202790200074e4f542d48455803027a00"
+	parentPublish      = "bf030200016ba7b8109dad41d180b400c04fd430c80302610262030107100af7651916cd43dd8448eb211c80319c08b7ad6b716920333100"
 )
 
 // parentContexts are the trace-context tails of those bodies.

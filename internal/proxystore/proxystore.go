@@ -173,9 +173,6 @@ func (p *Proxy) ResolveInto(v any) error {
 	return serialize.Decode(data, v)
 }
 
-// Release deletes the proxy target.
-func (p *Proxy) Release() error { return p.store.Evict(p.ref) }
-
 // --- registry ---
 
 // Registry resolves references by store name; worker processes register the

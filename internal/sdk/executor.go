@@ -44,11 +44,6 @@ type ExecutorConfig struct {
 	MaxBatch int
 	// Objects resolves large results spilled to the object store.
 	Objects ObjectFetcher
-	// ObjectsCacheBytes, when > 0, wraps Objects in an
-	// objectstore.DedupCache of that many bytes (probation FIFO + LRU) so a
-	// fan-in of results sharing one spilled object fetches it over the wire
-	// once.
-	ObjectsCacheBytes int64
 	// Tracer, when set, roots a trace per submission (sdk.submit) and
 	// records result resolution (sdk.resolve). Nil disables tracing.
 	Tracer *trace.Tracer
@@ -118,9 +113,6 @@ func NewExecutor(cfg ExecutorConfig) (*Executor, error) {
 	}
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = 100 * time.Millisecond
-	}
-	if cfg.Objects != nil && cfg.ObjectsCacheBytes > 0 {
-		cfg.Objects = objectstore.NewDedupCache(cfg.Objects, cfg.ObjectsCacheBytes)
 	}
 	ex := &Executor{
 		cfg:     cfg,

@@ -18,46 +18,57 @@ func TestPropertyTaskConservation(t *testing.T) {
 	ep := f.registerEndpoint(t, RegisterEndpointRequest{Name: "prop", Owner: "o"})
 
 	rng := rand.New(rand.NewSource(7))
-	// A misbehaving agent: random outcomes, occasional redelivery.
+	// A misbehaving agent: random outcomes, occasional redelivery. It
+	// redelivers by dropping its consumer with deliveries unacked (the
+	// broker requeues them) and subscribing again; the fixture's broker
+	// close ends it.
 	c, err := f.brk.Consume(TaskQueue(ep), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(c.Close)
 	go func() {
-		for m := range c.Messages() {
-			task, err := protocol.DecodeTask(m.Body)
-			if err != nil {
-				c.Reject(m.Tag)
-				continue
-			}
-			switch rng.Intn(4) {
-			case 0: // succeed
-				res := protocol.Result{TaskID: task.ID, State: protocol.StateSuccess, Output: []byte(`"ok"`)}
-				b := protocol.EncodeResult(&res)
-				f.brk.Publish(ResultQueue(ep), b)
-				c.Ack(m.Tag)
-			case 1: // fail
-				res := protocol.Result{TaskID: task.ID, State: protocol.StateFailed, Error: "simulated"}
-				b := protocol.EncodeResult(&res)
-				f.brk.Publish(ResultQueue(ep), b)
-				c.Ack(m.Tag)
-			case 2: // nack once; redelivery succeeds
-				if m.Redelivered {
-					res := protocol.Result{TaskID: task.ID, State: protocol.StateSuccess, Output: []byte(`"retried"`)}
+		for {
+		deliveries:
+			for m := range c.Messages() {
+				task, err := protocol.DecodeTask(m.Body)
+				if err != nil {
+					c.Reject(m.Tag)
+					continue
+				}
+				switch rng.Intn(4) {
+				case 0: // succeed
+					res := protocol.Result{TaskID: task.ID, State: protocol.StateSuccess, Output: []byte(`"ok"`)}
 					b := protocol.EncodeResult(&res)
 					f.brk.Publish(ResultQueue(ep), b)
 					c.Ack(m.Tag)
-				} else {
-					c.Nack(m.Tag)
+				case 1: // fail
+					res := protocol.Result{TaskID: task.ID, State: protocol.StateFailed, Error: "simulated"}
+					b := protocol.EncodeResult(&res)
+					f.brk.Publish(ResultQueue(ep), b)
+					c.Ack(m.Tag)
+				case 2: // drop the consumer once; redelivery succeeds
+					if m.Redelivered {
+						res := protocol.Result{TaskID: task.ID, State: protocol.StateSuccess, Output: []byte(`"retried"`)}
+						b := protocol.EncodeResult(&res)
+						f.brk.Publish(ResultQueue(ep), b)
+						c.Ack(m.Tag)
+					} else {
+						c.Close() // requeues m and every other unacked delivery
+						break deliveries
+					}
+				default: // duplicate result then success (idempotency pressure)
+					res := protocol.Result{TaskID: task.ID, State: protocol.StateSuccess, Output: []byte(`"dup"`)}
+					b := protocol.EncodeResult(&res)
+					f.brk.Publish(ResultQueue(ep), b)
+					f.brk.Publish(ResultQueue(ep), b)
+					c.Ack(m.Tag)
 				}
-			default: // duplicate result then success (idempotency pressure)
-				res := protocol.Result{TaskID: task.ID, State: protocol.StateSuccess, Output: []byte(`"dup"`)}
-				b := protocol.EncodeResult(&res)
-				f.brk.Publish(ResultQueue(ep), b)
-				f.brk.Publish(ResultQueue(ep), b)
-				c.Ack(m.Tag)
 			}
+			next, err := f.brk.Consume(TaskQueue(ep), 8)
+			if err != nil {
+				return
+			}
+			c = next
 		}
 	}()
 
