@@ -103,9 +103,6 @@ func NewService() *Service {
 	}
 }
 
-// SetClock overrides the time source (tests).
-func (s *Service) SetClock(now func() time.Time) { s.now = now }
-
 // Issue mints a bearer token for the identity. authTime conveys when the
 // user actually authenticated with their provider; zero means "now".
 func (s *Service) Issue(id Identity, scopes []string, ttl time.Duration, authTime time.Time) (Token, error) {

@@ -45,9 +45,9 @@ func TestIntrospectUnknown(t *testing.T) {
 func TestTokenExpiry(t *testing.T) {
 	s := NewService()
 	base := time.Date(2024, 8, 1, 0, 0, 0, 0, time.UTC)
-	s.SetClock(func() time.Time { return base })
+	s.now = func() time.Time { return base }
 	tok, _ := s.Issue(alice(), nil, time.Minute, time.Time{})
-	s.SetClock(func() time.Time { return base.Add(2 * time.Minute) })
+	s.now = func() time.Time { return base.Add(2 * time.Minute) }
 	if _, err := s.Introspect(tok.Value); !errors.Is(err, ErrInvalidToken) {
 		t.Errorf("expired token introspected: %v", err)
 	}

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -261,15 +262,24 @@ func (b *Broker) Unacked(name string) (int, error) {
 // Queues lists declared queue names.
 func (b *Broker) Queues() []string {
 	var names []string
+	for _, q := range b.allQueues() {
+		names = append(names, q.name)
+	}
+	return names
+}
+
+// allQueues returns every declared queue.
+func (b *Broker) allQueues() []*queue {
+	var qs []*queue
 	for i := range b.shards {
 		sh := &b.shards[i]
 		sh.mu.RLock()
-		for n := range sh.m {
-			names = append(names, n)
+		for _, q := range sh.m {
+			qs = append(qs, q)
 		}
 		sh.mu.RUnlock()
 	}
-	return names
+	return qs
 }
 
 // Consume attaches a consumer to the named queue with the given prefetch
@@ -290,16 +300,7 @@ func (b *Broker) Close() {
 	if b.closed.Swap(true) {
 		return
 	}
-	var qs []*queue
-	for i := range b.shards {
-		sh := &b.shards[i]
-		sh.mu.Lock()
-		for _, q := range sh.m {
-			qs = append(qs, q)
-		}
-		sh.mu.Unlock()
-	}
-	for _, q := range qs {
+	for _, q := range b.allQueues() {
 		q.close()
 	}
 }
@@ -629,8 +630,12 @@ func (q *queue) removeConsumer(c *Consumer) {
 			break
 		}
 	}
-	for tag, e := range c.unacked {
-		delete(c.unacked, tag)
+	// Each requeue goes to the front of its level, so the highest tag goes
+	// first and the batch comes back in the order it was delivered.
+	tags := c.unackedTagsLocked()
+	for i := len(tags) - 1; i >= 0; i-- {
+		e := c.unacked[tags[i]]
+		delete(c.unacked, tags[i])
 		e.redelivered = true
 		q.requeueLocked(e)
 	}
@@ -663,6 +668,17 @@ type Consumer struct {
 	// guarded by q.mu
 	unacked map[uint64]entry
 	closed  bool
+}
+
+// unackedTagsLocked returns c's unacked delivery tags in delivery order.
+// Caller holds q.mu.
+func (c *Consumer) unackedTagsLocked() []uint64 {
+	tags := make([]uint64, 0, len(c.unacked))
+	for tag := range c.unacked {
+		tags = append(tags, tag)
+	}
+	slices.Sort(tags)
+	return tags
 }
 
 // Messages returns the delivery channel. It is closed when the consumer or

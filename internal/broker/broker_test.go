@@ -111,6 +111,86 @@ func TestConsumerCloseRequeues(t *testing.T) {
 	}
 }
 
+// TestCloseRequeuesInDeliveryOrder: a consumer that leaves with a whole
+// batch unacked, by Close in process or by a dropped TCP client, hands it to
+// the next consumer in the order it was published, each one Redelivered.
+func TestCloseRequeuesInDeliveryOrder(t *testing.T) {
+	const n = 8
+	setup := func(t *testing.T, b *Broker) {
+		t.Helper()
+		if err := b.Declare("q"); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if err := b.Publish("q", []byte(fmt.Sprintf("m%d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// holdThenDrop takes all n deliveries from messages without acking, calls drop,
+	// and checks that a new consumer gets them back in publish order.
+	holdThenDrop := func(t *testing.T, b *Broker, messages <-chan Message, drop func()) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			select {
+			case <-messages:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("timed out waiting for delivery %d", i)
+			}
+		}
+		drop()
+		for deadline := time.Now().Add(5 * time.Second); ; {
+			unacked, _ := b.Unacked("q")
+			if depth, _ := b.Depth("q"); unacked == 0 && depth == n {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("batch not requeued: unacked %d", unacked)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		c, err := b.Consume("q", n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		for i := 0; i < n; i++ {
+			select {
+			case m := <-c.Messages():
+				if want := fmt.Sprintf("m%d", i); string(m.Body) != want || !m.Redelivered {
+					t.Fatalf("redelivery %d = %q (redelivered=%v), want %q redelivered", i, m.Body, m.Redelivered, want)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("timed out waiting for redelivery %d", i)
+			}
+		}
+	}
+
+	t.Run("close", func(t *testing.T) {
+		b := New()
+		defer b.Close()
+		setup(t, b)
+		c, err := b.Consume("q", n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		holdThenDrop(t, b, c.Messages(), c.Close)
+	})
+	t.Run("tcp", func(t *testing.T) {
+		s, b := newTestServer(t)
+		setup(t, b)
+		cl, err := Dial(s.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc, err := cl.Consume("q", n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		holdThenDrop(t, b, rc.Messages(), func() { cl.Close() })
+	})
+}
+
 func TestAckUnknownTag(t *testing.T) {
 	b := New()
 	b.Declare("q")

@@ -169,14 +169,14 @@ func (c *Client) PublishBatch(queue string, bodies [][]byte, traces []trace.Cont
 	return c.call(protocol.EnvPublishBatch, &publishBatchBody{Queue: queue, Bodies: bodies, Traces: traces})
 }
 
-// Ping round-trips a heartbeat.
-func (c *Client) Ping() error {
+// ping round-trips a heartbeat.
+func (c *Client) ping() error {
 	return c.call(protocol.EnvHeartbeat, nil)
 }
 
-// DeleteQueue removes a queue on the remote broker, dropping its messages
-// and closing its consumers.
-func (c *Client) DeleteQueue(queue string) error {
+// Delete removes a queue on the remote broker, dropping its messages and
+// closing its consumers.
+func (c *Client) Delete(queue string) error {
 	return c.call(protocol.EnvDelete, &declareBody{Queue: queue})
 }
 
@@ -210,6 +210,18 @@ func (c *Client) Consume(queue string, prefetch int) (*RemoteConsumer, error) {
 	}
 	return rc, nil
 }
+
+// Subscribe is Consume behind the Subscription interface.
+func (c *Client) Subscribe(queue string, prefetch int) (Subscription, error) {
+	rc, err := c.Consume(queue, prefetch)
+	if err != nil {
+		return nil, fmt.Errorf("broker: subscribe %q: %w", queue, err)
+	}
+	return rc, nil
+}
+
+// AsConn returns the client as a Conn.
+func (c *Client) AsConn() Conn { return c }
 
 // Messages returns the delivery channel; it closes when the connection
 // drops.

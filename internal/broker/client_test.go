@@ -17,7 +17,7 @@ func TestCallReleasesItsTimer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Ping(); err != nil { // warm the connection's buffers
+	if err := c.ping(); err != nil { // warm the connection's buffers
 		t.Fatal(err)
 	}
 	inUse := func() uint64 {
@@ -29,7 +29,7 @@ func TestCallReleasesItsTimer(t *testing.T) {
 	before := inUse()
 	const calls = 20000
 	for i := 0; i < calls; i++ {
-		if err := c.Ping(); err != nil {
+		if err := c.ping(); err != nil {
 			t.Fatal(err)
 		}
 	}

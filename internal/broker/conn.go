@@ -1,10 +1,6 @@
 package broker
 
-import (
-	"fmt"
-
-	"globuscompute/internal/trace"
-)
+import "globuscompute/internal/trace"
 
 // Conn abstracts a broker connection so components (endpoint agents, the
 // MEP, the SDK result stream) work identically against an in-process Broker
@@ -68,28 +64,3 @@ func (l localConn) Subscribe(queue string, prefetch int) (Subscription, error) {
 type localSub struct{ *Consumer }
 
 func (s localSub) Cancel() error { s.Close(); return nil }
-
-// clientConn adapts *Client to Conn.
-type clientConn struct{ c *Client }
-
-// AsConn wraps a TCP client as a Conn.
-func (c *Client) AsConn() Conn { return clientConn{c} }
-
-func (cc clientConn) Declare(queue string) error { return cc.c.Declare(queue) }
-func (cc clientConn) Delete(queue string) error  { return cc.c.DeleteQueue(queue) }
-
-// Close tears down the underlying TCP client (ReconnectingConn discards
-// stale connections through this).
-func (cc clientConn) Close() error { return cc.c.Close() }
-
-func (cc clientConn) PublishBatch(queue string, bodies [][]byte, traces []trace.Context) error {
-	return cc.c.PublishBatch(queue, bodies, traces)
-}
-
-func (cc clientConn) Subscribe(queue string, prefetch int) (Subscription, error) {
-	rc, err := cc.c.Consume(queue, prefetch)
-	if err != nil {
-		return nil, fmt.Errorf("broker: subscribe %q: %w", queue, err)
-	}
-	return rc, nil
-}

@@ -38,22 +38,13 @@ type Image struct {
 // SnapshotImage captures all queues: ready messages plus unacknowledged
 // deliveries (folded to the front, as a broker restart would requeue them).
 func (b *Broker) SnapshotImage() Image {
-	var queues []*queue
-	for i := range b.shards {
-		sh := &b.shards[i]
-		sh.mu.RLock()
-		for _, q := range sh.m {
-			queues = append(queues, q)
-		}
-		sh.mu.RUnlock()
-	}
-
 	img := Image{NextID: b.nextMsgID.Load() + 1}
-	for _, q := range queues {
+	for _, q := range b.allQueues() {
 		q.mu.Lock()
 		qi := QueueImage{Name: q.name}
 		for _, c := range q.consumers {
-			for _, e := range c.unacked {
+			for _, tag := range c.unackedTagsLocked() {
+				e := c.unacked[tag]
 				qi.Messages = append(qi.Messages, append([]byte(nil), e.body...))
 				qi.IDs = append(qi.IDs, e.id)
 				qi.Interactive = append(qi.Interactive, e.interactive)

@@ -75,7 +75,7 @@ func TestClientPing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Ping(); err != nil {
+	if err := c.ping(); err != nil {
 		t.Errorf("ping = %v", err)
 	}
 }

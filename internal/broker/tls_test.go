@@ -59,7 +59,7 @@ func TestTLSRejectsUntrustedClient(t *testing.T) {
 	if c, err := DialTLS(s.Addr(), empty); err == nil {
 		// TLS handshakes may complete lazily; force a round trip.
 		defer c.Close()
-		if perr := c.Ping(); perr == nil {
+		if perr := c.ping(); perr == nil {
 			t.Error("untrusted server accepted")
 		}
 	}
@@ -70,7 +70,7 @@ func TestTLSRejectsPlaintextClient(t *testing.T) {
 	c, err := Dial(s.Addr()) // plaintext dial against TLS listener
 	if err == nil {
 		defer c.Close()
-		if perr := c.Ping(); perr == nil {
+		if perr := c.ping(); perr == nil {
 			t.Error("plaintext client worked against TLS broker")
 		}
 	}
@@ -99,7 +99,7 @@ func TestGenerateIdentityDistinct(t *testing.T) {
 	defer s.Close()
 	if c, err := DialTLS(s.Addr(), pool1); err == nil {
 		defer c.Close()
-		if perr := c.Ping(); perr == nil {
+		if perr := c.ping(); perr == nil {
 			t.Error("cross-identity trust succeeded")
 		}
 	}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 
@@ -42,9 +43,9 @@ func TestDefaultMEPTemplateAndSchemaAgree(t *testing.T) {
 		}
 	}
 	// Template variables are exactly the schema's property set.
-	for _, v := range template.Variables(core.DefaultMEPTemplate) {
-		if _, ok := schema.Properties[v]; !ok {
-			t.Errorf("template variable %s missing from schema", v)
+	for _, m := range regexp.MustCompile(`\{\{\s*(\w+)`).FindAllStringSubmatch(core.DefaultMEPTemplate, -1) {
+		if _, ok := schema.Properties[m[1]]; !ok {
+			t.Errorf("template variable %s missing from schema", m[1])
 		}
 	}
 	// Defaults cover the optional variables.

@@ -123,14 +123,14 @@ func TestStoreSnapshotCompaction(t *testing.T) {
 			t.Fatalf("TransitionTask: %v", err)
 		}
 	}
-	before := d.WAL().Segments()
+	before := d.WAL().segments()
 	if before < 2 {
 		t.Fatalf("expected multiple segments before compaction, got %d", before)
 	}
 	if err := d.SnapshotNow(); err != nil {
 		t.Fatalf("SnapshotNow: %v", err)
 	}
-	if after := d.WAL().Segments(); after >= before {
+	if after := d.WAL().segments(); after >= before {
 		t.Fatalf("compaction did not shrink the log: %d -> %d segments", before, after)
 	}
 	// Post-snapshot mutations land in the surviving tail.

@@ -510,8 +510,8 @@ func (w *WAL) TailRepairs() int64 {
 	return w.tailRepairs.Value()
 }
 
-// Segments returns the number of on-disk segment files.
-func (w *WAL) Segments() int {
+// segments returns the number of on-disk segment files.
+func (w *WAL) segments() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return len(w.segs)

@@ -225,18 +225,18 @@ func TestWALSegmentRotationAndCompaction(t *testing.T) {
 			t.Fatalf("Append: %v", err)
 		}
 	}
-	if w.Segments() < 3 {
-		t.Fatalf("expected >=3 segments after 40 large appends, got %d", w.Segments())
+	if w.segments() < 3 {
+		t.Fatalf("expected >=3 segments after 40 large appends, got %d", w.segments())
 	}
-	before := w.Segments()
+	before := w.segments()
 	removed, err := w.CompactBelow(w.LastLSN())
 	if err != nil {
 		t.Fatalf("CompactBelow: %v", err)
 	}
-	if removed == 0 || w.Segments() != before-removed {
-		t.Fatalf("CompactBelow removed %d, segments %d -> %d", removed, before, w.Segments())
+	if removed == 0 || w.segments() != before-removed {
+		t.Fatalf("CompactBelow removed %d, segments %d -> %d", removed, before, w.segments())
 	}
-	if w.Segments() < 1 {
+	if w.segments() < 1 {
 		t.Fatal("active segment must survive compaction")
 	}
 	// Records above the horizon still replay after compaction + reopen.

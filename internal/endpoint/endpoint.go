@@ -76,8 +76,6 @@ type Config struct {
 	// SnapshotMetrics yields a delta at most once per interval (default
 	// 2×HeartbeatInterval), so most heartbeats stay payload-free.
 	MetricsInterval time.Duration
-	// MetricsMaxSeries caps the series carried per snapshot (default 512).
-	MetricsMaxSeries int
 	// Log overrides the agent's structured logger (default: the process
 	// pipeline's "endpoint" component, stamped with the endpoint ID).
 	Log *obs.Logger
@@ -227,9 +225,6 @@ func New(cfg Config) (*Agent, error) {
 	if cfg.MetricsInterval <= 0 {
 		cfg.MetricsInterval = 2 * cfg.HeartbeatInterval
 	}
-	if cfg.MetricsMaxSeries <= 0 {
-		cfg.MetricsMaxSeries = 512
-	}
 	a := &Agent{
 		cfg:        cfg,
 		done:       make(chan struct{}),
@@ -282,7 +277,7 @@ func (a *Agent) SnapshotMetrics(now time.Time) (metrics.Snapshot, bool) {
 	if a.cfg.MPI != nil {
 		s.Merge("mpiengine_", a.cfg.MPI.Metrics.TakeSnapshot())
 	}
-	s.Bound(a.cfg.MetricsMaxSeries)
+	s.Bound(obs.DefaultMaxSeries) // the fleet store keeps no more per endpoint
 	d := s.Delta(a.lastSnap)
 	a.lastSnap = s
 	a.lastSnapAt = now

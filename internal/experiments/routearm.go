@@ -98,7 +98,7 @@ type RouteFleet struct {
 	Slow      map[protocol.UUID]bool
 
 	agents []*mep.SimAgent
-	// dead[i] is set by StopEndpoint so the heartbeat pump stops reporting
+	// dead[i] is set by stopEndpoint so the heartbeat pump stops reporting
 	// the endpoint online (the offline report must stick for rerouting).
 	dead    []atomic.Bool
 	pumping bool
@@ -219,18 +219,18 @@ func (f *RouteFleet) heartbeatPump() {
 	}
 }
 
-// StopEndpoint kills one sim agent and reports it offline (churn tests).
+// stopEndpoint kills one sim agent and reports it offline (churn tests).
 // The offline report lands synchronously, so placement stops picking the
 // member as soon as its candidate snapshot refreshes.
-func (f *RouteFleet) StopEndpoint(i int) {
+func (f *RouteFleet) stopEndpoint(i int) {
 	f.dead[i].Store(true)
 	f.agents[i].Stop()
 	_ = f.Service.RecordHeartbeat(f.Endpoints[i], false, nil, nil)
 }
 
-// ReviveEndpoint restarts a stopped endpoint's sim agent (draining whatever
+// reviveEndpoint restarts a stopped endpoint's sim agent (draining whatever
 // its task queue accumulated while dead) and resumes its heartbeats.
-func (f *RouteFleet) ReviveEndpoint(i int, serviceTime time.Duration) error {
+func (f *RouteFleet) reviveEndpoint(i int, serviceTime time.Duration) error {
 	a, err := mep.StartSimAgent(mep.SimAgentConfig{
 		EndpointID: f.Endpoints[i], Conn: broker.LocalConn(f.Broker), ServiceTime: serviceTime,
 	})

@@ -54,7 +54,7 @@ func TestChaosRoutingChurn(t *testing.T) {
 	// (candidate snapshots refresh on a much shorter TTL) before measuring.
 	const victim = 3
 	deadID := f.Endpoints[victim]
-	f.StopEndpoint(victim)
+	f.stopEndpoint(victim)
 	time.Sleep(f.Opts.HeartbeatEvery)
 
 	// Phase 2: every post-death submission must resolve to a survivor.
@@ -72,7 +72,7 @@ func TestChaosRoutingChurn(t *testing.T) {
 
 	// Revive the victim so tasks stranded on its queue drain, then every
 	// admitted task must settle terminal exactly once.
-	if err := f.ReviveEndpoint(victim, base); err != nil {
+	if err := f.reviveEndpoint(victim, base); err != nil {
 		t.Fatal(err)
 	}
 	all := append(append([]protocol.UUID(nil), before...), after...)

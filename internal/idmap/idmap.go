@@ -2,29 +2,23 @@
 // use to translate a Globus identity into a local user account, following
 // the Globus Connect Server mapping model the paper describes: ordered
 // expression rules (source template, regex match, group-substitution
-// output, ignore-case option) plus external-program callouts for custom
-// logic, and a chain that consults mappers in order.
+// output, ignore-case option).
 package idmap
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os/exec"
 	"regexp"
 	"strings"
-	"time"
 
 	"globuscompute/internal/auth"
 )
 
 // Common errors.
 var (
-	ErrNoMapping  = errors.New("idmap: no mapping for identity")
-	ErrBadRule    = errors.New("idmap: invalid mapping rule")
-	ErrBadCommand = errors.New("idmap: external mapper failed")
+	ErrNoMapping = errors.New("idmap: no mapping for identity")
+	ErrBadRule   = errors.New("idmap: invalid mapping rule")
 )
 
 // Mapper resolves an identity to a local account name.
@@ -143,74 +137,4 @@ func ParseRules(data []byte) ([]Rule, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBadRule, err)
 	}
 	return rules, nil
-}
-
-// ExternalMapper shells out to an administrator-provided program: the
-// identity document is written to stdin as JSON and the local username is
-// read from stdout, enabling LDAP/database-backed mappings.
-type ExternalMapper struct {
-	// Command is the program and its arguments.
-	Command []string
-	// Timeout bounds each invocation (default 5s).
-	Timeout time.Duration
-}
-
-// Map implements Mapper.
-func (e *ExternalMapper) Map(id auth.Identity) (string, error) {
-	if len(e.Command) == 0 {
-		return "", fmt.Errorf("%w: no command", ErrBadCommand)
-	}
-	timeout := e.Timeout
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	doc, err := json.Marshal(id)
-	if err != nil {
-		return "", fmt.Errorf("idmap: marshal identity: %w", err)
-	}
-	cmd := exec.CommandContext(ctx, e.Command[0], e.Command[1:]...)
-	cmd.Stdin = bytes.NewReader(doc)
-	var out, errBuf bytes.Buffer
-	cmd.Stdout = &out
-	cmd.Stderr = &errBuf
-	if err := cmd.Run(); err != nil {
-		return "", fmt.Errorf("%w: %v (stderr: %s)", ErrBadCommand, err, strings.TrimSpace(errBuf.String()))
-	}
-	mapped := strings.TrimSpace(out.String())
-	if mapped == "" {
-		return "", fmt.Errorf("%w: %s", ErrNoMapping, id.Username)
-	}
-	return mapped, nil
-}
-
-// Chain consults mappers in order and returns the first successful mapping;
-// ErrNoMapping from one mapper falls through to the next, any other error
-// aborts.
-type Chain []Mapper
-
-// Map implements Mapper.
-func (c Chain) Map(id auth.Identity) (string, error) {
-	for _, m := range c {
-		out, err := m.Map(id)
-		if err == nil {
-			return out, nil
-		}
-		if !errors.Is(err, ErrNoMapping) {
-			return "", err
-		}
-	}
-	return "", fmt.Errorf("%w: %s", ErrNoMapping, id.Username)
-}
-
-// Static is a fixed table mapper, useful for small deployments and tests.
-type Static map[string]string
-
-// Map implements Mapper, keyed by identity username.
-func (s Static) Map(id auth.Identity) (string, error) {
-	if local, ok := s[id.Username]; ok {
-		return local, nil
-	}
-	return "", fmt.Errorf("%w: %s", ErrNoMapping, id.Username)
 }

@@ -158,67 +158,6 @@ func TestParseRulesBareArray(t *testing.T) {
 	}
 }
 
-func TestExternalMapper(t *testing.T) {
-	// jq-free JSON handling: the callout reads the identity document and
-	// derives the local part with shell tools.
-	m := &ExternalMapper{Command: []string{"/bin/sh", "-c",
-		`read doc; echo "$doc" | grep -o '"username":"[^"]*"' | cut -d'"' -f4 | cut -d@ -f1`}}
-	got, err := m.Map(ident("frank@lab.gov"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != "frank" {
-		t.Errorf("got %q", got)
-	}
-}
-
-func TestExternalMapperFailure(t *testing.T) {
-	m := &ExternalMapper{Command: []string{"/bin/false"}}
-	if _, err := m.Map(ident("x@y.z")); !errors.Is(err, ErrBadCommand) {
-		t.Errorf("err = %v", err)
-	}
-	empty := &ExternalMapper{Command: []string{"/bin/sh", "-c", "true"}}
-	if _, err := empty.Map(ident("x@y.z")); !errors.Is(err, ErrNoMapping) {
-		t.Errorf("empty output err = %v", err)
-	}
-	none := &ExternalMapper{}
-	if _, err := none.Map(ident("x@y.z")); !errors.Is(err, ErrBadCommand) {
-		t.Errorf("no command err = %v", err)
-	}
-}
-
-func TestChainFallsThrough(t *testing.T) {
-	expr, _ := NewExpressionMapper([]Rule{{Match: `(.*)@primary\.edu`, Output: "{0}"}})
-	chain := Chain{expr, Static{"guest@other.org": "guest01"}}
-	if got, _ := chain.Map(ident("ann@primary.edu")); got != "ann" {
-		t.Errorf("primary mapping got %q", got)
-	}
-	if got, _ := chain.Map(ident("guest@other.org")); got != "guest01" {
-		t.Errorf("fallback mapping got %q", got)
-	}
-	if _, err := chain.Map(ident("stranger@nowhere.net")); !errors.Is(err, ErrNoMapping) {
-		t.Errorf("unmapped err = %v", err)
-	}
-}
-
-func TestChainAbortsOnHardError(t *testing.T) {
-	bad := &ExternalMapper{Command: []string{"/bin/false"}}
-	chain := Chain{bad, Static{"x@y.z": "x"}}
-	if _, err := chain.Map(ident("x@y.z")); !errors.Is(err, ErrBadCommand) {
-		t.Errorf("hard error not propagated: %v", err)
-	}
-}
-
-func TestStaticMapper(t *testing.T) {
-	s := Static{"a@b.c": "local-a"}
-	if got, err := s.Map(ident("a@b.c")); err != nil || got != "local-a" {
-		t.Errorf("got %q, %v", got, err)
-	}
-	if _, err := s.Map(ident("z@b.c")); !errors.Is(err, ErrNoMapping) {
-		t.Errorf("err = %v", err)
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	m, _ := NewExpressionMapper([]Rule{{Match: `(.*)@d\.edu`, Output: "{0}"}})
 	for i := 0; i < 100; i++ {

@@ -398,7 +398,10 @@ func TestManagerHeartbeatsUntilStop(t *testing.T) {
 func TestConfigValidationAtConstruction(t *testing.T) {
 	brk := broker.New()
 	defer brk.Close()
-	mapper := idmap.Static{}
+	mapper, err := idmap.NewExpressionMapper([]idmap.Rule{{Match: `(.*)`, Output: "{0}"}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	good := Config{
 		EndpointID: protocol.NewUUID(), Conn: broker.LocalConn(brk),
 		Mapper: mapper, Template: "{}", Spawn: func(context.Context, SpawnRequest) (UserEndpoint, error) { return nil, nil },

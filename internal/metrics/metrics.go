@@ -106,26 +106,6 @@ func (h *Histogram) Mean() time.Duration {
 	return h.sum / time.Duration(h.count)
 }
 
-// Max returns the largest observation.
-func (h *Histogram) Max() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.max
-}
-
-// Min returns the smallest observation, or zero when empty.
-func (h *Histogram) Min() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
-}
-
 // Percentile returns the p-th percentile (0 < p <= 100) over the retained
 // samples. Returns zero when empty.
 func (h *Histogram) Percentile(p float64) time.Duration {

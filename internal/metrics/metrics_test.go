@@ -37,7 +37,7 @@ func TestGauge(t *testing.T) {
 
 func TestHistogramBasics(t *testing.T) {
 	h := NewHistogram(16)
-	if h.Mean() != 0 || h.Max() != 0 || h.Min() != 0 || h.Percentile(50) != 0 {
+	if s := h.Stats(); h.Mean() != 0 || s.Max != 0 || s.Min != 0 || h.Percentile(50) != 0 {
 		t.Error("empty histogram should report zeros")
 	}
 	for i := 1; i <= 10; i++ {
@@ -49,11 +49,8 @@ func TestHistogramBasics(t *testing.T) {
 	if h.Mean() != 5500*time.Microsecond {
 		t.Errorf("mean = %s, want 5.5ms", h.Mean())
 	}
-	if h.Max() != 10*time.Millisecond {
-		t.Errorf("max = %s, want 10ms", h.Max())
-	}
-	if h.Min() != time.Millisecond {
-		t.Errorf("min = %s, want 1ms", h.Min())
+	if s := h.Stats(); s.Max != 10*time.Millisecond || s.Min != time.Millisecond {
+		t.Errorf("max, min = %s, %s, want 10ms, 1ms", s.Max, s.Min)
 	}
 }
 

@@ -9,87 +9,97 @@ import (
 )
 
 // WriteText renders the registry in the Prometheus text exposition format
-// (version 0.0.4): counters and gauges as single samples, histograms as
-// summaries with p50/p95/p99 quantiles plus _sum and _count. Metric names are
-// sanitized to [a-zA-Z0-9_:] and optionally prefixed (prefix is sanitized the
-// same way, e.g. "gc_webservice").
-//
-// Prometheus naming conventions are applied at exposition time: counters gain
-// a `_total` suffix and duration histograms a `_seconds` suffix with values
-// in seconds. Histograms whose registry name already carries a non-time unit
-// suffix (see unitHistogram) record counts via the 1s==1-unit encoding and
-// are exported under their own name with unit values — so e.g. the
-// `egress_flush_size` histogram exports as `..._egress_flush_size` (results
-// per flush), not a misleading `..._egress_flush_size_seconds`.
+// (version 0.0.4): counters, then gauges, then histograms as summaries, each
+// kind sorted by name and named by FamilyName (so e.g. the
+// `egress_flush_size` histogram exports as `..._egress_flush_size`, results
+// per flush, not a misleading `..._egress_flush_size_seconds`).
 func (r *Registry) WriteText(w io.Writer, prefix string) error {
-	if prefix != "" {
-		prefix = sanitizeMetricName(prefix) + "_"
-	}
-
-	r.mu.Lock()
-	counters := make(map[string]int64, len(r.counters))
-	for name, c := range r.counters {
-		counters[name] = c.Value()
-	}
-	gauges := make(map[string]int64, len(r.gauges))
-	for name, g := range r.gauges {
-		gauges[name] = g.Value()
-	}
-	histograms := make(map[string]*Histogram, len(r.histograms))
-	for name, h := range r.histograms {
-		histograms[name] = h
-	}
-	r.mu.Unlock()
-
-	for _, name := range sortedKeys(counters) {
-		mn := prefix + sanitizeMetricName(name) + "_total"
-		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", mn, mn, counters[name]); err != nil {
+	s := r.TakeSnapshot()
+	for _, name := range sortedKeys(s.Counters) {
+		if err := WriteFamily(w, FamilyName(prefix, name, "counter"), "counter", Sample{Value: s.Counters[name]}); err != nil {
 			return err
 		}
 	}
-	for _, name := range sortedKeys(gauges) {
-		mn := prefix + sanitizeMetricName(name)
-		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", mn, mn, gauges[name]); err != nil {
+	for _, name := range sortedKeys(s.Gauges) {
+		if err := WriteFamily(w, FamilyName(prefix, name, "gauge"), "gauge", Sample{Value: s.Gauges[name]}); err != nil {
 			return err
 		}
 	}
-	hnames := make([]string, 0, len(histograms))
-	for name := range histograms {
-		hnames = append(hnames, name)
-	}
-	sort.Strings(hnames)
-	for _, name := range hnames {
-		s := histograms[name].Stats()
-		mn := prefix + sanitizeMetricName(name)
-		if !unitHistogram(name) {
-			mn += "_seconds"
-		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s summary\n", mn); err != nil {
-			return err
-		}
-		for _, q := range []struct {
-			q string
-			v time.Duration
-		}{{"0.5", s.P50}, {"0.95", s.P95}, {"0.99", s.P99}} {
-			if _, err := fmt.Fprintf(w, "%s{quantile=%q} %g\n", mn, q.q, q.v.Seconds()); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum %g\n%s_count %d\n", mn, s.Sum.Seconds(), mn, s.Count); err != nil {
+	for _, name := range sortedKeys(s.Histograms) {
+		if err := WriteFamily(w, FamilyName(prefix, name, "summary"), "summary", Sample{Hist: s.Histograms[name]}); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// SanitizeName exposes the exposition-name mapping for other exporters (the
-// fleet federation endpoint renders snapshots outside this package).
-func SanitizeName(name string) string { return sanitizeMetricName(name) }
+// FamilyName is the exposition name of a registry series of the given kind
+// ("counter", "gauge" or "summary"). The optional prefix and the name are
+// sanitized to [a-zA-Z0-9_:] and joined by "_". Prometheus naming
+// conventions are applied: counters gain a `_total` suffix and duration
+// summaries a `_seconds` suffix. A histogram whose name already carries a
+// non-time unit suffix (see unitHistogram) records counts via the
+// 1s==1-unit encoding and keeps its own name.
+func FamilyName(prefix, name, kind string) string {
+	out := sanitizeMetricName(name)
+	if prefix != "" {
+		out = sanitizeMetricName(prefix) + "_" + out
+	}
+	switch {
+	case kind == "counter":
+		out += "_total"
+	case kind == "summary" && !unitHistogram(name):
+		out += "_seconds"
+	}
+	return out
+}
 
-// HistogramSeconds reports whether a histogram with this registry name
-// exports duration values in seconds (true) or unit-encoded values under its
-// own name (false); see WriteText.
-func HistogramSeconds(name string) bool { return !unitHistogram(name) }
+// Sample is one sample of an exposition family. Labels holds rendered label
+// pairs without braces, empty for none. A counter or gauge sample carries
+// Value, or Float when Real is set; a summary sample carries Hist.
+type Sample struct {
+	Labels string
+	Value  int64
+	Real   bool
+	Float  float64
+	Hist   HistogramStats
+}
+
+// WriteFamily writes one family: its TYPE line, then each sample. A summary
+// sample is written as p50/p95/p99 quantile lines plus _sum and _count, in
+// seconds; a unit summary's 1s==1-unit encoding makes that its unit count.
+func WriteFamily(w io.Writer, name, kind string, samples ...Sample) error {
+	if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", name, kind); err != nil {
+		return err
+	}
+	for _, s := range samples {
+		braced, lead := "", ""
+		if s.Labels != "" {
+			braced, lead = "{"+s.Labels+"}", s.Labels+","
+		}
+		var err error
+		switch {
+		case kind == "summary":
+			for _, q := range []struct {
+				q string
+				v time.Duration
+			}{{"0.5", s.Hist.P50}, {"0.95", s.Hist.P95}, {"0.99", s.Hist.P99}} {
+				if _, err = fmt.Fprintf(w, "%s{%squantile=%q} %g\n", name, lead, q.q, q.v.Seconds()); err != nil {
+					return err
+				}
+			}
+			_, err = fmt.Fprintf(w, "%s_sum%s %g\n%s_count%s %d\n", name, braced, s.Hist.Sum.Seconds(), name, braced, s.Hist.Count)
+		case s.Real:
+			_, err = fmt.Fprintf(w, "%s%s %g\n", name, braced, s.Float)
+		default:
+			_, err = fmt.Fprintf(w, "%s%s %d\n", name, braced, s.Value)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // unitHistogram reports whether a histogram's registry name already names a
 // non-time unit, meaning its observations use the 1s==1-unit encoding and
@@ -128,7 +138,7 @@ func sanitizeMetricName(name string) string {
 	return string(out)
 }
 
-func sortedKeys(m map[string]int64) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

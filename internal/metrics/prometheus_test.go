@@ -99,6 +99,52 @@ func TestWriteText(t *testing.T) {
 	}
 }
 
+// TestWriteTextGolden pins the exposition byte for byte: counters, then
+// gauges, then summaries, each kind sorted by name, with sanitized names,
+// _total on counters and _seconds on duration (not unit) summaries.
+func TestWriteTextGolden(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("published.tasks.ep-1").Add(3)
+	r.Counter("acks").Add(12345678)
+	r.Gauge("queue depth").Set(-2)
+	r.Gauge("9lives").Set(7)
+	h := r.Histogram("submit")
+	h.Observe(250 * time.Millisecond)
+	h.Observe(750 * time.Millisecond)
+	h.Observe(1500 * time.Microsecond)
+	u := r.Histogram("egress_flush_size")
+	u.Observe(3 * time.Second)
+	u.Observe(64 * time.Second)
+	var b strings.Builder
+	if err := r.WriteText(&b, "gc_test"); err != nil {
+		t.Fatal(err)
+	}
+	const want = `# TYPE gc_test_acks_total counter
+gc_test_acks_total 12345678
+# TYPE gc_test_published_tasks_ep_1_total counter
+gc_test_published_tasks_ep_1_total 3
+# TYPE gc_test__9lives gauge
+gc_test__9lives 7
+# TYPE gc_test_queue_depth gauge
+gc_test_queue_depth -2
+# TYPE gc_test_egress_flush_size summary
+gc_test_egress_flush_size{quantile="0.5"} 33.5
+gc_test_egress_flush_size{quantile="0.95"} 60.95
+gc_test_egress_flush_size{quantile="0.99"} 63.39
+gc_test_egress_flush_size_sum 67
+gc_test_egress_flush_size_count 2
+# TYPE gc_test_submit_seconds summary
+gc_test_submit_seconds{quantile="0.5"} 0.25
+gc_test_submit_seconds{quantile="0.95"} 0.699999999
+gc_test_submit_seconds{quantile="0.99"} 0.74
+gc_test_submit_seconds_sum 1.0015
+gc_test_submit_seconds_count 3
+`
+	if b.String() != want {
+		t.Errorf("exposition\n got:\n%s\nwant:\n%s", b.String(), want)
+	}
+}
+
 func TestSanitizeMetricName(t *testing.T) {
 	cases := map[string]string{
 		"plain":        "plain",

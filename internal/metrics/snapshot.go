@@ -178,12 +178,6 @@ func dropLast[V any](m *map[string]V, n int) int {
 	return dropped
 }
 
-// CounterValue returns a counter by name (zero when absent).
-func (s Snapshot) CounterValue(name string) (int64, bool) {
-	v, ok := s.Counters[name]
-	return v, ok
-}
-
 // GaugeValue returns a gauge by name.
 func (s Snapshot) GaugeValue(name string) (int64, bool) {
 	v, ok := s.Gauges[name]

@@ -16,7 +16,7 @@ func TestTakeSnapshot(t *testing.T) {
 	if s.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", s.Len())
 	}
-	if v, ok := s.CounterValue("tasks"); !ok || v != 7 {
+	if v, ok := s.Counters["tasks"]; !ok || v != 7 {
 		t.Errorf("counter tasks = %d,%v", v, ok)
 	}
 	if v, ok := s.GaugeValue("backlog"); !ok || v != 3 {
@@ -103,7 +103,7 @@ func TestSnapshotMergePrefixAndJSON(t *testing.T) {
 	var s Snapshot
 	s.Merge("", agent.TakeSnapshot())
 	s.Merge("engine_", eng.TakeSnapshot())
-	if _, ok := s.CounterValue("engine_completed"); !ok {
+	if _, ok := s.Counters["engine_completed"]; !ok {
 		t.Fatalf("merge lost prefixed counter: %v", s.Counters)
 	}
 

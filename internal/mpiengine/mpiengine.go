@@ -53,8 +53,6 @@ type Config struct {
 	Provider provider.Provider
 	// Launcher names the MPI launcher to simulate (mpiexec, srun).
 	Launcher string
-	// Blocks is the number of pilot blocks to hold (default 1).
-	Blocks int
 	// Strategy orders pending applications (default FIFO).
 	Strategy Strategy
 	// QueueCapacity bounds the backlog (default 4096).
@@ -67,9 +65,6 @@ func (c *Config) fill() error {
 	}
 	if c.Launcher == "" {
 		c.Launcher = "mpiexec"
-	}
-	if c.Blocks <= 0 {
-		c.Blocks = 1
 	}
 	if c.Strategy == "" {
 		c.Strategy = FIFO
@@ -132,7 +127,7 @@ func New(cfg Config) (*Engine, error) {
 	}, nil
 }
 
-// Start provisions the engine's blocks.
+// Start provisions the engine's pilot block.
 func (e *Engine) Start() error {
 	e.mu.Lock()
 	if e.started {
@@ -141,10 +136,8 @@ func (e *Engine) Start() error {
 	}
 	e.started = true
 	e.mu.Unlock()
-	for i := 0; i < e.cfg.Blocks; i++ {
-		if _, err := e.cfg.Provider.SubmitBlock(e.runBlock); err != nil {
-			return fmt.Errorf("mpiengine: provision block: %w", err)
-		}
+	if _, err := e.cfg.Provider.SubmitBlock(e.runBlock); err != nil {
+		return fmt.Errorf("mpiengine: provision block: %w", err)
 	}
 	return nil
 }

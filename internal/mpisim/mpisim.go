@@ -15,7 +15,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -191,15 +190,4 @@ func Launch(ctx context.Context, spec LaunchSpec) (Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// HostsSummary returns the sorted multiset of nodes that ranks ran on, one
-// line per rank — the shape of the paper's Listing 7 `hostname` output.
-func (r Result) HostsSummary() []string {
-	hosts := make([]string, len(r.Ranks))
-	for i, rank := range r.Ranks {
-		hosts[i] = rank.Node
-	}
-	sort.Strings(hosts)
-	return hosts
 }

@@ -60,13 +60,12 @@ func TestHostnameListing(t *testing.T) {
 		if res.ReturnCode != 0 {
 			t.Fatalf("rc = %d", res.ReturnCode)
 		}
-		hosts := res.HostsSummary()
-		if len(hosts) != 2*rpn {
-			t.Fatalf("rpn=%d: %d host lines, want %d", rpn, len(hosts), 2*rpn)
+		if len(res.Ranks) != 2*rpn {
+			t.Fatalf("rpn=%d: %d ranks, want %d", rpn, len(res.Ranks), 2*rpn)
 		}
 		count := map[string]int{}
-		for _, h := range hosts {
-			count[h]++
+		for _, rank := range res.Ranks {
+			count[rank.Node]++
 		}
 		if count["exp-14-08"] != rpn || count["exp-14-20"] != rpn {
 			t.Errorf("rpn=%d: placement %v", rpn, count)

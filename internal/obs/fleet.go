@@ -34,8 +34,6 @@ type FleetConfig struct {
 	// MaxEndpoints caps tracked endpoints; reports from endpoints beyond the
 	// cap are counted and dropped rather than growing memory.
 	MaxEndpoints int
-	// MaxSeries caps distinct series per endpoint (metrics.Snapshot.Bound).
-	MaxSeries int
 	// HealthWindow is the lookback for rate fields in Health output.
 	HealthWindow time.Duration
 	// StaleAfter marks an endpoint offline in Health/federation output when
@@ -43,10 +41,6 @@ type FleetConfig struct {
 	StaleAfter time.Duration
 	// Prefix prefixes federated metric names (default "gc_endpoint").
 	Prefix string
-	// ServiceRateHalfLife is the EWMA half-life for the service-rate
-	// estimate (default DefaultServiceRateHalfLife). Shorter tracks bursts
-	// faster; longer smooths heartbeat jitter.
-	ServiceRateHalfLife time.Duration
 }
 
 func (c FleetConfig) withDefaults() FleetConfig {
@@ -56,9 +50,6 @@ func (c FleetConfig) withDefaults() FleetConfig {
 	if c.MaxEndpoints <= 0 {
 		c.MaxEndpoints = DefaultMaxEndpoints
 	}
-	if c.MaxSeries <= 0 {
-		c.MaxSeries = DefaultMaxSeries
-	}
 	if c.HealthWindow <= 0 {
 		c.HealthWindow = DefaultHealthWindow
 	}
@@ -67,9 +58,6 @@ func (c FleetConfig) withDefaults() FleetConfig {
 	}
 	if c.Prefix == "" {
 		c.Prefix = DefaultFleetPrefix
-	}
-	if c.ServiceRateHalfLife <= 0 {
-		c.ServiceRateHalfLife = DefaultServiceRateHalfLife
 	}
 	return c
 }
@@ -206,11 +194,11 @@ func (f *FleetStore) Ingest(id string, delta metrics.Snapshot, now time.Time) bo
 		return false
 	}
 	st.absolute.Overlay(delta)
-	st.absolute.Bound(f.cfg.MaxSeries)
+	st.absolute.Bound(DefaultMaxSeries)
 	st.lastReport = now
 	st.stopped = false
 	st.reports++
-	st.push(Point{Time: now, Snap: st.merged(f.cfg.MaxSeries)})
+	st.push(Point{Time: now, Snap: st.merged(DefaultMaxSeries)})
 	return true
 }
 
@@ -247,7 +235,7 @@ func (f *FleetStore) ObserveLoad(id string, lr statestore.EndpointLoad, now time
 			// Time-aware EWMA: alpha approaches 1 as the gap between
 			// reports grows past the half-life, so sparse reporters still
 			// converge instead of being stuck on stale history.
-			alpha := 1 - math.Pow(0.5, dt/f.cfg.ServiceRateHalfLife.Seconds())
+			alpha := 1 - math.Pow(0.5, dt/DefaultServiceRateHalfLife.Seconds())
 			if !st.rateKnown {
 				st.rate = inst
 				st.rateKnown = true
@@ -293,7 +281,7 @@ func (f *FleetStore) Tick(now time.Time) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for _, st := range f.eps {
-		st.push(Point{Time: now, Snap: st.merged(f.cfg.MaxSeries)})
+		st.push(Point{Time: now, Snap: st.merged(DefaultMaxSeries)})
 	}
 }
 
@@ -336,7 +324,7 @@ func (f *FleetStore) Merged(id string) (metrics.Snapshot, bool) {
 	if !ok {
 		return metrics.Snapshot{}, false
 	}
-	return st.merged(f.cfg.MaxSeries), true
+	return st.merged(DefaultMaxSeries), true
 }
 
 // Points returns the endpoint's retained ring samples, oldest first.
@@ -387,15 +375,6 @@ func (f *FleetStore) CounterDelta(id, name string, window time.Duration, now tim
 		d = nv
 	}
 	return d, newest.Time.Sub(oldest.Time), true
-}
-
-// CounterRate returns a counter's per-second rate over the window.
-func (f *FleetStore) CounterRate(id, name string, window time.Duration, now time.Time) (float64, bool) {
-	d, span, ok := f.CounterDelta(id, name, window, now)
-	if !ok || span <= 0 {
-		return 0, false
-	}
-	return float64(d) / span.Seconds(), true
 }
 
 // EndpointHealth is one endpoint's row in the fleet health report.
@@ -551,21 +530,11 @@ func escapeLabelValue(v string) string {
 	return r.Replace(v)
 }
 
-// federation sample carriers, grouped per exported family so each `# TYPE`
-// header appears exactly once regardless of endpoint count.
-type fedSample struct {
-	labels string
-	value  int64
-	// float selects fval over value for families whose samples are not
-	// integral (the synthetic service-rate gauge).
-	float bool
-	fval  float64
-	hist  metrics.HistogramStats
-}
-
+// fedFamily gathers one exported family's samples across endpoints, so each
+// `# TYPE` header appears exactly once regardless of endpoint count.
 type fedFamily struct {
 	kind    string // "counter" | "gauge" | "summary"
-	samples []fedSample
+	samples []metrics.Sample
 }
 
 // WriteFederation renders every endpoint's merged snapshot in the Prometheus
@@ -573,9 +542,9 @@ type fedFamily struct {
 // Synthetic per-endpoint `up` and `staleness_seconds` gauges make liveness
 // scrapeable without a separate endpoint.
 func (f *FleetStore) WriteFederation(w io.Writer, now time.Time) error {
-	prefix := metrics.SanitizeName(f.cfg.Prefix) + "_"
 	fams := make(map[string]*fedFamily)
-	add := func(name, kind string, s fedSample) {
+	add := func(name, kind string, s metrics.Sample) {
+		name = metrics.FamilyName(f.cfg.Prefix, name, kind)
 		fam, ok := fams[name]
 		if !ok {
 			fam = &fedFamily{kind: kind}
@@ -591,17 +560,13 @@ func (f *FleetStore) WriteFederation(w io.Writer, now time.Time) error {
 		}
 		labels := fmt.Sprintf("endpoint_id=%q", escapeLabelValue(id))
 		for name, v := range s.Counters {
-			add(prefix+metrics.SanitizeName(name)+"_total", "counter", fedSample{labels: labels, value: v})
+			add(name, "counter", metrics.Sample{Labels: labels, Value: v})
 		}
 		for name, v := range s.Gauges {
-			add(prefix+metrics.SanitizeName(name), "gauge", fedSample{labels: labels, value: v})
+			add(name, "gauge", metrics.Sample{Labels: labels, Value: v})
 		}
 		for name, hs := range s.Histograms {
-			mn := prefix + metrics.SanitizeName(name)
-			if metrics.HistogramSeconds(name) {
-				mn += "_seconds"
-			}
-			add(mn, "summary", fedSample{labels: labels, hist: hs})
+			add(name, "summary", metrics.Sample{Labels: labels, Hist: hs})
 		}
 		var up int64
 		var staleSec float64
@@ -611,10 +576,10 @@ func (f *FleetStore) WriteFederation(w io.Writer, now time.Time) error {
 				up = 1
 			}
 		}
-		add(prefix+"up", "gauge", fedSample{labels: labels, value: up})
-		add(prefix+"staleness_seconds", "gauge", fedSample{labels: labels, value: int64(staleSec)})
+		add("up", "gauge", metrics.Sample{Labels: labels, Value: up})
+		add("staleness_seconds", "gauge", metrics.Sample{Labels: labels, Value: int64(staleSec)})
 		if rate, ok := f.ServiceRate(id); ok {
-			add(prefix+"service_rate_tasks_per_second", "gauge", fedSample{labels: labels, float: true, fval: rate})
+			add("service_rate_tasks_per_second", "gauge", metrics.Sample{Labels: labels, Real: true, Float: rate})
 		}
 	}
 
@@ -624,38 +589,8 @@ func (f *FleetStore) WriteFederation(w io.Writer, now time.Time) error {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		fam := fams[name]
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", name, fam.kind); err != nil {
+		if err := metrics.WriteFamily(w, name, fams[name].kind, fams[name].samples...); err != nil {
 			return err
-		}
-		for _, smp := range fam.samples {
-			if fam.kind != "summary" {
-				if smp.float {
-					if _, err := fmt.Fprintf(w, "%s{%s} %g\n", name, smp.labels, smp.fval); err != nil {
-						return err
-					}
-					continue
-				}
-				if _, err := fmt.Fprintf(w, "%s{%s} %d\n", name, smp.labels, smp.value); err != nil {
-					return err
-				}
-				continue
-			}
-			// Duration histograms export seconds; unit histograms use the
-			// 1s==1-unit encoding, so Seconds() is the unit count either way.
-			toVal := func(d time.Duration) float64 { return d.Seconds() }
-			for _, q := range []struct {
-				q string
-				v time.Duration
-			}{{"0.5", smp.hist.P50}, {"0.95", smp.hist.P95}, {"0.99", smp.hist.P99}} {
-				if _, err := fmt.Fprintf(w, "%s{%s,quantile=%q} %g\n", name, smp.labels, q.q, toVal(q.v)); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintf(w, "%s_sum{%s} %g\n%s_count{%s} %d\n",
-				name, smp.labels, toVal(smp.hist.Sum), name, smp.labels, smp.hist.Count); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

@@ -82,16 +82,6 @@ func (b *LogBuffer) snapshot() []LogRecord {
 	return out
 }
 
-// Tail returns the most recent n records, oldest-first (n<=0 returns all
-// retained).
-func (b *LogBuffer) Tail(n int) []LogRecord {
-	recs := b.snapshot()
-	if n > 0 && len(recs) > n {
-		recs = recs[len(recs)-n:]
-	}
-	return recs
-}
-
 // Query filters retained records; zero-valued fields match everything.
 type Query struct {
 	TraceID   string
@@ -128,12 +118,6 @@ func (b *LogBuffer) Search(q Query) []LogRecord {
 		out = out[len(out)-q.Limit:]
 	}
 	return out
-}
-
-// ByTrace returns every retained record correlated to one trace ID — the
-// "all log lines for this task's lifecycle" query.
-func (b *LogBuffer) ByTrace(id string) []LogRecord {
-	return b.Search(Query{TraceID: id})
 }
 
 func parseLevel(s string) slog.Level {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"globuscompute/internal/metrics"
+	"globuscompute/internal/statestore"
 	"globuscompute/internal/trace"
 )
 
@@ -20,9 +21,9 @@ func TestLoggerCorrelationFields(t *testing.T) {
 	lg := p.Component("webservice").WithEndpoint("ep-1").WithTask("task-9").WithTrace(tc)
 	lg.Info("result stored", "attempt", 2)
 
-	recs := p.Buffer().ByTrace(tc.TraceID.String())
+	recs := p.Buffer().Search(Query{TraceID: tc.TraceID.String()})
 	if len(recs) != 1 {
-		t.Fatalf("ByTrace = %d records, want 1", len(recs))
+		t.Fatalf("trace search = %d records, want 1", len(recs))
 	}
 	r := recs[0]
 	if r.Component != "webservice" || r.Endpoint != "ep-1" || r.TaskID != "task-9" {
@@ -55,9 +56,9 @@ func TestLogBufferRingAndQueries(t *testing.T) {
 	if b.Len() != 4 || b.Total() != 6 {
 		t.Fatalf("Len=%d Total=%d, want 4/6", b.Len(), b.Total())
 	}
-	tail := b.Tail(2)
+	tail := b.Search(Query{Limit: 2})
 	if len(tail) != 2 || tail[1].Message != "f" {
-		t.Fatalf("Tail order wrong: %+v", tail)
+		t.Fatalf("limited search order wrong: %+v", tail)
 	}
 	errs := b.Search(Query{MinLevel: slog.LevelError, Endpoint: "ep"})
 	for _, r := range errs {
@@ -94,10 +95,6 @@ func TestFleetIngestAndWindows(t *testing.T) {
 	d, span, ok := f.CounterDelta("ep-1", "tasks_received", time.Minute, base.Add(10*time.Second))
 	if !ok || d != 40 || span != 10*time.Second {
 		t.Fatalf("CounterDelta = %d over %v (%v), want 40 over 10s", d, span, ok)
-	}
-	rate, ok := f.CounterRate("ep-1", "tasks_received", time.Minute, base.Add(10*time.Second))
-	if !ok || rate != 4 {
-		t.Fatalf("CounterRate = %v, want 4/s", rate)
 	}
 
 	// Counter reset (agent restart) counts from zero instead of negative.
@@ -213,8 +210,82 @@ func TestWriteFederationParsesCleanly(t *testing.T) {
 	}
 }
 
+// TestWriteFederationGolden pins /metrics/fleet byte for byte over two
+// endpoints, one of them stale: families sorted by name, one TYPE header
+// each, samples labelled by endpoint, the float service-rate gauge, and
+// summaries with the endpoint label ahead of the quantile.
+func TestWriteFederationGolden(t *testing.T) {
+	f := NewFleetStore(FleetConfig{RingPoints: 8, StaleAfter: time.Minute})
+	now := time.Unix(4000, 0)
+	f.Ingest("ep-1", metrics.Snapshot{
+		Counters: map[string]int64{"tasks_received": 5, "results_published": 4},
+		Gauges:   map[string]int64{"egress_backlog": 1},
+		Histograms: map[string]metrics.HistogramStats{
+			"egress_flush_size": {Count: 3, Sum: 6 * time.Second, P50: 2 * time.Second, P95: 2 * time.Second, P99: 2 * time.Second},
+			"task_exec":         {Count: 2, Sum: 30 * time.Millisecond, P50: 10 * time.Millisecond, P95: 20 * time.Millisecond, P99: 20 * time.Millisecond},
+		},
+	}, now)
+	f.Ingest("ep-2", metrics.Snapshot{Counters: map[string]int64{"tasks_received": 7}}, now.Add(-2*time.Minute))
+	f.ObserveLoad("ep-1", statestore.EndpointLoad{ResultsPublished: 0}, now.Add(-3*time.Second))
+	f.ObserveLoad("ep-1", statestore.EndpointLoad{ResultsPublished: 100}, now)
+	loc := f.Local("ep-1")
+	loc.Histogram("task_roundtrip").Observe(time.Millisecond)
+	loc.Counter("results_failed").Add(2)
+	f.Tick(now)
+	var sb strings.Builder
+	if err := f.WriteFederation(&sb, now.Add(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	const want = `# TYPE gc_endpoint_egress_backlog gauge
+gc_endpoint_egress_backlog{endpoint_id="ep-1"} 1
+# TYPE gc_endpoint_egress_flush_size summary
+gc_endpoint_egress_flush_size{endpoint_id="ep-1",quantile="0.5"} 2
+gc_endpoint_egress_flush_size{endpoint_id="ep-1",quantile="0.95"} 2
+gc_endpoint_egress_flush_size{endpoint_id="ep-1",quantile="0.99"} 2
+gc_endpoint_egress_flush_size_sum{endpoint_id="ep-1"} 6
+gc_endpoint_egress_flush_size_count{endpoint_id="ep-1"} 3
+# TYPE gc_endpoint_results_published_total counter
+gc_endpoint_results_published_total{endpoint_id="ep-1"} 4
+# TYPE gc_endpoint_service_rate_tasks_per_second gauge
+gc_endpoint_service_rate_tasks_per_second{endpoint_id="ep-1"} 33.333333333333336
+# TYPE gc_endpoint_staleness_seconds gauge
+gc_endpoint_staleness_seconds{endpoint_id="ep-1"} 1
+gc_endpoint_staleness_seconds{endpoint_id="ep-2"} 121
+# TYPE gc_endpoint_task_exec_seconds summary
+gc_endpoint_task_exec_seconds{endpoint_id="ep-1",quantile="0.5"} 0.01
+gc_endpoint_task_exec_seconds{endpoint_id="ep-1",quantile="0.95"} 0.02
+gc_endpoint_task_exec_seconds{endpoint_id="ep-1",quantile="0.99"} 0.02
+gc_endpoint_task_exec_seconds_sum{endpoint_id="ep-1"} 0.03
+gc_endpoint_task_exec_seconds_count{endpoint_id="ep-1"} 2
+# TYPE gc_endpoint_tasks_received_total counter
+gc_endpoint_tasks_received_total{endpoint_id="ep-1"} 5
+gc_endpoint_tasks_received_total{endpoint_id="ep-2"} 7
+# TYPE gc_endpoint_up gauge
+gc_endpoint_up{endpoint_id="ep-1"} 1
+gc_endpoint_up{endpoint_id="ep-2"} 0
+# TYPE gc_endpoint_ws_free_workers gauge
+gc_endpoint_ws_free_workers{endpoint_id="ep-1"} 0
+# TYPE gc_endpoint_ws_pending_tasks gauge
+gc_endpoint_ws_pending_tasks{endpoint_id="ep-1"} 0
+# TYPE gc_endpoint_ws_results_failed_total counter
+gc_endpoint_ws_results_failed_total{endpoint_id="ep-1"} 2
+# TYPE gc_endpoint_ws_task_roundtrip_seconds summary
+gc_endpoint_ws_task_roundtrip_seconds{endpoint_id="ep-1",quantile="0.5"} 0.001
+gc_endpoint_ws_task_roundtrip_seconds{endpoint_id="ep-1",quantile="0.95"} 0.001
+gc_endpoint_ws_task_roundtrip_seconds{endpoint_id="ep-1",quantile="0.99"} 0.001
+gc_endpoint_ws_task_roundtrip_seconds_sum{endpoint_id="ep-1"} 0.001
+gc_endpoint_ws_task_roundtrip_seconds_count{endpoint_id="ep-1"} 1
+# TYPE gc_endpoint_ws_total_workers gauge
+gc_endpoint_ws_total_workers{endpoint_id="ep-1"} 0
+`
+	if sb.String() != want {
+		t.Errorf("federation\n got:\n%s\nwant:\n%s", sb.String(), want)
+	}
+}
+
 func TestSLOFailureRatioLifecycle(t *testing.T) {
-	SetDefault(testPipeline(64))
+	p := testPipeline(256)
+	SetDefault(p)
 	f := NewFleetStore(FleetConfig{RingPoints: 64, StaleAfter: time.Hour})
 	rules := []Rule{{
 		Name: "failures", Kind: RuleFailureRatio,
@@ -223,8 +294,6 @@ func TestSLOFailureRatioLifecycle(t *testing.T) {
 		FastWindow: 10 * time.Second, SlowWindow: 40 * time.Second,
 	}}
 	e := NewSLOEngine(f, rules)
-	var transitions []Alert
-	e.SetNotifier(func(a Alert) { transitions = append(transitions, a) })
 	reg := metrics.NewRegistry()
 	e.SetRegistry(reg)
 
@@ -277,12 +346,12 @@ func TestSLOFailureRatioLifecycle(t *testing.T) {
 		t.Fatalf("alert never recovered: %+v", alerts)
 	}
 
-	// Transitions observed: pending, firing, then resolve to inactive.
-	var states []AlertState
-	for _, a := range transitions {
-		states = append(states, a.State)
+	// Transitions logged: pending, firing, then resolve to inactive.
+	var states []string
+	for _, r := range p.Buffer().Search(Query{Component: "slo"}) {
+		states = append(states, r.Message)
 	}
-	want := []AlertState{StatePending, StateFiring, StateInactive}
+	want := []string{"slo alert pending", "slo alert firing", "slo alert resolved"}
 	if len(states) < 3 {
 		t.Fatalf("transitions = %v, want %v", states, want)
 	}

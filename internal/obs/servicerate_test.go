@@ -32,7 +32,7 @@ func TestServiceRateFromLoadDeltas(t *testing.T) {
 // counter reset (agent restart) must count from zero instead of going
 // negative.
 func TestServiceRateSmoothingAndRestart(t *testing.T) {
-	f := NewFleetStore(FleetConfig{ServiceRateHalfLife: 10 * time.Second})
+	f := NewFleetStore(FleetConfig{})
 	t0 := time.Now()
 	f.ObserveLoad("ep", statestore.EndpointLoad{ResultsPublished: 0}, t0)
 	f.ObserveLoad("ep", statestore.EndpointLoad{ResultsPublished: 100}, t0.Add(time.Second))

@@ -118,10 +118,6 @@ type Alert struct {
 	Message    string     `json:"message,omitempty"`
 }
 
-// Notifier receives every alert state transition (including recoveries to
-// inactive). Hook point for paging/chat integrations; must not block.
-type Notifier func(Alert)
-
 // SLOEngine evaluates declarative rules against a FleetStore's ring buffers
 // and maintains per-(rule, endpoint) alert state machines.
 type SLOEngine struct {
@@ -130,7 +126,6 @@ type SLOEngine struct {
 	mu       sync.Mutex
 	rules    []Rule
 	alerts   map[string]*Alert
-	notify   Notifier
 	registry *metrics.Registry
 	log      *Logger
 }
@@ -147,13 +142,6 @@ func NewSLOEngine(store *FleetStore, rules []Rule) *SLOEngine {
 		alerts: make(map[string]*Alert),
 		log:    Component("slo"),
 	}
-}
-
-// SetNotifier installs the transition hook.
-func (e *SLOEngine) SetNotifier(fn Notifier) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.notify = fn
 }
 
 // SetRegistry makes the engine export aggregate alert gauges
@@ -242,7 +230,6 @@ func (e *SLOEngine) Evaluate(now time.Time) []Alert {
 			firing++
 		}
 	}
-	notify := e.notify
 	reg := e.registry
 	e.mu.Unlock()
 
@@ -260,9 +247,6 @@ func (e *SLOEngine) Evaluate(now time.Time) []Alert {
 			lg.Warn("slo alert pending", "rule", a.Rule, "value", a.Value, "threshold", a.Threshold, "detail", a.Message)
 		default:
 			lg.Info("slo alert resolved", "rule", a.Rule)
-		}
-		if notify != nil {
-			notify(a)
 		}
 	}
 	return e.Alerts()

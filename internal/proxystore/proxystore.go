@@ -22,7 +22,6 @@ import (
 var (
 	ErrNotFound     = errors.New("proxystore: object not found")
 	ErrUnknownStore = errors.New("proxystore: unknown store")
-	ErrReleased     = errors.New("proxystore: proxy target released")
 )
 
 // Backend is the object store proxied values live in; objectstore.Store and
@@ -30,7 +29,6 @@ var (
 type Backend interface {
 	PutContent(data []byte) (string, error)
 	Get(key string) ([]byte, error)
-	Delete(key string) error
 }
 
 // Reference is the serializable proxy token that travels inside task
@@ -39,9 +37,6 @@ type Reference struct {
 	Store string `json:"ps_store"`
 	Key   string `json:"ps_key"`
 	Size  int    `json:"ps_size"`
-	// Owned marks evict-on-first-resolve semantics (OwnedProxy pattern:
-	// the consumer that resolves it releases the target).
-	Owned bool `json:"ps_owned,omitempty"`
 }
 
 // Store names an object-store backend and provides proxy/resolve with
@@ -98,46 +93,17 @@ func (s *Store) PutBytes(data []byte) (*Proxy, error) {
 	return &Proxy{ref: Reference{Store: s.name, Key: key, Size: len(data)}, store: s}, nil
 }
 
-// PutOwned stores bytes with evict-on-resolve semantics: the first resolve
-// deletes the target (the ownership pattern of the OOPSLA follow-up the
-// paper cites for lifetime management).
-func (s *Store) PutOwned(data []byte) (*Proxy, error) {
-	p, err := s.PutBytes(data)
-	if err != nil {
-		return nil, err
-	}
-	p.ref.Owned = true
-	return p, nil
-}
-
-// resolve fetches the bytes behind a reference: through the cache, or for
-// an owned reference straight from the object store, deleting the target.
+// resolve fetches the bytes behind a reference through the cache.
 func (s *Store) resolve(ref Reference) ([]byte, error) {
-	get := s.cache.Get
-	if ref.Owned {
-		get = s.objects.Get
-	}
-	data, err := get(ref.Key)
+	data, err := s.cache.Get(ref.Key)
 	if errors.Is(err, objectstore.ErrNotFound) {
-		if ref.Owned {
-			return nil, fmt.Errorf("%w: %q", ErrReleased, ref.Key)
-		}
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, ref.Key)
 	}
 	if err != nil {
 		return nil, err
 	}
 	s.Metrics.Counter("resolves").Inc()
-	if ref.Owned {
-		_ = s.objects.Delete(ref.Key) // already resolved; a leftover object is only space
-	}
 	return data, nil
-}
-
-// Evict removes an object from the object store. A copy already in this
-// process's resolve cache ages out on its own.
-func (s *Store) Evict(ref Reference) error {
-	return s.objects.Delete(ref.Key)
 }
 
 // Proxy is the transparent-object-proxy analogue: a handle that resolves

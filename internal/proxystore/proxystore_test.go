@@ -14,7 +14,8 @@ import (
 
 // TestConnectorRoundTrip drives a Store over both ways of reaching the
 // object store — in process and through its HTTP client: put, resolve,
-// evict, and the backend's not-found surfacing as ErrNotFound.
+// and, once the object is deleted, the backend's not-found surfacing as
+// ErrNotFound.
 func TestConnectorRoundTrip(t *testing.T) {
 	objects := objectstore.New()
 	srv, err := objectstore.ServeHTTP(objects, "127.0.0.1:0")
@@ -22,7 +23,11 @@ func TestConnectorRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	for name, backend := range map[string]Backend{
+	type deleter interface {
+		Backend
+		Delete(key string) error
+	}
+	for name, backend := range map[string]deleter{
 		"objectstore": objectstore.New(),
 		"client":      objectstore.NewClient(srv.Addr()),
 	} {
@@ -42,7 +47,7 @@ func TestConnectorRoundTrip(t *testing.T) {
 			if got, err := s.resolve(ref); err != nil || string(got) != "v-"+name {
 				t.Errorf("resolve = %q, %v", got, err)
 			}
-			if err := s.Evict(ref); err != nil {
+			if err := backend.Delete(ref.Key); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := s.resolve(ref); !errors.Is(err, ErrNotFound) {
@@ -79,7 +84,8 @@ func TestProxyResolve(t *testing.T) {
 }
 
 func TestProxyResolveOnce(t *testing.T) {
-	s, _ := NewStore("main", objectstore.New(), 0)
+	objects := objectstore.New()
+	s, _ := NewStore("main", objects, 0)
 	p, _ := s.PutBytes([]byte("payload"))
 	// Delete behind the proxy's back; the first resolve already cached in
 	// the proxy? No — resolve happens lazily, so delete-then-resolve fails;
@@ -88,7 +94,7 @@ func TestProxyResolveOnce(t *testing.T) {
 	if _, err := p.Resolve(); err != nil {
 		t.Fatal(err)
 	}
-	s.Evict(p.Reference())
+	objects.Delete(p.Reference().Key)
 	if _, err := p.Resolve(); err != nil {
 		t.Errorf("memoized resolve failed: %v", err)
 	}
@@ -100,27 +106,6 @@ func TestProxyContentAddressing(t *testing.T) {
 	p2, _ := s.PutBytes([]byte("same"))
 	if p1.Reference().Key != p2.Reference().Key {
 		t.Error("identical content produced different keys")
-	}
-}
-
-func TestOwnedProxyEvictsOnResolve(t *testing.T) {
-	objects := objectstore.New()
-	s, _ := NewStore("main", objects, 1<<20)
-	p, err := s.PutOwned([]byte("one-shot"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := p.Reference().Key
-	if _, err := p.Resolve(); err != nil {
-		t.Fatal(err)
-	}
-	if objects.Exists(key) {
-		t.Error("owned target survived resolve")
-	}
-	// A second proxy to the same (now deleted) reference reports released.
-	p2 := &Proxy{ref: p.Reference(), store: s}
-	if _, err := p2.Resolve(); !errors.Is(err, ErrReleased) {
-		t.Errorf("err = %v, want ErrReleased", err)
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -65,18 +64,6 @@ func (r *Registry) Lookup(name string) (Callable, error) {
 	return fn, nil
 }
 
-// Names returns registered entrypoints in sorted order.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.funcs))
-	for n := range r.funcs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Invoke resolves name and calls it with the given arguments.
 func (r *Registry) Invoke(ctx context.Context, name string, args []json.RawMessage, kwargs map[string]json.RawMessage) (any, error) {
 	fn, err := r.Lookup(name)
@@ -84,27 +71,6 @@ func (r *Registry) Invoke(ctx context.Context, name string, args []json.RawMessa
 		return nil, err
 	}
 	return fn(ctx, args, kwargs)
-}
-
-// Func1 adapts a typed one-argument function into a Callable: the first
-// positional argument is decoded into A.
-func Func1[A any, R any](f func(ctx context.Context, a A) (R, error)) Callable {
-	return func(ctx context.Context, args []json.RawMessage, _ map[string]json.RawMessage) (any, error) {
-		var a A
-		if len(args) > 0 {
-			if err := json.Unmarshal(args[0], &a); err != nil {
-				return nil, fmt.Errorf("registry: argument 0: %w", err)
-			}
-		}
-		return f(ctx, a)
-	}
-}
-
-// Func0 adapts a zero-argument function into a Callable.
-func Func0[R any](f func(ctx context.Context) (R, error)) Callable {
-	return func(ctx context.Context, _ []json.RawMessage, _ map[string]json.RawMessage) (any, error) {
-		return f(ctx)
-	}
 }
 
 // Builtins returns a registry preloaded with the small function library the

@@ -12,6 +12,11 @@ func raw(v any) json.RawMessage {
 	return b
 }
 
+// constant returns a Callable that ignores its arguments and returns v.
+func constant(v int) Callable {
+	return func(context.Context, []json.RawMessage, map[string]json.RawMessage) (any, error) { return v, nil }
+}
+
 func TestRegisterLookupInvoke(t *testing.T) {
 	r := New()
 	err := r.Register("double", func(_ context.Context, args []json.RawMessage, _ map[string]json.RawMessage) (any, error) {
@@ -45,7 +50,7 @@ func TestLookupMissing(t *testing.T) {
 
 func TestRegisterValidation(t *testing.T) {
 	r := New()
-	if err := r.Register("", Func0(func(context.Context) (int, error) { return 0, nil })); err == nil {
+	if err := r.Register("", constant(0)); err == nil {
 		t.Error("empty name registered")
 	}
 	if err := r.Register("x", nil); err == nil {
@@ -55,62 +60,14 @@ func TestRegisterValidation(t *testing.T) {
 
 func TestReRegisterReplaces(t *testing.T) {
 	r := New()
-	r.Register("f", Func0(func(context.Context) (int, error) { return 1, nil }))
-	r.Register("f", Func0(func(context.Context) (int, error) { return 2, nil }))
+	r.Register("f", constant(1))
+	r.Register("f", constant(2))
 	got, err := r.Invoke(context.Background(), "f", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.(int) != 2 {
 		t.Errorf("Invoke = %v, want 2 (replacement)", got)
-	}
-}
-
-func TestNamesSorted(t *testing.T) {
-	r := New()
-	for _, n := range []string{"zeta", "alpha", "mid"} {
-		r.Register(n, Func0(func(context.Context) (int, error) { return 0, nil }))
-	}
-	names := r.Names()
-	want := []string{"alpha", "mid", "zeta"}
-	if len(names) != 3 {
-		t.Fatalf("Names = %v", names)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Errorf("Names[%d] = %s, want %s", i, names[i], want[i])
-		}
-	}
-}
-
-func TestFunc1Adapter(t *testing.T) {
-	r := New()
-	r.Register("upper", Func1(func(_ context.Context, s string) (string, error) {
-		out := make([]byte, len(s))
-		for i := range s {
-			c := s[i]
-			if c >= 'a' && c <= 'z' {
-				c -= 32
-			}
-			out[i] = c
-		}
-		return string(out), nil
-	}))
-	got, err := r.Invoke(context.Background(), "upper", []json.RawMessage{raw("abc")}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.(string) != "ABC" {
-		t.Errorf("got %v", got)
-	}
-	// Zero args: zero value decoded.
-	got, err = r.Invoke(context.Background(), "upper", nil, nil)
-	if err != nil || got.(string) != "" {
-		t.Errorf("no-arg invoke = %v, %v", got, err)
-	}
-	// Bad argument type surfaces an error.
-	if _, err := r.Invoke(context.Background(), "upper", []json.RawMessage{raw(3)}, nil); err == nil {
-		t.Error("type mismatch accepted")
 	}
 }
 

@@ -81,18 +81,6 @@ func (s *Scheduler) EnableFairshare(halflife time.Duration, weight float64) {
 	s.fairWeight = weight
 }
 
-// UserUsage reports a user's current decayed node-seconds (0 when
-// fairshare is disabled).
-func (s *Scheduler) UserUsage(user string) float64 {
-	s.mu.Lock()
-	fair := s.fair
-	s.mu.Unlock()
-	if fair == nil {
-		return 0
-	}
-	return fair.current(user)
-}
-
 // effectivePriorityLocked computes a job's queue rank under fairshare.
 func (s *Scheduler) effectivePriorityLocked(j *job) float64 {
 	p := float64(j.info.Spec.Priority)

@@ -21,7 +21,7 @@ func TestFairshareDemotesHeavyUser(t *testing.T) {
 	<-burnDone
 	// Wait until the usage charge lands (completion goroutine).
 	deadline := time.Now().Add(2 * time.Second)
-	for s.UserUsage("heavy") == 0 {
+	for s.fair.current("heavy") == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("usage never charged")
 		}
@@ -76,7 +76,7 @@ func TestFairshareDecay(t *testing.T) {
 func TestFairshareDisabledIsNeutral(t *testing.T) {
 	s := SimpleCluster(1)
 	defer s.Close()
-	if s.UserUsage("anyone") != 0 {
+	if s.fair != nil {
 		t.Error("usage tracked without fairshare")
 	}
 	// Priority ordering still works without fairshare (regression).

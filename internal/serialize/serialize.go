@@ -61,11 +61,6 @@ type Options struct {
 	Limit int
 }
 
-// DefaultOptions mirror the SDK defaults: JSON, gzip above 4 KiB, 10 MB cap.
-func DefaultOptions() Options {
-	return Options{Codec: CodecJSON, Compress: true, CompressAbove: 4 << 10, Limit: MaxPayload}
-}
-
 func (o Options) limit() int {
 	if o.Limit > 0 {
 		return o.Limit
@@ -167,22 +162,4 @@ func Decode(data []byte, v any) error {
 		return fmt.Errorf("serialize: unknown codec byte %q", codec)
 	}
 	return nil
-}
-
-// CheckLimit enforces the service payload cap on an already-encoded blob.
-func CheckLimit(data []byte) error {
-	if len(data) > MaxPayload {
-		return fmt.Errorf("%w (%d bytes)", ErrPayloadTooLarge, len(data))
-	}
-	return nil
-}
-
-// ShouldSpill reports whether an encoded payload should be written to the
-// object store rather than carried inline, given a threshold (<=0 selects
-// DefaultInlineThreshold).
-func ShouldSpill(data []byte, threshold int) bool {
-	if threshold <= 0 {
-		threshold = DefaultInlineThreshold
-	}
-	return len(data) > threshold
 }

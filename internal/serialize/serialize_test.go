@@ -8,6 +8,9 @@ import (
 	"testing/quick"
 )
 
+// sdkOptions are the SDK's: JSON, gzip above 4 KiB, the 10 MB cap.
+var sdkOptions = Options{Codec: CodecJSON, Compress: true, CompressAbove: 4 << 10}
+
 func TestJSONRoundTrip(t *testing.T) {
 	type payload struct {
 		Name  string
@@ -15,7 +18,7 @@ func TestJSONRoundTrip(t *testing.T) {
 		Tags  []string
 	}
 	in := payload{Name: "x", Count: 3, Tags: []string{"a", "b"}}
-	data, err := Encode(in, DefaultOptions())
+	data, err := Encode(in, sdkOptions)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +75,7 @@ func TestRawCodecTypeErrors(t *testing.T) {
 func TestCompressionApplied(t *testing.T) {
 	// Highly compressible payload well above the threshold must shrink.
 	in := strings.Repeat("abcdefgh", 4096) // 32 KiB
-	opts := DefaultOptions()
+	opts := sdkOptions
 	data, err := Encode(in, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -129,30 +132,6 @@ func TestPayloadLimitDefaultTenMB(t *testing.T) {
 	}
 }
 
-func TestCheckLimit(t *testing.T) {
-	if err := CheckLimit(make([]byte, 100)); err != nil {
-		t.Errorf("CheckLimit small = %v", err)
-	}
-	if err := CheckLimit(make([]byte, MaxPayload+1)); !errors.Is(err, ErrPayloadTooLarge) {
-		t.Errorf("CheckLimit big = %v, want ErrPayloadTooLarge", err)
-	}
-}
-
-func TestShouldSpill(t *testing.T) {
-	if ShouldSpill(make([]byte, 10), 100) {
-		t.Error("small payload should not spill")
-	}
-	if !ShouldSpill(make([]byte, 200), 100) {
-		t.Error("large payload should spill")
-	}
-	if ShouldSpill(make([]byte, DefaultInlineThreshold), 0) {
-		t.Error("at-threshold payload should not spill with defaults")
-	}
-	if !ShouldSpill(make([]byte, DefaultInlineThreshold+1), 0) {
-		t.Error("above-threshold payload should spill with defaults")
-	}
-}
-
 func TestDecodeErrors(t *testing.T) {
 	if err := Decode(nil, new(int)); err == nil {
 		t.Error("Decode(nil) succeeded")
@@ -193,7 +172,7 @@ func TestPropertyRawRoundTrip(t *testing.T) {
 
 func TestPropertyJSONStringRoundTrip(t *testing.T) {
 	f := func(s string) bool {
-		data, err := Encode(s, DefaultOptions())
+		data, err := Encode(s, sdkOptions)
 		if err != nil {
 			return false
 		}

@@ -81,13 +81,6 @@ func (s *Store) GetIdempotency(owner, key string) ([]protocol.UUID, bool) {
 	return append([]protocol.UUID(nil), rec.TaskIDs...), true
 }
 
-// CountIdempotency returns the number of recorded keys.
-func (s *Store) CountIdempotency() int {
-	s.idem.mu.RLock()
-	defer s.idem.mu.RUnlock()
-	return len(s.idem.m)
-}
-
 // PurgeIdempotencyBefore deletes idempotency records created before cutoff
 // (bounded retention, same policy shape as PurgeTasksBefore: a key only
 // guards against retries within the retention window). Returns the number

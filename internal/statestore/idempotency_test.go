@@ -53,8 +53,8 @@ func TestIdempotencySnapshotRoundtrip(t *testing.T) {
 	if !ok || len(got) != 1 || got[0] != ids[0] {
 		t.Fatalf("restored get = %v, %v", got, ok)
 	}
-	if s2.CountIdempotency() != 1 {
-		t.Fatalf("count = %d", s2.CountIdempotency())
+	if n := len(s2.idem.m); n != 1 {
+		t.Fatalf("count = %d", n)
 	}
 }
 

@@ -15,8 +15,9 @@ import (
 // rejected live (duplicate create, illegal transition) is rejected again on
 // replay and the exactly-one-terminal-state guarantee survives recovery.
 //
-// SetEndpointLoad is deliberately not journaled: load reports are ephemeral
-// telemetry refreshed by the next heartbeat, not state worth an fsync.
+// The load report SetEndpointHeartbeat carries is deliberately not
+// journaled: it is ephemeral telemetry refreshed by the next heartbeat, not
+// state worth an fsync.
 
 // MutationOp names a journaled statestore operation.
 type MutationOp string

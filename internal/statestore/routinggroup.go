@@ -101,10 +101,3 @@ func (s *Store) ListRoutingGroups(owner string) []RoutingGroupRecord {
 	}
 	return out
 }
-
-// CountRoutingGroups returns the number of registered routing groups.
-func (s *Store) CountRoutingGroups() int {
-	s.groups.mu.RLock()
-	defer s.groups.mu.RUnlock()
-	return len(s.groups.m)
-}

@@ -35,7 +35,7 @@ func TestRoutingGroupCRUD(t *testing.T) {
 	if len(got2.Members) != 3 || !got2.Created.Equal(got.Created) {
 		t.Fatalf("upsert: members=%d created %v vs %v", len(got2.Members), got2.Created, got.Created)
 	}
-	if n := s.CountRoutingGroups(); n != 1 {
+	if n := len(s.groups.m); n != 1 {
 		t.Fatalf("count = %d", n)
 	}
 	if l := s.ListRoutingGroups("alice"); len(l) != 1 {
@@ -171,7 +171,7 @@ func TestSetEndpointLoadStampsLoadAt(t *testing.T) {
 	if age := rec.LoadAge(t0); age != -1 {
 		t.Fatalf("LoadAge before any report = %v, want -1", age)
 	}
-	if err := s.SetEndpointLoad(ep, EndpointLoad{PendingTasks: 3}); err != nil {
+	if err := s.SetEndpointHeartbeat(ep, EndpointOnline, &EndpointLoad{PendingTasks: 3}); err != nil {
 		t.Fatal(err)
 	}
 	rec, _ = s.GetEndpoint(ep)

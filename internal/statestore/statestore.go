@@ -272,21 +272,6 @@ func (s *Store) SetEndpointStatus(id protocol.UUID, status EndpointStatus) error
 	return nil
 }
 
-// SetEndpointLoad records an agent's self-reported load, stamped with the
-// store clock so readers can tell a live report from a dead endpoint's last
-// words.
-func (s *Store) SetEndpointLoad(id protocol.UUID, load EndpointLoad) error {
-	s.epMu.Lock()
-	defer s.epMu.Unlock()
-	rec, ok := s.endpoints[id]
-	if !ok {
-		return fmt.Errorf("%w: endpoint %s", ErrNotFound, id)
-	}
-	rec.Load = &load
-	rec.LoadAt = s.now()
-	return nil
-}
-
 // SetEndpointHeartbeat records one heartbeat — liveness plus (optionally) the
 // agent's load report — under a single lock acquisition. At fleet scale the
 // heartbeat stream is the endpoint table's hottest writer; taking the lock

@@ -123,31 +123,6 @@ func unescape(s string) string {
 	return s
 }
 
-// Variables lists the distinct placeholder names in tmpl, in first-use
-// order.
-func Variables(tmpl string) []string {
-	seen := make(map[string]bool)
-	var names []string
-	for _, m := range placeholder.FindAllStringSubmatch(tmpl, -1) {
-		if !seen[m[1]] {
-			seen[m[1]] = true
-			names = append(names, m[1])
-		}
-	}
-	return names
-}
-
-// HasDefault reports whether the named variable carries a default filter
-// anywhere in tmpl.
-func HasDefault(tmpl, name string) bool {
-	for _, m := range placeholder.FindAllStringSubmatch(tmpl, -1) {
-		if m[1] == name && strings.Contains(m[2], "default") {
-			return true
-		}
-	}
-	return false
-}
-
 // PropType is a schema property type.
 type PropType string
 

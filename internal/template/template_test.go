@@ -114,27 +114,6 @@ func TestRenderWhitespaceVariants(t *testing.T) {
 	}
 }
 
-func TestVariables(t *testing.T) {
-	tmpl := `{{ A }} {{ B|default("x") }} {{ A }}`
-	vars := Variables(tmpl)
-	if len(vars) != 2 || vars[0] != "A" || vars[1] != "B" {
-		t.Errorf("Variables = %v", vars)
-	}
-	if len(Variables("no placeholders")) != 0 {
-		t.Error("found variables in plain text")
-	}
-}
-
-func TestHasDefault(t *testing.T) {
-	tmpl := `{{ A }} {{ B|default("x") }}`
-	if HasDefault(tmpl, "A") {
-		t.Error("A has no default")
-	}
-	if !HasDefault(tmpl, "B") {
-		t.Error("B has a default")
-	}
-}
-
 func TestSchemaValidateHappy(t *testing.T) {
 	min, max := 1.0, 128.0
 	s := Schema{Properties: map[string]Property{

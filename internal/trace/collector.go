@@ -163,7 +163,7 @@ func (c *Collector) Reset() {
 }
 
 // WriteJSONL exports retained spans oldest-first, one JSON object per line
-// — loadable by any trace tooling and by ReadJSONL.
+// — loadable by any trace tooling.
 func (c *Collector) WriteJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	for _, s := range c.Snapshot() {
@@ -172,21 +172,4 @@ func (c *Collector) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// ReadJSONL loads spans exported by WriteJSONL, e.g. to merge collections
-// from several processes before analysis.
-func ReadJSONL(r io.Reader) ([]Span, error) {
-	dec := json.NewDecoder(r)
-	var out []Span
-	for {
-		var s Span
-		if err := dec.Decode(&s); err != nil {
-			if err == io.EOF {
-				return out, nil
-			}
-			return out, err
-		}
-		out = append(out, s)
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -73,10 +74,10 @@ func TestTraceCompat(t *testing.T) {
 	if buf.String() != want {
 		t.Errorf("span JSONL\n got %s\nwant %s", buf.String(), want)
 	}
-	back, err := ReadJSONL(strings.NewReader(want))
+	back, err := readJSONL(strings.NewReader(want))
 	if err != nil || len(back) != 2 || back[1].Parent != tc.SpanID || back[0].TraceID != tc.TraceID ||
 		back[0].Attrs["endpoint"] != root.Attrs["endpoint"] || !back[0].Parent.IsZero() {
-		t.Errorf("ReadJSONL of the string-ID encoding: %v %+v", err, back)
+		t.Errorf("decode of the string-ID encoding: %v %+v", err, back)
 	}
 
 	// Malformed IDs in JSON: no context, no error.
@@ -152,5 +153,19 @@ func TestAttrLimits(t *testing.T) {
 	got := col.Snapshot()[0].Attrs
 	if len(got) != 4 || got["a"] != upper || got["d"] != "4" || got["e"] != "" {
 		t.Errorf("attrs = %v", got)
+	}
+}
+
+// readJSONL decodes spans written one JSON object per line.
+func readJSONL(r io.Reader) ([]Span, error) {
+	var out []Span
+	for dec := json.NewDecoder(r); ; {
+		var s Span
+		if err := dec.Decode(&s); err == io.EOF {
+			return out, nil
+		} else if err != nil {
+			return out, err
+		}
+		out = append(out, s)
 	}
 }

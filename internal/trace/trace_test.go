@@ -216,7 +216,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if err := c.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJSONL(&buf)
+	got, err := readJSONL(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package webservice
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -238,16 +237,4 @@ func (s *Server) handleDebugLogs(w http.ResponseWriter, r *http.Request) {
 		"total":   buf.Total(),
 		"records": buf.Search(q),
 	})
-}
-
-var errTracingDisabled = errors.New("webservice: tracing disabled")
-
-// AnalyzeTrace is the programmatic counterpart of /debug/traces?id=: it
-// analyzes one retained trace by ID.
-func (s *Service) AnalyzeTrace(id trace.TraceID) (trace.Summary, error) {
-	col := s.TraceCollector()
-	if col == nil {
-		return trace.Summary{}, errTracingDisabled
-	}
-	return trace.Analyze(col.Trace(id))
 }

@@ -358,7 +358,7 @@ type submitResponse struct {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, tok auth.Token) {
-	tasks, opts, err := ReadSubmitBody(r, s.svc.cfg.PayloadLimit)
+	tasks, opts, err := ReadSubmitBody(r, serialize.MaxPayload)
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return

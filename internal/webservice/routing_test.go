@@ -153,12 +153,12 @@ func TestRoutingGroupP2CPrefersIdle(t *testing.T) {
 	heavy, idle := members[0], members[1]
 
 	bl := 0
-	if err := f.store.SetEndpointLoad(heavy, statestore.EndpointLoad{
+	if err := f.store.SetEndpointHeartbeat(heavy, statestore.EndpointOnline, &statestore.EndpointLoad{
 		PendingTasks: 1000, TotalWorkers: 4, FreeWorkers: 0, EgressBacklog: &bl,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.store.SetEndpointLoad(idle, statestore.EndpointLoad{
+	if err := f.store.SetEndpointHeartbeat(idle, statestore.EndpointOnline, &statestore.EndpointLoad{
 		PendingTasks: 0, TotalWorkers: 4, FreeWorkers: 4, EgressBacklog: &bl,
 	}); err != nil {
 		t.Fatal(err)
@@ -198,12 +198,12 @@ func TestRoutingGroupRerouteOnBacklogShed(t *testing.T) {
 	shedding, ok := members[0], members[1]
 
 	big, zero := 100, 0
-	if err := f.store.SetEndpointLoad(shedding, statestore.EndpointLoad{
+	if err := f.store.SetEndpointHeartbeat(shedding, statestore.EndpointOnline, &statestore.EndpointLoad{
 		TotalWorkers: 4, EgressBacklog: &big,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.store.SetEndpointLoad(ok, statestore.EndpointLoad{
+	if err := f.store.SetEndpointHeartbeat(ok, statestore.EndpointOnline, &statestore.EndpointLoad{
 		TotalWorkers: 4, FreeWorkers: 4, EgressBacklog: &zero,
 	}); err != nil {
 		t.Fatal(err)
@@ -236,7 +236,7 @@ func TestRoutingGroupRerouteOnBacklogShed(t *testing.T) {
 
 	// Every member over threshold: the submission surfaces the shed as an
 	// overload, not a routing failure.
-	if err := f.store.SetEndpointLoad(ok, statestore.EndpointLoad{
+	if err := f.store.SetEndpointHeartbeat(ok, statestore.EndpointOnline, &statestore.EndpointLoad{
 		TotalWorkers: 4, EgressBacklog: &big,
 	}); err != nil {
 		t.Fatal(err)
@@ -260,7 +260,7 @@ func TestStaleLoadReportNotTrusted(t *testing.T) {
 	big := 100
 	past := time.Now().Add(-time.Minute)
 	f.store.SetClock(func() time.Time { return past })
-	if err := f.store.SetEndpointLoad(ep, statestore.EndpointLoad{TotalWorkers: 4, EgressBacklog: &big}); err != nil {
+	if err := f.store.SetEndpointHeartbeat(ep, statestore.EndpointOnline, &statestore.EndpointLoad{TotalWorkers: 4, EgressBacklog: &big}); err != nil {
 		t.Fatal(err)
 	}
 	f.store.SetClock(time.Now)
@@ -274,7 +274,7 @@ func TestStaleLoadReportNotTrusted(t *testing.T) {
 	}
 
 	// The same report, fresh, sheds.
-	if err := f.store.SetEndpointLoad(ep, statestore.EndpointLoad{TotalWorkers: 4, EgressBacklog: &big}); err != nil {
+	if err := f.store.SetEndpointHeartbeat(ep, statestore.EndpointOnline, &statestore.EndpointLoad{TotalWorkers: 4, EgressBacklog: &big}); err != nil {
 		t.Fatal(err)
 	}
 	var oe *OverloadError

@@ -62,9 +62,6 @@ type Config struct {
 	// InlineThreshold is the payload size above which payloads spill to
 	// the object store (default serialize.DefaultInlineThreshold).
 	InlineThreshold int
-	// PayloadLimit caps task/result payloads (default serialize.MaxPayload,
-	// the paper's 10 MB).
-	PayloadLimit int
 	// Tracer, when set, records submit and result-processing spans and
 	// propagates trace context onto published tasks and results. Nil
 	// disables tracing.
@@ -168,9 +165,6 @@ func New(cfg Config) (*Service, error) {
 	}
 	if cfg.InlineThreshold <= 0 {
 		cfg.InlineThreshold = serialize.DefaultInlineThreshold
-	}
-	if cfg.PayloadLimit <= 0 {
-		cfg.PayloadLimit = serialize.MaxPayload
 	}
 	if cfg.Log == nil {
 		cfg.Log = obs.Component("webservice")
@@ -914,7 +908,7 @@ func (s *Service) submitAdmitted(tok auth.Token, reqs []SubmitRequest, opts Subm
 			s.audit(tok.Identity.Username, "submit", ep.ID, ErrFunctionNotAllowed, string(req.FunctionID))
 			return nil, 0, fmt.Errorf("task %d: %w: %s", i, ErrFunctionNotAllowed, req.FunctionID)
 		}
-		if len(req.Payload) > s.cfg.PayloadLimit {
+		if len(req.Payload) > serialize.MaxPayload {
 			return nil, 0, fmt.Errorf("task %d: %w", i, serialize.ErrPayloadTooLarge)
 		}
 

@@ -36,9 +36,6 @@ type StackConfig struct {
 	// SnapshotEvery is the snapshot + log compaction cadence with DataDir
 	// (0 = durable.DefaultSnapshotEvery, <0 = no background snapshots).
 	SnapshotEvery time.Duration
-	// TraceCapacity sizes the span collector ring the service and broker
-	// share (0 = trace.DefaultCapacity).
-	TraceCapacity int
 
 	// HTTPAddr, BrokerAddr and ObjectsAddr are the listen addresses of the
 	// REST API, the broker and the object store. An empty HTTPAddr serves
@@ -92,7 +89,7 @@ type Stack struct {
 func OpenStack(cfg StackConfig) (_ *Stack, err error) {
 	st := &Stack{
 		Auth:   auth.NewService(),
-		Traces: trace.NewCollector(cfg.TraceCapacity),
+		Traces: trace.NewCollector(trace.DefaultCapacity),
 	}
 	defer func() {
 		if err != nil {

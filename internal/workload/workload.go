@@ -252,39 +252,6 @@ func GenerateDeployment(seed int64) Deployment {
 	return Deployment{SingleUser: single, UEPsPerMEP: ueps}
 }
 
-// --- production-scale projections ---
-
-// ScaleToPeak rescales a day series so its raw peak hits targetPeak tasks/day
-// — the projection knob that grows the paper's 100k-clipped trace toward the
-// millions-per-day regime the scenario harness loads against. Display values
-// are the raw values (no truncation: the point of scaling up is to see the
-// peak), and Truncated marks days that exceeded the paper's original display
-// cap so the provenance stays visible.
-func ScaleToPeak(trace []DayCount, targetPeak int) []DayCount {
-	if len(trace) == 0 || targetPeak <= 0 {
-		return nil
-	}
-	peak := 0
-	for _, d := range trace {
-		if d.RawTasks > peak {
-			peak = d.RawTasks
-		}
-	}
-	if peak == 0 {
-		return nil
-	}
-	scale := float64(targetPeak) / float64(peak)
-	out := make([]DayCount, len(trace))
-	for i, d := range trace {
-		raw := int(float64(d.RawTasks) * scale)
-		out[i] = DayCount{
-			Date: d.Date, Tasks: raw, RawTasks: raw,
-			Truncated: raw > Fig2Truncation,
-		}
-	}
-	return out
-}
-
 // TenantRate is one tenant's share of an offered load: a stable name and a
 // per-second submit rate. The scenario harness (gc-loadgen) uses a slice of
 // these as its tenant mix.
@@ -317,73 +284,6 @@ func TenantRates(seed int64, n int, totalPerSec, s float64) []TenantRate {
 		out[i] = TenantRate{
 			Name:       fmt.Sprintf("tenant-%02d", i),
 			RatePerSec: totalPerSec * w / wsum,
-		}
-	}
-	return out
-}
-
-// DayRatePerSec converts a tasks-per-day count into the steady per-second
-// submit rate that would produce it — how a scaled trace day maps onto a
-// loadgen profile's base RPS.
-func DayRatePerSec(tasksPerDay int) float64 {
-	return float64(tasksPerDay) / (24 * 60 * 60)
-}
-
-// --- benchmark workload generators ---
-
-// Arrival is one task arrival offset from the workload start.
-type Arrival struct {
-	At time.Duration
-	// SizeBytes is the task payload size.
-	SizeBytes int
-	// DurationMS is the simulated task execution time.
-	DurationMS float64
-}
-
-// ArrivalConfig tunes a generated stream.
-type ArrivalConfig struct {
-	Seed int64
-	// Count is the number of tasks.
-	Count int
-	// RatePerSec is the mean Poisson arrival rate.
-	RatePerSec float64
-	// Burstiness > 0 adds exponential bursts (0 = pure Poisson).
-	Burstiness float64
-	// MeanSizeBytes is the lognormal payload size center (default 1 KiB).
-	MeanSizeBytes int
-	// MeanDurationMS is the exponential task duration mean (default 10ms).
-	MeanDurationMS float64
-}
-
-// PoissonArrivals generates a deterministic arrival stream.
-func PoissonArrivals(cfg ArrivalConfig) []Arrival {
-	if cfg.Count <= 0 {
-		return nil
-	}
-	if cfg.RatePerSec <= 0 {
-		cfg.RatePerSec = 100
-	}
-	if cfg.MeanSizeBytes <= 0 {
-		cfg.MeanSizeBytes = 1024
-	}
-	if cfg.MeanDurationMS <= 0 {
-		cfg.MeanDurationMS = 10
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	out := make([]Arrival, cfg.Count)
-	var clock time.Duration
-	for i := range out {
-		gap := rng.ExpFloat64() / cfg.RatePerSec
-		if cfg.Burstiness > 0 && rng.Float64() < 0.1 {
-			gap /= 1 + cfg.Burstiness*rng.ExpFloat64()
-		}
-		clock += time.Duration(gap * float64(time.Second))
-		// Lognormal sizes: most tasks small, a heavy tail of large ones.
-		size := float64(cfg.MeanSizeBytes) * math.Exp(rng.NormFloat64()*0.8)
-		out[i] = Arrival{
-			At:         clock,
-			SizeBytes:  int(size) + 1,
-			DurationMS: rng.ExpFloat64() * cfg.MeanDurationMS,
 		}
 	}
 	return out

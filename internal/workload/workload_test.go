@@ -131,48 +131,6 @@ func TestDeploymentMatchesPaperAggregates(t *testing.T) {
 	}
 }
 
-func TestPoissonArrivals(t *testing.T) {
-	arr := PoissonArrivals(ArrivalConfig{Seed: 1, Count: 1000, RatePerSec: 100})
-	if len(arr) != 1000 {
-		t.Fatalf("count = %d", len(arr))
-	}
-	// Monotone non-decreasing times.
-	for i := 1; i < len(arr); i++ {
-		if arr[i].At < arr[i-1].At {
-			t.Fatalf("time went backwards at %d", i)
-		}
-	}
-	// Mean rate roughly matches (1000 tasks at 100/s ~ 10s span).
-	span := arr[len(arr)-1].At.Seconds()
-	if span < 5 || span > 20 {
-		t.Errorf("span = %fs, want ~10s", span)
-	}
-	// Sizes and durations positive.
-	for _, a := range arr {
-		if a.SizeBytes <= 0 || a.DurationMS < 0 {
-			t.Fatalf("bad arrival %+v", a)
-		}
-	}
-}
-
-func TestPoissonArrivalsEmptyAndDefaults(t *testing.T) {
-	if got := PoissonArrivals(ArrivalConfig{}); got != nil {
-		t.Errorf("zero count = %v", got)
-	}
-	arr := PoissonArrivals(ArrivalConfig{Seed: 2, Count: 10})
-	if len(arr) != 10 {
-		t.Errorf("defaults produced %d", len(arr))
-	}
-}
-
-func TestBurstinessCompressesGaps(t *testing.T) {
-	smooth := PoissonArrivals(ArrivalConfig{Seed: 5, Count: 5000, RatePerSec: 100})
-	bursty := PoissonArrivals(ArrivalConfig{Seed: 5, Count: 5000, RatePerSec: 100, Burstiness: 20})
-	if bursty[len(bursty)-1].At >= smooth[len(smooth)-1].At {
-		t.Error("burstiness did not compress the arrival span")
-	}
-}
-
 func TestMPISpecs(t *testing.T) {
 	specs := MPISpecs(1, 500, 8)
 	if len(specs) != 500 {
@@ -205,38 +163,6 @@ func TestFormatDay(t *testing.T) {
 	d.Tasks = Fig2Truncation
 	if got := FormatDay(d); got != "2023-05-01,100000,truncated" {
 		t.Errorf("got %q", got)
-	}
-}
-
-func TestScaleToPeakMillionsPerDay(t *testing.T) {
-	trace := Fig2Trace(Fig2Config{Seed: 7})
-	const target = 3_000_000
-	scaled := ScaleToPeak(trace, target)
-	if len(scaled) != len(trace) {
-		t.Fatalf("scaled %d days, want %d", len(scaled), len(trace))
-	}
-	peak := 0
-	for _, d := range scaled {
-		if d.Tasks != d.RawTasks {
-			t.Fatalf("scaled traces must not truncate: %+v", d)
-		}
-		if d.Tasks > peak {
-			peak = d.Tasks
-		}
-		if d.RawTasks > Fig2Truncation && !d.Truncated {
-			t.Fatalf("day over the paper's display cap not marked: %+v", d)
-		}
-	}
-	// Integer rounding can shave a task or two off the exact target.
-	if peak < target-len(scaled) || peak > target {
-		t.Fatalf("peak = %d, want ~%d", peak, target)
-	}
-	// A 3M-task day is ~35 submits/s sustained.
-	if rps := DayRatePerSec(peak); rps < 34 || rps > 35 {
-		t.Fatalf("DayRatePerSec(peak) = %v, want ~34.7", rps)
-	}
-	if ScaleToPeak(nil, target) != nil || ScaleToPeak(trace, 0) != nil {
-		t.Fatal("degenerate inputs must return nil")
 	}
 }
 
