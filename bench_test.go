@@ -545,7 +545,7 @@ func BenchmarkStateStoreTaskLifecycle(b *testing.B) {
 
 func BenchmarkFig2TraceGeneration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		trace := workload.Fig2Trace(workload.Fig2Config{Seed: int64(i)})
+		trace := workload.Fig2Trace(int64(i))
 		if len(trace) == 0 {
 			b.Fatal("empty trace")
 		}

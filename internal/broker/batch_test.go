@@ -360,13 +360,13 @@ func TestReconnectingBatchedConnSurvivesRestart(t *testing.T) {
 	addr := s.Addr()
 
 	var loseReply atomic.Bool
-	rc, err := NewReconnecting(ReconnectConfig{Dial: func() (Conn, error) {
+	rc, err := NewReconnecting(func() (Conn, error) {
 		c, err := dialBatching(addr, 16)
 		if err != nil {
 			return nil, err
 		}
 		return replyLossConn{c.AsConn(), &loseReply}, nil
-	}})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

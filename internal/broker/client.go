@@ -169,11 +169,6 @@ func (c *Client) PublishBatch(queue string, bodies [][]byte, traces []trace.Cont
 	return c.call(protocol.EnvPublishBatch, &publishBatchBody{Queue: queue, Bodies: bodies, Traces: traces})
 }
 
-// ping round-trips a heartbeat.
-func (c *Client) ping() error {
-	return c.call(protocol.EnvHeartbeat, nil)
-}
-
 // Delete removes a queue on the remote broker, dropping its messages and
 // closing its consumers.
 func (c *Client) Delete(queue string) error {

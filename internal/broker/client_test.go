@@ -3,7 +3,14 @@ package broker
 import (
 	"runtime"
 	"testing"
+
+	"globuscompute/internal/protocol"
 )
+
+// ping round-trips a heartbeat.
+func (c *Client) ping() error {
+	return c.call(protocol.EnvHeartbeat, nil)
+}
 
 // TestCallReleasesItsTimer pins that a request/reply exchange leaves nothing
 // behind once it returns. Each call arms a 30 s reply timeout; under go.mod's

@@ -22,19 +22,17 @@ func Connect(addr, caPath string) (*ReconnectingConn, error) {
 			return nil, fmt.Errorf("broker: CA %s: %w", caPath, err)
 		}
 	}
-	return NewReconnecting(ReconnectConfig{
-		Dial: func() (Conn, error) {
-			var bc *Client
-			var err error
-			if roots == nil {
-				bc, err = Dial(addr)
-			} else {
-				bc, err = DialTLS(addr, roots)
-			}
-			if err != nil {
-				return nil, err
-			}
-			return bc.AsConn(), nil
-		},
+	return NewReconnecting(func() (Conn, error) {
+		var bc *Client
+		var err error
+		if roots == nil {
+			bc, err = Dial(addr)
+		} else {
+			bc, err = DialTLS(addr, roots)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return bc.AsConn(), nil
 	})
 }

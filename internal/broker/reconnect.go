@@ -13,27 +13,18 @@ import (
 	"globuscompute/internal/trace"
 )
 
-// ReconnectConfig assembles a ReconnectingConn.
-type ReconnectConfig struct {
-	// Dial establishes a fresh broker connection (required). It is invoked
-	// for the initial connection and again after every detected loss.
-	Dial func() (Conn, error)
-	// BaseDelay seeds the exponential backoff between reconnect attempts
-	// (default 25ms).
-	BaseDelay time.Duration
-	// MaxDelay caps the backoff (default 2s).
-	MaxDelay time.Duration
-	// PublishAttempts bounds attempts per publish/declare/delete operation,
-	// counting the first try (default 6). Subscription re-establishment is
-	// not bounded: a consumer stream retries until Close.
-	PublishAttempts int
-	// Seed seeds the backoff jitter so fault-injection runs reproduce
-	// (default 1).
-	Seed int64
-	// Metrics receives the reconnects / resubscribes / publish_retries
-	// counters (default: a private registry).
-	Metrics *metrics.Registry
-}
+// The backoff a ReconnectingConn ships with: jittered exponential delays
+// between reconnect attempts, starting at reconnectBaseDelay and capped at
+// reconnectMaxDelay; publishAttempts bounds the tries of one
+// publish/declare/delete operation, counting the first. Subscription
+// re-establishment is not bounded: a consumer stream retries until Close.
+// The jitter source has a fixed seed so fault-injection runs reproduce.
+const (
+	reconnectBaseDelay = 25 * time.Millisecond
+	reconnectMaxDelay  = 2 * time.Second
+	publishAttempts    = 6
+	reconnectSeed      = 1
+)
 
 // ReconnectingConn is a broker Conn that survives connection loss: failed
 // operations redial with jittered exponential backoff, and subscriptions
@@ -47,7 +38,7 @@ type ReconnectConfig struct {
 // message is simply redelivered. Consumers must therefore tolerate
 // duplicate deliveries (all consumers in this codebase do).
 type ReconnectingConn struct {
-	cfg ReconnectConfig
+	dial func() (Conn, error)
 
 	// dialMu serializes redials so concurrent failing operations trigger
 	// one reconnect, not a thundering herd.
@@ -64,32 +55,19 @@ type ReconnectingConn struct {
 	Metrics *metrics.Registry
 }
 
-// NewReconnecting validates cfg and returns a connection that dials lazily
-// on first use.
-func NewReconnecting(cfg ReconnectConfig) (*ReconnectingConn, error) {
-	if cfg.Dial == nil {
+// NewReconnecting returns a connection that dials lazily on first use. dial
+// establishes a fresh broker connection; it is invoked for the initial
+// connection and again after every detected loss. The reconnects,
+// resubscribes and publish_retries counters land in Metrics.
+func NewReconnecting(dial func() (Conn, error)) (*ReconnectingConn, error) {
+	if dial == nil {
 		return nil, errors.New("broker: reconnect dial function required")
 	}
-	if cfg.BaseDelay <= 0 {
-		cfg.BaseDelay = 25 * time.Millisecond
-	}
-	if cfg.MaxDelay <= 0 {
-		cfg.MaxDelay = 2 * time.Second
-	}
-	if cfg.PublishAttempts <= 0 {
-		cfg.PublishAttempts = 6
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = metrics.NewRegistry()
-	}
 	return &ReconnectingConn{
-		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		dial:    dial,
+		rng:     rand.New(rand.NewSource(reconnectSeed)),
 		done:    make(chan struct{}),
-		Metrics: cfg.Metrics,
+		Metrics: metrics.NewRegistry(),
 	}, nil
 }
 
@@ -117,9 +95,9 @@ func (r *ReconnectingConn) Close() {
 // backoff returns the jittered delay before retry attempt n (full jitter:
 // uniform in [delay/2, delay]).
 func (r *ReconnectingConn) backoff(attempt int) time.Duration {
-	d := r.cfg.BaseDelay << uint(attempt)
-	if d <= 0 || d > r.cfg.MaxDelay {
-		d = r.cfg.MaxDelay
+	d := reconnectBaseDelay << uint(attempt)
+	if d <= 0 || d > reconnectMaxDelay {
+		d = reconnectMaxDelay
 	}
 	r.mu.Lock()
 	j := time.Duration(r.rng.Int63n(int64(d)/2 + 1))
@@ -160,7 +138,7 @@ func (r *ReconnectingConn) conn(staleGen, attempts int) (Conn, int, error) {
 			case <-time.After(r.backoff(attempt - 1)):
 			}
 		}
-		c, err := r.cfg.Dial()
+		c, err := r.dial()
 		if err != nil {
 			lastErr = err
 			continue
@@ -216,7 +194,7 @@ func transientBrokerErr(err error) bool {
 func (r *ReconnectingConn) op(name string, f func(Conn) error) error {
 	stale := -1
 	var lastErr error
-	for attempt := 0; attempt < r.cfg.PublishAttempts; attempt++ {
+	for attempt := 0; attempt < publishAttempts; attempt++ {
 		if attempt > 0 {
 			r.Metrics.Counter("publish_retries").Inc()
 			select {
@@ -243,7 +221,7 @@ func (r *ReconnectingConn) op(name string, f func(Conn) error) error {
 		}
 		return nil
 	}
-	return fmt.Errorf("broker: %s gave up after %d attempts: %w", name, r.cfg.PublishAttempts, lastErr)
+	return fmt.Errorf("broker: %s gave up after %d attempts: %w", name, publishAttempts, lastErr)
 }
 
 func (r *ReconnectingConn) Declare(queue string) error {
@@ -277,7 +255,7 @@ func (r *ReconnectingConn) Subscribe(queue string, prefetch int) (Subscription, 
 		out:      make(chan Message, prefetch+1),
 		done:     make(chan struct{}),
 	}
-	if err := s.attach(-1, r.cfg.PublishAttempts); err != nil {
+	if err := s.attach(-1, publishAttempts); err != nil {
 		return nil, err
 	}
 	r.mu.Lock()

@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// dialConn adapts Dial to a ReconnectConfig.Dial function.
+// dialConn adapts Dial to a NewReconnecting dial function.
 func dialConn(addr string) func() (Conn, error) {
 	return func() (Conn, error) {
 		c, err := Dial(addr)
@@ -28,7 +28,7 @@ func TestReconnectingConnSurvivesServerRestart(t *testing.T) {
 	}
 	addr := s.Addr()
 
-	rc, err := NewReconnecting(ReconnectConfig{Dial: dialConn(addr)})
+	rc, err := NewReconnecting(dialConn(addr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,12 +100,7 @@ func TestReconnectingConnSurvivesServerRestart(t *testing.T) {
 
 func TestReconnectingConnPublishGivesUp(t *testing.T) {
 	// Dead dial target: bounded publish attempts must fail, not hang.
-	rc, err := NewReconnecting(ReconnectConfig{
-		Dial:            func() (Conn, error) { return nil, errors.New("connection refused") },
-		BaseDelay:       time.Millisecond,
-		MaxDelay:        2 * time.Millisecond,
-		PublishAttempts: 3,
-	})
+	rc, err := NewReconnecting(func() (Conn, error) { return nil, errors.New("connection refused") })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,17 +115,15 @@ func TestReconnectingConnPublishGivesUp(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("publish never returned")
 	}
-	if v := rc.Metrics.Counter("publish_retries").Value(); v != 2 {
-		t.Errorf("publish_retries = %d, want 2", v)
+	if v := rc.Metrics.Counter("publish_retries").Value(); v != publishAttempts-1 {
+		t.Errorf("publish_retries = %d, want %d", v, publishAttempts-1)
 	}
 }
 
 func TestReconnectingConnNonTransientErrorNotRetried(t *testing.T) {
 	b := New()
 	defer b.Close()
-	rc, err := NewReconnecting(ReconnectConfig{
-		Dial: func() (Conn, error) { return LocalConn(b), nil },
-	})
+	rc, err := NewReconnecting(func() (Conn, error) { return LocalConn(b), nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,14 +139,9 @@ func TestReconnectingConnNonTransientErrorNotRetried(t *testing.T) {
 }
 
 func TestReconnectingConnCloseUnblocks(t *testing.T) {
-	rc, err := NewReconnecting(ReconnectConfig{
-		Dial:      func() (Conn, error) { return nil, fmt.Errorf("connection refused") },
-		BaseDelay: 50 * time.Millisecond,
-		MaxDelay:  time.Second,
-		// High attempt count: without Close the publish would spin for a
-		// long while.
-		PublishAttempts: 1000,
-	})
+	// The shipped backoff keeps a publish retrying for well over the 20ms
+	// before Close.
+	rc, err := NewReconnecting(func() (Conn, error) { return nil, fmt.Errorf("connection refused") })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,17 +196,15 @@ func TestReconnectKeepsNegotiatedCodec(t *testing.T) {
 		defer mu.Unlock()
 		return clients[len(clients)-1]
 	}
-	rc, err := NewReconnecting(ReconnectConfig{
-		Dial: func() (Conn, error) {
-			c, err := Dial(s.Addr())
-			if err != nil {
-				return nil, err
-			}
-			mu.Lock()
-			clients = append(clients, c)
-			mu.Unlock()
-			return c.AsConn(), nil
-		},
+	rc, err := NewReconnecting(func() (Conn, error) {
+		c, err := Dial(s.Addr())
+		if err != nil {
+			return nil, err
+		}
+		mu.Lock()
+		clients = append(clients, c)
+		mu.Unlock()
+		return c.AsConn(), nil
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -33,7 +33,7 @@ const chaosSeed = 42
 func startChaosEndpoint(t *testing.T, tb *core.Testbed, inj *chaos.Injector, cf chaos.ConnFaults,
 	rf chaos.RunnerFaults, maxAttempts int, under func(broker.Conn) broker.Conn) (protocol.UUID, *metrics.Registry) {
 	t.Helper()
-	brokerMetrics := metrics.NewRegistry()
+	var brokerMetrics *metrics.Registry
 	epID, err := tb.StartEndpoint(core.EndpointOptions{
 		Name: "chaos-suite-ep", Owner: "chaos", Workers: 4, MaxBlocks: 1,
 		MaxAttempts: maxAttempts,
@@ -44,19 +44,14 @@ func startChaosEndpoint(t *testing.T, tb *core.Testbed, inj *chaos.Injector, cf 
 			if under != nil {
 				inner = under(inner)
 			}
-			rc, err := broker.NewReconnecting(broker.ReconnectConfig{
-				Dial: func() (broker.Conn, error) {
-					return chaos.WrapConn(inner, inj, cf), nil
-				},
-				BaseDelay: time.Millisecond,
-				MaxDelay:  20 * time.Millisecond,
-				Seed:      chaosSeed,
-				Metrics:   brokerMetrics,
+			rc, err := broker.NewReconnecting(func() (broker.Conn, error) {
+				return chaos.WrapConn(inner, inj, cf), nil
 			})
 			if err != nil {
 				t.Errorf("reconnecting conn: %v", err)
 				return inner
 			}
+			brokerMetrics = rc.Metrics
 			return rc
 		},
 	})
@@ -101,7 +96,7 @@ func TestChaosSuiteDeliveryGuarantees(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos test skipped in -short mode")
 	}
-	tb, err := core.NewTestbed(core.Options{ClusterNodes: 2, DisableHTTP: true})
+	tb, err := core.NewTestbed(core.Options{ClusterNodes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,19 +260,13 @@ func TestChaosExecutorStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj := chaos.NewInjector(chaosSeed)
-	connMetrics := metrics.NewRegistry()
-	conn, err := broker.NewReconnecting(broker.ReconnectConfig{
-		Dial: func() (broker.Conn, error) {
-			return chaos.WrapConn(s.conn, inj, chaos.ConnFaults{DropRate: 0.02}), nil
-		},
-		BaseDelay: time.Millisecond,
-		MaxDelay:  20 * time.Millisecond,
-		Seed:      chaosSeed,
-		Metrics:   connMetrics,
+	conn, err := broker.NewReconnecting(func() (broker.Conn, error) {
+		return chaos.WrapConn(s.conn, inj, chaos.ConnFaults{DropRate: 0.02}), nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	connMetrics := conn.Metrics
 	t.Cleanup(conn.Close)
 	s.client.HTTP = &http.Client{Timeout: 30 * time.Second, Transport: &chaos.RoundTripper{
 		Inj: inj, Faults: chaos.HTTPFaults{ErrorRate: 0.05, ServerErrorRate: 0.05},
@@ -409,7 +398,7 @@ func TestChaosSuiteExercisesBatchedPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos test skipped in -short mode")
 	}
-	tb, err := core.NewTestbed(core.Options{ClusterNodes: 2, DisableHTTP: true})
+	tb, err := core.NewTestbed(core.Options{ClusterNodes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

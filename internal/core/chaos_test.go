@@ -20,7 +20,7 @@ func TestChaosAgentRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos test skipped in -short mode")
 	}
-	tb, err := core.NewTestbed(core.Options{ClusterNodes: 2, DisableHTTP: true})
+	tb, err := core.NewTestbed(core.Options{ClusterNodes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,10 +19,8 @@ type MEPOptions struct {
 	// Mapper authorizes identities (required).
 	Mapper idmap.Mapper
 	// Template is the admin configuration template; empty selects
-	// DefaultMEPTemplate.
+	// DefaultMEPTemplate. User values are validated by DefaultMEPSchema.
 	Template string
-	// Schema validates user values; zero value selects DefaultMEPSchema.
-	Schema template.Schema
 	// IdleTimeout reaps idle user endpoints.
 	IdleTimeout time.Duration
 	// SandboxRoot hosts ShellFunction sandboxes in children.
@@ -67,9 +65,6 @@ func (tb *Testbed) StartMEP(opts MEPOptions) (protocol.UUID, *mep.Manager, error
 	if opts.Template == "" {
 		opts.Template = DefaultMEPTemplate
 	}
-	if opts.Schema.Properties == nil {
-		opts.Schema = DefaultMEPSchema()
-	}
 	mepID, err := tb.Service.RegisterEndpoint(webservice.RegisterEndpointRequest{
 		Name: opts.Name, Owner: opts.Owner, MultiUser: true,
 	})
@@ -81,7 +76,7 @@ func (tb *Testbed) StartMEP(opts MEPOptions) (protocol.UUID, *mep.Manager, error
 		Conn:        broker.LocalConn(tb.Broker),
 		Mapper:      opts.Mapper,
 		Template:    opts.Template,
-		Schema:      opts.Schema,
+		Schema:      DefaultMEPSchema(),
 		IdleTimeout: opts.IdleTimeout,
 		Spawn:       tb.mepSpawner(opts),
 		Heartbeat: func(online bool) {

@@ -42,11 +42,8 @@ func TestObsSmokeFleetPipeline(t *testing.T) {
 	}
 	tb, err := core.NewTestbed(core.Options{
 		ClusterNodes: 2,
-		FleetConfig: obs.FleetConfig{
-			RingPoints: 240, StaleAfter: 400 * time.Millisecond,
-			HealthWindow: 2 * time.Second,
-		},
-		SLORules: rules,
+		FleetConfig:  obs.FleetConfig{RingPoints: 240, StaleAfter: 400 * time.Millisecond},
+		SLORules:     rules,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,7 @@ import (
 )
 
 func TestStartMEPRequiresMapper(t *testing.T) {
-	tb, err := core.NewTestbed(core.Options{ClusterNodes: 2, DisableHTTP: true})
+	tb, err := core.NewTestbed(core.Options{ClusterNodes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ func TestManyEndpointsScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale test skipped in -short mode")
 	}
-	tb, err := core.NewTestbed(core.Options{ClusterNodes: 4, DisableHTTP: true})
+	tb, err := core.NewTestbed(core.Options{ClusterNodes: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,14 +105,11 @@ func TestManyEndpointsScale(t *testing.T) {
 
 // TestTestbedMiscSurfaces covers the small testbed helpers.
 func TestTestbedMiscSurfaces(t *testing.T) {
-	tb, err := core.NewTestbed(core.Options{ClusterNodes: 2, DisableHTTP: true})
+	tb, err := core.NewTestbed(core.Options{ClusterNodes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tb.Close()
-	if tb.ServiceAddr() != "" {
-		t.Error("ServiceAddr non-empty without HTTP")
-	}
 	if s := tb.String(); s == "" {
 		t.Error("empty String()")
 	}

@@ -30,13 +30,10 @@ import (
 	"globuscompute/internal/webservice"
 )
 
-// Options configures a testbed.
+// Options configures a testbed. The broker is served over TCP and the
+// object store and web service over HTTP even for in-process use, matching
+// the real deployment.
 type Options struct {
-	// DisableHTTP skips the listeners: by default the broker is served over
-	// TCP and the object store and web service over HTTP even for
-	// in-process use, matching the real deployment; turn them off for
-	// microbenchmarks.
-	DisableHTTP bool
 	// ClusterNodes sizes the simulated batch cluster (default 8).
 	ClusterNodes int
 	// FleetConfig tunes the fleet metrics store (ring sizes, staleness
@@ -53,7 +50,7 @@ type Options struct {
 }
 
 // Testbed is a running deployment: the cloud-side stack gc-webservice runs
-// (Auth, Store, Broker, Objects, Service, Traces and, unless DisableHTTP, the
+// (Auth, Store, Broker, Objects, Service, Traces and the
 // HTTP/BrokerSrv/ObjectsSrv listeners) plus the endpoint side.
 type Testbed struct {
 	*webservice.Stack
@@ -69,18 +66,15 @@ func NewTestbed(opts Options) (*Testbed, error) {
 	if opts.ClusterNodes <= 0 {
 		opts.ClusterNodes = 8
 	}
-	cfg := webservice.StackConfig{
+	stack, err := webservice.OpenStack(webservice.StackConfig{
 		Service: webservice.Config{
 			Fleet:      obs.NewFleetStore(opts.FleetConfig),
 			SLORules:   opts.SLORules,
 			Admission:  opts.Admission,
 			QueueLimit: opts.QueueLimit,
 		},
-	}
-	if !opts.DisableHTTP {
-		cfg.HTTPAddr, cfg.BrokerAddr, cfg.ObjectsAddr = "127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0"
-	}
-	stack, err := webservice.OpenStack(cfg)
+		HTTPAddr: "127.0.0.1:0", BrokerAddr: "127.0.0.1:0", ObjectsAddr: "127.0.0.1:0",
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -295,13 +289,8 @@ func workersPerNode(opts EndpointOptions) int {
 	return 1
 }
 
-// ServiceAddr returns the REST API address (requires HTTP mode).
-func (tb *Testbed) ServiceAddr() string {
-	if tb.HTTP == nil {
-		return ""
-	}
-	return tb.HTTP.Addr()
-}
+// ServiceAddr returns the REST API address.
+func (tb *Testbed) ServiceAddr() string { return tb.HTTP.Addr() }
 
 // Close shuts everything down in dependency order.
 func (tb *Testbed) Close() {
@@ -324,9 +313,6 @@ func (tb *Testbed) Close() {
 
 // String summarizes the deployment.
 func (tb *Testbed) String() string {
-	mode := "in-process"
-	if tb.HTTP != nil {
-		mode = fmt.Sprintf("http=%s broker=%s objects=%s", tb.HTTP.Addr(), tb.BrokerSrv.Addr(), tb.ObjectsSrv.Addr())
-	}
-	return fmt.Sprintf("testbed(%s, endpoints=%d)", mode, len(tb.agents))
+	return fmt.Sprintf("testbed(http=%s broker=%s objects=%s, endpoints=%d)",
+		tb.HTTP.Addr(), tb.BrokerSrv.Addr(), tb.ObjectsSrv.Addr(), len(tb.agents))
 }

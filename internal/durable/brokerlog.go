@@ -28,16 +28,15 @@ type BrokerOptions struct {
 	// SnapshotEvery is the snapshot + compaction cadence (default
 	// DefaultSnapshotEvery; <0 disables the background loop).
 	SnapshotEvery time.Duration
-	// NoSync disables fsync.
-	NoSync bool
 	// Metrics receives the WAL gauges plus broker_snapshot_age_seconds and
 	// broker_wal_replay (exported ..._seconds). Nil uses a private registry.
 	Metrics *metrics.Registry
 	// Tracer records recovery as a "durable.broker_replay" span. Nil
 	// disables.
 	Tracer *trace.Tracer
-	// Log receives the recovery summary line. Nil uses the default pipeline.
-	Log *obs.Logger
+
+	// noSync disables fsync; this package's tests set it.
+	noSync bool
 }
 
 // ackWindow is how long acks are held back so that those arriving together
@@ -106,7 +105,7 @@ func OpenBroker(opts BrokerOptions) (*BrokerLog, error) {
 
 	wal, err := OpenWAL(WALOptions{
 		Dir:     filepath.Join(opts.Dir, brokerWALDir),
-		NoSync:  opts.NoSync,
+		noSync:  opts.noSync,
 		Metrics: opts.Metrics,
 	})
 	if err != nil {
@@ -222,11 +221,7 @@ func OpenBroker(opts BrokerOptions) (*BrokerLog, error) {
 		"records", fmt.Sprint(n),
 		"queues", fmt.Sprint(queues),
 		"messages", fmt.Sprint(messages))
-	logger := opts.Log
-	if logger == nil {
-		logger = obs.Component("durable")
-	}
-	logger.Info("broker recovery complete",
+	obs.Component("durable").Info("broker recovery complete",
 		"snapshot", restored,
 		"snapshot_lsn", snap.AppliedLSN,
 		"wal_records", n,

@@ -156,7 +156,7 @@ func TestBrokerDeleteJournaled(t *testing.T) {
 // keeps journaling onto it.
 func TestBrokerReplaysJSONRecords(t *testing.T) {
 	dir := t.TempDir()
-	w, err := OpenWAL(WALOptions{Dir: filepath.Join(dir, brokerWALDir), NoSync: true})
+	w, err := OpenWAL(WALOptions{Dir: filepath.Join(dir, brokerWALDir), noSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}

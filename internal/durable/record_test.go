@@ -191,7 +191,7 @@ func FuzzWALRecord(f *testing.F) {
 		// that byte flipped. Replay must hand back, intact, exactly the
 		// records that end before the damage.
 		dir := t.TempDir()
-		w, err := OpenWAL(WALOptions{Dir: dir, NoSync: true, FlushEvery: -1})
+		w, err := OpenWAL(WALOptions{Dir: dir, noSync: true, flushEvery: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +218,7 @@ func FuzzWALRecord(f *testing.F) {
 				intact++
 			}
 		}
-		if w, err = OpenWAL(WALOptions{Dir: dir, NoSync: true, FlushEvery: -1}); err != nil {
+		if w, err = OpenWAL(WALOptions{Dir: dir, noSync: true, flushEvery: -1}); err != nil {
 			t.Fatal(err)
 		}
 		defer w.Close()

@@ -25,8 +25,12 @@ import (
 // included. A failure names its seed; replaySeeds lists the ones to run.
 var replaySeeds = []int64{1, 2, 3, 4, 5}
 
-// quiet swallows the recovery summary line each reopen logs.
-var quiet = obs.NewPipeline(obs.PipelineConfig{}).Component("durable")
+// TestMain swallows the recovery summary line each reopen logs: the replay
+// tests reopen thousands of cuts.
+func TestMain(m *testing.M) {
+	obs.SetDefault(obs.NewPipeline(obs.PipelineConfig{}))
+	os.Exit(m.Run())
+}
 
 func seededUUID(rng *rand.Rand) protocol.UUID {
 	return protocol.UUID(fmt.Sprintf("%08x-%04x-%04x-%04x-%012x",
@@ -112,7 +116,7 @@ func TestReplayEquivalenceStore(t *testing.T) {
 func replayStore(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	dir := t.TempDir()
-	d, err := OpenStore(StoreOptions{Dir: dir, SnapshotEvery: -1, NoSync: true, Log: quiet})
+	d, err := OpenStore(StoreOptions{Dir: dir, SnapshotEvery: -1, noSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +216,7 @@ func replayStore(t *testing.T, seed int64) {
 	}
 
 	n := eachPrefix(t, rng, dir, storeWALDir, func(dir string, k int) {
-		r, err := OpenStore(StoreOptions{Dir: dir, SnapshotEvery: -1, NoSync: true, Log: quiet})
+		r, err := OpenStore(StoreOptions{Dir: dir, SnapshotEvery: -1, noSync: true})
 		if err != nil {
 			t.Fatalf("seed %d: reopen at %d records: %v", seed, k, err)
 		}
@@ -264,7 +268,7 @@ func TestReplayEquivalenceBroker(t *testing.T) {
 func replayBroker(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	dir := t.TempDir()
-	bl, err := OpenBroker(BrokerOptions{Dir: dir, SnapshotEvery: -1, NoSync: true, Log: quiet})
+	bl, err := OpenBroker(BrokerOptions{Dir: dir, SnapshotEvery: -1, noSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +337,7 @@ func replayBroker(t *testing.T, seed int64) {
 	}
 
 	n := eachPrefix(t, rng, dir, brokerWALDir, func(dir string, k int) {
-		r, err := OpenBroker(BrokerOptions{Dir: dir, SnapshotEvery: -1, NoSync: true, Log: quiet})
+		r, err := OpenBroker(BrokerOptions{Dir: dir, SnapshotEvery: -1, noSync: true})
 		if err != nil {
 			t.Fatalf("seed %d: reopen at %d records: %v", seed, k, err)
 		}

@@ -30,19 +30,17 @@ type StoreOptions struct {
 	// DefaultSnapshotEvery; <0 disables the background loop — tests drive
 	// SnapshotNow directly).
 	SnapshotEvery time.Duration
-	// SegmentBytes overrides the WAL rotation threshold.
-	SegmentBytes int64
-	// NoSync disables fsync (benchmarking the WAL machinery without the
-	// disk).
-	NoSync bool
 	// Metrics receives the WAL gauges plus snapshot_age_seconds, wal_replay
 	// (exported wal_replay_seconds), wal_replayed (.._total), and
 	// wal_snapshots (.._total). Nil uses a private registry.
 	Metrics *metrics.Registry
 	// Tracer records recovery as a "durable.replay" span. Nil disables.
 	Tracer *trace.Tracer
-	// Log receives the recovery summary line. Nil uses the default pipeline.
-	Log *obs.Logger
+
+	// segmentBytes overrides the WAL rotation threshold and noSync disables
+	// fsync: this package's tests set them to replay many segments quickly.
+	segmentBytes int64
+	noSync       bool
 }
 
 // storeSnapshot is the on-disk snapshot envelope: the statestore image plus
@@ -111,8 +109,8 @@ func OpenStore(opts StoreOptions) (*Store, error) {
 
 	wal, err := OpenWAL(WALOptions{
 		Dir:          filepath.Join(opts.Dir, storeWALDir),
-		SegmentBytes: opts.SegmentBytes,
-		NoSync:       opts.NoSync,
+		segmentBytes: opts.segmentBytes,
+		noSync:       opts.noSync,
 		Metrics:      opts.Metrics,
 	})
 	if err != nil {
@@ -148,11 +146,7 @@ func OpenStore(opts StoreOptions) (*Store, error) {
 		"records", fmt.Sprint(n),
 		"applied", fmt.Sprint(applied),
 		"skipped", fmt.Sprint(skipped))
-	logger := opts.Log
-	if logger == nil {
-		logger = obs.Component("durable")
-	}
-	logger.Info("statestore recovery complete",
+	obs.Component("durable").Info("statestore recovery complete",
 		"snapshot", restored,
 		"snapshot_lsn", snapLSN,
 		"wal_records", n,

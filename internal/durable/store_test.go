@@ -109,7 +109,7 @@ func TestStoreRecovery(t *testing.T) {
 // old segments, and that snapshot+tail recovery equals pure-WAL recovery.
 func TestStoreSnapshotCompaction(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenStore(StoreOptions{Dir: dir, SnapshotEvery: -1, SegmentBytes: 1024})
+	d, err := OpenStore(StoreOptions{Dir: dir, SnapshotEvery: -1, segmentBytes: 1024})
 	if err != nil {
 		t.Fatalf("OpenStore: %v", err)
 	}
@@ -257,7 +257,7 @@ func BenchmarkJournaledCreateTasks(b *testing.B) {
 // both encodings.
 func TestStoreReplaysJSONTaskRecords(t *testing.T) {
 	dir := t.TempDir()
-	w, err := OpenWAL(WALOptions{Dir: filepath.Join(dir, storeWALDir), NoSync: true})
+	w, err := OpenWAL(WALOptions{Dir: filepath.Join(dir, storeWALDir), noSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,19 +60,20 @@ var ErrClosed = errors.New("durable: wal closed")
 type WALOptions struct {
 	// Dir holds the segment files. Created if missing.
 	Dir string
-	// SegmentBytes is the rotation threshold (default DefaultSegmentBytes).
-	SegmentBytes int64
-	// NoSync skips fsync on commit (benchmarks and tests on throwaway
-	// state); records still flush to the OS on every commit.
-	NoSync bool
-	// FlushEvery bounds async-append buffering (default DefaultFlushEvery;
-	// <0 disables the background flusher).
-	FlushEvery time.Duration
 	// Metrics receives wal_appends (exported wal_appends_total), wal_fsync
 	// (exported wal_fsync_seconds), wal_segment_bytes, wal_segments, and
 	// wal_tail_repairs (incremented when OpenWAL truncates a torn tail left
 	// by a crash mid-write). Nil uses a private registry.
 	Metrics *metrics.Registry
+
+	// This package's tests set these on throwaway state. segmentBytes is
+	// the rotation threshold (default DefaultSegmentBytes). noSync skips
+	// fsync on commit; records still flush to the OS on every commit.
+	// flushEvery bounds async-append buffering (default DefaultFlushEvery;
+	// <0 disables the background flusher).
+	segmentBytes int64
+	noSync       bool
+	flushEvery   time.Duration
 }
 
 // segment is one on-disk log file. Its name encodes the first LSN it may
@@ -114,11 +115,11 @@ type WAL struct {
 // truncating the active segment after the last record whose CRC verifies.
 // The returned WAL is ready for Replay followed by appends.
 func OpenWAL(opts WALOptions) (*WAL, error) {
-	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = DefaultSegmentBytes
+	if opts.segmentBytes <= 0 {
+		opts.segmentBytes = DefaultSegmentBytes
 	}
-	if opts.FlushEvery == 0 {
-		opts.FlushEvery = DefaultFlushEvery
+	if opts.flushEvery == 0 {
+		opts.flushEvery = DefaultFlushEvery
 	}
 	if opts.Metrics == nil {
 		opts.Metrics = metrics.NewRegistry()
@@ -191,7 +192,7 @@ func OpenWAL(opts WALOptions) (*WAL, error) {
 	}
 	w.publishGaugesLocked()
 
-	if opts.FlushEvery > 0 {
+	if opts.flushEvery > 0 {
 		w.stopFlush = make(chan struct{})
 		w.flushDone = make(chan struct{})
 		go w.flushLoop()
@@ -266,7 +267,7 @@ func recordCRC(lsn uint64, payload []byte) uint32 {
 
 // Append durably journals the payloads as consecutive records and returns
 // the LSN of the first. It does not return until the records are flushed and
-// (unless NoSync) fsynced; concurrent appenders share one fsync via group
+// (unless noSync) fsynced; concurrent appenders share one fsync via group
 // commit.
 func (w *WAL) Append(payloads ...[]byte) (uint64, error) {
 	seq, first, err := w.write(payloads)
@@ -307,7 +308,7 @@ func (w *WAL) write(payloads [][]byte) (seq, firstLSN uint64, err error) {
 	if w.err != nil {
 		return 0, 0, w.err
 	}
-	if w.size >= w.opts.SegmentBytes {
+	if w.size >= w.opts.segmentBytes {
 		if err := w.rotateLocked(); err != nil {
 			w.err = err
 			return 0, 0, err
@@ -354,7 +355,7 @@ func (w *WAL) waitSynced(seq uint64) error {
 		f := w.f
 		w.mu.Unlock()
 		var syncErr error
-		if flushErr == nil && !w.opts.NoSync {
+		if flushErr == nil && !w.opts.noSync {
 			start := time.Now()
 			syncErr = f.Sync()
 			w.fsyncs.Observe(time.Since(start))
@@ -384,7 +385,7 @@ func (w *WAL) rotateLocked() error {
 	if err := w.w.Flush(); err != nil {
 		return err
 	}
-	if !w.opts.NoSync {
+	if !w.opts.noSync {
 		if err := w.f.Sync(); err != nil {
 			return err
 		}
@@ -405,7 +406,7 @@ func (w *WAL) newSegmentLocked(firstLSN uint64) error {
 	}
 	// Make the segment's directory entry durable so the file survives a
 	// crash immediately after rotation.
-	if !w.opts.NoSync {
+	if !w.opts.noSync {
 		if err := syncDir(w.opts.Dir); err != nil {
 			f.Close()
 			return err
@@ -510,13 +511,6 @@ func (w *WAL) TailRepairs() int64 {
 	return w.tailRepairs.Value()
 }
 
-// segments returns the number of on-disk segment files.
-func (w *WAL) segments() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.segs)
-}
-
 func (w *WAL) publishGaugesLocked() {
 	w.segBytes.Set(w.size)
 	w.segCount.Set(int64(len(w.segs)))
@@ -524,7 +518,7 @@ func (w *WAL) publishGaugesLocked() {
 
 func (w *WAL) flushLoop() {
 	defer close(w.flushDone)
-	ticker := time.NewTicker(w.opts.FlushEvery)
+	ticker := time.NewTicker(w.opts.flushEvery)
 	defer ticker.Stop()
 	for {
 		select {

@@ -8,6 +8,13 @@ import (
 	"testing"
 )
 
+// segments returns the number of on-disk segment files.
+func (w *WAL) segments() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.segs)
+}
+
 func openTestWAL(t *testing.T, dir string, opts WALOptions) *WAL {
 	t.Helper()
 	opts.Dir = dir
@@ -218,7 +225,7 @@ func TestWALGroupCommitConcurrentAppends(t *testing.T) {
 
 func TestWALSegmentRotationAndCompaction(t *testing.T) {
 	dir := t.TempDir()
-	w := openTestWAL(t, dir, WALOptions{SegmentBytes: 256, NoSync: true})
+	w := openTestWAL(t, dir, WALOptions{segmentBytes: 256, noSync: true})
 	payload := make([]byte, 64)
 	for i := 0; i < 40; i++ {
 		if _, err := w.Append(payload); err != nil {
@@ -252,7 +259,7 @@ func TestWALSegmentRotationAndCompaction(t *testing.T) {
 
 func TestWALAppendAsyncDurableAfterSync(t *testing.T) {
 	dir := t.TempDir()
-	w := openTestWAL(t, dir, WALOptions{FlushEvery: -1})
+	w := openTestWAL(t, dir, WALOptions{flushEvery: -1})
 	if _, err := w.AppendAsync([]byte("async-1"), []byte("async-2")); err != nil {
 		t.Fatalf("AppendAsync: %v", err)
 	}

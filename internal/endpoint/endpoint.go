@@ -48,6 +48,10 @@ type ObjectStorer interface {
 // webservice.Service.RecordHeartbeat takes them in process.
 type HeartbeatSink func(id protocol.UUID, online bool, load *statestore.EndpointLoad, snap *metrics.Snapshot) error
 
+// prefetch bounds in-flight task deliveries and caps how many are decoded,
+// submitted and acked per task-loop wakeup: one delivery frame.
+const prefetch = broker.MaxDeliveryBatch
+
 // Config assembles an agent.
 type Config struct {
 	EndpointID protocol.UUID
@@ -76,13 +80,6 @@ type Config struct {
 	// SnapshotMetrics yields a delta at most once per interval (default
 	// 2×HeartbeatInterval), so most heartbeats stay payload-free.
 	MetricsInterval time.Duration
-	// Log overrides the agent's structured logger (default: the process
-	// pipeline's "endpoint" component, stamped with the endpoint ID).
-	Log *obs.Logger
-	// Prefetch bounds in-flight task deliveries and caps how many are
-	// decoded, submitted, and acked per task-loop wakeup (default one
-	// delivery frame, broker.MaxDeliveryBatch).
-	Prefetch int
 	// Tracer, when set, records an endpoint.dispatch span per traced task
 	// and carries trace context on published results. Nil disables tracing.
 	Tracer *trace.Tracer
@@ -216,9 +213,6 @@ func New(cfg Config) (*Agent, error) {
 	if cfg.Engine == nil {
 		return nil, errors.New("endpoint: engine required")
 	}
-	if cfg.Prefetch <= 0 {
-		cfg.Prefetch = broker.MaxDeliveryBatch
-	}
 	if cfg.HeartbeatInterval <= 0 {
 		cfg.HeartbeatInterval = 5 * time.Second
 	}
@@ -229,9 +223,9 @@ func New(cfg Config) (*Agent, error) {
 		cfg:        cfg,
 		done:       make(chan struct{}),
 		intakeDone: make(chan struct{}),
-		failures:   make(chan protocol.Result, cfg.Prefetch),
+		failures:   make(chan protocol.Result, prefetch),
 		gatherTurn: make(chan struct{}, 1),
-		tags:       make([]uint64, 0, cfg.Prefetch),
+		tags:       make([]uint64, 0, prefetch),
 		ackFree:    make(chan []uint64, ackFlightCap),
 		ackQ:       make(chan []uint64, ackFlightCap),
 		Metrics:    metrics.NewRegistry(),
@@ -241,11 +235,7 @@ func New(cfg Config) (*Agent, error) {
 	if cfg.MPI != nil {
 		a.sources[1] = cfg.MPI.Results()
 	}
-	a.log = cfg.Log
-	if a.log == nil {
-		a.log = obs.Component("endpoint")
-	}
-	a.log = a.log.WithEndpoint(string(cfg.EndpointID))
+	a.log = obs.Component("endpoint").WithEndpoint(string(cfg.EndpointID))
 	a.lastActivity.Store(time.Now().UnixNano())
 	return a, nil
 }
@@ -303,7 +293,7 @@ func (a *Agent) Start() error {
 			return fmt.Errorf("endpoint: start mpi engine: %w", err)
 		}
 	}
-	sub, err := a.cfg.Conn.Subscribe(protocol.TaskQueue(a.cfg.EndpointID), a.cfg.Prefetch)
+	sub, err := a.cfg.Conn.Subscribe(protocol.TaskQueue(a.cfg.EndpointID), prefetch)
 	if err != nil {
 		return fmt.Errorf("endpoint: consume tasks: %w", err)
 	}
@@ -333,7 +323,7 @@ func (a *Agent) taskLoop() {
 	defer close(a.ackQ)
 	defer close(a.failures)
 	defer close(a.intakeDone)
-	batch := make([]broker.Message, 0, a.cfg.Prefetch)
+	batch := make([]broker.Message, 0, prefetch)
 	for {
 		a.waitForCapacity()
 		m, ok := <-a.sub.Messages()
@@ -376,31 +366,19 @@ const intakeHighWater = 2
 const ackFlightCap = 2
 
 // highWater is the engine backlog at which intake stops pulling: a multiple
-// of the worker count, floored at one full intake batch (Prefetch) so a
+// of the worker count, floored at one full intake batch (prefetch) so a
 // fast-draining engine is never throttled below batch granularity.
 func (a *Agent) highWater(totalWorkers int) int {
-	hw := intakeHighWater * totalWorkers
-	if hw < a.cfg.Prefetch {
-		hw = a.cfg.Prefetch
-	}
-	return hw
+	return max(intakeHighWater*totalWorkers, prefetch)
 }
 
 // intakeBudget sizes the next drain: the room left under the engine's
 // backlog high-water mark plus one round of workers, clamped to
-// [1, Prefetch]. An idle engine gets a full batch, one near saturation a
+// [1, prefetch]. An idle engine gets a full batch, one near saturation a
 // trickle.
 func (a *Agent) intakeBudget() int {
-	maxN := a.cfg.Prefetch
 	s := a.cfg.Engine.Stats()
-	budget := a.highWater(s.TotalWorkers) + s.TotalWorkers - s.PendingTasks
-	if budget < 1 {
-		budget = 1
-	}
-	if budget > maxN {
-		budget = maxN
-	}
-	return budget
+	return min(max(a.highWater(s.TotalWorkers)+s.TotalWorkers-s.PendingTasks, 1), prefetch)
 }
 
 // waitForCapacity blocks while the engine backlog exceeds its high-water
@@ -515,7 +493,7 @@ func (a *Agent) processDeliveries(batch []broker.Message) {
 func (a *Agent) startAckers() {
 	a.acks.Add(ackFlightCap)
 	for i := 0; i < ackFlightCap; i++ {
-		a.ackFree <- make([]uint64, 0, a.cfg.Prefetch)
+		a.ackFree <- make([]uint64, 0, prefetch)
 		go func() {
 			defer a.acks.Done()
 			for tags := range a.ackQ {

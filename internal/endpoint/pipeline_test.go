@@ -327,11 +327,7 @@ func TestPipelineBatchFailureFallsBackPerResult(t *testing.T) {
 		}
 		return nil
 	}}
-	conn, err := broker.NewReconnecting(broker.ReconnectConfig{
-		Dial:            func() (broker.Conn, error) { return fake, nil },
-		BaseDelay:       time.Millisecond,
-		PublishAttempts: 2,
-	})
+	conn, err := broker.NewReconnecting(func() (broker.Conn, error) { return fake, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +404,10 @@ func TestPipelineMalformedInBatchDeadLetters(t *testing.T) {
 // pending queue stays near the high-water mark instead of absorbing the
 // whole queue, and once the gate opens everything completes.
 func TestAdaptivePrefetchBoundsPending(t *testing.T) {
-	sub := newFakeSub(64)
+	// Three intake batches queued: the backlog high-water mark (floored at
+	// one batch) is well under them, so the bound is observable.
+	const n = 3 * prefetch
+	sub := newFakeSub(n)
 	conn := &fakeConn{sub: sub}
 	gate := make(chan struct{})
 	gated := func(ctx context.Context, task protocol.Task, w engine.WorkerInfo) protocol.Result {
@@ -418,7 +417,6 @@ func TestAdaptivePrefetchBoundsPending(t *testing.T) {
 		}
 		return protocol.Result{State: protocol.StateSuccess, Output: task.Payload}
 	}
-	const n = 24
 	eng, err := engine.New(engine.Config{
 		Provider:   provider.NewLocal(1),
 		Run:        gated,
@@ -427,13 +425,7 @@ func TestAdaptivePrefetchBoundsPending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A small prefetch (= intake batch) keeps the backlog high-water mark
-	// (floored at one batch) well under the 24 queued deliveries, so the
-	// bound is observable.
-	agent, err := New(Config{
-		EndpointID: protocol.NewUUID(), Conn: conn, Engine: eng,
-		Prefetch: 4,
-	})
+	agent, err := New(Config{EndpointID: protocol.NewUUID(), Conn: conn, Engine: eng})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,10 +459,10 @@ func TestAdaptivePrefetchBoundsPending(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	// One worker, intake batch 4: the high-water mark is 4, so intake must
-	// hold well short of the full 24-task backlog. Allow slack for the
-	// trickle in flight.
-	const bound = 8
+	// One worker: the high-water mark is one intake batch, so intake must
+	// hold well short of the full backlog. Allow slack for the trickle in
+	// flight.
+	const bound = 2 * prefetch
 	if maxPending > bound {
 		t.Errorf("engine pending reached %d with adaptive prefetch; want <= %d", maxPending, bound)
 	}

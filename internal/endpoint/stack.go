@@ -1,6 +1,7 @@
 package endpoint
 
 import (
+	"io"
 	"sync"
 	"time"
 
@@ -146,6 +147,17 @@ func OpenStack(cfg StackConfig) (_ *Stack, err error) {
 	}
 	st.Agent = agent
 	return st, nil
+}
+
+// WriteMetrics renders the agent's registries (Agent.WriteMetrics) and, when
+// the stack dialed its own broker connection, that connection's reconnects,
+// resubscribes and publish_retries counters as gc_endpoint_broker_*: the
+// body gc-endpoint serves on /metrics.
+func (st *Stack) WriteMetrics(w io.Writer) error {
+	if err := st.Agent.WriteMetrics(w); err != nil || st.dialed == nil {
+		return err
+	}
+	return st.dialed.Metrics.WriteText(w, "gc_endpoint_broker")
 }
 
 // Stop drains the endpoint. The order matters: (1) cancel the task

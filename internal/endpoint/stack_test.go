@@ -3,6 +3,9 @@ package endpoint
 import (
 	"context"
 	"encoding/json"
+	"io"
+	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -205,4 +208,110 @@ func TestStackStopKeepsAcknowledgedTasks(t *testing.T) {
 	if reported != reportedAtStop {
 		t.Errorf("second Stop sent %d more reports", reported-reportedAtStop)
 	}
+}
+
+// TestStackMetricsCountReconnects drops the broker connection of an endpoint
+// that dialed its own, once, through a relay in front of the broker server:
+// the stack's /metrics body reports the redial as a non-zero
+// gc_endpoint_broker_reconnects_total, and a task published after the drop
+// still gets its result.
+func TestStackMetricsCountReconnects(t *testing.T) {
+	brk := broker.New()
+	defer brk.Close()
+	srv, err := broker.Serve(brk, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	epID := protocol.NewUUID()
+	taskQ, resultQ := protocol.TaskQueue(epID), protocol.ResultQueue(epID)
+	for _, q := range []string{taskQ, resultQ} {
+		if err := brk.Declare(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The relay pipes each accepted connection to the broker server and keeps
+	// the client side of each, so the test can cut one.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 4)
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			up, err := net.Dial("tcp", srv.Addr())
+			if err != nil {
+				c.Close()
+				return
+			}
+			go func() { _, _ = io.Copy(up, c); up.Close() }()
+			go func() { _, _ = io.Copy(c, up); c.Close() }()
+			accepted <- c
+		}
+	}()
+
+	st, err := OpenStack(StackConfig{
+		EndpointID: epID,
+		BrokerAddr: ln.Addr().String(),
+		Engine:     engine.Config{Provider: provider.NewLocal(1), InitBlocks: 1, MinBlocks: 1, MaxBlocks: 1},
+		Heartbeat: func(protocol.UUID, bool, *statestore.EndpointLoad, *metrics.Snapshot) error {
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Stop()
+
+	runOne := func(arg int) {
+		t.Helper()
+		task := pythonTask(t, "identity", arg)
+		task.EndpointID = epID
+		if err := brk.Publish(taskQ, protocol.EncodeTask(&task)); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			if d, _ := brk.Depth(resultQ); d > 0 {
+				drainQueue(t, brk, resultQ)
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("no result for task %d", arg)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	reconnects := func() string {
+		var text strings.Builder
+		if err := st.WriteMetrics(&text); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(text.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, "gc_endpoint_broker_reconnects_total "); ok {
+				return v
+			}
+		}
+		return ""
+	}
+
+	runOne(1)
+	if v := reconnects(); v != "" {
+		t.Fatalf("reconnects = %s before any drop", v)
+	}
+	(<-accepted).Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for v := reconnects(); v == "" || v == "0"; v = reconnects() {
+		if time.Now().After(deadline) {
+			t.Fatal("no gc_endpoint_broker_reconnects_total after the drop")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	runOne(2)
 }

@@ -66,8 +66,6 @@ type Config struct {
 	// IdleTimeout releases blocks idle this long when above MinBlocks
 	// (default: never).
 	IdleTimeout time.Duration
-	// QueueCapacity bounds the interchange backlog (default 65536).
-	QueueCapacity int
 	// MaxAttempts bounds how many times one task may be (re)delivered to a
 	// worker before the engine gives up and emits a dead-lettered failed
 	// result (default 5; the poison-task escape hatch). Requeues caused by
@@ -111,9 +109,6 @@ func (c *Config) fill() error {
 	if c.ScalingInterval <= 0 {
 		c.ScalingInterval = 50 * time.Millisecond
 	}
-	if c.QueueCapacity <= 0 {
-		c.QueueCapacity = 65536
-	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 5
 	}
@@ -156,8 +151,11 @@ type sentTask struct {
 	task protocol.Task
 }
 
+// queueCapacity bounds the interchange backlog.
+const queueCapacity = 65536
+
 // resultBuffer is the results channel's capacity. It does not scale with
-// QueueCapacity: the agent's intake bound keeps fewer than a hundred results
+// queueCapacity: the agent's intake bound keeps fewer than a hundred results
 // outstanding, and each slot is a Result the GC scans on every cycle.
 const resultBuffer = 1024
 
@@ -273,7 +271,7 @@ func (e *Engine) SubmitBatch(tasks []protocol.Task) []error {
 	var errs []error
 	accepted := 0
 	for i := range tasks {
-		if e.pending.Len() >= e.cfg.QueueCapacity {
+		if e.pending.Len() >= queueCapacity {
 			if errs == nil {
 				errs = make([]error, len(tasks))
 			}

@@ -446,14 +446,13 @@ func TestBacklogCapacityRejects(t *testing.T) {
 		Provider:   provider.NewLocal(1),
 		Run:        slowRunner(time.Second),
 		InitBlocks: 1, MinBlocks: 1, MaxBlocks: 1,
-		QueueCapacity: 4,
 	})
 	eng.Start()
 	defer eng.Stop()
 	// One task occupies the worker; fill the backlog, then overflow.
 	accepted := 0
 	var lastErr error
-	for i := 0; i < 20; i++ {
+	for i := 0; i < queueCapacity+16; i++ {
 		if err := eng.Submit(newTask(fmt.Sprint(i))); err != nil {
 			lastErr = err
 			break
@@ -463,10 +462,10 @@ func TestBacklogCapacityRejects(t *testing.T) {
 	if lastErr == nil {
 		t.Fatal("backlog never filled")
 	}
-	// Capacity 4 backlog + dispatched tasks; acceptance is bounded well
-	// below the 20 attempts.
-	if accepted > 8 {
-		t.Errorf("accepted %d submissions with capacity 4", accepted)
+	// The backlog's capacity plus dispatched tasks; acceptance is bounded
+	// below the attempts.
+	if accepted > queueCapacity+4 {
+		t.Errorf("accepted %d submissions with capacity %d", accepted, queueCapacity)
 	}
 }
 

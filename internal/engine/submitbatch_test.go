@@ -81,17 +81,16 @@ func TestSubmitBatchPartialOverflow(t *testing.T) {
 		Provider:   provider.NewLocal(1),
 		Run:        slowRunner(time.Second),
 		InitBlocks: 1, MinBlocks: 1, MaxBlocks: 1,
-		QueueCapacity: 4,
 	})
 	eng.Start()
 	defer eng.Stop()
-	batch := make([]protocol.Task, 20)
+	batch := make([]protocol.Task, queueCapacity+16)
 	for i := range batch {
 		batch[i] = newTask(fmt.Sprint(i))
 	}
 	errs := eng.SubmitBatch(batch)
 	if errs == nil {
-		t.Fatal("batch of 20 against capacity 4 fully accepted")
+		t.Fatalf("batch of %d against capacity %d fully accepted", len(batch), queueCapacity)
 	}
 	accepted, rejected := 0, 0
 	for _, err := range errs {
@@ -104,10 +103,10 @@ func TestSubmitBatchPartialOverflow(t *testing.T) {
 	if rejected == 0 {
 		t.Error("no per-task rejections recorded")
 	}
-	// Capacity 4 backlog plus whatever the dispatcher drained mid-batch;
-	// acceptance stays well below the attempted 20.
-	if accepted > 8 {
-		t.Errorf("accepted %d of 20 with capacity 4", accepted)
+	// The backlog's capacity plus whatever the dispatcher drained mid-batch;
+	// acceptance stays below the attempted batch.
+	if accepted > queueCapacity+4 {
+		t.Errorf("accepted %d of %d with capacity %d", accepted, len(batch), queueCapacity)
 	}
 	if v := eng.Metrics.Counter("submitted").Value(); v != int64(accepted) {
 		t.Errorf("submitted counter = %d, want %d accepted", v, accepted)

@@ -14,7 +14,7 @@ import (
 // 2022 to August 14, 2024, truncated at 100,000/day. full controls whether
 // every day is printed or a monthly summary.
 func Fig2(seed int64, full bool) Report {
-	trace := workload.Fig2Trace(workload.Fig2Config{Seed: seed})
+	trace := workload.Fig2Trace(seed)
 	stats := workload.Summarize(trace)
 	r := Report{
 		ID:     "fig2",

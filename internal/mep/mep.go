@@ -28,7 +28,6 @@ import (
 var (
 	ErrNotAuthorized = errors.New("mep: identity not authorized (no mapping)")
 	ErrBadConfig     = errors.New("mep: user configuration rejected")
-	ErrQuotaExceeded = errors.New("mep: per-user endpoint quota exceeded")
 )
 
 // SpawnRequest carries everything a spawner needs to start a user endpoint
@@ -78,10 +77,6 @@ type Config struct {
 	// implementing "once the submitted tasks are completed, the user
 	// endpoint is destroyed".
 	IdleTimeout time.Duration
-	// MaxEndpointsPerUser caps concurrently running user endpoints per
-	// mapped local account (0 = unlimited) — the administrator's resource
-	// utilization control (§IV-C).
-	MaxEndpointsPerUser int
 	// Heartbeat mirrors the single-user agent's status callback: online at
 	// Start and every heartbeatInterval after, offline once at Stop.
 	Heartbeat func(online bool)
@@ -227,22 +222,6 @@ func (m *Manager) handleStart(cmd webservice.StartEndpointCommand) error {
 		}
 		return err
 	}
-	if m.cfg.MaxEndpointsPerUser > 0 {
-		m.mu.Lock()
-		running := 0
-		for _, c := range m.children {
-			if c.localUser == localUser {
-				running++
-			}
-		}
-		m.mu.Unlock()
-		if running >= m.cfg.MaxEndpointsPerUser {
-			m.Metrics.Counter("quota_rejected").Inc()
-			return fmt.Errorf("%w: user %q already runs %d endpoints (limit %d)",
-				ErrQuotaExceeded, localUser, running, m.cfg.MaxEndpointsPerUser)
-		}
-	}
-
 	var userConfig map[string]any
 	if err := json.Unmarshal(cmd.UserConfig, &userConfig); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadConfig, err)
@@ -314,7 +293,6 @@ type Stats struct {
 	ChildrenReaped   int64
 	IdentityRejected int64
 	ConfigRejected   int64
-	QuotaRejected    int64
 	// ByLocalUser counts active children per mapped account.
 	ByLocalUser map[string]int
 }
@@ -329,7 +307,6 @@ func (m *Manager) Stats() Stats {
 		ChildrenReaped:   m.Metrics.Counter("children_reaped").Value(),
 		IdentityRejected: m.Metrics.Counter("identity_rejected").Value(),
 		ConfigRejected:   m.Metrics.Counter("config_rejected").Value(),
-		QuotaRejected:    m.Metrics.Counter("quota_rejected").Value(),
 		ByLocalUser:      make(map[string]int),
 	}
 	for _, c := range m.children {

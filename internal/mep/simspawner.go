@@ -1,7 +1,6 @@
 package mep
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,10 +15,9 @@ import (
 // agent, holds each task for a configurable service time, and publishes a
 // success result — one goroutine per endpoint, so an in-process fleet scales
 // to 10k endpoints (and stays inside the race detector's goroutine budget at
-// 1k). The fleet harness in internal/experiments uses them to measure
-// placement policies against skewed per-endpoint service times; NewSimSpawner
-// adapts them to the MEP spawn pipeline so a multi-user endpoint manager can
-// run an entire simulated fleet through the real start-command flow.
+// 1k). The placement tests in internal/experiments and the scenario suite
+// use them to measure placement policies against skewed per-endpoint
+// service times.
 
 // SimAgentConfig configures one simulated endpoint agent.
 type SimAgentConfig struct {
@@ -186,39 +184,3 @@ func (a *SimAgent) LastActivity() time.Time { return time.Unix(0, a.lastAct.Load
 
 // Busy reports queued work.
 func (a *SimAgent) Busy() bool { return a.queued.Load() > 0 }
-
-// SimSpawnerDeps configures a simulated-agent spawner.
-type SimSpawnerDeps struct {
-	// Conn connects spawned sim agents to the broker.
-	Conn broker.Conn
-	// ServiceTime picks each spawn's per-task service time; nil reads a
-	// "service_time_ms" number from the user config (default 1ms).
-	ServiceTime func(req SpawnRequest) time.Duration
-	// OnSpawn observes each started agent (fleet harnesses use it to wire
-	// heartbeat reporting).
-	OnSpawn func(id protocol.UUID, a *SimAgent)
-}
-
-// NewSimSpawner returns a SpawnFunc producing SimAgents, so a MEP manager
-// (or a fleet harness) runs simulated endpoints through the same spawn
-// pipeline that builds real agents.
-func NewSimSpawner(deps SimSpawnerDeps) SpawnFunc {
-	return func(_ context.Context, req SpawnRequest) (UserEndpoint, error) {
-		svc := time.Millisecond
-		if deps.ServiceTime != nil {
-			svc = deps.ServiceTime(req)
-		} else if ms, ok := req.UserConfig["service_time_ms"].(float64); ok && ms >= 0 {
-			svc = time.Duration(ms * float64(time.Millisecond))
-		}
-		a, err := StartSimAgent(SimAgentConfig{
-			EndpointID: req.ChildEndpointID, Conn: deps.Conn, ServiceTime: svc,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if deps.OnSpawn != nil {
-			deps.OnSpawn(req.ChildEndpointID, a)
-		}
-		return a, nil
-	}
-}

@@ -72,53 +72,3 @@ func TestSimAgentServesTasksAndReportsLoad(t *testing.T) {
 		t.Fatalf("idle agent load = %+v", load)
 	}
 }
-
-func TestSimSpawnerThroughMEPPipeline(t *testing.T) {
-	spawned := make(chan *SimAgent, 1)
-	h := newMEPHarness(t, func(c *Config) {
-		c.Spawn = NewSimSpawner(SimSpawnerDeps{
-			Conn:        c.Conn,
-			ServiceTime: func(SpawnRequest) time.Duration { return time.Millisecond },
-			OnSpawn: func(_ protocol.UUID, a *SimAgent) {
-				spawned <- a
-			},
-		})
-	})
-	child := h.sendStart(t, "alice@uchicago.edu", `{"NODES": 2, "ACCOUNT": "alloc1"}`)
-
-	select {
-	case <-spawned:
-	case <-time.After(5 * time.Second):
-		t.Fatal("sim agent never spawned")
-	}
-	// OnSpawn fires inside the spawn call, before the manager counts the child.
-	waitFor(t, func() bool { return h.mgr.Stats().ActiveChildren == 1 }, "manager never counted the child")
-
-	// The spawned sim agent serves the child's task queue end to end.
-	if err := h.brk.Declare(webservice.ResultQueue(child)); err != nil {
-		t.Fatal(err)
-	}
-	results, err := h.brk.Consume(webservice.ResultQueue(child), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer results.Close()
-	task := protocol.Task{ID: protocol.NewUUID(), EndpointID: child}
-	body, _ := json.Marshal(task)
-	if err := h.brk.Publish(webservice.TaskQueue(child), body); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case m := <-results.Messages():
-		res, err := protocol.DecodeResult(m.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.TaskID != task.ID {
-			t.Fatalf("result for %s, want %s", res.TaskID, task.ID)
-		}
-		results.Ack(m.Tag)
-	case <-time.After(5 * time.Second):
-		t.Fatal("sim agent never served the task")
-	}
-}

@@ -4,7 +4,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -175,14 +174,6 @@ func (h *Histogram) Stats() HistogramStats {
 	s.P95 = percentileSorted(sorted, 95)
 	s.P99 = percentileSorted(sorted, 99)
 	return s
-}
-
-// Summary renders count/mean/p50/p95/p99/max on one line, from one
-// consistent snapshot.
-func (h *Histogram) Summary() string {
-	s := h.Stats()
-	return fmt.Sprintf("n=%d mean=%s p50=%s p95=%s p99=%s max=%s",
-		s.Count, s.Mean, s.P50, s.P95, s.P99, s.Max)
 }
 
 // Registry is a named collection of metrics, one per subsystem instance.

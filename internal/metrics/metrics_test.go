@@ -135,11 +135,3 @@ func TestRegistrySnapshot(t *testing.T) {
 		t.Errorf("snapshot = %v, want a=3 b=-1", snap)
 	}
 }
-
-func TestHistogramSummaryNonEmpty(t *testing.T) {
-	h := NewHistogram(4)
-	h.Observe(time.Millisecond)
-	if s := h.Summary(); s == "" {
-		t.Error("empty summary")
-	}
-}

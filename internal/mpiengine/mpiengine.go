@@ -55,8 +55,6 @@ type Config struct {
 	Launcher string
 	// Strategy orders pending applications (default FIFO).
 	Strategy Strategy
-	// QueueCapacity bounds the backlog (default 4096).
-	QueueCapacity int
 }
 
 func (c *Config) fill() error {
@@ -68,9 +66,6 @@ func (c *Config) fill() error {
 	}
 	if c.Strategy == "" {
 		c.Strategy = FIFO
-	}
-	if c.QueueCapacity <= 0 {
-		c.QueueCapacity = 4096
 	}
 	return nil
 }
@@ -92,8 +87,11 @@ type pendingTask struct {
 	seq  int
 }
 
+// queueCapacity bounds the backlog.
+const queueCapacity = 4096
+
 // resultBuffer is the results channel's capacity, fixed rather than
-// QueueCapacity-sized: the agent reads results as they arrive, and at most
+// queueCapacity-sized: the agent reads results as they arrive, and at most
 // one application per node is running.
 const resultBuffer = 1024
 
@@ -199,7 +197,7 @@ func (e *Engine) Submit(task protocol.Task) error {
 		e.mu.Unlock()
 		return ErrStopped
 	}
-	if len(e.pending) >= e.cfg.QueueCapacity {
+	if len(e.pending) >= queueCapacity {
 		e.mu.Unlock()
 		return fmt.Errorf("mpiengine: backlog full (%d)", len(e.pending))
 	}

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"math"
 	"sort"
@@ -27,37 +26,26 @@ const (
 	DefaultServiceRateHalfLife = 10 * time.Second
 )
 
-// FleetConfig bounds and labels a FleetStore.
+// FleetConfig sizes a FleetStore's rings and staleness horizon. The store
+// caps tracked endpoints at DefaultMaxEndpoints (reports from endpoints
+// beyond the cap are counted and dropped rather than growing memory), reads
+// Health rates over DefaultHealthWindow and prefixes federated names with
+// DefaultFleetPrefix.
 type FleetConfig struct {
-	// RingPoints is the number of time-series samples retained per endpoint.
+	// RingPoints is the number of time-series samples retained per endpoint
+	// (default DefaultRingPoints).
 	RingPoints int
-	// MaxEndpoints caps tracked endpoints; reports from endpoints beyond the
-	// cap are counted and dropped rather than growing memory.
-	MaxEndpoints int
-	// HealthWindow is the lookback for rate fields in Health output.
-	HealthWindow time.Duration
 	// StaleAfter marks an endpoint offline in Health/federation output when
-	// no report has arrived within it.
+	// no report has arrived within it (default DefaultStaleAfter).
 	StaleAfter time.Duration
-	// Prefix prefixes federated metric names (default "gc_endpoint").
-	Prefix string
 }
 
 func (c FleetConfig) withDefaults() FleetConfig {
 	if c.RingPoints <= 0 {
 		c.RingPoints = DefaultRingPoints
 	}
-	if c.MaxEndpoints <= 0 {
-		c.MaxEndpoints = DefaultMaxEndpoints
-	}
-	if c.HealthWindow <= 0 {
-		c.HealthWindow = DefaultHealthWindow
-	}
 	if c.StaleAfter <= 0 {
 		c.StaleAfter = DefaultStaleAfter
-	}
-	if c.Prefix == "" {
-		c.Prefix = DefaultFleetPrefix
 	}
 	return c
 }
@@ -148,7 +136,7 @@ func NewFleetStore(cfg FleetConfig) *FleetStore {
 func (f *FleetStore) state(id string) *endpointState {
 	st, ok := f.eps[id]
 	if !ok {
-		if len(f.eps) >= f.cfg.MaxEndpoints {
+		if len(f.eps) >= DefaultMaxEndpoints {
 			f.rejected++
 			return nil
 		}
@@ -297,7 +285,8 @@ func (f *FleetStore) Endpoints() []string {
 	return out
 }
 
-// Rejected reports how many endpoint reports the MaxEndpoints cap dropped.
+// Rejected reports how many endpoint reports the DefaultMaxEndpoints cap
+// dropped.
 func (f *FleetStore) Rejected() int64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -493,14 +482,14 @@ func (f *FleetStore) Health(now time.Time) FleetHealth {
 		eh.Routed = s.Counters["ws_routed"]
 		eh.DeadLettered = counterAny(s, "dead_lettered", "engine_deadlettered_tasks")
 		eh.Requeued = counterAny(s, "engine_requeued")
-		if d, span, ok := f.CounterDelta(id, "dead_lettered", f.cfg.HealthWindow, now); ok && span > 0 {
+		if d, span, ok := f.CounterDelta(id, "dead_lettered", DefaultHealthWindow, now); ok && span > 0 {
 			eh.DeadLetterPerMin = float64(d) / span.Minutes()
 		}
-		if d, span, ok := f.CounterDelta(id, "engine_requeued", f.cfg.HealthWindow, now); ok && span > 0 {
+		if d, span, ok := f.CounterDelta(id, "engine_requeued", DefaultHealthWindow, now); ok && span > 0 {
 			eh.RequeuePerMin = float64(d) / span.Minutes()
 		}
-		if done, _, ok := f.CounterDelta(id, "ws_results", f.cfg.HealthWindow, now); ok && done > 0 {
-			failed, _, _ := f.CounterDelta(id, "ws_results_failed", f.cfg.HealthWindow, now)
+		if done, _, ok := f.CounterDelta(id, "ws_results", DefaultHealthWindow, now); ok && done > 0 {
+			failed, _, _ := f.CounterDelta(id, "ws_results_failed", DefaultHealthWindow, now)
 			eh.FailureRatio = float64(failed) / float64(done)
 		}
 		if hs, ok := s.HistogramValue("ws_task_roundtrip"); ok {
@@ -544,7 +533,7 @@ type fedFamily struct {
 func (f *FleetStore) WriteFederation(w io.Writer, now time.Time) error {
 	fams := make(map[string]*fedFamily)
 	add := func(name, kind string, s metrics.Sample) {
-		name = metrics.FamilyName(f.cfg.Prefix, name, kind)
+		name = metrics.FamilyName(DefaultFleetPrefix, name, kind)
 		fam, ok := fams[name]
 		if !ok {
 			fam = &fedFamily{kind: kind}
@@ -558,7 +547,7 @@ func (f *FleetStore) WriteFederation(w io.Writer, now time.Time) error {
 		if !ok {
 			continue
 		}
-		labels := fmt.Sprintf("endpoint_id=%q", escapeLabelValue(id))
+		labels := `endpoint_id="` + escapeLabelValue(id) + `"`
 		for name, v := range s.Counters {
 			add(name, "counter", metrics.Sample{Labels: labels, Value: v})
 		}

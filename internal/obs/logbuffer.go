@@ -128,27 +128,16 @@ func parseLevel(s string) slog.Level {
 	return l
 }
 
-// handler adapts the buffer into a slog.Handler honoring the pipeline
-// level.
-func (b *LogBuffer) handler(level slog.Leveler) slog.Handler {
-	return &bufferHandler{buf: b, level: level}
-}
-
-// bufferHandler captures slog records (including attributes accumulated via
-// WithAttrs) into the ring.
+// bufferHandler captures slog records at info level and above (including
+// attributes accumulated via WithAttrs) into the ring.
 type bufferHandler struct {
 	buf   *LogBuffer
-	level slog.Leveler
 	attrs []slog.Attr
 	group string
 }
 
 func (h *bufferHandler) Enabled(_ context.Context, l slog.Level) bool {
-	min := slog.LevelInfo
-	if h.level != nil {
-		min = h.level.Level()
-	}
-	return l >= min
+	return l >= slog.LevelInfo
 }
 
 func (h *bufferHandler) Handle(_ context.Context, r slog.Record) error {

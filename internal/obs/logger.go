@@ -39,11 +39,10 @@ type Logger struct {
 }
 
 // Pipeline is a logging destination set: an optional human-readable writer
-// and an optional ring buffer, with one shared level control.
+// and an optional ring buffer, both taking records at info level and above.
 type Pipeline struct {
 	handler slog.Handler
 	buffer  *LogBuffer
-	level   *slog.LevelVar
 }
 
 // PipelineConfig assembles a pipeline.
@@ -53,26 +52,18 @@ type PipelineConfig struct {
 	Writer io.Writer
 	// Buffer is the queryable ring sink (nil = none).
 	Buffer *LogBuffer
-	// Level is the minimum level (default slog.LevelInfo).
-	Level slog.Leveler
 }
 
 // NewPipeline builds a pipeline fanning out to the configured sinks.
 func NewPipeline(cfg PipelineConfig) *Pipeline {
-	lv := new(slog.LevelVar)
-	if cfg.Level != nil {
-		lv.Set(cfg.Level.Level())
-	} else {
-		lv.Set(slog.LevelInfo)
-	}
 	var hs []slog.Handler
 	if cfg.Writer != nil {
-		hs = append(hs, slog.NewTextHandler(cfg.Writer, &slog.HandlerOptions{Level: lv}))
+		hs = append(hs, slog.NewTextHandler(cfg.Writer, nil))
 	}
 	if cfg.Buffer != nil {
-		hs = append(hs, cfg.Buffer.handler(lv))
+		hs = append(hs, &bufferHandler{buf: cfg.Buffer})
 	}
-	p := &Pipeline{buffer: cfg.Buffer, level: lv}
+	p := &Pipeline{buffer: cfg.Buffer}
 	switch len(hs) {
 	case 0:
 		p.handler = discardHandler{}

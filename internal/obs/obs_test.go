@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"log/slog"
 	"strings"
 	"testing"
@@ -12,7 +13,7 @@ import (
 )
 
 func testPipeline(cap int) *Pipeline {
-	return NewPipeline(PipelineConfig{Buffer: NewLogBuffer(cap), Level: slog.LevelDebug})
+	return NewPipeline(PipelineConfig{Buffer: NewLogBuffer(cap)})
 }
 
 func TestLoggerCorrelationFields(t *testing.T) {
@@ -110,7 +111,7 @@ func TestFleetIngestAndWindows(t *testing.T) {
 }
 
 func TestFleetLocalRegistryAndHealth(t *testing.T) {
-	f := NewFleetStore(FleetConfig{RingPoints: 16, StaleAfter: time.Minute, HealthWindow: time.Minute})
+	f := NewFleetStore(FleetConfig{RingPoints: 16, StaleAfter: time.Minute})
 	base := time.Unix(2000, 0)
 
 	// Agent-side load gauges arrive via snapshot; webservice-side outcomes
@@ -154,14 +155,15 @@ func TestFleetLocalRegistryAndHealth(t *testing.T) {
 }
 
 func TestFleetEndpointCap(t *testing.T) {
-	f := NewFleetStore(FleetConfig{MaxEndpoints: 2, RingPoints: 4})
+	f := NewFleetStore(FleetConfig{RingPoints: 4})
 	now := time.Unix(3000, 0)
-	f.Touch("a", now)
-	f.Touch("b", now)
-	if f.Ingest("c", metrics.Snapshot{}, now) {
-		t.Fatal("cap should reject third endpoint")
+	for i := 0; i < DefaultMaxEndpoints; i++ {
+		f.Touch(fmt.Sprintf("ep-%d", i), now)
 	}
-	if f.Rejected() != 1 || len(f.Endpoints()) != 2 {
+	if f.Ingest("one-more", metrics.Snapshot{}, now) {
+		t.Fatal("cap should reject the endpoint past it")
+	}
+	if f.Rejected() != 1 || len(f.Endpoints()) != DefaultMaxEndpoints {
 		t.Fatalf("rejected=%d endpoints=%v", f.Rejected(), f.Endpoints())
 	}
 }
@@ -207,6 +209,26 @@ func TestWriteFederationParsesCleanly(t *testing.T) {
 	}
 	if exp.Family("gc_endpoint_ws_task_roundtrip_seconds") == nil {
 		t.Error("duration histogram should export with _seconds")
+	}
+}
+
+// TestWriteFederationEscapesLabelOnce federates an endpoint whose ID holds a
+// quote and a backslash: the label reads back unchanged.
+func TestWriteFederationEscapesLabelOnce(t *testing.T) {
+	f := NewFleetStore(FleetConfig{})
+	now := time.Unix(4000, 0)
+	id := `ep"1\x`
+	f.Ingest(id, metrics.Snapshot{Counters: map[string]int64{"tasks_received": 3}}, now)
+	var sb strings.Builder
+	if err := f.WriteFederation(&sb, now); err != nil {
+		t.Fatal(err)
+	}
+	exp, err := ParseExposition(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatalf("federation output does not parse: %v\n%s", err, sb.String())
+	}
+	if s, ok := exp.Sample("gc_endpoint_tasks_received_total", map[string]string{"endpoint_id": id}); !ok || s.Value != 3 {
+		t.Fatalf("tasks_received{endpoint_id=%q} = %+v (%v) in\n%s", id, s, ok, sb.String())
 	}
 }
 

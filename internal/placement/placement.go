@@ -85,10 +85,6 @@ type Candidate struct {
 type Config struct {
 	// Policy defaults to PolicyP2C.
 	Policy Policy
-	// Seed fixes the random source; 0 derives a seed from the policy name
-	// so selectors are deterministic by default (tests and benchmarks pin
-	// their own).
-	Seed int64
 	// HeartbeatInterval is the fleet's report cadence; it sizes both the
 	// hysteresis half-life and the default staleness horizon. Defaults to
 	// 1s.
@@ -149,11 +145,11 @@ func New(cfg Config) (*Selector, error) {
 	if cfg.StaleAfter <= 0 {
 		cfg.StaleAfter = 3 * cfg.HeartbeatInterval
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		for _, c := range cfg.Policy {
-			seed = seed*31 + int64(c)
-		}
+	// The random source is seeded from the policy name, so selectors are
+	// deterministic.
+	var seed int64
+	for _, c := range cfg.Policy {
+		seed = seed*31 + int64(c)
 	}
 	s := &Selector{
 		cfg:   cfg,
@@ -283,13 +279,6 @@ func (s *Selector) sampleOnlineLocked(cands []Candidate) (int, bool) {
 		return pick, true
 	}
 	return s.rng.Intn(len(cands)), false
-}
-
-// score exposes the load score for tests and diagnostics.
-func (s *Selector) score(c Candidate, now time.Time) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.scoreLocked(c, now)
 }
 
 // scoreLocked computes the candidate's load score; lower is better. The

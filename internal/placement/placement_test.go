@@ -8,6 +8,13 @@ import (
 	"globuscompute/internal/protocol"
 )
 
+// score reads a candidate's load score under the selector's lock.
+func (s *Selector) score(c Candidate, now time.Time) float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.scoreLocked(c, now)
+}
+
 func mkCand(id string, queued, backlog, free, total int, reportedAgo time.Duration, now time.Time) Candidate {
 	c := Candidate{
 		ID: protocol.UUID(id), Online: true,
@@ -23,7 +30,7 @@ func mkCand(id string, queued, backlog, free, total int, reportedAgo time.Durati
 func TestPickEmptyAndPolicies(t *testing.T) {
 	now := time.Now()
 	for _, pol := range []Policy{PolicyRandom, PolicyRoundRobin, PolicyLeastBacklog, PolicyP2C} {
-		s, err := New(Config{Policy: pol, Seed: 1})
+		s, err := New(Config{Policy: pol})
 		if err != nil {
 			t.Fatalf("New(%s): %v", pol, err)
 		}
@@ -41,7 +48,7 @@ func TestPickEmptyAndPolicies(t *testing.T) {
 }
 
 func TestRoundRobinRotates(t *testing.T) {
-	s, _ := New(Config{Policy: PolicyRoundRobin, Seed: 1})
+	s, _ := New(Config{Policy: PolicyRoundRobin})
 	now := time.Now()
 	cands := []Candidate{
 		mkCand("a", 0, 0, 1, 1, 0, now),
@@ -62,7 +69,7 @@ func TestRoundRobinRotates(t *testing.T) {
 }
 
 func TestLeastBacklogPrefersIdle(t *testing.T) {
-	s, _ := New(Config{Policy: PolicyLeastBacklog, Seed: 1})
+	s, _ := New(Config{Policy: PolicyLeastBacklog})
 	now := time.Now()
 	cands := []Candidate{
 		mkCand("busy", 50, 10, 0, 4, 0, now),
@@ -90,7 +97,7 @@ func TestP2CAvoidsLoaded(t *testing.T) {
 	// far below the hot endpoint's 150-task queue (with more picks the
 	// charges legitimately equalize load back onto it).
 	count := func(pol Policy) int {
-		s, _ := New(Config{Policy: pol, Seed: 42})
+		s, _ := New(Config{Policy: pol})
 		hot := 0
 		for i := 0; i < 200; i++ {
 			c, _ := s.Pick(cands, now)
@@ -116,7 +123,7 @@ func TestP2CAvoidsLoaded(t *testing.T) {
 // fresh report always wins.
 func TestStaleReportTreatedAsUnknown(t *testing.T) {
 	hb := time.Second
-	s, _ := New(Config{Policy: PolicyLeastBacklog, Seed: 7, HeartbeatInterval: hb})
+	s, _ := New(Config{Policy: PolicyLeastBacklog, HeartbeatInterval: hb})
 	now := time.Now()
 	fresh := mkCand("live", 0, 0, 8, 8, 100*time.Millisecond, now)
 	stale := mkCand("stale-idle", 0, 0, 8, 8, 4*hb, now) // same idle report, but ancient
@@ -143,7 +150,7 @@ func TestStaleReportTreatedAsUnknown(t *testing.T) {
 // choose it. The decayed pick counter must spread a burst across equally-idle
 // candidates instead of stampeding the first.
 func TestHysteresisSpreadsBurst(t *testing.T) {
-	s, _ := New(Config{Policy: PolicyLeastBacklog, Seed: 3, HeartbeatInterval: time.Second})
+	s, _ := New(Config{Policy: PolicyLeastBacklog, HeartbeatInterval: time.Second})
 	now := time.Now()
 	cands := []Candidate{
 		mkCand("a", 0, 0, 4, 4, 0, now),
@@ -164,7 +171,7 @@ func TestHysteresisSpreadsBurst(t *testing.T) {
 
 func TestHysteresisDecays(t *testing.T) {
 	hb := time.Second
-	s, _ := New(Config{Policy: PolicyP2C, Seed: 3, HeartbeatInterval: hb})
+	s, _ := New(Config{Policy: PolicyP2C, HeartbeatInterval: hb})
 	now := time.Now()
 	for i := 0; i < 16; i++ {
 		s.chargeLocked("a", now)
@@ -178,7 +185,7 @@ func TestHysteresisDecays(t *testing.T) {
 
 func TestOfflineFallback(t *testing.T) {
 	reg := metrics.NewRegistry()
-	s, _ := New(Config{Policy: PolicyP2C, Seed: 1, Metrics: reg})
+	s, _ := New(Config{Policy: PolicyP2C, Metrics: reg})
 	now := time.Now()
 	off := mkCand("off", 0, 0, 1, 1, 0, now)
 	off.Online = false
@@ -206,7 +213,7 @@ func TestOfflineFallback(t *testing.T) {
 
 func TestMetricsStalePick(t *testing.T) {
 	reg := metrics.NewRegistry()
-	s, _ := New(Config{Policy: PolicyRandom, Seed: 1, HeartbeatInterval: time.Second, Metrics: reg})
+	s, _ := New(Config{Policy: PolicyRandom, HeartbeatInterval: time.Second, Metrics: reg})
 	now := time.Now()
 	stale := mkCand("s", 0, 0, 1, 1, time.Minute, now)
 	if _, err := s.Pick([]Candidate{stale}, now); err != nil {

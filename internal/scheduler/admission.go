@@ -26,6 +26,14 @@ const (
 	ReasonInFlight = "inflight"
 )
 
+// Fairshare modulation of the admission rate: decayed historical usage
+// (halflife fairHalflife, as EnableFairshare defaults to) shrinks a user's
+// effective fill rate to FillRate / (1 + fairWeight*log1p(usage)).
+const (
+	fairHalflife = 10 * time.Minute
+	fairWeight   = 0.25
+)
+
 // AdmissionConfig tunes the controller. The zero value of any field selects
 // its default.
 type AdmissionConfig struct {
@@ -38,14 +46,6 @@ type AdmissionConfig struct {
 	// MaxInFlight caps tasks a user may have admitted-but-not-terminal
 	// (default 4*Burst; <0 disables the cap).
 	MaxInFlight int
-	// FairshareHalflife is the decay halflife for historical usage
-	// (default 10 minutes, as in EnableFairshare).
-	FairshareHalflife time.Duration
-	// FairWeight scales how strongly decayed usage shrinks a user's
-	// effective fill rate: effective = FillRate / (1 +
-	// FairWeight*log1p(usage)). 0 selects 0.25; <0 disables fairshare
-	// modulation entirely.
-	FairWeight float64
 	// Now overrides the clock (tests).
 	Now func() time.Time
 }
@@ -59,9 +59,6 @@ func (c *AdmissionConfig) fill() {
 	}
 	if c.MaxInFlight == 0 {
 		c.MaxInFlight = int(4 * c.Burst)
-	}
-	if c.FairWeight == 0 {
-		c.FairWeight = 0.25
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -104,11 +101,9 @@ func NewAdmission(cfg AdmissionConfig) *Admission {
 	a := &Admission{
 		cfg:   cfg,
 		users: make(map[string]*userBucket),
+		fair:  newFairshare(fairHalflife),
 	}
-	if cfg.FairWeight > 0 {
-		a.fair = newFairshare(cfg.FairshareHalflife)
-		a.fair.now = cfg.Now
-	}
+	a.fair.now = cfg.Now
 	return a
 }
 
@@ -116,10 +111,7 @@ func NewAdmission(cfg AdmissionConfig) *Admission {
 // shrunk by decayed historical usage, mirroring effectivePriorityLocked's
 // log1p shape. A user with zero history refills at full rate.
 func (a *Admission) effectiveRate(user string) float64 {
-	if a.fair == nil {
-		return a.cfg.FillRate
-	}
-	return a.cfg.FillRate / (1 + a.cfg.FairWeight*math.Log1p(a.fair.current(user)))
+	return a.cfg.FillRate / (1 + fairWeight*math.Log1p(a.fair.current(user)))
 }
 
 // bucketLocked returns (creating if needed) the user's bucket with tokens
@@ -189,9 +181,7 @@ func (a *Admission) Release(user string, n int) {
 // the node-seconds price; the webservice charges task roundtrips with
 // nodes=1.
 func (a *Admission) Charge(user string, nodes int, elapsed time.Duration) {
-	if a.fair != nil {
-		a.fair.charge(user, nodes, elapsed)
-	}
+	a.fair.charge(user, nodes, elapsed)
 }
 
 // InFlight reports the user's currently-admitted, not-yet-released task
@@ -205,12 +195,8 @@ func (a *Admission) InFlight(user string) int {
 	return 0
 }
 
-// Usage reports the user's decayed node-second usage (0 when fairshare
-// modulation is disabled).
+// Usage reports the user's decayed node-second usage.
 func (a *Admission) Usage(user string) float64 {
-	if a.fair == nil {
-		return 0
-	}
 	return a.fair.current(user)
 }
 

@@ -92,8 +92,7 @@ func TestAdmissionInFlightCap(t *testing.T) {
 func TestAdmissionFairshareShrinksHeavyUserRate(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
 	a := NewAdmission(AdmissionConfig{
-		FillRate: 100, Burst: 100, MaxInFlight: -1,
-		FairshareHalflife: time.Hour, FairWeight: 1, Now: clk.now,
+		FillRate: 100, Burst: 100, MaxInFlight: -1, Now: clk.now,
 	})
 
 	// Heavy burns 10k node-seconds of history; light has none.
@@ -150,7 +149,6 @@ func TestAdmissionConcurrentMultiTenant(t *testing.T) {
 	)
 	a := NewAdmission(AdmissionConfig{
 		FillRate: 1e6, Burst: 1e6, MaxInFlight: cap,
-		FairshareHalflife: time.Minute, FairWeight: 1,
 	})
 	users := make([]string, tenants)
 	for i := range users {

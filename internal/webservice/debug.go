@@ -209,7 +209,7 @@ func (s *Server) handleDebugLogs(w http.ResponseWriter, r *http.Request) {
 	if !s.debugAuth(w, r) {
 		return
 	}
-	buf := s.svc.cfg.Logs
+	buf := s.svc.cfg.logs
 	if buf == nil {
 		http.Error(w, "log capture disabled", http.StatusNotFound)
 		return

@@ -14,6 +14,7 @@ import (
 	"globuscompute/internal/auth"
 	"globuscompute/internal/protocol"
 	"globuscompute/internal/serialize"
+	"globuscompute/internal/statestore"
 )
 
 // httpFixture adds a REST server to the core fixture.
@@ -185,6 +186,19 @@ func TestHTTPMultiUserNeedsManageScope(t *testing.T) {
 	resp, _ = h.do(t, "POST", "/v2/endpoints", h.token.Value, RegisterEndpointRequest{Name: "mep", MultiUser: true})
 	if resp.StatusCode != http.StatusCreated {
 		t.Errorf("mep with manage scope: %d", resp.StatusCode)
+	}
+}
+
+// TestHTTPRegisterRefusesUnknownPolicy registers an endpoint naming an auth
+// policy the auth service does not know: 400, and no endpoint record.
+func TestHTTPRegisterRefusesUnknownPolicy(t *testing.T) {
+	h := newHTTPFixture(t)
+	resp, body := h.do(t, "POST", "/v2/endpoints", h.token.Value, RegisterEndpointRequest{Name: "locked", AuthPolicy: "no-such-policy"})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("unknown policy: %d %s, want 400", resp.StatusCode, body)
+	}
+	if eps := h.store.ListEndpoints(statestore.EndpointFilter{}); len(eps) != 0 {
+		t.Errorf("refused registration wrote %d endpoint records", len(eps))
 	}
 }
 

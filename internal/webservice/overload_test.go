@@ -114,7 +114,7 @@ func TestSubmitIdempotencyConcurrentRetries(t *testing.T) {
 func TestSubmitAdmissionRateShed(t *testing.T) {
 	now := time.Unix(0, 0)
 	adm := scheduler.NewAdmission(scheduler.AdmissionConfig{
-		FillRate: 1, Burst: 2, FairWeight: -1, MaxInFlight: -1,
+		FillRate: 1, Burst: 2, MaxInFlight: -1,
 		Now: func() time.Time { return now },
 	})
 	f := newOverloadFixture(t, func(c *Config) { c.Admission = adm })
@@ -150,7 +150,7 @@ func TestSubmitAdmissionRateShed(t *testing.T) {
 
 func TestSubmitInFlightReleasedOnResult(t *testing.T) {
 	adm := scheduler.NewAdmission(scheduler.AdmissionConfig{
-		FillRate: 1000, Burst: 1000, FairWeight: -1, MaxInFlight: 2,
+		FillRate: 1000, Burst: 1000, MaxInFlight: 2,
 	})
 	f := newOverloadFixture(t, func(c *Config) { c.Admission = adm })
 	fn := f.registerFunction(t)

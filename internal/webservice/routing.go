@@ -69,7 +69,6 @@ type groupRoute struct {
 func (s *Service) newSelector(policy string) (*placement.Selector, error) {
 	return placement.New(placement.Config{
 		Policy:            placement.Policy(policy),
-		Seed:              s.cfg.RouteSeed,
 		HeartbeatInterval: s.cfg.HeartbeatInterval,
 		StaleAfter:        s.staleAfter(),
 		Metrics:           s.Routing,
@@ -97,7 +96,7 @@ func (s *Service) CreateRoutingGroup(tok auth.Token, name, policy string, member
 		Policy: policy, Members: members,
 	})
 	s.audit(tok.Identity.Username, "create_routing_group", id, err,
-		fmt.Sprintf("%d members, policy=%s", len(members), policyOrDefault(policy, s.cfg.RoutePolicy)))
+		fmt.Sprintf("%d members, policy=%s", len(members), policyOrDefault(policy)))
 	if err != nil {
 		return "", err
 	}
@@ -128,7 +127,7 @@ func (s *Service) UpdateRoutingGroup(tok auth.Token, id protocol.UUID, policy st
 	}
 	s.invalidateGroupRoute(id)
 	s.audit(tok.Identity.Username, "update_routing_group", id, nil,
-		fmt.Sprintf("%d members, policy=%s", len(members), policyOrDefault(policy, s.cfg.RoutePolicy)))
+		fmt.Sprintf("%d members, policy=%s", len(members), policyOrDefault(policy)))
 	return nil
 }
 
@@ -170,9 +169,11 @@ func (s *Service) ListRoutingGroups(owner string) []statestore.RoutingGroupRecor
 	return s.cfg.Store.ListRoutingGroups(owner)
 }
 
-func policyOrDefault(policy, def string) string {
+// policyOrDefault names a group's placement policy: p2c unless the group
+// record carries one.
+func policyOrDefault(policy string) string {
 	if policy == "" {
-		return def
+		return string(placement.PolicyP2C)
 	}
 	return policy
 }
@@ -198,7 +199,7 @@ func (s *Service) groupRouteFor(id protocol.UUID, now time.Time) (*groupRoute, e
 		if err != nil {
 			return nil, err
 		}
-		policy := policyOrDefault(g.Policy, s.cfg.RoutePolicy)
+		policy := policyOrDefault(g.Policy)
 		sel, err := s.newSelector(policy)
 		if err != nil {
 			return nil, err

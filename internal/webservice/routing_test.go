@@ -329,44 +329,3 @@ func TestRoutingGroupSurvivesRestartViaSnapshot(t *testing.T) {
 		t.Fatalf("restored group = %+v, %v", got, err)
 	}
 }
-
-func TestUserEndpointReplicasPickWarm(t *testing.T) {
-	f := newRoutingFixture(t, func(c *Config) { c.UserEndpointReplicas = 2 })
-	fn := f.registerFunction(t)
-	mep := f.registerEndpoint(t, RegisterEndpointRequest{Name: "cluster", Owner: "admin", MultiUser: true})
-	conf := []byte(`{"NODES": 2}`)
-
-	submit := func() protocol.UUID {
-		ids, err := f.svc.Submit(f.token, []SubmitRequest{{
-			EndpointID: mep, FunctionID: fn, Payload: []byte("{}"), UserEndpointConfig: conf,
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec, err := f.store.GetTask(ids[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rec.Task.EndpointID
-	}
-
-	// First two submissions scale out to two replicas.
-	r1, r2 := submit(), submit()
-	if r1 == r2 {
-		t.Fatalf("replicas=2 reused one child for the first two submissions")
-	}
-	// Only one replica warm: every later pick lands on it.
-	if err := f.svc.SetEndpointStatus(r2, true); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if got := submit(); got != r2 {
-			t.Fatalf("pick %d chose cold replica %s, want warm %s", i, got, r2)
-		}
-	}
-	// No third replica ever spawned.
-	kids := f.store.ListEndpoints(statestore.EndpointFilter{Parent: mep, Owner: "alice@uchicago.edu"})
-	if len(kids) != 2 {
-		t.Fatalf("spawned %d replicas, want 2", len(kids))
-	}
-}

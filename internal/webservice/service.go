@@ -23,7 +23,6 @@ import (
 	"globuscompute/internal/metrics"
 	"globuscompute/internal/objectstore"
 	"globuscompute/internal/obs"
-	"globuscompute/internal/placement"
 	"globuscompute/internal/protocol"
 	"globuscompute/internal/scheduler"
 	"globuscompute/internal/serialize"
@@ -71,12 +70,6 @@ type Config struct {
 	Fleet *obs.FleetStore
 	// SLORules overrides the default SLO rule set (nil = obs.DefaultRules).
 	SLORules []obs.Rule
-	// Log overrides the service's structured logger (default: the process
-	// pipeline's "webservice" component).
-	Log *obs.Logger
-	// Logs is the ring buffer served by GET /debug/logs (default: the
-	// process pipeline's buffer).
-	Logs *obs.LogBuffer
 	// DurableMetrics, when the service runs on a durable store (see
 	// internal/durable), is that layer's registry; /metrics exposes it under
 	// the gc_durable prefix (WAL appends/fsyncs, snapshot age, replay
@@ -99,25 +92,17 @@ type Config struct {
 	// and the backlog-shed path treat reports older than three intervals as
 	// unknown rather than trusting a dead endpoint's last words.
 	HeartbeatInterval time.Duration
-	// RoutePolicy is the default placement policy for routing groups and
-	// multi-user warm-candidate selection ("random", "round-robin",
-	// "least-backlog", "p2c"; default "p2c"). Groups may override it per
-	// record.
-	RoutePolicy string
-	// RouteSeed fixes placement randomness (benchmarks and tests; 0 uses a
-	// policy-derived seed).
-	RouteSeed int64
-	// UserEndpointReplicas is how many user endpoints one (identity, config
-	// hash) pair scales out to behind a multi-user endpoint (default 1, the
-	// original single-child behavior). With N > 1 the first N submissions
-	// each spawn a replica and later ones pick among the warm replicas via
-	// the placement policy.
-	UserEndpointReplicas int
 	// Pprof registers net/http/pprof handlers under /debug/pprof/ on the
 	// REST mux, behind the same ?token= authentication as the other debug
 	// endpoints. Off by default: profiling exposes process internals and
 	// costs CPU while sampling — opt in per process (gc-webservice -pprof).
 	Pprof bool
+
+	// log is the service's structured logger and logs the ring buffer GET
+	// /debug/logs serves; both default to the process pipeline's. This
+	// package's drain test sets them to read the service's warnings alone.
+	log  *obs.Logger
+	logs *obs.LogBuffer
 }
 
 // Service is the web service core, independent of its HTTP front end.
@@ -154,8 +139,6 @@ type Service struct {
 	// candidate-snapshot cache (see routing.go).
 	routeMu     sync.Mutex
 	routeGroups map[protocol.UUID]*groupRoute
-	// mepSel picks among warm user-endpoint replicas behind a MEP.
-	mepSel *placement.Selector
 }
 
 // New builds the service, filling config defaults.
@@ -166,11 +149,8 @@ func New(cfg Config) (*Service, error) {
 	if cfg.InlineThreshold <= 0 {
 		cfg.InlineThreshold = serialize.DefaultInlineThreshold
 	}
-	if cfg.Log == nil {
-		cfg.Log = obs.Component("webservice")
-	}
-	if cfg.Logs == nil {
-		cfg.Logs = obs.DefaultBuffer()
+	if cfg.log == nil {
+		cfg.log, cfg.logs = obs.Component("webservice"), obs.DefaultBuffer()
 	}
 	fleet := cfg.Fleet
 	if fleet == nil {
@@ -179,24 +159,17 @@ func New(cfg Config) (*Service, error) {
 	if cfg.HeartbeatInterval <= 0 {
 		cfg.HeartbeatInterval = time.Second
 	}
-	if cfg.RoutePolicy == "" {
-		cfg.RoutePolicy = string(placement.PolicyP2C)
-	}
 	s := &Service{
 		cfg:             cfg,
 		resultConsumers: make(map[protocol.UUID]*broker.Consumer),
 		auditTrail:      newAuditLog(0),
-		log:             cfg.Log,
+		log:             cfg.log,
 		Metrics:         metrics.NewRegistry(),
 		Overload:        metrics.NewRegistry(),
 		Routing:         metrics.NewRegistry(),
 		Fleet:           fleet,
 		SLO:             obs.NewSLOEngine(fleet, cfg.SLORules),
 		routeGroups:     make(map[protocol.UUID]*groupRoute),
-	}
-	var err error
-	if s.mepSel, err = s.newSelector(cfg.RoutePolicy); err != nil {
-		return nil, err
 	}
 	// Alert counts surface on /metrics alongside the service counters.
 	s.SLO.SetRegistry(s.Metrics)
@@ -305,13 +278,18 @@ type RegisterEndpointRequest struct {
 }
 
 // RegisterEndpoint creates the endpoint record and its queues, and starts
-// the result processor for it. It returns the endpoint ID.
+// the result processor for it. It returns the endpoint ID. An auth policy
+// the auth service does not know is refused: every submit to the endpoint
+// would fail on it.
 func (s *Service) RegisterEndpoint(req RegisterEndpointRequest) (protocol.UUID, error) {
 	id := req.ID
 	if id == "" {
 		id = protocol.NewUUID()
 	} else if !id.Valid() {
 		return "", fmt.Errorf("webservice: invalid endpoint ID %q", id)
+	}
+	if err := s.cfg.Auth.EvaluatePolicy(req.AuthPolicy, auth.Token{}); errors.Is(err, auth.ErrUnknownPolicy) {
+		return "", err
 	}
 	rec := statestore.EndpointRecord{
 		ID: id, Name: req.Name, Owner: req.Owner,
@@ -1051,10 +1029,7 @@ func (sc *submitScratch) release() {
 
 // resolveUserEndpoint maps (MEP, identity, config hash) to a user endpoint,
 // creating the child record and issuing a start command on first use —
-// the Fig. 1 flow. With UserEndpointReplicas > 1 the pair scales out to N
-// children, and repeat submissions pick among the warm (online) replicas
-// through the placement policy instead of always landing on the first
-// config-hash match.
+// the Fig. 1 flow.
 func (s *Service) resolveUserEndpoint(tok auth.Token, mep statestore.EndpointRecord, userConfig json.RawMessage) (protocol.UUID, error) {
 	if len(userConfig) == 0 {
 		return "", ErrNeedsUserConfig
@@ -1063,22 +1038,14 @@ func (s *Service) resolveUserEndpoint(tok auth.Token, mep statestore.EndpointRec
 	if err != nil {
 		return "", err
 	}
-	replicas := s.cfg.UserEndpointReplicas
-	if replicas < 1 {
-		replicas = 1
-	}
-	// Reuse existing children with the same owner and config hash.
+	// Reuse the existing child with the same owner and config hash.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var matches []statestore.EndpointRecord
 	for _, child := range s.cfg.Store.ListEndpoints(statestore.EndpointFilter{Parent: mep.ID, Owner: tok.Identity.Username}) {
 		if child.Metadata["config_hash"] == hash {
-			matches = append(matches, child)
+			s.Metrics.Counter("uep_reused").Inc()
+			return child.ID, nil
 		}
-	}
-	if len(matches) >= replicas {
-		s.Metrics.Counter("uep_reused").Inc()
-		return s.pickUserEndpoint(matches), nil
 	}
 	childID := protocol.NewUUID()
 	rec := statestore.EndpointRecord{
@@ -1116,25 +1083,6 @@ func (s *Service) resolveUserEndpoint(tok auth.Token, mep statestore.EndpointRec
 	s.audit(tok.Identity.Username, "start_user_endpoint", childID, nil, "mep="+string(mep.ID)+" hash="+hash)
 	s.Metrics.Counter("uep_spawn_requested").Inc()
 	return childID, nil
-}
-
-// pickUserEndpoint chooses among a user's config-matching children by the
-// placement policy. An offline child is only chosen when no replica is warm
-// (the task then buffers until its agent comes up — the pre-replica
-// behavior).
-func (s *Service) pickUserEndpoint(matches []statestore.EndpointRecord) protocol.UUID {
-	if len(matches) == 1 {
-		return matches[0].ID
-	}
-	cands := make([]placement.Candidate, len(matches))
-	for i, child := range matches {
-		cands[i] = candidateFor(child)
-	}
-	c, err := s.mepSel.Pick(cands, time.Now())
-	if err != nil {
-		return matches[0].ID
-	}
-	return c.ID
 }
 
 // HashConfig canonicalizes a JSON user configuration (sorted keys) and

@@ -49,8 +49,8 @@ func TestStackDrainKeepsAcknowledgedTasks(t *testing.T) {
 		t.Helper()
 		st, err := OpenStack(StackConfig{
 			Service: Config{
-				Log:  obs.NewPipeline(obs.PipelineConfig{Buffer: logs}).Component("webservice"),
-				Logs: logs,
+				log:  obs.NewPipeline(obs.PipelineConfig{Buffer: logs}).Component("webservice"),
+				logs: logs,
 			},
 			DataDir: dir, SnapshotEvery: -1,
 			HTTPAddr: "127.0.0.1:0", BrokerAddr: "127.0.0.1:0", ObjectsAddr: "127.0.0.1:0",
@@ -86,8 +86,6 @@ func TestStackDrainKeepsAcknowledgedTasks(t *testing.T) {
 	}
 	agent, err := endpoint.New(endpoint.Config{
 		EndpointID: ep, Conn: broker.LocalConn(st.Broker), Engine: eng,
-		// The agent loses its broker mid-drain and says so; not this test's concern.
-		Log: obs.NewPipeline(obs.PipelineConfig{}).Component("endpoint"),
 	})
 	if err != nil {
 		t.Fatal(err)

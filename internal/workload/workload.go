@@ -23,6 +23,11 @@ const (
 	Fig2TotalTasks = 17_000_000
 	// Fig2Truncation is the figure's per-day display cap.
 	Fig2Truncation = 100_000
+
+	// fig2BurstProbability is the per-day chance of a campaign burst, and
+	// fig2QuietProbability that of a near-idle day.
+	fig2BurstProbability = 0.06
+	fig2QuietProbability = 0.18
 )
 
 // Fig2Start and Fig2End bound the figure's x axis.
@@ -42,46 +47,14 @@ type DayCount struct {
 	Truncated bool
 }
 
-// Fig2Config tunes the trace shape.
-type Fig2Config struct {
-	Seed int64
-	// TotalTasks calibrates the series sum before truncation
-	// (default Fig2TotalTasks).
-	TotalTasks int
-	// Start/End bound the series (defaults Fig2Start/Fig2End).
-	Start, End time.Time
-	// BurstProbability is the per-day chance of a campaign burst.
-	BurstProbability float64
-	// QuietProbability is the per-day chance of a near-idle day.
-	QuietProbability float64
-}
-
-func (c *Fig2Config) fill() {
-	if c.TotalTasks <= 0 {
-		c.TotalTasks = Fig2TotalTasks
-	}
-	if c.Start.IsZero() {
-		c.Start = Fig2Start
-	}
-	if c.End.IsZero() {
-		c.End = Fig2End
-	}
-	if c.BurstProbability == 0 {
-		c.BurstProbability = 0.06
-	}
-	if c.QuietProbability == 0 {
-		c.QuietProbability = 0.18
-	}
-}
-
-// Fig2Trace generates the task-invocations-per-day series: a low-volume
-// early period, growing and increasingly consistent use over time (the
-// paper's observation), heavy-tailed campaign bursts, and truncation at
-// Fig2Truncation for display.
-func Fig2Trace(cfg Fig2Config) []DayCount {
-	cfg.fill()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	days := int(cfg.End.Sub(cfg.Start).Hours()/24) + 1
+// Fig2Trace generates the task-invocations-per-day series from Fig2Start to
+// Fig2End: a low-volume early period, growing and increasingly consistent
+// use over time (the paper's observation), heavy-tailed campaign bursts, and
+// truncation at Fig2Truncation for display. The series sums to
+// Fig2TotalTasks before truncation.
+func Fig2Trace(seed int64) []DayCount {
+	rng := rand.New(rand.NewSource(seed))
+	days := int(Fig2End.Sub(Fig2Start).Hours()/24) + 1
 	raw := make([]float64, days)
 	var sum float64
 	for i := 0; i < days; i++ {
@@ -95,22 +68,22 @@ func Fig2Trace(cfg Fig2Config) []DayCount {
 		}
 		v := base * noise
 		switch {
-		case rng.Float64() < cfg.QuietProbability*(1.5-progress):
+		case rng.Float64() < fig2QuietProbability*(1.5-progress):
 			// Quiet day: almost no activity (weekends, early adoption).
 			v *= 0.02
-		case rng.Float64() < cfg.BurstProbability:
+		case rng.Float64() < fig2BurstProbability:
 			// Campaign burst: heavy-tailed multiplier.
 			v *= 5 + rng.ExpFloat64()*40
 		}
 		raw[i] = v
 		sum += v
 	}
-	// Calibrate so the series totals cfg.TotalTasks before truncation.
-	scale := float64(cfg.TotalTasks) / sum
+	// Calibrate so the series totals Fig2TotalTasks before truncation.
+	scale := float64(Fig2TotalTasks) / sum
 	out := make([]DayCount, days)
 	for i := range raw {
 		count := int(raw[i] * scale)
-		dc := DayCount{Date: cfg.Start.AddDate(0, 0, i), Tasks: count, RawTasks: count}
+		dc := DayCount{Date: Fig2Start.AddDate(0, 0, i), Tasks: count, RawTasks: count}
 		if count > Fig2Truncation {
 			dc.Tasks = Fig2Truncation
 			dc.Truncated = true

@@ -8,7 +8,7 @@ import (
 )
 
 func TestFig2TraceCoversWindow(t *testing.T) {
-	trace := Fig2Trace(Fig2Config{Seed: 1})
+	trace := Fig2Trace(1)
 	if len(trace) == 0 {
 		t.Fatal("empty trace")
 	}
@@ -31,7 +31,7 @@ func TestFig2TraceCoversWindow(t *testing.T) {
 }
 
 func TestFig2TraceShape(t *testing.T) {
-	trace := Fig2Trace(Fig2Config{Seed: 42})
+	trace := Fig2Trace(42)
 	s := Summarize(trace)
 	// The executed total is calibrated to ~17M; the displayed total is
 	// lower because bursts are clipped.
@@ -62,14 +62,14 @@ func TestFig2TraceShape(t *testing.T) {
 }
 
 func TestFig2TraceDeterministic(t *testing.T) {
-	a := Fig2Trace(Fig2Config{Seed: 7})
-	b := Fig2Trace(Fig2Config{Seed: 7})
+	a := Fig2Trace(7)
+	b := Fig2Trace(7)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("divergence at day %d", i)
 		}
 	}
-	c := Fig2Trace(Fig2Config{Seed: 8})
+	c := Fig2Trace(8)
 	same := true
 	for i := range a {
 		if a[i].Tasks != c[i].Tasks {
@@ -79,21 +79,6 @@ func TestFig2TraceDeterministic(t *testing.T) {
 	}
 	if same {
 		t.Error("different seeds produced identical traces")
-	}
-}
-
-func TestFig2CustomCalibration(t *testing.T) {
-	trace := Fig2Trace(Fig2Config{
-		Seed: 1, TotalTasks: 100_000,
-		Start: time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC),
-		End:   time.Date(2024, 1, 31, 0, 0, 0, 0, time.UTC),
-	})
-	if len(trace) != 31 {
-		t.Errorf("days = %d", len(trace))
-	}
-	s := Summarize(trace)
-	if s.RawTotal < 95_000 || s.RawTotal > 105_000 {
-		t.Errorf("raw total = %d, want ~100k", s.RawTotal)
 	}
 }
 

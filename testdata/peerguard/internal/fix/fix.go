@@ -23,3 +23,6 @@ type Square struct {
 }
 
 func (s Square) Area() float64 { return s.Side * s.Side }
+
+// helper is unexported and used only by its own test.
+func helper() int { return 2 }

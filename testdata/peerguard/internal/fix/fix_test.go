@@ -3,7 +3,7 @@ package fix
 import "testing"
 
 func TestTested(t *testing.T) {
-	if Tested() != 1 {
+	if Tested() != 1 || helper() != 2 {
 		t.Fatal("Tested")
 	}
 }
