@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: all build vet test race trace-bench alloc-bench bench benchmark chaos crash overload obs-smoke route-smoke scenario scenario-full examples experiments fuzz fuzz-codec clean
+.PHONY: all build vet test race trace-bench alloc-bench bench benchmark chaos crash overload obs-smoke route-smoke burst examples experiments fuzz fuzz-codec clean
 
-all: build vet test race crash overload route-smoke fuzz-codec scenario
+all: build vet test race crash overload route-smoke fuzz-codec burst
 
 build:
 	$(GO) build ./...
@@ -99,24 +99,15 @@ benchmark:
 route-smoke:
 	GC_ROUTE=1 $(GO) test -race -count=1 -timeout 600s -v -run TestRouteSmoke ./internal/experiments/
 
-# Scenario harness: builds the real gc-webservice (with -pprof), stands up a
-# 16-endpoint simulated fleet behind a p2c routing group, and drives the
-# built-in steady + burst profiles through the loadgen/sampler/gate pipeline
-# (see docs/SCENARIOS.md). Passes only when every run-validity gate holds,
-# the burst backlog p95 recovers within its window, and burst-peak pprof
-# captures land on disk. The verdict (scenario.json) and the run outputs
-# (samples.csv, summary.json, *.pb.gz) land under the git-ignored
-# scenario-runs/.
-# Gated on GC_SCENARIO so plain `go test ./...` stays fast.
-scenario:
-	GC_SCENARIO=1 GC_SCENARIO_OUT=$(CURDIR)/scenario-runs/scenario.json \
-		$(GO) test -count=1 -timeout 300s -v -run TestScenarioHarness ./internal/scenario/
-
-# Long-form soak: the multi-minute steady-full + burst-full profiles
-# (repeated bursts, every recovery gated). Not part of `make all`.
-scenario-full:
-	GC_SCENARIO=1 GC_SCENARIO_FULL=1 GC_SCENARIO_OUT=$(CURDIR)/scenario-runs/scenario-full.json \
-		$(GO) test -count=1 -timeout 900s -v -run TestScenarioHarness ./internal/scenario/
+# Burst recovery: builds the real gc-webservice, stands up 16 simulated
+# endpoints (20 ms a task, 800 tasks/s of drain capacity) behind a p2c routing
+# group and offers 200 tasks/s, then 1600 for 4 s, then 200 again. Asserts no
+# steady-state shed, a steady backlog p95 <= 96, a backlog that recovers
+# within 12 s of the burst, and every accepted task terminal (see
+# docs/ROBUSTNESS.md "Burst recovery"). Gated on GC_BURST so plain
+# `go test ./...` stays fast.
+burst:
+	GC_BURST=1 $(GO) test -count=1 -timeout 300s -v -run TestBurstBacklogRecovers ./internal/e2e/
 
 examples:
 	$(GO) run ./examples/quickstart

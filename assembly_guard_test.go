@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -34,17 +35,20 @@ var assembled = map[string][]string{
 	"internal/broker":     {"Dial", "DialTLS", "NewReconnecting"},
 }
 
-// sourceTree is the parsed non-test Go of one module tree.
+// sourceTree is the parsed non-test Go of one module tree, and the names of
+// the test and benchmark funcs its _test.go files declare.
 type sourceTree struct {
 	fset  *token.FileSet
 	files map[string]*ast.File // keyed by slash path relative to the root
 	dirs  map[string]bool      // the slash directories of files
+	tests map[string]bool      // top-level Test* and Benchmark* func names
 }
 
 // parseTree parses every non-test .go file under root, skipping hidden
-// directories and testdata, as the go tool does.
+// directories and testdata, as the go tool does, and collects the Test* and
+// Benchmark* func names the _test.go files beside them declare.
 func parseTree(root string) (*sourceTree, error) {
-	tree := &sourceTree{fset: token.NewFileSet(), files: map[string]*ast.File{}, dirs: map[string]bool{}}
+	tree := &sourceTree{fset: token.NewFileSet(), files: map[string]*ast.File{}, dirs: map[string]bool{}, tests: map[string]bool{}}
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -55,8 +59,20 @@ func parseTree(root string) (*sourceTree, error) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") {
 			return nil
+		}
+		if strings.HasSuffix(path, "_test.go") {
+			// gofmt puts every top-level func at the start of a line, so a
+			// line scan finds them without parsing ~30k lines of tests.
+			src, err := os.ReadFile(path)
+			for _, line := range strings.Split(string(src), "\n") {
+				name, ok := strings.CutPrefix(line, "func ")
+				if ok && (strings.HasPrefix(name, "Test") || strings.HasPrefix(name, "Benchmark")) {
+					tree.tests[name[:strings.IndexAny(name+"(", "([")]] = true
+				}
+			}
+			return err
 		}
 		rel, err := filepath.Rel(root, path)
 		if err != nil {
@@ -246,9 +262,10 @@ var peers = map[string]string{
 	"durable.WAL.TailRepairs":               "test seam: webservice stack tests read torn-tail repairs after a reopen",
 	"mep.EndpointConfig.DisplayName":        "paper Listing 9: the rendered template's display_name, which the strict parser must accept",
 	"mep.Manager.Children":                  "test seam: webservice and core load tests read the spawned children",
-	"mep.StartSimAgent":                     "make route-smoke and make scenario: the simulated fleets of TestRouteSmoke and TestScenarioHarness",
+	"mep.StartSimAgent":                     "make route-smoke and make burst: the simulated fleets of TestRouteSmoke and TestBurstBacklogRecovers",
 	"objectstore.Store.TotalBytes":          "test seam: webservice object-sweep tests read the stored bytes",
 	"obs.Exposition.Lint":                   "make obs-smoke: TestObsSmoke lints /metrics/fleet",
+	"obs.ParseExposition":                   "make obs-smoke: TestObsSmoke parses /metrics and /metrics/fleet through it (and make burst samples them with it)",
 	"scheduler.Admission.InFlight":          "test seam: webservice overload tests read the in-flight release",
 	"sdk.Executor.SubmitKwargs":             "paper contribution (1), the Executor: submit(fn, *args, **kwargs)",
 	"sdk.Executor.Group":                    "make chaos: core's TestChaosExecutorStream reads the executor's group result queue",
@@ -480,10 +497,8 @@ var knobs = map[string]string{
 	"core.Options.QueueLimit":                       "make overload: the overload tests bound each endpoint's task queue",
 	"core.Options.SLORules":                         "make obs-smoke: TestObsSmokeFleetPipeline shrinks the SLO windows to seconds",
 	"engine.Config.IdleTimeout":                     "paper feature: DESIGN.md A3 (provider elasticity); engine's TestScaleInOnIdle releases idle blocks",
-	"mep.SimAgentConfig.ServiceTime":                "make route-smoke and make scenario: TestRouteSmoke's and TestScenarioHarness's simulated fleets model per-endpoint service times",
-	"obs.FleetConfig.RingPoints":                    "make obs-smoke: TestObsSmokeFleetPipeline keeps 240 points, so its 4 s slow burn window is half covered under 50 ms heartbeats and scrapes",
+	"mep.SimAgentConfig.ServiceTime":                "make route-smoke and make burst: TestRouteSmoke's and TestBurstBacklogRecovers's simulated fleets model per-endpoint service times",
 	"obs.FleetConfig.StaleAfter":                    "make obs-smoke: TestObsSmokeFleetPipeline federates a killed endpoint as down after 400 ms, not the 30 s default",
-	"scenario.SamplerConfig.Client":                 "ROADMAP item 11 deletes internal/scenario; make scenario's TestScenarioHarness samples through it until then",
 	"scheduler.AdmissionConfig.Now":                 "test seam: webservice's TestSubmitAdmissionRateShed pins the admission clock to check the refill",
 	"scheduler.Config.Flavor":                       "paper feature: DESIGN.md substitution row Slurm / PBS / Kubernetes (PBS_NODEFILE); scheduler's TestPBSFlavorEnv",
 	"webservice.Config.HeartbeatInterval":           "make route-smoke: TestRouteSmoke's 1000-endpoint fleet reports every 250 ms, which sizes the placement staleness horizon and route cache TTL",

@@ -99,8 +99,7 @@ func main() {
 			}
 		})
 		if *pprofOn {
-			// Agent-side continuous-profiling hook: the scenario harness (and
-			// ad-hoc `go tool pprof`) capture CPU/heap profiles at burst peak.
+			// Agent-side continuous-profiling hook for `go tool pprof`.
 			mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 			mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
 			mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)

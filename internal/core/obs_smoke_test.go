@@ -42,7 +42,7 @@ func TestObsSmokeFleetPipeline(t *testing.T) {
 	}
 	tb, err := core.NewTestbed(core.Options{
 		ClusterNodes: 2,
-		FleetConfig:  obs.FleetConfig{RingPoints: 240, StaleAfter: 400 * time.Millisecond},
+		FleetConfig:  obs.FleetConfig{StaleAfter: 400 * time.Millisecond},
 		SLORules:     rules,
 	})
 	if err != nil {

@@ -51,6 +51,15 @@ func buildBinaries(t *testing.T) string {
 	return buildDir
 }
 
+// TestMain removes the built binaries once every test has run.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if buildDir != "" {
+		os.RemoveAll(buildDir)
+	}
+	os.Exit(code)
+}
+
 // repoRoot walks up from the working directory to the go.mod.
 func repoRoot() string {
 	dir, _ := os.Getwd()

@@ -15,9 +15,9 @@ import (
 // agent, holds each task for a configurable service time, and publishes a
 // success result — one goroutine per endpoint, so an in-process fleet scales
 // to 10k endpoints (and stays inside the race detector's goroutine budget at
-// 1k). The placement tests in internal/experiments and the scenario suite
-// use them to measure placement policies against skewed per-endpoint
-// service times.
+// 1k). The placement tests in internal/experiments and the burst test in
+// internal/e2e use them to measure placement policies against skewed
+// per-endpoint service times.
 
 // SimAgentConfig configures one simulated endpoint agent.
 type SimAgentConfig struct {
@@ -26,11 +26,6 @@ type SimAgentConfig struct {
 	// ServiceTime is how long the agent holds each task before publishing
 	// its result — the skew knob (0 = instant echo).
 	ServiceTime time.Duration
-	// Prefetch bounds in-flight deliveries (default one delivery frame,
-	// broker.MaxDeliveryBatch). Keep it above the expected queue depth:
-	// placement reads queued intake from heartbeats, and tasks parked in the
-	// broker because prefetch is exhausted are load the report would miss.
-	Prefetch int
 }
 
 // SimAgent is a lightweight simulated endpoint. It implements the mep
@@ -52,9 +47,6 @@ type SimAgent struct {
 // StartSimAgent subscribes to the endpoint's task queue and starts the
 // single service goroutine.
 func StartSimAgent(cfg SimAgentConfig) (*SimAgent, error) {
-	if cfg.Prefetch <= 0 {
-		cfg.Prefetch = broker.MaxDeliveryBatch
-	}
 	// Declare idempotently: the webservice declares these on registration,
 	// but a harness-spawned agent may come up first.
 	for _, q := range []string{webservice.TaskQueue(cfg.EndpointID), webservice.ResultQueue(cfg.EndpointID)} {
@@ -62,7 +54,9 @@ func StartSimAgent(cfg SimAgentConfig) (*SimAgent, error) {
 			return nil, err
 		}
 	}
-	sub, err := cfg.Conn.Subscribe(webservice.TaskQueue(cfg.EndpointID), cfg.Prefetch)
+	// One delivery frame in flight: a task the frame does not hold waits in
+	// the broker, whose depth gauge counts it.
+	sub, err := cfg.Conn.Subscribe(webservice.TaskQueue(cfg.EndpointID), broker.MaxDeliveryBatch)
 	if err != nil {
 		return nil, err
 	}

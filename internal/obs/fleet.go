@@ -26,24 +26,18 @@ const (
 	DefaultServiceRateHalfLife = 10 * time.Second
 )
 
-// FleetConfig sizes a FleetStore's rings and staleness horizon. The store
-// caps tracked endpoints at DefaultMaxEndpoints (reports from endpoints
-// beyond the cap are counted and dropped rather than growing memory), reads
-// Health rates over DefaultHealthWindow and prefixes federated names with
-// DefaultFleetPrefix.
+// FleetConfig sets a FleetStore's staleness horizon. The store keeps
+// DefaultRingPoints samples per endpoint, caps tracked endpoints at
+// DefaultMaxEndpoints (reports from endpoints beyond the cap are counted and
+// dropped rather than growing memory), reads Health rates over
+// DefaultHealthWindow and prefixes federated names with DefaultFleetPrefix.
 type FleetConfig struct {
-	// RingPoints is the number of time-series samples retained per endpoint
-	// (default DefaultRingPoints).
-	RingPoints int
 	// StaleAfter marks an endpoint offline in Health/federation output when
 	// no report has arrived within it (default DefaultStaleAfter).
 	StaleAfter time.Duration
 }
 
 func (c FleetConfig) withDefaults() FleetConfig {
-	if c.RingPoints <= 0 {
-		c.RingPoints = DefaultRingPoints
-	}
 	if c.StaleAfter <= 0 {
 		c.StaleAfter = DefaultStaleAfter
 	}
@@ -142,7 +136,7 @@ func (f *FleetStore) state(id string) *endpointState {
 		}
 		st = &endpointState{
 			local: metrics.NewRegistry(),
-			ring:  make([]Point, f.cfg.RingPoints),
+			ring:  make([]Point, DefaultRingPoints),
 		}
 		f.eps[id] = st
 	}

@@ -74,7 +74,7 @@ func TestLogBufferRingAndQueries(t *testing.T) {
 }
 
 func TestFleetIngestAndWindows(t *testing.T) {
-	f := NewFleetStore(FleetConfig{RingPoints: 16, StaleAfter: time.Second})
+	f := NewFleetStore(FleetConfig{StaleAfter: time.Second})
 	base := time.Unix(1000, 0)
 
 	// First delta is a full snapshot; later deltas elide unchanged series.
@@ -111,7 +111,7 @@ func TestFleetIngestAndWindows(t *testing.T) {
 }
 
 func TestFleetLocalRegistryAndHealth(t *testing.T) {
-	f := NewFleetStore(FleetConfig{RingPoints: 16, StaleAfter: time.Minute})
+	f := NewFleetStore(FleetConfig{StaleAfter: time.Minute})
 	base := time.Unix(2000, 0)
 
 	// Agent-side load gauges arrive via snapshot; webservice-side outcomes
@@ -155,7 +155,7 @@ func TestFleetLocalRegistryAndHealth(t *testing.T) {
 }
 
 func TestFleetEndpointCap(t *testing.T) {
-	f := NewFleetStore(FleetConfig{RingPoints: 4})
+	f := NewFleetStore(FleetConfig{})
 	now := time.Unix(3000, 0)
 	for i := 0; i < DefaultMaxEndpoints; i++ {
 		f.Touch(fmt.Sprintf("ep-%d", i), now)
@@ -169,7 +169,7 @@ func TestFleetEndpointCap(t *testing.T) {
 }
 
 func TestWriteFederationParsesCleanly(t *testing.T) {
-	f := NewFleetStore(FleetConfig{RingPoints: 8, StaleAfter: time.Minute})
+	f := NewFleetStore(FleetConfig{StaleAfter: time.Minute})
 	now := time.Unix(4000, 0)
 	for _, id := range []string{"ep-1", "ep-2"} {
 		f.Ingest(id, metrics.Snapshot{
@@ -237,7 +237,7 @@ func TestWriteFederationEscapesLabelOnce(t *testing.T) {
 // each, samples labelled by endpoint, the float service-rate gauge, and
 // summaries with the endpoint label ahead of the quantile.
 func TestWriteFederationGolden(t *testing.T) {
-	f := NewFleetStore(FleetConfig{RingPoints: 8, StaleAfter: time.Minute})
+	f := NewFleetStore(FleetConfig{StaleAfter: time.Minute})
 	now := time.Unix(4000, 0)
 	f.Ingest("ep-1", metrics.Snapshot{
 		Counters: map[string]int64{"tasks_received": 5, "results_published": 4},
@@ -308,7 +308,7 @@ gc_endpoint_ws_total_workers{endpoint_id="ep-1"} 0
 func TestSLOFailureRatioLifecycle(t *testing.T) {
 	p := testPipeline(256)
 	SetDefault(p)
-	f := NewFleetStore(FleetConfig{RingPoints: 64, StaleAfter: time.Hour})
+	f := NewFleetStore(FleetConfig{StaleAfter: time.Hour})
 	rules := []Rule{{
 		Name: "failures", Kind: RuleFailureRatio,
 		BadCounter: "ws_results_failed", TotalCounter: "ws_results",
@@ -389,7 +389,7 @@ func TestSLOFailureRatioLifecycle(t *testing.T) {
 
 func TestSLOStalenessEscalation(t *testing.T) {
 	SetDefault(testPipeline(64))
-	f := NewFleetStore(FleetConfig{RingPoints: 16})
+	f := NewFleetStore(FleetConfig{})
 	e := NewSLOEngine(f, []Rule{{Name: "stale", Kind: RuleStaleness, MaxStaleness: 10 * time.Second}})
 	base := time.Unix(6000, 0)
 	f.Touch("ep-1", base)
@@ -414,7 +414,7 @@ func TestSLOStalenessEscalation(t *testing.T) {
 
 func TestSLOGaugeSustained(t *testing.T) {
 	SetDefault(testPipeline(64))
-	f := NewFleetStore(FleetConfig{RingPoints: 64, StaleAfter: time.Hour})
+	f := NewFleetStore(FleetConfig{StaleAfter: time.Hour})
 	e := NewSLOEngine(f, []Rule{{
 		Name: "backlog", Kind: RuleGaugeMax, Gauge: "egress_backlog", Max: 100,
 		FastWindow: 10 * time.Second, SlowWindow: 30 * time.Second,

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"globuscompute/internal/broker"
@@ -75,10 +74,6 @@ type Executor struct {
 	futures map[protocol.UUID]*Future
 	orphans map[protocol.UUID]protocol.Result
 	closed  bool
-
-	// unresolved counts the futures Submit handed out that have not resolved
-	// yet, wherever they are: pending, in a POST, or awaiting their result.
-	unresolved atomic.Int64
 
 	// kick wakes the flusher when submissions are pending (capacity 1: one
 	// wake-up covers everything appended before it runs); Close closes it and
@@ -286,7 +281,6 @@ func (ex *Executor) enqueue(fnID protocol.UUID, payload []byte, res protocol.Res
 	}
 	p := &ex.pending
 	p.reqs, p.futs, p.spans = append(p.reqs, req), append(p.futs, fut), append(p.spans, sp)
-	ex.unresolved.Add(1)
 	if len(p.reqs) >= ex.cfg.MaxBatch {
 		batch := ex.takeBatchLocked()
 		ex.mu.Unlock()
@@ -343,7 +337,6 @@ func (ex *Executor) flush(batch submitBatch) {
 		for i, fut := range batch.futs {
 			batch.spans[i].EndStatus("error")
 			fut.resolve(protocol.Result{}, fmt.Errorf("sdk: submission failed: %w", err))
-			ex.unresolved.Add(-1)
 		}
 		ex.mu.Lock()
 		ex.recycleLocked(batch)
@@ -439,7 +432,6 @@ func (ex *Executor) resolveTraced(fut *Future, res protocol.Result, parent trace
 
 // deliver resolves a future, fetching spilled outputs first.
 func (ex *Executor) deliver(fut *Future, res protocol.Result) {
-	defer ex.unresolved.Add(-1)
 	if res.OutputRef != "" && len(res.Output) == 0 {
 		if ex.cfg.Objects != nil {
 			blob, err := ex.cfg.Objects.Get(res.OutputRef)
@@ -543,14 +535,9 @@ func (ex *Executor) Flush() {
 	ex.flush(batch)
 }
 
-// Outstanding reports futures not yet resolved.
-func (ex *Executor) Outstanding() int {
-	return int(ex.unresolved.Load())
-}
-
 // Close flushes buffered submissions and stops the flusher and the result
-// loops. Outstanding futures resolve only if their results already arrived;
-// use Drain first to wait for completion.
+// loops. Futures still outstanding resolve only if their results already
+// arrived; wait on them first to see them complete.
 func (ex *Executor) Close() {
 	ex.mu.Lock()
 	if ex.closed {
@@ -569,20 +556,4 @@ func (ex *Executor) Close() {
 		_ = ex.cfg.Conn.Delete(webservice.GroupResultQueue(ex.group))
 	}
 	ex.wg.Wait()
-}
-
-// Drain flushes and waits until every submitted future has resolved or ctx
-// expires.
-func (ex *Executor) Drain(ctx context.Context) error {
-	ex.Flush()
-	for {
-		if ex.Outstanding() == 0 {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(5 * time.Millisecond):
-		}
-	}
 }

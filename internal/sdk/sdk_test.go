@@ -301,18 +301,20 @@ func TestDrain(t *testing.T) {
 	e := newEnv(t, core.EndpointOptions{Workers: 2})
 	ex := e.executor(t)
 	fn := &sdk.PythonFunction{Entrypoint: "identity"}
-	for i := 0; i < 10; i++ {
-		if _, err := ex.Submit(fn, i); err != nil {
+	futs := make([]*sdk.Future, 10)
+	for i := range futs {
+		fut, err := ex.Submit(fn, i)
+		if err != nil {
 			t.Fatal(err)
 		}
+		futs[i] = fut
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
-	if err := ex.Drain(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if n := ex.Outstanding(); n != 0 {
-		t.Errorf("outstanding after drain = %d", n)
+	for i, fut := range futs {
+		if out, err := fut.Result(ctx); err != nil || string(out) != fmt.Sprint(i) {
+			t.Fatalf("future %d = %q, %v", i, out, err)
+		}
 	}
 }
 

@@ -184,14 +184,14 @@ func (s *Server) handleMetricsFleet(w http.ResponseWriter, r *http.Request) {
 
 // handleDebugFleet serves the JSON health rollup: per-endpoint liveness,
 // utilization, backlog, failure rates, and the current SLO alert set. The
-// handler ticks the store and evaluates rules on demand so a scrape is never
-// staler than the background evaluator interval.
+// handler evaluates the rules on demand over the rings as heartbeats and the
+// background evaluator left them; it never samples a ring point itself, so
+// a fast poller cannot shorten the history the SLO windows read.
 func (s *Server) handleDebugFleet(w http.ResponseWriter, r *http.Request) {
 	if !s.debugAuth(w, r) {
 		return
 	}
 	now := time.Now()
-	s.svc.Fleet.Tick(now)
 	s.svc.SLO.Evaluate(now)
 	writeJSON(w, http.StatusOK, map[string]any{
 		"fleet":  s.svc.Fleet.Health(now),

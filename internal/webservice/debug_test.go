@@ -11,6 +11,7 @@ import (
 	"globuscompute/internal/auth"
 	"globuscompute/internal/broker"
 	"globuscompute/internal/objectstore"
+	"globuscompute/internal/obs"
 	"globuscompute/internal/statestore"
 	"globuscompute/internal/trace"
 )
@@ -184,5 +185,37 @@ func TestMetricsRuntimeCounters(t *testing.T) {
 		if !bytes.Contains(body, []byte("# TYPE "+name+" counter\n"+name+" ")) {
 			t.Errorf("metrics lack counter %s", name)
 		}
+	}
+}
+
+// TestDebugFleetPollLeavesRingAlone polls /debug/fleet every millisecond for
+// a second: reading the fleet must not sample it, so the endpoint's ring
+// keeps the points and the time span that heartbeats gave it, and the SLO
+// windows read the history they were sized for.
+func TestDebugFleetPollLeavesRingAlone(t *testing.T) {
+	h := newHTTPFixture(t)
+	ep := h.registerEndpoint(t, RegisterEndpointRequest{Name: "polled"})
+	load := statestore.EndpointLoad{TotalWorkers: 1, FreeWorkers: 1}
+	if err := h.svc.RecordHeartbeat(ep, true, &load, nil); err != nil {
+		t.Fatal(err)
+	}
+	t0 := time.Now()
+	h.svc.Fleet.Tick(t0.Add(-time.Second))
+	h.svc.Fleet.Tick(t0)
+	span := func(pts []obs.Point) time.Duration { return pts[len(pts)-1].Time.Sub(pts[0].Time) }
+	before := h.svc.Fleet.Points(string(ep))
+
+	polls := 0
+	for time.Since(t0) < time.Second {
+		if resp, body := h.do(t, "GET", "/debug/fleet?token="+h.token.Value, "", nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("/debug/fleet: %d %s", resp.StatusCode, body)
+		}
+		polls++
+		time.Sleep(time.Millisecond)
+	}
+	after := h.svc.Fleet.Points(string(ep))
+	if len(after) != len(before) || span(after) != span(before) {
+		t.Errorf("%d polls moved the ring: %d points over %v before, %d over %v after",
+			polls, len(before), span(before), len(after), span(after))
 	}
 }

@@ -67,8 +67,8 @@ func ServeHTTP(svc *Service, addr, brokerAddr, objectsAddr string) (*Server, err
 		fmt.Fprintln(w, "ok")
 	})
 	if svc.cfg.Pprof {
-		// Continuous-profiling hooks (scenario harness, ad-hoc `go tool
-		// pprof`): the stdlib pprof handlers behind the debug ?token= auth.
+		// Continuous-profiling hooks for `go tool pprof`: the stdlib pprof
+		// handlers behind the debug ?token= auth.
 		// pprof.Index routes the named profiles (heap, goroutine, block, ...)
 		// under the prefix itself.
 		pprofWrap := func(h http.HandlerFunc) http.HandlerFunc {

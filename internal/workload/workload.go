@@ -225,43 +225,6 @@ func GenerateDeployment(seed int64) Deployment {
 	return Deployment{SingleUser: single, UEPsPerMEP: ueps}
 }
 
-// TenantRate is one tenant's share of an offered load: a stable name and a
-// per-second submit rate. The scenario harness (gc-loadgen) uses a slice of
-// these as its tenant mix.
-type TenantRate struct {
-	Name       string  `json:"name"`
-	RatePerSec float64 `json:"rate_per_sec"`
-}
-
-// TenantRates splits totalPerSec across n tenants with a Zipf-like
-// heavy-tailed skew (exponent s, typical 1.0–1.2): a few gateway tenants
-// carry most of the traffic and a long tail submits occasionally — the shape
-// the paper's §VI usage statistics (and the MEP spawn distribution) show.
-// Rates are deterministic given the seed and always sum to totalPerSec.
-func TenantRates(seed int64, n int, totalPerSec, s float64) []TenantRate {
-	if n <= 0 || totalPerSec <= 0 {
-		return nil
-	}
-	if s <= 0 {
-		s = 1.1
-	}
-	rng := rand.New(rand.NewSource(seed))
-	weights := make([]float64, n)
-	var wsum float64
-	for i := range weights {
-		weights[i] = 1 / math.Pow(float64(i+1), s) * (0.75 + 0.5*rng.Float64())
-		wsum += weights[i]
-	}
-	out := make([]TenantRate, n)
-	for i, w := range weights {
-		out[i] = TenantRate{
-			Name:       fmt.Sprintf("tenant-%02d", i),
-			RatePerSec: totalPerSec * w / wsum,
-		}
-	}
-	return out
-}
-
 // MPISpecStream generates resource specifications for MPI packing
 // experiments: a mix of narrow and wide applications.
 type MPISpec struct {

@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"math"
-	"sort"
 	"testing"
 	"time"
 )
@@ -148,36 +146,5 @@ func TestFormatDay(t *testing.T) {
 	d.Tasks = Fig2Truncation
 	if got := FormatDay(d); got != "2023-05-01,100000,truncated" {
 		t.Errorf("got %q", got)
-	}
-}
-
-func TestTenantRatesHeavyTailedAndCalibrated(t *testing.T) {
-	const total = 500.0
-	rates := TenantRates(42, 16, total, 1.1)
-	if len(rates) != 16 {
-		t.Fatalf("tenants = %d, want 16", len(rates))
-	}
-	var sum float64
-	for _, r := range rates {
-		if r.RatePerSec <= 0 {
-			t.Fatalf("tenant %s has non-positive rate %v", r.Name, r.RatePerSec)
-		}
-		sum += r.RatePerSec
-	}
-	if math.Abs(sum-total) > 1e-6 {
-		t.Fatalf("rates sum to %v, want %v", sum, total)
-	}
-	// Heavy tail: the top tenant must dominate the median one.
-	sorted := append([]TenantRate(nil), rates...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].RatePerSec > sorted[j].RatePerSec })
-	if sorted[0].RatePerSec < 3*sorted[8].RatePerSec {
-		t.Fatalf("mix not heavy-tailed: top %v vs median %v", sorted[0].RatePerSec, sorted[8].RatePerSec)
-	}
-	// Deterministic per seed.
-	again := TenantRates(42, 16, total, 1.1)
-	for i := range rates {
-		if rates[i] != again[i] {
-			t.Fatalf("TenantRates not deterministic at %d: %+v vs %+v", i, rates[i], again[i])
-		}
 	}
 }
